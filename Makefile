@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check smoke smoke-cluster load apicheck apicheck-update bench-baseline bench-diff bench-shard bench-nls bench-cluster clean
+.PHONY: build test vet race check smoke smoke-cluster load apicheck apicheck-update clean
 
 build:
 	$(GO) build ./...
@@ -42,31 +42,6 @@ apicheck:
 
 apicheck-update:
 	./scripts/apicheck.sh -update
-
-# Regenerate the committed benchmark baseline (BENCH_baseline.json).
-bench-baseline:
-	./scripts/bench_baseline.sh
-
-# Advisory: run the candidate-scan benchmarks and diff vs BENCH_baseline.json.
-bench-diff:
-	./scripts/bench_diff.sh
-
-# Million-user sharded-solve benchmark: record SingleShot/Sharded N1M runs
-# into BENCH_baseline.json (benchjson -merge) and print the speedup table.
-bench-shard:
-	./scripts/bench_shard.sh
-
-# Million-user near-linear-solver benchmark: record SingleShot/NearLinear N1M
-# runs into BENCH_baseline.json (benchjson -merge) and print the
-# speedup/quality table (gate: quality >= 0.90x at >= 5x speedup).
-bench-nls:
-	./scripts/bench_nls.sh
-
-# Million-user cluster-solve benchmark: record the nodes=1 / nodes=3
-# ClusterSolve_N1M pair into BENCH_baseline.json (benchjson -merge) and print
-# the single-node vs cluster speedup/parity table (parity must be 1.000x).
-bench-cluster:
-	./scripts/bench_cluster.sh
 
 clean:
 	$(GO) clean ./...

@@ -2,10 +2,8 @@ package repro
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 
-	"repro/internal/clusterd"
 	"repro/internal/core"
 	"repro/internal/exhaustive"
 	"repro/internal/experiments"
@@ -13,9 +11,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/pointset"
 	"repro/internal/reward"
-	"repro/internal/serve"
-	"repro/internal/solver"
-	"repro/internal/spatial"
 	"repro/internal/xrand"
 )
 
@@ -146,88 +141,3 @@ func benchExhaustive(b *testing.B, workers, gridPer int) {
 func BenchmarkExhaustiveN40K4Serial(b *testing.B)   { benchExhaustive(b, 1, 0) }
 func BenchmarkExhaustiveN40K4Parallel(b *testing.B) { benchExhaustive(b, 0, 0) }
 func BenchmarkExhaustiveN40K4Grid5(b *testing.B)    { benchExhaustive(b, 0, 5) }
-
-// Sharded pipeline benches at service scale: one million users in the 4×4
-// box with r = 0.02 (a dense urban-cell workload), k = 32 broadcasts. The
-// single-shot baseline is lazy greedy (bit-identical to greedy2); the
-// sharded run splits the box into 8 spatial shards, solves them in
-// parallel, and lazy-greedy merges the candidate union. The names pair as
-// SingleShot↔Sharded for benchjson's speedup table. Run with -benchtime=1x:
-// each iteration is a full solve measured in seconds.
-
-func millionInstance(b *testing.B) *reward.Instance {
-	b.Helper()
-	in := paperInstance(b, 1_000_000, 2, norm.L2{}, 0.02)
-	g, err := spatial.NewGrid(in.Set.Points(), in.Radius)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in.SetFinder(g)
-	return in
-}
-
-func benchSolverScale(b *testing.B, name string, opts solver.Options) {
-	b.Helper()
-	in := millionInstance(b)
-	alg, err := solver.New(name, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		res, err := alg.Run(context.Background(), in, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.Total
-	}
-	b.ReportMetric(total, "reward")
-}
-
-func BenchmarkSingleShotSolve_N1M_K32(b *testing.B) {
-	benchSolverScale(b, "greedy2-lazy", solver.Options{})
-}
-func BenchmarkShardedSolve_N1M_K32(b *testing.B) {
-	benchSolverScale(b, "greedy2-lazy", solver.Options{Shards: 8})
-}
-
-// BenchmarkNearLinearSolve_N1M_K32 pairs with SingleShotSolve for
-// benchjson's Greedy↔NearLinear table: same instance, same k, but the
-// grid-snapped approximate solver — the reward metric carries the quality
-// ratio's numerator.
-func BenchmarkNearLinearSolve_N1M_K32(b *testing.B) {
-	benchSolverScale(b, "nearlinear", solver.Options{})
-}
-
-// Cluster benches: the same million-user sharded solve, solved alone versus
-// coordinated across a 3-node loopback cluster. nodes=1 runs the local
-// partition → solve → merge pipeline; nodes=3 installs clusterd's forwarding
-// PartSolver against two in-process peers, so every shard crosses the wire
-// (JSON codec both ways over loopback HTTP) and comes back bit-identical —
-// the reward metric must match across the pair. On one box the pair prices
-// pure wire overhead; on real hardware the peer fan-out is what cluster mode
-// buys. The sub-benchmark names pair as nodes=1↔nodes=3 for benchjson's
-// cluster table. Run with -benchtime=1x: each iteration is a full solve.
-func BenchmarkClusterSolve_N1M_K32(b *testing.B) {
-	b.Run("nodes=1", func(b *testing.B) {
-		benchSolverScale(b, "greedy2-lazy", solver.Options{Shards: 8})
-	})
-	b.Run("nodes=3", func(b *testing.B) {
-		var peers []string
-		for i := 0; i < 2; i++ {
-			// Forwarded sub-instances run ~5 MB of JSON, so the peers need a
-			// body cap above the serving default; caching is off so every
-			// iteration re-solves instead of replaying the first answer.
-			s := serve.New(serve.Config{MaxBody: 64 << 20, CacheBytes: -1})
-			ts := httptest.NewServer(s.Handler())
-			b.Cleanup(ts.Close)
-			peers = append(peers, ts.URL)
-		}
-		cl := clusterd.New(clusterd.Config{Peers: peers})
-		cl.GossipOnce(context.Background())
-		remote := cl.PartSolver(clusterd.ForwardSpec{Solver: "greedy2-lazy", Norm: "l2"})
-		benchSolverScale(b, "greedy2-lazy", solver.Options{Shards: 8, Remote: remote})
-	})
-}

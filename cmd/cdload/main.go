@@ -7,15 +7,14 @@
 //
 // The exit status encodes the SLO verdict: -slo-p99 bounds the merged p99
 // latency and -max-5xx caps server errors, so CI can gate directly on the
-// command. -bench-out writes benchjson-format records (usable as a
-// `benchjson -diff` baseline); -bench-text prints go-bench lines pipeable
-// into benchjson.
+// command. -json prints the full report, every latency quantile and
+// outcome count, as one JSON document.
 //
 // Usage:
 //
 //	cdload -url http://127.0.0.1:8080 -rate 100 -duration 30s -churn 0.2
 //	cdload -rate 50 -duration 10s -slo-p99 500ms -max-5xx 0
-//	cdload -rate 50 -duration 10s -bench-out load.json
+//	cdload -rate 50 -duration 10s -json > load.json
 package main
 
 import (

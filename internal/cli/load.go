@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -38,8 +37,6 @@ func Load(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer)
 		maxIn    = fs.Int("max-in-flight", load.DefaultMaxInFlight, "cap on outstanding requests; arrivals past it are dropped")
 		sloP99   = fs.Duration("slo-p99", 0, "fail unless merged p99 latency is within this bound (0 = unchecked)")
 		max5xx   = fs.Int("max-5xx", -1, "fail if more than this many 5xx responses (-1 = unchecked)")
-		benchOut = fs.String("bench-out", "", "write benchjson-format records to this file ('-' = stdout)")
-		benchTxt = fs.Bool("bench-text", false, "also print go-bench-format lines (pipeable into benchjson)")
 		jsonOut  = fs.Bool("json", false, "print the full report as JSON instead of the human summary")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,23 +76,6 @@ func Load(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer)
 		}
 	} else {
 		rep.Print(stdout)
-	}
-	if *benchTxt {
-		rep.WriteBenchText(stdout)
-	}
-	if *benchOut != "" {
-		w := stdout
-		if *benchOut != "-" {
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return fmt.Errorf("cdload: %w", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rep.WriteBenchJSON(w); err != nil {
-			return fmt.Errorf("cdload: %w", err)
-		}
 	}
 	if err := rep.CheckSLO(*sloP99, *max5xx); err != nil {
 		return fmt.Errorf("cdload: %w", err)

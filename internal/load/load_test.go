@@ -3,7 +3,6 @@ package load_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -166,73 +165,6 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestBenchOutputs checks the benchjson document parses into the baseline
-// shape cmd/benchjson -diff consumes, and the text lines look like go-bench
-// output (Benchmark prefix, >= 4 tab-separated fields, value/unit pairs).
-func TestBenchOutputs(t *testing.T) {
-	ts := newTarget(t)
-	rep := runShort(t, load.Config{
-		BaseURL:  ts.URL,
-		Rate:     150,
-		Duration: 200 * time.Millisecond,
-		N:        30,
-		Seed:     3,
-	})
-
-	var buf bytes.Buffer
-	if err := rep.WriteBenchJSON(&buf); err != nil {
-		t.Fatalf("WriteBenchJSON: %v", err)
-	}
-	var doc struct {
-		Env        map[string]string `json:"env"`
-		Benchmarks []struct {
-			Name       string             `json:"name"`
-			Iterations int                `json:"iterations"`
-			Metrics    map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("bench JSON does not parse: %v", err)
-	}
-	if doc.Env["source"] != "cdload" {
-		t.Errorf("env.source = %q, want cdload", doc.Env["source"])
-	}
-	if len(doc.Benchmarks) == 0 {
-		t.Fatal("no benchmark records")
-	}
-	seen := map[string]bool{}
-	for _, b := range doc.Benchmarks {
-		seen[b.Name] = true
-		if b.Iterations <= 0 {
-			t.Errorf("%s: iterations = %d", b.Name, b.Iterations)
-		}
-		if b.Metrics["ns/op"] <= 0 {
-			t.Errorf("%s: ns/op = %v", b.Name, b.Metrics["ns/op"])
-		}
-		if b.Metrics["p99-ns"] < b.Metrics["p50-ns"] {
-			t.Errorf("%s: p99 %v < p50 %v", b.Name, b.Metrics["p99-ns"], b.Metrics["p50-ns"])
-		}
-	}
-	if !seen[load.BenchSolve] || !seen[load.BenchAll] {
-		t.Errorf("missing solve/all records: %v", seen)
-	}
-
-	buf.Reset()
-	rep.WriteBenchText(&buf)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no bench text lines")
-	}
-	for _, line := range lines {
-		if !strings.HasPrefix(line, "Benchmark") {
-			t.Errorf("bench line lacks prefix: %q", line)
-		}
-		if fields := strings.Fields(line); len(fields) < 4 || len(fields)%2 != 0 {
-			t.Errorf("bench line not value/unit pairs: %q", line)
-		}
-	}
-}
-
 // TestCheckSLOFailures exercises each SLO violation branch.
 func TestCheckSLOFailures(t *testing.T) {
 	ts := newTarget(t)
@@ -256,8 +188,7 @@ func TestCheckSLOFailures(t *testing.T) {
 }
 
 // Serving-side benchmarks: in-process client → httptest server → real
-// solver, one request per iteration. These feed BENCH_baseline.json so the
-// serving path has a tracked latency trajectory alongside the kernels.
+// solver, one request per iteration.
 // Solve and churn run with the cache disabled so they keep measuring the
 // full solve path; the Hit variant runs the default caching config, where
 // every iteration after the first is a cache hit.

@@ -1,12 +1,9 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -227,106 +224,4 @@ func (r *Report) CheckSLO(maxP99 time.Duration, max5xx int) error {
 		return fmt.Errorf("slo: p99 latency %v, want <= %v", p99, maxP99)
 	}
 	return nil
-}
-
-// Bench record names. They keep the "Benchmark" prefix because that is
-// what cmd/benchjson stores for `go test -bench` lines (Parse strips only
-// the -procs suffix), so cdload baselines and piped bench text key
-// identically in `benchjson -diff`.
-const (
-	BenchSolve     = "BenchmarkLoadServeSolve"
-	BenchChurn     = "BenchmarkLoadServeChurn"
-	BenchSolveHit  = "BenchmarkLoadServeSolveHit"
-	BenchSolveMiss = "BenchmarkLoadServeSolveMiss"
-	BenchAll       = "BenchmarkLoadServeAll"
-)
-
-// benchRecord mirrors cmd/benchjson's Result shape.
-type benchRecord struct {
-	Name       string             `json:"name"`
-	Pkg        string             `json:"pkg,omitempty"`
-	Procs      int                `json:"procs,omitempty"`
-	Iterations int                `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-// benchDoc mirrors cmd/benchjson's Baseline shape, so a cdload -bench-out
-// file is directly usable as a `benchjson -diff` baseline.
-type benchDoc struct {
-	Env        map[string]string `json:"env"`
-	Benchmarks []benchRecord     `json:"benchmarks"`
-}
-
-func benchName(kind string) string {
-	switch kind {
-	case KindSolve:
-		return BenchSolve
-	case KindChurn:
-		return BenchChurn
-	case KindSolveHit:
-		return BenchSolveHit
-	case KindSolveMiss:
-		return BenchSolveMiss
-	default:
-		return BenchAll
-	}
-}
-
-func (r *Report) benchRecords() []benchRecord {
-	kinds := make([]string, 0, len(r.Latency))
-	for k := range r.Latency {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	recs := make([]benchRecord, 0, len(kinds))
-	for _, kind := range kinds {
-		s := r.Latency[kind]
-		if s.Count == 0 {
-			continue
-		}
-		// Pkg stays empty so diff keys match go-bench text lines, which
-		// carry no package either.
-		recs = append(recs, benchRecord{
-			Name:       benchName(kind),
-			Procs:      runtime.GOMAXPROCS(0),
-			Iterations: s.Count,
-			Metrics: map[string]float64{
-				"ns/op":  float64(s.Mean),
-				"p50-ns": float64(s.P50),
-				"p90-ns": float64(s.P90),
-				"p99-ns": float64(s.P99),
-				"rps":    r.Throughput(),
-			},
-		})
-	}
-	return recs
-}
-
-// WriteBenchJSON writes benchjson-baseline-shaped records: per-kind mean
-// latency as ns/op plus p50/p90/p99 and throughput metrics.
-func (r *Report) WriteBenchJSON(w io.Writer) error {
-	env := map[string]string{
-		"go":     runtime.Version(),
-		"goos":   runtime.GOOS,
-		"goarch": runtime.GOARCH,
-		"source": "cdload",
-	}
-	if host, err := os.Hostname(); err == nil {
-		env["host"] = host
-	}
-	doc := benchDoc{Env: env, Benchmarks: r.benchRecords()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// WriteBenchText writes go-bench-format lines (parseable by `go tool` style
-// consumers and by cmd/benchjson's Parse), one per request kind.
-func (r *Report) WriteBenchText(w io.Writer) {
-	for _, rec := range r.benchRecords() {
-		fmt.Fprintf(w, "%s-%d\t%d\t%.0f ns/op\t%.0f p50-ns\t%.0f p90-ns\t%.0f p99-ns\t%.2f rps\n",
-			rec.Name, rec.Procs, rec.Iterations,
-			rec.Metrics["ns/op"], rec.Metrics["p50-ns"], rec.Metrics["p90-ns"],
-			rec.Metrics["p99-ns"], rec.Metrics["rps"])
-	}
 }

@@ -245,6 +245,58 @@ func TestSinkJSONLSchema(t *testing.T) {
 	}
 }
 
+// TestConcurrentEmitMonotonic emits from several goroutines at once: the
+// stamp must be taken in the same critical section as the write, or a
+// preempted emitter lands an older t_ns after a newer one.
+func TestConcurrentEmitMonotonic(t *testing.T) {
+	const workers, each = 8, 500
+	emitAll := func(c Collector) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					c.Emit(Event{Type: EvRoundEnd, Round: i + 1})
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	checkOrder := func(name string, events []Event) {
+		if len(events) != workers*each {
+			t.Fatalf("%s: %d events, want %d", name, len(events), workers*each)
+		}
+		for i := 1; i < len(events); i++ {
+			if events[i].TNS < events[i-1].TNS {
+				t.Fatalf("%s: event %d t_ns %d went backwards (prev %d)",
+					name, i, events[i].TNS, events[i-1].TNS)
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	s := NewSink(&buf)
+	emitAll(s)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var sinkEvents []Event
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("sink line not an Event: %v", err)
+		}
+		sinkEvents = append(sinkEvents, e)
+	}
+	checkOrder("Sink", sinkEvents)
+
+	m := NewMetrics()
+	emitAll(m)
+	checkOrder("Metrics", m.Snapshot().Events)
+}
+
 func TestSinkIgnoresAggregates(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf)

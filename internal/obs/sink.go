@@ -41,13 +41,14 @@ func (*Sink) Observe(string, float64) {}
 func (*Sink) TimeNS(string, int64) {}
 
 // Emit implements Collector: one JSONL line per event, stamped against the
-// sink's monotonic base when TNS is zero. The first write error is latched
-// and subsequent events are dropped.
+// sink's monotonic base when TNS is zero. The stamp is taken under the lock,
+// so concurrent emitters write lines in timestamp order. The first write
+// error is latched and subsequent events are dropped.
 func (s *Sink) Emit(e Event) {
+	s.mu.Lock()
 	if e.TNS == 0 {
 		e.TNS = time.Since(s.start).Nanoseconds()
 	}
-	s.mu.Lock()
 	if s.err == nil {
 		s.err = s.enc.Encode(e)
 	}

@@ -3,7 +3,6 @@ package reward
 import (
 	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/vec"
 )
 
@@ -15,11 +14,6 @@ import (
 // with skipped terms only where IEEE addition of the skipped +0 term is a
 // bit-exact no-op — so the two paths are interchangeable on any instance
 // (TestBatchedScalarEquivalence enforces this).
-
-// batchParallelMinRows is the row count below which distsInto stays serial
-// even when SetBatchWorkers requested parallelism: under it, goroutine
-// dispatch costs more than the kernel.
-const batchParallelMinRows = 4096
 
 // scratch holds the reusable per-call buffers of the batched path. RoundGain
 // is called concurrently from candidate scans, so buffers are pooled rather
@@ -43,28 +37,12 @@ func (in *Instance) batchOn() bool { return in.batch != nil }
 
 // distsInto runs the instance's batch kernel: out[i] receives the distance
 // from c to row i of flat (exact for rows within the radius; free to be any
-// value ≥ r beyond it when the norm supports capped evaluation). When
-// SetBatchWorkers enabled parallelism and the scan is large, the kernel is
-// chunked over contiguous spans of the flat array; writes land in disjoint
-// out spans, so the result is identical to the serial call.
+// value ≥ r beyond it when the norm supports capped evaluation).
 func (in *Instance) distsInto(c vec.V, flat []float64, dim int, out []float64) {
-	rows := len(out)
-	if in.batchWorkers > 1 && rows >= batchParallelMinRows {
-		parallel.ForRanges(rows, in.batchWorkers, func(lo, hi int) {
-			in.runKernel(c, flat, dim, lo, hi, out)
-		})
-		return
-	}
-	in.runKernel(c, flat, dim, 0, rows, out)
-}
-
-// runKernel invokes the batch kernel on rows [lo, hi).
-func (in *Instance) runKernel(c vec.V, flat []float64, dim, lo, hi int, out []float64) {
-	sub, dst := flat[lo*dim:hi*dim], out[lo:hi]
 	if in.rbatch != nil {
-		in.rbatch.DistsCapped(c, sub, dim, in.Radius, dst)
+		in.rbatch.DistsCapped(c, flat, dim, in.Radius, out)
 	} else {
-		in.batch.Dists(c, sub, dim, dst)
+		in.batch.Dists(c, flat, dim, out)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Candidate-scan benchmarks at large n: the gain hot path every greedy
 // spends its time in. Scalar/Batch pairs measure the same work through the
 // per-point interface-dispatch path and the flat batched kernels; the
-// benchjson -diff report pairs them up and prints the kernel speedup.
+// ratio of a pair's ns/op is the kernel speedup.
 
 func benchInstance(b *testing.B, n, dim int, nm norm.Norm, r, spread float64, grid bool) (*Instance, []float64) {
 	b.Helper()
@@ -152,8 +152,8 @@ func BenchmarkEvaluatorReplaceBatch_N10000(b *testing.B)  { benchEvaluatorReplac
 // Churn benchmarks: keeping a built evaluator aligned with one arriving and
 // one departing user, incrementally (AddUser/RemoveUser) versus by rebuilding
 // the evaluator state from scratch after each Set delta — the cost the
-// incremental path replaces. The benchjson -diff report pairs Delta↔Full
-// benchmarks and prints the speedup; the gate is >= 5x at n = 10000.
+// incremental path replaces. The ratio of a Full↔Delta pair's ns/op is the
+// speedup.
 
 func benchChurnCenters() []vec.V {
 	rng := xrand.New(11)

@@ -128,26 +128,3 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// Chunked kernels (SetBatchWorkers > 1) must also be bit-identical: writes
-// land in disjoint spans and the reduction stays serial.
-func TestBatchedWorkersEquivalence(t *testing.T) {
-	rng := xrand.New(101)
-	n := 5000 // above batchParallelMinRows so chunking actually engages
-	pts := make([]vec.V, n)
-	ws := make([]float64, n)
-	for i := range pts {
-		pts[i] = vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
-		ws[i] = float64(rng.IntRange(1, 5))
-	}
-	serial := mustInstance(t, pts, ws, norm.L2{}, 1)
-	chunked := mustInstance(t, pts, ws, norm.L2{}, 1)
-	chunked.SetBatchWorkers(4)
-	y := serial.NewResiduals()
-	for q := 0; q < 10; q++ {
-		c := vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
-		if sg, cg := serial.RoundGain(c, y), chunked.RoundGain(c, y); sg != cg {
-			t.Fatalf("query %d: serial %v != chunked %v", q, sg, cg)
-		}
-	}
-}

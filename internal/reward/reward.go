@@ -44,9 +44,8 @@ type Instance struct {
 	finder NeighborFinder
 	obs    obs.Collector
 
-	batch        norm.Batch       // non-nil: batched kernels active
-	rbatch       norm.RadiusBatch // non-nil: radius-capped variant available
-	batchWorkers int              // >1: chunk large kernels over goroutines
+	batch  norm.Batch       // non-nil: batched kernels active
+	rbatch norm.RadiusBatch // non-nil: radius-capped variant available
 }
 
 // SetFinder installs (or clears, with nil) a neighbor accelerator. It must
@@ -95,14 +94,6 @@ func (in *Instance) SetBatch(on bool) {
 	in.batch = norm.AsBatch(in.Norm)
 	in.rbatch = norm.AsRadiusBatch(in.Norm)
 }
-
-// SetBatchWorkers sets the goroutine budget for chunking one batched kernel
-// call over spans of the flat coordinate array (w <= 1 keeps kernels
-// serial, the default). Candidate scans are already parallel across
-// candidates, so this only pays off for serial large-n callers such as the
-// continuous inner solvers; chunk writes are disjoint and the reduction
-// stays in index order, so results are unchanged bit for bit.
-func (in *Instance) SetBatchWorkers(w int) { in.batchWorkers = w }
 
 // N reports the number of points.
 func (in *Instance) N() int { return in.Set.Len() }

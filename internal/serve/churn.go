@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 
+	v1 "repro/api/v1"
 	"repro/internal/broadcast"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // handleChurn answers POST /v1/churn with a stream of chunked JSON lines
-// (Content-Type application/x-ndjson): one ChurnLineV1 per completed period,
+// (Content-Type application/x-ndjson): one v1.ChurnLine per completed period,
 // flushed as the loop commits it, then a final summary line. Warm starts are
 // carried across periods inside the loop when requested. A deadline or drain
 // mid-run ends the stream early with "partial": true on the summary — the
@@ -24,7 +25,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req ChurnRequestV1
+	var req v1.ChurnRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
 		sc.fail(w, e)
 		return
@@ -40,7 +41,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.K <= 0 {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadK, "k = %d, want k >= 1", req.K))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadK, "k = %d, want k >= 1", req.K))
 		return
 	}
 	if e := checkRadius(req.Radius); e != nil {
@@ -48,7 +49,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Instance == nil || req.Instance.Len() == 0 {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadInstance, "request has no instance"))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
 		return
 	}
 	box, e := wireBox(req.BoxLo, req.BoxHi, req.Instance.Dim())
@@ -62,7 +63,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	}
 	tr, err := trace.FromSet(req.Instance, box)
 	if err != nil {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadInstance, "%v", err))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
 	}
 	cfg := broadcast.ChurnConfig{
@@ -82,7 +83,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	// Run the loop's own validation up front (periods, rates, index) so the
 	// client gets a 400 rather than a mid-stream error line.
 	if err := cfg.Validate(); err != nil {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadRequest, "%v", err))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest, "%v", err))
 		return
 	}
 
@@ -93,7 +94,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		queueSpan.SetAttr("expired", 1)
 		queueSpan.End()
 		w.Header().Set("Retry-After", retryAfterValue(s.cfg.retryAfter()))
-		sc.fail(w, errf(http.StatusServiceUnavailable, CodeDeadlineQueued,
+		sc.fail(w, errf(http.StatusServiceUnavailable, v1.CodeDeadlineQueued,
 			"deadline expired while queued for a worker slot: %v", err))
 		return
 	}
@@ -103,7 +104,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	wroteHeader := false
-	writeLine := func(line ChurnLineV1) {
+	writeLine := func(line v1.ChurnLine) {
 		if !wroteHeader {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.Header().Set("X-Request-ID", sc.id)
@@ -116,7 +117,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cfg.OnPeriod = func(ps broadcast.ChurnPeriodStat) {
-		writeLine(ChurnLineV1{Period: &ChurnPeriodV1{
+		writeLine(v1.ChurnLine{Period: &v1.ChurnPeriod{
 			Period:         ps.Period,
 			N:              ps.N,
 			Objective:      ps.Objective,
@@ -139,10 +140,10 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if runErr != nil && (m == nil || ctx.Err() == nil) {
 		// A real failure, not a cancellation.
 		if !wroteHeader {
-			sc.fail(w, errf(http.StatusInternalServerError, CodeSolveFailed, "%v", runErr))
+			sc.fail(w, errf(http.StatusInternalServerError, v1.CodeSolveFailed, "%v", runErr))
 			return
 		}
-		writeLine(ChurnLineV1{Error: &ErrorV1{Code: CodeSolveFailed, Message: runErr.Error()}})
+		writeLine(v1.ChurnLine{Error: &v1.Error{Code: v1.CodeSolveFailed, Message: runErr.Error()}})
 		sc.end(http.StatusOK)
 		return
 	}
@@ -150,7 +151,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		s.col.Count(obs.CtrSrvPartial, 1)
 	}
-	writeLine(ChurnLineV1{Summary: &ChurnSummaryV1{
+	writeLine(v1.ChurnLine{Summary: &v1.ChurnSummary{
 		RequestID:         sc.id,
 		Solver:            m.Solver,
 		Periods:           len(m.Periods),

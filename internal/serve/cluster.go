@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 
+	v1 "repro/api/v1"
 	"repro/internal/clusterd"
 	"repro/internal/core"
 	"repro/internal/solver"
@@ -17,11 +18,11 @@ import (
 func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, "", errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, "", errf(http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
 			"%s %s: use GET", r.Method, r.URL.Path))
 		return
 	}
-	h := ClusterHealthV1{
+	h := v1.ClusterHealth{
 		Draining:   s.draining.Load(),
 		Workers:    s.cfg.workers(),
 		InFlight:   int(s.inFlight.Load()),
@@ -44,7 +45,7 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 // parallelism, which cannot change results — solvers are bit-identical
 // across worker counts). The per-shard derived seed is stamped in by the
 // PartSolver itself.
-func (s *Server) clusterRemote(requestID, solverName, normName string, opts OptionsV1) core.PartSolver {
+func (s *Server) clusterRemote(requestID, solverName, normName string, opts v1.SolveOptions) core.PartSolver {
 	cl := s.cfg.Cluster
 	if cl == nil || cl.NumPeers() == 0 {
 		return nil

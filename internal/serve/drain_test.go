@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/serve"
 )
 
@@ -21,12 +22,12 @@ func TestDrainFinishesInFlight(t *testing.T) {
 
 	type reply struct {
 		status int
-		out    serve.SolveResponseV1
+		out    v1.SolveResponse
 	}
 	inflight := make(chan reply, 1)
 	go func() {
 		resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
-		var out serve.SolveResponseV1
+		var out v1.SolveResponse
 		_ = json.Unmarshal(data, &out)
 		inflight <- reply{resp.StatusCode, out}
 	}()
@@ -38,15 +39,15 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		defer cancel()
 		drained <- srv.Drain(ctx, 5*time.Second)
 	}()
-	waitHealthz(t, ts.URL, func(h serve.HealthV1) bool { return h.Status == "draining" })
+	waitHealthz(t, ts.URL, func(h v1.Health) bool { return h.Status == "draining" })
 
 	// New work is refused immediately...
 	resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining status %d, want 503 (%s)", resp.StatusCode, data)
 	}
-	if e := decodeError(t, data); e.Code != serve.CodeDraining {
-		t.Errorf("code %q, want %q", e.Code, serve.CodeDraining)
+	if e := decodeError(t, data); e.Code != v1.CodeDraining {
+		t.Errorf("code %q, want %q", e.Code, v1.CodeDraining)
 	}
 
 	// ...while the in-flight solve finishes inside the grace period.
@@ -72,11 +73,11 @@ func TestDrainGraceCancels(t *testing.T) {
 	srv, ts := newTestServer(t, serve.Config{})
 	body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":2,"solver":"test-block"}`, instanceJSON(5))
 
-	inflight := make(chan serve.SolveResponseV1, 1)
+	inflight := make(chan v1.SolveResponse, 1)
 	statusCh := make(chan int, 1)
 	go func() {
 		resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
-		var out serve.SolveResponseV1
+		var out v1.SolveResponse
 		_ = json.Unmarshal(data, &out)
 		statusCh <- resp.StatusCode
 		inflight <- out

@@ -7,15 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	v1 "repro/api/v1"
 	"repro/internal/serve"
 	"repro/internal/solver"
 )
 
 // decodeError parses the machine-readable error envelope every non-2xx v1
 // response must carry.
-func decodeError(t *testing.T, data []byte) serve.ErrorV1 {
+func decodeError(t *testing.T, data []byte) v1.Error {
 	t.Helper()
-	var out serve.ErrorResponseV1
+	var out v1.ErrorResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("non-2xx body is not an error envelope: %v (%s)", err, data)
 	}
@@ -35,54 +36,54 @@ func TestSolveErrorPaths(t *testing.T) {
 		status     int
 		code       string
 	}{
-		{"malformed json", `{"instance": nope`, http.StatusBadRequest, serve.CodeBadJSON},
+		{"malformed json", `{"instance": nope`, http.StatusBadRequest, v1.CodeBadJSON},
 		{"unknown field", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"bogus":true}`, good),
-			http.StatusBadRequest, serve.CodeBadJSON},
-		{"not an object", `[1,2,3]`, http.StatusBadRequest, serve.CodeBadJSON},
+			http.StatusBadRequest, v1.CodeBadJSON},
+		{"not an object", `[1,2,3]`, http.StatusBadRequest, v1.CodeBadJSON},
 		{"unknown solver", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"solver":"greedy9"}`, good),
-			http.StatusBadRequest, serve.CodeUnknownSolver},
+			http.StatusBadRequest, v1.CodeUnknownSolver},
 		{"zero k", fmt.Sprintf(`{"instance":%s,"radius":1,"k":0}`, good),
-			http.StatusBadRequest, serve.CodeBadK},
+			http.StatusBadRequest, v1.CodeBadK},
 		{"negative k", fmt.Sprintf(`{"instance":%s,"radius":1,"k":-3}`, good),
-			http.StatusBadRequest, serve.CodeBadK},
+			http.StatusBadRequest, v1.CodeBadK},
 		{"zero radius", fmt.Sprintf(`{"instance":%s,"radius":0,"k":1}`, good),
-			http.StatusBadRequest, serve.CodeBadRadius},
+			http.StatusBadRequest, v1.CodeBadRadius},
 		{"bad norm", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"norm":"l7"}`, good),
-			http.StatusBadRequest, serve.CodeBadNorm},
-		{"missing instance", `{"radius":1,"k":1}`, http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadNorm},
+		{"missing instance", `{"radius":1,"k":1}`, http.StatusBadRequest, v1.CodeBadInstance},
 		{"empty instance", `{"instance":{"points":[]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"non-finite coordinate", `{"instance":{"points":[[1e999,0]]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"non-finite weight", `{"instance":{"points":[[0,0]],"weights":[1e999]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"negative weight", `{"instance":{"points":[[0,0]],"weights":[-1]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"weight count mismatch", `{"instance":{"points":[[0,0]],"weights":[1,2]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"empty point row", `{"instance":{"points":[[]]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeBadInstance},
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"bad cache_control", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"cache_control":"refresh"}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"negative shards", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"options":{"shards":-2}}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"below-range halo", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"options":{"shards":2,"halo":-2}}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"unknown sharded inner", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"solver":"sharded(greedy9)"}`, good),
-			http.StatusBadRequest, serve.CodeUnknownSolver},
+			http.StatusBadRequest, v1.CodeUnknownSolver},
 		{"mixed instance dims", `{"instance":{"points":[[0,0],[1]]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeDimMismatch},
+			http.StatusBadRequest, v1.CodeDimMismatch},
 		{"dim contradicts rows", `{"instance":{"dim":3,"points":[[0,0]]},"radius":1,"k":1}`,
-			http.StatusBadRequest, serve.CodeDimMismatch},
+			http.StatusBadRequest, v1.CodeDimMismatch},
 		{"warm start dim mismatch",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"options":{"warm_start":[[1,2,3]]}}`, good),
-			http.StatusBadRequest, serve.CodeDimMismatch},
+			http.StatusBadRequest, v1.CodeDimMismatch},
 		{"box dim mismatch",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"options":{"box_lo":[0],"box_hi":[1]}}`, good),
-			http.StatusBadRequest, serve.CodeDimMismatch},
+			http.StatusBadRequest, v1.CodeDimMismatch},
 		{"oversized body",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1}`, instanceJSON(2000)),
-			http.StatusRequestEntityTooLarge, serve.CodeBodyTooLarge},
+			http.StatusRequestEntityTooLarge, v1.CodeBodyTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,19 +125,19 @@ func TestChurnErrorPaths(t *testing.T) {
 	}{
 		{"zero periods",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":0,"arrival_rate":1,"depart_rate":1}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"bad index",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"index":"quadtree"}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"negative arrival rate",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":-1,"depart_rate":1}`, good),
-			http.StatusBadRequest, serve.CodeBadRequest},
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"unknown solver",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"solver":"nope"}`, good),
-			http.StatusBadRequest, serve.CodeUnknownSolver},
+			http.StatusBadRequest, v1.CodeUnknownSolver},
 		{"zero k",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":0,"periods":2,"arrival_rate":1,"depart_rate":1}`, good),
-			http.StatusBadRequest, serve.CodeBadK},
+			http.StatusBadRequest, v1.CodeBadK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,13 +170,13 @@ func TestMethodNotAllowed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out serve.ErrorResponseV1
+		var out v1.ErrorResponse
 		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
-		if resp.StatusCode != http.StatusMethodNotAllowed || out.Error.Code != serve.CodeMethodNotAllowed {
+		if resp.StatusCode != http.StatusMethodNotAllowed || out.Error.Code != v1.CodeMethodNotAllowed {
 			t.Errorf("%s %s: status %d code %q", tc.method, tc.path, resp.StatusCode, out.Error.Code)
 		}
 		if got := resp.Header.Get("Allow"); got != tc.allow {

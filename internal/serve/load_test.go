@@ -9,15 +9,16 @@ import (
 	"testing"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // waitHealthz polls /healthz until cond holds or the deadline passes.
-func waitHealthz(t *testing.T, url string, cond func(serve.HealthV1) bool) serve.HealthV1 {
+func waitHealthz(t *testing.T, url string, cond func(v1.Health) bool) v1.Health {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	var h serve.HealthV1
+	var h v1.Health
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url + "/healthz")
 		if err != nil {
@@ -63,7 +64,7 @@ func TestAdmissionSaturation(t *testing.T) {
 	// Wait until one solve is running and the other is queued: the running
 	// one signals started, and healthz reports 2 in flight.
 	<-started
-	waitHealthz(t, ts.URL, func(h serve.HealthV1) bool { return h.InFlight == 2 })
+	waitHealthz(t, ts.URL, func(h v1.Health) bool { return h.InFlight == 2 })
 
 	// The pool is saturated: the next request must bounce, not wait.
 	resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
@@ -77,11 +78,11 @@ func TestAdmissionSaturation(t *testing.T) {
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want an integer >= 1", ra)
 	}
-	if e := decodeError(t, data); e.Code != serve.CodeQueueFull {
-		t.Errorf("code %q, want %q", e.Code, serve.CodeQueueFull)
+	if e := decodeError(t, data); e.Code != v1.CodeQueueFull {
+		t.Errorf("code %q, want %q", e.Code, v1.CodeQueueFull)
 	}
 	// Liveness is independent of the worker pool.
-	h := waitHealthz(t, ts.URL, func(h serve.HealthV1) bool { return h.Status == "ok" })
+	h := waitHealthz(t, ts.URL, func(h v1.Health) bool { return h.Status == "ok" })
 	if h.InFlight != 2 || h.Queued != 1 {
 		t.Errorf("healthz under saturation = %+v, want 2 in flight / 1 queued", h)
 	}
@@ -125,8 +126,8 @@ func TestQueuedDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", resp.StatusCode, data)
 	}
-	if e := decodeError(t, data); e.Code != serve.CodeDeadlineQueued {
-		t.Errorf("code %q, want %q", e.Code, serve.CodeDeadlineQueued)
+	if e := decodeError(t, data); e.Code != v1.CodeDeadlineQueued {
+		t.Errorf("code %q, want %q", e.Code, v1.CodeDeadlineQueued)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("503 without a Retry-After header")

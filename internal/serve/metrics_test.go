@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -218,7 +219,7 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	}
 	var sawSummary bool
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var l serve.ChurnLineV1
+		var l v1.ChurnLine
 		if err := json.Unmarshal([]byte(line), &l); err != nil {
 			t.Fatalf("bad ndjson line %q: %v", line, err)
 		}
@@ -318,7 +319,7 @@ func TestMetricsAndPprofConcurrent(t *testing.T) {
 func TestHealthzUptimeAndDraining(t *testing.T) {
 	started, release := resetBlock()
 	srv, ts := newTestServer(t, serve.Config{Workers: 1})
-	var h serve.HealthV1
+	var h v1.Health
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Draining || h.Status != "ok" {
 		t.Fatalf("fresh server healthz = %+v", h)
@@ -341,7 +342,7 @@ func TestHealthzUptimeAndDraining(t *testing.T) {
 	<-started
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(context.Background(), 5*time.Second) }()
-	waitHealthz(t, ts.URL, func(h serve.HealthV1) bool { return h.Draining })
+	waitHealthz(t, ts.URL, func(h v1.Health) bool { return h.Draining })
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Status != "draining" || !h.Draining {
 		t.Errorf("draining healthz = %+v", h)

@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	v1 "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/vec"
@@ -40,7 +41,7 @@ func TestRoundsFromEventsFiltersByTrace(t *testing.T) {
 	if len(rounds) != 2 {
 		t.Fatalf("got %d rounds, want 2", len(rounds))
 	}
-	want := []RoundV1{
+	want := []v1.Round{
 		{Round: 1, Gain: 5, WallNS: 100},
 		{Round: 2, Gain: 3, WallNS: 200},
 	}

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/cache"
 	"repro/internal/clusterd"
 	"repro/internal/obs"
@@ -302,7 +303,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, method, route str
 	s.col.Count(rt.requests, 1)
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		writeError(w, "", errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, "", errf(http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
 			"%s %s: use %s", r.Method, r.URL.Path, method))
 		return nil, false
 	}
@@ -311,7 +312,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, method, route str
 		s.col.Count(obs.CtrSrvDraining, 1)
 		s.col.Count(rt.rejected, 1)
 		w.Header().Set("Retry-After", retryAfterValue(s.cfg.retryAfter()))
-		writeError(w, id, errf(http.StatusServiceUnavailable, CodeDraining,
+		writeError(w, id, errf(http.StatusServiceUnavailable, v1.CodeDraining,
 			"server is draining; retry against another instance"))
 		return nil, false
 	}
@@ -319,7 +320,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, method, route str
 		s.col.Count(obs.CtrSrvQueueFull, 1)
 		s.col.Count(rt.rejected, 1)
 		w.Header().Set("Retry-After", retryAfterValue(s.cfg.retryAfter()))
-		writeError(w, id, errf(http.StatusTooManyRequests, CodeQueueFull,
+		writeError(w, id, errf(http.StatusTooManyRequests, v1.CodeQueueFull,
 			"admission queue full (%d running + %d queued); retry after backoff",
 			s.cfg.workers(), s.cfg.queueDepth()))
 		return nil, false
@@ -401,15 +402,15 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ap
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+		return errf(http.StatusRequestEntityTooLarge, v1.CodeBodyTooLarge,
 			"request body exceeds %d bytes", tooBig.Limit)
 	case errors.Is(err, pointset.ErrDim):
-		return errf(http.StatusBadRequest, CodeDimMismatch, "%v", err)
+		return errf(http.StatusBadRequest, v1.CodeDimMismatch, "%v", err)
 	case strings.Contains(err.Error(), "pointset:"):
 		// The instance decoded as JSON but failed pointset validation.
-		return errf(http.StatusBadRequest, CodeBadInstance, "%v", err)
+		return errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err)
 	default:
-		return errf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+		return errf(http.StatusBadRequest, v1.CodeBadJSON, "%v", err)
 	}
 }
 
@@ -424,7 +425,7 @@ func writeJSON(w http.ResponseWriter, id string, status int, body any) {
 }
 
 func writeError(w http.ResponseWriter, id string, e *apiErr) {
-	writeJSON(w, id, e.status, ErrorResponseV1{Error: ErrorV1{Code: e.code, Message: e.msg}})
+	writeJSON(w, id, e.status, v1.ErrorResponse{Error: v1.Error{Code: e.code, Message: e.msg}})
 }
 
 // handleSolvers answers GET /v1/solvers with the sorted registry catalog —
@@ -432,14 +433,14 @@ func writeError(w http.ResponseWriter, id string, e *apiErr) {
 func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, "", errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		writeError(w, "", errf(http.StatusMethodNotAllowed, v1.CodeMethodNotAllowed,
 			"%s %s: use GET", r.Method, r.URL.Path))
 		return
 	}
-	resp := SolversResponseV1{Solvers: []SolverInfoV1{}}
+	resp := v1.SolversResponse{Solvers: []v1.SolverInfo{}}
 	for _, name := range solver.Names() {
 		e, _ := solver.Lookup(name)
-		resp.Solvers = append(resp.Solvers, SolverInfoV1{Name: name, Summary: e.Summary})
+		resp.Solvers = append(resp.Solvers, v1.SolverInfo{Name: name, Summary: e.Summary})
 	}
 	writeJSON(w, "", http.StatusOK, resp)
 }
@@ -453,7 +454,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 	}
 	uptime := time.Since(s.start)
-	writeJSON(w, "", http.StatusOK, HealthV1{
+	writeJSON(w, "", http.StatusOK, v1.Health{
 		Status:        status,
 		Draining:      s.draining.Load(),
 		InFlight:      int(s.inFlight.Load()),

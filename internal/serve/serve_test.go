@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/norm"
 	"repro/internal/obs"
@@ -180,7 +181,7 @@ func TestSolveBasic(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out serve.SolveResponseV1
+	var out v1.SolveResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestSolveDeadlinePartial(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var out serve.SolveResponseV1
+	var out v1.SolveResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSolveDeadlinePartial(t *testing.T) {
 // — the same strings cdgreedy -alg resolves.
 func TestSolversCatalog(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
-	var out serve.SolversResponseV1
+	var out v1.SolversResponse
 	if resp := getJSON(t, ts.URL+"/v1/solvers", &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -300,7 +301,7 @@ func TestSolversCatalog(t *testing.T) {
 // consistent shapes, and served requests show up in the counters.
 func TestHealthAndMetrics(t *testing.T) {
 	srv, ts := newTestServer(t, serve.Config{})
-	var h serve.HealthV1
+	var h v1.Health
 	if resp := getJSON(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
@@ -349,11 +350,11 @@ func TestChurnStreams(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type %q", ct)
 	}
-	var periods []serve.ChurnPeriodV1
-	var summary *serve.ChurnSummaryV1
+	var periods []v1.ChurnPeriod
+	var summary *v1.ChurnSummary
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
-		var line serve.ChurnLineV1
+		var line v1.ChurnLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -400,10 +401,10 @@ func TestChurnDeadlinePartial(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var summary *serve.ChurnSummaryV1
+	var summary *v1.ChurnSummary
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
-		var line serve.ChurnLineV1
+		var line v1.ChurnLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatal(err)
 		}

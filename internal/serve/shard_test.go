@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	v1 "repro/api/v1"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -26,7 +27,7 @@ func TestSolveSharded(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, data)
 		}
-		var out serve.SolveResponseV1
+		var out v1.SolveResponse
 		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
 		}

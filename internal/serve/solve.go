@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	v1 "repro/api/v1"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/norm"
@@ -29,7 +30,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req SolveRequestV1
+	var req v1.SolveRequest
 	if e := s.decodeBody(w, r, &req); e != nil {
 		sc.fail(w, e)
 		return
@@ -45,7 +46,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.K <= 0 {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadK, "k = %d, want k >= 1", req.K))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadK, "k = %d, want k >= 1", req.K))
 		return
 	}
 	if e := checkRadius(req.Radius); e != nil {
@@ -53,7 +54,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Instance == nil || req.Instance.Len() == 0 {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadInstance, "request has no instance"))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
 		return
 	}
 	warm, e := warmCenters(req.Options.WarmStart, req.Instance.Dim())
@@ -67,20 +68,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Options.Validate(); err != nil {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadRequest, "%v", err))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest, "%v", err))
 		return
 	}
 	useCache := s.cache != nil
 	switch req.CacheControl {
 	case "":
-	case CacheControlBypass:
+	case v1.CacheControlBypass:
 		if useCache {
 			s.col.Count(obs.CtrCacheBypass, 1)
 		}
 		useCache = false
 	default:
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadRequest,
-			"cache_control = %q, want \"\" or %q", req.CacheControl, CacheControlBypass))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest,
+			"cache_control = %q, want \"\" or %q", req.CacheControl, v1.CacheControlBypass))
 		return
 	}
 
@@ -115,7 +116,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.col.Count(obs.CtrCacheHits, 1)
 			cacheSpan.SetAttr("hit", 1)
 			cacheSpan.End()
-			s.answerCached(w, sc, val.(*SolveResponseV1))
+			s.answerCached(w, sc, val.(*v1.SolveResponse))
 			return
 		}
 		if leader {
@@ -138,7 +139,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					cacheSpan.SetAttr("hit", 1)
 					cacheSpan.SetAttr("collapsed", 1)
 					cacheSpan.End()
-					s.answerCached(w, sc, v.(*SolveResponseV1))
+					s.answerCached(w, sc, v.(*v1.SolveResponse))
 					return
 				}
 				// The leader finished without a cacheable result (partial
@@ -150,7 +151,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				cacheSpan.SetAttr("expired", 1)
 				cacheSpan.End()
 				w.Header().Set("Retry-After", retryAfterValue(s.cfg.retryAfter()))
-				sc.fail(w, errf(http.StatusServiceUnavailable, CodeDeadlineQueued,
+				sc.fail(w, errf(http.StatusServiceUnavailable, v1.CodeDeadlineQueued,
 					"deadline expired while collapsed onto an identical in-flight solve: %v", ctx.Err()))
 				return
 			}
@@ -162,7 +163,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		queueSpan.SetAttr("expired", 1)
 		queueSpan.End()
 		w.Header().Set("Retry-After", retryAfterValue(s.cfg.retryAfter()))
-		sc.fail(w, errf(http.StatusServiceUnavailable, CodeDeadlineQueued,
+		sc.fail(w, errf(http.StatusServiceUnavailable, v1.CodeDeadlineQueued,
 			"deadline expired while queued for a worker slot: %v", err))
 		return
 	}
@@ -176,7 +177,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	col := obs.Multi(s.col, reqMetrics)
 	in, err := reward.NewInstance(req.Instance, nm, req.Radius)
 	if err != nil {
-		sc.fail(w, errf(http.StatusBadRequest, CodeBadInstance, "%v", err))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
 	}
 	in.SetCollector(col)
@@ -194,7 +195,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	alg, err := solver.New(solverName, solverOpts)
 	if err != nil {
 		// Unreachable: resolveSolver already checked the catalog.
-		sc.fail(w, errf(http.StatusBadRequest, CodeUnknownSolver, "%v", err))
+		sc.fail(w, errf(http.StatusBadRequest, v1.CodeUnknownSolver, "%v", err))
 		return
 	}
 
@@ -212,7 +213,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if res == nil || ctx.Err() == nil {
 			solveSpan.SetAttr("failed", 1)
 			solveSpan.End()
-			sc.fail(w, errf(http.StatusInternalServerError, CodeSolveFailed, "%v", runErr))
+			sc.fail(w, errf(http.StatusInternalServerError, v1.CodeSolveFailed, "%v", runErr))
 			return
 		}
 		// The anytime contract: a cancelled solve returns the valid prefix
@@ -225,7 +226,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	solveSpan.SetAttr("total", res.Total)
 	solveSpan.End()
 
-	resp := SolveResponseV1{
+	resp := v1.SolveResponse{
 		RequestID: sc.id,
 		Solver:    solverName,
 		Norm:      normName,
@@ -258,7 +259,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // field of the original (complete) solve bit-identical, with this request's
 // ID and the cached flag stamped on. The shallow copy shares the cached
 // slices, which are never mutated after Deliver.
-func (s *Server) answerCached(w http.ResponseWriter, sc *reqScope, stored *SolveResponseV1) {
+func (s *Server) answerCached(w http.ResponseWriter, sc *reqScope, stored *v1.SolveResponse) {
 	resp := *stored
 	resp.RequestID = sc.id
 	resp.Cached = true
@@ -266,7 +267,7 @@ func (s *Server) answerCached(w http.ResponseWriter, sc *reqScope, stored *Solve
 	sc.end(http.StatusOK)
 }
 
-// mustMarshal sizes a response for the cache's byte budget. SolveResponseV1
+// mustMarshal sizes a response for the cache's byte budget. v1.SolveResponse
 // contains only JSON-encodable fields, so Marshal cannot fail.
 func mustMarshal(v any) []byte {
 	b, err := json.Marshal(v)
@@ -283,7 +284,7 @@ func resolveNorm(name string) (string, norm.Norm, *apiErr) {
 	}
 	nm, err := norm.ByName(name)
 	if err != nil {
-		return "", nil, errf(http.StatusBadRequest, CodeBadNorm,
+		return "", nil, errf(http.StatusBadRequest, v1.CodeBadNorm,
 			"unknown norm %q (have: l1 | l2 | linf)", name)
 	}
 	return name, nm, nil
@@ -298,14 +299,14 @@ func resolveSolver(name string) (string, *apiErr) {
 		name = "greedy2"
 	}
 	if err := solver.Check(name); err != nil {
-		return "", errf(http.StatusBadRequest, CodeUnknownSolver, "%v", err)
+		return "", errf(http.StatusBadRequest, v1.CodeUnknownSolver, "%v", err)
 	}
 	return name, nil
 }
 
 func checkRadius(r float64) *apiErr {
 	if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-		return errf(http.StatusBadRequest, CodeBadRadius,
+		return errf(http.StatusBadRequest, v1.CodeBadRadius,
 			"radius = %v, want positive and finite", r)
 	}
 	return nil
@@ -319,7 +320,7 @@ func warmCenters(rows [][]float64, dim int) ([]vec.V, *apiErr) {
 	out := make([]vec.V, len(rows))
 	for i, row := range rows {
 		if len(row) != dim {
-			return nil, errf(http.StatusBadRequest, CodeDimMismatch,
+			return nil, errf(http.StatusBadRequest, v1.CodeDimMismatch,
 				"warm_start[%d] has dim %d, want %d", i, len(row), dim)
 		}
 		out[i] = vec.V(append([]float64{}, row...))
@@ -334,12 +335,12 @@ func wireBox(lo, hi []float64, dim int) (pointset.Box, *apiErr) {
 		return pointset.Box{}, nil
 	}
 	if len(lo) != dim || len(hi) != dim {
-		return pointset.Box{}, errf(http.StatusBadRequest, CodeDimMismatch,
+		return pointset.Box{}, errf(http.StatusBadRequest, v1.CodeDimMismatch,
 			"box_lo/box_hi have dims %d/%d, want %d", len(lo), len(hi), dim)
 	}
 	b := pointset.Box{Lo: vec.V(append([]float64{}, lo...)), Hi: vec.V(append([]float64{}, hi...))}
 	if !b.Valid() {
-		return pointset.Box{}, errf(http.StatusBadRequest, CodeBadRequest,
+		return pointset.Box{}, errf(http.StatusBadRequest, v1.CodeBadRequest,
 			"box_lo must be <= box_hi component-wise")
 	}
 	return b, nil
@@ -364,10 +365,10 @@ func centersWire(centers []vec.V) [][]float64 {
 // widely than intended — can surface round_end events from another solve
 // whose round numbers happen to collide. Those must not overwrite this
 // request's wall times.
-func roundsFromEvents(res *core.Result, snap obs.Snapshot, trace string) []RoundV1 {
-	rounds := make([]RoundV1, len(res.Gains))
+func roundsFromEvents(res *core.Result, snap obs.Snapshot, trace string) []v1.Round {
+	rounds := make([]v1.Round, len(res.Gains))
 	for j, g := range res.Gains {
-		rounds[j] = RoundV1{Round: j + 1, Gain: g}
+		rounds[j] = v1.Round{Round: j + 1, Gain: g}
 	}
 	for _, e := range snap.Events {
 		if e.Type != obs.EvRoundEnd || e.Trace != trace || e.Round < 1 || e.Round > len(rounds) {

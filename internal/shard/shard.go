@@ -83,9 +83,6 @@ func HaloRings(halo int) int {
 	}
 }
 
-// haloRings normalizes the Halo knob.
-func (o Options) haloRings() int { return HaloRings(o.Halo) }
-
 // NewSolver builds the sharded pipeline around an inner registry algorithm:
 // innerName is the inner solver's catalog name (for display), newInner
 // constructs it for a derived per-shard seed. The result is a

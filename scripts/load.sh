@@ -12,7 +12,6 @@
 #             instances (default 0 = pooled bodies)
 #   SLO_P99   p99 latency bound, 0 = unchecked   (default 0)
 #   MAX_5XX   allowed 5xx responses, -1 = any    (default 0)
-#   BENCH_OUT write benchjson records here       (default: none)
 #
 # Examples:
 #   ./scripts/load.sh
@@ -28,7 +27,6 @@ CHURN="${CHURN:-0.2}"
 DUP="${DUP:-0}"
 SLO_P99="${SLO_P99:-0}"
 MAX_5XX="${MAX_5XX:-0}"
-BENCH_OUT="${BENCH_OUT:-}"
 
 BIN="$(mktemp -d)"
 SERVED_PID=""
@@ -56,8 +54,5 @@ if [ -z "$base" ]; then
 	echo "load: booted cdserved at $base"
 fi
 
-set -- -url "$base" -rate "$RATE" -duration "$DURATION" -churn "$CHURN" \
+"$BIN/cdload" -url "$base" -rate "$RATE" -duration "$DURATION" -churn "$CHURN" \
 	-dup "$DUP" -slo-p99 "$SLO_P99" -max-5xx "$MAX_5XX"
-[ -n "$BENCH_OUT" ] && set -- "$@" -bench-out "$BENCH_OUT"
-
-"$BIN/cdload" "$@"

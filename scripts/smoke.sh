@@ -146,23 +146,31 @@ grep -q "throughput" "$BIN/load.out" ||
 echo "==> cdload -dup: duplicate replays hit the solve cache"
 status=0
 "$BIN/cdload" -url "$base" -rate 40 -duration 2s -dup 0.5 -n 600 -seed 7 \
-	-max-5xx 0 -bench-out "$BIN/load_dup_bench.json" >"$BIN/load_dup.out" 2>&1 || status=$?
+	-max-5xx 0 -json >"$BIN/load_dup.json" 2>&1 || status=$?
 [ "$status" -eq 0 ] ||
-	{ kill "$SERVED_PID" 2>/dev/null || true; fail "cdload -dup exited $status: $(cat "$BIN/load_dup.out")"; }
-grep -q "hit rate" "$BIN/load_dup.out" ||
-	fail "cdload -dup output lacks the cache line: $(cat "$BIN/load_dup.out")"
-grep -q "latency hit" "$BIN/load_dup.out" ||
-	fail "cdload -dup output lacks hit-path latency quantiles"
-grep -q "latency miss" "$BIN/load_dup.out" ||
-	fail "cdload -dup output lacks miss-path latency quantiles"
+	{ kill "$SERVED_PID" 2>/dev/null || true; fail "cdload -dup exited $status: $(cat "$BIN/load_dup.json")"; }
+# dup_stat <kind> <field> prints latency.<kind>.<field> of the -json report
+# (empty when the kind has no samples).
+dup_stat() {
+	awk -F': ' -v kind="    \"$1\"" -v field="      \"$2\"" '
+		/^  "latency": [{]/ { inlat = 1; next }
+		inlat && $1 == kind { k = 1; next }
+		k && $1 == field { gsub(/[^0-9]/, "", $2); print $2; exit }
+		k && /^    [}]/ { exit }
+	' "$BIN/load_dup.json"
+}
+hits="$(dup_stat hit count)"
+misses="$(dup_stat miss count)"
+[ "${hits:-0}" -gt 0 ] && [ "${misses:-0}" -gt 0 ] ||
+	fail "cdload -dup report lacks cache hits and misses: $(cat "$BIN/load_dup.json")"
+hit_p50="$(dup_stat hit p50_ns)"
+miss_p50="$(dup_stat miss p50_ns)"
+[ -n "$hit_p50" ] && [ -n "$miss_p50" ] ||
+	fail "cdload -dup report lacks hit/miss p50 latencies: $(cat "$BIN/load_dup.json")"
 # The hit path skips the solver entirely: on this n=600 scenario its p50
 # measures ~14x under the miss p50. Gate on a conservative 3x floor so a
 # regression that drags hits back through the solve path fails loudly
 # without making the check flaky on slow machines.
-hit_p50="$(awk -F': ' '/"name"/ {n=$2} /"p50-ns"/ && n ~ /SolveHit/ {gsub(/[^0-9]/, "", $2); print $2; exit}' "$BIN/load_dup_bench.json")"
-miss_p50="$(awk -F': ' '/"name"/ {n=$2} /"p50-ns"/ && n ~ /SolveMiss/ {gsub(/[^0-9]/, "", $2); print $2; exit}' "$BIN/load_dup_bench.json")"
-[ -n "$hit_p50" ] && [ -n "$miss_p50" ] ||
-	fail "dup bench records lack hit/miss p50: $(cat "$BIN/load_dup_bench.json")"
 [ "$((hit_p50 * 3))" -le "$miss_p50" ] ||
 	fail "cache hit p50 (${hit_p50}ns) is not well below miss p50 (${miss_p50}ns)"
 
