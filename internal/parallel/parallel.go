@@ -174,8 +174,7 @@ func cancelled(done <-chan struct{}) bool {
 // (workers <= 0 selects DefaultWorkers; n <= 0 is a no-op). Ranges are
 // handed out dynamically so uneven per-range cost still balances. The range
 // — not the index — being the unit of dispatch lets callers run one kernel
-// over a contiguous span of a flat array (the batched distance kernels chunk
-// the row-major coordinate array this way) without per-index closure
+// over a contiguous span of a flat array without per-index closure
 // overhead. fn must be safe for concurrent calls and must only touch state
 // owned by its range.
 func ForRanges(n, workers int, fn func(lo, hi int)) {
