@@ -95,7 +95,8 @@ type SolveRequest struct {
 	Norm string `json:"norm,omitempty"`
 	// Solver names a registry algorithm (default greedy2).
 	Solver string `json:"solver,omitempty"`
-	// K is the number of broadcast contents to select (must be positive).
+	// K is the number of broadcast contents to select: at least 1 and at
+	// most the instance's user count.
 	K int `json:"k"`
 	// DeadlineMS bounds the solve in milliseconds; on expiry the
 	// best-so-far prefix is returned with "partial": true. 0 means no
@@ -178,7 +179,8 @@ type ChurnRequest struct {
 	// Solver names the registry algorithm re-solved each period (default
 	// greedy2).
 	Solver string `json:"solver,omitempty"`
-	// K is the number of broadcasts per period.
+	// K is the number of broadcasts per period: at least 1 and at most the
+	// initial instance's user count.
 	K int `json:"k"`
 	// Periods is the number of broadcast periods to simulate.
 	Periods int `json:"periods"`
@@ -361,7 +363,7 @@ const (
 	// CodeDimMismatch: inconsistent dimensions — mixed-length points, a
 	// contradicting "dim", or warm-start centers of the wrong dimension.
 	CodeDimMismatch = "dim_mismatch"
-	// CodeBadK: k was zero or negative.
+	// CodeBadK: k was below 1 or above the instance's user count.
 	CodeBadK = "bad_k"
 	// CodeBadRadius: the radius was not positive and finite.
 	CodeBadRadius = "bad_radius"

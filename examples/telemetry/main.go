@@ -2,8 +2,8 @@
 // The tour: build an instance, attach an obs.Metrics collector (aggregates)
 // and an obs.Sink (streaming JSONL events) through obs.Multi, wrap the
 // algorithm with core.Instrument, then read the numbers back — per-round
-// gains and wall times from the event stream, reward-evaluation and lazy
-// heap counters from the snapshot.
+// gains and wall times from the result, reward-evaluation and lazy heap
+// counters from the snapshot.
 package main
 
 import (
@@ -70,25 +70,23 @@ func main() {
 		fmt.Printf("  round wall time:    mean %.0f ns, p99 %.0f ns\n", h.Mean, h.P99)
 	}
 
-	// 5. The same run, per round, from the buffered events.
+	// 5. The same run, per round, from the result: every round-based
+	//    algorithm records each round's wall time beside its gain, with or
+	//    without a collector.
 	fmt.Println("  per-round telemetry:")
-	for _, e := range snap.Events {
-		if e.Type != obs.EvRoundEnd {
-			continue
-		}
-		fmt.Printf("    round %d: gain %.2f, %.0f re-pops, %.2f ms\n",
-			e.Round, e.Fields["gain"], e.Fields["repops"], e.Fields["wall_ns"]/1e6)
+	for j, g := range res.Gains {
+		fmt.Printf("    round %d: gain %.2f, %.2f ms\n", j+1, g, float64(res.RoundNS[j])/1e6)
 	}
 
-	// 6. The sink wrote the identical stream as JSONL for offline tools.
+	// 6. The sink streamed every event (round_start/round_end with the
+	//    re-pop counts, ...) as JSONL for offline tools.
 	st, _ := f.Stat()
 	fmt.Printf("  event stream:       %s (%d bytes of JSONL)\n", f.Name(), st.Size())
 
 	// 7. Anytime results under a deadline: a context that cancels after the
 	//    first round_end makes the solver stop at the next round boundary
 	//    and return its committed prefix together with ctx.Err(). Telemetry
-	//    records the early stop as a "cancelled" event carrying the number
-	//    of completed rounds.
+	//    counts the early stop in core.cancelled.
 	dm := obs.NewMetrics()
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -99,11 +97,7 @@ func main() {
 	}
 	fmt.Printf("deadline-bounded run: %d of %d rounds committed, partial reward %.2f\n",
 		len(partial.Centers), k, partial.Total)
-	for _, e := range dm.Snapshot().Events {
-		if e.Type == obs.EvCancelled {
-			fmt.Printf("  cancelled event:    alg=%s rounds=%.0f\n", e.Alg, e.Fields["rounds"])
-		}
-	}
+	fmt.Printf("  cancelled runs:     %d\n", dm.Snapshot().Counters[obs.CtrCancelled])
 }
 
 // cancelAfterRound is an obs.Collector that fires a context cancel once the

@@ -81,10 +81,7 @@ func Bench(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		if obs.Active(col) {
 			col.Count(obs.CtrExperiments, 1)
-			ns := time.Since(start).Nanoseconds()
-			col.TimeNS(obs.TimExperiment, ns)
-			col.Emit(obs.Event{Type: obs.EvExperiment, Alg: e.ID,
-				Fields: map[string]float64{"wall_ns": float64(ns)}})
+			col.TimeNS(obs.TimExperiment, time.Since(start).Nanoseconds())
 		}
 		if *mdPath != "" {
 			md.WriteString(report.RenderMarkdown(

@@ -47,11 +47,13 @@ import (
 const (
 	// DefaultGossipEvery is the gossip period.
 	DefaultGossipEvery = 2 * time.Second
-	// DefaultProbeTimeout bounds one health probe.
-	DefaultProbeTimeout = 2 * time.Second
-	// DefaultForwardTimeout bounds one forwarded shard solve. Generous: a
-	// timeout only delays the local fallback, it never loses the answer.
-	DefaultForwardTimeout = 60 * time.Second
+	// probeLimit bounds one health probe; a probe never outlasts the gossip
+	// period either.
+	probeLimit = 2 * time.Second
+	// forwardLimit bounds one forwarded shard solve on top of the
+	// coordinator request's own context. Generous: a timeout only delays
+	// the local fallback, it never loses the answer.
+	forwardLimit = 60 * time.Second
 )
 
 // Config parameterizes a Cluster.
@@ -64,13 +66,6 @@ type Config struct {
 	Peers []string
 	// GossipEvery is the probe period; 0 means DefaultGossipEvery.
 	GossipEvery time.Duration
-	// ProbeTimeout bounds one health probe; 0 means the smaller of
-	// GossipEvery and DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-	// ForwardTimeout bounds one forwarded shard solve (on top of the
-	// coordinator request's own context); 0 means DefaultForwardTimeout,
-	// negative disables the extra bound.
-	ForwardTimeout time.Duration
 	// Obs receives the cluster.* series and forward spans.
 	Obs obs.Collector
 	// HTTP performs probes and forwards; nil uses a plain http.Client.
@@ -83,26 +78,6 @@ func (c Config) gossipEvery() time.Duration {
 		return c.GossipEvery
 	}
 	return DefaultGossipEvery
-}
-
-func (c Config) probeTimeout() time.Duration {
-	if c.ProbeTimeout > 0 {
-		return c.ProbeTimeout
-	}
-	if ge := c.gossipEvery(); ge < DefaultProbeTimeout {
-		return ge
-	}
-	return DefaultProbeTimeout
-}
-
-func (c Config) forwardTimeout() time.Duration {
-	switch {
-	case c.ForwardTimeout > 0:
-		return c.ForwardTimeout
-	case c.ForwardTimeout < 0:
-		return 0
-	}
-	return DefaultForwardTimeout
 }
 
 // peer is one row of the node's peer table. The mutex guards the
@@ -224,7 +199,7 @@ func (c *Cluster) GossipOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.probeTimeout())
+			pctx, cancel := context.WithTimeout(ctx, min(c.cfg.gossipEvery(), probeLimit))
 			defer cancel()
 			h, err := p.client.ClusterHealth(pctx)
 			p.mu.Lock()
@@ -330,9 +305,9 @@ type ForwardSpec struct {
 	Solver string
 	// Norm is the resolved norm name.
 	Norm string
-	// Options is the coordinator request's options with the per-shard and
-	// coordinator-only fields (Seed, Shards, Halo, WarmStart) cleared;
-	// PartSolver stamps the derived per-shard seed into each forward.
+	// Options is the coordinator request's options. PartSolver clears the
+	// coordinator-only fields (Shards, Halo, WarmStart, Workers) and stamps
+	// the derived per-shard seed into each forward.
 	Options v1.SolveOptions
 	// RequestID, when non-empty, prefixes each forward's X-Request-ID
 	// ("<id>/shard-<seed>") so peer-side traces join the coordinator's.
@@ -353,9 +328,12 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 			c.col.Count(obs.CtrClusterFallbacks, 1)
 			return nil, ErrNoLivePeer
 		}
+		// A forwarded shard runs single-shot (no sharding knobs), the warm
+		// start applies once around the whole pipeline, and each peer sizes
+		// its own parallelism, which cannot change results.
 		opts := spec.Options
 		opts.Seed = seed
-		opts.Shards, opts.Halo, opts.WarmStart = 0, 0, nil
+		opts.Shards, opts.Halo, opts.WarmStart, opts.Workers = 0, 0, nil, 0
 		req := &v1.SolveRequest{
 			Instance: part.In.Set,
 			Radius:   part.In.Radius,
@@ -371,12 +349,8 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 
 		span := obs.SpanFromContext(ctx).Child("forward " + p.url)
 		span.SetAttr("n", float64(part.In.N()))
-		fctx := ctx
-		if d := c.cfg.forwardTimeout(); d > 0 {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
+		fctx, cancel := context.WithTimeout(ctx, forwardLimit)
+		defer cancel()
 		timer := obs.StartTimer(c.col, obs.TimClusterForward)
 		resp, err := p.client.Solve(fctx, req, id)
 		timer.Stop()

@@ -133,10 +133,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 		}
 		c := cands[best].center
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c)
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
-		rs.end(gain, map[string]float64{"walk_steps": float64(steps)})
+		rs.commit(res, c, gain, map[string]float64{"walk_steps": float64(steps)})
 	}
 	return res, nil
 }

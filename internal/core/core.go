@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/reward"
@@ -40,6 +41,11 @@ type Result struct {
 	Centers   []vec.V
 	Gains     []float64
 	Total     float64
+	// RoundNS is the wall time of each committed round, parallel to Gains.
+	// Algorithms that commit rounds one at a time fill it whether or not a
+	// collector is attached; results not built round by round (exhaustive
+	// search, fixed placements, an adopted warm start) leave it empty.
+	RoundNS []int64
 }
 
 // PrefixTotals returns the cumulative objective after each round: element
@@ -163,52 +169,57 @@ func Instrument(a Algorithm, c obs.Collector) Algorithm {
 	}
 }
 
-// roundScope bundles the shared per-round instrumentation all algorithms
-// emit: a round_start event on entry and a round_end event carrying the
-// gain, wall time, and any extra fields on exit. When the context carries an
-// ambient tracing span (the serving layer installs one around each solve),
-// the scope also opens a "round" child span, so a served request yields a
-// reconstructable request → solve → round tree; outside a span tree the
-// scope emits exactly the events it always has.
+// roundScope times one round and carries the shared per-round
+// instrumentation. Every round reads the clock on entry and on commit, so
+// Result.RoundNS is filled with or without a collector. With a live
+// collector the scope also emits a round_start event on entry and, on
+// commit, a round_end event carrying the gain, wall time, and any extra
+// fields, plus the core.round_ns sample. When the context carries an ambient
+// tracing span (the serving layer installs one around each solve), the scope
+// also opens a "round" child span, so a served request yields a
+// reconstructable request → solve → round tree.
 type roundScope struct {
 	c     obs.Collector
 	alg   string
 	trace string
 	round int
-	timer obs.Timer
+	start time.Time
 	span  *obs.Span
 }
 
-// startRound opens an instrumented round scope. With an inactive collector
-// it returns an inert scope at zero cost beyond the branch. Round events
-// carry the ambient span's trace (request) ID, so consumers joining rounds
-// back to a request — the serving layer's per-round telemetry — can filter
-// by the request instead of trusting round numbers alone.
+// startRound opens a round scope. With an inactive collector it only reads
+// the clock. Round events carry the ambient span's trace (request) ID, so a
+// server-wide event stream can be partitioned by request.
 func startRound(ctx context.Context, c obs.Collector, alg string, round int) roundScope {
 	if !obs.Active(c) {
-		return roundScope{}
+		return roundScope{start: time.Now()}
 	}
 	parent := obs.SpanFromContext(ctx)
 	trace := parent.TraceID()
 	c.Emit(obs.Event{Type: obs.EvRoundStart, Alg: alg, Round: round, Trace: trace})
 	sp := parent.Child("round")
 	sp.SetAttr("round", float64(round))
-	return roundScope{c: c, alg: alg, trace: trace, round: round,
-		timer: obs.StartTimer(c, obs.TimRound), span: sp}
+	return roundScope{c: c, alg: alg, trace: trace, round: round, start: time.Now(), span: sp}
 }
 
 // active reports whether the scope carries a live collector.
 func (rs roundScope) active() bool { return rs.c != nil }
 
-// end closes the scope, recording the round gain and wall time merged with
-// any extra fields (extra may be nil; it is not retained). A round cancelled
-// mid-scan never reaches end; its span is left open, which the trace shows
-// as a span_start without a span_end.
-func (rs roundScope) end(gain float64, extra map[string]float64) {
+// commit closes the scope: it appends the round's center, gain, and wall
+// time to res and, with a live collector, records the round telemetry with
+// any extra fields merged in (extra may be nil; it is not retained). A round
+// cancelled mid-scan never reaches commit; its span is left open, which the
+// trace shows as a span_start without a span_end.
+func (rs roundScope) commit(res *Result, c vec.V, gain float64, extra map[string]float64) {
+	ns := time.Since(rs.start).Nanoseconds()
+	res.Centers = append(res.Centers, c)
+	res.Gains = append(res.Gains, gain)
+	res.RoundNS = append(res.RoundNS, ns)
+	res.Total += gain
 	if rs.c == nil {
 		return
 	}
-	ns := rs.timer.Stop()
+	rs.c.TimeNS(obs.TimRound, ns)
 	fields := map[string]float64{"gain": gain, "wall_ns": float64(ns)}
 	for k, v := range extra {
 		fields[k] = v

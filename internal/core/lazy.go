@@ -99,25 +99,22 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		best := h[0]
 		c := in.Set.Point(best.idx).Clone()
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c)
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
 		// The chosen entry's bound is now stale for the next round; it is
-		// refreshed like any other candidate when it resurfaces.
+		// refreshed like any other candidate when it resurfaces. Round 0
+		// charges the n initial exact evaluations; later rounds only the
+		// re-pops actually performed.
+		evals := repops
+		if j == 0 {
+			evals += n
+		}
 		if rs.active() {
-			// Round 0 charges the n initial exact evaluations; later
-			// rounds only the re-pops actually performed.
-			evals := repops
-			if j == 0 {
-				evals += n
-			}
 			rs.c.Count(obs.CtrLazyRepops, int64(repops))
 			rs.c.Count(obs.CtrCandidates, int64(evals))
-			rs.end(gain, map[string]float64{
-				"repops":     float64(repops),
-				"candidates": float64(evals),
-			})
 		}
+		rs.commit(res, c, gain, map[string]float64{
+			"repops":     float64(repops),
+			"candidates": float64(evals),
+		})
 	}
 	return res, nil
 }

@@ -59,10 +59,7 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 		}
 		c := in.Set.Point(idx).Clone()
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c)
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
-		rs.end(gain, map[string]float64{"candidates": float64(n)})
+		rs.commit(res, c, gain, map[string]float64{"candidates": float64(n)})
 	}
 	return res, nil
 }

@@ -167,13 +167,8 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 				}
 			}
 		}
-		res.Centers = append(res.Centers, ctr.c.Clone())
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
-		if rs.active() {
-			rs.end(gain, map[string]float64{
-				"pool": float64(pool), "refine_steps": float64(steps)})
-		}
+		rs.commit(res, ctr.c.Clone(), gain, map[string]float64{
+			"pool": float64(pool), "refine_steps": float64(steps)})
 	}
 	refineT.Stop()
 	refineSp.End()

@@ -334,21 +334,18 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 		best := heap.Pop(&h).(candEntry) // unlike LazyGreedy, chosen candidates leave the pool
 		c := cands[best.idx].Clone()
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c)
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
+		evals := repops
+		if j == 0 {
+			evals += len(cands)
+		}
 		if rs.active() {
-			evals := repops
-			if j == 0 {
-				evals += len(cands)
-			}
 			rs.c.Count(obs.CtrShardMergeRepops, int64(repops))
 			rs.c.Count(obs.CtrCandidates, int64(evals))
-			rs.end(gain, map[string]float64{
-				"repops":     float64(repops),
-				"candidates": float64(evals),
-			})
 		}
+		rs.commit(res, c, gain, map[string]float64{
+			"repops":     float64(repops),
+			"candidates": float64(evals),
+		})
 	}
 	return res, nil
 }

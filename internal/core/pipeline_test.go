@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -276,11 +278,13 @@ func TestPipelineMergeRoundsReported(t *testing.T) {
 	in := randomInstance(t, rng, 40, norm.L2{}, 1)
 	const k = 3
 	m := obs.NewMetrics()
+	var buf bytes.Buffer
+	sink := obs.NewSink(&buf)
 	p := Pipeline{
 		Alg:       "dup",
 		Partition: dupPartitioner{copies: 2},
 		NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
-		Obs:       m,
+		Obs:       obs.Multi(m, sink),
 	}
 	if _, err := p.Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
@@ -289,8 +293,15 @@ func TestPipelineMergeRoundsReported(t *testing.T) {
 	if got := snap.Counters[obs.CtrRounds]; got != k {
 		t.Errorf("rounds counter = %d, want %d (inner rounds must not leak)", got, k)
 	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	ends := 0
-	for _, e := range snap.Events {
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
 		if e.Type == obs.EvRoundEnd {
 			ends++
 			if e.Alg != "dup" {

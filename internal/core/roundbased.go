@@ -75,10 +75,7 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 				Fields: map[string]float64{"wall_ns": float64(solveNS)}})
 		}
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c.Clone())
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
-		rs.end(gain, map[string]float64{"solve_ns": float64(solveNS)})
+		rs.commit(res, c.Clone(), gain, map[string]float64{"solve_ns": float64(solveNS)})
 	}
 	return res, nil
 }

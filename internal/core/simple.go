@@ -42,13 +42,10 @@ func (a SimpleGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Res
 		}
 		c := in.Set.Point(best).Clone()
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c)
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
-			rs.end(gain, map[string]float64{"candidates": float64(n)})
 		}
+		rs.commit(res, c, gain, map[string]float64{"candidates": float64(n)})
 	}
 	return res, nil
 }

@@ -147,10 +147,7 @@ func (s SwapLocalSearch) commit(ctx context.Context, in *reward.Instance, center
 	for j, c := range centers {
 		rs := startRound(ctx, s.Obs, s.Name(), j+1)
 		gain, _ := in.ApplyRound(c, y)
-		res.Centers = append(res.Centers, c.Clone())
-		res.Gains = append(res.Gains, gain)
-		res.Total += gain
-		rs.end(gain, nil)
+		rs.commit(res, c.Clone(), gain, nil)
 	}
 	return res
 }

@@ -9,47 +9,32 @@ import (
 	"time"
 )
 
-// DefaultMaxEvents bounds the event buffer a Metrics collector retains for
-// its snapshot. Later events past the cap are dropped (and counted) rather
-// than growing memory without bound; use Sink for a complete trace.
-const DefaultMaxEvents = 8192
-
-// Metrics is a live Collector that aggregates everything in memory and
-// exports a Snapshot. All methods are safe for concurrent use: counters are
-// atomics behind a read-locked map, gauges/histograms/events take a mutex.
+// Metrics is a live Collector that aggregates counters, gauges, timers, and
+// histograms in memory and exports a Snapshot. It keeps no events: Emit does
+// nothing, just as Sink ignores aggregates; pair the two via Multi when both
+// views are wanted. All methods are safe for concurrent use: counters are
+// atomics behind a read-locked map, gauges/histograms/timers take a mutex.
 type Metrics struct {
 	start time.Time
 
 	cmu      sync.RWMutex
 	counters map[string]*int64
 
-	mu        sync.Mutex
-	gauges    map[string]float64
-	hists     map[string]*Histogram
-	timers    map[string]*Histogram
-	events    []Event
-	dropped   int64
-	maxEvents int
+	mu     sync.Mutex
+	gauges map[string]float64
+	hists  map[string]*Histogram
+	timers map[string]*Histogram
 }
 
-// NewMetrics returns an empty Metrics collector with the default event cap.
+// NewMetrics returns an empty Metrics collector.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:     time.Now(),
-		counters:  make(map[string]*int64),
-		gauges:    make(map[string]float64),
-		hists:     make(map[string]*Histogram),
-		timers:    make(map[string]*Histogram),
-		maxEvents: DefaultMaxEvents,
+		start:    time.Now(),
+		counters: make(map[string]*int64),
+		gauges:   make(map[string]float64),
+		hists:    make(map[string]*Histogram),
+		timers:   make(map[string]*Histogram),
 	}
-}
-
-// SetMaxEvents adjusts the event-buffer cap (0 disables event retention
-// entirely; counters and histograms still aggregate).
-func (m *Metrics) SetMaxEvents(n int) {
-	m.mu.Lock()
-	m.maxEvents = n
-	m.mu.Unlock()
 }
 
 // counter returns the atomic cell for name, creating it on first use.
@@ -105,54 +90,18 @@ func (m *Metrics) TimeNS(name string, ns int64) {
 	m.mu.Unlock()
 }
 
-// detailEvent reports whether an event type is high-frequency detail (one
-// per inner operation) rather than a lifecycle summary. Detail events are
-// the first to go when the buffer fills: a snapshot must never lose a
-// round_end to a flood of seb events. span_start is detail too — a
-// span_end alone still reconstructs the tree (its TNS and wall_ns recover
-// the start).
-func detailEvent(typ string) bool { return typ == EvSEB || typ == EvSpanStart }
-
-// Emit implements Collector: the event is stamped against this collector's
-// monotonic base (when TNS is zero) and buffered up to the cap. The stamp is
-// taken under the lock, so the buffer stays in timestamp order. When the
-// buffer is full, an incoming detail event is dropped; an incoming summary
-// event instead evicts the oldest buffered detail event, so lifecycle
-// events (round_start/round_end, scans, experiments) survive any volume of
-// per-operation detail. Either way the dropped counter advances.
-func (m *Metrics) Emit(e Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e.TNS == 0 {
-		e.TNS = time.Since(m.start).Nanoseconds()
-	}
-	if len(m.events) < m.maxEvents {
-		m.events = append(m.events, e)
-		return
-	}
-	m.dropped++
-	if detailEvent(e.Type) {
-		return
-	}
-	for i := range m.events {
-		if detailEvent(m.events[i].Type) {
-			copy(m.events[i:], m.events[i+1:])
-			m.events[len(m.events)-1] = e
-			return
-		}
-	}
-}
+// Emit implements Collector (ignored): Metrics aggregates only. Stream
+// events to a Sink.
+func (*Metrics) Emit(Event) {}
 
 // Snapshot is the JSON-exportable state of a Metrics collector at one
 // moment.
 type Snapshot struct {
-	DurationNS    int64                   `json:"duration_ns"`
-	Counters      map[string]int64        `json:"counters"`
-	Gauges        map[string]float64      `json:"gauges,omitempty"`
-	TimersNS      map[string]HistSnapshot `json:"timers_ns,omitempty"`
-	Histograms    map[string]HistSnapshot `json:"histograms,omitempty"`
-	Events        []Event                 `json:"events,omitempty"`
-	EventsDropped int64                   `json:"events_dropped,omitempty"`
+	DurationNS int64                   `json:"duration_ns"`
+	Counters   map[string]int64        `json:"counters"`
+	Gauges     map[string]float64      `json:"gauges,omitempty"`
+	TimersNS   map[string]HistSnapshot `json:"timers_ns,omitempty"`
+	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
 }
 
 // Snapshot exports the current aggregate state. The returned value shares
@@ -189,8 +138,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Histograms[k] = h.Snapshot()
 		}
 	}
-	s.Events = append([]Event(nil), m.events...)
-	s.EventsDropped = m.dropped
 	return s
 }
 

@@ -79,8 +79,6 @@ const (
 	// EvSwapPass records one full sweep of the swap local search with
 	// "pass", "improved" (0/1), and "objective".
 	EvSwapPass = "swap_pass"
-	// EvExperiment records one cdbench experiment with "wall_ns".
-	EvExperiment = "experiment"
 	// EvCancelled records a solver run ending early because its context
 	// was cancelled or its deadline expired, carrying "rounds" — the number
 	// of completed rounds whose centers the partial result retains.
@@ -92,12 +90,6 @@ const (
 	// EvChurnPeriod records one period of the churn loop with "arrivals",
 	// "departures", "n" (population after churn), and "objective".
 	EvChurnPeriod = "churn_period"
-	// EvRequestStart / EvRequestEnd bracket one request through the serving
-	// layer (internal/serve). Alg carries the request id — kept for
-	// backwards compatibility with pre-span traces — and Trace carries the
-	// same id. EvRequestEnd carries "status" (HTTP code) and "wall_ns".
-	EvRequestStart = "request_start"
-	EvRequestEnd   = "request_end"
 	// EvSpanStart / EvSpanEnd bracket one tracing span (see Span). Both
 	// carry Trace, Span, Parent, and Name; EvSpanEnd additionally carries
 	// "wall_ns" plus any attributes set on the span. A span_start without a

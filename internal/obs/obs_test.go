@@ -75,7 +75,6 @@ func TestMetricsConcurrent(t *testing.T) {
 				m.Count(CtrCandidates, 1)
 				m.Observe(ObsSEBPoints, float64(i))
 				m.TimeNS(TimWorkerBusy, int64(i))
-				m.Emit(Event{Type: EvSEB})
 			}
 		}()
 	}
@@ -86,56 +85,6 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 	if s.Histograms[ObsSEBPoints].Count != workers*each {
 		t.Errorf("histogram count = %d", s.Histograms[ObsSEBPoints].Count)
-	}
-	if got := len(s.Events) + int(s.EventsDropped); got != workers*each {
-		t.Errorf("events+dropped = %d, want %d", got, workers*each)
-	}
-}
-
-func TestMetricsEventCapAndDrop(t *testing.T) {
-	m := NewMetrics()
-	m.SetMaxEvents(3)
-	for i := 0; i < 10; i++ {
-		m.Emit(Event{Type: EvRoundEnd, Round: i + 1})
-	}
-	s := m.Snapshot()
-	if len(s.Events) != 3 || s.EventsDropped != 7 {
-		t.Errorf("kept %d dropped %d, want 3/7", len(s.Events), s.EventsDropped)
-	}
-}
-
-func TestMetricsSummaryEventsEvictDetail(t *testing.T) {
-	m := NewMetrics()
-	m.SetMaxEvents(4)
-	// Flood the buffer with detail events, then emit lifecycle summaries:
-	// every summary must survive by evicting the oldest seb event.
-	for i := 0; i < 10; i++ {
-		m.Emit(Event{Type: EvSEB})
-	}
-	for r := 1; r <= 3; r++ {
-		m.Emit(Event{Type: EvRoundEnd, Alg: "greedy4", Round: r})
-	}
-	s := m.Snapshot()
-	if len(s.Events) != 4 {
-		t.Fatalf("kept %d events, want 4", len(s.Events))
-	}
-	rounds := 0
-	for _, e := range s.Events {
-		if e.Type == EvRoundEnd {
-			rounds++
-		}
-	}
-	if rounds != 3 {
-		t.Errorf("kept %d round_end events, want all 3", rounds)
-	}
-	// 6 overflow seb drops + 3 evictions.
-	if s.EventsDropped != 9 {
-		t.Errorf("dropped = %d, want 9", s.EventsDropped)
-	}
-	for i := 1; i < len(s.Events); i++ {
-		if s.Events[i].TNS < s.Events[i-1].TNS {
-			t.Fatal("eviction broke timestamp ordering")
-		}
 	}
 }
 
@@ -165,15 +114,44 @@ func TestHistogramQuantilesAndInvalid(t *testing.T) {
 	}
 }
 
+// capture returns a Sink over a buffer and a function that flushes it and
+// decodes every event it streamed.
+func capture(t *testing.T) (*Sink, func() []Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	s := NewSink(&buf)
+	return s, func() []Event {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var out []Event
+		for dec := json.NewDecoder(&buf); dec.More(); {
+			var e Event
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("sink line not an Event: %v", err)
+			}
+			out = append(out, e)
+		}
+		return out
+	}
+}
+
 func TestMultiFansOutAndCollapses(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	c := Multi(nil, Nop{}, a, b)
+	sa, eventsA := capture(t)
+	sb, eventsB := capture(t)
+	c := Multi(nil, Nop{}, a, b, sa, sb)
 	c.Count(CtrRounds, 1)
 	c.Emit(Event{Type: EvRoundStart, Alg: "greedy2", Round: 1})
 	for _, m := range []*Metrics{a, b} {
-		s := m.Snapshot()
-		if s.Counters[CtrRounds] != 1 || len(s.Events) != 1 {
-			t.Errorf("member missed fan-out: %+v", s)
+		if s := m.Snapshot(); s.Counters[CtrRounds] != 1 {
+			t.Errorf("member missed the count: %+v", s)
+		}
+	}
+	for _, events := range []func() []Event{eventsA, eventsB} {
+		if got := events(); len(got) != 1 || got[0].Type != EvRoundStart {
+			t.Errorf("member missed the event: %+v", got)
 		}
 	}
 	if _, ok := Multi(nil, Nop{}).(Nop); !ok {
@@ -188,7 +166,7 @@ func TestMultiFansOutAndCollapses(t *testing.T) {
 var knownEventTypes = map[string]bool{
 	EvRoundStart: true, EvRoundEnd: true,
 	EvScanStart: true, EvScanEnd: true,
-	EvSEB: true, EvInnerSolve: true, EvSwapPass: true, EvExperiment: true,
+	EvSEB: true, EvInnerSolve: true, EvSwapPass: true,
 }
 
 // TestSinkJSONLSchema validates the JSONL event schema: one JSON object per
@@ -263,38 +241,17 @@ func TestConcurrentEmitMonotonic(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	checkOrder := func(name string, events []Event) {
-		if len(events) != workers*each {
-			t.Fatalf("%s: %d events, want %d", name, len(events), workers*each)
-		}
-		for i := 1; i < len(events); i++ {
-			if events[i].TNS < events[i-1].TNS {
-				t.Fatalf("%s: event %d t_ns %d went backwards (prev %d)",
-					name, i, events[i].TNS, events[i-1].TNS)
-			}
-		}
-	}
-
-	var buf bytes.Buffer
-	s := NewSink(&buf)
+	s, read := capture(t)
 	emitAll(s)
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
+	events := read()
+	if len(events) != workers*each {
+		t.Fatalf("%d events, want %d", len(events), workers*each)
 	}
-	var sinkEvents []Event
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("sink line not an Event: %v", err)
+	for i := 1; i < len(events); i++ {
+		if events[i].TNS < events[i-1].TNS {
+			t.Fatalf("event %d t_ns %d went backwards (prev %d)", i, events[i].TNS, events[i-1].TNS)
 		}
-		sinkEvents = append(sinkEvents, e)
 	}
-	checkOrder("Sink", sinkEvents)
-
-	m := NewMetrics()
-	emitAll(m)
-	checkOrder("Metrics", m.Snapshot().Events)
 }
 
 func TestSinkIgnoresAggregates(t *testing.T) {
@@ -312,11 +269,50 @@ func TestSinkIgnoresAggregates(t *testing.T) {
 	}
 }
 
+// TestMetricsIgnoresEvents is the converse: Metrics aggregates only, so
+// emitted events leave its snapshot and its Prometheus text unchanged.
+func TestMetricsIgnoresEvents(t *testing.T) {
+	m := NewMetrics()
+	m.Count(CtrRounds, 1)
+	m.TimeNS(TimRound, 10)
+	render := func() (string, string) {
+		var js, prom bytes.Buffer
+		if err := m.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		return stripVolatile(js.String()), stripVolatile(prom.String())
+	}
+	js, prom := render()
+	m.Emit(Event{Type: EvRoundEnd, Alg: "greedy2", Round: 1, Fields: map[string]float64{"gain": 3}})
+	m.Emit(Event{Type: EvSEB, Fields: map[string]float64{"points": 7}})
+	js2, prom2 := render()
+	if js2 != js {
+		t.Errorf("events changed the JSON snapshot:\n%s\n---\n%s", js, js2)
+	}
+	if prom2 != prom {
+		t.Errorf("events changed the Prometheus text:\n%s\n---\n%s", prom, prom2)
+	}
+}
+
+// stripVolatile drops the lines that carry the collector's age, which moves
+// between two renders of the same state.
+func stripVolatile(text string) string {
+	var keep []string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.Contains(line, "duration_ns") && !strings.Contains(line, "cd_uptime_seconds") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
 func TestWriteJSONRoundTrips(t *testing.T) {
 	m := NewMetrics()
 	m.Count(CtrRounds, 4)
 	m.TimeNS(TimRound, 2500)
-	m.Emit(Event{Type: EvRoundEnd, Alg: "greedy3", Round: 1, Fields: map[string]float64{"gain": 3}})
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -325,7 +321,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
 		t.Fatalf("snapshot JSON invalid: %v\n%s", err, buf.String())
 	}
-	if s.Counters[CtrRounds] != 4 || len(s.Events) != 1 || s.Events[0].Fields["gain"] != 3 {
+	if s.Counters[CtrRounds] != 4 || s.TimersNS[TimRound].Sum != 2500 {
 		t.Errorf("round-trip lost data: %+v", s)
 	}
 	if !strings.Contains(buf.String(), `"timers_ns"`) {

@@ -40,8 +40,8 @@ const nsPerSecond = 1e9
 // Histograms are exposed with cumulative `_bucket{le="..."}` series over the
 // power-of-two ladder (trimmed past the last non-empty rung), `_sum`, and
 // `_count`, so p50/p90/p99 fall out of histogram_quantile() server-side
-// exactly as Snapshot estimates them client-side. Two meta series ride
-// along: cd_uptime_seconds and cd_obs_events_dropped_total.
+// exactly as Snapshot estimates them client-side. One meta series rides
+// along: cd_uptime_seconds.
 func (m *Metrics) WriteProm(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 
@@ -101,8 +101,6 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 
 	add("cd_uptime_seconds", "gauge", "seconds since the collector was created",
 		series{value: time.Since(m.start).Seconds()})
-	add("cd_obs_events_dropped_total", "counter", "trace events dropped past the buffer cap",
-		series{value: float64(m.dropped)})
 
 	names := make([]string, 0, len(fams))
 	for name := range fams {

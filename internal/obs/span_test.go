@@ -9,7 +9,7 @@ import (
 // emitted events reassemble into it: every span_end links to its parent,
 // all under one trace ID.
 func TestSpanTreeReconstruction(t *testing.T) {
-	m := NewMetrics()
+	m, read := capture(t)
 	root := StartSpan(m, "req-1", "request")
 	if root == nil {
 		t.Fatal("StartSpan returned nil on a live collector")
@@ -28,11 +28,10 @@ func TestSpanTreeReconstruction(t *testing.T) {
 	root.SetAttr("status", 200)
 	root.End()
 
-	snap := m.Snapshot()
 	parents := map[string]string{} // span id → parent id, from span_start
 	names := map[string]string{}
 	ends := map[string]Event{}
-	for _, e := range snap.Events {
+	for _, e := range read() {
 		if e.Trace != "req-1" {
 			t.Errorf("event %s has trace %q, want req-1", e.Type, e.Trace)
 		}
@@ -137,7 +136,7 @@ func TestSpanContextRoundTrip(t *testing.T) {
 // TestSpanEndIdempotent checks double-End emits once and late SetAttr is
 // dropped.
 func TestSpanEndIdempotent(t *testing.T) {
-	m := NewMetrics()
+	m, read := capture(t)
 	s := StartSpan(m, "t", "op")
 	if ns := s.End(); ns < 0 {
 		t.Errorf("first End = %d", ns)
@@ -147,7 +146,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 		t.Errorf("second End = %d, want 0", ns)
 	}
 	var ends []Event
-	for _, e := range m.Snapshot().Events {
+	for _, e := range read() {
 		if e.Type == EvSpanEnd {
 			ends = append(ends, e)
 		}

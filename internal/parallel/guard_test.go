@@ -39,20 +39,6 @@ func TestDegenerateArgs(t *testing.T) {
 				t.Errorf("ForCtx visited %d indices, want %d", visits, tc.wantVisits)
 			}
 
-			visits = 0
-			ForRanges(tc.n, tc.workers, func(lo, hi int) { atomic.AddInt64(&visits, int64(hi-lo)) })
-			if visits != tc.wantVisits {
-				t.Errorf("ForRanges covered %d indices, want %d", visits, tc.wantVisits)
-			}
-
-			visits = 0
-			if err := ForRangesCtx(nil, tc.n, tc.workers, func(lo, hi int) { atomic.AddInt64(&visits, int64(hi-lo)) }); err != nil {
-				t.Errorf("ForRangesCtx = %v", err)
-			}
-			if visits != tc.wantVisits {
-				t.Errorf("ForRangesCtx covered %d indices, want %d", visits, tc.wantVisits)
-			}
-
 			idx, val := MapReduce(tc.n, tc.workers, func(i int) float64 { return float64(i) },
 				func(a, b float64) bool { return a > b })
 			if tc.n <= 0 {
@@ -83,35 +69,6 @@ func TestClampWorkers(t *testing.T) {
 		if got := clampWorkers(tc.n, tc.workers); got < 1 {
 			t.Errorf("clampWorkers(%d, %d) = %d < 1", tc.n, tc.workers, got)
 		}
-	}
-}
-
-// TestForRangesCtxCancelMidFlight cancels the context from inside a worker
-// while other workers are mid-dispatch: the call must return ctx.Err(), stop
-// dispatching new ranges, and never double-visit an index. Run under -race
-// this also checks the dispatch path is data-race free.
-func TestForRangesCtxCancelMidFlight(t *testing.T) {
-	const n = 100_000
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	visited := make([]int32, n)
-	var covered int64
-	err := ForRangesCtx(ctx, n, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if atomic.AddInt32(&visited[i], 1) != 1 {
-				t.Errorf("index %d visited twice", i)
-			}
-		}
-		atomic.AddInt64(&covered, int64(hi-lo))
-		if atomic.LoadInt64(&covered) >= n/10 {
-			cancel()
-		}
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if covered == 0 || covered >= n {
-		t.Fatalf("covered %d of %d indices; want a strict partial sweep", covered, n)
 	}
 }
 

@@ -4,8 +4,7 @@
 // parallel execution is deterministic: the reduction order never depends on
 // goroutine scheduling.
 //
-// Every primitive has a context-aware variant (ForCtx, ForRangesCtx,
-// MapReduceCtx, ...). Cancellation is cooperative at chunk granularity: once
+// Every primitive has a context-aware variant (ForCtx, MapReduceCtx, ...). Cancellation is cooperative at chunk granularity: once
 // the context is done no new chunk is dispatched, in-flight chunks run to
 // completion, and the variant returns ctx.Err(). Indices that were never
 // dispatched are simply not visited — callers that aggregate results must
@@ -167,68 +166,6 @@ func cancelled(done <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// ForRanges partitions [0, n) into contiguous half-open ranges and runs
-// fn(lo, hi) for each, spreading ranges over the given number of workers
-// (workers <= 0 selects DefaultWorkers; n <= 0 is a no-op). Ranges are
-// handed out dynamically so uneven per-range cost still balances. The range
-// — not the index — being the unit of dispatch lets callers run one kernel
-// over a contiguous span of a flat array without per-index closure
-// overhead. fn must be safe for concurrent calls and must only touch state
-// owned by its range.
-func ForRanges(n, workers int, fn func(lo, hi int)) {
-	forRanges(nil, n, workers, fn)
-}
-
-// ForRangesCtx is ForRanges with cooperative cancellation: once ctx is done
-// no new range is dispatched and ForRangesCtx returns ctx.Err(); ranges
-// never dispatched are not visited. A nil ctx behaves like ForRanges.
-func ForRangesCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
-	forRanges(doneChan(ctx), n, workers, fn)
-	return ctxErr(ctx)
-}
-
-// forRanges is the shared implementation: done == nil disables cancellation.
-func forRanges(done <-chan struct{}, n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = clampWorkers(n, workers)
-	if workers == 1 {
-		if cancelled(done) {
-			return
-		}
-		fn(0, n)
-		return
-	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if cancelled(done) {
-					break
-				}
-				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if start >= n {
-					break
-				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				fn(start, end)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // MapReduce evaluates score(i) for every i in [0, n) in parallel and returns

@@ -1,9 +1,12 @@
 package parallel
 
 import (
+	"context"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -31,43 +34,16 @@ func TestForEmptyAndSmall(t *testing.T) {
 	}
 }
 
-func TestForRangesCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 1000
-		counts := make([]int64, n)
-		ForRanges(n, workers, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("workers=%d: bad range [%d, %d)", workers, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt64(&counts[i], 1)
-			}
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForRangesEmptyAndSingle(t *testing.T) {
-	ForRanges(0, 4, func(int, int) { t.Fatal("fn called for n=0") })
-	ForRanges(-1, 4, func(int, int) { t.Fatal("fn called for n<0") })
-	calls := 0
-	ForRanges(5, 1, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 5 {
-			t.Fatalf("single worker range [%d, %d), want [0, 5)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("single worker made %d calls", calls)
-	}
-}
-
 func TestForParallelism(t *testing.T) {
-	// With many workers, at least two goroutines should run concurrently.
+	// With many workers, at least two calls must be in flight at once. Each
+	// call waits until it sees a second one (or the deadline passes), so
+	// the check does not depend on how soon the scheduler starts the other
+	// workers; a For that ran the calls one by one would wait out the
+	// deadline and fail.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	overlap := make(chan struct{})
+	var once sync.Once
 	var cur, peak int64
 	For(200, 8, func(i int) {
 		c := atomic.AddInt64(&cur, 1)
@@ -77,13 +53,17 @@ func TestForParallelism(t *testing.T) {
 				break
 			}
 		}
-		for j := 0; j < 1000; j++ { // small spin to overlap
-			_ = j
+		if c >= 2 {
+			once.Do(func() { close(overlap) })
+		}
+		select {
+		case <-overlap:
+		case <-ctx.Done():
 		}
 		atomic.AddInt64(&cur, -1)
 	})
-	if DefaultWorkers() > 1 && atomic.LoadInt64(&peak) < 2 {
-		t.Skip("no observed overlap; scheduler dependent")
+	if p := atomic.LoadInt64(&peak); p < 2 {
+		t.Fatalf("peak concurrent calls = %d, want >= 2", p)
 	}
 }
 

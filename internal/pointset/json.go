@@ -9,11 +9,17 @@ import (
 	"repro/internal/vec"
 )
 
-// ErrDim marks a JSON-encoded set whose dimensions disagree — points of
-// mixed lengths, or a "dim" field contradicting the rows. Callers that map
+// ErrDecode marks every error UnmarshalJSON returns: the value was valid
+// JSON for the decoder around it but is not a valid set. Callers that map
 // decode failures to wire errors (the serving layer) test for it with
-// errors.Is to distinguish a dimension mismatch from other invalid input.
-var ErrDim = errors.New("pointset: inconsistent dimensions")
+// errors.Is to tell an invalid instance from a malformed request.
+var ErrDecode = errors.New("pointset: decode")
+
+// ErrDim marks a JSON-encoded set whose dimensions disagree — points of
+// mixed lengths, or a "dim" field contradicting the rows. It wraps
+// ErrDecode; callers test for it with errors.Is to distinguish a dimension
+// mismatch from other invalid input.
+var ErrDim = fmt.Errorf("%w: inconsistent dimensions", ErrDecode)
 
 // setJSON is the wire form of a Set: row-major points plus parallel weights.
 //
@@ -52,17 +58,17 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 func (s *Set) UnmarshalJSON(data []byte) error {
 	var raw setJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("pointset: decode: %w", err)
+		return fmt.Errorf("%w: %w", ErrDecode, err)
 	}
 	if len(raw.Points) == 0 {
-		return errors.New("pointset: decode: no points")
+		return fmt.Errorf("%w: no points", ErrDecode)
 	}
 	dim := raw.Dim
 	if dim == 0 {
 		dim = len(raw.Points[0])
 	}
 	if dim < 1 {
-		return fmt.Errorf("pointset: decode: dim = %d, want >= 1", dim)
+		return fmt.Errorf("%w: dim = %d, want >= 1", ErrDecode, dim)
 	}
 	for i, row := range raw.Points {
 		if len(row) != dim {
@@ -70,7 +76,7 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 		}
 		for j, x := range row {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("pointset: decode: point %d coordinate %d = %v is not finite", i, j, x)
+				return fmt.Errorf("%w: point %d coordinate %d = %v is not finite", ErrDecode, i, j, x)
 			}
 		}
 	}
@@ -82,11 +88,11 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 		}
 	}
 	if len(weights) != len(raw.Points) {
-		return fmt.Errorf("pointset: decode: %d points but %d weights", len(raw.Points), len(weights))
+		return fmt.Errorf("%w: %d points but %d weights", ErrDecode, len(raw.Points), len(weights))
 	}
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("pointset: decode: weight %d = %v, want finite and >= 0", i, w)
+			return fmt.Errorf("%w: weight %d = %v, want finite and >= 0", ErrDecode, i, w)
 		}
 	}
 	pts := make([]vec.V, len(raw.Points))
@@ -95,7 +101,7 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	}
 	dec, err := New(pts, weights)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrDecode, err)
 	}
 	*s = *dec
 	return nil

@@ -86,6 +86,9 @@ func TestSetJSONRejectsBadInput(t *testing.T) {
 			if got := errors.Is(err, pointset.ErrDim); got != tc.wantDim {
 				t.Errorf("errors.Is(err, ErrDim) = %v, want %v (err: %v)", got, tc.wantDim, err)
 			}
+			if !errors.Is(err, pointset.ErrDecode) {
+				t.Errorf("error %q does not wrap ErrDecode", err)
+			}
 			if !strings.Contains(err.Error(), "pointset") {
 				t.Errorf("error %q does not identify the package", err)
 			}

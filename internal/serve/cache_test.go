@@ -320,7 +320,7 @@ func TestSolvePartialNeverCached(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{Obs: m})
 	// test-slow commits one round per 15ms; 10 rounds under a 40ms deadline
 	// is always cut short.
-	body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":10,"solver":"test-slow","deadline_ms":40}`, instanceJSON(5))
+	body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":10,"solver":"test-slow","deadline_ms":40}`, instanceJSON(10))
 
 	for i := 0; i < 2; i++ {
 		_, data := postJSON(t, ts.URL+"/v1/solve", body, nil)

@@ -40,16 +40,16 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, e)
 		return
 	}
-	if req.K <= 0 {
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadK, "k = %d, want k >= 1", req.K))
-		return
-	}
 	if e := checkRadius(req.Radius); e != nil {
 		sc.fail(w, e)
 		return
 	}
 	if req.Instance == nil || req.Instance.Len() == 0 {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
+		return
+	}
+	if e := checkK(req.K, req.Instance.Len()); e != nil {
+		sc.fail(w, e)
 		return
 	}
 	box, e := wireBox(req.BoxLo, req.BoxHi, req.Instance.Dim())

@@ -38,13 +38,8 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 
 // clusterRemote builds the peer-forwarding PartSolver for one solve request,
 // or nil when the solve stays local: no cluster configured, no peers, or not
-// a sharded solve (shards <= 1 — nothing to fan out). The forwarded request
-// template strips the coordinator-only options: the sharding knobs (a
-// forwarded shard runs single-shot), the warm start (applied once around the
-// whole pipeline, never per shard), and Workers (each peer sizes its own
-// parallelism, which cannot change results — solvers are bit-identical
-// across worker counts). The per-shard derived seed is stamped in by the
-// PartSolver itself.
+// a sharded solve (shards <= 1 — nothing to fan out). The PartSolver itself
+// clears the coordinator-only options and stamps in the per-shard seed.
 func (s *Server) clusterRemote(requestID, solverName, normName string, opts v1.SolveOptions) core.PartSolver {
 	cl := s.cfg.Cluster
 	if cl == nil || cl.NumPeers() == 0 {
@@ -57,12 +52,10 @@ func (s *Server) clusterRemote(requestID, solverName, normName string, opts v1.S
 	if !composite {
 		inner = solverName
 	}
-	fwd := opts
-	fwd.Shards, fwd.Halo, fwd.WarmStart, fwd.Workers = 0, 0, nil, 0
 	return cl.PartSolver(clusterd.ForwardSpec{
 		Solver:    inner,
 		Norm:      normName,
-		Options:   fwd,
+		Options:   opts,
 		RequestID: requestID,
 	})
 }

@@ -40,11 +40,14 @@ func TestSolveErrorPaths(t *testing.T) {
 		{"unknown field", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"bogus":true}`, good),
 			http.StatusBadRequest, v1.CodeBadJSON},
 		{"not an object", `[1,2,3]`, http.StatusBadRequest, v1.CodeBadJSON},
+		{"unknown field naming the pointset package", `{"pointset:":1}`, http.StatusBadRequest, v1.CodeBadJSON},
 		{"unknown solver", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"solver":"greedy9"}`, good),
 			http.StatusBadRequest, v1.CodeUnknownSolver},
 		{"zero k", fmt.Sprintf(`{"instance":%s,"radius":1,"k":0}`, good),
 			http.StatusBadRequest, v1.CodeBadK},
 		{"negative k", fmt.Sprintf(`{"instance":%s,"radius":1,"k":-3}`, good),
+			http.StatusBadRequest, v1.CodeBadK},
+		{"k above user count", `{"instance":{"points":[[0,0]]},"radius":1,"k":200000}`,
 			http.StatusBadRequest, v1.CodeBadK},
 		{"zero radius", fmt.Sprintf(`{"instance":%s,"radius":0,"k":1}`, good),
 			http.StatusBadRequest, v1.CodeBadRadius},
@@ -137,6 +140,9 @@ func TestChurnErrorPaths(t *testing.T) {
 			http.StatusBadRequest, v1.CodeUnknownSolver},
 		{"zero k",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":0,"periods":2,"arrival_rate":1,"depart_rate":1}`, good),
+			http.StatusBadRequest, v1.CodeBadK},
+		{"k above user count",
+			fmt.Sprintf(`{"instance":%s,"radius":1,"k":6,"periods":2,"arrival_rate":1,"depart_rate":1}`, good),
 			http.StatusBadRequest, v1.CodeBadK},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -16,6 +17,29 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
+
+// capture returns a Sink over a buffer and a function that flushes it and
+// decodes every event it streamed.
+func capture(t *testing.T) (*obs.Sink, func() []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	s := obs.NewSink(&buf)
+	return s, func() []obs.Event {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var out []obs.Event
+		for dec := json.NewDecoder(&buf); dec.More(); {
+			var e obs.Event
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("sink line not an Event: %v", err)
+			}
+			out = append(out, e)
+		}
+		return out
+	}
+}
 
 // getWithAccept issues a GET with an Accept header and returns the response
 // plus the full body.
@@ -134,7 +158,7 @@ func TestMetricsPromExposition(t *testing.T) {
 // with an events-capturing collector yields a span tree linked from the
 // HTTP request down to the solver rounds, all under the request ID.
 func TestSpanTreeAcceptance(t *testing.T) {
-	sink := obs.NewMetrics()
+	sink, events := capture(t)
 	_, ts := newTestServer(t, serve.Config{Obs: sink})
 	body := fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":3,"solver":"greedy2"}`, instanceJSON(25))
 	resp, data := postJSON(t, ts.URL+"/v1/solve", body, map[string]string{"X-Request-ID": "trace-me"})
@@ -143,7 +167,7 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	}
 
 	spans := map[string]*testSpan{}
-	for _, e := range sink.Snapshot().Events {
+	for _, e := range events() {
 		switch e.Type {
 		case obs.EvSpanStart:
 			if e.Trace != "trace-me" {
@@ -208,7 +232,7 @@ type testSpan struct {
 // TestChurnRequestIDPropagates: the request ID reaches the churn loop's
 // per-period events and is echoed in the ndjson summary.
 func TestChurnRequestIDPropagates(t *testing.T) {
-	sink := obs.NewMetrics()
+	sink, read := capture(t)
 	_, ts := newTestServer(t, serve.Config{Obs: sink})
 	body := fmt.Sprintf(
 		`{"instance":%s,"radius":1.5,"k":2,"periods":3,"arrival_rate":2,"depart_rate":1,"seed":7}`,
@@ -233,8 +257,9 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	if !sawSummary {
 		t.Fatal("no summary line")
 	}
+	events := read()
 	periods, stamped := 0, 0
-	for _, e := range sink.Snapshot().Events {
+	for _, e := range events {
 		if e.Type == obs.EvChurnPeriod {
 			periods++
 			if e.Trace == "churn-trace" {
@@ -247,7 +272,7 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	}
 	// Period spans hang off the churn span under the same trace.
 	periodSpans := 0
-	for _, e := range sink.Snapshot().Events {
+	for _, e := range events {
 		if e.Type == obs.EvSpanEnd && e.Name == "period" && e.Trace == "churn-trace" {
 			periodSpans++
 		}

@@ -79,9 +79,10 @@ type Config struct {
 	// flight). 0 means DefaultCacheBytes; negative disables caching and
 	// collapsing entirely.
 	CacheBytes int64
-	// Obs, when live, receives everything the server's own /metrics
-	// collector sees — counters, request events, solver telemetry — so an
-	// operator can stream the event trace to a JSONL sink.
+	// Obs, when live, receives every signal the server records: the
+	// aggregates its /metrics collector keeps plus the request span trees
+	// and solver events, which /metrics does not keep — so an operator can
+	// stream the event trace to a JSONL sink.
 	Obs obs.Collector
 	// Cluster, when non-nil, puts the server in cluster mode: GET
 	// /v1/cluster/health reports its advertise URL and peer table, and
@@ -294,8 +295,9 @@ type reqScope struct {
 
 // begin runs the shared admission path for a v1 solve/churn request:
 // method check, drain check, queue admission (429 on saturation), request-id
-// assignment, and request_start telemetry. route labels the per-route series
-// and names the request's root span ("request.solve" / "request.churn").
+// assignment, and the request's root span. route labels the per-route series
+// and names that span ("request.solve" / "request.churn"); its trace ID is
+// the request ID.
 // When ok is false the response has already been written.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, method, route string) (*reqScope, bool) {
 	rt := s.routes[route]
@@ -327,12 +329,9 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, method, route str
 	}
 	s.col.Count(obs.CtrSrvAccepted, 1)
 	s.wg.Add(1)
-	n := s.inFlight.Add(1)
-	s.col.Gauge(obs.GaugeSrvInFlight, float64(n))
+	s.col.Gauge(obs.GaugeSrvInFlight, float64(s.inFlight.Add(1)))
 	s.col.Gauge(rt.inFlight, float64(rt.n.Add(1)))
 	s.col.Gauge(obs.GaugeSrvQueued, float64(s.adm.queued()))
-	s.col.Emit(obs.Event{Type: obs.EvRequestStart, Alg: id, Trace: id,
-		Fields: map[string]float64{"in_flight": float64(n)}})
 	span := obs.StartSpan(s.col, id, "request."+route)
 	return &reqScope{s: s, id: id, route: rt, span: span,
 		start: time.Now(), release: s.adm.releaseAdmit}, true
@@ -353,8 +352,6 @@ func (sc *reqScope) end(status int) {
 	sc.s.col.Gauge(obs.GaugeSrvQueued, float64(sc.s.adm.queued()))
 	sc.s.col.TimeNS(obs.TimSrvRequest, wall)
 	sc.s.col.TimeNS(sc.route.latency, wall)
-	sc.s.col.Emit(obs.Event{Type: obs.EvRequestEnd, Alg: sc.id, Trace: sc.id,
-		Fields: map[string]float64{"status": float64(status), "wall_ns": float64(wall)}})
 	sc.span.SetAttr("status", float64(status))
 	sc.span.End()
 	sc.s.wg.Done()
@@ -406,7 +403,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *ap
 			"request body exceeds %d bytes", tooBig.Limit)
 	case errors.Is(err, pointset.ErrDim):
 		return errf(http.StatusBadRequest, v1.CodeDimMismatch, "%v", err)
-	case strings.Contains(err.Error(), "pointset:"):
+	case errors.Is(err, pointset.ErrDecode):
 		// The instance decoded as JSON but failed pointset validation.
 		return errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err)
 	default:

@@ -245,7 +245,7 @@ func TestSolveBasic(t *testing.T) {
 func TestSolveDeadlinePartial(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":50,"solver":"test-slow","deadline_ms":60}`,
-		instanceJSON(10))
+		instanceJSON(50))
 	resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -300,7 +300,7 @@ func TestSolversCatalog(t *testing.T) {
 // TestHealthAndMetrics: the liveness and metrics endpoints answer with
 // consistent shapes, and served requests show up in the counters.
 func TestHealthAndMetrics(t *testing.T) {
-	srv, ts := newTestServer(t, serve.Config{})
+	_, ts := newTestServer(t, serve.Config{})
 	var h v1.Health
 	if resp := getJSON(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
@@ -321,19 +321,6 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 	if snap.Counters[obs.CtrRounds] < 1 {
 		t.Errorf("solver telemetry not aggregated into server metrics: %v", snap.Counters)
-	}
-	// request_start/request_end bracket the request in the event trace.
-	var starts, ends int
-	for _, e := range srv.Metrics().Snapshot().Events {
-		switch e.Type {
-		case obs.EvRequestStart:
-			starts++
-		case obs.EvRequestEnd:
-			ends++
-		}
-	}
-	if starts < 1 || starts != ends {
-		t.Errorf("request events unbalanced: %d starts, %d ends", starts, ends)
 	}
 }
 
@@ -396,7 +383,7 @@ func TestChurnStreams(t *testing.T) {
 func TestChurnDeadlinePartial(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":20,"periods":500,"arrival_rate":2,"depart_rate":1,"solver":"test-slow","deadline_ms":80}`,
-		instanceJSON(10))
+		instanceJSON(20))
 	resp, data := postJSON(t, ts.URL+"/v1/churn", body, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)

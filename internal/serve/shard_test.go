@@ -39,7 +39,7 @@ func TestSolveSharded(t *testing.T) {
 		}
 		for _, r := range out.Rounds {
 			if r.WallNS <= 0 {
-				t.Errorf("round %d has no wall time — merge rounds not joined to the request trace", r.Round)
+				t.Errorf("round %d has no wall time — the merge recorded no RoundNS", r.Round)
 			}
 		}
 	}

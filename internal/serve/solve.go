@@ -45,16 +45,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, e)
 		return
 	}
-	if req.K <= 0 {
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadK, "k = %d, want k >= 1", req.K))
-		return
-	}
 	if e := checkRadius(req.Radius); e != nil {
 		sc.fail(w, e)
 		return
 	}
 	if req.Instance == nil || req.Instance.Len() == 0 {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
+		return
+	}
+	if e := checkK(req.K, req.Instance.Len()); e != nil {
+		sc.fail(w, e)
 		return
 	}
 	warm, e := warmCenters(req.Options.WarmStart, req.Instance.Dim())
@@ -170,17 +170,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	queueSpan.End()
 	defer s.adm.release()
 
-	// Per-request metrics ride alongside the server-wide collector: the
-	// request's rounds come from its own snapshot, the server's /metrics
-	// aggregates everything.
-	reqMetrics := obs.NewMetrics()
-	col := obs.Multi(s.col, reqMetrics)
 	in, err := reward.NewInstance(req.Instance, nm, req.Radius)
 	if err != nil {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
 	}
-	in.SetCollector(col)
+	in.SetCollector(s.col)
 	// A grid finder accelerates coverage evaluation without changing any
 	// result bit — and keeps a forwarded shard solve on par with the
 	// coordinator's local path, which indexes its sub-instances the same way.
@@ -188,7 +183,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		in.SetFinder(g)
 	}
 	solverOpts := req.Options.SolverOptions()
-	solverOpts.Obs = col
+	solverOpts.Obs = s.col
 	solverOpts.WarmStart = warm
 	solverOpts.Box = box
 	solverOpts.Remote = s.clusterRemote(sc.id, solverName, normName, req.Options)
@@ -238,7 +233,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Total:     res.Total,
 		MaxReward: req.Instance.TotalWeight(),
 		Partial:   partial,
-		Rounds:    roundsFromEvents(res, reqMetrics.Snapshot(), sc.id),
+		Rounds:    roundsWire(res),
 		WallNS:    wall,
 	}
 	if fill != nil && !partial {
@@ -304,6 +299,17 @@ func resolveSolver(name string) (string, *apiErr) {
 	return name, nil
 }
 
+// checkK bounds k by the instance's user count n. With k = n, one center
+// per user already covers every user fully, so a larger k cannot raise the
+// optimum; it would only hold a worker for rounds that gain nothing.
+func checkK(k, n int) *apiErr {
+	if k < 1 || k > n {
+		return errf(http.StatusBadRequest, v1.CodeBadK,
+			"k = %d, want 1 <= k <= %d (the instance's user count)", k, n)
+	}
+	return nil
+}
+
 func checkRadius(r float64) *apiErr {
 	if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return errf(http.StatusBadRequest, v1.CodeBadRadius,
@@ -354,27 +360,16 @@ func centersWire(centers []vec.V) [][]float64 {
 	return out
 }
 
-// roundsFromEvents builds per-round telemetry: gains from the result (the
-// ground truth), wall times joined in from the request's round_end events
-// when the solver emitted them. Warm-started results adopted from the
-// carried-over centers keep zero wall times — no cold rounds produced them.
-//
-// Events are matched by trace (the request ID), not by round number alone:
-// the per-request collector should only ever see this request's events, but
-// a solver that delegates to an inner algorithm — or a collector wired more
-// widely than intended — can surface round_end events from another solve
-// whose round numbers happen to collide. Those must not overwrite this
-// request's wall times.
-func roundsFromEvents(res *core.Result, snap obs.Snapshot, trace string) []v1.Round {
+// roundsWire pairs each round's gain with its wall time from the result.
+// Results not built round by round (exhaustive search, an adopted warm
+// start) carry no round times, so their rounds report zero wall time.
+func roundsWire(res *core.Result) []v1.Round {
 	rounds := make([]v1.Round, len(res.Gains))
 	for j, g := range res.Gains {
 		rounds[j] = v1.Round{Round: j + 1, Gain: g}
-	}
-	for _, e := range snap.Events {
-		if e.Type != obs.EvRoundEnd || e.Trace != trace || e.Round < 1 || e.Round > len(rounds) {
-			continue
+		if j < len(res.RoundNS) {
+			rounds[j].WallNS = res.RoundNS[j]
 		}
-		rounds[e.Round-1].WallNS = int64(e.Fields["wall_ns"])
 	}
 	return rounds
 }

@@ -169,10 +169,12 @@ func TestNearLinearAnytimePrefix(t *testing.T) {
 func TestNearLinearStageTelemetry(t *testing.T) {
 	in := genNLInstance(t, 300, 2, norm.L2{}, 0.5, 3)
 	m := obs.NewMetrics()
-	root := obs.StartSpan(m, "t1", "solve")
+	sink, events := capture(t)
+	col := obs.Multi(m, sink)
+	root := obs.StartSpan(col, "t1", "solve")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 	const k = 3
-	res, err := mustAlg(t, "nearlinear", m).Run(ctx, in, k)
+	res, err := mustAlg(t, "nearlinear", col).Run(ctx, in, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestNearLinearStageTelemetry(t *testing.T) {
 		}
 	}
 	stages := map[string]bool{}
-	for _, e := range snap.Events {
+	for _, e := range events() {
 		if e.Type == obs.EvSpanStart {
 			stages[e.Name] = true
 		}

@@ -1,7 +1,9 @@
 package solver_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +15,9 @@ import (
 	"repro/internal/reward"
 	"repro/internal/solver"
 	"repro/internal/xrand"
+
+	// The registry-wide tests cover the exhaustive baseline too.
+	_ "repro/internal/exhaustive"
 )
 
 func testInstance(t *testing.T, n int) *reward.Instance {
@@ -26,6 +31,29 @@ func testInstance(t *testing.T, n int) *reward.Instance {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// capture returns a Sink over a buffer and a function that flushes it and
+// decodes every event it streamed.
+func capture(t *testing.T) (*obs.Sink, func() []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	s := obs.NewSink(&buf)
+	return s, func() []obs.Event {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var out []obs.Event
+		for dec := json.NewDecoder(&buf); dec.More(); {
+			var e obs.Event
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("sink line not an Event: %v", err)
+			}
+			out = append(out, e)
+		}
+		return out
+	}
 }
 
 func TestNamesSortedAndComplete(t *testing.T) {
@@ -155,8 +183,9 @@ func TestCancellationPrefixEquivalence(t *testing.T) {
 			}
 			for j := 1; j < k; j++ {
 				m := obs.NewMetrics()
+				sink, events := capture(t)
 				ctx, cancel := context.WithCancel(context.Background())
-				col := obs.Multi(m, cancelAfterRound{round: j, cancel: cancel})
+				col := obs.Multi(m, sink, cancelAfterRound{round: j, cancel: cancel})
 				part, err := mustAlg(t, name, col).Run(ctx, in, k)
 				cancel()
 				if err != context.Canceled {
@@ -187,7 +216,7 @@ func TestCancellationPrefixEquivalence(t *testing.T) {
 					t.Errorf("j=%d: cancelled counter = %d, want 1", j, snap.Counters[obs.CtrCancelled])
 				}
 				found := false
-				for _, e := range snap.Events {
+				for _, e := range events() {
 					if e.Type == obs.EvCancelled {
 						found = true
 						if got := e.Fields["rounds"]; got != float64(j) {
@@ -328,6 +357,38 @@ func TestShardedUnknownInner(t *testing.T) {
 	for _, name := range []string{"sharded()", "sharded(", "sharded"} {
 		if _, err := solver.New(name, solver.Options{}); err == nil {
 			t.Errorf("New(%q) accepted", name)
+		}
+	}
+}
+
+// TestRoundNSParallelsGains: every algorithm that commits rounds one at a
+// time records each round's wall time on its result, with or without a
+// collector; exhaustive search and random placement, which are not built
+// round by round, leave RoundNS empty.
+func TestRoundNSParallelsGains(t *testing.T) {
+	in := testInstance(t, 30)
+	const k = 3
+	for _, name := range append(solver.Names(), "sharded(greedy2-lazy)") {
+		for _, col := range []obs.Collector{nil, obs.NewMetrics()} {
+			res, err := mustAlg(t, name, col).Run(context.Background(), in, k)
+			if err != nil {
+				t.Fatalf("%s (collector %v): %v", name, col != nil, err)
+			}
+			if name == "exhaustive" || name == "random" {
+				if len(res.RoundNS) != 0 {
+					t.Errorf("%s: RoundNS = %v, want empty", name, res.RoundNS)
+				}
+				continue
+			}
+			if len(res.RoundNS) != len(res.Gains) {
+				t.Fatalf("%s (collector %v): %d round times for %d gains",
+					name, col != nil, len(res.RoundNS), len(res.Gains))
+			}
+			for j, ns := range res.RoundNS {
+				if ns <= 0 {
+					t.Errorf("%s (collector %v): round %d wall time %d", name, col != nil, j+1, ns)
+				}
+			}
 		}
 	}
 }

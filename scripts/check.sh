@@ -37,6 +37,11 @@ fi
 echo "==> go test -count=3 ./..."
 go test -count=3 ./...
 
+# perfbench is its own module, so ./... skips it. Vet and test it here, so a
+# change to an API it calls fails this check and not only the benchmark run.
+echo "==> perfbench: go vet + go test"
+(cd perfbench && go vet . && go test .)
+
 # The churn-equivalence gate: incremental evaluator deltas must stay
 # bit-identical to from-scratch rebuilds across norms, finders, and batch
 # modes. Already part of the full suite above; rerun by name so a failure is
