@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check smoke smoke-cluster load apicheck apicheck-update clean
+.PHONY: build test vet race check smoke smoke-cluster apicheck apicheck-update clean
 
 build:
 	$(GO) build ./...
@@ -28,12 +28,6 @@ smoke:
 # the bit-identical answer via local fallback.
 smoke-cluster:
 	./scripts/smoke_cluster.sh
-
-# SLO harness: boot cdserved and drive it with cdload's open-loop Poisson
-# generator; RATE/DURATION/CHURN/DUP/SLO_P99/MAX_5XX/URL tune the run (see
-# scripts/load.sh). DUP>0 replays duplicate solves to exercise the cache.
-load:
-	./scripts/load.sh
 
 # Wire-schema gate: diff the exported v1 serving API against the committed
 # golden (api/v1.golden.txt); apicheck-update regenerates it deliberately.

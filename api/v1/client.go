@@ -10,10 +10,9 @@ import (
 	"strings"
 )
 
-// Client is the typed HTTP client over the v1 wire API. Every consumer that
-// talks to a cdserved instance — the cluster forwarding path, the cdload
-// harness, cdtrace's -solve mode — goes through it, so request construction
-// and error decoding live in exactly one place.
+// Client is the typed HTTP client over the v1 wire API. The cluster
+// forwarding path and cdtrace's -solve mode go through it, so their request
+// construction and error decoding live in one place.
 //
 // The zero value is not usable; construct with NewClient. Client is safe for
 // concurrent use (it holds only immutable configuration and an *http.Client).

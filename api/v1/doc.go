@@ -1,10 +1,9 @@
 // Package v1 is the versioned wire API of the cdserved solver service — the
 // single importable source of truth for every JSON body that crosses the
-// HTTP boundary. The server (internal/serve), the load harness
-// (internal/load + cdload), the trace generator's client mode (cdtrace
-// -solve), and the cluster forwarding path (internal/clusterd) all marshal
-// exactly these types, so the schema cannot drift between the producer and
-// any consumer.
+// HTTP boundary. The server (internal/serve), the trace generator's client
+// mode (cdtrace -solve), the cluster forwarding path (internal/clusterd)
+// and the benchmark (perfbench) all marshal exactly these types, so the
+// schema cannot drift between the producer and any consumer.
 //
 // The exported surface of this package is pinned by api/v1.golden.txt via
 // scripts/apicheck.sh: changing a field name, type, or JSON tag fails

@@ -1,6 +1,8 @@
 package v1
 
 import (
+	"fmt"
+
 	"repro/internal/pointset"
 	"repro/internal/solver"
 )
@@ -21,7 +23,7 @@ type SolveOptions struct {
 	// the instance.
 	WarmStart [][]float64 `json:"warm_start,omitempty"`
 	// GridPer enriches the exhaustive candidate set with a lattice of
-	// GridPer points per dimension.
+	// GridPer points per dimension; GridPer^dim must not exceed MaxCells.
 	GridPer int `json:"grid_per,omitempty"`
 	// BoxLo/BoxHi bound the enrichment lattice (default: data bounds).
 	BoxLo []float64 `json:"box_lo,omitempty"`
@@ -41,8 +43,8 @@ type SolveOptions struct {
 	Shards int `json:"shards,omitempty"`
 	// Halo is the sharded pipeline's boundary-halo width in grid-cell rings
 	// (cells have side = radius): 0 uses the default of one ring, -1
-	// disables the halo (other negatives are a bad_request error). Ignored
-	// when Shards <= 1.
+	// disables the halo (other negatives are a bad_request error), and
+	// (2·Halo+1)^dim must not exceed MaxCells. Ignored when Shards <= 1.
 	Halo int `json:"halo,omitempty"`
 	// Refine is the near-linear solver's per-center local-refinement round
 	// budget: 0 uses the default, negative disables refinement. Refinement
@@ -51,13 +53,44 @@ type SolveOptions struct {
 	Refine int `json:"refine,omitempty"`
 }
 
-// Validate checks the options' range invariants — the single validation
-// every surface that accepts SolveOptions runs (the serving layer answers a
-// violation with a bad_request error, cdgreedy with the identical text), so
-// CLI and server cannot drift. Dimension-dependent checks (warm_start and
-// box_lo/box_hi against the instance) stay with the instance decoding.
-func (o SolveOptions) Validate() error {
-	return solver.ValidateSharding(o.Shards, o.Halo)
+// MaxCells bounds the work the two lattice-shaped options can buy before
+// any cancellable loop starts: a sharded solve walks (2·Halo+1)^dim
+// neighbour cells around every occupied cell, and GridPer builds
+// GridPer^dim lattice points. Validate rejects either above this.
+const MaxCells = 1 << 16
+
+// Validate checks the options' range invariants for an instance of the
+// given dimension — the single validation every surface that accepts
+// SolveOptions runs (the serving layer answers a violation with a
+// bad_request error, cdgreedy with the identical text), so CLI and server
+// cannot drift. warm_start and box_lo/box_hi are checked against the
+// instance where they are decoded.
+func (o SolveOptions) Validate(dim int) error {
+	if err := solver.ValidateSharding(o.Shards, o.Halo); err != nil {
+		return err
+	}
+	// min keeps 2·Halo+1 from overflowing; any Halo past MaxCells is
+	// rejected for every dim >= 1 anyway.
+	if o.Halo > 0 && powAbove(2*min(o.Halo, MaxCells)+1, dim, MaxCells) {
+		return fmt.Errorf("halo = %d, want (2·halo+1)^%d <= %d", o.Halo, dim, MaxCells)
+	}
+	if o.GridPer > 0 && powAbove(o.GridPer, dim, MaxCells) {
+		return fmt.Errorf("grid_per = %d, want grid_per^%d <= %d", o.GridPer, dim, MaxCells)
+	}
+	return nil
+}
+
+// powAbove reports whether base^exp > limit, for base >= 1, without
+// overflowing.
+func powAbove(base, exp, limit int) bool {
+	p := 1
+	for i := 0; i < exp; i++ {
+		if p > limit/base {
+			return true
+		}
+		p *= base
+	}
+	return false
 }
 
 // SolverOptions maps the wire options onto the internal solver.Options. The

@@ -192,9 +192,6 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// MaxBytes reports the configured budget.
-func (c *Cache) MaxBytes() int64 { return c.max }
-
 // Flight is one in-progress computation of a key's value. The leader (the
 // caller Lookup reported leader=true to) computes the value and publishes it
 // with Deliver; followers wait on Done and read Value.

@@ -566,8 +566,8 @@ func TestGreedySharded(t *testing.T) {
 }
 
 // TestGreedyShardingValidation: cdgreedy rejects out-of-range -shards/-halo
-// up front with the exact error text /v1/solve answers with — both surfaces
-// share solver.ValidateSharding, so they cannot drift.
+// before solving, with the exact error text /v1/solve answers with — both
+// surfaces share solver.ValidateSharding, so they cannot drift.
 func TestGreedyShardingValidation(t *testing.T) {
 	cases := []struct {
 		name         string

@@ -52,13 +52,6 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The CLI funnels its solver knobs through the same versioned wire
-	// options POST /v1/solve decodes, validated by the same Validate() — one
-	// options surface, so the two entry points cannot drift.
-	wireOpts := v1.SolveOptions{Shards: *shards, Halo: *halo, Refine: *refine}
-	if err := wireOpts.Validate(); err != nil {
-		return fmt.Errorf("cdgreedy: %w", err)
-	}
 	ctx, cancel := withTimeout(ctx, *timeout)
 	defer cancel()
 	tr, err := ReadTrace(*tracePath, stdin)
@@ -68,6 +61,13 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	set, err := tr.ToSet()
 	if err != nil {
 		return err
+	}
+	// The CLI funnels its solver knobs through the same versioned wire
+	// options POST /v1/solve decodes, validated by the same Validate — one
+	// options surface, so the two entry points cannot drift.
+	wireOpts := v1.SolveOptions{Shards: *shards, Halo: *halo, Refine: *refine}
+	if err := wireOpts.Validate(set.Dim()); err != nil {
+		return fmt.Errorf("cdgreedy: %w", err)
 	}
 	nm, err := norm.ByName(*normName)
 	if err != nil {
@@ -175,6 +175,9 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	}
 
 	if *exh && ctx.Err() == nil {
+		if err := (v1.SolveOptions{GridPer: *gridPer}).Validate(set.Dim()); err != nil {
+			return fmt.Errorf("cdgreedy: %w", err)
+		}
 		gridN := 0
 		if *gridPer > 0 {
 			gridN = 1

@@ -86,8 +86,8 @@ func TraceGen(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *solveURL != "" {
 		// One-shot smoke client: the same typed api/v1 Client the cluster
-		// forwarding path and cdload use, so a generated population can be
-		// thrown at a running server without hand-writing JSON.
+		// forwarding path uses, so a generated population can be thrown at
+		// a running server without hand-writing JSON.
 		set, err := tr.ToSet()
 		if err != nil {
 			return err
@@ -99,7 +99,7 @@ func TraceGen(ctx context.Context, args []string, stdout io.Writer) error {
 			Solver:   *solveAlg,
 			Options:  v1.SolveOptions{Shards: *shards},
 		}
-		if err := req.Options.Validate(); err != nil {
+		if err := req.Options.Validate(set.Dim()); err != nil {
 			return fmt.Errorf("cdtrace: %v", err)
 		}
 		resp, err := v1.NewClient(*solveURL, nil).Solve(ctx, req, "")

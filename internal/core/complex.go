@@ -105,7 +105,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
 		}
 		var steps int64
-		cerr := parallel.ForObsCtx(ctx, n, a.Workers, a.Obs, func(i int) {
+		cerr := parallel.For(ctx, n, a.Workers, a.Obs, func(i int) {
 			rng := xrand.New(a.Seed ^ (uint64(j)<<32 + uint64(i) + 0x9e37))
 			c, g, st := a.walk(in, y, i, rng)
 			cands[i] = candidate{center: c, gain: g}
@@ -214,7 +214,7 @@ func (a ComplexGreedy) ballCenter(in *reward.Instance, covered []int, extra int,
 	case a.Mode == BallExactLP && in.Norm.P() == 1:
 		b, err = geom.MinBallL1LP(pts)
 	default:
-		b, err = geom.EnclosingBallObs(in.Norm, pts, rng, a.Obs)
+		b, err = geom.EnclosingBall(in.Norm, pts, rng, a.Obs)
 	}
 	if err != nil {
 		return nil, false

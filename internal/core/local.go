@@ -43,7 +43,7 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 		if rs.active() {
 			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
 		}
-		idx, _, cerr := parallel.ArgmaxFloatObsCtx(ctx, n, a.Workers, a.Obs, func(i int) float64 {
+		idx, _, cerr := parallel.Argmax(ctx, n, a.Workers, a.Obs, func(i int) float64 {
 			return in.RoundGain(in.Set.Point(i), y)
 		})
 		if cerr != nil {
@@ -71,9 +71,10 @@ var _ Algorithm = LocalGreedy{}
 // residuals y, and that reward. It is reused by the exhaustive baseline's
 // seeding and by tests.
 func BestPointCenter(in *reward.Instance, y []float64, workers int) (int, float64) {
-	return parallel.ArgmaxFloat(in.N(), workers, func(i int) float64 {
+	idx, gain, _ := parallel.Argmax(context.TODO(), in.N(), workers, nil, func(i int) float64 {
 		return in.RoundGain(in.Set.Point(i), y)
 	})
+	return idx, gain
 }
 
 // centersClone deep-copies a center list (helper shared by the algorithms).

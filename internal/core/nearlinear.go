@@ -435,13 +435,13 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 // Euclidean supports, the exact norm-dispatched ball otherwise.
 func enclosingCenter(n norm.Norm, pts []vec.V, rng *xrand.Rand, c obs.Collector) (vec.V, error) {
 	if _, euclid := n.(norm.L2); euclid && len(pts) > nlWelzlCutoff {
-		ball, err := geom.ApproxMinBall2Obs(pts, 0.1, c)
+		ball, err := geom.ApproxMinBall2(pts, 0.1, c)
 		if err != nil {
 			return nil, err
 		}
 		return ball.Center, nil
 	}
-	ball, err := geom.EnclosingBallObs(n, pts, rng, c)
+	ball, err := geom.EnclosingBall(n, pts, rng, c)
 	if err != nil {
 		return nil, err
 	}

@@ -157,7 +157,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 		// across peers instead of serializing onto one).
 		workers = len(parts)
 	}
-	parallel.ForCtx(ctx, len(parts), workers, func(i int) {
+	parallel.For(ctx, len(parts), workers, nil, func(i int) {
 		part := parts[i]
 		sspan := parent.Child("shard_solve")
 		sspan.SetAttr("shard", float64(i))

@@ -100,7 +100,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 
 	// Coverage matrix: cov[c][i] = [1 − d(cand_c, x_i)/r]_+.
 	cov := make([][]float64, len(cands))
-	if cerr := parallel.ForCtx(ctx, len(cands), opt.Workers, func(c int) {
+	if cerr := parallel.For(ctx, len(cands), opt.Workers, nil, func(c int) {
 		row := make([]float64, n)
 		for i := 0; i < n; i++ {
 			row[i] = in.Coverage(cands[c], i)
@@ -142,7 +142,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 	for i := range bests {
 		bests[i].val = math.Inf(-1)
 	}
-	cancelErr := parallel.ForCtx(ctx, firsts, opt.Workers, func(first int) {
+	cancelErr := parallel.For(ctx, firsts, opt.Workers, nil, func(first int) {
 		b := partBest{val: math.Inf(-1)}
 		combo := make([]int, k)
 		combo[0] = first

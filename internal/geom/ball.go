@@ -35,15 +35,10 @@ var ErrNoPoints = errors.New("geom: enclosing ball of empty point set")
 // MinBall2 returns the exact smallest enclosing Euclidean ball of the given
 // points in any dimension, using Welzl's randomized algorithm. The rng is
 // used only for the initial shuffle; passing the same generator state yields
-// the same (unique) ball.
-func MinBall2(points []vec.V, rng *xrand.Rand) (Ball, error) {
-	return MinBall2Obs(points, rng, nil)
-}
-
-// MinBall2Obs is MinBall2 with telemetry: a live collector records the call
+// the same (unique) ball. A live collector c (nil is fine) records the call
 // (obs.CtrSEBCalls), the input size (obs.ObsSEBPoints), the maximum Welzl
 // recursion depth reached (obs.ObsSEBDepth), and one obs.EvSEB event.
-func MinBall2Obs(points []vec.V, rng *xrand.Rand, c obs.Collector) (Ball, error) {
+func MinBall2(points []vec.V, rng *xrand.Rand, c obs.Collector) (Ball, error) {
 	if len(points) == 0 {
 		return Ball{}, ErrNoPoints
 	}
@@ -259,15 +254,10 @@ func MinBallL1in2D(points []vec.V) (Ball, error) {
 // ApproxMinBall2 returns a (1+ε)-approximate Euclidean enclosing ball using
 // the Badoiu–Clarkson core-set iteration with ⌈1/ε²⌉ rounds. It is useful
 // when the dimension is large enough that exact Welzl support solving becomes
-// the bottleneck.
-func ApproxMinBall2(points []vec.V, eps float64) (Ball, error) {
-	return ApproxMinBall2Obs(points, eps, nil)
-}
-
-// ApproxMinBall2Obs is ApproxMinBall2 with telemetry: a live collector
-// records the call (obs.CtrSEBCalls) and the number of core-set iterations
-// performed (obs.ObsCoresetIters).
-func ApproxMinBall2Obs(points []vec.V, eps float64, col obs.Collector) (Ball, error) {
+// the bottleneck. A live collector col (nil is fine) records the call
+// (obs.CtrSEBCalls) and the number of core-set iterations performed
+// (obs.ObsCoresetIters).
+func ApproxMinBall2(points []vec.V, eps float64, col obs.Collector) (Ball, error) {
 	if len(points) == 0 {
 		return Ball{}, ErrNoPoints
 	}
@@ -305,15 +295,11 @@ func ApproxMinBall2Obs(points []vec.V, eps float64, col obs.Collector) (Ball, er
 // EnclosingBall dispatches to the best available enclosing-ball construction
 // for the norm: exact Welzl for the 2-norm, exact rotation for the 1-norm in
 // 2-D, the exact bounding box for the ∞-norm, and the paper's projection
-// heuristic otherwise (valid but possibly non-minimal).
-func EnclosingBall(n norm.Norm, points []vec.V, rng *xrand.Rand) (Ball, error) {
-	return EnclosingBallObs(n, points, rng, nil)
-}
-
-// EnclosingBallObs is EnclosingBall with telemetry. The Welzl path records
-// its recursion depth via MinBall2Obs; the closed-form constructions record
-// the call and input size (depth is meaningless for them and omitted).
-func EnclosingBallObs(n norm.Norm, points []vec.V, rng *xrand.Rand, c obs.Collector) (Ball, error) {
+// heuristic otherwise (valid but possibly non-minimal). With a live
+// collector c (nil is fine) the Welzl path records its recursion depth via
+// MinBall2; the closed-form constructions record the call and input size
+// (depth is meaningless for them and omitted).
+func EnclosingBall(n norm.Norm, points []vec.V, rng *xrand.Rand, c obs.Collector) (Ball, error) {
 	if len(points) == 0 {
 		return Ball{}, ErrNoPoints
 	}
@@ -330,7 +316,7 @@ func EnclosingBallObs(n norm.Norm, points []vec.V, rng *xrand.Rand, c obs.Collec
 	}
 	switch nn := n.(type) {
 	case norm.L2:
-		return MinBall2Obs(points, rng, c)
+		return MinBall2(points, rng, c)
 	case norm.L1:
 		if points[0].Dim() == 2 {
 			return count(MinBallL1in2D(points))

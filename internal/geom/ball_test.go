@@ -12,7 +12,7 @@ import (
 
 func TestMinBall2Trivial(t *testing.T) {
 	rng := xrand.New(1)
-	b, err := MinBall2([]vec.V{vec.Of(1, 2)}, rng)
+	b, err := MinBall2([]vec.V{vec.Of(1, 2)}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestMinBall2Trivial(t *testing.T) {
 		t.Fatalf("single point ball = %+v", b)
 	}
 
-	b, err = MinBall2([]vec.V{vec.Of(0, 0), vec.Of(2, 0)}, rng)
+	b, err = MinBall2([]vec.V{vec.Of(0, 0), vec.Of(2, 0)}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMinBall2EquilateralTriangle(t *testing.T) {
 		vec.Of(1, 0),
 		vec.Of(0.5, math.Sqrt(3)/2),
 	}
-	b, err := MinBall2(pts, xrand.New(2))
+	b, err := MinBall2(pts, xrand.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestMinBall2ObtuseTriangle(t *testing.T) {
 	// For an obtuse triangle the SEB is the diameter of the longest side,
 	// not the circumcircle.
 	pts := []vec.V{vec.Of(0, 0), vec.Of(10, 0), vec.Of(5, 0.1)}
-	b, err := MinBall2(pts, xrand.New(3))
+	b, err := MinBall2(pts, xrand.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMinBall2Degenerate(t *testing.T) {
 		vec.Of(1, 1), vec.Of(1, 1), vec.Of(1, 1),
 		vec.Of(3, 1), vec.Of(2, 1),
 	}
-	b, err := MinBall2(pts, xrand.New(4))
+	b, err := MinBall2(pts, xrand.New(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMinBall2ThreeD(t *testing.T) {
 		vec.Of(-1, 1, -1),
 		vec.Of(-1, -1, 1),
 	}
-	b, err := MinBall2(pts, xrand.New(5))
+	b, err := MinBall2(pts, xrand.New(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestMinBall2ThreeD(t *testing.T) {
 }
 
 func TestMinBall2Empty(t *testing.T) {
-	if _, err := MinBall2(nil, xrand.New(1)); err != ErrNoPoints {
+	if _, err := MinBall2(nil, xrand.New(1), nil); err != ErrNoPoints {
 		t.Fatalf("err = %v, want ErrNoPoints", err)
 	}
 }
 
 func TestMinBall2DimMismatch(t *testing.T) {
-	if _, err := MinBall2([]vec.V{vec.Of(1), vec.Of(1, 2)}, xrand.New(1)); err == nil {
+	if _, err := MinBall2([]vec.V{vec.Of(1), vec.Of(1, 2)}, xrand.New(1), nil); err == nil {
 		t.Fatal("dimension mismatch not detected")
 	}
 }
@@ -131,7 +131,7 @@ func TestMinBall2Property(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		b, err := MinBall2(pts, rng)
+		b, err := MinBall2(pts, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +266,11 @@ func TestApproxMinBall2CloseToExact(t *testing.T) {
 		for i := range pts {
 			pts[i] = vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
 		}
-		exact, err := MinBall2(pts, rng)
+		exact, err := MinBall2(pts, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := ApproxMinBall2(pts, 0.05)
+		approx, err := ApproxMinBall2(pts, 0.05, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestApproxMinBall2CloseToExact(t *testing.T) {
 			t.Fatalf("approx radius %v too loose vs exact %v", approx.Radius, exact.Radius)
 		}
 	}
-	if _, err := ApproxMinBall2(nil, 0.1); err != ErrNoPoints {
+	if _, err := ApproxMinBall2(nil, 0.1, nil); err != ErrNoPoints {
 		t.Fatal("empty not rejected")
 	}
 }
@@ -290,7 +290,7 @@ func TestEnclosingBallDispatch(t *testing.T) {
 	pts := []vec.V{vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 0)}
 	rng := xrand.New(31)
 	for _, n := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}, norm.LP{Exp: 3}} {
-		b, err := EnclosingBall(n, pts, rng)
+		b, err := EnclosingBall(n, pts, rng, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
@@ -302,14 +302,14 @@ func TestEnclosingBallDispatch(t *testing.T) {
 	}
 	// 3-D under L1 goes through the projection path.
 	pts3 := []vec.V{vec.Of(0, 0, 0), vec.Of(1, 2, 3)}
-	b, err := EnclosingBall(norm.L1{}, pts3, rng)
+	b, err := EnclosingBall(norm.L1{}, pts3, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Contains(norm.L1{}, pts3[1]) {
 		t.Error("3-D L1 ball misses point")
 	}
-	if _, err := EnclosingBall(norm.L2{}, nil, rng); err != ErrNoPoints {
+	if _, err := EnclosingBall(norm.L2{}, nil, rng, nil); err != ErrNoPoints {
 		t.Fatalf("empty err = %v", err)
 	}
 }
@@ -353,7 +353,7 @@ func TestMinBall2MatchesBruteForce(t *testing.T) {
 			}
 			pts = append(pts, vec.Of(x, y))
 		}
-		b, err := MinBall2(pts, xrand.New(1))
+		b, err := MinBall2(pts, xrand.New(1), nil)
 		if err != nil {
 			return false
 		}

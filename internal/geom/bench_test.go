@@ -26,7 +26,7 @@ func benchMinBall2(b *testing.B, n, dim int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinBall2(pts, rng); err != nil {
+		if _, err := MinBall2(pts, rng, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkApproxMinBall2_N1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ApproxMinBall2(pts, 0.05); err != nil {
+		if _, err := ApproxMinBall2(pts, 0.05, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

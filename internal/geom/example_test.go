@@ -12,7 +12,7 @@ import (
 // diameter of its longest side, not the circumcircle.
 func ExampleMinBall2() {
 	pts := []vec.V{vec.Of(0, 0), vec.Of(10, 0), vec.Of(5, 1)}
-	b, _ := geom.MinBall2(pts, xrand.New(1))
+	b, _ := geom.MinBall2(pts, xrand.New(1), nil)
 	fmt.Printf("center %v radius %.1f\n", b.Center, b.Radius)
 	// Output:
 	// center (5.000, 0.000) radius 5.0

@@ -77,7 +77,7 @@ func (cr Critical) Solve(ctx context.Context, in *reward.Instance, y []float64) 
 	}
 
 	scores := make([]float64, len(cands))
-	if cerr := parallel.ForCtx(ctx, len(cands), cr.Workers, func(i int) {
+	if cerr := parallel.For(ctx, len(cands), cr.Workers, nil, func(i int) {
 		scores[i] = in.RoundGain(cands[i], y)
 	}); cerr != nil {
 		return nil, cerr
@@ -109,7 +109,7 @@ func (cr Critical) Solve(ctx context.Context, in *reward.Instance, y []float64) 
 		c vec.V
 		g float64
 	}, len(best))
-	cerr := parallel.ForCtx(ctx, len(best), cr.Workers, func(i int) {
+	cerr := parallel.For(ctx, len(best), cr.Workers, nil, func(i int) {
 		c, g := CompassSearch(in, y, cands[best[i].idx], in.Radius/8, in.Radius*1e-3)
 		results[i].c, results[i].g = c, g
 	})

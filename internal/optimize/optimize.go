@@ -58,7 +58,7 @@ func (g Grid) Solve(ctx context.Context, in *reward.Instance, y []float64) (vec.
 		return nil, err
 	}
 	cands := append(grid, in.Set.Points()...)
-	idx, _, cerr := parallel.ArgmaxFloatCtx(ctx, len(cands), g.Workers, func(i int) float64 {
+	idx, _, cerr := parallel.Argmax(ctx, len(cands), g.Workers, nil, func(i int) float64 {
 		return in.RoundGain(cands[i], y)
 	})
 	if cerr != nil && idx < 0 {
@@ -127,7 +127,7 @@ func (m Multistart) Solve(ctx context.Context, in *reward.Instance, y []float64)
 	}
 	starts := append(grid, in.Set.Points()...)
 	scores := make([]float64, len(starts))
-	if cerr := parallel.ForCtx(ctx, len(starts), m.Workers, func(i int) {
+	if cerr := parallel.For(ctx, len(starts), m.Workers, nil, func(i int) {
 		scores[i] = in.RoundGain(starts[i], y)
 	}); cerr != nil {
 		// A partially scored seeding scan would bias the start ranking;
@@ -148,7 +148,7 @@ func (m Multistart) Solve(ctx context.Context, in *reward.Instance, y []float64)
 		g float64
 	}
 	best := make([]refined, top)
-	cerr := parallel.ForCtx(ctx, top, m.Workers, func(i int) {
+	cerr := parallel.For(ctx, top, m.Workers, nil, func(i int) {
 		s := starts[order[i]]
 		c, g := CompassSearch(in, y, s, initStep*in.Radius, minStep*in.Radius)
 		best[i] = refined{c: c, g: g}

@@ -26,27 +26,26 @@ func TestDegenerateArgs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var visits int64
-			For(tc.n, tc.workers, func(i int) { atomic.AddInt64(&visits, 1) })
+			For(nil, tc.n, tc.workers, nil, func(i int) { atomic.AddInt64(&visits, 1) })
 			if visits != tc.wantVisits {
 				t.Errorf("For visited %d indices, want %d", visits, tc.wantVisits)
 			}
 
 			visits = 0
-			if err := ForCtx(context.Background(), tc.n, tc.workers, func(i int) { atomic.AddInt64(&visits, 1) }); err != nil {
-				t.Errorf("ForCtx = %v", err)
+			if err := For(context.Background(), tc.n, tc.workers, nil, func(i int) { atomic.AddInt64(&visits, 1) }); err != nil {
+				t.Errorf("For with a live context = %v", err)
 			}
 			if visits != tc.wantVisits {
-				t.Errorf("ForCtx visited %d indices, want %d", visits, tc.wantVisits)
+				t.Errorf("For with a live context visited %d indices, want %d", visits, tc.wantVisits)
 			}
 
-			idx, val := MapReduce(tc.n, tc.workers, func(i int) float64 { return float64(i) },
-				func(a, b float64) bool { return a > b })
+			idx, val, _ := Argmax(nil, tc.n, tc.workers, nil, func(i int) float64 { return float64(i) })
 			if tc.n <= 0 {
 				if idx != -1 || !math.IsNaN(val) {
-					t.Errorf("MapReduce on empty input = (%d, %v), want (-1, NaN)", idx, val)
+					t.Errorf("Argmax on empty input = (%d, %v), want (-1, NaN)", idx, val)
 				}
 			} else if idx != tc.n-1 || val != float64(tc.n-1) {
-				t.Errorf("MapReduce = (%d, %v), want (%d, %v)", idx, val, tc.n-1, float64(tc.n-1))
+				t.Errorf("Argmax = (%d, %v), want (%d, %v)", idx, val, tc.n-1, float64(tc.n-1))
 			}
 		})
 	}
@@ -73,20 +72,20 @@ func TestClampWorkers(t *testing.T) {
 }
 
 // TestForCtxCancelMidFlight is the same contract for the index-granular
-// primitive, plus MapReduceCtx's partial-reduction guarantee: unvisited
-// indices are NaN-filled and never win the reduction.
+// primitive, plus Argmax's partial-reduction guarantee: unvisited indices
+// are NaN-filled and never win the reduction.
 func TestForCtxCancelMidFlight(t *testing.T) {
 	const n = 100_000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var covered int64
-	err := ForCtx(ctx, n, 8, func(i int) {
+	err := For(ctx, n, 8, nil, func(i int) {
 		if atomic.AddInt64(&covered, 1) >= n/10 {
 			cancel()
 		}
 	})
 	if err != context.Canceled {
-		t.Fatalf("ForCtx err = %v, want context.Canceled", err)
+		t.Fatalf("For err = %v, want context.Canceled", err)
 	}
 	if covered == 0 || covered >= n {
 		t.Fatalf("covered %d of %d; want a strict partial sweep", covered, n)
@@ -95,29 +94,29 @@ func TestForCtxCancelMidFlight(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var scored int64
-	idx, val, err := MapReduceCtx(ctx2, n, 8, func(i int) float64 {
+	idx, val, err := Argmax(ctx2, n, 8, nil, func(i int) float64 {
 		if atomic.AddInt64(&scored, 1) >= n/10 {
 			cancel2()
 		}
 		return float64(i % 997)
-	}, func(a, b float64) bool { return a > b })
+	})
 	if err != context.Canceled {
-		t.Fatalf("MapReduceCtx err = %v, want context.Canceled", err)
+		t.Fatalf("Argmax err = %v, want context.Canceled", err)
 	}
 	if idx < 0 || math.IsNaN(val) {
-		t.Fatalf("MapReduceCtx = (%d, %v); a partial scan that scored indices must still reduce", idx, val)
+		t.Fatalf("Argmax = (%d, %v); a partial scan that scored indices must still reduce", idx, val)
 	}
 }
 
-// TestMapReduceCtxPreCancelled: a dead context means nothing is scored and
-// the reduction reports (-1, NaN, ctx.Err()).
-func TestMapReduceCtxPreCancelled(t *testing.T) {
+// TestArgmaxPreCancelled: a dead context means nothing is scored and the
+// reduction reports (-1, NaN, ctx.Err()).
+func TestArgmaxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	idx, val, err := MapReduceCtx(ctx, 50, 4, func(i int) float64 {
+	idx, val, err := Argmax(ctx, 50, 4, nil, func(i int) float64 {
 		t.Error("score called after cancellation")
 		return 0
-	}, func(a, b float64) bool { return a > b })
+	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

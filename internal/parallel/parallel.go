@@ -4,12 +4,13 @@
 // parallel execution is deterministic: the reduction order never depends on
 // goroutine scheduling.
 //
-// Every primitive has a context-aware variant (ForCtx, MapReduceCtx, ...). Cancellation is cooperative at chunk granularity: once
-// the context is done no new chunk is dispatched, in-flight chunks run to
-// completion, and the variant returns ctx.Err(). Indices that were never
+// Both primitives take an optional context and an optional collector (either
+// may be nil). Cancellation is cooperative at chunk granularity: once the
+// context is done no new chunk is dispatched, in-flight chunks run to
+// completion, and the primitive returns ctx.Err(). Indices that were never
 // dispatched are simply not visited — callers that aggregate results must
-// treat their slots as absent (MapReduceCtx does so by pre-filling scores
-// with NaN).
+// treat their slots as absent (Argmax does so by pre-filling scores with
+// NaN).
 package parallel
 
 import (
@@ -65,37 +66,17 @@ func ctxErr(ctx context.Context) error {
 // handed out dynamically in chunks so that uneven per-index cost still
 // balances. fn must be safe to call concurrently; it must only write to
 // state owned by index i.
-func For(n, workers int, fn func(i int)) {
-	forObs(nil, n, workers, nil, fn)
-}
-
-// ForCtx is For with cooperative cancellation: once ctx is done no new chunk
-// is dispatched and ForCtx returns ctx.Err(); indices never dispatched are
-// not visited. A nil ctx behaves like For.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ForObsCtx(ctx, n, workers, nil, fn)
-}
-
-// ForObs is For with telemetry: a live collector records the tasks
-// dispatched (obs.CtrParTasks), the number of dynamically scheduled chunks
-// (obs.CtrParChunks), the worker count (obs.GaugeParWorkers), and each
-// worker's busy time (obs.TimWorkerBusy). A nil or Nop collector makes it
-// identical to For.
-func ForObs(n, workers int, c obs.Collector, fn func(i int)) {
-	forObs(nil, n, workers, c, fn)
-}
-
-// ForObsCtx combines ForObs and ForCtx.
-func ForObsCtx(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) error {
-	forObs(doneChan(ctx), n, workers, c, fn)
-	return ctxErr(ctx)
-}
-
-// forObs is the shared implementation: done == nil disables cancellation.
-func forObs(done <-chan struct{}, n, workers int, c obs.Collector, fn func(i int)) {
+//
+// Once ctx is done no new chunk is dispatched and For returns ctx.Err();
+// indices never dispatched are not visited. A live collector c records the
+// tasks dispatched (obs.CtrParTasks), the number of dynamically scheduled
+// chunks (obs.CtrParChunks), the worker count (obs.GaugeParWorkers), and
+// each worker's busy time (obs.TimWorkerBusy).
+func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) error {
 	if n <= 0 {
-		return
+		return ctxErr(ctx)
 	}
+	done := doneChan(ctx)
 	workers = clampWorkers(n, workers)
 	active := obs.Active(c)
 	if active {
@@ -116,7 +97,7 @@ func forObs(done <-chan struct{}, n, workers int, c obs.Collector, fn func(i int
 		if active {
 			c.Count(obs.CtrParChunks, chunks)
 		}
-		return
+		return ctxErr(ctx)
 	}
 	// Chunked dynamic scheduling: amortizes the atomic op over chunk items.
 	chunk := n / (workers * 8)
@@ -156,6 +137,7 @@ func forObs(done <-chan struct{}, n, workers int, c obs.Collector, fn func(i int
 	if active {
 		c.Count(obs.CtrParChunks, atomic.LoadInt64(&chunks))
 	}
+	return ctxErr(ctx)
 }
 
 // cancelled is a non-blocking poll of a done channel (nil: never cancelled).
@@ -168,85 +150,42 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// MapReduce evaluates score(i) for every i in [0, n) in parallel and returns
-// the index with the best score under better(a, b) ("a strictly better than
-// b"). Ties are broken toward the lowest index regardless of scheduling, so
-// the result is deterministic. NaN scores are never selected: they compare
-// as worse than any real score no matter where they appear. It returns
-// (-1, NaN) when n <= 0 or every score is NaN.
-func MapReduce(n, workers int, score func(i int) float64, better func(a, b float64) bool) (int, float64) {
-	idx, val, _ := mapReduce(nil, nil, n, workers, nil, score, better)
-	return idx, val
-}
-
-// MapReduceObs is MapReduce with the scan telemetry of ForObs.
-func MapReduceObs(n, workers int, c obs.Collector, score func(i int) float64, better func(a, b float64) bool) (int, float64) {
-	idx, val, _ := mapReduce(nil, nil, n, workers, c, score, better)
-	return idx, val
-}
-
-// MapReduceCtx is MapReduce with cooperative cancellation. On cancellation
-// the reduction runs over the scores actually computed (unvisited indices
-// count as NaN and are never selected) and the error is ctx.Err(); the
-// returned index is therefore the best of a partial scan, or -1 when
-// nothing was scored.
-func MapReduceCtx(ctx context.Context, n, workers int, score func(i int) float64, better func(a, b float64) bool) (int, float64, error) {
-	return mapReduce(ctx, doneChan(ctx), n, workers, nil, score, better)
-}
-
-// MapReduceObsCtx combines MapReduceObs and MapReduceCtx.
-func MapReduceObsCtx(ctx context.Context, n, workers int, c obs.Collector, score func(i int) float64, better func(a, b float64) bool) (int, float64, error) {
-	return mapReduce(ctx, doneChan(ctx), n, workers, c, score, better)
-}
-
-// mapReduce is the shared implementation: done == nil disables cancellation.
-func mapReduce(ctx context.Context, done <-chan struct{}, n, workers int, c obs.Collector, score func(i int) float64, better func(a, b float64) bool) (int, float64, error) {
+// Argmax evaluates score(i) for every i in [0, n) in parallel, with For's
+// scheduling, cancellation and telemetry, and returns the index of the
+// strictly greatest score with ties broken toward the lowest index — the
+// paper's tie-break rule ("selection will be based on the index of the
+// points") — regardless of scheduling. NaN scores are never selected: they
+// compare as worse than any real score no matter where they appear. It
+// returns (-1, NaN) when n <= 0 or every score is NaN.
+//
+// On cancellation the reduction runs over the scores actually computed
+// (unvisited indices count as NaN) and the error is ctx.Err(); the returned
+// index is therefore the best of a partial scan, or -1 when nothing was
+// scored.
+func Argmax(ctx context.Context, n, workers int, c obs.Collector, score func(i int) float64) (int, float64, error) {
 	if n <= 0 {
 		return -1, math.NaN(), ctxErr(ctx)
 	}
 	scores := make([]float64, n)
-	if done != nil {
+	if doneChan(ctx) != nil {
 		// Pre-fill with NaN so indices skipped by cancellation are never
 		// selected; the uncancellable path visits every index and skips this.
 		for i := range scores {
 			scores[i] = math.NaN()
 		}
 	}
-	forObs(done, n, workers, c, func(i int) { scores[i] = score(i) })
+	err := For(ctx, n, workers, c, func(i int) { scores[i] = score(i) })
 	best := -1
 	for i, s := range scores {
 		if math.IsNaN(s) {
 			continue
 		}
-		if best < 0 || better(s, scores[best]) {
+		if best < 0 || s > scores[best] {
 			best = i
 		}
 	}
 	if best < 0 {
-		return -1, math.NaN(), ctxErr(ctx)
+		return -1, math.NaN(), err
 	}
-	return best, scores[best], ctxErr(ctx)
-}
-
-// ArgmaxFloat returns the index of the strictly greatest score with ties
-// broken toward the lowest index — the paper's tie-break rule ("selection
-// will be based on the index of the points").
-func ArgmaxFloat(n, workers int, score func(i int) float64) (int, float64) {
-	return MapReduce(n, workers, score, func(a, b float64) bool { return a > b })
-}
-
-// ArgmaxFloatObs is ArgmaxFloat with the scan telemetry of ForObs.
-func ArgmaxFloatObs(n, workers int, c obs.Collector, score func(i int) float64) (int, float64) {
-	return MapReduceObs(n, workers, c, score, func(a, b float64) bool { return a > b })
-}
-
-// ArgmaxFloatCtx is ArgmaxFloat with cooperative cancellation (see
-// MapReduceCtx for the partial-scan contract).
-func ArgmaxFloatCtx(ctx context.Context, n, workers int, score func(i int) float64) (int, float64, error) {
-	return MapReduceCtx(ctx, n, workers, score, func(a, b float64) bool { return a > b })
-}
-
-// ArgmaxFloatObsCtx combines ArgmaxFloatObs and ArgmaxFloatCtx.
-func ArgmaxFloatObsCtx(ctx context.Context, n, workers int, c obs.Collector, score func(i int) float64) (int, float64, error) {
-	return MapReduceObsCtx(ctx, n, workers, c, score, func(a, b float64) bool { return a > b })
+	return best, scores[best], err
 }

@@ -15,7 +15,7 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]int64, n)
-		For(n, workers, func(i int) { atomic.AddInt64(&counts[i], 1) })
+		For(nil, n, workers, nil, func(i int) { atomic.AddInt64(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -25,10 +25,10 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEmptyAndSmall(t *testing.T) {
-	For(0, 4, func(int) { t.Fatal("fn called for n=0") })
-	For(-3, 4, func(int) { t.Fatal("fn called for n<0") })
+	For(nil, 0, 4, nil, func(int) { t.Fatal("fn called for n=0") })
+	For(nil, -3, 4, nil, func(int) { t.Fatal("fn called for n<0") })
 	hit := false
-	For(1, 8, func(i int) { hit = true })
+	For(nil, 1, 8, nil, func(i int) { hit = true })
 	if !hit {
 		t.Fatal("n=1 not visited")
 	}
@@ -45,7 +45,7 @@ func TestForParallelism(t *testing.T) {
 	overlap := make(chan struct{})
 	var once sync.Once
 	var cur, peak int64
-	For(200, 8, func(i int) {
+	For(nil, 200, 8, nil, func(i int) {
 		c := atomic.AddInt64(&cur, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -70,7 +70,7 @@ func TestForParallelism(t *testing.T) {
 func TestArgmaxDeterministicTieBreak(t *testing.T) {
 	scores := []float64{1, 5, 5, 3, 5}
 	for _, workers := range []int{1, 4, 16} {
-		idx, best := ArgmaxFloat(len(scores), workers, func(i int) float64 { return scores[i] })
+		idx, best, _ := Argmax(nil, len(scores), workers, nil, func(i int) float64 { return scores[i] })
 		if idx != 1 || best != 5 {
 			t.Fatalf("workers=%d: argmax = (%d, %v), want (1, 5)", workers, idx, best)
 		}
@@ -78,7 +78,7 @@ func TestArgmaxDeterministicTieBreak(t *testing.T) {
 }
 
 func TestArgmaxEmpty(t *testing.T) {
-	idx, _ := ArgmaxFloat(0, 4, func(int) float64 { return 0 })
+	idx, _, _ := Argmax(nil, 0, 4, nil, func(int) float64 { return 0 })
 	if idx != -1 {
 		t.Fatalf("empty argmax = %d, want -1", idx)
 	}
@@ -90,20 +90,13 @@ func TestArgmaxSkipsNaN(t *testing.T) {
 	// was the initial "best" and nothing compares greater than NaN.
 	scores := []float64{nan, 2, 7, nan, 7}
 	for _, workers := range []int{1, 4} {
-		idx, best := ArgmaxFloat(len(scores), workers, func(i int) float64 { return scores[i] })
+		idx, best, _ := Argmax(nil, len(scores), workers, nil, func(i int) float64 { return scores[i] })
 		if idx != 2 || best != 7 {
 			t.Fatalf("workers=%d: argmax = (%d, %v), want (2, 7)", workers, idx, best)
 		}
 	}
-	// NaN in the middle must not disturb the min reduction either.
-	idx, best := MapReduce(len(scores), 2,
-		func(i int) float64 { return scores[i] },
-		func(a, b float64) bool { return a < b })
-	if idx != 1 || best != 2 {
-		t.Fatalf("min with NaNs = (%d, %v), want (1, 2)", idx, best)
-	}
 	// All-NaN input selects nothing.
-	idx, best = ArgmaxFloat(3, 2, func(int) float64 { return nan })
+	idx, best, _ := Argmax(nil, 3, 2, nil, func(int) float64 { return nan })
 	if idx != -1 || !math.IsNaN(best) {
 		t.Fatalf("all-NaN argmax = (%d, %v), want (-1, NaN)", idx, best)
 	}
@@ -112,7 +105,7 @@ func TestArgmaxSkipsNaN(t *testing.T) {
 func TestForObsTelemetry(t *testing.T) {
 	m := obs.NewMetrics()
 	var sum int64
-	ForObs(100, 4, m, func(i int) { atomic.AddInt64(&sum, int64(i)) })
+	For(nil, 100, 4, m, func(i int) { atomic.AddInt64(&sum, int64(i)) })
 	if sum != 4950 {
 		t.Fatalf("sum = %d", sum)
 	}
@@ -132,7 +125,7 @@ func TestForObsTelemetry(t *testing.T) {
 	}
 	// Serial path records a single chunk and one busy span.
 	m2 := obs.NewMetrics()
-	ForObs(10, 1, m2, func(int) {})
+	For(nil, 10, 1, m2, func(int) {})
 	s2 := m2.Snapshot()
 	if s2.Counters[obs.CtrParChunks] != 1 || s2.TimersNS[obs.TimWorkerBusy].Count != 1 {
 		t.Errorf("serial telemetry wrong: %+v", s2.Counters)
@@ -141,22 +134,12 @@ func TestForObsTelemetry(t *testing.T) {
 
 func TestArgmaxObsCountsScan(t *testing.T) {
 	m := obs.NewMetrics()
-	idx, best := ArgmaxFloatObs(50, 2, m, func(i int) float64 { return float64(i % 10) })
+	idx, best, _ := Argmax(nil, 50, 2, m, func(i int) float64 { return float64(i % 10) })
 	if idx != 9 || best != 9 {
 		t.Fatalf("argmax = (%d, %v), want (9, 9)", idx, best)
 	}
 	if got := m.Snapshot().Counters[obs.CtrParTasks]; got != 50 {
 		t.Errorf("tasks = %d, want 50", got)
-	}
-}
-
-func TestMapReduceMin(t *testing.T) {
-	scores := []float64{4, 2, 9, 2}
-	idx, best := MapReduce(len(scores), 4,
-		func(i int) float64 { return scores[i] },
-		func(a, b float64) bool { return a < b })
-	if idx != 1 || best != 2 {
-		t.Fatalf("min = (%d, %v), want (1, 2)", idx, best)
 	}
 }
 

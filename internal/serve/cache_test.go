@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	v1 "repro/api/v1"
 	"repro/internal/obs"
+	"repro/internal/pointset"
 	"repro/internal/serve"
+	"repro/internal/xrand"
 )
 
 // stripVarying decodes a solve response and removes the two fields that
@@ -387,4 +390,50 @@ func TestSolveCacheHitWithoutWorkerSlot(t *testing.T) {
 
 	close(release)
 	<-blockDone
+}
+
+// TestCacheHitLatencyFloor: a cache hit skips the solver, so its client-side
+// p50 must sit well under a miss's. Each of 9 fresh n = 600 instances
+// (uniform in [0,4]², k = 4, r = 1, default solver) is sent twice: a miss,
+// then a byte-identical hit. The hit path measures over 10x faster here;
+// the 3x floor fails a change that drags hits back through the solve path
+// without being flaky on a slow machine or under -race.
+func TestCacheHitLatencyFloor(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	const pairs = 9
+	rng := xrand.New(7)
+	timed := func(body string) (time.Duration, bool) {
+		start := time.Now()
+		_, cached := postSolve(t, ts.URL, body)
+		return time.Since(start), cached
+	}
+	var hits, misses []time.Duration
+	for i := 0; i < pairs; i++ {
+		set, err := pointset.GenUniform(600, pointset.PaperBox2D(), pointset.UnitWeight, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(v1.SolveRequest{Instance: set, Radius: 1, K: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss, cached := timed(string(body))
+		if cached {
+			t.Fatalf("pair %d: a fresh instance was served from cache", i)
+		}
+		hit, cached := timed(string(body))
+		if !cached {
+			t.Fatalf("pair %d: the identical replay was not served from cache", i)
+		}
+		misses, hits = append(misses, miss), append(hits, hit)
+	}
+	p50 := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	hitP50, missP50 := p50(hits), p50(misses)
+	t.Logf("hit p50 %v, miss p50 %v (%.1fx)", hitP50, missP50, float64(missP50)/float64(hitP50))
+	if 3*hitP50 > missP50 {
+		t.Errorf("cache hit p50 %v is not at most a third of the miss p50 %v", hitP50, missP50)
+	}
 }

@@ -26,16 +26,19 @@ func decodeError(t *testing.T, data []byte) v1.Error {
 	return out.Error
 }
 
-// TestSolveErrorPaths pins the wire-schema error contract: every malformed
-// request answers with the right status and a machine-readable code.
-func TestSolveErrorPaths(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{MaxBody: 2048})
+// errorCase is a malformed request body with the status and error code it
+// must be answered with.
+type errorCase struct {
+	name, body string
+	status     int
+	code       string
+}
+
+// solveErrorCases are the /v1/solve error contract, for a server whose
+// MaxBody is 2048. FuzzSolveHandler seeds its corpus with these bodies.
+func solveErrorCases() []errorCase {
 	good := instanceJSON(5)
-	cases := []struct {
-		name, body string
-		status     int
-		code       string
-	}{
+	return []errorCase{
 		{"malformed json", `{"instance": nope`, http.StatusBadRequest, v1.CodeBadJSON},
 		{"unknown field", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"bogus":true}`, good),
 			http.StatusBadRequest, v1.CodeBadJSON},
@@ -87,8 +90,25 @@ func TestSolveErrorPaths(t *testing.T) {
 		{"oversized body",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1}`, instanceJSON(2000)),
 			http.StatusRequestEntityTooLarge, v1.CodeBodyTooLarge},
+		// Unbounded, grid_per^dim overflows int inside pointset.GridPoints
+		// and the handler panics.
+		{"grid_per lattice above MaxCells",
+			`{"instance":{"dim":2,"points":[[0,0],[1,1],[2,2]]},"radius":1,"k":1,"solver":"exhaustive","options":{"grid_per":1073741824}}`,
+			http.StatusBadRequest, v1.CodeBadRequest},
+		// Unbounded, this 4-user body holds a worker for seconds past its
+		// 100 ms deadline: the partition's (2·halo+1)^dim neighbour walk
+		// cannot be cancelled.
+		{"halo walk above MaxCells",
+			`{"instance":{"dim":2,"points":[[0,0],[1,1],[2,2],[3,3]]},"radius":1,"k":1,"deadline_ms":100,"options":{"shards":2,"halo":600}}`,
+			http.StatusBadRequest, v1.CodeBadRequest},
 	}
-	for _, tc := range cases {
+}
+
+// TestSolveErrorPaths pins the wire-schema error contract: every malformed
+// request answers with the right status and a machine-readable code.
+func TestSolveErrorPaths(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{MaxBody: 2048})
+	for _, tc := range solveErrorCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := postJSON(t, ts.URL+"/v1/solve", tc.body, nil)
 			if resp.StatusCode != tc.status {
@@ -121,11 +141,7 @@ func TestSolveUnknownSolverListsCatalog(t *testing.T) {
 func TestChurnErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	good := instanceJSON(5)
-	cases := []struct {
-		name, body string
-		status     int
-		code       string
-	}{
+	cases := []errorCase{
 		{"zero periods",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":0,"arrival_rate":1,"depart_rate":1}`, good),
 			http.StatusBadRequest, v1.CodeBadRequest},

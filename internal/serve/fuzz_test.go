@@ -1,0 +1,84 @@
+package serve_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	v1 "repro/api/v1"
+	"repro/internal/core"
+	"repro/internal/norm"
+	"repro/internal/reward"
+	"repro/internal/serve"
+	"repro/internal/vec"
+)
+
+// wireCodes is every v1 error code a response may carry.
+var wireCodes = map[string]bool{
+	v1.CodeBadJSON: true, v1.CodeBodyTooLarge: true, v1.CodeBadInstance: true,
+	v1.CodeDimMismatch: true, v1.CodeBadK: true, v1.CodeBadRadius: true,
+	v1.CodeBadNorm: true, v1.CodeUnknownSolver: true, v1.CodeBadRequest: true,
+	v1.CodeQueueFull: true, v1.CodeDeadlineQueued: true, v1.CodeDraining: true,
+	v1.CodeMethodNotAllowed: true, v1.CodeSolveFailed: true,
+}
+
+// FuzzSolveHandler sends arbitrary bodies through the /v1/solve handler on
+// the fuzzing goroutine, so a handler panic fails the target. A non-200
+// answer must carry a v1 error code in its envelope; a 200 answer must hold
+// at most k centers and a total equal to the objective recomputed from
+// those centers. The 200 ms deadline cap keeps every input cheap: a solve
+// cut short answers its valid partial prefix.
+//
+//	go test -run '^$' -fuzz FuzzSolveHandler -fuzztime 5m ./internal/serve
+func FuzzSolveHandler(f *testing.F) {
+	for _, tc := range solveErrorCases() {
+		f.Add(tc.body)
+	}
+	f.Add(fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":3,"solver":"greedy2"}`, instanceJSON(25)))
+	f.Add(fmt.Sprintf(`{"instance":%s,"radius":1.2,"k":2,"norm":"l1","options":{"shards":2}}`, instanceJSON(30)))
+
+	h := serve.New(serve.Config{MaxBody: 2048, MaxDeadline: 200 * time.Millisecond}).Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			var env v1.ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !wireCodes[env.Error.Code] {
+				t.Fatalf("status %d without a v1 error code: %s", rec.Code, rec.Body.Bytes())
+			}
+			return
+		}
+		var out v1.SolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("200 body does not decode: %v", err)
+		}
+		// The server accepted the body, so its first JSON value decodes.
+		var req v1.SolveRequest
+		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("accepted request does not decode: %v", err)
+		}
+		if len(out.Centers) > req.K {
+			t.Fatalf("%d centers for k = %d", len(out.Centers), req.K)
+		}
+		nm, err := norm.ByName(out.Norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := reward.NewInstance(req.Instance, nm, req.Radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		centers := make([]vec.V, len(out.Centers))
+		for i, c := range out.Centers {
+			centers[i] = c
+		}
+		if got := in.Objective(centers); math.Abs(got-out.Total) > core.SumTolerance {
+			t.Fatalf("total %v, recomputed objective %v", out.Total, got)
+		}
+	})
+}

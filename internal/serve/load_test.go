@@ -144,32 +144,48 @@ func TestQueuedDeadline(t *testing.T) {
 	}
 }
 
-// TestConcurrentLoad hammers a small pool with more clients than capacity:
-// every response is either a clean 200 or a well-formed 429, the counters
-// balance, and (under -race) the admission path is data-race-free.
+// TestConcurrentLoad hammers a small pool with more clients than capacity,
+// mixing /v1/churn streams into the solves: every response is either a
+// clean 200 or a well-formed 429, every admitted churn stream ends in a
+// summary line with no in-band error, the counters balance, and (under
+// -race) the admission path is data-race-free.
 func TestConcurrentLoad(t *testing.T) {
 	srv, ts := newTestServer(t, serve.Config{Workers: 2, QueueDepth: 2})
-	body := fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":2}`, instanceJSON(30))
+	solveBody := fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":2}`, instanceJSON(30))
+	churnBody := fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":2,"periods":3,"arrival_rate":4,"depart_rate":2,"warm_start":true,"seed":7}`,
+		instanceJSON(30))
 
-	const clients = 16
-	var ok200, ok429, other int64
+	const clients, perClient = 16, 4
+	var ok200, ok429, churns, other int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 4; j++ {
-				resp, data := postJSON(t, ts.URL+"/v1/solve", body, nil)
+			for j := 0; j < perClient; j++ {
+				// One request in four is a churn stream.
+				route, body := "/v1/solve", solveBody
+				churn := (i+j)%4 == 0
+				if churn {
+					route, body = "/v1/churn", churnBody
+				}
+				resp, data := postJSON(t, ts.URL+route, body, nil)
 				mu.Lock()
 				switch resp.StatusCode {
 				case http.StatusOK:
 					ok200++
+					if churn {
+						churns++
+						if _, _, err := churnStream(data); err != nil {
+							t.Errorf("churn stream under load: %v", err)
+						}
+					}
 				case http.StatusTooManyRequests:
 					ok429++
 				default:
 					other++
-					t.Errorf("unexpected status %d: %s", resp.StatusCode, data)
+					t.Errorf("unexpected status %d on %s: %s", resp.StatusCode, route, data)
 				}
 				mu.Unlock()
 			}
@@ -179,15 +195,15 @@ func TestConcurrentLoad(t *testing.T) {
 	if other != 0 {
 		t.Fatalf("%d responses were neither 200 nor 429", other)
 	}
-	if ok200 == 0 {
-		t.Fatal("no request ever succeeded under load")
+	if ok200 == 0 || churns == 0 {
+		t.Fatalf("%d requests (%d churn streams) succeeded under load, want both > 0", ok200, churns)
 	}
-	t.Logf("load: %d ok, %d backpressured", ok200, ok429)
+	t.Logf("load: %d ok (%d churn streams), %d backpressured", ok200, churns, ok429)
 	snap := srv.Metrics().Snapshot()
 	total := snap.Counters[obs.CtrSrvAccepted] + snap.Counters[obs.CtrSrvQueueFull]
-	if total != clients*4 {
+	if total != clients*perClient {
 		t.Errorf("accepted %d + rejected %d != %d requests",
-			snap.Counters[obs.CtrSrvAccepted], snap.Counters[obs.CtrSrvQueueFull], clients*4)
+			snap.Counters[obs.CtrSrvAccepted], snap.Counters[obs.CtrSrvQueueFull], clients*perClient)
 	}
 	if g := snap.Gauges[obs.GaugeSrvInFlight]; g != 0 {
 		t.Errorf("in-flight gauge %v after the storm, want 0", g)

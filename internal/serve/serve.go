@@ -47,11 +47,10 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	DefaultQueueDepth  = 64
-	DefaultMaxBody     = 8 << 20 // 8 MiB of JSON is a ~100k-user instance
-	DefaultRetryAfter  = 1 * time.Second
-	DefaultMaxDeadline = 0 // uncapped
-	DefaultCacheBytes  = cache.DefaultMaxBytes
+	DefaultQueueDepth = 64
+	DefaultMaxBody    = 8 << 20 // 8 MiB of JSON is a ~100k-user instance
+	DefaultRetryAfter = 1 * time.Second
+	DefaultCacheBytes = cache.DefaultMaxBytes
 )
 
 // Config parameterizes a Server. The zero value is usable: all-CPU worker

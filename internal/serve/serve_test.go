@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,6 +173,41 @@ func getJSON(t *testing.T, url string, into any) *http.Response {
 	return resp
 }
 
+// churnStream decodes a /v1/churn ndjson body into its period lines and its
+// summary. A malformed line, an in-band error line, a period after the
+// summary or a missing summary is an error.
+func churnStream(data []byte) ([]v1.ChurnPeriod, *v1.ChurnSummary, error) {
+	var periods []v1.ChurnPeriod
+	var summary *v1.ChurnSummary
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var line v1.ChurnLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			return nil, nil, fmt.Errorf("bad stream line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case line.Error != nil:
+			return nil, nil, fmt.Errorf("stream error: %+v", line.Error)
+		case line.Period != nil:
+			if summary != nil {
+				return nil, nil, errors.New("period line after summary")
+			}
+			periods = append(periods, *line.Period)
+		case line.Summary != nil:
+			summary = line.Summary
+		default:
+			return nil, nil, fmt.Errorf("empty stream line %q", sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	if summary == nil {
+		return nil, nil, errors.New("stream ended without a summary line")
+	}
+	return periods, summary, nil
+}
+
 // TestSolveBasic: a real solver end to end — result fields, per-round
 // telemetry, request-id echo, and agreement with a direct registry run.
 func TestSolveBasic(t *testing.T) {
@@ -337,30 +373,9 @@ func TestChurnStreams(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type %q", ct)
 	}
-	var periods []v1.ChurnPeriod
-	var summary *v1.ChurnSummary
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		var line v1.ChurnLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		switch {
-		case line.Error != nil:
-			t.Fatalf("stream error: %+v", line.Error)
-		case line.Period != nil:
-			if summary != nil {
-				t.Fatal("period line after summary")
-			}
-			periods = append(periods, *line.Period)
-		case line.Summary != nil:
-			summary = line.Summary
-		default:
-			t.Fatalf("empty stream line %q", sc.Text())
-		}
-	}
-	if summary == nil {
-		t.Fatal("stream ended without a summary line")
+	periods, summary, err := churnStream(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(periods) != 4 || summary.Periods != 4 || summary.Partial {
 		t.Fatalf("want 4 complete periods, got %d streamed, summary %+v", len(periods), summary)
@@ -388,19 +403,9 @@ func TestChurnDeadlinePartial(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var summary *v1.ChurnSummary
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		var line v1.ChurnLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Summary != nil {
-			summary = line.Summary
-		}
-	}
-	if summary == nil {
-		t.Fatal("no summary line")
+	_, summary, err := churnStream(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !summary.Partial {
 		t.Error("deadline-bounded churn not marked partial")

@@ -67,7 +67,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, e)
 		return
 	}
-	if err := req.Options.Validate(); err != nil {
+	if err := req.Options.Validate(req.Instance.Dim()); err != nil {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest, "%v", err))
 		return
 	}

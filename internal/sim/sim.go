@@ -72,7 +72,7 @@ func RunTrials(ctx context.Context, trials, workers int, seed uint64, fn TrialFu
 		err     error
 	}
 	outs := make([]out, trials)
-	cancelErr := parallel.ForCtx(ctx, trials, workers, func(t int) {
+	cancelErr := parallel.For(ctx, trials, workers, nil, func(t int) {
 		rng := xrand.New(seed ^ (0x9e3779b97f4a7c15 * (uint64(t) + 1)))
 		m, err := fn(ctx, t, rng)
 		outs[t] = out{ran: true, metrics: m, err: err}

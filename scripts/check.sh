@@ -17,6 +17,9 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# Advisory: the size ROADMAP.md tracks, which should only go down.
+echo "==> non-test Go lines outside perfbench/ (advisory): $(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l)"
+
 echo "==> go vet ./..."
 go vet ./...
 

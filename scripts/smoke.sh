@@ -132,48 +132,6 @@ grep -q '_ns ' "$BIN/served_prom.txt" &&
 curl -sf "$base/metrics" | grep -q '"counters"' ||
 	fail "cdserved /metrics default JSON output lost"
 
-echo "==> cdload: sustain mixed load, zero 5xx, sane p99"
-status=0
-"$BIN/cdload" -url "$base" -rate 80 -duration 2s -churn 0.25 -n 60 -seed 7 \
-	-max-5xx 0 -slo-p99 10s >"$BIN/load.out" 2>&1 || status=$?
-[ "$status" -eq 0 ] ||
-	{ kill "$SERVED_PID" 2>/dev/null || true; fail "cdload exited $status: $(cat "$BIN/load.out")"; }
-grep -q "rates:" "$BIN/load.out" ||
-	fail "cdload output lacks the SLO rates line: $(cat "$BIN/load.out")"
-grep -q "throughput" "$BIN/load.out" ||
-	fail "cdload output lacks the throughput line"
-
-echo "==> cdload -dup: duplicate replays hit the solve cache"
-status=0
-"$BIN/cdload" -url "$base" -rate 40 -duration 2s -dup 0.5 -n 600 -seed 7 \
-	-max-5xx 0 -json >"$BIN/load_dup.json" 2>&1 || status=$?
-[ "$status" -eq 0 ] ||
-	{ kill "$SERVED_PID" 2>/dev/null || true; fail "cdload -dup exited $status: $(cat "$BIN/load_dup.json")"; }
-# dup_stat <kind> <field> prints latency.<kind>.<field> of the -json report
-# (empty when the kind has no samples).
-dup_stat() {
-	awk -F': ' -v kind="    \"$1\"" -v field="      \"$2\"" '
-		/^  "latency": [{]/ { inlat = 1; next }
-		inlat && $1 == kind { k = 1; next }
-		k && $1 == field { gsub(/[^0-9]/, "", $2); print $2; exit }
-		k && /^    [}]/ { exit }
-	' "$BIN/load_dup.json"
-}
-hits="$(dup_stat hit count)"
-misses="$(dup_stat miss count)"
-[ "${hits:-0}" -gt 0 ] && [ "${misses:-0}" -gt 0 ] ||
-	fail "cdload -dup report lacks cache hits and misses: $(cat "$BIN/load_dup.json")"
-hit_p50="$(dup_stat hit p50_ns)"
-miss_p50="$(dup_stat miss p50_ns)"
-[ -n "$hit_p50" ] && [ -n "$miss_p50" ] ||
-	fail "cdload -dup report lacks hit/miss p50 latencies: $(cat "$BIN/load_dup.json")"
-# The hit path skips the solver entirely: on this n=600 scenario its p50
-# measures ~14x under the miss p50. Gate on a conservative 3x floor so a
-# regression that drags hits back through the solve path fails loudly
-# without making the check flaky on slow machines.
-[ "$((hit_p50 * 3))" -le "$miss_p50" ] ||
-	fail "cache hit p50 (${hit_p50}ns) is not well below miss p50 (${miss_p50}ns)"
-
 kill -TERM "$SERVED_PID"
 status=0
 wait "$SERVED_PID" || status=$?
