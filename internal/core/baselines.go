@@ -52,7 +52,7 @@ func (p Placement) Run(ctx context.Context, in *reward.Instance, k int) (*Result
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		res.Centers = append(res.Centers, c.Clone())
 		res.Gains = append(res.Gains, gain)
 		res.Total += gain

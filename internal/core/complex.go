@@ -132,7 +132,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 			}
 		}
 		c := cands[best].center
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		rs.commit(res, c, gain, map[string]float64{"walk_steps": float64(steps)})
 	}
 	return res, nil

@@ -98,7 +98,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		}
 		best := h[0]
 		c := in.Set.Point(best.idx).Clone()
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		// The chosen entry's bound is now stale for the next round; it is
 		// refreshed like any other candidate when it resurfaces. Round 0
 		// charges the n initial exact evaluations; later rounds only the

@@ -80,16 +80,26 @@ func TestLazyValidation(t *testing.T) {
 }
 
 // With a spatial finder installed, every algorithm must produce bit-identical
-// results: the accelerated evaluator only skips exactly-zero terms.
+// results: the accelerated evaluator only skips exactly-zero terms. The
+// finders are the static grid and k-d tree and the grid-backed Dynamic; the
+// four-worker scans fill the grid's window cache concurrently, and the last
+// trial's n = 2000 instance reuses each cached window many times.
 func TestFinderPreservesAllAlgorithms(t *testing.T) {
 	rng := xrand.New(43)
-	for trial := 0; trial < 15; trial++ {
-		n := rng.IntRange(5, 40)
-		r := rng.Uniform(0.4, 2)
-		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}} {
+	small := []Algorithm{LocalGreedy{Workers: 1}, LocalGreedy{Workers: 4}, LazyGreedy{},
+		SimpleGreedy{}, ComplexGreedy{Workers: 1}, ComplexGreedy{Workers: 4}}
+	large := []Algorithm{LocalGreedy{Workers: 4}, LazyGreedy{}}
+	const trials = 16
+	for trial := 0; trial < trials; trial++ {
+		n, r, k, algs := rng.IntRange(5, 40), rng.Uniform(0.4, 2), rng.IntRange(1, 4), small
+		norms := []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}}
+		if trial == trials-1 {
+			// One norm keeps the O(k·n²) no-finder reference affordable
+			// under the race detector.
+			n, r, k, algs, norms = 2000, 0.3, 3, large, norms[2:]
+		}
+		for _, nm := range norms {
 			in := randomInstance(t, rng, n, nm, r)
-			k := rng.IntRange(1, 4)
-			algs := []Algorithm{LocalGreedy{Workers: 1}, LazyGreedy{}, SimpleGreedy{}, ComplexGreedy{Workers: 1}}
 			plain := make([]*Result, len(algs))
 			for ai, a := range algs {
 				res, err := a.Run(context.Background(), in, k)
@@ -106,7 +116,11 @@ func TestFinderPreservesAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, finder := range []reward.NeighborFinder{grid, tree} {
+			dyn, err := spatial.NewDynamicGrid(in.Set.Points(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, finder := range []reward.NeighborFinder{grid, tree, dyn} {
 				in.SetFinder(finder)
 				for ai, a := range algs {
 					res, err := a.Run(context.Background(), in, k)

@@ -58,7 +58,7 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 				Fields: map[string]float64{"candidates": float64(n)}})
 		}
 		c := in.Set.Point(idx).Clone()
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		rs.commit(res, c, gain, map[string]float64{"candidates": float64(n)})
 	}
 	return res, nil

@@ -31,7 +31,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/norm"
@@ -155,11 +155,16 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		}
 		ctr, pool := a.selectRound(in, ex, st, y, seed)
 		ctr, steps := a.refineCenter(in, ex, st, y, ctr, rng)
-		gain, z := ex.ApplyRound(ctr.c, y)
-		// Settle the spent coverage against the per-cell residual masses;
-		// every nonzero z_i lies within the commit's grid neighborhood.
-		for _, i := range st.grid.Near(ctr.c) {
-			if zi := z[i]; zi != 0 {
+		// Settle the spent coverage against the per-cell residual masses
+		// before the commit spends it: z_i = min(coverage, y_i) is exactly
+		// what ApplyRound subtracts from y_i, and it is nonzero only at
+		// covered points. Each cell's points settle in ascending order.
+		for _, i := range ex.CoveredIndices(ctr.c) {
+			zi := ex.Coverage(ctr.c, i)
+			if yi := y[i]; zi > yi {
+				zi = yi
+			}
+			if zi != 0 {
 				ci := st.ptCl[i]
 				st.resW[ci] -= in.Set.Weight(i) * zi
 				if st.resW[ci] < 0 {
@@ -167,6 +172,7 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 				}
 			}
 		}
+		gain := ex.ApplyRound(ctr.c, y)
 		rs.commit(res, ctr.c.Clone(), gain, map[string]float64{
 			"pool": float64(pool), "refine_steps": float64(steps)})
 	}
@@ -188,8 +194,6 @@ func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
 	st.resW = make([]float64, m)
 	st.ptCl = make([]int, in.N())
 	dim := in.Set.Dim()
-	byCoord := make(map[string]int, m)
-	var key []byte
 	for ci, cell := range st.cells {
 		rep := vec.New(dim)
 		var w float64
@@ -215,21 +219,18 @@ func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
 		st.rep[ci] = rep
 		st.cellW[ci] = w
 		st.resW[ci] = w // y_i = 1 initially, so residual mass = weight
-		key = appendCoordKey(key[:0], cell.Coord)
-		byCoord[string(key)] = ci
 	}
-	// Precompute, per cell, its occupied 3^m-window neighbors and the
-	// coverage factor between representatives. Representatives never move,
-	// so the per-round approximate-gain scan reduces to multiply-adds over
-	// these fixed factors and the current residual masses.
+	// Precompute, per cell, its occupied 3^m-window neighbors (in
+	// lexicographic order, so the ĝ sums are reproducible) and the coverage
+	// factor between representatives. Representatives never move, so the
+	// per-round approximate-gain scan reduces to multiply-adds over these
+	// fixed factors and the current residual masses.
 	st.nbIdx = make([][]int32, m)
 	st.nbCov = make([][]float64, m)
-	nb := make([]int, dim)
 	for ci, cell := range st.cells {
-		eachNeighborCoord(cell.Coord, nb, func(c []int) {
-			key = appendCoordKey(key[:0], c)
-			cj, ok := byCoord[string(key)]
-			if !ok {
+		grid.EachCellNear(cell.Coord, 1, func(nc spatial.Cell) {
+			cj := st.ptCl[nc.Points[0]]
+			if cj == ci {
 				return
 			}
 			d := in.Norm.Dist(st.rep[ci], st.rep[cj])
@@ -384,14 +385,18 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 	dim := in.Set.Dim()
 	steps := 0
 	for t := 0; t < rounds; t++ {
-		// Residual support: points near the current center that still have
-		// residual demand and receive positive coverage.
+		// Residual support: points that receive positive coverage from the
+		// current center and still have residual demand, in cell-sweep
+		// order (by occupied cell, then index). The order fixes the
+		// rounding of the sums and the enclosing ball's start point.
+		cov := ex.CoveredIndices(cur.c)
+		sort.SliceStable(cov, func(a, b int) bool { return st.ptCl[cov[a]] < st.ptCl[cov[b]] })
 		var pts []vec.V
 		shift := vec.New(dim)
 		var mass float64
-		for _, i := range st.grid.Near(cur.c) {
+		for _, i := range cov {
 			wy := in.Set.Weight(i) * y[i]
-			if wy <= 0 || ex.Coverage(cur.c, i) <= 0 {
+			if wy <= 0 {
 				continue
 			}
 			p := in.Set.Point(i)
@@ -475,48 +480,4 @@ func sampleWeighted(rng *xrand.Rand, ws []float64) int {
 		}
 	}
 	return last
-}
-
-// appendCoordKey renders integer cell coordinates as a compact map key.
-func appendCoordKey(b []byte, c []int) []byte {
-	for d, v := range c {
-		if d > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return b
-}
-
-// eachNeighborCoord invokes fn with every coordinate in the 3^m window
-// around coord except coord itself. scratch must have len(coord); fn must
-// not retain its argument.
-func eachNeighborCoord(coord, scratch []int, fn func([]int)) {
-	dim := len(coord)
-	for d := 0; d < dim; d++ {
-		scratch[d] = coord[d] - 1
-	}
-	for {
-		same := true
-		for d := 0; d < dim; d++ {
-			if scratch[d] != coord[d] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			fn(scratch)
-		}
-		d := dim - 1
-		for ; d >= 0; d-- {
-			scratch[d]++
-			if scratch[d] <= coord[d]+1 {
-				break
-			}
-			scratch[d] = coord[d] - 1
-		}
-		if d < 0 {
-			return
-		}
-	}
 }

@@ -333,7 +333,7 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 		}
 		best := heap.Pop(&h).(candEntry) // unlike LazyGreedy, chosen candidates leave the pool
 		c := cands[best.idx].Clone()
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		evals := repops
 		if j == 0 {
 			evals += len(cands)

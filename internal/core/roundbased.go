@@ -74,7 +74,7 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			rs.c.Emit(obs.Event{Type: obs.EvInnerSolve, Alg: a.Name(), Round: j + 1,
 				Fields: map[string]float64{"wall_ns": float64(solveNS)}})
 		}
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		rs.commit(res, c.Clone(), gain, map[string]float64{"solve_ns": float64(solveNS)})
 	}
 	return res, nil

@@ -41,7 +41,7 @@ func (a SimpleGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Res
 			}
 		}
 		c := in.Set.Point(best).Clone()
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
 		}

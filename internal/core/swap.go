@@ -146,7 +146,7 @@ func (s SwapLocalSearch) commit(ctx context.Context, in *reward.Instance, center
 	res := &Result{Algorithm: s.Name()}
 	for j, c := range centers {
 		rs := startRound(ctx, s.Obs, s.Name(), j+1)
-		gain, _ := in.ApplyRound(c, y)
+		gain := in.ApplyRound(c, y)
 		rs.commit(res, c.Clone(), gain, nil)
 	}
 	return res

@@ -182,7 +182,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 	y := in.NewResiduals()
 	res := &core.Result{Algorithm: Name}
 	for _, c := range centers {
-		g, _ := in.ApplyRound(c, y)
+		g := in.ApplyRound(c, y)
 		res.Centers = append(res.Centers, c)
 		res.Gains = append(res.Gains, g)
 		res.Total += g

@@ -1,0 +1,55 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop a share of Put items on purpose,
+// so pooled scratch is reallocated at random; the guard only holds without
+// it.
+
+package reward
+
+import (
+	"testing"
+
+	"repro/internal/norm"
+	"repro/internal/spatial"
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// TestRoundKernelsAllocFree guards the round kernel: with a warm grid
+// finder (its window cache filled, the scratch pool primed), RoundGain and
+// ApplyRound allocate nothing per call, on the batched and the scalar path.
+// So does the finder-free full scan.
+func TestRoundKernelsAllocFree(t *testing.T) {
+	rng := xrand.New(59)
+	pts := make([]vec.V, 600)
+	ws := make([]float64, len(pts))
+	for i := range pts {
+		pts[i] = vec.Of(rng.Uniform(0, 10), rng.Uniform(0, 10))
+		ws[i] = float64(rng.IntRange(1, 4))
+	}
+	in := mustInstance(t, pts, ws, norm.L2{}, 0.7)
+	grid, err := spatial.NewGrid(pts, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := in.Set.Point(17)
+	for _, finder := range []bool{true, false} {
+		if finder {
+			in.SetFinder(grid)
+		} else {
+			in.SetFinder(nil)
+		}
+		for _, batch := range []bool{true, false} {
+			in.SetBatch(batch)
+			y := in.NewResiduals()
+			in.RoundGain(c, y)
+			in.ApplyRound(c, in.NewResiduals())
+			if a := testing.AllocsPerRun(100, func() { in.RoundGain(c, y) }); a != 0 {
+				t.Errorf("finder=%v batch=%v: RoundGain allocates %v per call", finder, batch, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { in.ApplyRound(c, y) }); a != 0 {
+				t.Errorf("finder=%v batch=%v: ApplyRound allocates %v per call", finder, batch, a)
+			}
+		}
+	}
+}

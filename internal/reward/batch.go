@@ -15,11 +15,13 @@ import (
 // bit-exact no-op — so the two paths are interchangeable on any instance
 // (TestBatchedScalarEquivalence enforces this).
 
-// scratch holds the reusable per-call buffers of the batched path. RoundGain
-// is called concurrently from candidate scans, so buffers are pooled rather
-// than hung off the Instance.
+// scratch holds the reusable per-call buffers of the evaluation kernels: a
+// and b for batched distances and gathered rows, idx for finder queries.
+// RoundGain is called concurrently from candidate scans, so buffers are
+// pooled rather than hung off the Instance.
 type scratch struct {
 	a, b []float64
+	idx  []int
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -70,19 +72,22 @@ func (in *Instance) roundGainFlat(c vec.V, y []float64) float64 {
 	return g
 }
 
-// roundGainGather is RoundGain's batched path over a grid-filtered candidate
-// index list (already sorted ascending): candidate rows are gathered into a
-// contiguous scratch block so the kernel still streams linearly.
-func (in *Instance) roundGainGather(c vec.V, idx []int, y []float64) float64 {
+// roundGainGather is RoundGain's batched path over the finder's candidate
+// indices in sc.idx (ascending): candidate rows are gathered into a
+// contiguous block of the same scratch so the kernel still streams linearly.
+func (in *Instance) roundGainGather(sc *scratch, c vec.V, y []float64) float64 {
 	dim := in.Set.Dim()
 	coords := in.Set.Coords()
+	idx := sc.idx
 	m := len(idx)
-	sc := scratchPool.Get().(*scratch)
 	sc.a = take(sc.a, m)
 	sc.b = take(sc.b, m*dim)
 	dists, flat := sc.a, sc.b
 	for j, i := range idx {
-		copy(flat[j*dim:(j+1)*dim], coords[i*dim:(i+1)*dim])
+		row, out := coords[i*dim:(i+1)*dim], flat[j*dim:(j+1)*dim]
+		for d, x := range row {
+			out[d] = x
+		}
 	}
 	in.distsInto(c, flat, dim, dists)
 	r := in.Radius
@@ -98,7 +103,6 @@ func (in *Instance) roundGainGather(c vec.V, idx []int, y []float64) float64 {
 		}
 		g += in.Set.Weight(i) * z
 	}
-	scratchPool.Put(sc)
 	return g
 }
 

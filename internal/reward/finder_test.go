@@ -9,26 +9,26 @@ import (
 	"repro/internal/xrand"
 )
 
-// stubFinder returns a fixed conservative candidate list.
+// stubFinder appends a fixed conservative candidate list, which must be
+// ascending like every NeighborFinder's.
 type stubFinder struct{ idx []int }
 
-func (s stubFinder) Near(vec.V) []int { return append([]int{}, s.idx...) }
+func (s stubFinder) AppendNear(dst []int, _ vec.V) []int { return append(dst, s.idx...) }
 
 func TestFinderPathsMatchFullScan(t *testing.T) {
 	rng := xrand.New(167)
 	for trial := 0; trial < 60; trial++ {
 		in, centers := randomSetup(t, rng, norm.L2{})
 		c := centers[0]
-		// Conservative finder: all indices (unsorted, duplicated order
-		// not allowed — Near must return each index at most once).
+		// Conservative finder: all indices, ascending and each once.
 		all := make([]int, in.N())
 		for i := range all {
-			all[in.N()-1-i] = i // reversed order: nearSorted must fix it
+			all[i] = i
 		}
 		y1 := in.NewResiduals()
 		gainPlain := in.RoundGain(c, y1)
 		coveredPlain := in.CoveredIndices(c)
-		applyPlain, zPlain := in.ApplyRound(c, y1)
+		applyPlain := in.ApplyRound(c, y1)
 
 		in.SetFinder(stubFinder{idx: all})
 		y2 := in.NewResiduals()
@@ -44,14 +44,9 @@ func TestFinderPathsMatchFullScan(t *testing.T) {
 				t.Fatalf("trial %d: covered order differs", trial)
 			}
 		}
-		applyF, zF := in.ApplyRound(c, y2)
+		applyF := in.ApplyRound(c, y2)
 		if applyF != applyPlain {
 			t.Fatalf("trial %d: finder ApplyRound %v != %v", trial, applyF, applyPlain)
-		}
-		for i := range zF {
-			if zF[i] != zPlain[i] {
-				t.Fatalf("trial %d: z vectors differ at %d", trial, i)
-			}
 		}
 		for i := range y1 {
 			if y1[i] != y2[i] {
@@ -71,7 +66,7 @@ func TestFinderSubsetIsExactWhenConservative(t *testing.T) {
 	c := vec.Of(0, 0)
 	y := in.NewResiduals()
 	want := in.RoundGain(c, y)
-	in.SetFinder(stubFinder{idx: []int{1, 0}}) // covered points only, unsorted
+	in.SetFinder(stubFinder{idx: []int{0, 1}}) // covered points only
 	if got := in.RoundGain(c, y); math.Abs(got-want) > 0 {
 		t.Fatalf("subset finder gain %v != %v", got, want)
 	}

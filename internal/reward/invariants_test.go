@@ -171,7 +171,7 @@ func TestApplyRoundOrderInvariantTotal(t *testing.T) {
 			y := in.NewResiduals()
 			var sum float64
 			for _, j := range order {
-				g, _ := in.ApplyRound(centers[j], y)
+				g := in.ApplyRound(centers[j], y)
 				sum += g
 			}
 			return sum

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/norm"
 	"repro/internal/obs"
@@ -18,19 +17,23 @@ import (
 )
 
 // NeighborFinder narrows coverage evaluation to the points that could lie
-// within the coverage radius of a query center. It must be conservative:
-// every point within radius r of c (under the instance norm) must be
-// returned; extras are harmless because their coverage is zero. Package
-// spatial provides a uniform-grid implementation valid for every p ≥ 1.
+// within the coverage radius of a query center. AppendNear appends those
+// indices to dst, strictly ascending and without duplicates, and returns
+// the extended slice. It must be conservative: every point within radius r
+// of c (under the instance norm) must be appended; extras are harmless
+// because their coverage is zero. A wrong-dimension or non-finite query
+// appends nothing. Package spatial's Grid, KDTree and Dynamic implement it
+// for every p ≥ 1.
 type NeighborFinder interface {
-	Near(c vec.V) []int
+	AppendNear(dst []int, c vec.V) []int
 }
 
 // Instance binds a weighted point set to an interest-distance norm and a
 // coverage radius r. It is the immutable problem description every algorithm
 // consumes. An optional NeighborFinder accelerates gain evaluation at large
-// n without changing any result bit (the evaluator sorts the candidate
-// indices and IEEE addition of skipped zero terms is exact).
+// n without changing any result bit: the finder's indices are ascending, so
+// an accelerated sum adds the same nonzero terms in the same order as a full
+// scan, and IEEE addition of the skipped zero terms is exact.
 //
 // When the norm implements norm.Batch (the built-in L1/L2/L∞ do), gain and
 // objective evaluation automatically route through batched distance kernels
@@ -155,18 +158,21 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 		in.obs.Count(obs.CtrGainEvals, 1)
 	}
 	if in.finder != nil {
-		idx := in.nearSorted(c)
-		if in.batchOn() {
-			return in.roundGainGather(c, idx, y)
-		}
+		sc := scratchPool.Get().(*scratch)
+		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
 		var g float64
-		for _, i := range idx {
-			z := in.Coverage(c, i)
-			if yi := y[i]; z > yi {
-				z = yi
+		if in.batchOn() {
+			g = in.roundGainGather(sc, c, y)
+		} else {
+			for _, i := range sc.idx {
+				z := in.Coverage(c, i)
+				if yi := y[i]; z > yi {
+					z = yi
+				}
+				g += in.Set.Weight(i) * z
 			}
-			g += in.Set.Weight(i) * z
 		}
+		scratchPool.Put(sc)
 		return g
 	}
 	if in.batchOn() {
@@ -183,28 +189,18 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 	return g
 }
 
-// nearSorted queries the finder and returns the candidate indices in
-// ascending order so that accelerated sums match full scans bit for bit.
-func (in *Instance) nearSorted(c vec.V) []int {
-	idx := in.finder.Near(c)
-	sort.Ints(idx)
-	return idx
-}
-
 // ApplyRound commits center c: it computes z_i = min([1 − d/r]_+, y_i),
 // subtracts it from y in place (line "update y_i^{j+1} = y_i^j − z_i^j"),
-// and returns the round gain together with the per-point z vector.
-func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64, z []float64) {
+// and returns the round gain Σ_i w_i·z_i.
+func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64) {
 	if in.obs != nil {
 		in.obs.Count(obs.CtrApplyRounds, 1)
 	}
-	z = make([]float64, in.N())
 	apply := func(i int) {
 		zi := in.Coverage(c, i)
 		if yi := y[i]; zi > yi {
 			zi = yi
 		}
-		z[i] = zi
 		y[i] -= zi
 		if y[i] < 0 { // guard against float drift; y_i is ≥ 0 by construction
 			y[i] = 0
@@ -212,30 +208,39 @@ func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64, z []float64)
 		gain += in.Set.Weight(i) * zi
 	}
 	if in.finder != nil {
-		for _, i := range in.nearSorted(c) {
+		sc := scratchPool.Get().(*scratch)
+		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
+		for _, i := range sc.idx {
 			apply(i)
 		}
-		return gain, z
+		scratchPool.Put(sc)
+		return gain
 	}
 	for i := 0; i < in.N(); i++ {
 		apply(i)
 	}
-	return gain, z
+	return gain
 }
 
 // CoveredIndices returns the indices of points strictly inside the radius-r
-// ball at c (coverage fraction > 0), in ascending order. Algorithm 4 grows
-// its disk from these.
+// ball at c (coverage fraction > 0), in ascending order, or nil when none
+// is. Algorithm 4 grows its disk from these. The result is the only
+// allocation: a finder query runs in pooled scratch.
 func (in *Instance) CoveredIndices(c vec.V) []int {
-	var idx []int
 	if in.finder != nil {
-		for _, i := range in.nearSorted(c) {
+		sc := scratchPool.Get().(*scratch)
+		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
+		covered := sc.idx[:0]
+		for _, i := range sc.idx {
 			if in.Coverage(c, i) > 0 {
-				idx = append(idx, i)
+				covered = append(covered, i)
 			}
 		}
+		idx := append([]int(nil), covered...)
+		scratchPool.Put(sc)
 		return idx
 	}
+	var idx []int
 	for i := 0; i < in.N(); i++ {
 		if in.Coverage(c, i) > 0 {
 			idx = append(idx, i)

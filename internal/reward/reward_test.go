@@ -107,18 +107,15 @@ func TestRoundGainAndApplyRound(t *testing.T) {
 	if g := in.RoundGain(c, y); math.Abs(g-want) > 1e-12 {
 		t.Errorf("RoundGain = %v, want %v", g, want)
 	}
-	gain, z := in.ApplyRound(c, y)
+	gain := in.ApplyRound(c, y)
 	if math.Abs(gain-want) > 1e-12 {
 		t.Errorf("ApplyRound gain = %v, want %v", gain, want)
-	}
-	if math.Abs(z[0]-1) > 1e-12 || math.Abs(z[1]-0.5) > 1e-12 {
-		t.Errorf("z = %v", z)
 	}
 	if math.Abs(y[0]) > 1e-12 || math.Abs(y[1]-0.5) > 1e-12 {
 		t.Errorf("residuals after round = %v", y)
 	}
 	// Second identical round: point 0 exhausted, point 1 capped at y=0.5.
-	gain2, _ := in.ApplyRound(c, y)
+	gain2 := in.ApplyRound(c, y)
 	if math.Abs(gain2-1) > 1e-12 {
 		t.Errorf("second round gain = %v, want 1", gain2)
 	}
@@ -147,7 +144,7 @@ func TestApplyRoundsMatchObjective(t *testing.T) {
 		y := in.NewResiduals()
 		var sum float64
 		for _, c := range centers {
-			g, _ := in.ApplyRound(c, y)
+			g := in.ApplyRound(c, y)
 			sum += g
 			if !ValidResiduals(y) {
 				t.Fatalf("trial %d: residuals left [0,1]: %v", trial, y)

@@ -198,39 +198,26 @@ func splitRuns(cells []spatial.Cell, n, s int) [][]spatial.Cell {
 func buildPart(in *reward.Instance, grid *spatial.Grid, run []spatial.Cell, rings int) (core.Part, error) {
 	own := 0
 	var idx []int
-	member := make(map[string]struct{}, len(run))
-	var key []byte
+	// Buckets are disjoint, so a cell's first point index names the cell.
+	member := make(map[int]struct{}, len(run))
 	for _, c := range run {
 		idx = append(idx, c.Points...)
 		own += len(c.Points)
-		key = appendCoordKey(key[:0], c.Coord)
-		member[string(key)] = struct{}{}
+		member[c.Points[0]] = struct{}{}
 	}
-
 	if rings > 0 {
 		// Halo: every occupied cell within Chebyshev ring distance <= rings
-		// of a run cell, excluding the run itself. Neighbor coords are
-		// deduplicated before gathering so overlapping windows of adjacent
-		// run cells cannot double-insert a point.
-		seen := make(map[string]struct{})
-		var haloCoords [][]int
+		// of a run cell, excluding the run itself. Marking each absorbed
+		// cell keeps overlapping windows of adjacent run cells from
+		// double-inserting a point.
 		for _, c := range run {
-			eachNeighbor(c.Coord, rings, func(nc []int) {
-				key = appendCoordKey(key[:0], nc)
-				if _, isMember := member[string(key)]; isMember {
+			grid.EachCellNear(c.Coord, rings, func(nc spatial.Cell) {
+				if _, seen := member[nc.Points[0]]; seen {
 					return
 				}
-				if _, dup := seen[string(key)]; dup {
-					return
-				}
-				seen[string(key)] = struct{}{}
-				cp := make([]int, len(nc))
-				copy(cp, nc)
-				haloCoords = append(haloCoords, cp)
+				member[nc.Points[0]] = struct{}{}
+				idx = append(idx, nc.Points...)
 			})
-		}
-		for _, nc := range haloCoords {
-			idx = append(idx, grid.CellPoints(nc)...)
 		}
 	}
 	sort.Ints(idx)
@@ -249,40 +236,6 @@ func buildPart(in *reward.Instance, grid *spatial.Grid, run []spatial.Cell, ring
 	return core.Part{ID: cellHash(run[0].Coord), In: subIn, Own: own}, nil
 }
 
-// eachNeighbor visits every cell coordinate within Chebyshev distance
-// [1, rings] of c (the ring around c, excluding c itself). Coordinates may
-// lie outside the grid; CellPoints answers those with nil.
-func eachNeighbor(c []int, rings int, fn func(nc []int)) {
-	dim := len(c)
-	cur := make([]int, dim)
-	for d := range cur {
-		cur[d] = c[d] - rings
-	}
-	for {
-		center := true
-		for d := range cur {
-			if cur[d] != c[d] {
-				center = false
-				break
-			}
-		}
-		if !center {
-			fn(cur)
-		}
-		d := dim - 1
-		for ; d >= 0; d-- {
-			cur[d]++
-			if cur[d] <= c[d]+rings {
-				break
-			}
-			cur[d] = c[d] - rings
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
 // cellHash is an FNV-1a hash over a cell's integer coordinates — the stable
 // shard identity DeriveSeed consumes.
 func cellHash(coord []int) uint64 {
@@ -296,16 +249,6 @@ func cellHash(coord []int) uint64 {
 		}
 	}
 	return h
-}
-
-// appendCoordKey renders integer cell coordinates as a compact map key.
-func appendCoordKey(b []byte, c []int) []byte {
-	for _, v := range c {
-		u := uint64(int64(v))
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return b
 }
 
 // ctxErr tolerates a nil context.

@@ -15,7 +15,7 @@ import (
 
 // genInstance builds a uniform random instance over the paper's box (2-D or
 // 3-D) with a grid finder attached, matching how production callers
-// (cdserved, the CLI) accelerate Near queries.
+// (cdserved, the CLI) accelerate neighbor queries.
 func genInstance(t testing.TB, n, dim int, nm norm.Norm, r float64, seed uint64) *reward.Instance {
 	t.Helper()
 	box := pointset.PaperBox2D()
@@ -316,36 +316,6 @@ func TestCellHashStability(t *testing.T) {
 	}
 	if got := cellHash([]int{3, -4}); got != cellHash([]int{3, -4}) {
 		t.Errorf("cellHash unstable: %d", got)
-	}
-}
-
-// TestEachNeighbor: the Chebyshev ring enumerator visits (2r+1)^d − 1 cells
-// exactly once and never the center.
-func TestEachNeighbor(t *testing.T) {
-	for _, tc := range []struct{ dim, rings, want int }{
-		{2, 1, 8}, {2, 2, 24}, {3, 1, 26}, {1, 1, 2},
-	} {
-		c := make([]int, tc.dim)
-		seen := map[string]bool{}
-		eachNeighbor(c, tc.rings, func(nc []int) {
-			key := string(appendCoordKey(nil, nc))
-			if seen[key] {
-				t.Fatalf("dim=%d rings=%d: neighbor visited twice", tc.dim, tc.rings)
-			}
-			seen[key] = true
-			center := true
-			for _, v := range nc {
-				if v != 0 {
-					center = false
-				}
-			}
-			if center {
-				t.Fatalf("dim=%d rings=%d: center visited", tc.dim, tc.rings)
-			}
-		})
-		if len(seen) != tc.want {
-			t.Fatalf("dim=%d rings=%d: %d neighbors, want %d", tc.dim, tc.rings, len(seen), tc.want)
-		}
 	}
 }
 

@@ -10,16 +10,17 @@ import (
 )
 
 // Index is the query surface shared by Grid and KDTree: a conservative
-// radius-r candidate lookup over a fixed point set.
+// radius-r candidate lookup over a fixed point set, appended in ascending
+// index order.
 type Index interface {
-	Near(c vec.V) []int
+	AppendNear(dst []int, c vec.V) []int
 	N() int
 }
 
 // Dynamic maintains an Index under population churn. The inner index (a
 // Grid or KDTree, chosen at construction) is rebuilt only occasionally;
 // between rebuilds, removals tombstone their inner position and insertions
-// go to a small "loose" set scanned linearly per query. Near stays
+// go to a small "loose" set scanned linearly per query. AppendNear stays
 // conservative throughout: every live point within Chebyshev distance r of
 // the query is returned (tombstoned positions are filtered, loose points are
 // window-tested directly).
@@ -195,22 +196,22 @@ func (d *Dynamic) rebuild() error {
 	return nil
 }
 
-// Near returns the indices of every live point within Chebyshev distance r
-// of c (a conservative superset for every p-norm with p ≥ 1, exactly like
-// Grid.Near and KDTree.Near), in ascending index order. Tombstoned inner
-// hits are filtered; loose points are window-tested directly. Non-finite
-// query coordinates safely return nil, mirroring the static indexes.
-func (d *Dynamic) Near(c vec.V) []int {
-	if c.Dim() != d.dim {
-		return nil
+// AppendNear appends to dst the indices of every live point within
+// Chebyshev distance r of c (a conservative superset for every p-norm with
+// p ≥ 1, exactly like Grid.AppendNear and KDTree.AppendNear), in ascending
+// index order. Tombstoned inner hits are filtered; loose points are
+// window-tested directly. Swap-with-last relabeling breaks the inner
+// index's order, so the appended run is sorted in place. Wrong-dimension and
+// non-finite queries append nothing, mirroring the static indexes.
+func (d *Dynamic) AppendNear(dst []int, c vec.V) []int {
+	if c.Dim() != d.dim || !c.IsFinite() {
+		return dst
 	}
-	for _, x := range c {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil
-		}
-	}
-	var out []int
-	for _, pos := range d.inner.Near(c) {
+	start := len(dst)
+	dst = d.inner.AppendNear(dst, c)
+	// Relabel inner positions to current indices in place.
+	out := dst[:start]
+	for _, pos := range dst[start:] {
 		if idx := d.idxOfPos[pos]; idx >= 0 {
 			out = append(out, idx)
 		}
@@ -228,6 +229,6 @@ func (d *Dynamic) Near(c vec.V) []int {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out)
+	sort.Ints(out[start:])
 	return out
 }

@@ -19,7 +19,7 @@ var dynBuilders = []struct {
 }
 
 // chebWithin returns the indices of pts within Chebyshev distance r of c, in
-// ascending order — the set every conservative Near must contain.
+// ascending order — the set every conservative AppendNear must contain.
 func chebWithin(pts []vec.V, c vec.V, r float64) []int {
 	var out []int
 	for i, p := range pts {
@@ -38,7 +38,7 @@ func chebWithin(pts []vec.V, c vec.V, r float64) []int {
 }
 
 // TestDynamicChurnConservative drives a random insert/remove sequence against
-// a mirrored plain slice and checks after every mutation that Near (a) is
+// a mirrored plain slice and checks after every mutation that AppendNear (a) is
 // sorted with no duplicates, (b) never returns a dead index, and (c) contains
 // every live point within Chebyshev distance r — the conservativeness
 // contract the reward evaluator's accelerated sums depend on.
@@ -74,14 +74,14 @@ func TestDynamicChurnConservative(t *testing.T) {
 				}
 				for q := 0; q < 3; q++ {
 					c := randPoints(rng, 1, dim, -1, 11)[0]
-					got := d.Near(c)
+					got := d.AppendNear(nil, c)
 					if !sort.IntsAreSorted(got) {
-						t.Fatalf("op %d: Near not sorted: %v", op, got)
+						t.Fatalf("op %d: AppendNear not sorted: %v", op, got)
 					}
 					seen := map[int]bool{}
 					for _, i := range got {
 						if i < 0 || i >= len(mirror) {
-							t.Fatalf("op %d: Near returned dead index %d (n=%d)", op, i, len(mirror))
+							t.Fatalf("op %d: AppendNear returned dead index %d (n=%d)", op, i, len(mirror))
 						}
 						if seen[i] {
 							t.Fatalf("op %d: duplicate index %d in %v", op, i, got)
@@ -90,7 +90,7 @@ func TestDynamicChurnConservative(t *testing.T) {
 					}
 					for _, i := range chebWithin(mirror, c, r) {
 						if !seen[i] {
-							t.Fatalf("op %d: Near missed in-window index %d (query %v)", op, i, c)
+							t.Fatalf("op %d: AppendNear missed in-window index %d (query %v)", op, i, c)
 						}
 					}
 				}
@@ -117,10 +117,10 @@ func TestDynamicSwapRelabel(t *testing.T) {
 			if err := d.RemoveSwap(0); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Near(vec.Of(10, 10)); len(got) != 1 || got[0] != 0 {
-				t.Fatalf("after inner swap Near(10,10) = %v, want [0]", got)
+			if got := d.AppendNear(nil, vec.Of(10, 10)); len(got) != 1 || got[0] != 0 {
+				t.Fatalf("after inner swap AppendNear(10,10) = %v, want [0]", got)
 			}
-			if got := d.Near(vec.Of(0, 0)); len(got) != 0 {
+			if got := d.AppendNear(nil, vec.Of(0, 0)); len(got) != 0 {
 				t.Fatalf("removed point still found: %v", got)
 			}
 			// Loose case: insert (20,20) as index 2, then swap it into slot 1.
@@ -130,10 +130,10 @@ func TestDynamicSwapRelabel(t *testing.T) {
 			if err := d.RemoveSwap(1); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Near(vec.Of(20, 20)); len(got) != 1 || got[0] != 1 {
-				t.Fatalf("after loose swap Near(20,20) = %v, want [1]", got)
+			if got := d.AppendNear(nil, vec.Of(20, 20)); len(got) != 1 || got[0] != 1 {
+				t.Fatalf("after loose swap AppendNear(20,20) = %v, want [1]", got)
 			}
-			if got := d.Near(vec.Of(5, 5)); len(got) != 0 {
+			if got := d.AppendNear(nil, vec.Of(5, 5)); len(got) != 0 {
 				t.Fatalf("removed point still found: %v", got)
 			}
 		})
@@ -229,8 +229,8 @@ func TestDynamicNonFiniteQuery(t *testing.T) {
 				vec.Of(0, math.Inf(-1)),
 				vec.Of(1, 2, 3),
 			} {
-				if got := d.Near(c); got != nil {
-					t.Errorf("Near(%v) = %v, want nil", c, got)
+				if got := d.AppendNear(nil, c); got != nil {
+					t.Errorf("AppendNear(%v) = %v, want nil", c, got)
 				}
 			}
 		})

@@ -2,31 +2,28 @@ package spatial_test
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
-// A radius-1 grid over three points: querying near the first two returns
-// exactly them; the far point never appears.
-func ExampleGrid_Near() {
+// A radius-1 grid over three points: querying near the first two appends
+// exactly them, in ascending order; the far point never appears.
+func ExampleGrid_AppendNear() {
 	pts := []vec.V{vec.Of(0, 0), vec.Of(0.5, 0.5), vec.Of(9, 9)}
 	g, _ := spatial.NewGrid(pts, 1)
-	near := g.Near(vec.Of(0.2, 0.2))
-	sort.Ints(near)
+	near := g.AppendNear(nil, vec.Of(0.2, 0.2))
 	fmt.Println(near)
 	// Output:
 	// [0 1]
 }
 
-// The k-d tree answers the same conservative queries; it returns exactly
-// the Chebyshev-ball membership.
-func ExampleKDTree_Near() {
+// The k-d tree answers the same conservative queries; it appends exactly
+// the Chebyshev-ball membership, also ascending.
+func ExampleKDTree_AppendNear() {
 	pts := []vec.V{vec.Of(0, 0), vec.Of(0.5, 0.5), vec.Of(9, 9)}
 	t, _ := spatial.NewKDTree(pts, 1)
-	near := t.Near(vec.Of(0.2, 0.2))
-	sort.Ints(near)
+	near := t.AppendNear(nil, vec.Of(0.2, 0.2))
 	fmt.Println(near)
 	// Output:
 	// [0 1]

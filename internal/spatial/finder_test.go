@@ -1,0 +1,294 @@
+package spatial
+
+import (
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// contractCase is one point set the AppendNear contract is checked on, with
+// the query points to ask about.
+type contractCase struct {
+	name    string
+	pts     []vec.V
+	r       float64
+	queries []vec.V
+	capHit  bool // the grid's window cache must fill past its cap
+}
+
+// contractCases covers 1-, 2-, 3- and 5-D sets, a hashed-key grid and a
+// clamped dimension. Queries mix the indexed points (the usual greedy
+// candidates) with interior, exterior and far-cluster points.
+func contractCases() []contractCase {
+	rng := xrand.New(97)
+	mk := func(name string, n, dim int, r, hi float64) contractCase {
+		pts := randPoints(rng, n, dim, 0, hi)
+		qs := append([]vec.V{}, pts...)
+		qs = append(qs, randPoints(rng, 40, dim, -r-1, hi+r+1)...)
+		return contractCase{name: name, pts: pts, r: r, queries: qs}
+	}
+	cases := []contractCase{
+		mk("1d", 120, 1, 0.3, 10),
+		mk("2d", 400, 2, 0.5, 6),
+		mk("3d", 300, 3, 0.8, 5),
+	}
+	five := mk("5d-cap", 300, 5, 1, 3)
+	five.capHit = true
+	cases = append(cases, five)
+
+	// ~1e18 cells per dimension: the 2-D id product overflows an int, so
+	// the grid keys its buckets by string.
+	hashed := []vec.V{vec.Of(0, 0), vec.Of(3e-7, 4e-7), vec.Of(1e12, 1e12), vec.Of(1e12+5e-7, 1e12)}
+	cases = append(cases, contractCase{name: "hashed", pts: hashed, r: 1e-6,
+		queries: append(append([]vec.V{}, hashed...), vec.Of(5e11, 5e11), vec.Of(1e12+1e-6, 1e12))})
+
+	// A 1e303-cell dimension: far cells collapse onto the boundary cell.
+	clamped := []vec.V{vec.Of(0), vec.Of(1e-4), vec.Of(1e300)}
+	cases = append(cases, contractCase{name: "clamped", pts: clamped, r: 1e-3,
+		queries: append(append([]vec.V{}, clamped...), vec.Of(0.5), vec.Of(math.MaxFloat64))})
+	return cases
+}
+
+// finderBuilders enumerates every AppendNear implementation. Dynamic cases
+// return the mirror their live population now holds: they run after
+// swap-removes and inserts, which break the inner index's order.
+var finderBuilders = []struct {
+	name  string
+	build func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V)
+}{
+	{"grid", func(t *testing.T, _ *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
+		g, err := NewGrid(pts, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, pts
+	}},
+	{"kdtree", func(t *testing.T, _ *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
+		tree, err := NewKDTree(pts, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree, pts
+	}},
+	{"dynamic-grid", func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
+		return churned(t, rng, NewDynamicGrid, pts, r)
+	}},
+	{"dynamic-kdtree", func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
+		return churned(t, rng, NewDynamicKDTree, pts, r)
+	}},
+}
+
+// churned builds a Dynamic and swap-removes and re-inserts a few points, so
+// inner positions no longer match indices and some points are loose.
+func churned(t *testing.T, rng *xrand.Rand, mk func([]vec.V, float64) (*Dynamic, error), pts []vec.V, r float64) (Index, []vec.V) {
+	t.Helper()
+	d, err := mk(pts, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := append([]vec.V{}, pts...)
+	for op := 0; op < 6 && len(mirror) > 1; op++ {
+		i := rng.Intn(len(mirror))
+		p := mirror[i]
+		if err := d.RemoveSwap(i); err != nil {
+			t.Fatal(err)
+		}
+		last := len(mirror) - 1
+		mirror[i] = mirror[last]
+		mirror = mirror[:last]
+		if err := d.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		mirror = append(mirror, p)
+	}
+	return d, mirror
+}
+
+// TestAppendNearContract checks the one neighbor-query contract on every
+// index: the appended run is strictly ascending, contains every point
+// within Chebyshev distance r (extras allowed), leaves dst's prefix alone,
+// and bad queries append nothing.
+func TestAppendNearContract(t *testing.T) {
+	for _, tc := range contractCases() {
+		for _, fb := range finderBuilders {
+			t.Run(tc.name+"/"+fb.name, func(t *testing.T) {
+				rng := xrand.New(5)
+				idx, live := fb.build(t, rng, tc.pts, tc.r)
+				dim := tc.pts[0].Dim()
+				prefix := []int{-7, 42, -7}
+				for qi, c := range tc.queries {
+					// Query twice: a Grid answers the second from its
+					// window cache.
+					for pass := 0; pass < 2; pass++ {
+						dst := append(make([]int, 0, len(prefix)+1), prefix...)
+						got := idx.AppendNear(dst, c)
+						if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+							t.Fatalf("query %d: dst prefix changed to %v", qi, got[:len(prefix)])
+						}
+						run := got[len(prefix):]
+						for i := range run {
+							if run[i] < 0 || run[i] >= len(live) {
+								t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(live))
+							}
+							if i > 0 && run[i] <= run[i-1] {
+								t.Fatalf("query %d: not strictly ascending: %v", qi, run)
+							}
+						}
+						in := map[int]bool{}
+						for _, i := range run {
+							in[i] = true
+						}
+						for _, i := range chebWithin(live, c, tc.r) {
+							if !in[i] {
+								t.Fatalf("query %d (%v): point %d within r missing", qi, c, i)
+							}
+						}
+					}
+				}
+				bad := []vec.V{vec.New(dim + 1)}
+				for d := 0; d < dim; d++ {
+					for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+						c := tc.pts[0].Clone()
+						c[d] = x
+						bad = append(bad, c)
+					}
+				}
+				for _, c := range bad {
+					dst := []int{3, 1}
+					if got := idx.AppendNear(dst, c); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+						t.Errorf("bad query %v appended: %v", c, got)
+					}
+				}
+				if g, ok := idx.(*Grid); ok {
+					checkWindowCache(t, g, tc)
+				}
+			})
+		}
+	}
+}
+
+// checkWindowCache asserts the window cache's invariants after a case's
+// queries: the cap holds, the tally matches the stored windows, and every
+// stored window equals a fresh build. For a capHit case, some queried cell
+// must have been left uncached.
+func checkWindowCache(t *testing.T, g *Grid, tc contractCase) {
+	t.Helper()
+	if g.winLen > windowCapPerPoint*g.n {
+		t.Fatalf("window cache holds %d indices, cap %d", g.winLen, windowCapPerPoint*g.n)
+	}
+	total := 0
+	for id, w := range g.windows {
+		total += len(w)
+		if want := g.appendWindow(nil, g.cellCoords(id)); !reflect.DeepEqual(w, want) {
+			t.Fatalf("cached window %d = %v, fresh build %v", id, w, want)
+		}
+	}
+	if total != g.winLen {
+		t.Fatalf("window tally %d, stored %d", g.winLen, total)
+	}
+	if !tc.capHit {
+		return
+	}
+	// Every point's own cell has a nonempty window, so without the cap
+	// each distinct point cell would be cached.
+	cells := map[int]bool{}
+	for _, p := range tc.pts {
+		cells[g.cellID(g.coords(p))] = true
+	}
+	if len(g.windows) >= len(cells) {
+		t.Fatalf("cap never reached: %d of %d point cells cached (%d indices)", len(g.windows), len(cells), g.winLen)
+	}
+}
+
+// TestAppendNearConcurrentColdGrid: eight goroutines query one cold grid,
+// filling its window cache concurrently; every answer must equal a serial
+// reference. Run it under -race.
+func TestAppendNearConcurrentColdGrid(t *testing.T) {
+	rng := xrand.New(31)
+	pts := randPoints(rng, 2000, 2, 0, 10)
+	queries := append(append([]vec.V{}, pts[:400]...), randPoints(rng, 100, 2, -1, 11)...)
+	ref, err := NewGrid(pts, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]int, len(queries))
+	for i, c := range queries {
+		want[i] = ref.AppendNear(nil, c)
+	}
+	g, err := NewGrid(pts, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var dst []int
+			for k := range queries {
+				i := (k + w*len(queries)/workers) % len(queries)
+				dst = g.AppendNear(dst[:0], queries[i])
+				if !reflect.DeepEqual(append([]int{}, dst...), append([]int{}, want[i]...)) {
+					errs <- "concurrent answer differs from the serial reference"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestEachCellNear: the occupied-cell walk visits exactly the occupied cells
+// within the ring distance, each once, in lexicographic order, whether it
+// probes every window offset or scans the occupied cells instead.
+func TestEachCellNear(t *testing.T) {
+	rng := xrand.New(37)
+	for _, tc := range []struct {
+		dim, n, rings int
+		hi            float64
+	}{
+		{1, 30, 1, 10}, {2, 200, 1, 8}, {2, 200, 3, 8}, {3, 100, 1, 4},
+		{12, 12, 1, 3.5}, // 3^12 offsets, 12 occupied cells: the scan path
+	} {
+		g, err := NewGrid(randPoints(rng, tc.n, tc.dim, 0, tc.hi), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := g.Cells()
+		for q := 0; q < 20; q++ {
+			center := make([]int, tc.dim)
+			for d := range center {
+				center[d] = rng.IntRange(-2, g.extents[d]+1)
+			}
+			var want [][]int
+			for _, c := range cells {
+				if within(c.Coord, center, tc.rings) {
+					want = append(want, c.Coord)
+				}
+			}
+			var got [][]int
+			g.EachCellNear(center, tc.rings, func(c Cell) {
+				if len(c.Points) == 0 {
+					t.Fatalf("dim %d: empty cell %v visited", tc.dim, c.Coord)
+				}
+				if !reflect.DeepEqual(c.Points, g.CellPoints(c.Coord)) {
+					t.Fatalf("dim %d: cell %v carries the wrong points", tc.dim, c.Coord)
+				}
+				got = append(got, append([]int{}, c.Coord...))
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dim %d rings %d around %v: walked %v, want %v", tc.dim, tc.rings, center, got, want)
+			}
+		}
+	}
+}

@@ -10,10 +10,10 @@ import (
 )
 
 // KDTree is a static k-d tree over a fixed point set, offering the same
-// conservative Near queries as Grid (all points within Chebyshev distance r
-// of the query). It trades Grid's O(1) bucket math for robustness to highly
-// non-uniform point densities, where a uniform grid degenerates into a few
-// overfull cells.
+// conservative AppendNear queries as Grid (all points within Chebyshev
+// distance r of the query). It trades Grid's O(1) bucket math for robustness
+// to highly non-uniform point densities, where a uniform grid degenerates
+// into a few overfull cells.
 type KDTree struct {
 	radius float64
 	dim    int
@@ -78,32 +78,30 @@ func (t *KDTree) build(points []vec.V, idx []int, depth int) int {
 // N reports the number of indexed points.
 func (t *KDTree) N() int { return t.n }
 
-// Near returns the indices of every point within Chebyshev distance
-// t.radius of c (a conservative superset for every p-norm with p ≥ 1,
-// exactly like Grid.Near).
+// AppendNear appends to dst the indices of exactly the points within
+// Chebyshev distance t.radius of c (a conservative superset for every p-norm
+// with p ≥ 1, like Grid.AppendNear), in ascending order. The tree visits
+// points in node order, so the appended run is sorted in place.
 //
-// Queries with NaN or ±Inf coordinates safely return nil, mirroring
-// Grid.Near: no finite indexed point lies within a finite radius of a
-// non-finite coordinate. Without the guard the recursive descent compares
-// raw coordinates, and NaN comparisons (all false) both prune every subtree
-// and pass the box test at the root, returning a bogus candidate.
-func (t *KDTree) Near(c vec.V) []int {
-	if c.Dim() != t.dim {
-		return nil
+// Wrong-dimension queries and queries with NaN or ±Inf coordinates append
+// nothing, mirroring Grid.AppendNear: no finite indexed point lies within a
+// finite radius of a non-finite coordinate. Without the guard the recursive
+// descent compares raw coordinates, and NaN comparisons (all false) both
+// prune every subtree and pass the box test at the root, returning a bogus
+// candidate.
+func (t *KDTree) AppendNear(dst []int, c vec.V) []int {
+	if c.Dim() != t.dim || !c.IsFinite() {
+		return dst
 	}
-	for _, x := range c {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil
-		}
-	}
-	var out []int
-	t.query(t.root, c, &out)
-	return out
+	start := len(dst)
+	dst = t.query(t.root, c, dst)
+	sort.Ints(dst[start:])
+	return dst
 }
 
-func (t *KDTree) query(ni int, c vec.V, out *[]int) {
+func (t *KDTree) query(ni int, c vec.V, out []int) []int {
 	if ni < 0 {
-		return
+		return out
 	}
 	node := &t.nodes[ni]
 	// Chebyshev box test: inside iff every |Δd| <= radius.
@@ -115,13 +113,14 @@ func (t *KDTree) query(ni int, c vec.V, out *[]int) {
 		}
 	}
 	if inside {
-		*out = append(*out, node.index)
+		out = append(out, node.index)
 	}
 	delta := c[node.axis] - node.point[node.axis]
 	if delta <= t.radius {
-		t.query(node.left, c, out)
+		out = t.query(node.left, c, out)
 	}
 	if delta >= -t.radius {
-		t.query(node.right, c, out)
+		out = t.query(node.right, c, out)
 	}
+	return out
 }

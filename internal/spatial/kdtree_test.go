@@ -29,9 +29,9 @@ func TestNewKDTreeValidation(t *testing.T) {
 	}
 }
 
-// KDTree.Near must return exactly the Chebyshev-ball membership set — the
-// same semantics Grid.Near is conservative toward — so compare against a
-// brute-force Chebyshev scan, and check conservativeness for all p-norms.
+// KDTree.AppendNear must append exactly the Chebyshev-ball membership set —
+// the same semantics Grid.AppendNear is conservative toward — so compare
+// against a brute-force Chebyshev scan, and check conservativeness for all p-norms.
 func TestKDTreeNearExactChebyshev(t *testing.T) {
 	rng := xrand.New(71)
 	linf := norm.LInf{}
@@ -49,7 +49,7 @@ func TestKDTreeNearExactChebyshev(t *testing.T) {
 			for d := range c {
 				c[d] = rng.Uniform(-1, 5)
 			}
-			got := tree.Near(c)
+			got := tree.AppendNear(nil, c)
 			sort.Ints(got)
 			var want []int
 			for i, p := range pts {
@@ -58,11 +58,11 @@ func TestKDTreeNearExactChebyshev(t *testing.T) {
 				}
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d: |Near| = %d, want %d", trial, len(got), len(want))
+				t.Fatalf("trial %d: |AppendNear| = %d, want %d", trial, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d: Near = %v, want %v", trial, got, want)
+					t.Fatalf("trial %d: AppendNear = %v, want %v", trial, got, want)
 				}
 			}
 		}
@@ -88,11 +88,11 @@ func TestKDTreeAgreesWithGridConservatively(t *testing.T) {
 		}
 		c := vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
 		inTree := map[int]bool{}
-		for _, i := range tree.Near(c) {
+		for _, i := range tree.AppendNear(nil, c) {
 			inTree[i] = true
 		}
 		inGrid := map[int]bool{}
-		for _, i := range grid.Near(c) {
+		for _, i := range grid.AppendNear(nil, c) {
 			inGrid[i] = true
 		}
 		for i, p := range pts {
@@ -110,10 +110,10 @@ func TestKDTreeFarQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.Near(vec.Of(50, 50)); len(got) != 0 {
+	if got := tree.AppendNear(nil, vec.Of(50, 50)); len(got) != 0 {
 		t.Errorf("far query returned %v", got)
 	}
-	if got := tree.Near(vec.Of(1, 2, 3)); got != nil {
+	if got := tree.AppendNear(nil, vec.Of(1, 2, 3)); got != nil {
 		t.Errorf("dim mismatch returned %v", got)
 	}
 }
@@ -124,34 +124,17 @@ func TestKDTreeDuplicatePoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tree.Near(vec.Of(1, 1))
+	got := tree.AppendNear(nil, vec.Of(1, 1))
 	if len(got) != 3 {
-		t.Fatalf("Near = %v, want the three duplicates", got)
-	}
-}
-
-func BenchmarkKDTreeNear_N10000_R1(b *testing.B) {
-	rng := xrand.New(4)
-	pts := randPoints(rng, 10000, 2, 0, 100)
-	tree, err := NewKDTree(pts, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := make([]vec.V, 256)
-	for i := range queries {
-		queries[i] = vec.Of(rng.Uniform(0, 100), rng.Uniform(0, 100))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tree.Near(queries[i%len(queries)])
+		t.Fatalf("AppendNear = %v, want the three duplicates", got)
 	}
 }
 
 // Regression: a NaN-coordinate query used to return the root as a bogus
 // candidate — NaN comparisons are all false, so the recursive descent pruned
 // both subtrees everywhere while the root's |Δ| > r box test also failed to
-// exclude it. Non-finite queries must return nil, exactly like Grid.Near.
+// exclude it. Non-finite queries must append nothing, exactly like
+// Grid.AppendNear.
 func TestKDTreeNonFiniteQuery(t *testing.T) {
 	tree, err := NewKDTree([]vec.V{vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 2)}, 1)
 	if err != nil {
@@ -164,8 +147,8 @@ func TestKDTreeNonFiniteQuery(t *testing.T) {
 		vec.Of(math.Inf(1), 0),
 		vec.Of(0, math.Inf(-1)),
 	} {
-		if got := tree.Near(c); got != nil {
-			t.Errorf("Near(%v) = %v, want nil", c, got)
+		if got := tree.AppendNear(nil, c); got != nil {
+			t.Errorf("AppendNear(%v) = %v, want nil", c, got)
 		}
 	}
 }

@@ -1,15 +1,24 @@
-// Package spatial provides a uniform-grid neighbor index over a point set.
-// Coverage queries in the reward model only involve points within distance r
-// of a center; bucketing points into cells of side r lets the evaluator
-// visit the O(3^m) neighboring cells instead of all n points, which is the
-// difference between O(n) and O(points-in-range) per gain evaluation at
-// large n.
+// Package spatial provides neighbor indexes over a point set. Coverage
+// queries in the reward model only involve points within distance r of a
+// center; bucketing points into cells of side r lets the evaluator visit the
+// O(3^m) neighboring cells instead of all n points, which is the difference
+// between O(n) and O(points-in-range) per gain evaluation at large n.
 //
-// The index is conservative for every p-norm with p ≥ 1: it returns all
-// points within Chebyshev (∞-norm) distance r of the query, and
-// ‖x‖_∞ ≤ ‖x‖_p for all p ≥ 1, so any point within p-norm distance r is
-// always returned (plus some extras the evaluator filters naturally, since
-// their coverage is zero).
+// Every index answers the one query contract reward.NeighborFinder names:
+// AppendNear(dst, c) appends the indices of all points within Chebyshev
+// (∞-norm) distance r of c to dst, strictly ascending and without
+// duplicates, possibly with extras. The query is conservative for every
+// p-norm with p ≥ 1, because ‖x‖_∞ ≤ ‖x‖_p: any point within p-norm distance
+// r is always returned, and the extras carry zero coverage, which the
+// evaluator filters naturally. The ascending order is what lets an
+// accelerated sum add the same nonzero terms in the same order as a full
+// scan, so it is bit-identical to it.
+//
+// Grid and KDTree index a fixed point set and are safe for concurrent
+// queries. A Grid caches each query cell's ascending window on first use
+// (bounded at 9·n cached indices), so repeated queries from one cell copy
+// a slice instead of gathering and sorting buckets. Dynamic adds population
+// churn on top and is not safe for concurrent use with its mutations.
 package spatial
 
 import (
@@ -19,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -29,11 +39,19 @@ import (
 // (a power of two, hence exact as a float64) keeps clamped coordinates
 // safely inside int64 range. A dimension whose true cell count exceeds the
 // cap is marked clamped: far cells collapse onto the boundary cell, which
-// stays conservative (extras only) as long as Near treats beyond-the-cap
-// queries as hitting that boundary cell.
+// stays conservative (extras only) as long as AppendNear treats
+// beyond-the-cap queries as hitting that boundary cell.
 const maxExtent = 1 << 62
 
-// Grid is an immutable uniform-cell index over a fixed point set.
+// windowCapPerPoint bounds a Grid's window cache at this many cached indices
+// per indexed point. A point lies in the windows of at most 3^dim cells, so
+// 9 holds every window of a 2-D grid; past the cap, windows are rebuilt per
+// query instead of stored.
+const windowCapPerPoint = 9
+
+// Grid is a uniform-cell index over a fixed point set. The buckets never
+// change after NewGrid; the lazily built cell list and window cache are
+// guarded, so a Grid is safe for concurrent queries.
 type Grid struct {
 	cell    float64
 	dim     int
@@ -47,6 +65,13 @@ type Grid struct {
 	// silently and bloat buckets, so the grid falls back to string keys.
 	buckets  map[int][]int    // flattened cell id -> point indices
 	hbuckets map[string][]int // joined cell coords -> point indices
+
+	cellsOnce sync.Once
+	cells     []Cell // occupied cells in lexicographic order, built on first use
+
+	winMu   sync.Mutex
+	windows map[int][]int // in-grid cell id -> its ascending 3^dim window
+	winLen  int           // indices held in windows, at most windowCapPerPoint·n
 }
 
 // NewGrid indexes the points with cells of side equal to radius. It returns
@@ -184,10 +209,16 @@ type Cell struct {
 
 // Cells returns every occupied cell sorted lexicographically by coordinates,
 // so the enumeration order is a deterministic row-major spatial sweep
-// regardless of map iteration order. The Points slices alias the grid's
-// internal buckets and must be treated as read-only. The spatial partitioner
-// consumes this to split a point set into contiguous balanced shards.
+// regardless of map iteration order. The list is built once and shared:
+// it, its Coord slices and its Points slices (which alias the grid's
+// buckets) must be treated as read-only. The spatial partitioner consumes
+// this to split a point set into contiguous balanced shards.
 func (g *Grid) Cells() []Cell {
+	g.cellsOnce.Do(g.buildCells)
+	return g.cells
+}
+
+func (g *Grid) buildCells() {
 	var out []Cell
 	if g.hbuckets != nil {
 		for k, pts := range g.hbuckets {
@@ -207,7 +238,7 @@ func (g *Grid) Cells() []Cell {
 		}
 		return false
 	})
-	return out
+	g.cells = out
 }
 
 // CellPoints returns the indices bucketed at the given cell coordinates (nil
@@ -247,67 +278,55 @@ func parseCellKey(k string, dim int) []int {
 	return c
 }
 
-// Near returns the indices of every point within Chebyshev distance
-// g.cell (= the indexing radius) of c, possibly with extras from the
-// bordering cells. Buckets are visited in cell order, so the result is not
-// globally sorted; the reward evaluator sorts it before summing so that the
-// accelerated sum is bit-identical to the full scan (IEEE addition of the
-// skipped zero terms is exact).
-//
-// Queries far outside the indexed bounding box, and queries with NaN or ±Inf
-// coordinates, safely return nil: the window test runs on the raw float cell
-// coordinate, clamped into int range before any float→int conversion (which
-// is implementation-defined for out-of-range values, Go spec §Conversions).
-func (g *Grid) Near(c vec.V) []int {
-	if c.Dim() != g.dim {
-		return nil
+// EachCellNear calls fn for every occupied cell within Chebyshev ring
+// distance rings of the cell at coord, coord's own cell included, in
+// lexicographic coordinate order. coord may lie outside the grid. A walk
+// probes min((2·rings+1)^dim, occupied cells) cells: when the window,
+// clipped to the grid, holds more cells than are occupied, it scans the
+// sorted occupied cells instead of every offset. fn must not retain c.Coord.
+func (g *Grid) EachCellNear(coord []int, rings int, fn func(c Cell)) {
+	if len(coord) != g.dim || rings < 0 {
+		return
 	}
-	// The query point may lie outside the indexed bounding box; compute
-	// unclamped coordinates to pick the right neighbor window, and bail
-	// out when the window misses the grid entirely on some axis.
+	occ := len(g.buckets) + len(g.hbuckets) // occupied cells; one map is nil
 	lo := make([]int, g.dim)
 	hi := make([]int, g.dim)
-	for d := 0; d < g.dim; d++ {
-		f := math.Floor((c[d] - g.origin[d]) / g.cell)
-		if math.IsNaN(f) || f < -1 {
-			// NaN coordinate, or at least one whole empty cell below
-			// the grid: no indexed point can be within range.
-			return nil
+	window := 1 // clipped window size, saturating at occ+1
+	for d, x := range coord {
+		l, h := x-rings, x+rings
+		if l < 0 {
+			l = 0
 		}
-		ext := float64(g.extents[d])
-		if f > ext {
-			if !g.clamped[d] {
-				// At least one whole empty cell beyond the grid.
-				return nil
-			}
-			// Clamped dimension: cells beyond the cap collapsed onto
-			// the boundary cell at indexing time, so a far query must
-			// still visit it (conservative; extras are filtered by
-			// the evaluator).
-			f = ext
+		if h >= g.extents[d] {
+			h = g.extents[d] - 1
 		}
-		raw := int(f) // f ∈ [-1, extents[d]]: conversion is exact and in range
-		lo[d] = raw - 1
-		hi[d] = raw + 1
-		if lo[d] < 0 {
-			lo[d] = 0
+		if l > h { // the window misses the grid on this axis
+			return
 		}
-		if hi[d] >= g.extents[d] {
-			hi[d] = g.extents[d] - 1
-		}
-		if lo[d] > hi[d] { // fully outside the grid on this axis
-			return nil
+		lo[d], hi[d] = l, h
+		if span := h - l + 1; window > occ/span {
+			window = occ + 1
+		} else {
+			window *= span
 		}
 	}
-	var out []int
+	if window > occ {
+		for _, c := range g.Cells() {
+			if within(c.Coord, coord, rings) {
+				fn(c)
+			}
+		}
+		return
+	}
+	cur := append([]int(nil), lo...)
 	var key []byte
-	cur := make([]int, g.dim)
-	copy(cur, lo)
 	for {
 		var b []int
 		b, key = g.bucket(key, cur)
-		out = append(out, b...)
-		// Odometer over [lo, hi].
+		if len(b) > 0 {
+			fn(Cell{Coord: cur, Points: b})
+		}
+		// Odometer over [lo, hi], last dimension fastest: lexicographic.
 		d := g.dim - 1
 		for ; d >= 0; d-- {
 			cur[d]++
@@ -317,7 +336,115 @@ func (g *Grid) Near(c vec.V) []int {
 			cur[d] = lo[d]
 		}
 		if d < 0 {
-			return out
+			return
 		}
 	}
+}
+
+// within reports whether cell a lies within Chebyshev ring distance rings
+// of cell b.
+func within(a, b []int, rings int) bool {
+	for d := range a {
+		if diff := a[d] - b[d]; diff > rings || diff < -rings {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendNear appends to dst the indices of every point within Chebyshev
+// distance g.cell (= the indexing radius) of c, possibly with extras from
+// the bordering cells, in strictly ascending order. A query whose cell lies
+// inside an int-keyed grid is served from that cell's cached window, built
+// once by gathering and sorting its neighboring buckets; hashed-key grids,
+// queries one cell outside the grid, and windows past the cache cap are
+// built into dst per query.
+//
+// Queries far outside the indexed bounding box, queries with NaN or ±Inf
+// coordinates, and wrong-dimension queries append nothing: the window test
+// runs on the raw float cell coordinate, clamped into int range before any
+// float→int conversion (which is implementation-defined for out-of-range
+// values, Go spec §Conversions).
+func (g *Grid) AppendNear(dst []int, c vec.V) []int {
+	if c.Dim() != g.dim {
+		return dst
+	}
+	id, inGrid := 0, g.buckets != nil
+	for d, x := range c {
+		raw, ok := g.queryCoord(x, d)
+		if !ok {
+			return dst
+		}
+		if raw < 0 || raw >= g.extents[d] {
+			inGrid = false
+		} else if inGrid {
+			id = id*g.extents[d] + raw
+		}
+	}
+	if !inGrid {
+		coord := make([]int, g.dim)
+		for d, x := range c {
+			coord[d], _ = g.queryCoord(x, d)
+		}
+		return g.appendWindow(dst, coord)
+	}
+	g.winMu.Lock()
+	w, ok := g.windows[id]
+	g.winMu.Unlock()
+	if ok {
+		return append(dst, w...)
+	}
+	start := len(dst)
+	dst = g.appendWindow(dst, g.cellCoords(id))
+	g.storeWindow(id, dst[start:])
+	return dst
+}
+
+// queryCoord maps a query coordinate to its unclamped cell coordinate along
+// dimension d, in [-1, extents[d]]. It reports false when no indexed point
+// can be within range: a NaN or ±Inf coordinate, or at least one whole
+// empty cell between the query and the grid.
+func (g *Grid) queryCoord(x float64, d int) (int, bool) {
+	f := math.Floor((x - g.origin[d]) / g.cell)
+	if math.IsNaN(f) || math.IsInf(x, 0) || f < -1 {
+		return 0, false
+	}
+	if ext := float64(g.extents[d]); f > ext {
+		if !g.clamped[d] {
+			return 0, false
+		}
+		// Clamped dimension: cells beyond the cap collapsed onto the
+		// boundary cell at indexing time, so a far query must still
+		// visit it (conservative; extras are filtered by the evaluator).
+		f = ext
+	}
+	return int(f), true // f ∈ [-1, extents[d]]: exact and in range
+}
+
+// appendWindow appends the ascending indices of every point in the cells
+// within one ring of coord.
+func (g *Grid) appendWindow(dst []int, coord []int) []int {
+	start := len(dst)
+	g.EachCellNear(coord, 1, func(c Cell) { dst = append(dst, c.Points...) })
+	sort.Ints(dst[start:])
+	return dst
+}
+
+// storeWindow caches a copy of cell id's window unless another query
+// stored it first, it is empty, or it would push the cache past
+// windowCapPerPoint·n indices.
+func (g *Grid) storeWindow(id int, w []int) {
+	if len(w) == 0 {
+		return
+	}
+	g.winMu.Lock()
+	defer g.winMu.Unlock()
+	if _, dup := g.windows[id]; dup || g.winLen+len(w) > windowCapPerPoint*g.n {
+		return
+	}
+	if g.windows == nil {
+		g.windows = make(map[int][]int)
+	}
+	g.windows[id] = append([]int(nil), w...)
+	g.winLen += len(w)
 }

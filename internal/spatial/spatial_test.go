@@ -41,7 +41,7 @@ func TestNewGridValidation(t *testing.T) {
 	}
 }
 
-// Property: Near is a superset of the exact within-radius set for every
+// Property: AppendNear is a superset of the exact within-radius set for every
 // p-norm, at interior, boundary, and exterior query points.
 func TestNearIsConservative(t *testing.T) {
 	rng := xrand.New(7)
@@ -60,7 +60,7 @@ func TestNearIsConservative(t *testing.T) {
 			for d := range c {
 				c[d] = rng.Uniform(-2, 6) // include exterior queries
 			}
-			got := g.Near(c)
+			got := g.AppendNear(nil, c)
 			in := map[int]bool{}
 			for _, i := range got {
 				in[i] = true
@@ -68,7 +68,7 @@ func TestNearIsConservative(t *testing.T) {
 			for _, nm := range norms {
 				for i, p := range pts {
 					if nm.Dist(c, p) <= r && !in[i] {
-						t.Fatalf("trial %d: %s: point %d at dist %v <= r=%v missing from Near",
+						t.Fatalf("trial %d: %s: point %d at dist %v <= r=%v missing from AppendNear",
 							trial, nm.Name(), i, nm.Dist(c, p), r)
 					}
 				}
@@ -86,11 +86,11 @@ func TestNearNoDuplicates(t *testing.T) {
 	}
 	for q := 0; q < 50; q++ {
 		c := vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
-		got := g.Near(c)
+		got := g.AppendNear(nil, c)
 		sort.Ints(got)
 		for i := 1; i < len(got); i++ {
 			if got[i] == got[i-1] {
-				t.Fatalf("duplicate index %d in Near result", got[i])
+				t.Fatalf("duplicate index %d in AppendNear result", got[i])
 			}
 		}
 	}
@@ -108,10 +108,10 @@ func TestNearPrunes(t *testing.T) {
 	total := 0
 	for q := 0; q < 20; q++ {
 		c := vec.Of(rng.Uniform(0, 100), rng.Uniform(0, 100))
-		total += len(g.Near(c))
+		total += len(g.AppendNear(nil, c))
 	}
 	if avg := float64(total) / 20; avg > 50 {
-		t.Errorf("average Near size %v — index not pruning", avg)
+		t.Errorf("average AppendNear size %v — index not pruning", avg)
 	}
 }
 
@@ -121,10 +121,10 @@ func TestNearFarOutsideReturnsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Near(vec.Of(50, 50)); got != nil {
+	if got := g.AppendNear(nil, vec.Of(50, 50)); got != nil {
 		t.Errorf("far query returned %v", got)
 	}
-	if got := g.Near(vec.Of(1, 2, 3)); got != nil {
+	if got := g.AppendNear(nil, vec.Of(1, 2, 3)); got != nil {
 		t.Errorf("dim-mismatched query returned %v", got)
 	}
 }
@@ -143,13 +143,13 @@ func TestNearNonFiniteAndHugeQueries(t *testing.T) {
 	bad := []float64{1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, x := range bad {
 		for _, q := range []vec.V{vec.Of(x, 2), vec.Of(2, x), vec.Of(x, x)} {
-			if got := g.Near(q); got != nil {
-				t.Errorf("Near(%v) = %v, want nil", q, got)
+			if got := g.AppendNear(nil, q); got != nil {
+				t.Errorf("AppendNear(%v) = %v, want nil", q, got)
 			}
 		}
 	}
 	// Sanity: a legitimate interior query still works after the clamp.
-	if got := g.Near(pts[0]); len(got) == 0 {
+	if got := g.AppendNear(nil, pts[0]); len(got) == 0 {
 		t.Error("interior query returned nothing")
 	}
 }
@@ -173,17 +173,17 @@ func TestNewGridExtremeExtents(t *testing.T) {
 	}
 	for i, p := range pts {
 		found := false
-		for _, j := range g.Near(p) {
+		for _, j := range g.AppendNear(nil, p) {
 			if j == i {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("Near(point %d) missed the point itself", i)
+			t.Errorf("AppendNear(point %d) missed the point itself", i)
 		}
 	}
 	// A query between the clusters has no neighbors within Chebyshev r.
-	if got := g.Near(vec.Of(5e11, 5e11)); len(got) != 0 {
+	if got := g.AppendNear(nil, vec.Of(5e11, 5e11)); len(got) != 0 {
 		t.Errorf("mid-gap query returned %v", got)
 	}
 
@@ -200,19 +200,19 @@ func TestNewGridExtremeExtents(t *testing.T) {
 	}
 	for i, p := range pts {
 		found := false
-		for _, j := range g.Near(p) {
+		for _, j := range g.AppendNear(nil, p) {
 			if j == i {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("clamped grid: Near(point %d) missed the point itself", i)
+			t.Errorf("clamped grid: AppendNear(point %d) missed the point itself", i)
 		}
 	}
 }
 
 // The hashed fallback must behave exactly like the int-keyed grid. Build a
-// normal instance, force the hashed representation, and compare Near results.
+// normal instance, force the hashed representation, and compare AppendNear results.
 func TestHashedBucketsMatchIntBuckets(t *testing.T) {
 	rng := xrand.New(19)
 	pts := randPoints(rng, 300, 3, 0, 10)
@@ -238,7 +238,7 @@ func TestHashedBucketsMatchIntBuckets(t *testing.T) {
 		for d := range c {
 			c[d] = rng.Uniform(-2, 12)
 		}
-		a, b := g.Near(c), h.Near(c)
+		a, b := g.AppendNear(nil, c), h.AppendNear(nil, c)
 		sort.Ints(a)
 		sort.Ints(b)
 		if len(a) != len(b) {
@@ -257,9 +257,9 @@ func TestSinglePointGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.Near(vec.Of(2.5, 2.5))
+	got := g.AppendNear(nil, vec.Of(2.5, 2.5))
 	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("Near = %v", got)
+		t.Errorf("AppendNear = %v", got)
 	}
 }
 

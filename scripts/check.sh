@@ -61,6 +61,12 @@ echo "==> apicheck (v1 wire schema)"
 if [ "${RACE:-1}" != "0" ]; then
 	echo "==> go test -race ./..."
 	go test -race ./...
+	# A grid's window cache is filled by whichever goroutine first queries
+	# a cell, and read by all the others. Repeat the neighbor-query
+	# contract and concurrency tests so more interleavings run under the
+	# detector.
+	echo "==> window-cache race gate"
+	go test -race -count=10 -run 'TestAppendNear|TestEachCellNear|TestFinderPreservesAllAlgorithms' ./internal/spatial ./internal/core
 fi
 
 # Binary-level cancellation smoke: each cmd tool under a short -timeout must
