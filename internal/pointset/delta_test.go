@@ -160,3 +160,31 @@ func TestClone(t *testing.T) {
 		t.Error("Clone aliased point storage")
 	}
 }
+
+// TestDecodedSetDeltas: a decoded set's point views slice a backing array
+// of their own, each capped at dim, so interleaved RemoveSwap and Append,
+// which rewrite the flat coordinates in place, keep every Point(i) equal
+// to its Coords() row and never move a view a caller holds.
+func TestDecodedSetDeltas(t *testing.T) {
+	var s Set
+	if err := s.UnmarshalJSON([]byte(`{"points":[[0,0],[1,1],[2,2],[3,3],[4,4]],"weights":[1,2,3,4,5]}`)); err != nil {
+		t.Fatal(err)
+	}
+	held := s.Point(2)
+	if cap(held) != len(held) {
+		t.Fatalf("point view has cap %d, want %d", cap(held), len(held))
+	}
+	for step := 0; step < 8; step++ {
+		if _, err := s.RemoveSwap(step % s.Len()); err != nil {
+			t.Fatal(err)
+		}
+		checkFlat(t, &s)
+		if _, err := s.Append(vec.V{float64(10 + step), float64(-step)}, 1); err != nil {
+			t.Fatal(err)
+		}
+		checkFlat(t, &s)
+	}
+	if held[0] != 2 || held[1] != 2 {
+		t.Errorf("a held point view moved to %v", held)
+	}
+}

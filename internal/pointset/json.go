@@ -1,12 +1,13 @@
 package pointset
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/vec"
+	"strconv"
+	"strings"
 )
 
 // ErrDecode marks every error UnmarshalJSON returns: the value was valid
@@ -21,88 +22,681 @@ var ErrDecode = errors.New("pointset: decode")
 // mismatch from other invalid input.
 var ErrDim = fmt.Errorf("%w: inconsistent dimensions", ErrDecode)
 
-// setJSON is the wire form of a Set: row-major points plus parallel weights.
+// The wire form of a Set is row-major points plus parallel weights:
 //
 //	{"dim": 2, "points": [[0,1],[2,3]], "weights": [1, 5]}
 //
 // "dim" is redundant with the rows and optional on input; "weights" may be
-// omitted for a unit-weight population. This one schema is shared by
-// everything that moves point sets between processes — `cdtrace -format set`
-// writes it and the cdserved /v1 endpoints read it — so instance parsing is
-// implemented (and validated) exactly once, here.
-type setJSON struct {
-	Dim     int         `json:"dim"`
-	Points  [][]float64 `json:"points"`
-	Weights []float64   `json:"weights,omitempty"`
-}
+// omitted (or null) for a unit-weight population. This one schema is shared
+// by everything that moves point sets between processes — `cdtrace -format
+// set` writes it and the cdserved /v1 endpoints read it — so instance
+// parsing is implemented (and validated) exactly once, here.
+//
+// The codec below is hand-written: one left-to-right scan parses every
+// number into chunks that are copied once into one flat coordinate array,
+// and the encoder appends the bytes directly. It accepts, rejects and
+// produces what encoding/json does for this schema, bit for bit
+// (FuzzSetCodec holds it to that), with one exception: a null where a
+// coordinate or weight belongs is an error here, where encoding/json reads
+// it as 0.
 
 // MarshalJSON implements json.Marshaler: the set serializes as its points
-// and weights with an explicit dim.
+// and weights with an explicit dim, byte-identical to encoding/json's output
+// for the same values.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	out := setJSON{Dim: s.dim, Points: make([][]float64, len(s.pts)), Weights: s.weights}
+	b := make([]byte, 0, 64+20*(len(s.coords)+len(s.weights)))
+	b = append(b, `{"dim":`...)
+	b = strconv.AppendInt(b, int64(s.dim), 10)
+	b = append(b, `,"points":[`...)
 	for i, p := range s.pts {
-		out.Points[i] = p
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloats(b, p)
 	}
-	return json.Marshal(out)
+	b = append(b, ']')
+	if len(s.weights) > 0 {
+		b = append(b, `,"weights":`...)
+		b = appendFloats(b, s.weights)
+	}
+	return append(b, '}'), nil
+}
+
+// appendFloats appends xs as a JSON array.
+func appendFloats(b []byte, xs []float64) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, x)
+	}
+	return append(b, ']')
+}
+
+// appendFloat appends x the way encoding/json writes a float64: the
+// shortest exact form, in 'f' format except outside [1e-6, 1e21), where it
+// is 'e' with the exponent's leading zero dropped (1e-07 → 1e-7).
+func appendFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler and is the wire boundary's
 // validator: everything New checks, enforced here with decode-flavored
-// errors, plus the wire-only holes New cannot see. A non-empty point list, a
-// positive dimension (an empty row like [[]] must not produce a dim-0 set),
-// consistent dimensions (ErrDim otherwise), a weight per point, finite
-// coordinates, and non-negative finite weights. Note that standard JSON
-// cannot carry NaN or infinity literals, so non-finite rejection guards
-// against values like 1e999 that overflow to +Inf as well as future non-JSON
-// decoders reusing this path.
+// errors, plus the wire-only holes New cannot see. A non-empty point list,
+// a positive dimension (an empty row like [[]] must not produce a dim-0
+// set), consistent dimensions (ErrDim otherwise), a weight per point, and
+// non-negative weights. A number that overflows float64 (1e999), a null
+// coordinate or weight, and a value of the wrong JSON type are reported
+// after the whole value has been scanned, ahead of those checks, as
+// encoding/json reports type errors. Keys match as encoding/json matches
+// field names (exactly, or equal under Unicode case folding); a repeated
+// key keeps its last value; unknown keys are validated and skipped. Every
+// error wraps ErrDecode.
 func (s *Set) UnmarshalJSON(data []byte) error {
-	var raw setJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("%w: %w", ErrDecode, err)
+	sc := scanner{data: data}
+	set, err := sc.set()
+	if !isSyntax(err) && sc.peek() != end {
+		err = sc.fail("after top-level value")
 	}
-	if len(raw.Points) == 0 {
-		return fmt.Errorf("%w: no points", ErrDecode)
-	}
-	dim := raw.Dim
-	if dim == 0 {
-		dim = len(raw.Points[0])
-	}
-	if dim < 1 {
-		return fmt.Errorf("%w: dim = %d, want >= 1", ErrDecode, dim)
-	}
-	for i, row := range raw.Points {
-		if len(row) != dim {
-			return fmt.Errorf("%w: point %d has dim %d, want %d", ErrDim, i, len(row), dim)
+	if err != nil {
+		if !errors.Is(err, ErrDecode) {
+			err = fmt.Errorf("%w: %w", ErrDecode, err)
 		}
-		for j, x := range row {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("%w: point %d coordinate %d = %v is not finite", ErrDecode, i, j, x)
+		return err
+	}
+	*s = *set
+	return nil
+}
+
+// SplitMember walks the JSON object at the start of obj once, decoding the
+// value of every member whose key matches key (as encoding/json matches a
+// field name) as a Set, and returns the set from the last such member (nil
+// when there is none or its value is null) together with rest, the object
+// with those values replaced by null, for the caller's own decoder. Bytes
+// after the object are ignored; when obj does not hold an object, rest is
+// obj and the caller's decoder judges it.
+//
+// The error is a syntax error (not wrapping ErrDecode) when the object is
+// malformed anywhere, nested deeper than encoding/json's 10,000 levels
+// included; otherwise the first matched member's decode error. So a
+// request whose envelope and instance are both invalid reports the
+// instance, and a malformed one reports the syntax, as encoding/json would.
+func SplitMember(obj []byte, key string) (set *Set, rest []byte, err error) {
+	sc := scanner{data: obj}
+	if sc.peek() != '{' {
+		return nil, obj, nil
+	}
+	if empty, err := sc.open('}'); err != nil || empty {
+		return nil, obj[:sc.off], err
+	}
+	var firstErr error
+	prev := 0 // obj[:prev] is in rest, when rest is not nil
+	for {
+		name, escaped, err := sc.key()
+		if err != nil {
+			return nil, nil, err
+		}
+		if !matchKey(name, escaped, key) {
+			if err := sc.skip(); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			c := sc.peek()
+			start := sc.off
+			if c == 'n' {
+				if err := sc.literal("null"); err != nil {
+					return nil, nil, err
+				}
+				set = nil
+			} else {
+				var derr error
+				set, derr = sc.set()
+				if isSyntax(derr) {
+					return nil, nil, derr
+				}
+				if firstErr == nil {
+					firstErr = derr
+				}
+			}
+			rest = append(append(rest, obj[prev:start]...), "null"...)
+			prev = sc.off
+		}
+		if done, err := sc.next('}'); err != nil {
+			return nil, nil, err
+		} else if done {
+			break
+		}
+	}
+	if firstErr != nil {
+		return nil, nil, firstErr
+	}
+	if rest == nil {
+		return set, obj[:sc.off], nil
+	}
+	return set, append(rest, obj[prev:sc.off]...), nil
+}
+
+// maxDepth is encoding/json's nesting limit: a value nested deeper is a
+// syntax error there, and so here.
+const maxDepth = 10000
+
+// end is what peek reports at the end of the input.
+const end = -1
+
+// scanner reads JSON text left to right. depth counts the arrays and
+// objects open around off.
+type scanner struct {
+	data  []byte
+	off   int
+	depth int
+}
+
+// syntaxError reports malformed JSON; it does not wrap ErrDecode, so a
+// caller can tell a malformed body from an invalid set.
+type syntaxError struct {
+	msg string
+	off int
+}
+
+func (e *syntaxError) Error() string {
+	return fmt.Sprintf("invalid JSON at offset %d: %s", e.off, e.msg)
+}
+
+func isSyntax(err error) bool {
+	var se *syntaxError
+	return errors.As(err, &se)
+}
+
+// fail reports a syntax error at off: the byte there, or the end of input.
+func (s *scanner) fail(context string) error {
+	if s.off >= len(s.data) {
+		return &syntaxError{"unexpected end of input", s.off}
+	}
+	return &syntaxError{fmt.Sprintf("invalid character %q %s", s.data[s.off], context), s.off}
+}
+
+// peek skips white space and returns the next byte, or end.
+func (s *scanner) peek() int {
+	for ; s.off < len(s.data); s.off++ {
+		switch c := s.data[s.off]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return int(c)
+		}
+	}
+	return end
+}
+
+// open consumes the '[' or '{' at off and, when the container is empty,
+// its closing byte too.
+func (s *scanner) open(closing byte) (empty bool, err error) {
+	if s.depth++; s.depth > maxDepth {
+		return false, &syntaxError{"exceeded max depth", s.off}
+	}
+	s.off++
+	if s.peek() == int(closing) {
+		s.off++
+		s.depth--
+		return true, nil
+	}
+	return false, nil
+}
+
+// next consumes the ',' between two elements or the closing byte, and
+// reports whether it was the closing one.
+func (s *scanner) next(closing byte) (done bool, err error) {
+	switch s.peek() {
+	case ',':
+		s.off++
+		return false, nil
+	case int(closing):
+		s.off++
+		s.depth--
+		return true, nil
+	}
+	return false, s.fail("after element")
+}
+
+// key consumes an object key and its colon, returning the key as str does.
+func (s *scanner) key() (quoted []byte, escaped bool, err error) {
+	if s.peek() != '"' {
+		return nil, false, s.fail("looking for object key")
+	}
+	if quoted, escaped, err = s.str(); err != nil {
+		return nil, false, err
+	}
+	if s.peek() != ':' {
+		return nil, false, s.fail("after object key")
+	}
+	s.off++
+	return quoted, escaped, nil
+}
+
+// str consumes the string at off and returns it, quotes included, and
+// whether it holds an escape.
+func (s *scanner) str() (quoted []byte, escaped bool, err error) {
+	d, i := s.data, s.off+1
+	for i < len(d) {
+		switch c := d[i]; {
+		case c == '"':
+			quoted, s.off = d[s.off:i+1], i+1
+			return quoted, escaped, nil
+		case c == '\\':
+			escaped = true
+			n := 2 // a backslash and one of "\/bfnrt, or u and four hex digits
+			if i+1 < len(d) && d[i+1] == 'u' {
+				n = 6
+			}
+			if i+n > len(d) || !validEscape(d[i+1:i+n]) {
+				s.off = min(i+1, len(d))
+				return nil, false, s.fail("in string escape code")
+			}
+			i += n
+		case c < 0x20:
+			s.off = i
+			return nil, false, s.fail("in string literal")
+		default:
+			i++
+		}
+	}
+	s.off = i
+	return nil, false, s.fail("")
+}
+
+// validEscape reports whether e, the bytes after a backslash, is one of
+// JSON's escapes.
+func validEscape(e []byte) bool {
+	if e[0] != 'u' {
+		return strings.IndexByte(`"\/bfnrt`, e[0]) >= 0
+	}
+	for _, c := range e[1:] {
+		if lower := c | 0x20; !isDigit(c) && (lower < 'a' || lower > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// matchKey reports whether the quoted key (validated by str) names the
+// field want, as encoding/json matches keys to fields: exactly, or equal
+// under Unicode case folding once unescaped.
+func matchKey(quoted []byte, escaped bool, want string) bool {
+	name := quoted[1 : len(quoted)-1]
+	if escaped {
+		// Rare, so encoding/json unescapes it, surrogates and all.
+		var u string
+		if json.Unmarshal(quoted, &u) != nil {
+			return false
+		}
+		name = []byte(u)
+	}
+	return bytes.EqualFold(name, []byte(want))
+}
+
+// number consumes the JSON number at off and returns its text.
+func (s *scanner) number() ([]byte, error) {
+	d, i := s.data, s.off
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		i = digits(d, i+1)
+	default:
+		s.off = i
+		return nil, s.fail("in numeric literal")
+	}
+	if i < len(d) && d[i] == '.' {
+		if i+1 >= len(d) || !isDigit(d[i+1]) {
+			s.off = i + 1
+			return nil, s.fail("after decimal point in numeric literal")
+		}
+		i = digits(d, i+1)
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		if i >= len(d) || !isDigit(d[i]) {
+			s.off = i
+			return nil, s.fail("in exponent of numeric literal")
+		}
+		i = digits(d, i)
+	}
+	lit := d[s.off:i]
+	s.off = i
+	return lit, nil
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// startsNumber reports whether c, as peek returns it, can start a number.
+func startsNumber(c int) bool { return c == '-' || ('0' <= c && c <= '9') }
+
+// digits returns the index of the first non-digit at or after i.
+func digits(d []byte, i int) int {
+	for i < len(d) && isDigit(d[i]) {
+		i++
+	}
+	return i
+}
+
+// literal consumes true, false or null at off.
+func (s *scanner) literal(word string) error {
+	for i := 0; i < len(word); i++ {
+		if s.off >= len(s.data) || s.data[s.off] != word[i] {
+			return s.fail("in literal " + word)
+		}
+		s.off++
+	}
+	return nil
+}
+
+// skip consumes one value of any kind, validating it. Its recursion is
+// bounded by maxDepth, past which it fails as encoding/json does.
+func (s *scanner) skip() error {
+	switch c := s.peek(); {
+	case c == '[' || c == '{':
+		closing := byte(c) + 2 // ']' or '}'
+		if empty, err := s.open(closing); err != nil || empty {
+			return err
+		}
+		for {
+			if closing == '}' {
+				if _, _, err := s.key(); err != nil {
+					return err
+				}
+			}
+			if err := s.skip(); err != nil {
+				return err
+			}
+			if done, err := s.next(closing); err != nil || done {
+				return err
+			}
+		}
+	case c == '"':
+		_, _, err := s.str()
+		return err
+	case startsNumber(c):
+		_, err := s.number()
+		return err
+	case c == 't':
+		return s.literal("true")
+	case c == 'f':
+		return s.literal("false")
+	case c == 'n':
+		return s.literal("null")
+	}
+	return s.fail("looking for beginning of value")
+}
+
+// floats collects decoded numbers in chunks that double up to maxChunk
+// values, so growing it never copies what it already holds and leaves at
+// most one chunk of slack. Every decode of the same body allocates the same
+// bytes: there is no pool whose contents depend on when the collector ran.
+type floats struct {
+	full [][]float64 // filled chunks, in order
+	cur  []float64
+	n    int // values in full
+}
+
+const (
+	minChunk = 256
+	maxChunk = 1 << 14 // 128 KiB of float64s
+)
+
+func (f *floats) add(x float64) {
+	if len(f.cur) == cap(f.cur) {
+		f.grow()
+	}
+	f.cur = append(f.cur, x)
+}
+
+func (f *floats) grow() {
+	if cap(f.cur) > 0 {
+		f.full = append(f.full, f.cur)
+		f.n += len(f.cur)
+	}
+	f.cur = make([]float64, 0, min(max(f.n, minChunk), maxChunk))
+}
+
+func (f *floats) len() int { return f.n + len(f.cur) }
+
+// flat returns the values in one exact-size slice.
+func (f *floats) flat() []float64 {
+	out := make([]float64, 0, f.len())
+	for _, c := range f.full {
+		out = append(out, c...)
+	}
+	return append(out, f.cur...)
+}
+
+// setDecoder collects one set's fields while its object is scanned.
+type setDecoder struct {
+	coords, weights floats
+	dim             int
+	rows            int  // rows in the last "points"; 0 when null or absent
+	rowLen          int  // length of row 0
+	bad, badLen     int  // first row whose length differs from row 0's, or -1
+	hasWeights      bool // the last "weights" was an array
+	typeErr         error
+}
+
+// typeError records the first value of the wrong type; it is reported once
+// the whole set has been scanned.
+func (d *setDecoder) typeError(format string, args ...any) {
+	if d.typeErr == nil {
+		d.typeErr = fmt.Errorf("%w: "+format, append([]any{ErrDecode}, args...)...)
+	}
+}
+
+// set decodes the value at off as a Set. A malformed value is a syntax
+// error; an invalid set wraps ErrDecode.
+func (s *scanner) set() (*Set, error) {
+	if s.peek() != '{' {
+		if err := s.skip(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: not an object", ErrDecode)
+	}
+	d := setDecoder{bad: -1}
+	empty, err := s.open('}')
+	if err != nil {
+		return nil, err
+	}
+	if !empty {
+		for {
+			name, escaped, err := s.key()
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case matchKey(name, escaped, "dim"):
+				err = s.dimValue(&d)
+			case matchKey(name, escaped, "points"):
+				err = s.pointsValue(&d)
+			case matchKey(name, escaped, "weights"):
+				err = s.weightsValue(&d)
+			default:
+				err = s.skip()
+			}
+			if err != nil {
+				return nil, err
+			}
+			if done, err := s.next('}'); err != nil {
+				return nil, err
+			} else if done {
+				break
 			}
 		}
 	}
-	weights := raw.Weights
-	if weights == nil {
-		weights = make([]float64, len(raw.Points))
-		for i := range weights {
-			weights[i] = 1
+	return d.finish()
+}
+
+func (s *scanner) dimValue(d *setDecoder) error {
+	switch c := s.peek(); {
+	case c == 'n': // null leaves dim as it was
+		return s.literal("null")
+	case startsNumber(c):
+		lit, err := s.number()
+		if err != nil {
+			return err
+		}
+		n, perr := strconv.Atoi(string(lit))
+		if perr != nil {
+			d.typeError("dim %s is not an int", lit)
+			return nil
+		}
+		d.dim = n
+		return nil
+	}
+	d.typeError("dim is not a number")
+	return s.skip()
+}
+
+func (s *scanner) pointsValue(d *setDecoder) error {
+	d.coords, d.rows, d.bad = floats{}, 0, -1
+	switch s.peek() {
+	case 'n':
+		return s.literal("null")
+	case '[':
+	default:
+		d.typeError("points is not an array")
+		return s.skip()
+	}
+	if empty, err := s.open(']'); err != nil || empty {
+		return err
+	}
+	for {
+		n := d.coords.len()
+		var err error
+		switch s.peek() {
+		case '[':
+			err = s.numbers(d, &d.coords, "coordinate")
+		case 'n': // a null row is an empty one
+			err = s.literal("null")
+		default:
+			d.typeError("point %d is not an array", d.rows)
+			err = s.skip()
+		}
+		if err != nil {
+			return err
+		}
+		if l := d.coords.len() - n; d.rows == 0 {
+			d.rowLen = l
+		} else if l != d.rowLen && d.bad < 0 {
+			d.bad, d.badLen = d.rows, l
+		}
+		d.rows++
+		if done, err := s.next(']'); err != nil || done {
+			return err
 		}
 	}
-	if len(weights) != len(raw.Points) {
-		return fmt.Errorf("%w: %d points but %d weights", ErrDecode, len(raw.Points), len(weights))
+}
+
+func (s *scanner) weightsValue(d *setDecoder) error {
+	d.weights, d.hasWeights = floats{}, false
+	switch s.peek() {
+	case 'n':
+		return s.literal("null")
+	case '[':
+		d.hasWeights = true
+		return s.numbers(d, &d.weights, "weight")
 	}
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("%w: weight %d = %v, want finite and >= 0", ErrDecode, i, w)
+	d.typeError("weights is not an array")
+	return s.skip()
+}
+
+// numbers adds the array of numbers at off to dst. Every element adds
+// exactly one value, so a row's length is the elements it holds.
+func (s *scanner) numbers(d *setDecoder, dst *floats, what string) error {
+	if empty, err := s.open(']'); err != nil || empty {
+		return err
+	}
+	for {
+		x := 0.0
+		switch c := s.peek(); {
+		case startsNumber(c):
+			lit, err := s.number()
+			if err != nil {
+				return err
+			}
+			// The grammar is checked above, so the only error left is
+			// overflow: ±Inf with ErrRange, which encoding/json reports
+			// as a type error. A parsed value is therefore finite.
+			var perr error
+			if x, perr = strconv.ParseFloat(string(lit), 64); perr != nil {
+				d.typeError("%s %s at offset %d overflows float64", what, lit, s.off-len(lit))
+			}
+		case c == 'n':
+			if err := s.literal("null"); err != nil {
+				return err
+			}
+			d.typeError("null %s at offset %d", what, s.off-len("null"))
+		default:
+			d.typeError("%s at offset %d is not a number", what, s.off)
+			if err := s.skip(); err != nil {
+				return err
+			}
+		}
+		dst.add(x)
+		if done, err := s.next(']'); err != nil || done {
+			return err
 		}
 	}
-	pts := make([]vec.V, len(raw.Points))
-	for i, row := range raw.Points {
-		pts[i] = vec.V(row)
+}
+
+// finish validates the scanned fields and builds the set. The order of the
+// checks fixes which error a set with several faults reports.
+func (d *setDecoder) finish() (*Set, error) {
+	if d.typeErr != nil {
+		return nil, d.typeErr
 	}
-	dec, err := New(pts, weights)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrDecode, err)
+	if d.rows == 0 {
+		return nil, fmt.Errorf("%w: no points", ErrDecode)
 	}
-	*s = *dec
-	return nil
+	dim := d.dim
+	if dim == 0 {
+		dim = d.rowLen
+	}
+	if dim < 1 {
+		return nil, fmt.Errorf("%w: dim = %d, want >= 1", ErrDecode, dim)
+	}
+	if d.rowLen != dim {
+		return nil, fmt.Errorf("%w: point 0 has dim %d, want %d", ErrDim, d.rowLen, dim)
+	}
+	if d.bad >= 0 {
+		return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDim, d.bad, d.badLen, dim)
+	}
+	var ws []float64
+	if d.hasWeights {
+		ws = d.weights.flat()
+	} else {
+		ws = make([]float64, d.rows)
+		for i := range ws {
+			ws[i] = 1
+		}
+	}
+	if len(ws) != d.rows {
+		return nil, fmt.Errorf("%w: %d points but %d weights", ErrDecode, d.rows, len(ws))
+	}
+	for i, w := range ws {
+		if w < 0 {
+			return nil, fmt.Errorf("%w: weight %d = %v, want finite and >= 0", ErrDecode, i, w)
+		}
+	}
+	return build(d.coords.flat(), dim, ws), nil
 }

@@ -75,6 +75,11 @@ func TestSetJSONRejectsBadInput(t *testing.T) {
 		{"all empty rows with dim", `{"dim":0,"points":[[],[]]}`, false},
 		{"negative dim", `{"dim":-2,"points":[[0,0]]}`, false},
 		{"not an object", `[[0,0]]`, false},
+		// encoding/json read a null number as 0; JSON.stringify writes
+		// NaN and ±Infinity as null.
+		{"null coordinate", `{"points":[[null,1],[2,2]]}`, false},
+		{"null weight", `{"points":[[0,0],[1,1]],"weights":[null,3]}`, false},
+		{"null in a repeated points key", `{"points":[[1,2]],"points":[[null,5]]}`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

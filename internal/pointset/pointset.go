@@ -59,15 +59,26 @@ func New(pts []vec.V, weights []float64) (*Set, error) {
 			return nil, fmt.Errorf("pointset: weight %d = %v is invalid", i, w)
 		}
 	}
-	cp := make([]vec.V, len(pts))
-	flat := make([]float64, len(pts)*dim)
-	for i, p := range pts {
-		cp[i] = p.Clone()
-		copy(flat[i*dim:(i+1)*dim], p)
+	flat := make([]float64, 0, len(pts)*dim)
+	for _, p := range pts {
+		flat = append(flat, p...)
 	}
-	cw := make([]float64, len(weights))
-	copy(cw, weights)
-	return &Set{pts: cp, weights: cw, coords: flat, dim: dim}, nil
+	return build(flat, dim, append([]float64(nil), weights...)), nil
+}
+
+// build is the one constructor every Set goes through. It returns a Set
+// that owns flat (len(weights) points, row-major) and weights. The
+// per-point views slice one backing array of their own, each capped at dim:
+// they must not alias flat, since RemoveSwap and Append rewrite flat in
+// place.
+func build(flat []float64, dim int, weights []float64) *Set {
+	back := make([]float64, len(flat))
+	copy(back, flat)
+	pts := make([]vec.V, len(weights))
+	for i := range pts {
+		pts[i] = back[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return &Set{pts: pts, weights: weights, coords: flat, dim: dim}
 }
 
 // UnitWeights builds a Set where every point has weight 1 (the paper's
@@ -168,11 +179,7 @@ func (s *Set) SetWeight(i int, w float64) error {
 // Clone returns a deep copy of the Set: delta operations on the copy never
 // touch the original. The equivalence tests rebuild from clones.
 func (s *Set) Clone() *Set {
-	cp, err := New(s.pts, s.weights) // New deep-copies points and weights
-	if err != nil {
-		panic(err) // cannot happen: s satisfies New's invariants
-	}
-	return cp
+	return build(append([]float64(nil), s.coords...), s.dim, append([]float64(nil), s.weights...))
 }
 
 // TotalWeight returns Σ w_i, the upper bound on any reward (f_opt ≤ Σ w_i).
@@ -195,16 +202,16 @@ func (s *Set) Subset(idx []int) (*Set, error) {
 	if len(idx) == 0 {
 		return nil, errors.New("pointset: empty subset")
 	}
-	pts := make([]vec.V, len(idx))
+	flat := make([]float64, 0, len(idx)*s.dim)
 	ws := make([]float64, len(idx))
 	for j, i := range idx {
 		if i < 0 || i >= len(s.pts) {
 			return nil, fmt.Errorf("pointset: index %d out of range [0,%d)", i, len(s.pts))
 		}
-		pts[j] = s.pts[i]
+		flat = append(flat, s.coords[i*s.dim:(i+1)*s.dim]...)
 		ws[j] = s.weights[i]
 	}
-	return New(pts, ws)
+	return build(flat, s.dim, ws), nil
 }
 
 // WithWeights returns a copy of s carrying the given weights instead.

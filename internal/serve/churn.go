@@ -26,7 +26,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req v1.ChurnRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
+	if e := s.decodeBody(w, r, &req, &req.Instance); e != nil {
 		sc.fail(w, e)
 		return
 	}

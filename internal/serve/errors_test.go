@@ -69,6 +69,12 @@ func solveErrorCases() []errorCase {
 			http.StatusBadRequest, v1.CodeBadInstance},
 		{"empty point row", `{"instance":{"points":[[]]},"radius":1,"k":1}`,
 			http.StatusBadRequest, v1.CodeBadInstance},
+		// JSON.stringify writes NaN and ±Infinity as null, which must not
+		// become a coordinate or weight of 0.
+		{"null coordinate", `{"instance":{"points":[[null,1],[2,2]]},"radius":1,"k":1}`,
+			http.StatusBadRequest, v1.CodeBadInstance},
+		{"null weight", `{"instance":{"points":[[0,0],[1,1]],"weights":[null,3]},"radius":1,"k":1}`,
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"bad cache_control", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"cache_control":"refresh"}`, good),
 			http.StatusBadRequest, v1.CodeBadRequest},
 		{"negative shards", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"options":{"shards":-2}}`, good),

@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -385,21 +386,49 @@ func retryAfterValue(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// decodeBody strictly decodes the request body into dst under the body cap,
-// mapping failures to wire error codes.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *apiErr {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
+// decodeBody reads the request body under the body cap and strictly decodes
+// it into dst, whose "instance" field inst points at, mapping failures to
+// wire error codes.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, inst **pointset.Set) *apiErr {
+	// Size the buffer from Content-Length, capped so a false one cannot
+	// cost more than the cap; the MinRead spare lets ReadFrom see EOF
+	// without growing it.
+	limit := s.cfg.maxBody()
+	size := int64(bytes.MinRead)
+	if r.ContentLength > 0 {
+		size += min(r.ContentLength, limit)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return errf(http.StatusRequestEntityTooLarge, v1.CodeBodyTooLarge,
+				"request body exceeds %d bytes", tooBig.Limit)
+		}
+		return errf(http.StatusBadRequest, v1.CodeBadJSON, "%v", err)
+	}
+	return decodeRequest(buf.Bytes(), dst, inst)
+}
+
+// decodeRequest decodes a /v1 request body in one walk: the instance
+// members go through the pointset codec, and only the envelope around them
+// through the strict encoding/json decoder. Errors take the precedence one
+// strict encoding/json decode of the whole body gives them (FuzzDecodeBody
+// holds it to that): malformed JSON anywhere, then the first invalid
+// instance, then the envelope's own error. Bytes after the object are
+// ignored.
+func decodeRequest(body []byte, dst any, inst **pointset.Set) *apiErr {
+	set, rest, err := pointset.SplitMember(body, "instance")
 	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(rest))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(dst)
+	}
+	if err == nil {
+		*inst = set
 		return nil
 	}
-	var tooBig *http.MaxBytesError
 	switch {
-	case errors.As(err, &tooBig):
-		return errf(http.StatusRequestEntityTooLarge, v1.CodeBodyTooLarge,
-			"request body exceeds %d bytes", tooBig.Limit)
 	case errors.Is(err, pointset.ErrDim):
 		return errf(http.StatusBadRequest, v1.CodeDimMismatch, "%v", err)
 	case errors.Is(err, pointset.ErrDecode):

@@ -31,7 +31,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req v1.SolveRequest
-	if e := s.decodeBody(w, r, &req); e != nil {
+	if e := s.decodeBody(w, r, &req, &req.Instance); e != nil {
 		sc.fail(w, e)
 		return
 	}

@@ -52,6 +52,13 @@ echo "==> perfbench: go vet + go test"
 echo "==> churn equivalence gate"
 go test -run 'TestEvaluatorChurnEquivalence|TestBatchedScalarEquivalence' -count=1 ./internal/reward
 
+# The wire-codec fuzz gate: the hand-written pointset codec and the /v1
+# body path, each against the encoding/json decode it replaced. Their seed
+# corpora already run in every go test above; this adds mutation.
+echo "==> wire-codec fuzz gate"
+go test -run '^$' -fuzz '^FuzzSetCodec$' -fuzztime 20s ./internal/pointset
+go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 20s ./internal/serve
+
 # The wire-schema gate: the exported v1 serving API (api/v1) must
 # match the committed golden dump; breaking a field name, type, tag, or
 # error code fails here until api/v1.golden.txt is regenerated deliberately.

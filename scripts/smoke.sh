@@ -80,6 +80,9 @@ grep -q "note: run stopped early" "$BIN/bench.out" ||
 	fail "cdbench output lacks the early-stop note"
 
 echo "==> cdserved: start, serve one solve over HTTP, drain clean on SIGTERM"
+# Create the log first: the backgrounded server opens it only once it runs,
+# and the sed below must not race that open.
+: >"$BIN/served.out"
 "$BIN/cdserved" -addr 127.0.0.1:0 -drain-grace 5s >"$BIN/served.out" 2>&1 &
 SERVED_PID=$!
 base=""

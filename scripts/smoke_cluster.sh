@@ -37,6 +37,9 @@ go build -o "$BIN" ./cmd/cdserved ./cmd/cdtrace
 start_node() {
 	log="$1"
 	shift
+	# Create the log first: the backgrounded node opens it only once it
+	# runs, and the sed below must not race that open.
+	: >"$log"
 	"$BIN/cdserved" "$@" >"$log" 2>&1 &
 	NODE_PID=$!
 	PIDS="$PIDS $NODE_PID"
