@@ -69,18 +69,25 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
 
-	// Round 0: exact gains for every candidate.
-	h := make(candHeap, 0, n)
-	for i := 0; i < n; i++ {
-		h = append(h, candEntry{idx: i, bound: in.RoundGain(in.Set.Point(i), y), round: 0})
-	}
-	heap.Init(&h)
-
+	var h candHeap
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
 			return cancelRun(a.Obs, res, err)
 		}
 		rs := startRound(ctx, a.Obs, a.Name(), j+1)
+		if j == 0 {
+			// Exact gains for every candidate, inside round 1 so its wall
+			// time includes them.
+			gains := make([]float64, n)
+			if err := in.RoundGains(ctx, y, gains); err != nil {
+				return cancelRun(a.Obs, res, err)
+			}
+			h = make(candHeap, n)
+			for i, g := range gains {
+				h[i] = candEntry{idx: i, bound: g}
+			}
+			heap.Init(&h)
+		}
 		// Refresh stale tops until the best entry's bound is current for
 		// this round; bounds only shrink, so once the top is fresh no
 		// stale entry below can beat it. Heap refreshes are idempotent

@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/norm"
+	"repro/internal/obs"
 	"repro/internal/reward"
 	"repro/internal/spatial"
 	"repro/internal/vec"
@@ -140,6 +145,133 @@ func TestFinderPreservesAllAlgorithms(t *testing.T) {
 				}
 			}
 			in.SetFinder(nil)
+		}
+	}
+}
+
+// The first round's all-points scan honours the deadline: a 40,000-user
+// solve without a finder takes seconds, but with a 50 ms deadline it must
+// return the empty valid prefix and context.DeadlineExceeded within 2 s.
+func TestLazyFirstRoundHonoursDeadline(t *testing.T) {
+	in := randomInstance(t, xrand.New(61), 40000, norm.L2{}, 0.1)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := LazyGreedy{}.Run(ctx, in, 4)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("deadline of 50ms honoured after %v", took)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if res == nil || len(res.Centers) != 0 {
+		t.Fatalf("got %+v, want the empty prefix", res)
+	}
+	if verr := res.Validate(); verr != nil {
+		t.Fatal(verr)
+	}
+}
+
+// orderLog records round events and gain-evaluation counts in call order.
+type orderLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *orderLog) add(s string) {
+	l.mu.Lock()
+	l.lines = append(l.lines, s)
+	l.mu.Unlock()
+}
+func (l *orderLog) Count(name string, delta int64) {
+	if name == obs.CtrGainEvals {
+		l.add(fmt.Sprintf("evals %d", delta))
+	}
+}
+func (*orderLog) Gauge(string, float64)   {}
+func (*orderLog) Observe(string, float64) {}
+func (*orderLog) TimeNS(string, int64)    {}
+func (l *orderLog) Emit(e obs.Event) {
+	if e.Type == obs.EvRoundStart || e.Type == obs.EvRoundEnd {
+		l.add(fmt.Sprintf("%s %s %d", e.Type, e.Alg, e.Round))
+	}
+}
+
+// Round 1's scope opens before the initial evaluation of every candidate,
+// so its wall time covers them: in LazyGreedy (one count of n from the
+// first-round sweep) and in the pipeline's merge (one count per candidate).
+func TestRoundOneCoversInitialEvaluation(t *testing.T) {
+	const n, k = 200, 3
+	in := randomInstance(t, xrand.New(67), n, norm.L2{}, 0.8)
+	log := &orderLog{}
+	in.SetCollector(log)
+	if _, err := Instrument(LazyGreedy{}, log).Run(context.Background(), in, k); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"round_start greedy2-lazy 1", fmt.Sprintf("evals %d", n)}
+	if len(log.lines) < 2 || log.lines[0] != want[0] || log.lines[1] != want[1] {
+		t.Fatalf("LazyGreedy logged %q first, want %q", log.lines[:min(2, len(log.lines))], want)
+	}
+
+	log.lines = nil
+	p := Pipeline{Alg: "merge", NewSolver: func(uint64) Algorithm { return LazyGreedy{} }, Obs: log}
+	if _, err := p.Run(context.Background(), in, k); err != nil {
+		t.Fatal(err)
+	}
+	inRound, evals := false, 0
+	for _, line := range log.lines {
+		switch line {
+		case "round_start merge 1":
+			inRound = true
+		case "round_end merge 1":
+			inRound = false
+		case "evals 1":
+			if inRound {
+				evals++
+			}
+		}
+	}
+	if evals != k { // k candidates; no re-pops in round 1
+		t.Fatalf("merge round 1 charged %d gain evaluations, want %d: %q", evals, k, log.lines)
+	}
+}
+
+// The sweep leaves LazyGreedy's counts as they were: on every instance the
+// batched run (initial bounds from the symmetric sweep) and the scalar run
+// (one RoundGain per candidate) count the same gain evaluations, re-pops
+// and candidates, n + re-pops in all, and select the same centers.
+func TestLazySweepKeepsCounts(t *testing.T) {
+	rng := xrand.New(71)
+	for trial := 0; trial < 8; trial++ {
+		n, r := rng.IntRange(50, 400), rng.Uniform(0.3, 1.5)
+		in := randomInstance(t, rng, n, []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}}[trial%3], r)
+		grid, err := spatial.NewGrid(in.Set.Points(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetFinder(grid)
+		var snaps [2]obs.Snapshot
+		var results [2]*Result
+		for i, batch := range []bool{true, false} {
+			in.SetBatch(batch)
+			m := obs.NewMetrics()
+			in.SetCollector(m)
+			res, err := Instrument(LazyGreedy{}, m).Run(context.Background(), in, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps[i], results[i] = m.Snapshot(), res
+		}
+		for _, name := range []string{obs.CtrGainEvals, obs.CtrLazyRepops, obs.CtrCandidates} {
+			if a, b := snaps[0].Counters[name], snaps[1].Counters[name]; a != b {
+				t.Errorf("trial %d: %s = %d batched, %d scalar", trial, name, a, b)
+			}
+		}
+		if evals, repops := snaps[0].Counters[obs.CtrGainEvals], snaps[0].Counters[obs.CtrLazyRepops]; evals != int64(n)+repops {
+			t.Errorf("trial %d: %d gain evaluations, want n + re-pops = %d", trial, evals, int64(n)+repops)
+		}
+		if results[0].Total != results[1].Total {
+			t.Errorf("trial %d: totals %v batched, %v scalar", trial, results[0].Total, results[1].Total)
 		}
 	}
 }

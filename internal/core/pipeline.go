@@ -306,10 +306,6 @@ func (p Pipeline) partition(ctx context.Context, in *reward.Instance, k int) ([]
 func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V, k int, res *Result) (*Result, error) {
 	y := in.NewResiduals()
 	h := make(candHeap, 0, len(cands))
-	for i, c := range cands {
-		h = append(h, candEntry{idx: i, bound: in.RoundGain(c, y), round: 0})
-	}
-	heap.Init(&h)
 	rounds := k
 	if rounds > len(cands) {
 		rounds = len(cands)
@@ -321,6 +317,14 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 			return res, err
 		}
 		rs := startRound(ctx, p.Obs, p.Name(), j+1)
+		if j == 0 {
+			// Initial bounds, inside round 1 so its wall time includes
+			// them.
+			for i, c := range cands {
+				h = append(h, candEntry{idx: i, bound: in.RoundGain(c, y), round: 0})
+			}
+			heap.Init(&h)
+		}
 		repops := 0
 		for h[0].round != j {
 			if err := ctx.Err(); err != nil {

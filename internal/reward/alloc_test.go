@@ -7,6 +7,7 @@
 package reward
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/norm"
@@ -16,9 +17,10 @@ import (
 )
 
 // TestRoundKernelsAllocFree guards the round kernel: with a warm grid
-// finder (its window cache filled, the scratch pool primed), RoundGain and
-// ApplyRound allocate nothing per call, on the batched and the scalar path.
-// So does the finder-free full scan.
+// finder (its window cache filled, the scratch pool primed), RoundGain,
+// ApplyRound and the first-round sweep RoundGains allocate nothing per
+// call, on the batched and the scalar path. So does the finder-free full
+// scan.
 func TestRoundKernelsAllocFree(t *testing.T) {
 	rng := xrand.New(59)
 	pts := make([]vec.V, 600)
@@ -33,6 +35,7 @@ func TestRoundKernelsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := in.Set.Point(17)
+	ctx := context.Background()
 	for _, finder := range []bool{true, false} {
 		if finder {
 			in.SetFinder(grid)
@@ -49,6 +52,10 @@ func TestRoundKernelsAllocFree(t *testing.T) {
 			}
 			if a := testing.AllocsPerRun(100, func() { in.ApplyRound(c, y) }); a != 0 {
 				t.Errorf("finder=%v batch=%v: ApplyRound allocates %v per call", finder, batch, a)
+			}
+			gains := make([]float64, in.N())
+			if a := testing.AllocsPerRun(10, func() { _ = in.RoundGains(ctx, y, gains) }); a != 0 {
+				t.Errorf("finder=%v batch=%v: RoundGains allocates %v per call", finder, batch, a)
 			}
 		}
 	}

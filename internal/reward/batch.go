@@ -1,8 +1,11 @@
 package reward
 
 import (
+	"context"
+	"sort"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -76,20 +79,10 @@ func (in *Instance) roundGainFlat(c vec.V, y []float64) float64 {
 // indices in sc.idx (ascending): candidate rows are gathered into a
 // contiguous block of the same scratch so the kernel still streams linearly.
 func (in *Instance) roundGainGather(sc *scratch, c vec.V, y []float64) float64 {
-	dim := in.Set.Dim()
-	coords := in.Set.Coords()
 	idx := sc.idx
-	m := len(idx)
-	sc.a = take(sc.a, m)
-	sc.b = take(sc.b, m*dim)
-	dists, flat := sc.a, sc.b
-	for j, i := range idx {
-		row, out := coords[i*dim:(i+1)*dim], flat[j*dim:(j+1)*dim]
-		for d, x := range row {
-			out[d] = x
-		}
-	}
-	in.distsInto(c, flat, dim, dists)
+	sc.a = take(sc.a, len(idx))
+	dists, flat := sc.a, in.gatherRows(sc, idx)
+	in.distsInto(c, flat, in.Set.Dim(), dists)
 	r := in.Radius
 	var g float64
 	for j, d := range dists {
@@ -104,6 +97,106 @@ func (in *Instance) roundGainGather(sc *scratch, c vec.V, y []float64) float64 {
 		g += in.Set.Weight(i) * z
 	}
 	return g
+}
+
+// gatherRows copies the rows of the points in idx, in order, into sc.b
+// and returns them, so the kernel streams one contiguous block.
+func (in *Instance) gatherRows(sc *scratch, idx []int) []float64 {
+	dim, coords := in.Set.Dim(), in.Set.Coords()
+	sc.b = take(sc.b, len(idx)*dim)
+	flat := sc.b
+	for j, i := range idx {
+		row, out := coords[i*dim:(i+1)*dim], flat[j*dim:(j+1)*dim]
+		for d, x := range row {
+			out[d] = x
+		}
+	}
+	return flat
+}
+
+// gainsCheckRows is how many distances the first-round sweep computes
+// between two reads of its context: a fraction of a millisecond of kernel
+// time, against a read of tens of nanoseconds.
+const gainsCheckRows = 1 << 16
+
+// roundGainsSweep is RoundGains' batched path. The distance kernels are
+// symmetric to the bit (x − c and c − x differ only in sign under
+// round-to-nearest, and the kernels take abs, max and squares of the
+// differences), so d(a, b) feeds both out[a]'s term for b and out[b]'s
+// term for a, and each pair {a, b} goes through the kernel once, from its
+// lower end. Sweeping a in ascending order keeps every out[x]'s addition
+// order: partners a < x arrive from earlier iterations in ascending a,
+// then iteration x adds its self term and its partners b > x in ascending
+// order, which is the ascending window order of RoundGain's sum. The finder
+// is conservative, so d(a, b) < r puts b in a's window; the d ≥ r terms
+// skipped here are the exact no-ops RoundGain skips. The sweep is
+// sequential on purpose: splitting the a-range would re-associate the sums.
+func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error {
+	n, dim := len(out), in.Set.Dim()
+	coords, w, r := in.Set.Coords(), in.Set.Weights(), in.Radius
+	for i := range out {
+		out[i] = 0
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rows := gainsCheckRows // read ctx before the first point
+	for a := 0; a < n; a++ {
+		if rows >= gainsCheckRows {
+			if err := ctx.Err(); err != nil {
+				in.countGainEvals(a)
+				return err
+			}
+			rows = 0
+		}
+		c := in.Set.Point(a)
+		// a's partners b > a: without a finder the contiguous tail of the
+		// rows, with one the upper part of a's window, gathered.
+		flat, idx := coords[(a+1)*dim:], []int(nil)
+		if in.finder != nil {
+			sc.idx = in.finder.AppendNear(sc.idx[:0], c)
+			idx = sc.idx[sort.SearchInts(sc.idx, a+1):]
+			flat = in.gatherRows(sc, idx)
+		}
+		sc.a = take(sc.a, len(flat)/dim)
+		dists := sc.a
+		in.distsInto(c, flat, dim, dists)
+		wa, ya := w[a], y[a]
+		za := 1.0 // the self term: d(a, a) = 0
+		if za > ya {
+			za = ya
+		}
+		g := out[a] + wa*za
+		for j, d := range dists {
+			if d >= r {
+				continue
+			}
+			b := a + 1 + j
+			if in.finder != nil {
+				b = idx[j]
+			}
+			z := 1 - d/r
+			zb := z
+			if yb := y[b]; zb > yb {
+				zb = yb
+			}
+			g += w[b] * zb
+			if z > ya {
+				z = ya
+			}
+			out[b] += wa * z
+		}
+		out[a] = g
+		rows += len(dists) + 1
+	}
+	in.countGainEvals(n)
+	return nil
+}
+
+// countGainEvals charges evals RoundGain calls' worth of obs.CtrGainEvals.
+func (in *Instance) countGainEvals(evals int) {
+	if in.obs != nil {
+		in.obs.Count(obs.CtrGainEvals, int64(evals))
+	}
 }
 
 // objectiveBatch is Objective's batched path. The scalar loop is point-major

@@ -1,6 +1,8 @@
 package reward
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/norm"
@@ -100,6 +102,37 @@ func BenchmarkRoundGainScalar_Grid_N10000(b *testing.B) {
 func BenchmarkRoundGainBatch_Grid_N10000(b *testing.B) {
 	benchRoundGain(b, 10000, 2, norm.L2{}, 1, true, true)
 }
+
+// First-round benchmarks at the shape of one part of an n = 100,000,
+// 8-shard solve: 15,000 users at 6,250 per unit² (a square of side √2.4),
+// r = 0.0632, L2, warm grid, fresh residuals. PerPoint is the loop
+// LazyGreedy ran before RoundGains: one RoundGain per candidate.
+func benchFirstRound(b *testing.B, sweep bool) {
+	in, _ := benchInstance(b, 15000, 2, norm.L2{}, 0.0632, math.Sqrt(2.4), true)
+	y := in.NewResiduals()
+	gains := make([]float64, in.N())
+	ctx := context.Background()
+	run := func() {
+		if sweep {
+			if err := in.RoundGains(ctx, y, gains); err != nil {
+				b.Fatal(err)
+			}
+			return
+		}
+		for a := range gains {
+			gains[a] = in.RoundGain(in.Set.Point(a), y)
+		}
+	}
+	run() // fills the grid's window cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkRoundGains(b *testing.B)        { benchFirstRound(b, true) }
+func BenchmarkRoundGainPerPoint(b *testing.B) { benchFirstRound(b, false) }
 
 func benchObjective(b *testing.B, n, k int, batch bool) {
 	in, _ := benchInstance(b, n, 2, norm.L2{}, 1, 4, false)

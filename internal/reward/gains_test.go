@@ -1,0 +1,235 @@
+package reward
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/norm"
+	"repro/internal/obs"
+	"repro/internal/spatial"
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// checkRoundGains runs RoundGains and fails unless every out[a] has the
+// bits of RoundGain(Point(a), y) and the sweep counted exactly N() gain
+// evaluations, as N RoundGain calls would.
+func checkRoundGains(t *testing.T, in *Instance, y []float64, label string) {
+	t.Helper()
+	m := obs.NewMetrics()
+	in.SetCollector(m)
+	got := make([]float64, in.N())
+	for a := range got {
+		got[a] = math.NaN() // a value the sweep failed to write shows
+	}
+	err := in.RoundGains(context.Background(), y, got)
+	in.SetCollector(nil)
+	if err != nil {
+		t.Fatalf("%s: RoundGains: %v", label, err)
+	}
+	if c := m.Snapshot().Counters[obs.CtrGainEvals]; c != int64(in.N()) {
+		t.Fatalf("%s: RoundGains counted %d gain evaluations, want %d", label, c, in.N())
+	}
+	for a, g := range got {
+		if want := in.RoundGain(in.Set.Point(a), y); math.Float64bits(g) != math.Float64bits(want) {
+			t.Fatalf("%s: out[%d] = %v, RoundGain = %v (diff %g)", label, a, g, want, g-want)
+		}
+	}
+}
+
+// gainsPoints draws n points in [0, 4)^dim. About one point in five
+// repeats an earlier point exactly, and one in four sits on a lattice of
+// step r/4, so exact duplicates and pairs at exactly distance r occur.
+func gainsPoints(rng *xrand.Rand, n, dim int, r float64) ([]vec.V, []float64) {
+	pts := make([]vec.V, n)
+	ws := make([]float64, n)
+	for i := range pts {
+		switch pick := rng.Intn(20); {
+		case i > 0 && pick < 4:
+			pts[i] = pts[rng.Intn(i)].Clone()
+		case pick < 9:
+			p := vec.New(dim)
+			for d := range p {
+				p[d] = float64(rng.IntRange(0, 15)) * r / 4
+			}
+			pts[i] = p
+		default:
+			p := vec.New(dim)
+			for d := range p {
+				p[d] = rng.Uniform(0, 4)
+			}
+			pts[i] = p
+		}
+		if rng.Intn(5) > 0 {
+			ws[i] = float64(rng.IntRange(1, 5))
+		}
+	}
+	return pts, ws
+}
+
+// TestRoundGainsMatchesRoundGain: the symmetric first-round sweep gives
+// every point the bits of its own RoundGain, across the kernel norms, dims
+// 1–5, every finder (Dynamic after churn too), fresh and partly spent
+// residuals, duplicates and zero weights; and so does the scalar path.
+func TestRoundGainsMatchesRoundGain(t *testing.T) {
+	rng := xrand.New(211)
+	for _, dim := range []int{1, 2, 3, 5} {
+		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}} {
+			for _, finder := range []string{"none", "grid", "kdtree", "dynamic"} {
+				for trial := 0; trial < 3; trial++ {
+					r := []float64{0.5, 1, 1.75}[trial]
+					pts, ws := gainsPoints(rng, rng.IntRange(2, 150), dim, r)
+					in := mustInstance(t, pts, ws, nm, r)
+					switch finder {
+					case "grid":
+						g, err := spatial.NewGrid(pts, r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						in.SetFinder(g)
+					case "kdtree":
+						kd, err := spatial.NewKDTree(pts, r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						in.SetFinder(kd)
+					case "dynamic":
+						df, err := spatial.NewDynamicGrid(pts, r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						in.SetFinder(df)
+						churn(t, rng, in, df, dim, r)
+					}
+					label := nm.Name() + " " + finder
+					y := in.NewResiduals()
+					checkRoundGains(t, in, y, label+" fresh")
+					for j := 0; j < 3; j++ {
+						in.ApplyRound(in.Set.Point(rng.Intn(in.N())), y)
+					}
+					checkRoundGains(t, in, y, label+" spent")
+					in.SetBatch(false)
+					checkRoundGains(t, in, y, label+" scalar")
+				}
+			}
+		}
+	}
+}
+
+// churn applies 40 arrivals and departures to in's set and its Dynamic
+// finder in step, enough to force the finder through rebuilds.
+func churn(t *testing.T, rng *xrand.Rand, in *Instance, df *spatial.Dynamic, dim int, r float64) {
+	t.Helper()
+	for op := 0; op < 40; op++ {
+		if in.N() > 2 && rng.Intn(2) == 0 {
+			i := rng.Intn(in.N())
+			if _, err := in.Set.RemoveSwap(i); err != nil {
+				t.Fatal(err)
+			}
+			if err := df.RemoveSwap(i); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		p, w := gainsPoints(rng, 1, dim, r)
+		if in.N() > 0 && rng.Intn(4) == 0 {
+			p[0] = in.Set.Point(rng.Intn(in.N())).Clone()
+		}
+		if _, err := in.Set.Append(p[0], w[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := df.Insert(p[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzRoundGains decodes small instances (n ≤ 64) and holds RoundGains to
+// RoundGain's bits under every finder. Byte 0 picks the dim (1–5) and the
+// norm, byte 1 the radius, byte 2 how many rounds to spend; then each
+// point is dim coordinate bytes and a weight byte. An even coordinate byte
+// is a lattice point k·r/4, so axis-aligned pairs at exactly r are common,
+// and the byte 0x02 is −0; an odd one is an off-lattice value.
+func FuzzRoundGains(f *testing.F) {
+	f.Add([]byte{5, 7, 1, 0, 4, 1, 8, 2, 2, 1, 16, 1, 0, 0})
+	f.Add([]byte{1, 3, 0, 0, 0, 1, 2, 0, 1, 0, 2, 3, 8, 8, 2, 9, 11, 4})
+	f.Add([]byte{2, 15, 2, 4, 4, 3, 8, 4, 2, 4, 8, 1, 4, 0, 0, 5, 7, 0})
+	f.Add([]byte{14, 0, 3, 1, 3, 5, 7, 9, 1, 0, 2, 0, 2, 0, 3, 1, 3, 5, 7, 9, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		dim := 1 + int(data[0])%5
+		nm := []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}}[int(data[0])/5%3]
+		r := float64(1+data[1]%16) / 8
+		spend := int(data[2] % 4)
+		data = data[3:]
+		n := len(data) / (dim + 1)
+		if n > 64 {
+			n = 64
+		}
+		if n == 0 {
+			return
+		}
+		pts := make([]vec.V, n)
+		ws := make([]float64, n)
+		for i := range pts {
+			row := data[i*(dim+1) : (i+1)*(dim+1)]
+			p := vec.New(dim)
+			for d, b := range row[:dim] {
+				switch {
+				case b == 0x02:
+					p[d] = math.Copysign(0, -1)
+				case b%2 == 0:
+					p[d] = float64(int8(b)>>1) * r / 4
+				default:
+					p[d] = float64(int8(b)) / 37
+				}
+			}
+			pts[i] = p
+			ws[i] = float64(row[dim] % 5)
+		}
+		in := mustInstance(t, pts, ws, nm, r)
+		y := in.NewResiduals()
+		for j := 0; j < spend; j++ {
+			in.ApplyRound(in.Set.Point(j%n), y)
+		}
+		g, err := spatial.NewGrid(pts, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kd, err := spatial.NewKDTree(pts, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, finder := range []NeighborFinder{nil, g, kd} {
+			in.SetFinder(finder)
+			checkRoundGains(t, in, y, nm.Name())
+		}
+	})
+}
+
+// A done context stops RoundGains before any evaluation, on the sweep and
+// on the scalar path.
+func TestRoundGainsCancelled(t *testing.T) {
+	rng := xrand.New(223)
+	pts, ws := gainsPoints(rng, 50, 2, 1)
+	in := mustInstance(t, pts, ws, norm.L2{}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, batch := range []bool{true, false} {
+		in.SetBatch(batch)
+		m := obs.NewMetrics()
+		in.SetCollector(m)
+		err := in.RoundGains(ctx, in.NewResiduals(), make([]float64, in.N()))
+		in.SetCollector(nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("batch=%v: err = %v, want context.Canceled", batch, err)
+		}
+		if c := m.Snapshot().Counters[obs.CtrGainEvals]; c != 0 {
+			t.Fatalf("batch=%v: a cancelled sweep counted %d gain evaluations", batch, c)
+		}
+	}
+}

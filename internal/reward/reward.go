@@ -6,6 +6,7 @@
 package reward
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -56,11 +57,12 @@ type Instance struct {
 func (in *Instance) SetFinder(f NeighborFinder) { in.finder = f }
 
 // SetCollector installs (or clears, with nil) a telemetry collector. A live
-// collector counts every reward evaluation — obs.CtrGainEvals per RoundGain,
-// obs.CtrApplyRounds per ApplyRound, obs.CtrObjectiveEvals per Objective —
-// which is how instrumented runs verify claims like "LazyGreedy saves
-// re-evaluations". The collector must be safe for concurrent use: candidate
-// scans call RoundGain from many goroutines.
+// collector counts every reward evaluation — obs.CtrGainEvals per RoundGain
+// and per point of RoundGains, obs.CtrApplyRounds per ApplyRound,
+// obs.CtrObjectiveEvals per Objective — which is how instrumented runs
+// verify claims like "LazyGreedy saves re-evaluations". The collector must
+// be safe for concurrent use: candidate scans call RoundGain from many
+// goroutines.
 func (in *Instance) SetCollector(c obs.Collector) {
 	if !obs.Active(c) {
 		c = nil
@@ -154,9 +156,7 @@ func (in *Instance) NewResiduals() []float64 {
 // y: Σ_i w_i·min([1 − d(c, x_i)/r]_+, y_i) (the inner objective of
 // Eqs. 10/13/14/15). y is not modified.
 func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
-	if in.obs != nil {
-		in.obs.Count(obs.CtrGainEvals, 1)
-	}
+	in.countGainEvals(1)
 	if in.finder != nil {
 		sc := scratchPool.Get().(*scratch)
 		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
@@ -187,6 +187,28 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 		g += in.Set.Weight(i) * z
 	}
 	return g
+}
+
+// RoundGains fills out[a] = RoundGain(Set.Point(a), y) for every point a,
+// bit for bit: the all-points candidate scan of Algorithm 2's first round.
+// out must hold N() values. On the batched path it is one symmetric sweep
+// that computes each in-radius pair's distance once (see
+// roundGainsSweep); otherwise it calls RoundGain per point. Either way it
+// counts one obs.CtrGainEvals per point evaluated. It reads ctx about every
+// gainsCheckRows distances on the sweep and before every point otherwise,
+// and returns ctx.Err() with out partly filled.
+func (in *Instance) RoundGains(ctx context.Context, y, out []float64) error {
+	if in.batchOn() {
+		return in.roundGainsSweep(ctx, y, out[:in.N()])
+	}
+	for a := 0; a < in.N(); a++ {
+		// A RoundGain call costs far more than the read.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		out[a] = in.RoundGain(in.Set.Point(a), y)
+	}
+	return nil
 }
 
 // ApplyRound commits center c: it computes z_i = min([1 − d/r]_+, y_i),

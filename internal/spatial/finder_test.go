@@ -281,7 +281,7 @@ func TestEachCellNear(t *testing.T) {
 				if len(c.Points) == 0 {
 					t.Fatalf("dim %d: empty cell %v visited", tc.dim, c.Coord)
 				}
-				if !reflect.DeepEqual(c.Points, g.CellPoints(c.Coord)) {
+				if b, _ := g.bucket(nil, c.Coord); !reflect.DeepEqual(c.Points, b) {
 					t.Fatalf("dim %d: cell %v carries the wrong points", tc.dim, c.Coord)
 				}
 				got = append(got, append([]int{}, c.Coord...))

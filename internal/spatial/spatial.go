@@ -241,22 +241,6 @@ func (g *Grid) buildCells() {
 	g.cells = out
 }
 
-// CellPoints returns the indices bucketed at the given cell coordinates (nil
-// for an empty or out-of-range cell). The returned slice aliases the grid's
-// internal bucket and must be treated as read-only.
-func (g *Grid) CellPoints(coord []int) []int {
-	if len(coord) != g.dim {
-		return nil
-	}
-	for d, c := range coord {
-		if c < 0 || c >= g.extents[d] {
-			return nil
-		}
-	}
-	b, _ := g.bucket(nil, coord)
-	return b
-}
-
 // cellCoords inverts cellID: the flattened bucket key back to per-dimension
 // cell coordinates (int-keyed grids only).
 func (g *Grid) cellCoords(id int) []int {

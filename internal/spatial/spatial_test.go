@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -264,9 +265,9 @@ func TestSinglePointGrid(t *testing.T) {
 }
 
 // TestCellsCoverAndSort: Cells enumerates every point exactly once, in a
-// strictly increasing lexicographic coordinate sweep, and CellPoints round-
-// trips every returned coordinate. The shard partitioner depends on both
-// properties for deterministic balanced splits.
+// strictly increasing lexicographic coordinate sweep, and the bucket lookup
+// round-trips every returned coordinate. The shard partitioner depends on
+// both properties for deterministic balanced splits.
 func TestCellsCoverAndSort(t *testing.T) {
 	rng := xrand.New(23)
 	for trial := 0; trial < 20; trial++ {
@@ -305,9 +306,8 @@ func TestCellsCoverAndSort(t *testing.T) {
 					t.Fatalf("trial %d: cells not strictly sorted: %v then %v", trial, prev, c.Coord)
 				}
 			}
-			got := g.CellPoints(c.Coord)
-			if len(got) != len(c.Points) {
-				t.Fatalf("trial %d: CellPoints(%v) = %d points, Cells says %d", trial, c.Coord, len(got), len(c.Points))
+			if got, _ := g.bucket(nil, c.Coord); !reflect.DeepEqual(got, c.Points) {
+				t.Fatalf("trial %d: bucket(%v) = %v, Cells says %v", trial, c.Coord, got, c.Points)
 			}
 		}
 		if len(seen) != n {
@@ -353,16 +353,22 @@ func TestCellsHashedMatchesInt(t *testing.T) {
 	}
 }
 
-// TestCellPointsOutOfRange: unknown, empty, or mis-dimensioned coordinates
-// answer nil rather than panicking.
+// TestCellPointsOutOfRange: a cell's points looked up (EachCellNear with
+// zero rings) at an unknown, empty, or mis-dimensioned coordinate answer
+// nothing rather than panicking; an occupied cell answers its points.
 func TestCellPointsOutOfRange(t *testing.T) {
 	g, err := NewGrid([]vec.V{vec.Of(0, 0), vec.Of(3, 3)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, coord := range [][]int{{-1, 0}, {99, 0}, {0}, {0, 0, 0}, nil} {
-		if got := g.CellPoints(coord); got != nil {
-			t.Errorf("CellPoints(%v) = %v, want nil", coord, got)
-		}
+	for _, coord := range [][]int{{-1, 0}, {99, 0}, {1, 1}, {0}, {0, 0, 0}, nil} {
+		g.EachCellNear(coord, 0, func(c Cell) {
+			t.Errorf("cell %v answered %v, want nothing", coord, c.Points)
+		})
+	}
+	var got []int
+	g.EachCellNear([]int{3, 3}, 0, func(c Cell) { got = append(got, c.Points...) })
+	if !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("cell [3 3] answered %v, want [1]", got)
 	}
 }

@@ -59,6 +59,12 @@ echo "==> wire-codec fuzz gate"
 go test -run '^$' -fuzz '^FuzzSetCodec$' -fuzztime 20s ./internal/pointset
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 20s ./internal/serve
 
+# The gain-sweep fuzz gate: greedy2-lazy's first round is one symmetric
+# sweep that must give every point the bits of its own RoundGain. Its seed
+# corpus already runs in every go test above; this adds mutation.
+echo "==> gain-sweep fuzz gate"
+go test -run '^$' -fuzz '^FuzzRoundGains$' -fuzztime 20s ./internal/reward
+
 # The wire-schema gate: the exported v1 serving API (api/v1) must
 # match the committed golden dump; breaking a field name, type, tag, or
 # error code fails here until api/v1.golden.txt is regenerated deliberately.

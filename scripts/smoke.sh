@@ -44,6 +44,21 @@ expect_clean cdgreedy "$BIN/greedy_full.out" "$status"
 grep -q "note: run stopped early" "$BIN/greedy_full.out" &&
 	fail "uncancelled cdgreedy run printed the early-stop note"
 
+echo "==> cdgreedy: a 40,000-user greedy2-lazy solve must stop within 5s of a 300ms deadline"
+# No finder at this size, so the first round alone takes seconds: the
+# deadline must cut it, not wait for it.
+"$BIN/cdtrace" -n 40000 -seed 3 >"$BIN/trace_40k.json" || fail "cdtrace -n 40000 failed"
+status=0
+start="$(date +%s)"
+"$BIN/cdgreedy" -trace "$BIN/trace_40k.json" -alg greedy2-lazy -k 4 -r 0.1 -timeout 300ms >"$BIN/greedy_40k.out" 2>&1 || status=$?
+took=$(($(date +%s) - start))
+expect_clean "cdgreedy -alg greedy2-lazy (n=40000)" "$BIN/greedy_40k.out" "$status"
+grep -q "note: run stopped early" "$BIN/greedy_40k.out" ||
+	fail "cdgreedy -alg greedy2-lazy (n=40000) output lacks the early-stop note"
+# Whole seconds: a run of 5s or more always reads at least 5.
+[ "$took" -lt 5 ] ||
+	fail "cdgreedy -alg greedy2-lazy (n=40000) took ${took}s past a 300ms deadline"
+
 echo "==> cdgreedy: near-linear grid solver must finish clean with k centers"
 status=0
 "$BIN/cdgreedy" -trace "$BIN/trace.json" -alg nearlinear -refine 2 -k 4 -timeout 1m >"$BIN/greedy_nls.out" 2>&1 || status=$?
