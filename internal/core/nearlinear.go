@@ -7,10 +7,11 @@
 //
 // Three stages, each instrumented with its own span and timer:
 //
-//  1. grid_snap — bucket the points with internal/spatial's radius-r grid,
-//     aggregate each occupied cell into a weighted-centroid representative,
-//     its total weight, and its residual mass, and precompute the
-//     cell-adjacency coverage factors used by the per-round scan.
+//  1. grid_snap — take the instance's radius-r internal/spatial grid (built
+//     here only when the instance's finder is not one), aggregate each
+//     occupied cell into a weighted-centroid representative, its total
+//     weight, and its residual mass, and precompute the cell-adjacency
+//     coverage factors used by the per-round scan.
 //  2. seed — a k-means++-style D²-weighted draw over cell representatives
 //     (probability ∝ residual mass × squared distance to the nearest chosen
 //     seed) injects one diversity candidate per round, deterministically from
@@ -181,9 +182,10 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	return res, nil
 }
 
-// snap builds the grid and the per-cell aggregates (stage 1).
+// snap takes the instance's grid, building one only when its finder is not
+// a grid, and computes the per-cell aggregates (stage 1).
 func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
-	grid, err := spatial.NewGrid(in.Set.Points(), in.Radius)
+	grid, err := spatial.GridFor(in.Finder(), in.Set.Points(), in.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("core: nearlinear: %w", err)
 	}

@@ -56,6 +56,17 @@ type Instance struct {
 // index exactly this instance's points at exactly this instance's radius.
 func (in *Instance) SetFinder(f NeighborFinder) { in.finder = f }
 
+// Finder returns the installed neighbor accelerator, or nil, so code that
+// needs the same index (the shard partition, nearlinear's snap) can share
+// it instead of building its own.
+func (in *Instance) Finder() NeighborFinder { return in.finder }
+
+// windowFiller is a NeighborFinder that can build every point's query
+// window in one pass (spatial.Grid.FillWindows), cheaper than one by one.
+type windowFiller interface {
+	FillWindows()
+}
+
 // SetCollector installs (or clears, with nil) a telemetry collector. A live
 // collector counts every reward evaluation — obs.CtrGainEvals per RoundGain
 // and per point of RoundGains, obs.CtrApplyRounds per ApplyRound,
@@ -198,6 +209,10 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 // gainsCheckRows distances on the sweep and before every point otherwise,
 // and returns ctx.Err() with out partly filled.
 func (in *Instance) RoundGains(ctx context.Context, y, out []float64) error {
+	// Every point's window is queried below.
+	if f, ok := in.finder.(windowFiller); ok {
+		f.FillWindows()
+	}
 	if in.batchOn() {
 		return in.roundGainsSweep(ctx, y, out[:in.N()])
 	}

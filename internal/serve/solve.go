@@ -179,6 +179,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// A grid finder accelerates coverage evaluation without changing any
 	// result bit — and keeps a forwarded shard solve on par with the
 	// coordinator's local path, which indexes its sub-instances the same way.
+	// The shard partition and nearlinear's snap reuse this grid.
 	if g, gerr := spatial.NewGrid(req.Instance.Points(), req.Radius); gerr == nil {
 		in.SetFinder(g)
 	}

@@ -144,7 +144,7 @@ func (p Partitioner) Partition(ctx context.Context, in *reward.Instance, k int) 
 	if s == 1 || n <= s {
 		return []core.Part{{ID: 0, In: in, Own: n}}, nil
 	}
-	grid, err := spatial.NewGrid(in.Set.Points(), in.Radius)
+	grid, err := spatial.GridFor(in.Finder(), in.Set.Points(), in.Radius)
 	if err != nil {
 		return nil, fmt.Errorf("shard: partition grid: %w", err)
 	}

@@ -3,13 +3,16 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/norm"
+	"repro/internal/obs"
 	"repro/internal/pointset"
 	"repro/internal/reward"
 	"repro/internal/spatial"
+	"repro/internal/vec"
 	"repro/internal/xrand"
 )
 
@@ -335,4 +338,153 @@ func TestHaloRings(t *testing.T) {
 			t.Errorf("HaloRings(%d) = %d, want %d", tc.halo, got, tc.want)
 		}
 	}
+}
+
+// partsWith partitions in with finder f installed.
+func partsWith(t *testing.T, in *reward.Instance, f reward.NeighborFinder, s int) []core.Part {
+	t.Helper()
+	in.SetFinder(f)
+	parts, err := Partitioner{Shards: s}.Partition(context.Background(), in, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts
+}
+
+// TestPartitionSameWithAnyFinder: Partition reads the instance's grid when
+// its finder is one and builds the same grid otherwise, so a grid finder, a
+// KDTree finder and no finder give the same parts: the same IDs, the same
+// owned counts and bit-identical sub-instance points and weights.
+func TestPartitionSameWithAnyFinder(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		in := genInstance(t, 1500, dim, norm.L2{}, 0.4, 23)
+		tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finders := []reward.NeighborFinder{in.Finder(), tree, nil}
+		for _, s := range []int{3, 8} {
+			want := partsWith(t, in, finders[0], s)
+			for _, f := range finders[1:] {
+				got := partsWith(t, in, f, s)
+				if len(got) != len(want) {
+					t.Fatalf("dim %d s=%d %T: %d parts, want %d", dim, s, f, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.ID != w.ID || g.Own != w.Own || !reflect.DeepEqual(g.In.Set.Coords(), w.In.Set.Coords()) ||
+						!reflect.DeepEqual(g.In.Set.Weights(), w.In.Set.Weights()) {
+						t.Fatalf("dim %d s=%d %T part %d differs from the grid finder's", dim, s, f, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionReusesInstanceGrid: Partition cuts the instance's own grid
+// instead of building a second one. The grid installed here indexes the
+// points mirrored in x, so the same count at the same radius, breaking
+// SetFinder's contract on purpose: a partition that built its own grid
+// would cut the true points' cells, one that reuses the finder cuts the
+// mirror's, exactly as partitioning the mirrored set would.
+func TestPartitionReusesInstanceGrid(t *testing.T) {
+	in := genInstance(t, 800, 2, norm.L2{}, 0.5, 29)
+	mirror := make([]vec.V, in.N())
+	for i, p := range in.Set.Points() {
+		mirror[i] = vec.Of(-p[0], p[1])
+	}
+	decoy, err := spatial.NewGrid(mirror, in.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := pointset.New(mirror, in.Set.Weights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrored, err := reward.NewInstance(set, in.Norm, in.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s = 4
+	want, own := partsWith(t, mirrored, nil, s), partsWith(t, in, nil, s)
+	got := partsWith(t, in, decoy, s)
+	same := func(a, b []core.Part) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Own != b[i].Own || a[i].In.N() != b[i].In.N() {
+				return false
+			}
+		}
+		return true
+	}
+	if same(own, want) {
+		t.Fatal("mirroring did not change the parts; the check has no power")
+	}
+	if !same(got, want) {
+		t.Fatal("Partition built its own grid instead of cutting the instance's")
+	}
+}
+
+// TestFinderKeepsCounts: with the instance's grid shared by the partition
+// and its windows filled in bulk by the first-round sweep, greedy2-lazy and
+// sharded(greedy2-lazy) count the same gain evaluations, lazy re-pops and
+// merge re-pops, and select the same centers, as with a KDTree finder or
+// none.
+func TestFinderKeepsCounts(t *testing.T) {
+	in := genInstance(t, 1200, 2, norm.L2{}, 0.3, 31)
+	tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finders := []func() reward.NeighborFinder{
+		func() reward.NeighborFinder { // a fresh grid per run: cold windows
+			g, err := spatial.NewGrid(in.Set.Points(), in.Radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		func() reward.NeighborFinder { return tree },
+		func() reward.NeighborFinder { return nil },
+	}
+	counters := []string{obs.CtrGainEvals, obs.CtrLazyRepops, obs.CtrShardMergeRepops}
+	newInner := func(uint64) core.Algorithm { return core.LazyGreedy{} }
+	for _, sharded := range []bool{false, true} {
+		var want obs.Snapshot
+		var wantRes *core.Result
+		for fi, finder := range finders {
+			f := finder()
+			in.SetFinder(f)
+			m := obs.NewMetrics()
+			in.SetCollector(m)
+			var alg core.Algorithm = core.LazyGreedy{Obs: m}
+			if sharded {
+				alg = NewSolver("greedy2-lazy", newInner, Options{Shards: 4, Seed: 3, Workers: 2, Obs: m})
+			}
+			res, err := alg.Run(context.Background(), in, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := m.Snapshot()
+			if fi == 0 {
+				want, wantRes = snap, res
+				if snap.Counters[obs.CtrGainEvals] == 0 {
+					t.Fatal("no gain evaluations counted")
+				}
+				continue
+			}
+			for _, name := range counters {
+				if a, b := snap.Counters[name], want.Counters[name]; a != b {
+					t.Errorf("sharded=%v %T: %s = %d, %d with the grid", sharded, f, name, a, b)
+				}
+			}
+			if res.Total != wantRes.Total || !reflect.DeepEqual(res.Gains, wantRes.Gains) {
+				t.Errorf("sharded=%v %T: result differs from the grid finder's", sharded, f)
+			}
+		}
+	}
+	in.SetCollector(nil)
 }

@@ -250,3 +250,37 @@ func mustAlgOpts(t *testing.T, opts solver.Options) core.Algorithm {
 	}
 	return a
 }
+
+// TestNearLinearSameWithAnyFinder: nearlinear snaps to the instance's own
+// grid when its finder is one and builds the same grid otherwise, so a grid
+// finder, a KDTree finder and no finder give bit-identical results.
+func TestNearLinearSameWithAnyFinder(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		in := genNLInstance(t, 900, dim, norm.L2{}, 0.5, 37)
+		tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *core.Result
+		for fi, f := range []reward.NeighborFinder{in.Finder(), tree, nil} {
+			in.SetFinder(f)
+			got, err := mustAlg(t, "nearlinear", nil).Run(context.Background(), in, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi == 0 {
+				want = got
+				continue
+			}
+			if got.Total != want.Total || len(got.Centers) != len(want.Centers) {
+				t.Fatalf("dim %d %T: total %v (%d centers), %v (%d) with the grid", dim, f,
+					got.Total, len(got.Centers), want.Total, len(want.Centers))
+			}
+			for j := range want.Centers {
+				if !got.Centers[j].Equal(want.Centers[j]) || got.Gains[j] != want.Gains[j] {
+					t.Fatalf("dim %d %T round %d: result differs from the grid finder's", dim, f, j)
+				}
+			}
+		}
+	}
+}

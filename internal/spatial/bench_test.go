@@ -19,6 +19,51 @@ func BenchmarkNewGrid_N10000(b *testing.B) {
 	}
 }
 
+// BenchmarkNewGrid_N100000 indexes one perfbench solve-large instance's
+// shape: 100,000 users uniform in the paper's 4×4 box at r = 0.0632.
+func BenchmarkNewGrid_N100000(b *testing.B) {
+	pts := randPoints(xrand.New(1), 100000, 2, 0, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewGrid(pts, 0.0632); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchColdWindows times one window query per point on a fresh grid, as
+// the first-round gain sweep makes them, at one part's shape of an 8-shard
+// solve-large request: 15,000 users at 6,250 per unit² (a 4 × 0.6 strip),
+// r = 0.0632. bulk fills every window first; otherwise each cell's window
+// is built on its first query.
+func benchColdWindows(b *testing.B, bulk bool) {
+	pts := randPoints(xrand.New(6), 15000, 2, 0, 4)
+	for _, p := range pts {
+		p[1] *= 0.15
+	}
+	var dst []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, err := NewGrid(pts, 0.0632)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if bulk {
+			g.FillWindows()
+		}
+		for _, p := range pts {
+			dst = g.AppendNear(dst[:0], p)
+		}
+	}
+}
+
+func BenchmarkColdWindows_N15000_Bulk(b *testing.B) { benchColdWindows(b, true) }
+func BenchmarkColdWindows_N15000_Lazy(b *testing.B) { benchColdWindows(b, false) }
+
 // benchAppendNear times warm queries that reuse one dst, as the reward
 // evaluator's pooled scratch does.
 func benchAppendNear(b *testing.B, idx Index, rng *xrand.Rand) {

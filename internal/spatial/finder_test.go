@@ -194,13 +194,9 @@ func checkWindowCache(t *testing.T, g *Grid, tc contractCase) {
 		return
 	}
 	// Every point's own cell has a nonempty window, so without the cap
-	// each distinct point cell would be cached.
-	cells := map[int]bool{}
-	for _, p := range tc.pts {
-		cells[g.cellID(g.coords(p))] = true
-	}
-	if len(g.windows) >= len(cells) {
-		t.Fatalf("cap never reached: %d of %d point cells cached (%d indices)", len(g.windows), len(cells), g.winLen)
+	// each occupied cell would be cached.
+	if cells := len(g.Cells()); len(g.windows) >= cells {
+		t.Fatalf("cap never reached: %d of %d point cells cached (%d indices)", len(g.windows), cells, g.winLen)
 	}
 }
 
@@ -291,4 +287,151 @@ func TestEachCellNear(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFillWindowsMatchesLazy: after FillWindows, every occupied cell's
+// window equals, index for index, the window a fresh grid builds on the
+// cell's first query, and the cache tally holds exactly the stored windows.
+// Hashed-key grids, which a clamped dimension forces, store nothing in bulk
+// and answer as before.
+func TestFillWindowsMatchesLazy(t *testing.T) {
+	rng := xrand.New(41)
+	cases := []struct {
+		name string
+		pts  []vec.V
+		r    float64
+		bulk bool
+	}{
+		{"1d", randPoints(rng, 200, 1, 0, 10), 0.3, true},
+		{"2d", randPoints(rng, 500, 2, 0, 6), 0.5, true},
+		{"3d", randPoints(rng, 300, 3, 0, 5), 0.5, true},
+		{"5d", randPoints(rng, 300, 5, 0, 3), 0.5, true},
+		{"clamped", []vec.V{vec.Of(0), vec.Of(1e-4), vec.Of(1e300), vec.Of(0.5)}, 1e-3, false},
+		{"hashed", []vec.V{vec.Of(0, 0), vec.Of(3e-7, 4e-7), vec.Of(1e12, 1e12), vec.Of(1e12+5e-7, 1e12)}, 1e-6, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := NewGrid(tc.pts, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewGrid(tc.pts, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.FillWindows()
+			if !tc.bulk {
+				if len(g.windows) != 0 || g.winLen != 0 {
+					t.Fatalf("hashed grid stored %d windows in bulk", len(g.windows))
+				}
+			} else {
+				cells := g.Cells()
+				if len(g.windows) != len(cells) {
+					t.Fatalf("%d windows stored for %d occupied cells", len(g.windows), len(cells))
+				}
+				total := 0
+				for _, c := range cells {
+					w, ok := g.windows[g.cellID(c.Coord)]
+					if !ok {
+						t.Fatalf("cell %v has no window", c.Coord)
+					}
+					total += len(w)
+					if want := fresh.AppendNear(nil, tc.pts[c.Points[0]]); !reflect.DeepEqual(w, want) {
+						t.Fatalf("cell %v: bulk window %v, lazy %v", c.Coord, w, want)
+					}
+				}
+				if total != g.winLen {
+					t.Fatalf("window tally %d, stored %d", g.winLen, total)
+				}
+			}
+			for i, p := range tc.pts {
+				if got, want := g.AppendNear(nil, p), fresh.AppendNear(nil, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("point %d: %v after FillWindows, %v lazily", i, got, want)
+				}
+			}
+			g.FillWindows() // a second call changes nothing
+			checkWindowCache(t, g, contractCase{})
+		})
+	}
+}
+
+// TestFillWindowsOverCap: a dense 3-D set puts each point in up to 27
+// windows, past the 9·n cap, so FillWindows stores nothing and every query
+// still answers correctly from lazy windows.
+func TestFillWindowsOverCap(t *testing.T) {
+	pts := randPoints(xrand.New(43), 400, 3, 0, 1.4)
+	g, err := NewGrid(pts, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.FillWindows()
+	if len(g.windows) != 0 || g.winLen != 0 {
+		t.Fatalf("over-cap fill stored %d windows (%d indices)", len(g.windows), g.winLen)
+	}
+	for qi, c := range pts {
+		got := g.AppendNear(nil, c)
+		in := map[int]bool{}
+		for i, x := range got {
+			if i > 0 && x <= got[i-1] {
+				t.Fatalf("query %d: not strictly ascending: %v", qi, got)
+			}
+			in[x] = true
+		}
+		for _, i := range chebWithin(pts, c, 0.5) {
+			if !in[i] {
+				t.Fatalf("query %d: point %d within r missing", qi, i)
+			}
+		}
+	}
+	checkWindowCache(t, g, contractCase{})
+}
+
+// TestFillWindowsConcurrentQueries: eight goroutines query a cold grid while
+// another fills its windows in bulk; every answer must equal a serial
+// reference, and the cache must end consistent. Run it under -race.
+func TestFillWindowsConcurrentQueries(t *testing.T) {
+	rng := xrand.New(47)
+	pts := randPoints(rng, 2000, 2, 0, 10)
+	queries := append(append([]vec.V{}, pts[:400]...), randPoints(rng, 100, 2, -1, 11)...)
+	ref, err := NewGrid(pts, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]int, len(queries))
+	for i, c := range queries {
+		want[i] = ref.AppendNear(nil, c)
+	}
+	g, err := NewGrid(pts, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g.FillWindows()
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var dst []int
+			for k := range queries {
+				i := (k + w*len(queries)/workers) % len(queries)
+				dst = g.AppendNear(dst[:0], queries[i])
+				if !reflect.DeepEqual(append([]int{}, dst...), append([]int{}, want[i]...)) {
+					errs <- "concurrent answer differs from the serial reference"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	checkWindowCache(t, g, contractCase{})
 }

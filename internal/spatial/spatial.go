@@ -15,19 +15,21 @@
 // scan, so it is bit-identical to it.
 //
 // Grid and KDTree index a fixed point set and are safe for concurrent
-// queries. A Grid caches each query cell's ascending window on first use
-// (bounded at 9·n cached indices), so repeated queries from one cell copy
-// a slice instead of gathering and sorting buckets. Dynamic adds population
-// churn on top and is not safe for concurrent use with its mutations.
+// queries. A Grid caches each query cell's ascending window (bounded at
+// 9·n cached indices), so repeated queries from one cell copy a slice: a
+// caller about to query every point's window fills them all in one pass
+// (FillWindows), and otherwise each is built on its cell's first query.
+// Dynamic adds population churn on top and is not safe for concurrent use
+// with its mutations.
 package spatial
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/vec"
@@ -49,9 +51,10 @@ const maxExtent = 1 << 62
 // query instead of stored.
 const windowCapPerPoint = 9
 
-// Grid is a uniform-cell index over a fixed point set. The buckets never
-// change after NewGrid; the lazily built cell list and window cache are
-// guarded, so a Grid is safe for concurrent queries.
+// Grid is a uniform-cell index over a fixed point set. NewGrid counting-sorts
+// the point indices by cell into one flat array, so every bucket is a run of
+// it; the buckets never change afterwards. The lazily built cell list and
+// window cache are guarded, so a Grid is safe for concurrent queries.
 type Grid struct {
 	cell    float64
 	dim     int
@@ -63,8 +66,15 @@ type Grid struct {
 	// Exactly one bucket map is used. Flattened int ids require
 	// Π extents[d] to fit in an int; when it cannot, ids would alias
 	// silently and bloat buckets, so the grid falls back to string keys.
+	// Each bucket is a run of one flat index array, ascending.
 	buckets  map[int][]int    // flattened cell id -> point indices
-	hbuckets map[string][]int // joined cell coords -> point indices
+	hbuckets map[string][]int // appendCellKey of the cell coords -> point indices
+
+	// Int-keyed grids only: the occupied cell ids in ascending order, which
+	// is lexicographic coordinate order (cellID puts dimension 0 first),
+	// and each point's position in that list.
+	ids    []int
+	cellOf []int32
 
 	cellsOnce sync.Once
 	cells     []Cell // occupied cells in lexicographic order, built on first use
@@ -72,14 +82,18 @@ type Grid struct {
 	winMu   sync.Mutex
 	windows map[int][]int // in-grid cell id -> its ascending 3^dim window
 	winLen  int           // indices held in windows, at most windowCapPerPoint·n
+	filled  bool          // FillWindows has run (or is running)
 }
 
 // NewGrid indexes the points with cells of side equal to radius. It returns
-// an error for an empty set, inconsistent dimensions, or a non-positive
-// radius.
+// an error for an empty set, inconsistent dimensions, a non-positive radius,
+// or more than MaxInt32 points.
 func NewGrid(points []vec.V, radius float64) (*Grid, error) {
 	if len(points) == 0 {
 		return nil, errors.New("spatial: empty point set")
+	}
+	if len(points) > math.MaxInt32 {
+		return nil, fmt.Errorf("spatial: %d points exceed the grid's int32 cell positions", len(points))
 	}
 	if radius <= 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return nil, fmt.Errorf("spatial: invalid radius %v", radius)
@@ -117,55 +131,165 @@ func NewGrid(points []vec.V, radius float64) (*Grid, error) {
 			}
 		}
 	}
+
+	// Each point's sort key: its flat cell id, or, hashed, the first-seen
+	// rank of its cell key among the distinct keys.
+	key := make([]int, len(points))
+	c := make([]int, dim)
+	var kb []byte
+	var keys []string
+	var rank map[string]int
 	if hashed {
-		g.hbuckets = make(map[string][]int)
-	} else {
-		g.buckets = make(map[int][]int)
+		rank = make(map[string]int)
 	}
-	var key []byte
 	for i, p := range points {
 		if p.Dim() != dim {
 			return nil, vec.ErrDimMismatch
 		}
-		c := g.coords(p)
-		if hashed {
-			key = appendCellKey(key[:0], c)
-			g.hbuckets[string(key)] = append(g.hbuckets[string(key)], i)
-		} else {
-			id := g.cellID(c)
-			g.buckets[id] = append(g.buckets[id], i)
+		for d := range c {
+			// The clamp happens on the float value, before the int
+			// conversion, so even extreme coordinates (possible when a
+			// dimension is clamped) convert in range. float64(extents-1)
+			// can round up to extents at large magnitudes, so the exact
+			// bound is re-applied in int space.
+			f := math.Floor((p[d] - g.origin[d]) / g.cell)
+			if !(f > 0) { // also catches NaN from a malformed point
+				f = 0
+			}
+			if max := float64(g.extents[d]); f > max {
+				f = max
+			}
+			v := int(f)
+			if v >= g.extents[d] {
+				v = g.extents[d] - 1
+			}
+			c[d] = v
+		}
+		if !hashed {
+			key[i] = g.cellID(c)
+			continue
+		}
+		kb = appendCellKey(kb[:0], c)
+		r, ok := rank[string(kb)]
+		if !ok {
+			r = len(keys)
+			keys = append(keys, string(kb))
+			rank[keys[r]] = r
+		}
+		key[i] = r
+	}
+	if hashed {
+		idSpace = len(keys)
+	}
+	idx := groupByKey(key, idSpace)
+
+	// One run of idx per occupied cell, in key order.
+	m := 0
+	for p, i := range idx {
+		if p == 0 || key[i] != key[idx[p-1]] {
+			m++
 		}
 	}
+	if hashed {
+		g.hbuckets = make(map[string][]int, m)
+	} else {
+		g.buckets = make(map[int][]int, m)
+		g.ids = make([]int, 0, m)
+		g.cellOf = make([]int32, len(points))
+	}
+	for start, p := 0, 1; p <= len(idx); p++ {
+		k := key[idx[start]]
+		if p < len(idx) && key[idx[p]] == k {
+			continue
+		}
+		run := idx[start:p:p]
+		if hashed {
+			g.hbuckets[keys[k]] = run
+		} else {
+			for _, i := range run {
+				g.cellOf[i] = int32(len(g.ids))
+			}
+			g.ids = append(g.ids, k)
+			g.buckets[k] = run
+		}
+		start = p
+	}
 	return g, nil
+}
+
+// groupByKey returns the indices 0..len(key)-1 ordered stably by key, each
+// key in [0, space), leaving key unchanged. It is an LSD radix sort whose
+// digit's count table has at most 2·len(key) entries, so a key space that
+// small, as in any grid with no more cells than points, takes one counting
+// pass. Stability keeps each key's indices ascending, and no comparison
+// sort runs at any key space.
+func groupByKey(key []int, space int) []int {
+	n := len(key)
+	idx := make([]int, n)
+	width := bits.Len(uint(space - 1))
+	if width == 0 { // a single key: already grouped
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx
+	}
+	passes := (width + bits.Len(uint(n)) - 1) / bits.Len(uint(n))
+	digit := (width + passes - 1) / passes
+	count := make([]int, 1<<digit)
+	mask := len(count) - 1
+	keys := key // the keys in this pass's order
+	var idxOut []int
+	for shift := 0; shift < width; shift += digit {
+		clear(count)
+		for _, k := range keys {
+			count[k>>shift&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		// The first pass reads the identity order; the last writes no keys.
+		first, last := shift == 0, shift+digit >= width
+		var next []int
+		if !last {
+			next = make([]int, n)
+		}
+		if !first && idxOut == nil {
+			idxOut = make([]int, n)
+		}
+		for j, k := range keys {
+			d := k >> shift & mask
+			p := count[d]
+			count[d]++
+			if !last {
+				next[p] = k
+			}
+			if first {
+				idx[p] = j
+			} else {
+				idxOut[p] = idx[j]
+			}
+		}
+		if !first {
+			idx, idxOut = idxOut, idx
+		}
+		keys = next
+	}
+	return idx
 }
 
 // N reports the number of indexed points.
 func (g *Grid) N() int { return g.n }
 
-// coords maps a point to integer cell coordinates (clamped to the grid).
-// The clamp happens on the float value, before the int conversion, so even
-// extreme coordinates (possible when a dimension is clamped) convert
-// in-range.
-func (g *Grid) coords(p vec.V) []int {
-	c := make([]int, g.dim)
-	for d := 0; d < g.dim; d++ {
-		f := math.Floor((p[d] - g.origin[d]) / g.cell)
-		if !(f > 0) { // also catches NaN from a malformed point
-			f = 0
-		}
-		// Two-stage clamp: the float-space clamp makes the int conversion
-		// defined, but float64(extents-1) can round up to extents at large
-		// magnitudes, so the exact bound is re-applied in int space.
-		if max := float64(g.extents[d]); f > max {
-			f = max
-		}
-		v := int(f)
-		if v >= g.extents[d] {
-			v = g.extents[d] - 1
-		}
-		c[d] = v
+// GridFor returns finder itself when it is a Grid over len(points) points at
+// radius, and otherwise a new Grid over points. An instance's finder indexes
+// exactly its points at its radius (reward.Instance.SetFinder), so passing
+// the instance's finder shares its grid instead of building a second one.
+func GridFor(finder any, points []vec.V, radius float64) (*Grid, error) {
+	if g, ok := finder.(*Grid); ok && g.n == len(points) && g.cell == radius {
+		return g, nil
 	}
-	return c
+	return NewGrid(points, radius)
 }
 
 // cellID flattens cell coordinates to a single bucket key (int-keyed grids
@@ -178,16 +302,26 @@ func (g *Grid) cellID(c []int) int {
 	return id
 }
 
-// appendCellKey renders cell coordinates as a compact string key for the
-// hashed-bucket fallback.
+// appendCellKey renders cell coordinates as the string key of the
+// hashed-bucket fallback: each coordinate as 8 big-endian bytes. Coordinates
+// are never negative, so byte order is lexicographic coordinate order, and
+// Cells reads the coordinates back from the key (keyCoords).
 func appendCellKey(b []byte, c []int) []byte {
-	for d, v := range c {
-		if d > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
+	for _, v := range c {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
 	}
 	return b
+}
+
+// keyCoords writes the coordinates appendCellKey stored in k into c.
+func keyCoords(c []int, k string) {
+	for d := range c {
+		v := 0
+		for _, b := range []byte(k[8*d : 8*d+8]) {
+			v = v<<8 | int(b)
+		}
+		c[d] = v
+	}
 }
 
 // bucket returns the point indices stored for the given cell coordinates.
@@ -218,48 +352,47 @@ func (g *Grid) Cells() []Cell {
 	return g.cells
 }
 
+// buildCells lists the occupied cells: an int-keyed grid's in its ascending
+// id order, a hashed grid's in key order, both lexicographic.
 func (g *Grid) buildCells() {
-	var out []Cell
+	var keys []string
+	m := len(g.ids)
 	if g.hbuckets != nil {
-		for k, pts := range g.hbuckets {
-			out = append(out, Cell{Coord: parseCellKey(k, g.dim), Points: pts})
+		keys = make([]string, 0, len(g.hbuckets))
+		for k := range g.hbuckets {
+			keys = append(keys, k)
 		}
-	} else {
-		for id, pts := range g.buckets {
-			out = append(out, Cell{Coord: g.cellCoords(id), Points: pts})
+		sort.Strings(keys)
+		m = len(keys)
+	}
+	coords := make([]int, m*g.dim)
+	g.cells = make([]Cell, m)
+	for j := range g.cells {
+		c := coords[j*g.dim : (j+1)*g.dim : (j+1)*g.dim]
+		if keys != nil {
+			keyCoords(c, keys[j])
+			g.cells[j] = Cell{Coord: c, Points: g.hbuckets[keys[j]]}
+		} else {
+			g.putCoords(c, g.ids[j])
+			g.cells[j] = Cell{Coord: c, Points: g.buckets[g.ids[j]]}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		ca, cb := out[a].Coord, out[b].Coord
-		for d := range ca {
-			if ca[d] != cb[d] {
-				return ca[d] < cb[d]
-			}
-		}
-		return false
-	})
-	g.cells = out
 }
 
 // cellCoords inverts cellID: the flattened bucket key back to per-dimension
 // cell coordinates (int-keyed grids only).
 func (g *Grid) cellCoords(id int) []int {
 	c := make([]int, g.dim)
+	g.putCoords(c, id)
+	return c
+}
+
+// putCoords is cellCoords writing into c.
+func (g *Grid) putCoords(c []int, id int) {
 	for d := g.dim - 1; d >= 0; d-- {
 		c[d] = id % g.extents[d]
 		id /= g.extents[d]
 	}
-	return c
-}
-
-// parseCellKey inverts appendCellKey for the hashed-bucket fallback.
-func parseCellKey(k string, dim int) []int {
-	c := make([]int, 0, dim)
-	for _, part := range strings.Split(k, ",") {
-		v, _ := strconv.ParseInt(part, 10, 64)
-		c = append(c, int(v))
-	}
-	return c
 }
 
 // EachCellNear calls fn for every occupied cell within Chebyshev ring
@@ -269,12 +402,17 @@ func parseCellKey(k string, dim int) []int {
 // clipped to the grid, holds more cells than are occupied, it scans the
 // sorted occupied cells instead of every offset. fn must not retain c.Coord.
 func (g *Grid) EachCellNear(coord []int, rings int, fn func(c Cell)) {
+	g.eachCellNear(coord, rings, make([]int, 3*g.dim), fn)
+}
+
+// eachCellNear is EachCellNear walking in buf, which holds at least 3·dim
+// ints.
+func (g *Grid) eachCellNear(coord []int, rings int, buf []int, fn func(c Cell)) {
 	if len(coord) != g.dim || rings < 0 {
 		return
 	}
 	occ := len(g.buckets) + len(g.hbuckets) // occupied cells; one map is nil
-	lo := make([]int, g.dim)
-	hi := make([]int, g.dim)
+	lo, hi, cur := buf[:g.dim], buf[g.dim:2*g.dim], buf[2*g.dim:3*g.dim]
 	window := 1 // clipped window size, saturating at occ+1
 	for d, x := range coord {
 		l, h := x-rings, x+rings
@@ -302,7 +440,7 @@ func (g *Grid) EachCellNear(coord []int, rings int, fn func(c Cell)) {
 		}
 		return
 	}
-	cur := append([]int(nil), lo...)
+	copy(cur, lo)
 	var key []byte
 	for {
 		var b []int
@@ -340,9 +478,10 @@ func within(a, b []int, rings int) bool {
 // distance g.cell (= the indexing radius) of c, possibly with extras from
 // the bordering cells, in strictly ascending order. A query whose cell lies
 // inside an int-keyed grid is served from that cell's cached window, built
-// once by gathering and sorting its neighboring buckets; hashed-key grids,
-// queries one cell outside the grid, and windows past the cache cap are
-// built into dst per query.
+// by FillWindows or, failing that, on the cell's first query by gathering
+// and sorting its neighboring buckets; hashed-key grids, queries one cell
+// outside the grid, and windows past the cache cap are built into dst per
+// query.
 //
 // Queries far outside the indexed bounding box, queries with NaN or ±Inf
 // coordinates, and wrong-dimension queries append nothing: the window test
@@ -431,4 +570,79 @@ func (g *Grid) storeWindow(id int, w []int) {
 	}
 	g.windows[id] = append([]int(nil), w...)
 	g.winLen += len(w)
+}
+
+// FillWindows builds the window of every occupied cell of an int-keyed grid
+// at once, for a caller about to query every point's window, as the
+// first-round gain sweep does. One ascending pass over the points appends
+// each point to the windows of the ≤ 3^dim occupied cells around its own,
+// so every window comes out sorted without a sort. It does nothing on
+// hashed-key grids, after its first call, or when the exact total of the
+// windows, counted before anything is stored, would push the cache past
+// windowCapPerPoint·n indices; windows then stay lazy. Its temporaries are
+// O(occupied cells), in a constant number of slices. Callers that query
+// only a few cells should not call it: the windows of every cell cost about
+// 3^dim·8 bytes per point. It is safe to call concurrently with queries.
+func (g *Grid) FillWindows() {
+	if g.buckets == nil {
+		return
+	}
+	g.winMu.Lock()
+	done := g.filled
+	g.filled = true
+	g.winMu.Unlock()
+	if done {
+		return
+	}
+	// Cell j's occupied neighbours, itself included, are
+	// adj[adjOff[j]:adjOff[j+1]], and its window is win[off[j]:off[j+1]].
+	m, limit := len(g.ids), windowCapPerPoint*g.n
+	adjOff := make([]int, m+1)
+	off := make([]int, m+1)
+	nb := 1 // neighbours per cell, at most min(3^dim, m)
+	for d := 0; d < g.dim && nb < m; d++ {
+		nb *= 3
+	}
+	adj := make([]int32, 0, min(min(nb, m)*m, limit))
+	buf := make([]int, 4*g.dim)
+	for j, id := range g.ids {
+		coord := buf[3*g.dim:]
+		g.putCoords(coord, id)
+		total := off[j]
+		g.eachCellNear(coord, 1, buf, func(c Cell) {
+			adj = append(adj, g.cellOf[c.Points[0]])
+			total += len(c.Points)
+		})
+		if total > limit {
+			return
+		}
+		adjOff[j+1], off[j+1] = len(adj), total
+	}
+	// A point lies in the windows of exactly the cells around its own, as
+	// Chebyshev adjacency is symmetric; ascending i keeps each ascending.
+	win := make([]int, off[m])
+	fill := append([]int(nil), off[:m]...) // each window's next free slot
+	for i, j := range g.cellOf {
+		for _, c := range adj[adjOff[j]:adjOff[j+1]] {
+			win[fill[c]] = i
+			fill[c]++
+		}
+	}
+
+	g.winMu.Lock()
+	defer g.winMu.Unlock()
+	held := g.winLen + len(win) // lazily cached windows of these cells are replaced
+	for _, id := range g.ids {
+		held -= len(g.windows[id])
+	}
+	if held > limit {
+		return
+	}
+	if g.windows == nil {
+		g.windows = make(map[int][]int, m)
+	}
+	for j, id := range g.ids {
+		g.windows[id] = win[off[j]:off[j+1]:off[j+1]]
+	}
+	g.winLen = held
 }

@@ -372,3 +372,59 @@ func TestCellPointsOutOfRange(t *testing.T) {
 		t.Errorf("cell [3 3] answered %v, want [1]", got)
 	}
 }
+
+// TestNewGridAllocs: NewGrid groups the points with a constant number of
+// allocations, not one or more per point: 50,000 points over the same 400
+// occupied cells allocate within a small constant of 2,000 points.
+func TestNewGridAllocs(t *testing.T) {
+	pts := func(n int) []vec.V {
+		rng := xrand.New(53)
+		out := make([]vec.V, 0, n)
+		for i := 0; i < 20; i++ { // one point at each cell's center fixes the cells
+			for j := 0; j < 20; j++ {
+				out = append(out, vec.Of(float64(i)+0.5, float64(j)+0.5))
+			}
+		}
+		for len(out) < n {
+			out = append(out, vec.Of(rng.Uniform(0.5, 19.5), rng.Uniform(0.5, 19.5)))
+		}
+		return out
+	}
+	allocs := func(p []vec.V) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := NewGrid(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(pts(2000)), allocs(pts(50000))
+	if large > small+4 {
+		t.Fatalf("NewGrid allocates %.0f times at n = 50,000, %.0f at n = 2,000", large, small)
+	}
+}
+
+// TestGroupByKey: the radix grouping equals a stable sort by key, for key
+// spaces of one key, a single counting pass, and several passes.
+func TestGroupByKey(t *testing.T) {
+	rng := xrand.New(59)
+	for _, n := range []int{1, 2, 17, 3000} {
+		for _, space := range []int{1, 2, 7, 1000, 1 << 40, math.MaxInt} {
+			key := make([]int, n)
+			for i := range key {
+				key[i] = int(rng.Uint64() % uint64(space))
+			}
+			orig := append([]int(nil), key...)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return key[want[a]] < key[want[b]] })
+			if got := groupByKey(key, space); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n %d, space %d: grouped %v, want %v", n, space, got, want)
+			}
+			if !reflect.DeepEqual(key, orig) {
+				t.Fatalf("n %d, space %d: keys changed", n, space)
+			}
+		}
+	}
+}

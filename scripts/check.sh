@@ -75,11 +75,13 @@ if [ "${RACE:-1}" != "0" ]; then
 	echo "==> go test -race ./..."
 	go test -race ./...
 	# A grid's window cache is filled by whichever goroutine first queries
-	# a cell, and read by all the others. Repeat the neighbor-query
-	# contract and concurrency tests so more interleavings run under the
-	# detector.
+	# a cell, or in bulk by FillWindows, and read by all the others; the
+	# partition and nearlinear share the instance's grid. Repeat the
+	# neighbor-query contract, concurrency and grid-reuse tests so more
+	# interleavings run under the detector.
 	echo "==> window-cache race gate"
-	go test -race -count=10 -run 'TestAppendNear|TestEachCellNear|TestFinderPreservesAllAlgorithms' ./internal/spatial ./internal/core
+	go test -race -count=10 -run 'TestAppendNear|TestEachCellNear|TestFillWindows|TestFinderPreservesAllAlgorithms|TestPartitionSameWithAnyFinder|TestPartitionReusesInstanceGrid|TestNearLinearSameWithAnyFinder' \
+		./internal/spatial ./internal/core ./internal/shard ./internal/solver
 fi
 
 # Binary-level cancellation smoke: each cmd tool under a short -timeout must
