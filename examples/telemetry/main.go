@@ -1,9 +1,9 @@
 // Telemetry: instrument a solver run programmatically with internal/obs.
 // The tour: build an instance, attach an obs.Metrics collector (aggregates)
-// and an obs.Sink (streaming JSONL events) through obs.Multi, wrap the
-// algorithm with core.Instrument, then read the numbers back — per-round
-// gains and wall times from the result, reward-evaluation and lazy heap
-// counters from the snapshot.
+// and an obs.Sink (streaming JSONL events) to it through obs.Multi, run an
+// algorithm on it, then read the numbers back — per-round gains and wall
+// times from the result, reward-evaluation and lazy heap counters from the
+// snapshot.
 package main
 
 import (
@@ -44,14 +44,14 @@ func main() {
 	sink := obs.NewSink(f)
 	col := obs.Multi(metrics, sink)
 
-	// 3. Attach the collector to the reward oracle and the algorithm.
-	//    Uninstrumented code pays nothing: with a nil collector both
-	//    SetCollector and Instrument are no-ops.
+	// 3. Attach the collector to the instance: the reward oracle counts its
+	//    evaluations there, and every algorithm run on the instance reports
+	//    its rounds there. Uninstrumented code pays nothing: a nil
+	//    collector is a no-op.
 	in.SetCollector(col)
-	alg := core.Instrument(core.LazyGreedy{}, col)
 
 	const k = 4
-	res, err := alg.Run(ctx, in, k)
+	res, err := core.LazyGreedy{}.Run(ctx, in, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func main() {
 	dm := obs.NewMetrics()
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	bounded := core.Instrument(core.LazyGreedy{}, obs.Multi(dm, cancelAfterRound{1, cancel}))
-	partial, err := bounded.Run(dctx, in, k)
+	bounded := in.WithCollector(obs.Multi(dm, cancelAfterRound{1, cancel}))
+	partial, err := core.LazyGreedy{}.Run(dctx, bounded, k)
 	if err != context.Canceled {
 		log.Fatalf("expected context.Canceled, got %v", err)
 	}

@@ -111,9 +111,9 @@ type Config struct {
 	SlotsPerPeriod int
 	// Seed drives drift and churn.
 	Seed uint64
-	// Obs, when set, receives reward-oracle telemetry (gain/apply/objective
-	// evaluation counts) from every period's instance. Scheduler-level
-	// round events are the scheduler's own concern (core.Instrument).
+	// Obs, when set, is attached to every period's instance, so it
+	// receives the reward-oracle counts (gain/apply/objective evaluations)
+	// and the telemetry of every algorithm the scheduler runs on it.
 	Obs obs.Collector
 }
 

@@ -57,8 +57,9 @@ type ChurnConfig struct {
 	// against a from-scratch evaluator rebuild every period and fails the
 	// run on any bitwise mismatch. Intended for tests and smoke runs.
 	Verify bool
-	// Obs, when set, receives churn counters, warm-start telemetry, and
-	// reward-oracle counts.
+	// Obs, when set, receives the churn counters and, through the
+	// instance it is attached to, the reward-oracle counts and every
+	// period solve's telemetry, warm starts included.
 	Obs obs.Collector
 	// OnPeriod, when non-nil, is invoked synchronously after each period's
 	// stats are committed — the streaming hook the serving layer uses to
@@ -233,7 +234,7 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		}
 		psp := parentSpan.Child("period")
 		psp.SetAttr("period", float64(p))
-		opts := solver.Options{Workers: cfg.Workers, Seed: cfg.Seed, Obs: cfg.Obs}
+		opts := solver.Options{Workers: cfg.Workers, Seed: cfg.Seed}
 		if cfg.WarmStart {
 			opts.WarmStart = prev
 		}

@@ -88,7 +88,6 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		if err != nil {
 			return err
 		}
-		alg = core.Instrument(alg, tel.Collector())
 		res, err := alg.Run(ctx, in, *k)
 		if err != nil {
 			if res == nil || ctx.Err() == nil {
@@ -134,7 +133,6 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 			if err != nil {
 				return err
 			}
-			a = core.Instrument(a, tel.Collector())
 			rr, err := a.Run(ctx, in, *k)
 			if err != nil {
 				if rr == nil || ctx.Err() == nil {
@@ -156,7 +154,6 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		if err != nil {
 			return err
 		}
-		alg = core.Instrument(alg, tel.Collector())
 		res, err = alg.Run(ctx, in, *k)
 		if err != nil {
 			if res == nil || ctx.Err() == nil {

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"repro/internal/broadcast"
-	"repro/internal/core"
 	"repro/internal/norm"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -108,7 +107,6 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 	if err != nil {
 		return err
 	}
-	alg = core.Instrument(alg, tel.Collector())
 	cfg := broadcast.Config{
 		K: *k, Radius: *r, Norm: nm, Periods: *periods,
 		DriftSigma: *drift, ChurnRate: *replace,
@@ -231,7 +229,6 @@ func stationTimeline(ctx context.Context, path string, stdin io.Reader, stdout i
 	if err != nil {
 		return err
 	}
-	alg = core.Instrument(alg, tel.Collector())
 	m, cerr := broadcast.RunTimeline(ctx, tl, broadcast.AlgorithmScheduler{Algo: alg}, broadcast.Config{
 		K: k, Radius: r, Norm: nm, SlotsPerPeriod: slots, Obs: tel.Collector(),
 	})

@@ -179,3 +179,60 @@ func TestBenchMetrics(t *testing.T) {
 		t.Error("experiment rounds not traced through RunConfig.Obs")
 	}
 }
+
+// TestGreedyShardedMetrics: a sharded solve reports its pipeline telemetry
+// through the instance's collector — the shard.* counters and exactly k
+// rounds, the merge's — under both sharding surfaces and both output modes.
+func TestGreedyShardedMetrics(t *testing.T) {
+	js := genJSON(t, "-n", "300")
+	for _, args := range [][]string{
+		{"-alg", "sharded(greedy2-lazy)", "-json"},
+		{"-shards", "3", "-alg", "greedy2"},
+	} {
+		mPath := filepath.Join(t.TempDir(), "m.json")
+		var out bytes.Buffer
+		full := append([]string{"-k", "4", "-r", "0.5", "-metrics", mPath}, args...)
+		if err := Greedy(context.Background(), full, strings.NewReader(js), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		s := readSnapshot(t, mPath)
+		if got := s.Counters[obs.CtrShardParts]; got < 2 {
+			t.Errorf("%v: shard.parts = %d, want >= 2", args, got)
+		}
+		if got := s.Counters[obs.CtrRounds]; got != 4 {
+			t.Errorf("%v: core.rounds = %d, want 4", args, got)
+		}
+	}
+}
+
+// TestGreedyExhaustiveCancelledMetrics: a cut-short exhaustive search counts
+// its cancellation on the instance's collector.
+func TestGreedyExhaustiveCancelledMetrics(t *testing.T) {
+	js := genJSON(t)
+	mPath := filepath.Join(t.TempDir(), "m.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out bytes.Buffer
+	if err := Greedy(ctx, []string{"-alg", "exhaustive", "-k", "2", "-metrics", mPath},
+		strings.NewReader(js), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSnapshot(t, mPath).Counters[obs.CtrCancelled]; got != 1 {
+		t.Errorf("core.cancelled = %d, want 1", got)
+	}
+}
+
+// TestStationShardedMetrics: cdstation's sharded scheduler reports its
+// pipeline telemetry through each period's instance.
+func TestStationShardedMetrics(t *testing.T) {
+	js := genJSON(t, "-n", "300")
+	mPath := filepath.Join(t.TempDir(), "m.json")
+	var out bytes.Buffer
+	if err := Station(context.Background(), []string{"-alg", "sharded(greedy2-lazy)", "-k", "2", "-r", "0.5",
+		"-periods", "2", "-metrics", mPath}, strings.NewReader(js), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSnapshot(t, mPath).Counters[obs.CtrShardParts]; got < 2 {
+		t.Errorf("shard.parts = %d, want >= 2", got)
+	}
+}

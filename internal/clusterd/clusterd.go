@@ -21,15 +21,16 @@
 // representation that parses back to the same bits), so the merge input —
 // and therefore the final result — is bit-identical regardless of which node
 // solved which shard. A forward that fails (dead peer, saturation, drain, a
-// partial answer under the peer's deadline cap) is not an error: the
-// pipeline falls back to solving that shard locally, counted by
-// cd_cluster_fallbacks_total.
+// partial answer under the peer's deadline cap, an answer the coordinator's
+// checks reject) is not an error: the pipeline falls back to solving that
+// shard locally, counted by cd_cluster_fallbacks_total.
 package clusterd
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -40,6 +41,7 @@ import (
 	v1 "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/reward"
 	"repro/internal/vec"
 )
 
@@ -318,9 +320,9 @@ type ForwardSpec struct {
 // Each call ships the part to the least-loaded live peer as a plain
 // single-shot /v1/solve under the derived seed and returns the peer's
 // centers. Any failure — no live peer, transport error, a non-2xx answer
-// from the peer's admission control, or a partial result — counts one
-// cd_cluster_fallbacks_total and returns an error, which makes the pipeline
-// solve the shard locally with an identical result.
+// from the peer's admission control, or an answer checkAnswer rejects —
+// counts one cd_cluster_fallbacks_total and returns an error, which makes
+// the pipeline solve the shard locally with an identical result.
 func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 	return func(ctx context.Context, part core.Part, seed uint64, k int) ([]vec.V, error) {
 		p := c.pick()
@@ -355,11 +357,11 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 		resp, err := p.client.Solve(fctx, req, id)
 		timer.Stop()
 		p.pending.Add(-1) // release the slot pick reserved
-		if err == nil && resp.Partial {
-			// A partial prefix is a valid answer to the peer's request but
-			// not the full shard solve the merge needs.
-			err = fmt.Errorf("clusterd: peer %s answered a partial result (%d/%d centers)",
-				p.url, len(resp.Centers), k)
+		var centers []vec.V
+		if err == nil {
+			if centers, err = checkAnswer(part.In, req, resp); err != nil {
+				err = fmt.Errorf("clusterd: peer %s: %w", p.url, err)
+			}
 		}
 		if err != nil {
 			span.SetAttr("failed", 1)
@@ -369,10 +371,6 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 			}
 			return nil, err
 		}
-		centers := make([]vec.V, len(resp.Centers))
-		for i, row := range resp.Centers {
-			centers[i] = vec.V(append([]float64{}, row...))
-		}
 		c.col.Count(obs.CtrClusterForwards, 1)
 		span.SetAttr("centers", float64(len(centers)))
 		if resp.Cached {
@@ -381,4 +379,47 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 		span.End()
 		return centers, nil
 	}
+}
+
+// checkAnswer accepts a peer's answer to a forward of part only when the
+// merge can use it, and returns its centers. The answer must be complete,
+// hold 1 to k centers, each of the part's dimension with finite
+// coordinates, and echo the forward's k, n, radius, norm and solver. Its
+// centers, replayed with ApplyRound from fresh residuals on the part, must
+// sum to its total within core.SumTolerance. A peer that makes up centers
+// and reports their true total passes; only a re-solve would catch it.
+func checkAnswer(part *reward.Instance, req *v1.SolveRequest, resp *v1.SolveResponse) ([]vec.V, error) {
+	switch {
+	case resp.Partial:
+		// A partial prefix is a valid answer to the peer's request but not
+		// the full shard solve the merge needs.
+		return nil, fmt.Errorf("partial result (%d/%d centers)", len(resp.Centers), req.K)
+	case len(resp.Centers) < 1 || len(resp.Centers) > req.K:
+		return nil, fmt.Errorf("%d centers for k = %d", len(resp.Centers), req.K)
+	case resp.K != req.K || resp.N != part.N() || resp.Radius != req.Radius ||
+		resp.Norm != req.Norm || resp.Solver != req.Solver:
+		return nil, fmt.Errorf("answer for k=%d n=%d radius=%v norm=%q solver=%q, forward was k=%d n=%d radius=%v norm=%q solver=%q",
+			resp.K, resp.N, resp.Radius, resp.Norm, resp.Solver, req.K, part.N(), req.Radius, req.Norm, req.Solver)
+	}
+	dim := part.Set.Dim()
+	centers := make([]vec.V, len(resp.Centers))
+	y := part.NewResiduals()
+	var total float64
+	for i, row := range resp.Centers {
+		if len(row) != dim {
+			return nil, fmt.Errorf("center %d has dimension %d, want %d", i, len(row), dim)
+		}
+		for _, x := range row {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("center %d has a non-finite coordinate", i)
+			}
+		}
+		centers[i] = vec.V(append([]float64{}, row...))
+		total += part.ApplyRound(centers[i], y)
+	}
+	// Negated so that a NaN total fails too.
+	if !(math.Abs(total-resp.Total) <= core.SumTolerance) {
+		return nil, fmt.Errorf("centers replay to a total of %v, answer reports %v", total, resp.Total)
+	}
+	return centers, nil
 }

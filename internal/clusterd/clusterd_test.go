@@ -2,9 +2,11 @@ package clusterd_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +160,73 @@ func TestClusterFallback(t *testing.T) {
 	if snap.Counters[obs.CtrClusterForwards] != 0 {
 		t.Errorf("no forward can succeed here, yet cluster.forwards = %d",
 			snap.Counters[obs.CtrClusterForwards])
+	}
+}
+
+// TestClusterRejectsBadAnswers: a peer that gossips healthy but answers
+// every forward with a corrupted copy of the true answer never reaches the
+// merge. Each forward counts one fallback, the part is solved locally, and
+// the coordinator returns the bit-identical local answer.
+func TestClusterRejectsBadAnswers(t *testing.T) {
+	set := testInstance(t, 2000)
+	req := solveReq(set, 4)
+	single := startNode(t, serve.Config{})
+	want := mustSolve(t, single.ts.URL, req)
+	honest := serve.New(serve.Config{}).Handler()
+
+	centers := func(a map[string]any) []any { return a["centers"].([]any) }
+	cases := []struct {
+		name   string
+		mutate func(a map[string]any)
+	}{
+		{"wrong dimension", func(a map[string]any) { centers(a)[0] = []any{1.0} }},
+		{"null coordinate", func(a map[string]any) { centers(a)[0].([]any)[0] = nil }},
+		{"far center, total kept", func(a map[string]any) { centers(a)[0] = []any{1e6, 1e6} }},
+		{"k+1 centers", func(a map[string]any) { a["centers"] = append(centers(a), centers(a)[0]) }},
+		{"no centers", func(a map[string]any) { a["centers"], a["gains"], a["total"] = []any{}, []any{}, 0.0 }},
+		{"wrong n", func(a map[string]any) { a["n"] = a["n"].(float64) + 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var forwards atomic.Int64
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				if r.URL.Path == "/v1/cluster/health" {
+					w.Write([]byte(`{"draining":false,"workers":8,"in_flight":0,"queued":0,"queue_depth":64}`))
+					return
+				}
+				forwards.Add(1)
+				rec := httptest.NewRecorder()
+				honest.ServeHTTP(rec, r)
+				var ans map[string]any
+				if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("honest solve: %d %v", rec.Code, err)
+					return
+				}
+				tc.mutate(ans)
+				json.NewEncoder(w).Encode(ans)
+			}))
+			t.Cleanup(bad.Close)
+
+			met := obs.NewMetrics()
+			cl := clusterd.New(clusterd.Config{Peers: []string{bad.URL}, Obs: met})
+			cl.GossipOnce(context.Background())
+			coord := startNode(t, serve.Config{Cluster: cl})
+			got := mustSolve(t, coord.ts.URL, req)
+			if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Gains, want.Gains) ||
+				got.Total != want.Total {
+				t.Errorf("answer differs from the local solve:\n got %v (%v)\nwant %v (%v)",
+					got.Centers, got.Total, want.Centers, want.Total)
+			}
+			snap := met.Snapshot()
+			if n := forwards.Load(); n == 0 || snap.Counters[obs.CtrClusterFallbacks] != n {
+				t.Errorf("%d forwards, %d fallbacks; want one fallback per forward",
+					n, snap.Counters[obs.CtrClusterFallbacks])
+			}
+			if got := snap.Counters[obs.CtrClusterForwards]; got != 0 {
+				t.Errorf("%d bad answers accepted", got)
+			}
+		})
 	}
 }
 

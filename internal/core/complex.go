@@ -61,6 +61,10 @@ func (m BallMode) String() string {
 // pure re-centering move (enclosing ball of the covered set alone) so both
 // readings of the pseudocode are subsumed. Complexity O(kn³) as in
 // Theorem 4.
+//
+// With a collector on the instance it also counts hill-climb steps
+// (obs.CtrWalkSteps) and every enclosing-ball construction (obs.CtrSEBCalls
+// and obs.EvSEB via package geom).
 type ComplexGreedy struct {
 	// Mode selects the enclosing-ball construction.
 	Mode BallMode
@@ -69,12 +73,6 @@ type ComplexGreedy struct {
 	// Seed drives the Welzl shuffle only; the result is the exact ball
 	// regardless of its value.
 	Seed uint64
-	// Obs receives per-round telemetry: candidate-scan spans over the n
-	// seed walks, hill-climb steps (obs.CtrWalkSteps), and every
-	// enclosing-ball construction (obs.CtrSEBCalls and obs.EvSEB via
-	// package geom). It must be safe for concurrent use; the walks run in
-	// parallel.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
@@ -95,17 +93,18 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 		gain   float64
 	}
 	cands := make([]candidate, n)
+	col := in.Collector()
 
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(a.Obs, res, err)
+			return cancelRun(col, res, err)
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j+1)
+		rs := startRound(ctx, col, a.Name(), j+1)
 		if rs.active() {
 			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
 		}
 		var steps int64
-		cerr := parallel.For(ctx, n, a.Workers, a.Obs, func(i int) {
+		cerr := parallel.For(ctx, n, a.Workers, col, func(i int) {
 			rng := xrand.New(a.Seed ^ (uint64(j)<<32 + uint64(i) + 0x9e37))
 			c, g, st := a.walk(in, y, i, rng)
 			cands[i] = candidate{center: c, gain: g}
@@ -117,7 +116,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 			// Cancelled mid-scan: only some seed walks ran, so the best
 			// candidate may differ from the uncancelled round's. Discard
 			// the round and return the committed prefix.
-			return cancelRun(a.Obs, res, cerr)
+			return cancelRun(col, res, cerr)
 		}
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
@@ -214,7 +213,7 @@ func (a ComplexGreedy) ballCenter(in *reward.Instance, covered []int, extra int,
 	case a.Mode == BallExactLP && in.Norm.P() == 1:
 		b, err = geom.MinBallL1LP(pts)
 	default:
-		b, err = geom.EnclosingBall(in.Norm, pts, rng, a.Obs)
+		b, err = geom.EnclosingBall(in.Norm, pts, rng, in.Collector())
 	}
 	if err != nil {
 		return nil, false

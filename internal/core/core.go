@@ -123,52 +123,6 @@ func cancelRun(c obs.Collector, res *Result, err error) (*Result, error) {
 	return res, err
 }
 
-// Instrument returns a copy of alg with the telemetry collector attached.
-// Every algorithm in this package carries an optional Obs field; unknown
-// algorithms are returned unchanged. A SwapLocalSearch seed is instrumented
-// recursively so its rounds are traced too. Instrument only attaches the
-// collector to the algorithm itself; attach it to the instance with
-// reward.Instance.SetCollector to also count reward evaluations.
-func Instrument(a Algorithm, c obs.Collector) Algorithm {
-	if !obs.Active(c) {
-		return a
-	}
-	switch t := a.(type) {
-	case RoundBased:
-		t.Obs = c
-		return t
-	case LocalGreedy:
-		t.Obs = c
-		return t
-	case LazyGreedy:
-		t.Obs = c
-		return t
-	case SimpleGreedy:
-		t.Obs = c
-		return t
-	case ComplexGreedy:
-		t.Obs = c
-		return t
-	case NearLinear:
-		t.Obs = c
-		return t
-	case SwapLocalSearch:
-		t.Obs = c
-		if t.Seed != nil {
-			t.Seed = Instrument(t.Seed, c)
-		}
-		return t
-	case WarmStarted:
-		t.Obs = c
-		if t.Base != nil {
-			t.Base = Instrument(t.Base, c)
-		}
-		return t
-	default:
-		return a
-	}
-}
-
 // roundScope times one round and carries the shared per-round
 // instrumentation. Every round reads the clock on entry and on commit, so
 // Result.RoundNS is filled with or without a collector. With a live

@@ -446,20 +446,6 @@ func TestResultValidate(t *testing.T) {
 	}
 }
 
-func TestBestPointCenter(t *testing.T) {
-	in := mustInstance(t,
-		[]vec.V{vec.Of(0, 0), vec.Of(0.1, 0), vec.Of(3, 3)},
-		[]float64{1, 1, 1}, norm.L2{}, 1)
-	y := in.NewResiduals()
-	idx, gain := BestPointCenter(in, y, 0)
-	if idx != 0 && idx != 1 {
-		t.Fatalf("best center index = %d", idx)
-	}
-	if gain <= 1 {
-		t.Fatalf("gain = %v, want > 1 (covers both close points)", gain)
-	}
-}
-
 func TestPrefixTotals(t *testing.T) {
 	r := &Result{Gains: []float64{3, 2, 1}, Total: 6}
 	got := r.PrefixTotals()

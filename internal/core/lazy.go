@@ -17,13 +17,11 @@ import (
 // they reach the top. The selected centers, per-round gains, and tie-breaks
 // are bit-identical to LocalGreedy; only the number of gain evaluations
 // changes (often O(n log n)-ish total instead of O(kn²) at large n).
-type LazyGreedy struct {
-	// Obs receives per-round telemetry, including the number of stale
-	// heap entries re-evaluated per round (obs.CtrLazyRepops) — the
-	// number that quantifies how many evaluations laziness saved versus
-	// LocalGreedy's n per round.
-	Obs obs.Collector
-}
+//
+// With a collector on the instance, each round also counts the stale heap
+// entries it re-evaluated (obs.CtrLazyRepops) — the number that quantifies
+// how many evaluations laziness saved versus LocalGreedy's n per round.
+type LazyGreedy struct{}
 
 // Name implements Algorithm. The name reflects equivalence to Algorithm 2.
 func (LazyGreedy) Name() string { return "greedy2-lazy" }
@@ -68,19 +66,20 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	n := in.N()
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
+	col := in.Collector()
 
 	var h candHeap
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(a.Obs, res, err)
+			return cancelRun(col, res, err)
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j+1)
+		rs := startRound(ctx, col, a.Name(), j+1)
 		if j == 0 {
 			// Exact gains for every candidate, inside round 1 so its wall
 			// time includes them.
 			gains := make([]float64, n)
 			if err := in.RoundGains(ctx, y, gains); err != nil {
-				return cancelRun(a.Obs, res, err)
+				return cancelRun(col, res, err)
 			}
 			h = make(candHeap, n)
 			for i, g := range gains {
@@ -96,7 +95,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		repops := 0
 		for h[0].round != j {
 			if err := ctx.Err(); err != nil {
-				return cancelRun(a.Obs, res, err)
+				return cancelRun(col, res, err)
 			}
 			h[0].bound = in.RoundGain(in.Set.Point(h[0].idx), y)
 			h[0].round = j

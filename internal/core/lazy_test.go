@@ -205,7 +205,7 @@ func TestRoundOneCoversInitialEvaluation(t *testing.T) {
 	in := randomInstance(t, xrand.New(67), n, norm.L2{}, 0.8)
 	log := &orderLog{}
 	in.SetCollector(log)
-	if _, err := Instrument(LazyGreedy{}, log).Run(context.Background(), in, k); err != nil {
+	if _, err := (LazyGreedy{}).Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"round_start greedy2-lazy 1", fmt.Sprintf("evals %d", n)}
@@ -214,7 +214,7 @@ func TestRoundOneCoversInitialEvaluation(t *testing.T) {
 	}
 
 	log.lines = nil
-	p := Pipeline{Alg: "merge", NewSolver: func(uint64) Algorithm { return LazyGreedy{} }, Obs: log}
+	p := Pipeline{Alg: "merge", NewSolver: func(uint64) Algorithm { return LazyGreedy{} }}
 	if _, err := p.Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestLazySweepKeepsCounts(t *testing.T) {
 			in.SetBatch(batch)
 			m := obs.NewMetrics()
 			in.SetCollector(m)
-			res, err := Instrument(LazyGreedy{}, m).Run(context.Background(), in, 6)
+			res, err := (LazyGreedy{}).Run(context.Background(), in, 6)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,9 +18,6 @@ import (
 type LocalGreedy struct {
 	// Workers bounds the candidate-scan parallelism; <= 0 uses all CPUs.
 	Workers int
-	// Obs receives per-round and per-scan telemetry; nil runs
-	// uninstrumented.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
@@ -35,22 +32,23 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 	n := in.N()
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
+	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(a.Obs, res, err)
+			return cancelRun(col, res, err)
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j+1)
+		rs := startRound(ctx, col, a.Name(), j+1)
 		if rs.active() {
 			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
 		}
-		idx, _, cerr := parallel.Argmax(ctx, n, a.Workers, a.Obs, func(i int) float64 {
+		idx, _, cerr := parallel.Argmax(ctx, n, a.Workers, col, func(i int) float64 {
 			return in.RoundGain(in.Set.Point(i), y)
 		})
 		if cerr != nil {
 			// Cancelled mid-scan: the argmax saw only part of the
 			// candidates, so committing it could diverge from the
 			// uncancelled run. Discard the round and return the prefix.
-			return cancelRun(a.Obs, res, cerr)
+			return cancelRun(col, res, cerr)
 		}
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
@@ -65,17 +63,6 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 }
 
 var _ Algorithm = LocalGreedy{}
-
-// BestPointCenter exposes one round of the Algorithm-2 selection rule:
-// the index of the data point maximizing the coverage reward against the
-// residuals y, and that reward. It is reused by the exhaustive baseline's
-// seeding and by tests.
-func BestPointCenter(in *reward.Instance, y []float64, workers int) (int, float64) {
-	idx, gain, _ := parallel.Argmax(context.TODO(), in.N(), workers, nil, func(i int) float64 {
-		return in.RoundGain(in.Set.Point(i), y)
-	})
-	return idx, gain
-}
 
 // centersClone deep-copies a center list (helper shared by the algorithms).
 func centersClone(cs []vec.V) []vec.V {

@@ -61,10 +61,12 @@ const nlTopCells = 6
 const nlWelzlCutoff = 64
 
 // NearLinear implements the near-linear grid-snapped greedy. The zero value
-// is usable: seed 0, default refinement budget, telemetry off. It runs
-// serially — per-round work is O(occupied cells), so there is nothing worth
+// is usable: seed 0, default refinement budget. It runs serially —
+// per-round work is O(occupied cells), so there is nothing worth
 // parallelizing — which makes its output trivially independent of any
-// Workers setting.
+// Workers setting. With a collector on the instance it reports stage
+// timers, counters, spans, and per-round events; its exact evaluations run
+// on a shadow instance that shares that collector.
 type NearLinear struct {
 	// Seed drives the k-means++ seeding draw and any enclosing-ball
 	// shuffles. Deterministic per seed.
@@ -72,8 +74,6 @@ type NearLinear struct {
 	// Refine is the per-center local-refinement round budget: 0 uses
 	// DefaultRefineRounds, negative disables refinement.
 	Refine int
-	// Obs receives stage timers, counters, spans, and per-round events.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
@@ -100,13 +100,14 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		return nil, err
 	}
 	res := &Result{Algorithm: a.Name()}
+	col := in.Collector()
 	if ctx.Err() != nil {
-		return cancelRun(a.Obs, res, ctx.Err())
+		return cancelRun(col, res, ctx.Err())
 	}
 	parent := obs.SpanFromContext(ctx)
 
 	snapSp := parent.Child("grid_snap")
-	snapT := obs.StartTimer(a.Obs, obs.TimNLSnap)
+	snapT := obs.StartTimer(col, obs.TimNLSnap)
 	st, err := a.snap(in)
 	if err != nil {
 		return nil, err
@@ -120,20 +121,20 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		return nil, err
 	}
 	ex.SetFinder(st.grid)
-	if obs.Active(a.Obs) {
-		ex.SetCollector(a.Obs)
-		a.Obs.Count(obs.CtrNLCells, int64(len(st.cells)))
+	ex.SetCollector(col)
+	if col != nil {
+		col.Count(obs.CtrNLCells, int64(len(st.cells)))
 	}
 	snapT.Stop()
 	snapSp.SetAttr("cells", float64(len(st.cells)))
 	snapSp.End()
 
 	seedSp := parent.Child("seed")
-	seedT := obs.StartTimer(a.Obs, obs.TimNLSeed)
+	seedT := obs.StartTimer(col, obs.TimNLSeed)
 	rng := xrand.New(a.Seed ^ 0x9e3779b97f4a7c15)
 	seeds := a.seedCells(in, st, k, rng)
-	if obs.Active(a.Obs) {
-		a.Obs.Count(obs.CtrNLSeeds, int64(len(seeds)))
+	if col != nil {
+		col.Count(obs.CtrNLSeeds, int64(len(seeds)))
 	}
 	seedT.Stop()
 	seedSp.SetAttr("seeds", float64(len(seeds)))
@@ -141,15 +142,15 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 
 	refineSp := parent.Child("refine")
 	ctx = obs.ContextWithSpan(ctx, refineSp)
-	refineT := obs.StartTimer(a.Obs, obs.TimNLRefine)
+	refineT := obs.StartTimer(col, obs.TimNLRefine)
 	y := ex.NewResiduals()
 	for j := 1; j <= k; j++ {
 		if ctx.Err() != nil {
 			refineT.Stop()
 			refineSp.End()
-			return cancelRun(a.Obs, res, ctx.Err())
+			return cancelRun(col, res, ctx.Err())
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j)
+		rs := startRound(ctx, col, a.Name(), j)
 		var seed = -1
 		if j-1 < len(seeds) {
 			seed = seeds[j-1]
@@ -348,8 +349,8 @@ func (a NearLinear) selectRound(in *reward.Instance, ex *reward.Instance, st *nl
 			}
 		}
 	}
-	if obs.Active(a.Obs) {
-		a.Obs.Count(obs.CtrNLCandidates, int64(scored))
+	if col := in.Collector(); col != nil {
+		col.Count(obs.CtrNLCandidates, int64(scored))
 	}
 	return best, scored
 }
@@ -385,6 +386,7 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 		return cur, 0
 	}
 	dim := in.Set.Dim()
+	col := in.Collector()
 	steps := 0
 	for t := 0; t < rounds; t++ {
 		// Residual support: points that receive positive coverage from the
@@ -412,12 +414,12 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 			break
 		}
 		steps++
-		if obs.Active(a.Obs) {
-			a.Obs.Count(obs.CtrNLRefineSteps, 1)
+		if col != nil {
+			col.Count(obs.CtrNLRefineSteps, 1)
 		}
 		cands := make([]vec.V, 0, 2)
 		cands = append(cands, shift.ScaleInPlace(1/mass))
-		if ball, err := enclosingCenter(in.Norm, pts, rng, a.Obs); err == nil {
+		if ball, err := enclosingCenter(in.Norm, pts, rng, col); err == nil {
 			cands = append(cands, ball)
 		}
 		improved := false
@@ -430,8 +432,8 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 		if !improved {
 			break
 		}
-		if obs.Active(a.Obs) {
-			a.Obs.Count(obs.CtrNLRefineAccepts, 1)
+		if col != nil {
+			col.Count(obs.CtrNLRefineAccepts, 1)
 		}
 	}
 	return cur, steps

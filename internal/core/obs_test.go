@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/pointset"
 	"repro/internal/reward"
+	"repro/internal/shard"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -65,23 +66,32 @@ func roundEvents(events []obs.Event, alg string) []obs.Event {
 	return out
 }
 
-// TestInstrumentedAlgorithmsEmitRounds runs every algorithm with a live
-// collector and checks the shared contract: k round_end events whose gains
-// match Result.Gains, a positive rounds counter, and unchanged results
-// relative to the uninstrumented run.
+// TestInstrumentedAlgorithmsEmitRounds runs every algorithm that commits
+// rounds on an instance with a live collector and checks the shared
+// contract: k round_end events whose gains match Result.Gains, the rounds
+// counter, and unchanged results relative to the run without a collector.
+// The swap's seed reports its own k rounds too; the two-part pipeline's
+// part solves report none.
 func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 	in := obsInstance(t, 30)
 	const k = 3
-	algs := []core.Algorithm{
-		core.RoundBased{Solver: optimize.Multistart{Workers: 1}},
-		core.LocalGreedy{Workers: 1},
-		core.LazyGreedy{},
-		core.SimpleGreedy{},
-		core.ComplexGreedy{Workers: 1},
-		core.SwapLocalSearch{},
+	sharded := shard.NewSolver("greedy2-lazy", func(uint64) core.Algorithm { return core.LazyGreedy{} },
+		shard.Options{Shards: 2})
+	algs := []struct {
+		alg    core.Algorithm
+		rounds int64
+	}{
+		{core.RoundBased{Solver: optimize.Multistart{Workers: 1}}, k},
+		{core.LocalGreedy{Workers: 1}, k},
+		{core.LazyGreedy{}, k},
+		{core.SimpleGreedy{}, k},
+		{core.ComplexGreedy{Workers: 1}, k},
+		{core.SwapLocalSearch{}, 2 * k},
+		{core.NearLinear{}, k},
+		{sharded, k},
 	}
-	for _, bare := range algs {
-		bare := bare
+	for _, tc := range algs {
+		bare := tc.alg
 		t.Run(bare.Name(), func(t *testing.T) {
 			plain, err := bare.Run(context.Background(), in, k)
 			if err != nil {
@@ -89,8 +99,7 @@ func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 			}
 			m := obs.NewMetrics()
 			sink, events := capture(t)
-			inst := core.Instrument(bare, obs.Multi(m, sink))
-			res, err := inst.Run(context.Background(), in, k)
+			res, err := bare.Run(context.Background(), in.WithCollector(obs.Multi(m, sink)), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +122,11 @@ func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 					t.Errorf("round %d negative wall time", j+1)
 				}
 			}
-			if s.Counters[obs.CtrRounds] != k {
-				t.Errorf("rounds counter = %d, want %d", s.Counters[obs.CtrRounds], k)
+			if s.Counters[obs.CtrRounds] != tc.rounds {
+				t.Errorf("rounds counter = %d, want %d", s.Counters[obs.CtrRounds], tc.rounds)
+			}
+			if _, ok := bare.(core.Pipeline); ok && s.Counters[obs.CtrShardParts] != 2 {
+				t.Errorf("shard.parts = %d, want 2", s.Counters[obs.CtrShardParts])
 			}
 		})
 	}
@@ -127,7 +139,8 @@ func TestLazyRepopsBelowFullScan(t *testing.T) {
 	in := obsInstance(t, 120)
 	const k = 6
 	m := obs.NewMetrics()
-	if _, err := core.Instrument(core.LazyGreedy{}, m).Run(context.Background(), in, k); err != nil {
+	in.SetCollector(m)
+	if _, err := (core.LazyGreedy{}).Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -150,8 +163,7 @@ func TestInstrumentedInstanceCountsRewardEvals(t *testing.T) {
 	const k = 2
 	m := obs.NewMetrics()
 	in.SetCollector(m)
-	defer in.SetCollector(nil)
-	if _, err := core.Instrument(core.LocalGreedy{Workers: 1}, m).Run(context.Background(), in, k); err != nil {
+	if _, err := (core.LocalGreedy{Workers: 1}).Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -169,7 +181,8 @@ func TestComplexGreedySEBTelemetry(t *testing.T) {
 	in := obsInstance(t, 25)
 	m := obs.NewMetrics()
 	sink, events := capture(t)
-	if _, err := core.Instrument(core.ComplexGreedy{Workers: 1}, obs.Multi(m, sink)).Run(context.Background(), in, 2); err != nil {
+	in.SetCollector(obs.Multi(m, sink))
+	if _, err := (core.ComplexGreedy{Workers: 1}).Run(context.Background(), in, 2); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -194,27 +207,23 @@ func TestComplexGreedySEBTelemetry(t *testing.T) {
 	}
 }
 
-// TestInstrumentPreservesBehavior checks Instrument is a no-op for inactive
-// collectors and recursively instruments swap seeds.
-func TestInstrumentPreservesBehavior(t *testing.T) {
-	if a := core.Instrument(core.SimpleGreedy{}, nil); a.(core.SimpleGreedy).Obs != nil {
-		t.Error("core.Instrument(nil) attached a collector")
-	}
-	m, events := capture(t)
-	sw := core.Instrument(core.SwapLocalSearch{Seed: core.LazyGreedy{}}, m).(core.SwapLocalSearch)
-	if sw.Obs == nil {
-		t.Error("swap not instrumented")
-	}
-	if sw.Seed.(core.LazyGreedy).Obs == nil {
-		t.Error("swap seed not instrumented")
-	}
+// TestSwapSeedReportsRounds: the swap runs its seed on the same instance,
+// so the seed's rounds reach the instance's collector beside the swap's own
+// gain re-derivation.
+func TestSwapSeedReportsRounds(t *testing.T) {
+	sink, events := capture(t)
 	in := obsInstance(t, 20)
-	res, err := sw.Run(context.Background(), in, 2)
+	in.SetCollector(sink)
+	res, err := (core.SwapLocalSearch{Seed: core.LazyGreedy{}}).Run(context.Background(), in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(roundEvents(events(), "greedy2-lazy")) == 0 {
-		t.Error("seed rounds not traced")
+	evs := events()
+	if got := len(roundEvents(evs, "greedy2-lazy")); got != 2 {
+		t.Errorf("%d seed round_end events, want 2", got)
+	}
+	if got := len(roundEvents(evs, res.Algorithm)); got != 2 {
+		t.Errorf("%d swap round_end events, want 2", got)
 	}
 	if err := res.Validate(); err != nil {
 		t.Error(err)

@@ -72,6 +72,11 @@ type PartSolver func(ctx context.Context, part Part, seed uint64, k int) ([]vec.
 // committed yet) with ctx.Err(); a cancellation mid-merge returns the merge
 // rounds committed so far, which are bit-for-bit the prefix an uncancelled
 // run would have selected.
+//
+// Telemetry goes to the instance's collector: the partition/shard_solve/
+// merge timers, the shard.* counters, and the merge's per-round events.
+// Each part is solved on a collector-less copy of its instance, so the
+// merge's rounds are the solve's only rounds.
 type Pipeline struct {
 	// Alg is the reported algorithm name (e.g. "sharded(greedy2-lazy)");
 	// empty defaults to "pipeline".
@@ -90,9 +95,6 @@ type Pipeline struct {
 	SolvePart PartSolver
 	// Workers bounds the parallel part solves; <= 0 uses all CPUs.
 	Workers int
-	// Obs receives pipeline telemetry: partition/shard_solve/merge spans,
-	// the shard.* counters, and the merge's per-round events.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
@@ -113,14 +115,15 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	}
 	ctx = orBG(ctx)
 	res := &Result{Algorithm: p.Name()}
+	col := in.Collector()
 	if err := ctx.Err(); err != nil {
-		return cancelRun(p.Obs, res, err)
+		return cancelRun(col, res, err)
 	}
 	parent := obs.SpanFromContext(ctx)
 
 	// Stage 1: partition. Fast relative to solving; not cancellable
 	// mid-flight beyond the entry check above.
-	ptimer := obs.StartTimer(p.Obs, obs.TimShardPartition)
+	ptimer := obs.StartTimer(col, obs.TimShardPartition)
 	pspan := parent.Child("partition")
 	parts, err := p.partition(ctx, in, k)
 	ptimer.Stop()
@@ -138,9 +141,9 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	pspan.SetAttr("parts", float64(len(parts)))
 	pspan.SetAttr("halo_points", float64(halo))
 	pspan.End()
-	if obs.Active(p.Obs) {
-		p.Obs.Count(obs.CtrShardParts, int64(len(parts)))
-		p.Obs.Count(obs.CtrShardHaloPoints, int64(halo))
+	if col != nil {
+		col.Count(obs.CtrShardParts, int64(len(parts)))
+		col.Count(obs.CtrShardHaloPoints, int64(halo))
 	}
 
 	// Stage 2: solve every part in parallel. Candidates land in per-part
@@ -159,10 +162,12 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	}
 	parallel.For(ctx, len(parts), workers, nil, func(i int) {
 		part := parts[i]
+		// A partitioner may hand back the parent instance itself.
+		part.In = part.In.WithCollector(nil)
 		sspan := parent.Child("shard_solve")
 		sspan.SetAttr("shard", float64(i))
 		sspan.SetAttr("n", float64(part.In.N()))
-		stimer := obs.StartTimer(p.Obs, obs.TimShardSolve)
+		stimer := obs.StartTimer(col, obs.TimShardSolve)
 		seed := part.ID
 		if p.SeedFor != nil {
 			seed = p.SeedFor(part.ID)
@@ -209,26 +214,26 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	if err := ctx.Err(); err != nil {
 		// Cancelled before the merge committed anything: the empty result
 		// is the (trivial) valid prefix of the uncancelled run.
-		return cancelRun(p.Obs, res, err)
+		return cancelRun(col, res, err)
 	}
 	for i, e := range errs {
 		if e != nil {
 			return nil, fmt.Errorf("core: pipeline shard %d: %w", i, e)
 		}
 	}
-	if obs.Active(p.Obs) {
-		p.Obs.Count(obs.CtrShardSolves, int64(len(parts)))
+	if col != nil {
+		col.Count(obs.CtrShardSolves, int64(len(parts)))
 	}
 	flat := dedupCenters(cands)
 	if len(flat) == 0 {
 		return nil, errors.New("core: pipeline produced no candidate centers")
 	}
-	if obs.Active(p.Obs) {
-		p.Obs.Count(obs.CtrShardCandidates, int64(len(flat)))
+	if col != nil {
+		col.Count(obs.CtrShardCandidates, int64(len(flat)))
 	}
 
 	// Stage 3: lazy-greedy merge against the full instance.
-	mtimer := obs.StartTimer(p.Obs, obs.TimShardMerge)
+	mtimer := obs.StartTimer(col, obs.TimShardMerge)
 	mspan := parent.Child("merge")
 	mspan.SetAttr("candidates", float64(len(flat)))
 	res, err = p.merge(obs.ContextWithSpan(ctx, mspan), in, flat, k, res)
@@ -238,7 +243,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	mspan.End()
 	if err != nil {
 		// merge only errors on cancellation; res holds the committed prefix.
-		return cancelRun(p.Obs, res, err)
+		return cancelRun(col, res, err)
 	}
 	return res, nil
 }
@@ -316,7 +321,7 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 			// the prefix the uncancelled merge would have selected.
 			return res, err
 		}
-		rs := startRound(ctx, p.Obs, p.Name(), j+1)
+		rs := startRound(ctx, in.Collector(), p.Name(), j+1)
 		if j == 0 {
 			// Initial bounds, inside round 1 so its wall time includes
 			// them.
@@ -352,19 +357,6 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 		})
 	}
 	return res, nil
-}
-
-// Single wraps a classic one-shot algorithm in the pipeline seam: no
-// partitioner (one part), the algorithm itself as the per-part solver, and
-// the merge re-scoring its own k candidates. For the greedy family the
-// merge provably reproduces the inner result bit for bit: at round j the
-// inner algorithm chose the gain-argmax over all points given residuals
-// y_j, so restricted to its own candidate set the argmax is unchanged.
-func Single(alg Algorithm) Pipeline {
-	return Pipeline{
-		Alg:       alg.Name(),
-		NewSolver: func(uint64) Algorithm { return alg },
-	}
 }
 
 var _ Algorithm = Pipeline{}

@@ -33,6 +33,16 @@ func sameResult(t *testing.T, got, want *Result, label string) {
 	}
 }
 
+// single wraps a classic one-shot algorithm in the pipeline seam: no
+// partitioner (one part), the algorithm itself as the per-part solver, and
+// the merge re-scoring its own k candidates.
+func single(alg Algorithm) Pipeline {
+	return Pipeline{
+		Alg:       alg.Name(),
+		NewSolver: func(uint64) Algorithm { return alg },
+	}
+}
+
 // TestSinglePipelineBitIdentity: the trivial one-part pipeline around a
 // greedy solver reproduces that solver bit for bit. At round j the inner
 // algorithm chose the gain-argmax over all points given residuals y_j;
@@ -49,12 +59,12 @@ func TestSinglePipelineBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Single(a).Run(context.Background(), in, k)
+			got, err := single(a).Run(context.Background(), in, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Algorithm != a.Name() {
-				t.Fatalf("Single reports %q, want %q", got.Algorithm, a.Name())
+				t.Fatalf("single reports %q, want %q", got.Algorithm, a.Name())
 			}
 			if err := got.Validate(); err != nil {
 				t.Fatal(err)
@@ -91,9 +101,8 @@ func TestPipelineDedupsDuplicateCandidates(t *testing.T) {
 		Partition: dupPartitioner{copies: 3},
 		NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
 		Workers:   2,
-		Obs:       m,
 	}
-	got, err := p.Run(context.Background(), in, k)
+	got, err := p.Run(context.Background(), in.WithCollector(m), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestPipelineDedupsDuplicateCandidates(t *testing.T) {
 
 func TestPipelineConfigErrors(t *testing.T) {
 	in := mustInstance(t, []vec.V{vec.Of(0, 0)}, []float64{1}, norm.L2{}, 1)
-	p := Single(LazyGreedy{})
+	p := single(LazyGreedy{})
 	if _, err := p.Run(context.Background(), nil, 1); err == nil {
 		t.Error("pipeline accepted nil instance")
 	}
@@ -161,7 +170,8 @@ func TestPipelinePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := obs.NewMetrics()
-	p := Pipeline{NewSolver: func(uint64) Algorithm { return LazyGreedy{} }, Obs: m}
+	in.SetCollector(m)
+	p := Pipeline{NewSolver: func(uint64) Algorithm { return LazyGreedy{} }}
 	res, err := p.Run(ctx, in, 3)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -212,9 +222,8 @@ func TestPipelineCancelDuringShardSolve(t *testing.T) {
 }
 
 // mergeCanceller cancels a context once the pipeline's merge commits its
-// j-th round (round events only fire from the merge: inner solvers run
-// uninstrumented in the sharded construction, and here the pipeline's own
-// collector is the only one attached).
+// j-th round (round events only fire from the merge: the pipeline solves its
+// parts on collector-less copies of the instance).
 type mergeCanceller struct {
 	round  int
 	cancel context.CancelFunc
@@ -236,21 +245,18 @@ func TestPipelineCancelMidMerge(t *testing.T) {
 	rng := xrand.New(31)
 	in := randomInstance(t, rng, 50, norm.L2{}, 0.8)
 	const k = 4
-	mk := func(c obs.Collector) Pipeline {
-		return Pipeline{
-			Alg:       "dup",
-			Partition: dupPartitioner{copies: 2},
-			NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
-			Obs:       c,
-		}
+	p := Pipeline{
+		Alg:       "dup",
+		Partition: dupPartitioner{copies: 2},
+		NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
 	}
-	full, err := mk(nil).Run(context.Background(), in, k)
+	full, err := p.Run(context.Background(), in, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 1; j < k; j++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		part, err := mk(mergeCanceller{round: j, cancel: cancel}).Run(ctx, in, k)
+		part, err := p.Run(ctx, in.WithCollector(mergeCanceller{round: j, cancel: cancel}), k)
 		cancel()
 		if err != context.Canceled {
 			t.Fatalf("j=%d: err = %v, want context.Canceled", j, err)
@@ -261,11 +267,15 @@ func TestPipelineCancelMidMerge(t *testing.T) {
 		if verr := part.Validate(); verr != nil {
 			t.Fatal(verr)
 		}
+		var total float64
+		for _, g := range full.Gains[:j] {
+			total += g
+		}
 		sameResult(t, part, &Result{
 			Algorithm: full.Algorithm,
 			Centers:   full.Centers[:j],
 			Gains:     full.Gains[:j],
-			Total:     reward.SumRounds(full.Gains[:j]),
+			Total:     total,
 		}, "prefix")
 	}
 }
@@ -280,11 +290,11 @@ func TestPipelineMergeRoundsReported(t *testing.T) {
 	m := obs.NewMetrics()
 	var buf bytes.Buffer
 	sink := obs.NewSink(&buf)
+	in.SetCollector(obs.Multi(m, sink))
 	p := Pipeline{
 		Alg:       "dup",
 		Partition: dupPartitioner{copies: 2},
 		NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
-		Obs:       obs.Multi(m, sink),
 	}
 	if _, err := p.Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)

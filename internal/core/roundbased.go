@@ -30,11 +30,11 @@ type InnerSolver interface {
 // one center by (approximately) solving the continuous single-center
 // problem, then discounting residuals. With an exact inner solver it attains
 // the Theorem-1 ratio 1 − (1 − 1/k)^k ≥ 1 − 1/e.
+//
+// With a collector on the instance it also emits one obs.EvInnerSolve event
+// per continuous-solver invocation with its wall time.
 type RoundBased struct {
 	Solver InnerSolver
-	// Obs receives per-round telemetry, including one obs.EvInnerSolve
-	// event per continuous-solver invocation with its wall time.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
@@ -51,12 +51,13 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	ctx = orBG(ctx)
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
+	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(a.Obs, res, err)
+			return cancelRun(col, res, err)
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j+1)
-		st := obs.StartTimer(a.Obs, obs.TimInnerSolve)
+		rs := startRound(ctx, col, a.Name(), j+1)
+		st := obs.StartTimer(col, obs.TimInnerSolve)
 		c, err := a.Solver.Solve(ctx, in, y)
 		if cerr := ctx.Err(); cerr != nil {
 			// Cancelled mid-solve: the round's center is (at best) a
@@ -64,7 +65,7 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			// round so the committed prefix stays bit-identical to an
 			// uncancelled run's.
 			st.Stop()
-			return cancelRun(a.Obs, res, cerr)
+			return cancelRun(col, res, cerr)
 		}
 		if err != nil {
 			return nil, err

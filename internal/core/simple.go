@@ -11,10 +11,7 @@ import (
 // the disk on the point with the largest remaining single-point reward
 // w_i·y_i (ties toward the lowest index) and then collects the coverage
 // reward that center yields. Complexity O(kn) (Theorem 3).
-type SimpleGreedy struct {
-	// Obs receives per-round telemetry; nil runs uninstrumented.
-	Obs obs.Collector
-}
+type SimpleGreedy struct{}
 
 // Name implements Algorithm.
 func (SimpleGreedy) Name() string { return "greedy3" }
@@ -28,11 +25,12 @@ func (a SimpleGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Res
 	n := in.N()
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
+	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(a.Obs, res, err)
+			return cancelRun(col, res, err)
 		}
-		rs := startRound(ctx, a.Obs, a.Name(), j+1)
+		rs := startRound(ctx, col, a.Name(), j+1)
 		// argmax_i w_i·y_i^j with index tie-break (line 3 of Algorithm 3).
 		best, bestVal := 0, in.Set.Weight(0)*y[0]
 		for i := 1; i < n; i++ {

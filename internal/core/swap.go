@@ -22,17 +22,17 @@ type SwapLocalSearch struct {
 	// MaxPasses bounds full sweeps over (center, candidate) pairs
 	// (default 10; each pass is O(k·n) objective evaluations of O(kn)).
 	MaxPasses int
-	// Obs receives telemetry: one obs.EvSwapPass event per sweep, swap
-	// evaluations (obs.CtrSwapEvals), and round events for the final
-	// gain re-derivation. Use core.Instrument to attach it to the seed
-	// algorithm as well.
-	Obs obs.Collector
 }
 
 // Name implements Algorithm.
 func (s SwapLocalSearch) Name() string { return "greedy2+swap" }
 
-// Run implements Algorithm. Cancellation is anytime at two granularities:
+// Run implements Algorithm. With a collector on the instance, the seed
+// reports its own rounds, and the search adds one obs.EvSwapPass event per
+// sweep, the swap evaluations (obs.CtrSwapEvals), and the round events of
+// the final gain re-derivation: 2k rounds in all.
+//
+// Cancellation is anytime at two granularities:
 // during the seed run the seed's own partial prefix is re-labelled and
 // returned, and during swap refinement the current (already valid, never
 // worse than the seed) center set is committed and returned.
@@ -49,12 +49,13 @@ func (s SwapLocalSearch) Run(ctx context.Context, in *reward.Instance, k int) (*
 	if maxPasses <= 0 {
 		maxPasses = 10
 	}
+	col := in.Collector()
 	init, err := seed.Run(ctx, in, k)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && init != nil {
 			// Seed cancelled mid-run: its partial prefix is the best-so-far
 			// solution. Re-commit it under this algorithm's name.
-			return cancelRun(s.Obs, s.commit(ctx, in, init.Centers), cerr)
+			return cancelRun(col, s.commit(ctx, in, init.Centers), cerr)
 		}
 		return nil, err
 	}
@@ -66,7 +67,6 @@ func (s SwapLocalSearch) Run(ctx context.Context, in *reward.Instance, k int) (*
 	}
 	best := eval.Objective()
 
-	active := obs.Active(s.Obs)
 	n := in.N()
 	// Replace updates the fraction sums incrementally; every O(n) replaces
 	// the accumulated IEEE drift is flushed with a full Resync so that swap
@@ -112,14 +112,14 @@ sweep:
 				}
 			}
 		}
-		if active {
-			s.Obs.Count(obs.CtrSwapPasses, 1)
-			s.Obs.Count(obs.CtrSwapEvals, int64(evals))
+		if col != nil {
+			col.Count(obs.CtrSwapPasses, 1)
+			col.Count(obs.CtrSwapEvals, int64(evals))
 			improvedF := 0.0
 			if improved {
 				improvedF = 1
 			}
-			s.Obs.Emit(obs.Event{Type: obs.EvSwapPass, Alg: s.Name(), Fields: map[string]float64{
+			col.Emit(obs.Event{Type: obs.EvSwapPass, Alg: s.Name(), Fields: map[string]float64{
 				"pass":      float64(pass + 1),
 				"improved":  improvedF,
 				"objective": best,
@@ -131,7 +131,7 @@ sweep:
 	}
 	res := s.commit(ctx, in, eval.Centers())
 	if cancelled {
-		return cancelRun(s.Obs, res, ctx.Err())
+		return cancelRun(col, res, ctx.Err())
 	}
 	if res.Total < init.Total-1e-9 {
 		return nil, errors.New("core: swap search regressed below its seed (internal error)")
@@ -145,7 +145,7 @@ func (s SwapLocalSearch) commit(ctx context.Context, in *reward.Instance, center
 	y := in.NewResiduals()
 	res := &Result{Algorithm: s.Name()}
 	for j, c := range centers {
-		rs := startRound(ctx, s.Obs, s.Name(), j+1)
+		rs := startRound(ctx, in.Collector(), s.Name(), j+1)
 		gain := in.ApplyRound(c, y)
 		rs.commit(res, c.Clone(), gain, nil)
 	}

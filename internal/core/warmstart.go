@@ -14,7 +14,7 @@ import (
 // is better. The wrapper is therefore never worse than Base alone, and under
 // light churn the carried-over centers frequently win outright — the churn
 // loop surfaces that via obs.CtrWarmWins and the churn.warmstart_improvement
-// histogram.
+// histogram, both counted on the instance's collector.
 //
 // The comparison only happens on complete runs with len(Prev) == k: a
 // cancelled run keeps the anytime contract (a bit-exact prefix of the cold
@@ -25,7 +25,6 @@ type WarmStarted struct {
 	// Prev is the previous solve's center set (not mutated, not aliased by
 	// the returned result).
 	Prev []vec.V
-	Obs  obs.Collector
 }
 
 // Name reports the base algorithm's name: warm-starting changes which result
@@ -48,15 +47,16 @@ func (w WarmStarted) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 	if improvement < 0 {
 		improvement = 0
 	}
-	if obs.Active(w.Obs) {
-		w.Obs.Count(obs.CtrWarmStarts, 1)
-		w.Obs.Observe(obs.ObsWarmImprove, improvement)
-		w.Obs.Emit(obs.Event{Type: obs.EvWarmStart, Alg: res.Algorithm,
+	col := in.Collector()
+	if col != nil {
+		col.Count(obs.CtrWarmStarts, 1)
+		col.Observe(obs.ObsWarmImprove, improvement)
+		col.Emit(obs.Event{Type: obs.EvWarmStart, Alg: res.Algorithm,
 			Fields: map[string]float64{"cold": res.Total, "warm": warm.Total, "improvement": improvement}})
 	}
 	if warm.Total > res.Total {
-		if obs.Active(w.Obs) {
-			w.Obs.Count(obs.CtrWarmWins, 1)
+		if col != nil {
+			col.Count(obs.CtrWarmWins, 1)
 		}
 		return warm, nil
 	}

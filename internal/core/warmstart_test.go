@@ -136,7 +136,8 @@ func TestWarmStartedObs(t *testing.T) {
 		[]vec.V{vec.Of(0, 0), vec.Of(0.2, 0), vec.Of(0.1, 0.2)},
 		[]float64{1, 1, 1}, norm.L2{}, 1)
 	c := obs.NewMetrics()
-	w := WarmStarted{Base: SimpleGreedy{}, Prev: []vec.V{vec.Of(0.1, 0.0667)}, Obs: c}
+	in.SetCollector(c)
+	w := WarmStarted{Base: SimpleGreedy{}, Prev: []vec.V{vec.Of(0.1, 0.0667)}}
 	if _, err := w.Run(context.Background(), in, 1); err != nil {
 		t.Fatal(err)
 	}

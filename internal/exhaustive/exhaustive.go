@@ -56,8 +56,8 @@ func init() {
 
 // algorithm adapts Solve to the core.Algorithm interface so the baseline is
 // a first-class catalog entry. The options are captured at construction;
-// WarmStart and Obs wrapping are applied by solver.New like for any other
-// entry.
+// solver.New applies the WarmStart wrapping like for any other entry, and a
+// cut-short search reports its cancellation to the instance's collector.
 type algorithm struct{ opt Options }
 
 // Name implements core.Algorithm.
@@ -109,7 +109,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 	}); cerr != nil {
 		// Cancelled during the precompute: no subset was evaluated yet, so
 		// the best-so-far solution is the empty one.
-		return cancelled(opt.Obs, &core.Result{Algorithm: Name}, cerr)
+		return cancelled(in.Collector(), &core.Result{Algorithm: Name}, cerr)
 	}
 	weights := in.Set.Weights()
 
@@ -167,7 +167,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 	}
 	if best < 0 {
 		// Cancelled before any complete k-subset was scored.
-		return cancelled(opt.Obs, &core.Result{Algorithm: Name}, cancelErr)
+		return cancelled(in.Collector(), &core.Result{Algorithm: Name}, cancelErr)
 	}
 	centers := make([]vec.V, k)
 	for j, c := range bests[best].combo {
@@ -188,7 +188,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.
 		res.Total += g
 	}
 	if cancelErr != nil {
-		return cancelled(opt.Obs, res, cancelErr)
+		return cancelled(in.Collector(), res, cancelErr)
 	}
 	return res, nil
 }

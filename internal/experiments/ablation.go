@@ -38,7 +38,7 @@ func RunAblationExhaustive(ctx context.Context, cfg RunConfig) (*Output, error) 
 			if err != nil {
 				return nil, err
 			}
-			in, err := newInstance(set, norm.L2{}, r)
+			in, err := cfg.newInstance(set, norm.L2{}, r)
 			if err != nil {
 				return nil, err
 			}
@@ -105,7 +105,7 @@ func RunAblationBallMode(ctx context.Context, cfg RunConfig) (*Output, error) {
 				if v.dim == 3 {
 					set = set3
 				}
-				in, err := newInstance(set, v.nm, r)
+				in, err := cfg.newInstance(set, v.nm, r)
 				if err != nil {
 					return nil, err
 				}
@@ -156,7 +156,7 @@ func RunAblationInner(ctx context.Context, cfg RunConfig) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			in, err := newInstance(set, norm.L2{}, r)
+			in, err := cfg.newInstance(set, norm.L2{}, r)
 			if err != nil {
 				return nil, err
 			}

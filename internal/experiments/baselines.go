@@ -67,7 +67,7 @@ func RunBaselines(ctx context.Context, cfg RunConfig) (*Output, error) {
 				if err != nil {
 					return nil, err
 				}
-				in, err := newInstance(set, norm.L2{}, r)
+				in, err := cfg.newInstance(set, norm.L2{}, r)
 				if err != nil {
 					return nil, err
 				}

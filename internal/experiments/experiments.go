@@ -32,8 +32,9 @@ type RunConfig struct {
 	// enrichment, no polishing.
 	Quick bool
 	// Obs receives telemetry from instrumented stages; nil (the default)
-	// runs uninstrumented. Drivers attach it to the algorithms they run
-	// via Algorithms / core.Instrument.
+	// runs uninstrumented. Drivers that build their instances through
+	// newInstance attach it there, so the reward counters and every
+	// algorithm run on those instances report to it.
 	Obs obs.Collector
 }
 
@@ -144,16 +145,15 @@ func ByID(id string) (Experiment, error) {
 // Algorithms under test, in the paper's naming, resolved through the solver
 // registry (DESIGN.md §3.1, §8) so the experiment drivers and the CLI agree
 // on constructors. Workers is pinned to 1: the drivers parallelize across
-// trials, not inside algorithms. A live cfg.Obs collector is attached to
-// every algorithm by the registry.
-func paperAlgorithms(cfg RunConfig) []core.Algorithm {
+// trials, not inside algorithms.
+func paperAlgorithms() []core.Algorithm {
 	names := solver.PaperNames()
 	algs := make([]core.Algorithm, 0, len(names))
 	for _, name := range names {
 		// Seed stays zero: instance randomness lives in the workload
 		// generators (cfg.Seed), and the historical driver behavior used the
 		// algorithms' zero-seed defaults.
-		a, err := solver.New(name, solver.Options{Workers: 1, Obs: cfg.Obs})
+		a, err := solver.New(name, solver.Options{Workers: 1})
 		if err != nil {
 			panic(err) // registry and PaperNames ship together; a miss is a programming error
 		}
@@ -175,7 +175,13 @@ func configGrid() []kr {
 
 func (c kr) String() string { return fmt.Sprintf("k=%d,r=%g", c.K, c.R) }
 
-// newInstance builds a reward instance from freshly generated points.
-func newInstance(set *pointset.Set, nm norm.Norm, r float64) (*reward.Instance, error) {
-	return reward.NewInstance(set, nm, r)
+// newInstance builds a reward instance from freshly generated points, with
+// the run's collector attached.
+func (c RunConfig) newInstance(set *pointset.Set, nm norm.Norm, r float64) (*reward.Instance, error) {
+	in, err := reward.NewInstance(set, nm, r)
+	if err != nil {
+		return nil, err
+	}
+	in.SetCollector(c.Obs)
+	return in, nil
 }

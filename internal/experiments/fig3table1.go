@@ -22,20 +22,20 @@ func fig3Instance(ctx context.Context, cfg RunConfig) (*core.Result, *core.Resul
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	in, err := newInstance(set, norm.L2{}, 1)
+	in, err := cfg.newInstance(set, norm.L2{}, 1)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	const k = 4
-	r2, err := core.Instrument(core.LocalGreedy{Workers: 1}, cfg.Obs).Run(ctx, in, k)
+	r2, err := core.LocalGreedy{Workers: 1}.Run(ctx, in, k)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	r3, err := core.Instrument(core.SimpleGreedy{}, cfg.Obs).Run(ctx, in, k)
+	r3, err := core.SimpleGreedy{}.Run(ctx, in, k)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	r4, err := core.Instrument(core.ComplexGreedy{Workers: 1}, cfg.Obs).Run(ctx, in, k)
+	r4, err := core.ComplexGreedy{Workers: 1}.Run(ctx, in, k)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

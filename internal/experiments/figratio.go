@@ -90,7 +90,7 @@ func ratioCell(ctx context.Context, cfg RunConfig, n int, c kr, nm norm.Norm, sc
 			if err != nil {
 				return nil, err
 			}
-			in, err := newInstance(set, nm, c.R)
+			in, err := cfg.newInstance(set, nm, c.R)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +111,7 @@ func ratioCell(ctx context.Context, cfg RunConfig, n int, c kr, nm norm.Norm, sc
 			// fraction of the strongest solution found (DESIGN.md §3.2).
 			totals := map[string]float64{}
 			best := ex.Total
-			for _, alg := range paperAlgorithms(cfg) {
+			for _, alg := range paperAlgorithms() {
 				r, err := alg.Run(ctx, in, c.K)
 				if err != nil {
 					return nil, err

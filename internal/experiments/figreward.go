@@ -41,12 +41,12 @@ func figReward(id string, scheme pointset.WeightScheme) func(context.Context, Ru
 						if err != nil {
 							return nil, err
 						}
-						in, err := newInstance(set, nm, c.R)
+						in, err := cfg.newInstance(set, nm, c.R)
 						if err != nil {
 							return nil, err
 						}
 						metrics := map[string]float64{"maxreward": set.TotalWeight()}
-						for _, alg := range paperAlgorithms(cfg) {
+						for _, alg := range paperAlgorithms() {
 							r, err := alg.Run(ctx, in, c.K)
 							if err != nil {
 								return nil, err

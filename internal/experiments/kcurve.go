@@ -23,14 +23,14 @@ func RunKCurve(ctx context.Context, cfg RunConfig) (*Output, error) {
 		r    = 1.0
 		kMax = 8
 	)
-	algs := paperAlgorithms(cfg)
+	algs := paperAlgorithms()
 	res, err := sim.RunTrials(ctx, cfg.trials(), cfg.Workers, cfg.Seed^0xc0e,
 		func(ctx context.Context, trial int, rng *xrand.Rand) (map[string]float64, error) {
 			set, err := pointset.GenUniform(n, pointset.PaperBox2D(), pointset.RandomIntWeight, rng)
 			if err != nil {
 				return nil, err
 			}
-			in, err := newInstance(set, norm.L2{}, r)
+			in, err := cfg.newInstance(set, norm.L2{}, r)
 			if err != nil {
 				return nil, err
 			}

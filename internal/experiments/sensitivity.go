@@ -26,7 +26,7 @@ func RunRadiusCurve(ctx context.Context, cfg RunConfig) (*Output, error) {
 	if cfg.Quick {
 		radii = []float64{0.5, 1, 2}
 	}
-	algs := paperAlgorithms(cfg)
+	algs := paperAlgorithms()
 	fig := &report.Figure{
 		ID:     "radiuscurve",
 		Title:  fmt.Sprintf("total reward vs radius (n=%d, k=%d, 2-norm, random weights)", n, k),
@@ -43,7 +43,7 @@ func RunRadiusCurve(ctx context.Context, cfg RunConfig) (*Output, error) {
 				if err != nil {
 					return nil, err
 				}
-				in, err := newInstance(set, norm.L2{}, r)
+				in, err := cfg.newInstance(set, norm.L2{}, r)
 				if err != nil {
 					return nil, err
 				}
@@ -99,7 +99,7 @@ func RunWeightSkew(ctx context.Context, cfg RunConfig) (*Output, error) {
 	if cfg.Quick {
 		maxWeights = []int{1, 5}
 	}
-	algs := paperAlgorithms(cfg)
+	algs := paperAlgorithms()
 	tb := report.NewTable(fmt.Sprintf("fraction of Σw captured vs weight skew (n=%d, k=%d, r=%g, 2-norm)", n, k, r),
 		"weights 1..W", "greedy1", "greedy2", "greedy3", "greedy4")
 	for wi, maxW := range maxWeights {
@@ -116,7 +116,7 @@ func RunWeightSkew(ctx context.Context, cfg RunConfig) (*Output, error) {
 				if err != nil {
 					return nil, err
 				}
-				in, err := newInstance(set, norm.L2{}, r)
+				in, err := cfg.newInstance(set, norm.L2{}, r)
 				if err != nil {
 					return nil, err
 				}

@@ -60,7 +60,7 @@ func RunValidate(ctx context.Context, cfg RunConfig) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		in, err := newInstance(set, nm, r)
+		in, err := cfg.newInstance(set, nm, r)
 		if err != nil {
 			return nil, err
 		}

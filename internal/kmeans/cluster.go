@@ -87,50 +87,6 @@ func KMeans(set *pointset.Set, k int, opt Options, rng *xrand.Rand) (*Result, er
 	return res, nil
 }
 
-// KCenter runs Gonzalez's greedy farthest-point algorithm: the first center
-// is the point of maximum weight (deterministic anchor), and each subsequent
-// center is the point farthest from all chosen centers. It 2-approximates
-// the k-center objective (minimize the maximum distance to a center) and is
-// the natural "spread out" placement baseline.
-func KCenter(set *pointset.Set, k int, nm norm.Norm) ([]vec.V, error) {
-	if set == nil {
-		return nil, errors.New("kmeans: nil point set")
-	}
-	if k <= 0 || k > set.Len() {
-		return nil, fmt.Errorf("kmeans: k = %d out of range [1, %d]", k, set.Len())
-	}
-	if nm == nil {
-		nm = norm.L2{}
-	}
-	first := 0
-	for i := 1; i < set.Len(); i++ {
-		if set.Weight(i) > set.Weight(first) {
-			first = i
-		}
-	}
-	centers := []vec.V{set.Point(first).Clone()}
-	minDist := make([]float64, set.Len())
-	for i := range minDist {
-		minDist[i] = nm.Dist(centers[0], set.Point(i))
-	}
-	for len(centers) < k {
-		far := 0
-		for i := 1; i < set.Len(); i++ {
-			if minDist[i] > minDist[far] {
-				far = i
-			}
-		}
-		c := set.Point(far).Clone()
-		centers = append(centers, c)
-		for i := range minDist {
-			if d := nm.Dist(c, set.Point(i)); d < minDist[i] {
-				minDist[i] = d
-			}
-		}
-	}
-	return centers, nil
-}
-
 // seedPlusPlus picks k initial centers with probability proportional to the
 // weighted (squared for L2) distance to the nearest already-chosen center.
 func seedPlusPlus(set *pointset.Set, k int, nm norm.Norm, rng *xrand.Rand) []vec.V {

@@ -155,51 +155,6 @@ func TestKMeansWeightsMatter(t *testing.T) {
 	}
 }
 
-func TestKCenter(t *testing.T) {
-	set := twoBlobs(t)
-	centers, err := KCenter(set, 2, norm.L2{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two centers must land in different blobs (farthest-point spread).
-	d := centers[0].Dist2(centers[1])
-	if d < 2 {
-		t.Fatalf("k-center centers too close: %v apart", d)
-	}
-	if _, err := KCenter(nil, 2, norm.L2{}); err == nil {
-		t.Error("nil set accepted")
-	}
-	if _, err := KCenter(set, 0, norm.L2{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := KCenter(set, set.Len()+1, norm.L2{}); err == nil {
-		t.Error("k>n accepted")
-	}
-	// k = n covers every point exactly.
-	all, err := KCenter(set, set.Len(), norm.L2{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != set.Len() {
-		t.Fatalf("k=n returned %d centers", len(all))
-	}
-}
-
-func TestKCenterStartsAtHeaviest(t *testing.T) {
-	pts := []vec.V{vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 2)}
-	set, err := pointset.New(pts, []float64{1, 5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	centers, err := KCenter(set, 1, norm.L2{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !centers[0].Equal(vec.Of(1, 1)) {
-		t.Fatalf("first center = %v, want the heaviest point", centers[0])
-	}
-}
-
 func TestKMeansEmptyClusterReseeds(t *testing.T) {
 	// k = 3 over 2 coincident groups: at least one cluster starts or goes
 	// empty during Lloyd iterations and must be reseeded at the farthest

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kmeans"
-	"repro/internal/norm"
 	"repro/internal/pointset"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -28,16 +27,4 @@ func ExampleKMeans() {
 	// Output:
 	// clusters: 2
 	// left center: (0.050, 0.000)
-}
-
-// Gonzalez's k-center spreads centers as far apart as possible, starting
-// from the heaviest user.
-func ExampleKCenter() {
-	users, _ := pointset.UnitWeights([]vec.V{
-		vec.Of(0, 0), vec.Of(1, 0), vec.Of(4, 4),
-	})
-	centers, _ := kmeans.KCenter(users, 2, norm.L2{})
-	fmt.Println(centers[0], centers[1])
-	// Output:
-	// (0.000, 0.000) (4.000, 4.000)
 }

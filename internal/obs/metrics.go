@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,17 +149,4 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.Snapshot())
-}
-
-// CounterNames returns the sorted names of all counters touched so far
-// (handy for tests and debug printing).
-func (m *Metrics) CounterNames() []string {
-	m.cmu.RLock()
-	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
-	}
-	m.cmu.RUnlock()
-	sort.Strings(names)
-	return names
 }

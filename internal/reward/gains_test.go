@@ -233,3 +233,30 @@ func TestRoundGainsCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestWithCollector: the copy reports to its own collector only, shares the
+// points and the finder, and leaves the original's collector alone.
+func TestWithCollector(t *testing.T) {
+	in := mustInstance(t, []vec.V{vec.Of(0, 0), vec.Of(0.5, 0), vec.Of(3, 3)}, []float64{1, 2, 3}, norm.L2{}, 1)
+	grid, err := spatial.NewGrid(in.Set.Points(), in.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.SetFinder(grid)
+	parent := obs.NewMetrics()
+	in.SetCollector(parent)
+	silent := in.WithCollector(nil)
+	if silent.Collector() != nil || in.Collector() != obs.Collector(parent) {
+		t.Fatal("WithCollector changed the original's collector or kept it on the copy")
+	}
+	if silent.Set != in.Set || silent.Finder() != in.Finder() {
+		t.Fatal("WithCollector did not share the points and the finder")
+	}
+	y := in.NewResiduals()
+	if a, b := silent.RoundGain(vec.Of(0, 0), y), in.RoundGain(vec.Of(0, 0), y); a != b {
+		t.Fatalf("copy gain %v != original gain %v", a, b)
+	}
+	if c := parent.Snapshot().Counters[obs.CtrGainEvals]; c != 1 {
+		t.Fatalf("original's collector counted %d gain evaluations, want 1", c)
+	}
+}

@@ -67,18 +67,33 @@ type windowFiller interface {
 	FillWindows()
 }
 
-// SetCollector installs (or clears, with nil) a telemetry collector. A live
+// SetCollector installs (or clears, with nil) the solve's telemetry
+// collector. It is the one place a solve's collector is attached: a live
 // collector counts every reward evaluation — obs.CtrGainEvals per RoundGain
 // and per point of RoundGains, obs.CtrApplyRounds per ApplyRound,
-// obs.CtrObjectiveEvals per Objective — which is how instrumented runs
-// verify claims like "LazyGreedy saves re-evaluations". The collector must
-// be safe for concurrent use: candidate scans call RoundGain from many
-// goroutines.
+// obs.CtrObjectiveEvals per Objective — and every algorithm run on the
+// instance reports its rounds, scans and stage timers to it (Collector).
+// The collector must be safe for concurrent use: candidate scans call
+// RoundGain from many goroutines.
 func (in *Instance) SetCollector(c obs.Collector) {
 	if !obs.Active(c) {
 		c = nil
 	}
 	in.obs = c
+}
+
+// Collector returns the installed telemetry collector, or nil when none is
+// live.
+func (in *Instance) Collector() obs.Collector { return in.obs }
+
+// WithCollector returns a shallow copy of the instance with c as its
+// collector (nil for none). The copy shares the point set and the finder,
+// so a solve on it gives the same bits; the pipeline runs its part solves
+// on collector-less copies.
+func (in *Instance) WithCollector(c obs.Collector) *Instance {
+	cp := *in
+	cp.SetCollector(c)
+	return &cp
 }
 
 // NewInstance validates and builds an Instance. The radius must be positive
@@ -122,11 +137,6 @@ func (in *Instance) Coverage(c vec.V, i int) float64 {
 		return 0
 	}
 	return 1 - d/in.Radius
-}
-
-// PointReward returns ψ(c, x_i) = w_i·[1 − d/r]_+ (paper Eq. 1).
-func (in *Instance) PointReward(c vec.V, i int) float64 {
-	return in.Set.Weight(i) * in.Coverage(c, i)
 }
 
 // Objective evaluates f(C) = Σ_i w_i·min(Σ_j [1 − d(c_j, x_i)/r]_+, 1)
@@ -295,14 +305,4 @@ func ValidResiduals(y []float64) bool {
 		}
 	}
 	return true
-}
-
-// SumRounds re-derives the total reward from a sequence of per-round gains;
-// by construction Σ_j g(j) == f-value achieved by the committed centers.
-func SumRounds(gains []float64) float64 {
-	var s float64
-	for _, g := range gains {
-		s += g
-	}
-	return s
 }

@@ -47,12 +47,13 @@ func TestCoverageAndPointReward(t *testing.T) {
 	if got := in.Coverage(c, 0); got != 1 {
 		t.Errorf("Coverage self = %v", got)
 	}
-	// Point 1 at distance 1, r=2: coverage 0.5, reward 2.
+	// Point 1 at distance 1, r=2: coverage 0.5, point reward
+	// ψ = w·coverage = 2 (paper Eq. 1).
 	if got := in.Coverage(c, 1); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Coverage = %v, want 0.5", got)
 	}
-	if got := in.PointReward(c, 1); math.Abs(got-2) > 1e-12 {
-		t.Errorf("PointReward = %v, want 2", got)
+	if got := in.Set.Weight(1) * in.Coverage(c, 1); math.Abs(got-2) > 1e-12 {
+		t.Errorf("point reward = %v, want 2", got)
 	}
 	// Point 2 at distance 3 > r: zero.
 	if got := in.Coverage(c, 2); got != 0 {
@@ -236,15 +237,6 @@ func TestValidResiduals(t *testing.T) {
 	}
 	if ValidResiduals([]float64{-0.1}) || ValidResiduals([]float64{1.1}) || ValidResiduals([]float64{math.NaN()}) {
 		t.Error("invalid residuals accepted")
-	}
-}
-
-func TestSumRounds(t *testing.T) {
-	if got := SumRounds([]float64{1, 2, 3.5}); got != 6.5 {
-		t.Errorf("SumRounds = %v", got)
-	}
-	if got := SumRounds(nil); got != 0 {
-		t.Errorf("SumRounds(nil) = %v", got)
 	}
 }
 

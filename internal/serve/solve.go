@@ -184,7 +184,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		in.SetFinder(g)
 	}
 	solverOpts := req.Options.SolverOptions()
-	solverOpts.Obs = s.col
 	solverOpts.WarmStart = warm
 	solverOpts.Box = box
 	solverOpts.Remote = s.clusterRemote(sc.id, solverName, normName, req.Options)

@@ -33,7 +33,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/reward"
 	"repro/internal/spatial"
 	"repro/internal/xrand"
@@ -58,9 +57,6 @@ type Options struct {
 	// Seed is the root seed; per-shard seeds derive from it and the shard's
 	// content-derived ID via DeriveSeed.
 	Seed uint64
-	// Obs receives pipeline telemetry (spans, shard.* counters, merge
-	// rounds).
-	Obs obs.Collector
 	// Remote, when non-nil, is tried first for every shard solve (cluster
 	// mode's peer-forwarding seam); a failure falls back to the local inner
 	// solver with identical results per the core.PartSolver contract.
@@ -96,7 +92,6 @@ func NewSolver(innerName string, newInner func(seed uint64) core.Algorithm, o Op
 		NewSolver: newInner,
 		SeedFor:   func(partID uint64) uint64 { return DeriveSeed(root, partID) },
 		Workers:   o.Workers,
-		Obs:       o.Obs,
 		SolvePart: o.Remote,
 	}
 }

@@ -460,9 +460,9 @@ func TestFinderKeepsCounts(t *testing.T) {
 			in.SetFinder(f)
 			m := obs.NewMetrics()
 			in.SetCollector(m)
-			var alg core.Algorithm = core.LazyGreedy{Obs: m}
+			var alg core.Algorithm = core.LazyGreedy{}
 			if sharded {
-				alg = NewSolver("greedy2-lazy", newInner, Options{Shards: 4, Seed: 3, Workers: 2, Obs: m})
+				alg = NewSolver("greedy2-lazy", newInner, Options{Shards: 4, Seed: 3, Workers: 2})
 			}
 			res, err := alg.Run(context.Background(), in, 8)
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -36,16 +35,6 @@ func (r *Result) Mean(metric string) (float64, bool) {
 		return 0, false
 	}
 	return s.Mean, true
-}
-
-// MetricNames returns the sorted metric names.
-func (r *Result) MetricNames() []string {
-	names := make([]string, 0, len(r.Summaries))
-	for n := range r.Summaries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // RunTrials executes fn for trial = 0..trials−1, spreading trials over

@@ -32,9 +32,8 @@ func TestRunTrialsAggregates(t *testing.T) {
 	if _, ok := res.Mean("missing"); ok {
 		t.Error("missing metric found")
 	}
-	names := res.MetricNames()
-	if len(names) != 2 || names[0] != "const" || names[1] != "trial" {
-		t.Errorf("names = %v", names)
+	if len(res.Summaries) != 2 {
+		t.Errorf("summaries = %v, want const and trial", res.Summaries)
 	}
 	// Samples preserved in trial order.
 	if res.Samples["trial"][3] != 3 {

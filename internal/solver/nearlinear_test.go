@@ -57,11 +57,11 @@ func TestNearLinearQualityGate(t *testing.T) {
 		for _, nm := range norms {
 			t.Run(fmt.Sprintf("%s/dim%d", nm.Name(), dim), func(t *testing.T) {
 				in := genNLInstance(t, n, dim, nm, r, uint64(41+dim))
-				single, err := mustAlg(t, "greedy2", nil).Run(context.Background(), in, k)
+				single, err := mustAlg(t, "greedy2").Run(context.Background(), in, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := mustAlg(t, "nearlinear", nil).Run(context.Background(), in, k)
+				got, err := mustAlg(t, "nearlinear").Run(context.Background(), in, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,13 +129,13 @@ func TestNearLinearDeterminismAcrossWorkers(t *testing.T) {
 func TestNearLinearAnytimePrefix(t *testing.T) {
 	in := genNLInstance(t, 400, 2, norm.L2{}, 0.5, 5)
 	const k = 4
-	full, err := mustAlg(t, "nearlinear", nil).Run(context.Background(), in, k)
+	full, err := mustAlg(t, "nearlinear").Run(context.Background(), in, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 1; j < k; j++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		part, err := mustAlg(t, "nearlinear", cancelAfterRound{round: j, cancel: cancel}).Run(ctx, in, k)
+		part, err := mustAlg(t, "nearlinear").Run(ctx, in.WithCollector(cancelAfterRound{round: j, cancel: cancel}), k)
 		cancel()
 		if err != context.Canceled {
 			t.Fatalf("j=%d: err = %v, want context.Canceled", j, err)
@@ -154,7 +154,7 @@ func TestNearLinearAnytimePrefix(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := mustAlg(t, "nearlinear", nil).Run(ctx, in, 3)
+	res, err := mustAlg(t, "nearlinear").Run(ctx, in, 3)
 	if err != context.Canceled {
 		t.Errorf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
@@ -174,7 +174,7 @@ func TestNearLinearStageTelemetry(t *testing.T) {
 	root := obs.StartSpan(col, "t1", "solve")
 	ctx := obs.ContextWithSpan(context.Background(), root)
 	const k = 3
-	res, err := mustAlg(t, "nearlinear", col).Run(ctx, in, k)
+	res, err := mustAlg(t, "nearlinear").Run(ctx, in.WithCollector(col), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestNearLinearStageTelemetry(t *testing.T) {
 func TestNearLinearRefineOption(t *testing.T) {
 	in := genNLInstance(t, 300, 2, norm.L2{}, 0.5, 9)
 	m := obs.NewMetrics()
-	a, err := solver.New("nearlinear", solver.Options{Refine: -1, Obs: m})
+	a, err := solver.New("nearlinear", solver.Options{Refine: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.Run(context.Background(), in, 4)
+	res, err := a.Run(context.Background(), in.WithCollector(m), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestNearLinearRefineOption(t *testing.T) {
 		t.Errorf("Refine=-1 still took %d refine steps", got)
 	}
 	md := obs.NewMetrics()
-	if _, err := mustAlgOpts(t, solver.Options{Obs: md}).Run(context.Background(), in, 4); err != nil {
+	if _, err := mustAlgOpts(t, solver.Options{}).Run(context.Background(), in.WithCollector(md), 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := md.Snapshot().Counters[obs.CtrNLRefineSteps]; got <= 0 {
@@ -264,7 +264,7 @@ func TestNearLinearSameWithAnyFinder(t *testing.T) {
 		var want *core.Result
 		for fi, f := range []reward.NeighborFinder{in.Finder(), tree, nil} {
 			in.SetFinder(f)
-			got, err := mustAlg(t, "nearlinear", nil).Run(context.Background(), in, 8)
+			got, err := mustAlg(t, "nearlinear").Run(context.Background(), in, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

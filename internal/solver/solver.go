@@ -3,8 +3,10 @@
 // under its canonical name with a constructor taking uniform Options. The
 // CLI tools, the experiment drivers, and the broadcast simulator all resolve
 // algorithms through this registry instead of hand-rolling their own
-// name→constructor lists, so names, default worker counts, and telemetry
-// wiring (core.Instrument) cannot drift between layers.
+// name→constructor lists, so names and default worker counts cannot drift
+// between layers. A solve's telemetry needs no wiring here: every algorithm
+// reports to the collector of the instance it runs on
+// (reward.Instance.SetCollector).
 package solver
 
 import (
@@ -13,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/optimize"
 	"repro/internal/pointset"
 	"repro/internal/shard"
@@ -24,7 +25,7 @@ import (
 // the registry constructors here, the exhaustive baseline (whose old
 // exhaustive.Options is now an alias of this type), and the serving layer's
 // wire schema all marshal exactly these knobs. The zero value is always
-// usable: all CPUs, seed 0, telemetry off, no enrichment.
+// usable: all CPUs, seed 0, no enrichment.
 type Options struct {
 	// Workers bounds a parallel algorithm's worker count; <= 0 uses all
 	// CPUs (parallel.DefaultWorkers).
@@ -33,10 +34,6 @@ type Options struct {
 	// baseline's placement, greedy4's Welzl shuffle). Deterministic per
 	// seed.
 	Seed uint64
-	// Obs, when live, is attached to the constructed algorithm via
-	// core.Instrument so per-round telemetry flows without every caller
-	// re-implementing the wrapping.
-	Obs obs.Collector
 	// WarmStart, when non-empty, wraps the algorithm in core.WarmStarted:
 	// the carried-over centers are scored against the cold solve on the
 	// current instance and the better of the two is returned. Re-solve
@@ -91,7 +88,8 @@ type Entry struct {
 	// Summary is a one-line description for listings.
 	Summary string
 	// New constructs the algorithm for the given options, without the
-	// Instrument wrapping (the registry applies it).
+	// sharding and warm-start wrapping (the package-level New applies
+	// them).
 	New func(Options) core.Algorithm
 }
 
@@ -265,9 +263,9 @@ func Check(name string) error {
 	return nil
 }
 
-// New resolves a registered name and constructs the algorithm, attaching
-// opts.Obs via core.Instrument when live. Unknown names report the sorted
-// catalog so callers' error messages are self-describing.
+// New resolves a registered name and constructs the algorithm. Unknown
+// names report the sorted catalog so callers' error messages are
+// self-describing.
 //
 // Two composable sharding surfaces resolve here: the name form
 // "sharded(<inner>)" (shard count from opts.Shards, DefaultShards when
@@ -300,21 +298,18 @@ func New(name string, opts Options) (core.Algorithm, error) {
 	if len(opts.WarmStart) > 0 {
 		alg = core.WarmStarted{Base: alg, Prev: opts.WarmStart}
 	}
-	return core.Instrument(alg, opts.Obs), nil
+	return alg, nil
 }
 
 // newSharded assembles the sharded pipeline around a registry entry. The
-// inner per-shard constructor strips the telemetry collector (per-shard
-// round events would collide with the merge's rounds, which are the
-// pipeline's reported rounds), the warm start (applied once, around the
-// whole pipeline), and the sharding knobs themselves (no recursive
+// inner per-shard constructor strips the warm start (applied once, around
+// the whole pipeline) and the sharding knobs themselves (no recursive
 // sharding); everything else — Workers, the exhaustive knobs — passes
 // through. The derived per-shard seed replaces the root seed.
 func newSharded(e Entry, inner string, shards int, opts Options) core.Algorithm {
 	newInner := func(seed uint64) core.Algorithm {
 		o := opts
 		o.Seed = seed
-		o.Obs = nil
 		o.Shards = 0
 		o.Halo = 0
 		o.WarmStart = nil
@@ -326,29 +321,18 @@ func newSharded(e Entry, inner string, shards int, opts Options) core.Algorithm 
 		Halo:    opts.Halo,
 		Workers: opts.Workers,
 		Seed:    opts.Seed,
-		Obs:     opts.Obs,
 		Remote:  opts.Remote,
 	})
 	if len(opts.WarmStart) > 0 {
 		alg = core.WarmStarted{Base: alg, Prev: opts.WarmStart}
 	}
-	return core.Instrument(alg, opts.Obs)
+	return alg
 }
 
 // Names returns every registered name, sorted.
 func Names() []string {
 	out := append([]string{}, names...)
 	sort.Strings(out)
-	return out
-}
-
-// Entries returns every registered entry in registration order (the
-// built-in catalog first, extensions after).
-func Entries() []Entry {
-	out := make([]Entry, 0, len(names))
-	for _, n := range names {
-		out = append(out, registry[n])
-	}
 	return out
 }
 

@@ -70,11 +70,11 @@ func TestNamesSortedAndComplete(t *testing.T) {
 }
 
 func TestEntriesMatchRegistry(t *testing.T) {
-	es := solver.Entries()
-	if len(es) != len(solver.Names()) {
-		t.Fatalf("Entries() has %d entries, Names() %d", len(es), len(solver.Names()))
-	}
-	for _, e := range es {
+	for _, name := range solver.Names() {
+		e, ok := solver.Lookup(name)
+		if !ok || e.Name != name {
+			t.Fatalf("Lookup(%q) = %+v, %v", name, e, ok)
+		}
 		if e.Summary == "" {
 			t.Errorf("entry %q has no summary", e.Name)
 		}
@@ -135,7 +135,8 @@ func TestPaperNamesResolve(t *testing.T) {
 func TestNewAttachesCollector(t *testing.T) {
 	in := testInstance(t, 40)
 	m := obs.NewMetrics()
-	a, err := solver.New("greedy2", solver.Options{Workers: 1, Obs: m})
+	in.SetCollector(m)
+	a, err := solver.New("greedy2", solver.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestCancellationPrefixEquivalence(t *testing.T) {
 	const k = 4
 	for _, name := range solver.PaperNames() {
 		t.Run(name, func(t *testing.T) {
-			full, err := mustAlg(t, name, nil).Run(context.Background(), in, k)
+			full, err := mustAlg(t, name).Run(context.Background(), in, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func TestCancellationPrefixEquivalence(t *testing.T) {
 				sink, events := capture(t)
 				ctx, cancel := context.WithCancel(context.Background())
 				col := obs.Multi(m, sink, cancelAfterRound{round: j, cancel: cancel})
-				part, err := mustAlg(t, name, col).Run(ctx, in, k)
+				part, err := mustAlg(t, name).Run(ctx, in.WithCollector(col), k)
 				cancel()
 				if err != context.Canceled {
 					t.Fatalf("j=%d: err = %v, want context.Canceled", j, err)
@@ -239,7 +240,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range solver.PaperNames() {
-		res, err := mustAlg(t, name, nil).Run(ctx, in, 3)
+		res, err := mustAlg(t, name).Run(ctx, in, 3)
 		if err != context.Canceled {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -256,9 +257,9 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-func mustAlg(t *testing.T, name string, col obs.Collector) core.Algorithm {
+func mustAlg(t *testing.T, name string) core.Algorithm {
 	t.Helper()
-	a, err := solver.New(name, solver.Options{Workers: 1, Obs: col})
+	a, err := solver.New(name, solver.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +280,11 @@ func TestWarmStartOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmC := obs.NewMetrics()
-	warm, err := solver.New("greedy3", solver.Options{WarmStart: coldRes.Centers, Obs: warmC})
+	warm, err := solver.New("greedy3", solver.Options{WarmStart: coldRes.Centers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := warm.Run(context.Background(), in, 1)
+	res, err := warm.Run(context.Background(), in.WithCollector(warmC), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestRoundNSParallelsGains(t *testing.T) {
 	const k = 3
 	for _, name := range append(solver.Names(), "sharded(greedy2-lazy)") {
 		for _, col := range []obs.Collector{nil, obs.NewMetrics()} {
-			res, err := mustAlg(t, name, col).Run(context.Background(), in, k)
+			res, err := mustAlg(t, name).Run(context.Background(), in.WithCollector(col), k)
 			if err != nil {
 				t.Fatalf("%s (collector %v): %v", name, col != nil, err)
 			}
@@ -413,12 +414,13 @@ func TestCheckMatchesNew(t *testing.T) {
 
 // TestShardedObsCountsMergeRoundsOnly: with a collector attached, a sharded
 // solve reports exactly k rounds (the merge's) — the inner per-shard solvers
-// run uninstrumented so their rounds cannot pollute request accounting —
-// while the shard.* counters expose the pipeline stages.
+// run on collector-less parts so their rounds cannot pollute request
+// accounting — while the shard.* counters expose the pipeline stages.
 func TestShardedObsCountsMergeRoundsOnly(t *testing.T) {
 	in := testInstance(t, 300)
 	m := obs.NewMetrics()
-	a, err := solver.New("greedy2-lazy", solver.Options{Shards: 4, Obs: m})
+	in.SetCollector(m)
+	a, err := solver.New("greedy2-lazy", solver.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,14 +99,6 @@ func newDynamic(points []vec.V, radius float64, build func([]vec.V, float64) (In
 // N reports the number of live indexed points.
 func (d *Dynamic) N() int { return len(d.slots) }
 
-// Rebuilds reports how many inner-index rebuilds have run (including the
-// one at construction); the churn loop surfaces it as a maintenance stat.
-func (d *Dynamic) Rebuilds() int { return d.rebuilds }
-
-// Pending reports the maintenance debt: tombstoned inner positions and
-// loose (linearly scanned) points.
-func (d *Dynamic) Pending() (tombstones, loose int) { return d.dead, len(d.loose) }
-
 // Insert indexes one new point at index N (matching pointset.Set.Append).
 // The point lands in the loose set; an over-threshold debt triggers a
 // rebuild.

@@ -95,8 +95,8 @@ func TestDynamicChurnConservative(t *testing.T) {
 					}
 				}
 			}
-			if d.Rebuilds() < 2 {
-				t.Errorf("200 mutations triggered only %d rebuilds", d.Rebuilds())
+			if d.rebuilds < 2 {
+				t.Errorf("200 mutations triggered only %d rebuilds", d.rebuilds)
 			}
 		})
 	}
@@ -150,28 +150,28 @@ func TestDynamicRebuildPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Rebuilds() != 1 {
-		t.Fatalf("construction rebuilds = %d, want 1", d.Rebuilds())
+	if d.rebuilds != 1 {
+		t.Fatalf("construction rebuilds = %d, want 1", d.rebuilds)
 	}
 	for i := 0; i < dynamicRebuildMin; i++ {
 		if err := d.Insert(randPoints(rng, 1, 2, 0, 10)[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.Rebuilds() != 1 {
-		t.Fatalf("rebuild fired below threshold (rebuilds = %d)", d.Rebuilds())
+	if d.rebuilds != 1 {
+		t.Fatalf("rebuild fired below threshold (rebuilds = %d)", d.rebuilds)
 	}
-	if tomb, loose := d.Pending(); tomb != 0 || loose != dynamicRebuildMin {
+	if tomb, loose := d.dead, len(d.loose); tomb != 0 || loose != dynamicRebuildMin {
 		t.Fatalf("pending = %d/%d, want 0/%d", tomb, loose, dynamicRebuildMin)
 	}
 	// 4+32 = 36 live, slack still 32: one more mutation crosses the line.
 	if err := d.Insert(randPoints(rng, 1, 2, 0, 10)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if d.Rebuilds() != 2 {
-		t.Fatalf("rebuild did not fire past threshold (rebuilds = %d)", d.Rebuilds())
+	if d.rebuilds != 2 {
+		t.Fatalf("rebuild did not fire past threshold (rebuilds = %d)", d.rebuilds)
 	}
-	if tomb, loose := d.Pending(); tomb != 0 || loose != 0 {
+	if tomb, loose := d.dead, len(d.loose); tomb != 0 || loose != 0 {
 		t.Fatalf("pending after rebuild = %d/%d, want 0/0", tomb, loose)
 	}
 }

@@ -2,6 +2,7 @@ package theory_test
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/theory"
 )
@@ -12,7 +13,7 @@ import (
 func Example() {
 	fmt.Printf("approx1(4)     = %.4f\n", theory.Approx1(4))
 	fmt.Printf("approx2(40, 4) = %.4f\n", theory.Approx2(40, 4))
-	fmt.Printf("1 - 1/e        = %.4f\n", theory.EBound())
+	fmt.Printf("1 - 1/e        = %.4f\n", 1-1/math.E)
 	// Output:
 	// approx1(4)     = 0.6836
 	// approx2(40, 4) = 0.0963

@@ -27,10 +27,6 @@ func Approx2(n, k int) float64 {
 	return 1 - math.Pow(1-1/float64(n), float64(k))
 }
 
-// EBound is the limit of Approx1 as k → ∞: 1 − 1/e, the classic submodular
-// greedy guarantee.
-func EBound() float64 { return 1 - 1/math.E }
-
 // Fig2Point is one x-position of the paper's Fig. 2: both bounds at a given
 // number of centers k for a fixed population size n.
 type Fig2Point struct {

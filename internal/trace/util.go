@@ -1,70 +1,10 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/xrand"
 )
-
-// Merge combines several traces over the same region into one population.
-// User IDs are renumbered to stay unique. It returns an error when the
-// traces disagree in dimension or region bounds.
-func Merge(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, errors.New("trace: merge of nothing")
-	}
-	base := traces[0]
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	out := &Trace{Dim: base.Dim, Lo: append([]float64{}, base.Lo...), Hi: append([]float64{}, base.Hi...)}
-	id := 0
-	for ti, tr := range traces {
-		if err := tr.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: merge input %d: %w", ti, err)
-		}
-		if tr.Dim != base.Dim {
-			return nil, fmt.Errorf("trace: merge input %d has dim %d, want %d", ti, tr.Dim, base.Dim)
-		}
-		for d := 0; d < base.Dim; d++ {
-			if tr.Lo[d] != base.Lo[d] || tr.Hi[d] != base.Hi[d] {
-				return nil, fmt.Errorf("trace: merge input %d has different region bounds", ti)
-			}
-		}
-		for _, u := range tr.Users {
-			out.Users = append(out.Users, User{
-				ID:       id,
-				Interest: append([]float64{}, u.Interest...),
-				Weight:   u.Weight,
-			})
-			id++
-		}
-	}
-	return out, nil
-}
-
-// Filter returns a new trace keeping only users for which keep returns true.
-// It returns an error if nothing survives (an empty trace is invalid).
-func (tr *Trace) Filter(keep func(User) bool) (*Trace, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	out := &Trace{Dim: tr.Dim, Lo: append([]float64{}, tr.Lo...), Hi: append([]float64{}, tr.Hi...)}
-	for _, u := range tr.Users {
-		if keep(u) {
-			out.Users = append(out.Users, User{
-				ID:       u.ID,
-				Interest: append([]float64{}, u.Interest...),
-				Weight:   u.Weight,
-			})
-		}
-	}
-	if len(out.Users) == 0 {
-		return nil, errors.New("trace: filter removed every user")
-	}
-	return out, nil
-}
 
 // Sample returns a new trace with n users drawn uniformly without
 // replacement. It returns an error when n is out of range.

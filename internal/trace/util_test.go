@@ -3,73 +3,8 @@ package trace
 import (
 	"testing"
 
-	"repro/internal/pointset"
 	"repro/internal/xrand"
 )
-
-func TestMerge(t *testing.T) {
-	a := genValid(t, Uniform)
-	b := genValid(t, Clustered)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Users) != len(a.Users)+len(b.Users) {
-		t.Fatalf("merged %d users, want %d", len(m.Users), len(a.Users)+len(b.Users))
-	}
-	seen := map[int]bool{}
-	for _, u := range m.Users {
-		if seen[u.ID] {
-			t.Fatalf("duplicate id %d after merge", u.ID)
-		}
-		seen[u.ID] = true
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeRejects(t *testing.T) {
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	a := genValid(t, Uniform)
-	threeD, err := Generate(Config{N: 5, Box: pointset.PaperBox3D(), Kind: Uniform,
-		Scheme: pointset.UnitWeight}, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(a, threeD); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	tr := genValid(t, Uniform)
-	heavy, err := tr.Filter(func(u User) bool { return u.Weight >= 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range heavy.Users {
-		if u.Weight < 3 {
-			t.Fatalf("filter kept weight %v", u.Weight)
-		}
-	}
-	if len(heavy.Users) >= len(tr.Users) {
-		t.Error("filter removed nothing")
-	}
-	if _, err := tr.Filter(func(User) bool { return false }); err == nil {
-		t.Error("empty filter result accepted")
-	}
-	// Filter must deep-copy: mutating the filtered trace leaves the
-	// original intact.
-	heavy.Users[0].Interest[0] = -99
-	for _, u := range tr.Users {
-		if u.Interest[0] == -99 {
-			t.Fatal("filter aliased user storage")
-		}
-	}
-}
 
 func TestSample(t *testing.T) {
 	tr := genValid(t, Uniform)

@@ -68,6 +68,17 @@ grep -q "nearlinear on" "$BIN/greedy_nls.out" ||
 grep -q "total reward" "$BIN/greedy_nls.out" ||
 	fail "cdgreedy -alg nearlinear output lacks a total"
 
+echo "==> cdgreedy: a sharded solve's -metrics snapshot must carry its pipeline telemetry"
+status=0
+"$BIN/cdgreedy" -trace "$BIN/trace.json" -alg 'sharded(greedy2-lazy)' -k 4 -metrics - >"$BIN/greedy_shard.out" 2>&1 || status=$?
+[ "$status" -eq 0 ] || fail "cdgreedy -alg sharded(greedy2-lazy) exited $status: $(cat "$BIN/greedy_shard.out")"
+# The snapshot starts at the first line that is exactly "{".
+sed -n '/^{$/,$p' "$BIN/greedy_shard.out" >"$BIN/greedy_shard_metrics.json"
+grep -q '"shard.parts": [0-9]' "$BIN/greedy_shard_metrics.json" ||
+	fail "sharded cdgreedy -metrics lacks a shard.parts counter"
+grep -q '"core.rounds": 4,\{0,1\}$' "$BIN/greedy_shard_metrics.json" ||
+	fail "sharded cdgreedy -metrics does not report core.rounds = 4"
+
 echo "==> cdstation: 1ns deadline must yield a clean partial run"
 status=0
 "$BIN/cdstation" -trace "$BIN/trace.json" -k 4 -periods 50 -timeout 1ns >"$BIN/station.out" 2>&1 || status=$?
