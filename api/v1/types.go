@@ -225,7 +225,8 @@ type ChurnRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// WarmStart carries each period's centers into the next re-solve.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// Index selects the dynamic spatial accelerator: none | grid | kdtree.
+	// Index selects the static spatial index built with each period's
+	// instance: none | grid | kdtree. It never changes a result.
 	Index string `json:"index,omitempty"`
 	// Workers bounds the per-period solver parallelism; 0 uses all CPUs.
 	Workers int `json:"workers,omitempty"`
@@ -267,8 +268,9 @@ type ChurnSummary struct {
 	// TotalArrivals / TotalDepartures count users over the whole run.
 	TotalArrivals   int `json:"total_arrivals"`
 	TotalDepartures int `json:"total_departures"`
-	// IncrementalDeltas counts AddUser/RemoveUser deltas applied in place
-	// of rebuilds; FullRebuilds counts from-scratch rebuilds.
+	// IncrementalDeltas counts the arrivals plus departures applied.
+	// FullRebuilds counts the instances built, one per period: each period
+	// is solved on an instance built from its population.
 	IncrementalDeltas int `json:"incremental_deltas"`
 	FullRebuilds      int `json:"full_rebuilds"`
 	// Partial marks a run cut short by its deadline or a server drain;

@@ -2,9 +2,9 @@
 // system the paper motivates) over a trace: each period the station selects
 // k broadcast contents with the chosen algorithm while user interests drift
 // and the population churns. With -churn it switches to the dynamic-instance
-// loop: Poisson arrivals and departures are applied as incremental evaluator
-// deltas (bit-identical to rebuilding the instance) with one optionally
-// warm-started re-solve per period.
+// loop: Poisson arrivals and departures change the population between
+// periods, and each period is re-solved (optionally warm-started) on an
+// instance built from the population as it stands.
 //
 // Usage:
 //

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/norm"
 	"repro/internal/obs"
+	"repro/internal/pointset"
 	"repro/internal/reward"
 	"repro/internal/solver"
 	"repro/internal/spatial"
@@ -18,7 +19,8 @@ import (
 
 // ChurnConfig parameterizes the dynamic-instance re-solve loop: a base
 // station whose user population churns (Poisson arrivals and departures)
-// between broadcast periods, maintained incrementally instead of rebuilt.
+// between broadcast periods, re-solved each period on an instance built from
+// the population as it stands.
 type ChurnConfig struct {
 	// K is the number of broadcasts per period.
 	K int
@@ -45,18 +47,10 @@ type ChurnConfig struct {
 	// solver.Options.WarmStart: the re-solve keeps whichever of the cold
 	// solution and the carried-over centers scores higher.
 	WarmStart bool
-	// FullEvery, when > 0, rebuilds the evaluator and spatial index from
-	// scratch every FullEvery periods (counted in obs.CtrChurnRebuilds).
-	// The deltas are bit-identical to rebuilds, so this only bounds
-	// hypothetical drift defensively; 0 never rebuilds.
-	FullEvery int
-	// Index selects the dynamic spatial accelerator maintained across
-	// deltas: "grid", "kdtree", or "none" (the default).
+	// Index selects the static spatial accelerator built with each
+	// period's instance: "grid", "kdtree", or "none" (the default). It
+	// never changes a result bit.
 	Index string
-	// Verify, when set, cross-checks the incrementally maintained objective
-	// against a from-scratch evaluator rebuild every period and fails the
-	// run on any bitwise mismatch. Intended for tests and smoke runs.
-	Verify bool
 	// Obs, when set, receives the churn counters and, through the
 	// instance it is attached to, the reward-oracle counts and every
 	// period solve's telemetry, warm starts included.
@@ -83,9 +77,6 @@ func (c ChurnConfig) validate() error {
 	}
 	if c.DepartRate < 0 || math.IsNaN(c.DepartRate) || math.IsInf(c.DepartRate, 0) {
 		return fmt.Errorf("broadcast: depart rate = %v", c.DepartRate)
-	}
-	if c.FullEvery < 0 {
-		return fmt.Errorf("broadcast: full-rebuild period = %d", c.FullEvery)
 	}
 	switch c.Index {
 	case "", "none", "grid", "kdtree":
@@ -117,8 +108,7 @@ type ChurnPeriodStat struct {
 	Period int
 	// N is the population size the period was scheduled for.
 	N int
-	// Objective is f(C) of the adopted centers, read from the maintained
-	// evaluator.
+	// Objective is f(C) of the adopted centers on the period's population.
 	Objective float64
 	// MaxRwd is Σ w_i, the period's reward upper bound.
 	MaxRwd float64
@@ -140,18 +130,17 @@ type ChurnMetrics struct {
 	MeanPopulation float64
 	// TotalArrivals / TotalDepartures count users over the whole run.
 	TotalArrivals, TotalDepartures int
-	// IncrementalDeltas counts AddUser/RemoveUser operations applied in
-	// place of full rebuilds; FullRebuilds counts scheduled rebuilds
-	// (cfg.FullEvery) plus the initial construction.
+	// IncrementalDeltas counts the arrivals plus departures applied;
+	// FullRebuilds counts the instances built, one per period.
 	IncrementalDeltas, FullRebuilds int
 }
 
-// RunChurn simulates the base station over a churning population, maintaining
-// the reward instance incrementally: arrivals and departures are applied with
-// reward.Evaluator.AddUser/RemoveUser (bit-identical to rebuilding the
-// instance from scratch), the optional spatial index is a spatial.Dynamic
-// kept aligned across the same deltas, and with cfg.WarmStart each period's
-// centers seed the next re-solve. The input trace is copied, never mutated.
+// RunChurn simulates the base station over a churning population. The
+// population is kept as plain slices: arrivals are appended and a departure
+// swaps the last user into its slot. Each period solves an instance built
+// from the population as it stands, with the static spatial index cfg.Index
+// names, and with cfg.WarmStart each period's centers seed the next
+// re-solve. The input trace is never mutated.
 //
 // RunChurn is anytime under cancellation: ctx is checked each period, a
 // period whose solve was cut short is discarded, and metrics over the
@@ -161,9 +150,6 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		return nil, errors.New("broadcast: nil trace")
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -177,44 +163,47 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 	if solverName == "" {
 		solverName = "greedy2"
 	}
-
-	set, err := tr.ToSet() // a fresh copy; churn deltas stay private
-	if err != nil {
-		return nil, err
-	}
-	in, err := reward.NewInstance(set, nm, cfg.Radius)
-	if err != nil {
-		return nil, err
-	}
-	in.SetCollector(cfg.Obs)
-	installIndex := func() error {
+	m := &ChurnMetrics{Solver: solverName}
+	// newInstance builds one period's instance over set: the run's
+	// collector and the static index cfg.Index names.
+	newInstance := func(set *pointset.Set) (*reward.Instance, error) {
+		in, err := reward.NewInstance(set, nm, cfg.Radius)
+		if err != nil {
+			return nil, err
+		}
+		in.SetCollector(cfg.Obs)
+		var f reward.NeighborFinder
 		switch cfg.Index {
 		case "grid":
-			df, err := spatial.NewDynamicGrid(set.Points(), cfg.Radius)
-			if err != nil {
-				return err
-			}
-			in.SetFinder(df)
+			f, err = spatial.NewGrid(set.Points(), cfg.Radius)
 		case "kdtree":
-			df, err := spatial.NewDynamicKDTree(set.Points(), cfg.Radius)
-			if err != nil {
-				return err
-			}
-			in.SetFinder(df)
+			f, err = spatial.NewKDTree(set.Points(), cfg.Radius)
 		}
-		return nil
+		if err != nil {
+			return nil, err
+		}
+		if f != nil {
+			in.SetFinder(f)
+		}
+		m.FullRebuilds++
+		return in, nil
 	}
-	if err := installIndex(); err != nil {
-		return nil, err
-	}
-	eval, err := reward.NewEvaluator(in, nil)
+
+	set, err := tr.ToSet() // validates the trace
 	if err != nil {
 		return nil, err
 	}
+	in, err := newInstance(set)
+	if err != nil {
+		return nil, err
+	}
+	// The population the churn evolves. A Set is immutable, so sharing its
+	// point views is safe.
+	pts := append([]vec.V(nil), set.Points()...)
+	ws := append([]float64(nil), set.Weights()...)
 
 	rng := xrand.New(cfg.Seed)
 	box := tr.Box()
-	m := &ChurnMetrics{Solver: solverName, FullRebuilds: 1} // initial build
 	c := obs.OrNop(cfg.Obs)
 	// When the caller installed an ambient span (the serving layer wraps
 	// each /v1/churn request in one), every period gets a child span and the
@@ -254,61 +243,49 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 			psp.End()
 			return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
 		}
-		if err := eval.SetCenters(res.Centers); err != nil {
-			return nil, err
-		}
-		objective := eval.Objective()
-		if cfg.Verify {
-			if err := verifyObjective(in, res.Centers, objective, p); err != nil {
-				return nil, err
-			}
-		}
+		objective := in.Objective(res.Centers)
 		ps := ChurnPeriodStat{
 			Period: p, N: in.N(), Objective: objective,
-			MaxRwd: set.TotalWeight(), CarryObjective: carry,
+			MaxRwd: in.Set.TotalWeight(), CarryObjective: carry,
 		}
 		popSum += float64(in.N())
 		prev = res.Centers
 
-		// Churn the population for the next period via incremental deltas.
+		// Churn the population, then build the next period's instance.
 		if p < cfg.Periods-1 {
 			arrivals := rng.Poisson(cfg.ArrivalRate)
 			departures := rng.Poisson(cfg.DepartRate)
-			if max := in.N() + arrivals - 1; departures > max {
+			if max := len(pts) + arrivals - 1; departures > max {
 				departures = max // never serve an empty cell
 			}
 			for a := 0; a < arrivals; a++ {
-				w := set.Weight(rng.Intn(set.Len()))
-				if _, err := eval.AddUser(vec.V(box.Sample(rng)), w); err != nil {
-					return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
-				}
+				w := ws[rng.Intn(len(ws))]
+				pts = append(pts, vec.V(box.Sample(rng)))
+				ws = append(ws, w)
 			}
 			for d := 0; d < departures; d++ {
-				if _, err := eval.RemoveUser(rng.Intn(set.Len())); err != nil {
-					return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
-				}
+				i, last := rng.Intn(len(pts)), len(pts)-1
+				pts[i], ws[i] = pts[last], ws[last]
+				pts, ws = pts[:last], ws[:last]
 			}
 			ps.Arrivals, ps.Departures = arrivals, departures
 			m.TotalArrivals += arrivals
 			m.TotalDepartures += departures
 			m.IncrementalDeltas += arrivals + departures
+			set, err := pointset.New(pts, ws)
+			if err != nil {
+				return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
+			}
+			if in, err = newInstance(set); err != nil {
+				return nil, err
+			}
 			// The previous centers scored on the churned population: the
 			// next period's warm-start candidate.
-			carry = eval.Objective()
+			carry = in.Objective(prev)
 			if obs.Active(cfg.Obs) {
 				c.Count(obs.CtrChurnAdded, int64(arrivals))
 				c.Count(obs.CtrChurnRemoved, int64(departures))
 				c.Count(obs.CtrChurnDeltas, int64(arrivals+departures))
-			}
-			if cfg.FullEvery > 0 && (p+1)%cfg.FullEvery == 0 {
-				if err := installIndex(); err != nil {
-					return nil, err
-				}
-				if eval, err = reward.NewEvaluator(in, prev); err != nil {
-					return nil, err
-				}
-				m.FullRebuilds++
-				c.Count(obs.CtrChurnRebuilds, 1)
 			}
 		}
 		m.Periods = append(m.Periods, ps)
@@ -341,24 +318,4 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		m.MeanPopulation = popSum / float64(len(m.Periods))
 	}
 	return m, cancelErr
-}
-
-// verifyObjective cross-checks the maintained evaluator against a
-// from-scratch rebuild over a clone of the current population. Any deviation
-// means the incremental bookkeeping diverged — a bug, reported bitwise.
-func verifyObjective(in *reward.Instance, centers []vec.V, got float64, period int) error {
-	set := in.Set.Clone()
-	fresh, err := reward.NewInstance(set, in.Norm, in.Radius)
-	if err != nil {
-		return err
-	}
-	e, err := reward.NewEvaluator(fresh, centers)
-	if err != nil {
-		return err
-	}
-	if want := e.Objective(); got != want {
-		return fmt.Errorf("broadcast: period %d: incremental objective %v != rebuild %v (diff %g)",
-			period, got, want, got-want)
-	}
-	return nil
 }

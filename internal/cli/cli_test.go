@@ -282,13 +282,13 @@ func TestStationChurnMode(t *testing.T) {
 	var out bytes.Buffer
 	err := Station(context.Background(), []string{
 		"-churn", "-arrivals", "3", "-departs", "2", "-periods", "4",
-		"-warm", "-index", "grid", "-verify", "-alg", "greedy3",
+		"-warm", "-index", "grid", "-alg", "greedy3",
 	}, strings.NewReader(js), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"churn loop", "carry-over", "mean population", "incremental deltas"} {
+	for _, want := range []string{"churn loop", "carry-over", "mean population", "incremental deltas", "4 full rebuilds"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("churn output missing %q:\n%s", want, text)
 		}

@@ -48,10 +48,9 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		replace   = fs.Float64("replace", 0.05, "per-period user replacement probability")
 		arrivals  = fs.Float64("arrivals", 0, "mean new users per period (Poisson)")
 		departs   = fs.Float64("departs", 0, "per-period probability a user leaves for good (-churn mode: mean departures per period, Poisson)")
-		churnMode = fs.Bool("churn", false, "dynamic-instance mode: Poisson arrivals/departures maintained incrementally (AddUser/RemoveUser deltas) with a re-solve per period")
+		churnMode = fs.Bool("churn", false, "dynamic-instance mode: Poisson arrivals/departures with a re-solve per period on the population as it stands")
 		warm      = fs.Bool("warm", false, "with -churn: warm-start each re-solve from the previous period's centers")
-		index     = fs.String("index", "none", "with -churn: dynamic spatial index maintained across deltas: none | grid | kdtree")
-		verify    = fs.Bool("verify", false, "with -churn: cross-check the incremental objective against a from-scratch rebuild every period")
+		index     = fs.String("index", "none", "with -churn: static spatial index built each period: none | grid | kdtree")
 		slots     = fs.Int("slots", 0, "broadcast slots per period (0 = k)")
 		stations  = fs.Int("stations", 1, "number of base stations (users partitioned among them)")
 		assign    = fs.String("assign", "nearest-anchor", "multi-station user assignment: random | nearest-anchor")
@@ -97,7 +96,7 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 			K: *k, Radius: *r, Norm: nm, Periods: *periods,
 			ArrivalRate: *arrivals, DepartRate: *departs,
 			Solver: *algName, Seed: *seed, WarmStart: *warm,
-			Index: *index, Verify: *verify, Obs: tel.Collector(),
+			Index: *index, Obs: tel.Collector(),
 		}); err != nil {
 			return err
 		}
@@ -177,8 +176,8 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 }
 
 // stationChurn runs the dynamic-instance churn loop (-churn): the population
-// evolves by Poisson arrivals/departures applied as incremental evaluator
-// deltas, with one (optionally warm-started) re-solve per period.
+// evolves by Poisson arrivals/departures, with one (optionally warm-started)
+// re-solve per period on an instance built from the population.
 func stationChurn(ctx context.Context, tr *trace.Trace, stdout io.Writer, cfg broadcast.ChurnConfig) error {
 	m, cerr := broadcast.RunChurn(ctx, tr, cfg)
 	if cerr != nil && (m == nil || ctx.Err() == nil) {

@@ -180,6 +180,30 @@ func TestBenchMetrics(t *testing.T) {
 	}
 }
 
+// TestBenchTimedDriversMetrics: the drivers that time their own solves
+// (ablation-scale, nearlinear-scale, complexity) build their instances with
+// the run's collector, so -metrics records their rounds and gain
+// evaluations, and their notes say the times include the counting.
+func TestBenchTimedDriversMetrics(t *testing.T) {
+	for _, id := range []string{"ablation-scale", "nearlinear-scale", "complexity"} {
+		t.Run(id, func(t *testing.T) {
+			mPath := filepath.Join(t.TempDir(), "m.json")
+			var out bytes.Buffer
+			if err := Bench(context.Background(), []string{"-run", id, "-quick", "-metrics", mPath}, &out); err != nil {
+				t.Fatal(err)
+			}
+			s := readSnapshot(t, mPath)
+			if s.Counters[obs.CtrRounds] <= 0 || s.Counters[obs.CtrGainEvals] <= 0 {
+				t.Errorf("core.rounds = %d, reward.gain_evals = %d, want both > 0",
+					s.Counters[obs.CtrRounds], s.Counters[obs.CtrGainEvals])
+			}
+			if !strings.Contains(out.String(), "per-evaluation counting") {
+				t.Errorf("output lacks the counting note:\n%s", out.String())
+			}
+		})
+	}
+}
+
 // TestGreedyShardedMetrics: a sharded solve reports its pipeline telemetry
 // through the instance's collector — the shard.* counters and exactly k
 // rounds, the merge's — under both sharding surfaces and both output modes.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,6 +164,43 @@ func TestClusterFallback(t *testing.T) {
 	}
 }
 
+// assertFallsBack runs req through a coordinator whose one peer gossips
+// healthy and answers every forward with forward. The coordinator must
+// return want bit for bit, count one fallback per forward and accept none.
+func assertFallsBack(t *testing.T, req *v1.SolveRequest, want *v1.SolveResponse, forward http.HandlerFunc) {
+	t.Helper()
+	var forwards atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cluster/health" {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"draining":false,"workers":8,"in_flight":0,"queued":0,"queue_depth":64}`))
+			return
+		}
+		forwards.Add(1)
+		forward(w, r)
+	}))
+	t.Cleanup(bad.Close)
+
+	met := obs.NewMetrics()
+	cl := clusterd.New(clusterd.Config{Peers: []string{bad.URL}, Obs: met})
+	cl.GossipOnce(context.Background())
+	coord := startNode(t, serve.Config{Cluster: cl})
+	got := mustSolve(t, coord.ts.URL, req)
+	if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Gains, want.Gains) ||
+		got.Total != want.Total {
+		t.Errorf("answer differs from the local solve:\n got %v (%v)\nwant %v (%v)",
+			got.Centers, got.Total, want.Centers, want.Total)
+	}
+	snap := met.Snapshot()
+	if n := forwards.Load(); n == 0 || snap.Counters[obs.CtrClusterFallbacks] != n {
+		t.Errorf("%d forwards, %d fallbacks; want one fallback per forward",
+			n, snap.Counters[obs.CtrClusterFallbacks])
+	}
+	if got := snap.Counters[obs.CtrClusterForwards]; got != 0 {
+		t.Errorf("%d bad answers accepted", got)
+	}
+}
+
 // TestClusterRejectsBadAnswers: a peer that gossips healthy but answers
 // every forward with a corrupted copy of the true answer never reaches the
 // merge. Each forward counts one fallback, the part is solved locally, and
@@ -188,14 +226,7 @@ func TestClusterRejectsBadAnswers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var forwards atomic.Int64
-			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				if r.URL.Path == "/v1/cluster/health" {
-					w.Write([]byte(`{"draining":false,"workers":8,"in_flight":0,"queued":0,"queue_depth":64}`))
-					return
-				}
-				forwards.Add(1)
+			assertFallsBack(t, req, want, func(w http.ResponseWriter, r *http.Request) {
 				rec := httptest.NewRecorder()
 				honest.ServeHTTP(rec, r)
 				var ans map[string]any
@@ -204,28 +235,59 @@ func TestClusterRejectsBadAnswers(t *testing.T) {
 					return
 				}
 				tc.mutate(ans)
+				w.Header().Set("Content-Type", "application/json")
 				json.NewEncoder(w).Encode(ans)
-			}))
-			t.Cleanup(bad.Close)
+			})
+		})
+	}
+}
 
-			met := obs.NewMetrics()
-			cl := clusterd.New(clusterd.Config{Peers: []string{bad.URL}, Obs: met})
-			cl.GossipOnce(context.Background())
-			coord := startNode(t, serve.Config{Cluster: cl})
-			got := mustSolve(t, coord.ts.URL, req)
-			if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Gains, want.Gains) ||
-				got.Total != want.Total {
-				t.Errorf("answer differs from the local solve:\n got %v (%v)\nwant %v (%v)",
-					got.Centers, got.Total, want.Centers, want.Total)
+// TestClusterTransportFaults is the transport half of the cluster fault
+// matrix: a peer that gossips healthy, then refuses or garbles every
+// forward, costs one fallback per forward and never changes the answer.
+// Draining is the peer that began to drain between gossip and forward.
+func TestClusterTransportFaults(t *testing.T) {
+	set := testInstance(t, 2000)
+	req := solveReq(set, 4)
+	single := startNode(t, serve.Config{})
+	want := mustSolve(t, single.ts.URL, req)
+	honest := serve.New(serve.Config{}).Handler()
+
+	refuse := func(status int, code string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if status == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
 			}
-			snap := met.Snapshot()
-			if n := forwards.Load(); n == 0 || snap.Counters[obs.CtrClusterFallbacks] != n {
-				t.Errorf("%d forwards, %d fallbacks; want one fallback per forward",
-					n, snap.Counters[obs.CtrClusterFallbacks])
-			}
-			if got := snap.Counters[obs.CtrClusterForwards]; got != 0 {
-				t.Errorf("%d bad answers accepted", got)
-			}
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(v1.ErrorResponse{Error: v1.Error{Code: code, Message: "refused"}})
+		}
+	}
+	cases := []struct {
+		name    string
+		forward http.HandlerFunc
+	}{
+		{"429 queue_full", refuse(http.StatusTooManyRequests, v1.CodeQueueFull)},
+		{"500 solve_failed", refuse(http.StatusInternalServerError, v1.CodeSolveFailed)},
+		{"503 draining", refuse(http.StatusServiceUnavailable, v1.CodeDraining)},
+		{"200 cut off mid-JSON", func(w http.ResponseWriter, r *http.Request) {
+			// The true answer's length is declared, half of it is sent,
+			// and the connection closes: a peer that died mid-body.
+			rec := httptest.NewRecorder()
+			honest.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body[:len(body)/2])
+		}},
+		{"200 not JSON", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte("<html>502 Bad Gateway</html>"))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertFallsBack(t, req, want, tc.forward)
 		})
 	}
 }

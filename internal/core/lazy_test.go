@@ -86,9 +86,9 @@ func TestLazyValidation(t *testing.T) {
 
 // With a spatial finder installed, every algorithm must produce bit-identical
 // results: the accelerated evaluator only skips exactly-zero terms. The
-// finders are the static grid and k-d tree and the grid-backed Dynamic; the
-// four-worker scans fill the grid's window cache concurrently, and the last
-// trial's n = 2000 instance reuses each cached window many times.
+// finders are the grid and the k-d tree; the four-worker scans fill the
+// grid's window cache concurrently, and the last trial's n = 2000 instance
+// reuses each cached window many times.
 func TestFinderPreservesAllAlgorithms(t *testing.T) {
 	rng := xrand.New(43)
 	small := []Algorithm{LocalGreedy{Workers: 1}, LocalGreedy{Workers: 4}, LazyGreedy{},
@@ -121,11 +121,7 @@ func TestFinderPreservesAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dyn, err := spatial.NewDynamicGrid(in.Set.Points(), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, finder := range []reward.NeighborFinder{grid, tree, dyn} {
+			for _, finder := range []reward.NeighborFinder{grid, tree} {
 				in.SetFinder(finder)
 				for ai, a := range algs {
 					res, err := a.Run(context.Background(), in, k)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/norm"
 	"repro/internal/pointset"
 	"repro/internal/report"
-	"repro/internal/reward"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -51,7 +50,7 @@ func RunComplexity(ctx context.Context, cfg RunConfig) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			in, err := reward.NewInstance(set, norm.L2{}, 0.8)
+			in, err := cfg.newInstance(set, norm.L2{}, 0.8)
 			if err != nil {
 				return nil, err
 			}
@@ -92,5 +91,6 @@ func RunComplexity(ctx context.Context, cfg RunConfig) (*Output, error) {
 		"claims. greedy3 stays near-linear and greedy2 tracks its n² bound closely; greedy4's walks",
 		"terminate early on sparse instances, so its effective exponent falls well below 3 even though",
 		"its absolute time dominates everything (the per-seed SEB walks carry a large constant).")
+	out.Notes = append(out.Notes, cfg.countingNote()...)
 	return out, nil
 }

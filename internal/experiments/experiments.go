@@ -124,7 +124,7 @@ func Registry() []Experiment {
 		{ID: "baselines", Title: "Extension: greedy vs reward-blind placement (k-means/k-medians/random)", Run: RunBaselines},
 		{ID: "radiuscurve", Title: "Extension: total reward as a continuous function of the radius", Run: RunRadiusCurve},
 		{ID: "weightskew", Title: "Extension: sensitivity to the weight scheme's skew", Run: RunWeightSkew},
-		{ID: "churn", Title: "Extension: dynamic-instance churn — incremental deltas, warm-started re-solves", Run: RunChurnExperiment},
+		{ID: "churn", Title: "Extension: dynamic-instance churn — per-period re-solves, cold vs warm-started", Run: RunChurnExperiment},
 	}
 }
 
@@ -184,4 +184,13 @@ func (c RunConfig) newInstance(set *pointset.Set, nm norm.Norm, r float64) (*rew
 	}
 	in.SetCollector(c.Obs)
 	return in, nil
+}
+
+// countingNote is the note a timing driver adds when a collector is
+// attached: its per-evaluation counting runs inside the timed solves.
+func (c RunConfig) countingNote() []string {
+	if !obs.Active(c.Obs) {
+		return nil
+	}
+	return []string{"The times include the attached collector's per-evaluation counting (cdbench -metrics)."}
 }

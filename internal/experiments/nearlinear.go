@@ -9,7 +9,6 @@ import (
 	"repro/internal/norm"
 	"repro/internal/pointset"
 	"repro/internal/report"
-	"repro/internal/reward"
 	"repro/internal/spatial"
 	"repro/internal/xrand"
 )
@@ -37,7 +36,7 @@ func RunNearLinearScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 			return nil, err
 		}
 		run := func(alg core.Algorithm) (*core.Result, time.Duration, error) {
-			in, err := reward.NewInstance(set, norm.L2{}, r)
+			in, err := cfg.newInstance(set, norm.L2{}, r)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -72,5 +71,6 @@ func RunNearLinearScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 		"with a k-means++ pass over cell representatives, and locally refines each pick; per-round",
 		"cost is O(occupied cells), so wall time stops tracking n once cells saturate. The quality",
 		"column is the price of the approximation; the speedup column is what it buys.")
+	out.Notes = append(out.Notes, cfg.countingNote()...)
 	return out, nil
 }

@@ -35,7 +35,7 @@ func RunAblationScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 			return nil, err
 		}
 		makeInstance := func(finder string) (*reward.Instance, error) {
-			in, err := reward.NewInstance(set, norm.L2{}, r)
+			in, err := cfg.newInstance(set, norm.L2{}, r)
 			if err != nil {
 				return nil, err
 			}
@@ -99,5 +99,6 @@ func RunAblationScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 		"skips only exactly-zero coverage terms and sorts candidates so IEEE sums match bit for bit.",
 		"Expected shape: lazy+grid dominates at large n, where O(kn²) full scans waste work on",
 		"points far outside every candidate disk.")
+	out.Notes = append(out.Notes, cfg.countingNote()...)
 	return out, nil
 }

@@ -155,12 +155,11 @@ const (
 	TimNLSeed          = "nearlinear.seed_ns"
 	TimNLRefine        = "nearlinear.refine_ns"
 
-	CtrChurnPeriods  = "churn.periods"
-	CtrChurnAdded    = "churn.users_added"
-	CtrChurnRemoved  = "churn.users_removed"
-	CtrChurnDeltas   = "churn.incremental_deltas"
-	CtrChurnRebuilds = "churn.full_rebuilds"
-	ObsWarmImprove   = "churn.warmstart_improvement"
+	CtrChurnPeriods = "churn.periods"
+	CtrChurnAdded   = "churn.users_added"
+	CtrChurnRemoved = "churn.users_removed"
+	CtrChurnDeltas  = "churn.incremental_deltas"
+	ObsWarmImprove  = "churn.warmstart_improvement"
 
 	// Solve-result cache series (internal/cache wired through the serving
 	// layer). Hits/misses/collapsed/bypass are counted by the serving layer

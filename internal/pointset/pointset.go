@@ -15,23 +15,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// Set is an immutable-by-convention collection of weighted points during a
-// solver run: the algorithms never mutate a Set; they keep their own
-// residual state. Between runs, the dynamic-instance layer may evolve the
-// population through the delta operations Append, RemoveSwap, and SetWeight,
-// which keep every view (per-point vectors, weights, flat coordinates)
-// consistent. Mutating a Set while a solver or evaluator scans it is a data
-// race; apply deltas only between solves.
+// Set is an immutable collection of weighted points: nothing changes a Set
+// after construction, so solvers, evaluators and indexes may share one
+// across goroutines. A population that changes is rebuilt as a new Set.
 //
-// Alongside the per-point vec.V view, a Set carries the same coordinates in
-// one contiguous row-major array (point i occupies coords[i*dim : (i+1)*dim]).
-// The flat layout is what the batched distance kernels in internal/norm scan:
-// one candidate center against n points touches n·dim adjacent float64s
-// instead of n scattered slice headers.
+// A Set holds its coordinates once, in one contiguous row-major array
+// (point i occupies coords[i*dim : (i+1)*dim]); Point(i) is a view of that
+// row. The flat layout is what the batched distance kernels in
+// internal/norm scan: one candidate center against n points touches n·dim
+// adjacent float64s instead of n scattered slices.
 type Set struct {
-	pts     []vec.V
+	pts     []vec.V // pts[i] is row i of coords, capped at dim
 	weights []float64
-	coords  []float64 // row-major copy of pts, built once at construction
+	coords  []float64 // row-major coordinates
 	dim     int
 }
 
@@ -67,16 +63,13 @@ func New(pts []vec.V, weights []float64) (*Set, error) {
 }
 
 // build is the one constructor every Set goes through. It returns a Set
-// that owns flat (len(weights) points, row-major) and weights. The
-// per-point views slice one backing array of their own, each capped at dim:
-// they must not alias flat, since RemoveSwap and Append rewrite flat in
-// place.
+// that owns flat (len(weights) points, row-major) and weights. Each
+// per-point view is a row of flat, capped at dim so an append to a view
+// cannot reach its neighbour.
 func build(flat []float64, dim int, weights []float64) *Set {
-	back := make([]float64, len(flat))
-	copy(back, flat)
 	pts := make([]vec.V, len(weights))
 	for i := range pts {
-		pts[i] = back[i*dim : (i+1)*dim : (i+1)*dim]
+		pts[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return &Set{pts: pts, weights: weights, coords: flat, dim: dim}
 }
@@ -97,7 +90,8 @@ func (s *Set) Len() int { return len(s.pts) }
 // Dim reports the dimensionality m.
 func (s *Set) Dim() int { return s.dim }
 
-// Point returns the i-th point. The returned slice must not be modified.
+// Point returns the i-th point, a view of row i of Coords(). The returned
+// slice must not be modified.
 func (s *Set) Point(i int) vec.V { return s.pts[i] }
 
 // Weight returns w_i.
@@ -110,77 +104,9 @@ func (s *Set) Points() []vec.V { return s.pts }
 func (s *Set) Weights() []float64 { return s.weights }
 
 // Coords returns the points as one contiguous row-major array: point i is
-// Coords()[i*Dim() : (i+1)*Dim()], bit-identical to Point(i). It must be
+// Coords()[i*Dim() : (i+1)*Dim()], the row Point(i) views. It must be
 // treated as read-only. Batched distance kernels consume this layout.
 func (s *Set) Coords() []float64 { return s.coords }
-
-// Append adds one point with the given weight, returning its index (the new
-// Len()−1). The point is cloned into both the per-point and the flat
-// row-major storage, so the two views stay bit-identical. The same
-// validation rules as New apply.
-func (s *Set) Append(p vec.V, w float64) (int, error) {
-	if p.Dim() != s.dim {
-		return 0, fmt.Errorf("pointset: point has dim %d, want %d", p.Dim(), s.dim)
-	}
-	if !p.IsFinite() {
-		return 0, errors.New("pointset: point has non-finite coordinates")
-	}
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return 0, fmt.Errorf("pointset: weight %v is invalid", w)
-	}
-	i := len(s.pts)
-	s.pts = append(s.pts, p.Clone())
-	s.weights = append(s.weights, w)
-	s.coords = append(s.coords, p...)
-	return i, nil
-}
-
-// RemoveSwap deletes point i by moving the last point into its slot and
-// truncating — O(dim), no reindexing of the prefix. It returns the index of
-// the point that moved into slot i (the old Len()−1), or −1 when i was the
-// last slot and nothing moved. Callers maintaining parallel per-point state
-// (spatial indexes, coverage rows) must mirror the same swap. Removing the
-// only point is an error: a Set is never empty.
-func (s *Set) RemoveSwap(i int) (moved int, err error) {
-	n := len(s.pts)
-	if i < 0 || i >= n {
-		return 0, fmt.Errorf("pointset: index %d out of range [0,%d)", i, n)
-	}
-	if n == 1 {
-		return 0, errors.New("pointset: cannot remove the only point")
-	}
-	last := n - 1
-	moved = -1
-	if i != last {
-		s.pts[i] = s.pts[last]
-		s.weights[i] = s.weights[last]
-		copy(s.coords[i*s.dim:(i+1)*s.dim], s.coords[last*s.dim:(last+1)*s.dim])
-		moved = last
-	}
-	s.pts[last] = nil
-	s.pts = s.pts[:last]
-	s.weights = s.weights[:last]
-	s.coords = s.coords[:last*s.dim]
-	return moved, nil
-}
-
-// SetWeight updates w_i in place. The same validation rules as New apply.
-func (s *Set) SetWeight(i int, w float64) error {
-	if i < 0 || i >= len(s.weights) {
-		return fmt.Errorf("pointset: index %d out of range [0,%d)", i, len(s.weights))
-	}
-	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("pointset: weight %v is invalid", w)
-	}
-	s.weights[i] = w
-	return nil
-}
-
-// Clone returns a deep copy of the Set: delta operations on the copy never
-// touch the original. The equivalence tests rebuild from clones.
-func (s *Set) Clone() *Set {
-	return build(append([]float64(nil), s.coords...), s.dim, append([]float64(nil), s.weights...))
-}
 
 // TotalWeight returns Σ w_i, the upper bound on any reward (f_opt ≤ Σ w_i).
 func (s *Set) TotalWeight() float64 {

@@ -8,19 +8,37 @@ import (
 	"repro/internal/xrand"
 )
 
+// checkViews asserts that s holds its coordinates once: Point(i) is row i
+// of Coords(), capped at the dimension so an append to one view cannot
+// write into the next row.
+func checkViews(t *testing.T, s *Set) {
+	t.Helper()
+	flat := s.Coords()
+	if len(flat) != s.Len()*s.Dim() {
+		t.Fatalf("Coords length %d, want %d", len(flat), s.Len()*s.Dim())
+	}
+	for i := 0; i < s.Len(); i++ {
+		p := s.Point(i)
+		if len(p) != s.Dim() || cap(p) != s.Dim() {
+			t.Fatalf("point %d has len %d cap %d, want %d", i, len(p), cap(p), s.Dim())
+		}
+		if &p[0] != &flat[i*s.Dim()] {
+			t.Fatalf("point %d is not a view of its Coords row", i)
+		}
+	}
+}
+
 func TestCoordsFlatLayout(t *testing.T) {
 	pts := []vec.V{vec.Of(1, 2), vec.Of(3, 4), vec.Of(5, 6)}
 	s, err := UnitWeights(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkViews(t, s)
 	flat := s.Coords()
-	if len(flat) != s.Len()*s.Dim() {
-		t.Fatalf("Coords length %d, want %d", len(flat), s.Len()*s.Dim())
-	}
 	for i := 0; i < s.Len(); i++ {
 		row := flat[i*s.Dim() : (i+1)*s.Dim()]
-		for d, x := range s.Point(i) {
+		for d, x := range pts[i] {
 			if row[d] != x {
 				t.Errorf("Coords row %d dim %d = %v, want %v", i, d, row[d], x)
 			}
@@ -36,12 +54,18 @@ func TestCoordsFlatLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkViews(t, sub)
 	want := []float64{5, 6, 1, 2}
 	for i, x := range sub.Coords() {
 		if x != want[i] {
 			t.Fatalf("Subset Coords = %v, want %v", sub.Coords(), want)
 		}
 	}
+	var dec Set
+	if err := dec.UnmarshalJSON([]byte(`{"points":[[0,0],[1,1],[2,2]],"weights":[1,2,3]}`)); err != nil {
+		t.Fatal(err)
+	}
+	checkViews(t, &dec)
 }
 
 func TestNewValidation(t *testing.T) {

@@ -181,66 +181,3 @@ func benchEvaluatorReplace(b *testing.B, n int, batch bool) {
 
 func BenchmarkEvaluatorReplaceScalar_N10000(b *testing.B) { benchEvaluatorReplace(b, 10000, false) }
 func BenchmarkEvaluatorReplaceBatch_N10000(b *testing.B)  { benchEvaluatorReplace(b, 10000, true) }
-
-// Churn benchmarks: keeping a built evaluator aligned with one arriving and
-// one departing user, incrementally (AddUser/RemoveUser) versus by rebuilding
-// the evaluator state from scratch after each Set delta — the cost the
-// incremental path replaces. The ratio of a Full↔Delta pair's ns/op is the
-// speedup.
-
-func benchChurnCenters() []vec.V {
-	rng := xrand.New(11)
-	centers := make([]vec.V, 6)
-	for j := range centers {
-		centers[j] = vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
-	}
-	return centers
-}
-
-func benchUserDelta(b *testing.B, n int) {
-	in, _ := benchInstance(b, n, 2, norm.L2{}, 1, 4, false)
-	e, err := NewEvaluator(in, benchChurnCenters())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := vec.Of(2, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := e.AddUser(p, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.RemoveUser(idx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchUserFull(b *testing.B, n int) {
-	in, _ := benchInstance(b, n, 2, norm.L2{}, 1, 4, false)
-	centers := benchChurnCenters()
-	p := vec.Of(2, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := in.Set.Append(p, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := NewEvaluator(in, centers); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := in.Set.RemoveSwap(idx); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := NewEvaluator(in, centers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluatorUserDelta_N1000(b *testing.B)  { benchUserDelta(b, 1000) }
-func BenchmarkEvaluatorUserFull_N1000(b *testing.B)   { benchUserFull(b, 1000) }
-func BenchmarkEvaluatorUserDelta_N10000(b *testing.B) { benchUserDelta(b, 10000) }
-func BenchmarkEvaluatorUserFull_N10000(b *testing.B)  { benchUserFull(b, 10000) }

@@ -71,13 +71,13 @@ func gainsPoints(rng *xrand.Rand, n, dim int, r float64) ([]vec.V, []float64) {
 
 // TestRoundGainsMatchesRoundGain: the symmetric first-round sweep gives
 // every point the bits of its own RoundGain, across the kernel norms, dims
-// 1–5, every finder (Dynamic after churn too), fresh and partly spent
+// 1–5, every finder, fresh and partly spent
 // residuals, duplicates and zero weights; and so does the scalar path.
 func TestRoundGainsMatchesRoundGain(t *testing.T) {
 	rng := xrand.New(211)
 	for _, dim := range []int{1, 2, 3, 5} {
 		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}} {
-			for _, finder := range []string{"none", "grid", "kdtree", "dynamic"} {
+			for _, finder := range []string{"none", "grid", "kdtree"} {
 				for trial := 0; trial < 3; trial++ {
 					r := []float64{0.5, 1, 1.75}[trial]
 					pts, ws := gainsPoints(rng, rng.IntRange(2, 150), dim, r)
@@ -95,13 +95,6 @@ func TestRoundGainsMatchesRoundGain(t *testing.T) {
 							t.Fatal(err)
 						}
 						in.SetFinder(kd)
-					case "dynamic":
-						df, err := spatial.NewDynamicGrid(pts, r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						in.SetFinder(df)
-						churn(t, rng, in, df, dim, r)
 					}
 					label := nm.Name() + " " + finder
 					y := in.NewResiduals()
@@ -114,34 +107,6 @@ func TestRoundGainsMatchesRoundGain(t *testing.T) {
 					checkRoundGains(t, in, y, label+" scalar")
 				}
 			}
-		}
-	}
-}
-
-// churn applies 40 arrivals and departures to in's set and its Dynamic
-// finder in step, enough to force the finder through rebuilds.
-func churn(t *testing.T, rng *xrand.Rand, in *Instance, df *spatial.Dynamic, dim int, r float64) {
-	t.Helper()
-	for op := 0; op < 40; op++ {
-		if in.N() > 2 && rng.Intn(2) == 0 {
-			i := rng.Intn(in.N())
-			if _, err := in.Set.RemoveSwap(i); err != nil {
-				t.Fatal(err)
-			}
-			if err := df.RemoveSwap(i); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		p, w := gainsPoints(rng, 1, dim, r)
-		if in.N() > 0 && rng.Intn(4) == 0 {
-			p[0] = in.Set.Point(rng.Intn(in.N())).Clone()
-		}
-		if _, err := in.Set.Append(p[0], w[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := df.Insert(p[0]); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -7,38 +7,15 @@ import (
 	"repro/internal/vec"
 )
 
-// DynamicFinder is a NeighborFinder that can track population deltas: the
-// evaluator's AddUser/RemoveUser forward every Set mutation so the index
-// stays aligned with point indices without a from-scratch rebuild.
-// package spatial's Dynamic (grid- or KD-tree-backed) implements it.
-type DynamicFinder interface {
-	NeighborFinder
-	// Insert indexes one new point appended at index N (the finder's
-	// current count).
-	Insert(p vec.V) error
-	// RemoveSwap deletes index i with the same swap-with-last relabeling
-	// as pointset.Set.RemoveSwap.
-	RemoveSwap(i int) error
-}
-
 // Evaluator maintains the per-point coverage-fraction sums for a working
 // center set so that the objective can be re-read in O(n) after any single
 // center is replaced, instead of recomputing all k distances per point.
 // SwapLocalSearch uses it to test k·n candidate swaps per pass in
 // O(k·n·n) total rather than O(k·n·n·k).
 //
-// It is also the dynamic-instance layer's delta engine: AddUser, RemoveUser,
-// and UpdateWeight evolve the underlying population in O(k·dim) per user —
-// updating the Set's row storage, the coverage rows, the fraction sums, and
-// (when installed) a DynamicFinder — with results guaranteed bit-identical
-// to a from-scratch rebuild over the mutated Set. The guarantee holds
-// because every fraction sum is always the slot-ordered IEEE sum of its
-// coverage row entries: AddUser sums the new point's row entries in slot
-// order, RemoveUser moves sums without re-deriving them, and center
-// Add/SetCenters accumulate in slot order exactly as NewEvaluator does.
-// (Replace breaks that invariant by design — its `frac += new − old` drifts —
-// which is why SwapLocalSearch Resyncs; churn sequences that avoid Replace
-// stay exact. TestEvaluatorChurnEquivalence gates this.)
+// Every fraction sum is the slot-ordered IEEE sum of its coverage row
+// entries, as in a freshly built evaluator, until Replace's incremental
+// `frac += new − old` updates drift from it; Resync restores the sums.
 type Evaluator struct {
 	in      *Instance
 	centers []vec.V
@@ -119,117 +96,6 @@ func (e *Evaluator) Replace(j int, c vec.V) error {
 	scratchPool.Put(sc)
 	e.centers[j] = c.Clone()
 	return nil
-}
-
-// SetCenters replaces the whole working center set, rebuilding every
-// coverage row and fraction sum from scratch — bit-identical to
-// NewEvaluator(in, centers) over the current population, without
-// reallocating the evaluator. The churn loop calls it once per period to
-// adopt the freshly solved centers; population deltas between solves then
-// stay incremental.
-func (e *Evaluator) SetCenters(centers []vec.V) error {
-	for _, c := range centers {
-		if c.Dim() != e.in.Set.Dim() {
-			return fmt.Errorf("reward: center dim %d != instance dim %d", c.Dim(), e.in.Set.Dim())
-		}
-	}
-	e.centers = e.centers[:0]
-	e.cov = e.cov[:0]
-	e.frac = take(e.frac, e.in.N())
-	for i := range e.frac {
-		e.frac[i] = 0
-	}
-	for _, c := range centers {
-		if err := e.Add(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddUser appends one user to the population: the Set gains the point and
-// weight, any installed DynamicFinder indexes it, every coverage row gains
-// the new point's coverage, and its fraction sum is accumulated in slot
-// order — all in O(k·dim + finder insert), versus O(k·n) for a rebuild. The
-// new index (the new N−1) is returned. An installed finder that is not a
-// DynamicFinder is an error: it would silently go stale.
-func (e *Evaluator) AddUser(p vec.V, w float64) (int, error) {
-	df, err := e.dynamicFinder()
-	if err != nil {
-		return 0, err
-	}
-	i, err := e.in.Set.Append(p, w)
-	if err != nil {
-		return 0, err
-	}
-	if df != nil {
-		if err := df.Insert(e.in.Set.Point(i)); err != nil {
-			return 0, err
-		}
-	}
-	var f float64
-	for j, c := range e.centers {
-		z := e.in.Coverage(c, i)
-		e.cov[j] = append(e.cov[j], z)
-		f += z
-	}
-	e.frac = append(e.frac, f)
-	return i, nil
-}
-
-// RemoveUser deletes user i with pointset.Set.RemoveSwap semantics: the last
-// user moves into slot i (the returned moved index, −1 when i was last), and
-// every per-point structure — coverage rows, fraction sums, the Set's
-// storage, a DynamicFinder — mirrors the same swap. No sums are re-derived,
-// so the surviving state is bit-identical to a rebuild. Removing the only
-// user is an error.
-func (e *Evaluator) RemoveUser(i int) (moved int, err error) {
-	df, err := e.dynamicFinder()
-	if err != nil {
-		return 0, err
-	}
-	moved, err = e.in.Set.RemoveSwap(i)
-	if err != nil {
-		return 0, err
-	}
-	if df != nil {
-		if err := df.RemoveSwap(i); err != nil {
-			return moved, err
-		}
-	}
-	last := len(e.frac) - 1
-	for j := range e.cov {
-		if moved >= 0 {
-			e.cov[j][i] = e.cov[j][last]
-		}
-		e.cov[j] = e.cov[j][:last]
-	}
-	if moved >= 0 {
-		e.frac[i] = e.frac[last]
-	}
-	e.frac = e.frac[:last]
-	return moved, nil
-}
-
-// UpdateWeight changes w_i. Weights only scale the objective at read time,
-// so no coverage state needs touching.
-func (e *Evaluator) UpdateWeight(i int, w float64) error {
-	return e.in.Set.SetWeight(i, w)
-}
-
-// dynamicFinder resolves the instance's finder for delta maintenance: nil
-// when no finder is installed, the DynamicFinder when it supports deltas,
-// and an error for a static finder (which a population delta would silently
-// invalidate).
-func (e *Evaluator) dynamicFinder() (DynamicFinder, error) {
-	if e.in.finder == nil {
-		return nil, nil
-	}
-	df, ok := e.in.finder.(DynamicFinder)
-	if !ok {
-		return nil, errors.New("reward: instance finder is static; install a DynamicFinder (or clear it) before population deltas")
-	}
-	return df, nil
 }
 
 // Resync recomputes every fraction sum from the stored coverage rows,

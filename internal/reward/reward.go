@@ -23,8 +23,8 @@ import (
 // the extended slice. It must be conservative: every point within radius r
 // of c (under the instance norm) must be appended; extras are harmless
 // because their coverage is zero. A wrong-dimension or non-finite query
-// appends nothing. Package spatial's Grid, KDTree and Dynamic implement it
-// for every p ≥ 1.
+// appends nothing. Package spatial's Grid and KDTree implement it for
+// every p ≥ 1.
 type NeighborFinder interface {
 	AppendNear(dst []int, c vec.V) []int
 }

@@ -53,59 +53,39 @@ func contractCases() []contractCase {
 	return cases
 }
 
-// finderBuilders enumerates every AppendNear implementation. Dynamic cases
-// return the mirror their live population now holds: they run after
-// swap-removes and inserts, which break the inner index's order.
-var finderBuilders = []struct {
-	name  string
-	build func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V)
-}{
-	{"grid", func(t *testing.T, _ *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
-		g, err := NewGrid(pts, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, pts
-	}},
-	{"kdtree", func(t *testing.T, _ *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
-		tree, err := NewKDTree(pts, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tree, pts
-	}},
-	{"dynamic-grid", func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
-		return churned(t, rng, NewDynamicGrid, pts, r)
-	}},
-	{"dynamic-kdtree", func(t *testing.T, rng *xrand.Rand, pts []vec.V, r float64) (Index, []vec.V) {
-		return churned(t, rng, NewDynamicKDTree, pts, r)
-	}},
+// Index is the query surface Grid and KDTree share: a conservative
+// radius-r candidate lookup over a fixed point set, appended in ascending
+// index order.
+type Index interface {
+	AppendNear(dst []int, c vec.V) []int
 }
 
-// churned builds a Dynamic and swap-removes and re-inserts a few points, so
-// inner positions no longer match indices and some points are loose.
-func churned(t *testing.T, rng *xrand.Rand, mk func([]vec.V, float64) (*Dynamic, error), pts []vec.V, r float64) (Index, []vec.V) {
-	t.Helper()
-	d, err := mk(pts, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror := append([]vec.V{}, pts...)
-	for op := 0; op < 6 && len(mirror) > 1; op++ {
-		i := rng.Intn(len(mirror))
-		p := mirror[i]
-		if err := d.RemoveSwap(i); err != nil {
-			t.Fatal(err)
+// finderBuilders enumerates every AppendNear implementation.
+var finderBuilders = []struct {
+	name  string
+	build func(pts []vec.V, r float64) (Index, error)
+}{
+	{"grid", func(pts []vec.V, r float64) (Index, error) { return NewGrid(pts, r) }},
+	{"kdtree", func(pts []vec.V, r float64) (Index, error) { return NewKDTree(pts, r) }},
+}
+
+// chebWithin returns the indices of pts within Chebyshev distance r of c, in
+// ascending order — the set every conservative AppendNear must contain.
+func chebWithin(pts []vec.V, c vec.V, r float64) []int {
+	var out []int
+	for i, p := range pts {
+		within := true
+		for d := range p {
+			if math.Abs(p[d]-c[d]) > r {
+				within = false
+				break
+			}
 		}
-		last := len(mirror) - 1
-		mirror[i] = mirror[last]
-		mirror = mirror[:last]
-		if err := d.Insert(p); err != nil {
-			t.Fatal(err)
+		if within {
+			out = append(out, i)
 		}
-		mirror = append(mirror, p)
 	}
-	return d, mirror
+	return out
 }
 
 // TestAppendNearContract checks the one neighbor-query contract on every
@@ -116,8 +96,10 @@ func TestAppendNearContract(t *testing.T) {
 	for _, tc := range contractCases() {
 		for _, fb := range finderBuilders {
 			t.Run(tc.name+"/"+fb.name, func(t *testing.T) {
-				rng := xrand.New(5)
-				idx, live := fb.build(t, rng, tc.pts, tc.r)
+				idx, err := fb.build(tc.pts, tc.r)
+				if err != nil {
+					t.Fatal(err)
+				}
 				dim := tc.pts[0].Dim()
 				prefix := []int{-7, 42, -7}
 				for qi, c := range tc.queries {
@@ -131,8 +113,8 @@ func TestAppendNearContract(t *testing.T) {
 						}
 						run := got[len(prefix):]
 						for i := range run {
-							if run[i] < 0 || run[i] >= len(live) {
-								t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(live))
+							if run[i] < 0 || run[i] >= len(tc.pts) {
+								t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(tc.pts))
 							}
 							if i > 0 && run[i] <= run[i-1] {
 								t.Fatalf("query %d: not strictly ascending: %v", qi, run)
@@ -142,7 +124,7 @@ func TestAppendNearContract(t *testing.T) {
 						for _, i := range run {
 							in[i] = true
 						}
-						for _, i := range chebWithin(live, c, tc.r) {
+						for _, i := range chebWithin(tc.pts, c, tc.r) {
 							if !in[i] {
 								t.Fatalf("query %d (%v): point %d within r missing", qi, c, i)
 							}

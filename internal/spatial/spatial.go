@@ -18,9 +18,9 @@
 // queries. A Grid caches each query cell's ascending window (bounded at
 // 9·n cached indices), so repeated queries from one cell copy a slice: a
 // caller about to query every point's window fills them all in one pass
-// (FillWindows), and otherwise each is built on its cell's first query.
-// Dynamic adds population churn on top and is not safe for concurrent use
-// with its mutations.
+// (FillWindows), and otherwise each is built on its cell's first query. An
+// index never changes after construction: a population that changes (the
+// churn loop's, once per period) gets a new index over its new point set.
 package spatial
 
 import (

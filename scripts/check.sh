@@ -45,12 +45,14 @@ go test -count=3 ./...
 echo "==> perfbench: go vet + go test"
 (cd perfbench && go vet . && go test .)
 
-# The churn-equivalence gate: incremental evaluator deltas must stay
-# bit-identical to from-scratch rebuilds across norms, finders, and batch
-# modes. Already part of the full suite above; rerun by name so a failure is
-# unmistakably attributed.
-echo "==> churn equivalence gate"
-go test -run 'TestEvaluatorChurnEquivalence|TestBatchedScalarEquivalence' -count=1 ./internal/reward
+# The churn-loop gate: the churn loop's population draws stay pinned, its
+# results stay bit-identical across index choices and solvers, and the
+# batched objective kernels it scores each period with stay bit-identical to
+# the scalar path. Already part of the full suite above; rerun by name so a
+# failure is unmistakably attributed.
+echo "==> churn-loop gate"
+go test -run 'TestRunChurn' -count=1 ./internal/broadcast
+go test -run 'TestBatchedScalarEquivalence' -count=1 ./internal/reward
 
 # The wire-codec fuzz gate: the hand-written pointset codec and the /v1
 # body path, each against the encoding/json decode it replaced. Their seed

@@ -86,17 +86,23 @@ expect_clean cdstation "$BIN/station.out" "$status"
 grep -q "note: run stopped early" "$BIN/station.out" ||
 	fail "cdstation output lacks the early-stop note"
 
-echo "==> cdstation -churn: dynamic-instance loop with verification must finish clean"
-status=0
-"$BIN/cdstation" -trace "$BIN/trace.json" -churn -arrivals 5 -departs 3 -periods 6 \
-	-warm -index grid -verify -timeout 1m >"$BIN/churn.out" 2>&1 || status=$?
-expect_clean "cdstation -churn" "$BIN/churn.out" "$status"
-grep -q "churn loop" "$BIN/churn.out" ||
+echo "==> cdstation -churn: the same run under each -index must finish clean with the same output"
+for index in none grid kdtree; do
+	status=0
+	"$BIN/cdstation" -trace "$BIN/trace.json" -churn -arrivals 5 -departs 3 -periods 6 \
+		-warm -index "$index" -timeout 1m >"$BIN/churn-$index.out" 2>&1 || status=$?
+	expect_clean "cdstation -churn -index $index" "$BIN/churn-$index.out" "$status"
+	# The table title names the index; every other byte must match.
+	sed "s/index=$index warm=/index=* warm=/" "$BIN/churn-$index.out" >"$BIN/churn-$index.cmp"
+done
+grep -q "churn loop" "$BIN/churn-none.out" ||
 	fail "cdstation -churn output lacks the churn-loop table"
-grep -q "incremental deltas" "$BIN/churn.out" ||
+grep -q "incremental deltas" "$BIN/churn-none.out" ||
 	fail "cdstation -churn output lacks the delta summary"
-grep -q "note: run stopped early" "$BIN/churn.out" &&
+grep -q "note: run stopped early" "$BIN/churn-none.out" &&
 	fail "uncancelled cdstation -churn run printed the early-stop note"
+cmp -s "$BIN/churn-none.cmp" "$BIN/churn-grid.cmp" && cmp -s "$BIN/churn-none.cmp" "$BIN/churn-kdtree.cmp" ||
+	fail "cdstation -churn output differs across -index none, grid and kdtree"
 
 echo "==> cdbench: 50ms deadline must yield a clean partial run"
 status=0
