@@ -11,6 +11,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/pointset"
 	"repro/internal/reward"
+	"repro/internal/solver"
 	"repro/internal/xrand"
 )
 
@@ -129,7 +130,7 @@ func benchExhaustive(b *testing.B, workers, gridPer int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := exhaustive.Solve(context.Background(), in, 4, exhaustive.Options{
+		_, err := exhaustive.Solve(context.Background(), in, 4, solver.Options{
 			GridPer: gridPer, Box: pointset.PaperBox2D(), Workers: workers,
 		})
 		if err != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/pointset"
 	"repro/internal/report"
 	"repro/internal/reward"
+	"repro/internal/solver"
 	"repro/internal/xrand"
 )
 
@@ -48,7 +49,7 @@ func main() {
 		"algorithm", "round gains", "total", "ratio vs exhaustive")
 
 	// 4. The exhaustive baseline the paper divides by.
-	ex, err := exhaustive.Solve(ctx, in, k, exhaustive.Options{GridPer: 5, Box: pointset.PaperBox2D(), Polish: true})
+	ex, err := exhaustive.Solve(ctx, in, k, solver.Options{GridPer: 5, Box: pointset.PaperBox2D(), Polish: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/norm"
 	"repro/internal/obs"
+	"repro/internal/pointset"
 	"repro/internal/reward"
+	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -168,7 +170,9 @@ type Metrics struct {
 }
 
 // Run simulates the base station over the trace's population. The input
-// trace is not modified; the population evolves on a private copy.
+// trace is not modified; the population evolves on a private copy, served
+// as given in period 0 and evolved once before each later period: drift,
+// replacement, departures, then arrivals.
 //
 // Run is anytime under cancellation: ctx is checked between scheduling
 // rounds (periods), a period whose schedule was cut short is discarded, and
@@ -184,19 +188,8 @@ func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Me
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
-	}
-	nm := cfg.Norm
-	if nm == nil {
-		nm = norm.L2{}
-	}
-	slots := cfg.SlotsPerPeriod
-	if slots <= 0 {
-		slots = cfg.K
 	}
 
 	// Private evolving copy of the population.
@@ -213,58 +206,9 @@ func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Me
 			nextID = u.ID + 1
 		}
 	}
-
-	m := &Metrics{Scheduler: sched.Name()}
-	perUser := map[int]*userAccount{}
-	var cancelErr error
-	for p := 0; p < cfg.Periods; p++ {
-		if err := ctx.Err(); err != nil {
-			cancelErr = err
-			break
-		}
-		set, err := cur.ToSet()
-		if err != nil {
-			return nil, err
-		}
-		in, err := reward.NewInstance(set, nm, cfg.Radius)
-		if err != nil {
-			return nil, err
-		}
-		in.SetCollector(cfg.Obs)
-		centers, err := sched.Schedule(ctx, in, cfg.K)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// The period's schedule was cut short; discard it and keep
-				// the completed periods as the anytime answer.
-				cancelErr = cerr
-				break
-			}
-			return nil, fmt.Errorf("broadcast: period %d: %w", p, err)
-		}
-		f := in.Objective(centers)
-		m.Periods = append(m.Periods, PeriodStat{
-			Period: p, Reward: f, MaxRwd: set.TotalWeight(), Centers: centers,
-		})
-		// Per-user accounting for fairness.
-		for i, u := range cur.Users {
-			var frac float64
-			for _, c := range centers {
-				frac += in.Coverage(c, i)
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			acct := perUser[u.ID]
-			if acct == nil {
-				acct = &userAccount{}
-				perUser[u.ID] = acct
-			}
-			acct.satisfaction += frac
-			acct.periods++
-		}
-		// Evolve the population for the next period.
-		if p == cfg.Periods-1 {
-			break
+	return runPeriods(ctx, sched, cfg, func(p int) (*trace.Trace, error) {
+		if p == 0 {
+			return cur, nil
 		}
 		if cfg.DriftSigma > 0 {
 			if err := trace.Drift(cur, cfg.DriftSigma, rng); err != nil {
@@ -307,103 +251,59 @@ func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Me
 				nextID++
 			}
 		}
-	}
-
-	m.aggregate(perUser, slots, cfg.K)
-	return m, cancelErr
+		return cur, nil
+	})
 }
 
-type userAccount struct {
-	satisfaction float64
-	periods      int
-}
-
-// aggregate derives the summary metrics from the recorded periods (the
-// shared tail of Run and RunTimeline). With zero completed periods — a run
-// cancelled before its first schedule — every summary stays zero.
-func (m *Metrics) aggregate(perUser map[int]*userAccount, slots, k int) {
-	if len(m.Periods) > 0 {
-		var satSum float64
-		for _, ps := range m.Periods {
-			if ps.MaxRwd > 0 {
-				satSum += ps.Reward / ps.MaxRwd
-			}
-		}
-		m.MeanSatisfaction = satSum / float64(len(m.Periods))
-	}
-	userSat := make([]float64, 0, len(perUser))
-	for _, acct := range perUser {
-		userSat = append(userSat, acct.satisfaction/float64(acct.periods))
-	}
-	sort.Float64s(userSat)
-	m.UserSatisfaction = userSat
-	m.Fairness = stats.JainIndex(userSat)
-	m.ServiceFrequency = float64(slots) / float64(k)
-	m.SatisfactionPerSlot = m.MeanSatisfaction / float64(k)
-}
-
-// RunTimeline replays a recorded population timeline: period p's schedule is
-// computed against snapshot p exactly, so two replays of the same timeline
-// with the same scheduler are bit-identical — the trace-driven analogue of
-// Run, with the population evolution fixed up front instead of simulated.
-// Cancellation follows Run's anytime contract: completed periods are
-// aggregated and returned with ctx.Err().
-func RunTimeline(ctx context.Context, tl *trace.Timeline, sched Scheduler, cfg Config) (*Metrics, error) {
-	if tl == nil {
-		return nil, errors.New("broadcast: nil timeline")
-	}
-	if sched == nil {
-		return nil, errors.New("broadcast: nil scheduler")
-	}
-	if err := tl.Validate(); err != nil {
-		return nil, err
-	}
+// runPeriods is the station's period loop, shared by Run and RunTimeline.
+// For each period p below cfg.Periods it builds the instance of
+// population(p), with a grid where spatial.Prunes says it pays for itself,
+// schedules, scores, and credits each user's satisfaction. A nil ctx
+// behaves like context.Background().
+func runPeriods(ctx context.Context, sched Scheduler, cfg Config, population func(p int) (*trace.Trace, error)) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Period count comes from the timeline; validate the rest of the
-	// config against it.
-	ccfg := cfg
-	ccfg.Periods = tl.Periods()
-	if err := ccfg.validate(); err != nil {
-		return nil, err
-	}
-	nm := ccfg.Norm
-	if nm == nil {
-		nm = norm.L2{}
-	}
-	slots := ccfg.SlotsPerPeriod
+	slots := cfg.SlotsPerPeriod
 	if slots <= 0 {
-		slots = ccfg.K
+		slots = cfg.K
 	}
 	m := &Metrics{Scheduler: sched.Name()}
 	perUser := map[int]*userAccount{}
 	var cancelErr error
-	for p, snap := range tl.Snapshots {
+	for p := 0; p < cfg.Periods; p++ {
 		if err := ctx.Err(); err != nil {
 			cancelErr = err
 			break
 		}
-		set, err := snap.ToSet()
+		pop, err := population(p)
 		if err != nil {
 			return nil, err
 		}
-		in, err := reward.NewInstance(set, nm, ccfg.Radius)
+		set, err := pop.ToSet()
 		if err != nil {
 			return nil, err
 		}
-		in.SetCollector(ccfg.Obs)
-		centers, err := sched.Schedule(ctx, in, ccfg.K)
+		in, err := newInstance(set, cfg.Norm, cfg.Radius, cfg.Obs, spatial.Prunes(set.Points(), cfg.Radius))
+		if err != nil {
+			return nil, err
+		}
+		centers, err := sched.Schedule(ctx, in, cfg.K)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
+				// The period's schedule was cut short; discard it and keep
+				// the completed periods as the anytime answer.
 				cancelErr = cerr
 				break
 			}
-			return nil, fmt.Errorf("broadcast: timeline period %d: %w", p, err)
+			return nil, fmt.Errorf("broadcast: period %d: %w", p, err)
 		}
 		f := in.Objective(centers)
-		m.Periods = append(m.Periods, PeriodStat{Period: p, Reward: f, MaxRwd: set.TotalWeight(), Centers: centers})
-		for i, u := range snap.Users {
+		m.Periods = append(m.Periods, PeriodStat{
+			Period: p, Reward: f, MaxRwd: set.TotalWeight(), Centers: centers,
+		})
+		// Per-user accounting for fairness.
+		for i, u := range pop.Users {
 			var frac float64
 			for _, c := range centers {
 				frac += in.Coverage(c, i)
@@ -420,8 +320,77 @@ func RunTimeline(ctx context.Context, tl *trace.Timeline, sched Scheduler, cfg C
 			acct.periods++
 		}
 	}
-	m.aggregate(perUser, slots, ccfg.K)
+	// The summaries. With zero completed periods — a run cancelled before
+	// its first schedule — the mean satisfaction stays zero.
+	if len(m.Periods) > 0 {
+		var satSum float64
+		for _, ps := range m.Periods {
+			if ps.MaxRwd > 0 {
+				satSum += ps.Reward / ps.MaxRwd
+			}
+		}
+		m.MeanSatisfaction = satSum / float64(len(m.Periods))
+	}
+	userSat := make([]float64, 0, len(perUser))
+	for _, acct := range perUser {
+		userSat = append(userSat, acct.satisfaction/float64(acct.periods))
+	}
+	sort.Float64s(userSat)
+	m.UserSatisfaction = userSat
+	m.Fairness = stats.JainIndex(userSat)
+	m.ServiceFrequency = float64(slots) / float64(cfg.K)
+	m.SatisfactionPerSlot = m.MeanSatisfaction / float64(cfg.K)
 	return m, cancelErr
+}
+
+// newInstance builds one period's instance over set with the run's
+// collector (a nil norm is the 2-norm) and, when grid is set, a radius-r
+// grid. The grid never changes a result bit.
+func newInstance(set *pointset.Set, nm norm.Norm, radius float64, col obs.Collector, grid bool) (*reward.Instance, error) {
+	if nm == nil {
+		nm = norm.L2{}
+	}
+	in, err := reward.NewInstance(set, nm, radius)
+	if err != nil {
+		return nil, err
+	}
+	in.SetCollector(col)
+	if grid {
+		if g, err := spatial.NewGrid(set.Points(), radius); err == nil {
+			in.SetFinder(g)
+		}
+	}
+	return in, nil
+}
+
+type userAccount struct {
+	satisfaction float64
+	periods      int
+}
+
+// RunTimeline replays a recorded population timeline through Run's period
+// loop: period p's schedule is computed against snapshot p exactly, so two
+// replays of the same timeline with the same scheduler are bit-identical —
+// the trace-driven analogue of Run, with the population evolution fixed up
+// front instead of simulated. Cancellation follows Run's anytime contract:
+// completed periods are aggregated and returned with ctx.Err().
+func RunTimeline(ctx context.Context, tl *trace.Timeline, sched Scheduler, cfg Config) (*Metrics, error) {
+	if tl == nil {
+		return nil, errors.New("broadcast: nil timeline")
+	}
+	if sched == nil {
+		return nil, errors.New("broadcast: nil scheduler")
+	}
+	if err := tl.Validate(); err != nil {
+		return nil, err
+	}
+	// Period count comes from the timeline; validate the rest of the
+	// config against it.
+	cfg.Periods = tl.Periods()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return runPeriods(ctx, sched, cfg, func(p int) (*trace.Trace, error) { return tl.Snapshots[p], nil })
 }
 
 // KSweep runs the same population under k = 1..kMax and reports the

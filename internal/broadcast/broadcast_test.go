@@ -3,11 +3,14 @@ package broadcast
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/norm"
 	"repro/internal/pointset"
+	"repro/internal/reward"
+	"repro/internal/spatial"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -340,5 +343,97 @@ func TestOneNormBroadcast(t *testing.T) {
 	}
 	if m.Scheduler != "greedy3" || m.MeanSatisfaction <= 0 {
 		t.Errorf("L1 run wrong: %+v", m)
+	}
+}
+
+// assertGrid fails unless in's finder is a grid over in's points at in's
+// radius: GridFor hands the same grid back, and every point's query
+// appends what a fresh grid's does.
+func assertGrid(t *testing.T, in *reward.Instance) {
+	t.Helper()
+	g, ok := in.Finder().(*spatial.Grid)
+	if !ok {
+		t.Fatalf("finder %T, want *spatial.Grid", in.Finder())
+	}
+	pts := in.Set.Points()
+	if same, err := spatial.GridFor(g, pts, in.Radius); err != nil || same != g {
+		t.Fatalf("grid does not index %d points at radius %v", len(pts), in.Radius)
+	}
+	fresh, err := spatial.NewGrid(pts, in.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if got, want := g.AppendNear(nil, p), fresh.AppendNear(nil, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("point %d: grid appends %v, a fresh grid %v", i, got, want)
+		}
+	}
+}
+
+// indexSpy schedules with greedy2 after checking the instance's finder:
+// a grid over its points at its radius where spatial.Prunes says so, and no
+// finder elsewhere. It counts the periods it checked and those it found
+// indexed.
+type indexSpy struct {
+	t                *testing.T
+	periods, indexed *int
+}
+
+func (s indexSpy) Name() string { return "index-spy" }
+
+func (s indexSpy) Schedule(ctx context.Context, in *reward.Instance, k int) ([]vec.V, error) {
+	*s.periods++
+	if spatial.Prunes(in.Set.Points(), in.Radius) {
+		assertGrid(s.t, in)
+		*s.indexed++
+	} else if f := in.Finder(); f != nil {
+		s.t.Fatalf("%d users at r = %v: finder %T, want none", in.N(), in.Radius, f)
+	}
+	return greedySched().Schedule(ctx, in, k)
+}
+
+// TestPeriodsIndexedWherePrunes: every period Run, RunTimeline, RunMulti
+// and KSweep schedule carries a radius-r grid where spatial.Prunes says it
+// pays for itself, and no finder elsewhere: 400 users at r = 0.5 are
+// indexed in every period, 400 users at r = 2.5 (two cells a side) and 60
+// users at r = 0.5 in none.
+func TestPeriodsIndexedWherePrunes(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		r       float64
+		indexed bool
+	}{{400, 0.5, true}, {400, 2.5, false}, {60, 0.5, false}} {
+		tr := genTrace(t, c.n, trace.Uniform)
+		cfg := baseCfg()
+		cfg.Radius, cfg.Periods = c.r, 3
+		cfg.DriftSigma, cfg.ChurnRate, cfg.ArrivalRate, cfg.DepartRate = 0.1, 0.1, 2, 0.05
+		tl, err := trace.RecordTimeline(tr, 3, 0.1, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range map[string]func(Scheduler) error{
+			"Run": func(s Scheduler) error { _, err := Run(context.Background(), tr, s, cfg); return err },
+			"RunTimeline": func(s Scheduler) error {
+				_, err := RunTimeline(context.Background(), tl, s, cfg)
+				return err
+			},
+			"RunMulti": func(s Scheduler) error {
+				_, err := RunMulti(context.Background(), tr, s, cfg, 2, RandomAssign)
+				return err
+			},
+			"KSweep": func(s Scheduler) error { _, err := KSweep(context.Background(), tr, s, cfg, 2); return err },
+		} {
+			periods, indexed := 0, 0
+			if err := run(indexSpy{t, &periods, &indexed}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := 0
+			if c.indexed {
+				want = periods
+			}
+			if periods == 0 || indexed != want {
+				t.Errorf("n = %d, r = %v, %s: %d of %d periods indexed, want %d", c.n, c.r, name, indexed, periods, want)
+			}
+		}
 	}
 }

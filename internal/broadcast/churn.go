@@ -9,9 +9,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/obs"
 	"repro/internal/pointset"
-	"repro/internal/reward"
 	"repro/internal/solver"
-	"repro/internal/spatial"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -47,9 +45,9 @@ type ChurnConfig struct {
 	// solver.Options.WarmStart: the re-solve keeps whichever of the cold
 	// solution and the carried-over centers scores higher.
 	WarmStart bool
-	// Index selects the static spatial accelerator built with each
-	// period's instance: "grid", "kdtree", or "none" (the default). It
-	// never changes a result bit.
+	// Index selects the neighbour index built with each period's
+	// instance: "none" (the default, also spelled "") or "grid". It never
+	// changes a result bit.
 	Index string
 	// Obs, when set, receives the churn counters and, through the
 	// instance it is attached to, the reward-oracle counts and every
@@ -79,9 +77,9 @@ func (c ChurnConfig) validate() error {
 		return fmt.Errorf("broadcast: depart rate = %v", c.DepartRate)
 	}
 	switch c.Index {
-	case "", "none", "grid", "kdtree":
+	case "", "none", "grid":
 	default:
-		return fmt.Errorf("broadcast: unknown index %q (have: none | grid | kdtree)", c.Index)
+		return fmt.Errorf("broadcast: unknown index %q (have: none | grid)", c.Index)
 	}
 	return nil
 }
@@ -138,8 +136,8 @@ type ChurnMetrics struct {
 // RunChurn simulates the base station over a churning population. The
 // population is kept as plain slices: arrivals are appended and a departure
 // swaps the last user into its slot. Each period solves an instance built
-// from the population as it stands, with the static spatial index cfg.Index
-// names, and with cfg.WarmStart each period's centers seed the next
+// from the population as it stands, grid-indexed when cfg.Index is "grid",
+// and with cfg.WarmStart each period's centers seed the next
 // re-solve. The input trace is never mutated.
 //
 // RunChurn is anytime under cancellation: ctx is checked each period, a
@@ -155,45 +153,12 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nm := cfg.Norm
-	if nm == nil {
-		nm = norm.L2{}
-	}
 	solverName := cfg.Solver
 	if solverName == "" {
 		solverName = "greedy2"
 	}
 	m := &ChurnMetrics{Solver: solverName}
-	// newInstance builds one period's instance over set: the run's
-	// collector and the static index cfg.Index names.
-	newInstance := func(set *pointset.Set) (*reward.Instance, error) {
-		in, err := reward.NewInstance(set, nm, cfg.Radius)
-		if err != nil {
-			return nil, err
-		}
-		in.SetCollector(cfg.Obs)
-		var f reward.NeighborFinder
-		switch cfg.Index {
-		case "grid":
-			f, err = spatial.NewGrid(set.Points(), cfg.Radius)
-		case "kdtree":
-			f, err = spatial.NewKDTree(set.Points(), cfg.Radius)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if f != nil {
-			in.SetFinder(f)
-		}
-		m.FullRebuilds++
-		return in, nil
-	}
-
 	set, err := tr.ToSet() // validates the trace
-	if err != nil {
-		return nil, err
-	}
-	in, err := newInstance(set)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +177,6 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 	parentSpan := obs.SpanFromContext(ctx)
 	reqID := parentSpan.TraceID()
 	var prev []vec.V
-	var carry float64
 	var popSum float64
 	var cancelErr error
 
@@ -223,6 +187,18 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		}
 		psp := parentSpan.Child("period")
 		psp.SetAttr("period", float64(p))
+		in, err := newInstance(set, cfg.Norm, cfg.Radius, cfg.Obs, cfg.Index == "grid")
+		if err != nil {
+			psp.End()
+			return nil, err
+		}
+		m.FullRebuilds++
+		ps := ChurnPeriodStat{Period: p, N: in.N(), MaxRwd: set.TotalWeight()}
+		if p > 0 {
+			// The previous centers scored on the churned population: the
+			// warm-start candidate.
+			ps.CarryObjective = in.Objective(prev)
+		}
 		opts := solver.Options{Workers: cfg.Workers, Seed: cfg.Seed}
 		if cfg.WarmStart {
 			opts.WarmStart = prev
@@ -243,15 +219,11 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 			psp.End()
 			return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
 		}
-		objective := in.Objective(res.Centers)
-		ps := ChurnPeriodStat{
-			Period: p, N: in.N(), Objective: objective,
-			MaxRwd: in.Set.TotalWeight(), CarryObjective: carry,
-		}
+		ps.Objective = in.Objective(res.Centers)
 		popSum += float64(in.N())
 		prev = res.Centers
 
-		// Churn the population, then build the next period's instance.
+		// Churn the population the next period is built from.
 		if p < cfg.Periods-1 {
 			arrivals := rng.Poisson(cfg.ArrivalRate)
 			departures := rng.Poisson(cfg.DepartRate)
@@ -272,16 +244,10 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 			m.TotalArrivals += arrivals
 			m.TotalDepartures += departures
 			m.IncrementalDeltas += arrivals + departures
-			set, err := pointset.New(pts, ws)
-			if err != nil {
+			if set, err = pointset.New(pts, ws); err != nil {
+				psp.End()
 				return nil, fmt.Errorf("broadcast: churn period %d: %w", p, err)
 			}
-			if in, err = newInstance(set); err != nil {
-				return nil, err
-			}
-			// The previous centers scored on the churned population: the
-			// next period's warm-start candidate.
-			carry = in.Objective(prev)
 			if obs.Active(cfg.Obs) {
 				c.Count(obs.CtrChurnAdded, int64(arrivals))
 				c.Count(obs.CtrChurnRemoved, int64(departures))
@@ -302,7 +268,7 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 			c.Emit(obs.Event{Type: obs.EvChurnPeriod, Alg: solverName, Round: p, Trace: reqID,
 				Fields: map[string]float64{
 					"arrivals": float64(ps.Arrivals), "departures": float64(ps.Departures),
-					"n": float64(ps.N), "objective": objective,
+					"n": float64(ps.N), "objective": ps.Objective,
 				}})
 		}
 	}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/reward"
+	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -18,7 +21,7 @@ func churnCfg() ChurnConfig {
 // TestRunChurnBasic: the loop completes, churn actually happens, each
 // period builds one instance, and the summary fields are consistent.
 func TestRunChurnBasic(t *testing.T) {
-	for _, index := range []string{"none", "grid", "kdtree"} {
+	for _, index := range []string{"none", "grid"} {
 		t.Run(index, func(t *testing.T) {
 			tr := genTrace(t, 30, trace.Uniform)
 			cfg := churnCfg()
@@ -133,7 +136,7 @@ func TestRunChurnDeterminism(t *testing.T) {
 	for _, alg := range []string{"greedy2", "greedy2-lazy", "nearlinear", "sharded(greedy2-lazy)"} {
 		t.Run(alg, func(t *testing.T) {
 			var want *ChurnMetrics
-			for _, index := range []string{"none", "grid", "kdtree"} {
+			for _, index := range []string{"none", "grid"} {
 				cfg := churnCfg()
 				cfg.K, cfg.Radius, cfg.Solver, cfg.Index, cfg.WarmStart = 3, 0.8, alg, index, true
 				got, err := RunChurn(context.Background(), tr, cfg)
@@ -227,10 +230,56 @@ func TestRunChurnValidation(t *testing.T) {
 		"arrival": func(c *ChurnConfig) { c.ArrivalRate = -1 },
 		"depart":  func(c *ChurnConfig) { c.DepartRate = -1 },
 		"index":   func(c *ChurnConfig) { c.Index = "quadtree" },
+		"kdtree":  func(c *ChurnConfig) { c.Index = "kdtree" },
 		"solver":  func(c *ChurnConfig) { c.Solver = "no-such-algorithm" },
 	} {
 		if err := run(mut); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
+		}
+	}
+}
+
+// finderSpy is greedy2 registered as "test-finder-spy": it records every
+// instance it solves, so a test can read the index the churn loop built.
+type finderSpy struct{ core.LocalGreedy }
+
+var spied []*reward.Instance
+
+func (s finderSpy) Run(ctx context.Context, in *reward.Instance, k int) (*core.Result, error) {
+	spied = append(spied, in)
+	return s.LocalGreedy.Run(ctx, in, k)
+}
+
+func init() {
+	if err := solver.Register(solver.Entry{Name: "test-finder-spy", Summary: "test: greedy2 that records its instances",
+		New: func(solver.Options) core.Algorithm { return finderSpy{} }}); err != nil {
+		panic(err)
+	}
+}
+
+// TestRunChurnIndexesEveryPeriod: with Index "grid", every period's
+// instance carries a radius-r grid over its population, whatever its size;
+// unset or "none", it carries no finder.
+func TestRunChurnIndexesEveryPeriod(t *testing.T) {
+	tr := genTrace(t, 30, trace.Uniform)
+	for _, index := range []string{"", "grid", "none"} {
+		spied = nil
+		cfg := churnCfg()
+		cfg.Solver, cfg.Index = "test-finder-spy", index
+		if _, err := RunChurn(context.Background(), tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(spied) != cfg.Periods {
+			t.Fatalf("index %q: solved %d instances over %d periods", index, len(spied), cfg.Periods)
+		}
+		for p, in := range spied {
+			if index != "grid" {
+				if f := in.Finder(); f != nil {
+					t.Errorf("index %q, period %d: finder %T, want none", index, p, f)
+				}
+				continue
+			}
+			assertGrid(t, in)
 		}
 	}
 }

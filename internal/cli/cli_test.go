@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,7 +15,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pointset"
+	"repro/internal/reward"
 	"repro/internal/solver"
+	"repro/internal/spatial"
 )
 
 func TestAlgorithmByName(t *testing.T) {
@@ -187,6 +190,62 @@ func TestGreedyJSONOutput(t *testing.T) {
 	}
 	if sum != parsed.Total {
 		t.Fatalf("gains %v do not sum to total %v", parsed.Gains, parsed.Total)
+	}
+}
+
+// instanceSpy is greedy2 registered as "test-instance-spy": it keeps the
+// last instance it solved, so a test can read the finder cdgreedy built.
+type instanceSpy struct{ core.LocalGreedy }
+
+var lastSolved *reward.Instance
+
+func (s instanceSpy) Run(ctx context.Context, in *reward.Instance, k int) (*core.Result, error) {
+	lastSolved = in
+	return s.LocalGreedy.Run(ctx, in, k)
+}
+
+func init() {
+	if err := solver.Register(solver.Entry{Name: "test-instance-spy", Summary: "test: greedy2 that keeps its instance",
+		New: func(solver.Options) core.Algorithm { return instanceSpy{} }}); err != nil {
+		panic(err)
+	}
+}
+
+// TestGreedyIndexesInstance: cdgreedy solves on an instance carrying a grid
+// over its users at radius -r where spatial.Prunes says it pays for itself
+// (400 users at r = 0.5), and on an unindexed one elsewhere (50 users).
+func TestGreedyIndexesInstance(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		r       string
+		indexed bool
+	}{{400, "0.5", true}, {50, "0.7", false}} {
+		js := genJSON(t, "-n", fmt.Sprint(c.n))
+		for _, args := range [][]string{{}, {"-json"}} {
+			lastSolved = nil
+			var out bytes.Buffer
+			if err := Greedy(context.Background(), append(args, "-alg", "test-instance-spy", "-k", "2", "-r", c.r),
+				strings.NewReader(js), &out); err != nil {
+				t.Fatal(err)
+			}
+			in := lastSolved
+			if in == nil || in.N() != c.n || fmt.Sprint(in.Radius) != c.r {
+				t.Fatalf("%v: the spy solved no instance of %d users at r = %s", args, c.n, c.r)
+			}
+			if !c.indexed {
+				if f := in.Finder(); f != nil {
+					t.Errorf("%d users, %v: finder %T, want none", c.n, args, f)
+				}
+				continue
+			}
+			g, ok := in.Finder().(*spatial.Grid)
+			if !ok {
+				t.Fatalf("%d users, %v: finder %T, want *spatial.Grid", c.n, args, in.Finder())
+			}
+			if same, err := spatial.GridFor(g, in.Set.Points(), in.Radius); err != nil || same != g {
+				t.Errorf("%d users, %v: the grid does not index the instance's points at its radius", c.n, args)
+			}
+		}
 	}
 }
 
@@ -378,8 +437,11 @@ func TestStationRejects(t *testing.T) {
 	if err := Station(context.Background(), []string{"-replace", "2"}, strings.NewReader(js), &out); err == nil {
 		t.Error("bad replacement probability accepted")
 	}
-	if err := Station(context.Background(), []string{"-churn", "-index", "quadtree"}, strings.NewReader(js), &out); err == nil {
-		t.Error("bad churn index accepted")
+	for _, index := range []string{"quadtree", "kdtree"} {
+		err := Station(context.Background(), []string{"-churn", "-index", index}, strings.NewReader(js), &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown index") {
+			t.Errorf("churn index %s: err = %v, want unknown index", index, err)
+		}
 	}
 }
 

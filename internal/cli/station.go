@@ -50,7 +50,7 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		departs   = fs.Float64("departs", 0, "per-period probability a user leaves for good (-churn mode: mean departures per period, Poisson)")
 		churnMode = fs.Bool("churn", false, "dynamic-instance mode: Poisson arrivals/departures with a re-solve per period on the population as it stands")
 		warm      = fs.Bool("warm", false, "with -churn: warm-start each re-solve from the previous period's centers")
-		index     = fs.String("index", "none", "with -churn: static spatial index built each period: none | grid | kdtree")
+		index     = fs.String("index", "none", "with -churn: neighbour index built each period: none | grid (never changes a result)")
 		slots     = fs.Int("slots", 0, "broadcast slots per period (0 = k)")
 		stations  = fs.Int("stations", 1, "number of base stations (users partitioned among them)")
 		assign    = fs.String("assign", "nearest-anchor", "multi-station user assignment: random | nearest-anchor")

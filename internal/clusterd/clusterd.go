@@ -322,7 +322,9 @@ type ForwardSpec struct {
 // centers. Any failure — no live peer, transport error, a non-2xx answer
 // from the peer's admission control, or an answer checkAnswer rejects —
 // counts one cd_cluster_fallbacks_total and returns an error, which makes
-// the pipeline solve the shard locally with an identical result.
+// the pipeline solve the shard locally with an identical result. A peer
+// that refuses a forward as queue_full or draining is marked not live, so
+// later parts are not sent to it before the next gossip sweep.
 func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 	return func(ctx context.Context, part core.Part, seed uint64, k int) ([]vec.V, error) {
 		p := c.pick()
@@ -357,6 +359,14 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 		resp, err := p.client.Solve(fctx, req, id)
 		timer.Stop()
 		p.pending.Add(-1) // release the slot pick reserved
+		var refused *v1.APIError
+		if errors.As(err, &refused) && (refused.Code == v1.CodeQueueFull || refused.Code == v1.CodeDraining) {
+			// A full or draining peer refuses every forward until it
+			// recovers; pick skips it until a gossip sweep finds it live.
+			p.mu.Lock()
+			p.live = false
+			p.mu.Unlock()
+		}
 		var centers []vec.V
 		if err == nil {
 			if centers, err = checkAnswer(part.In, req, resp); err != nil {

@@ -164,10 +164,14 @@ func TestClusterFallback(t *testing.T) {
 	}
 }
 
-// assertFallsBack runs req through a coordinator whose one peer gossips
-// healthy and answers every forward with forward. The coordinator must
-// return want bit for bit, count one fallback per forward and accept none.
-func assertFallsBack(t *testing.T, req *v1.SolveRequest, want *v1.SolveResponse, forward http.HandlerFunc) {
+// assertFallsBack runs req solves times through a coordinator whose one
+// peer gossips healthy and answers every forward with forward, and returns
+// the coordinator's cluster. Every solve must return want bit for bit, and
+// no answer may be accepted. A refusing peer (queue_full or draining) leaves
+// the rotation at its first refusal, so every part counts one fallback and
+// only the first solve's concurrent picks reach it; any other fault costs
+// one fallback per forward.
+func assertFallsBack(t *testing.T, req *v1.SolveRequest, want *v1.SolveResponse, solves int, refuses bool, forward http.HandlerFunc) *clusterd.Cluster {
 	t.Helper()
 	var forwards atomic.Int64
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -185,20 +189,27 @@ func assertFallsBack(t *testing.T, req *v1.SolveRequest, want *v1.SolveResponse,
 	cl := clusterd.New(clusterd.Config{Peers: []string{bad.URL}, Obs: met})
 	cl.GossipOnce(context.Background())
 	coord := startNode(t, serve.Config{Cluster: cl})
-	got := mustSolve(t, coord.ts.URL, req)
-	if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Gains, want.Gains) ||
-		got.Total != want.Total {
-		t.Errorf("answer differs from the local solve:\n got %v (%v)\nwant %v (%v)",
-			got.Centers, got.Total, want.Centers, want.Total)
+	for i := 0; i < solves; i++ {
+		got := mustSolve(t, coord.ts.URL, req)
+		if !reflect.DeepEqual(got.Centers, want.Centers) || !reflect.DeepEqual(got.Gains, want.Gains) ||
+			got.Total != want.Total {
+			t.Errorf("solve %d: answer differs from the local solve:\n got %v (%v)\nwant %v (%v)",
+				i, got.Centers, got.Total, want.Centers, want.Total)
+		}
 	}
 	snap := met.Snapshot()
-	if n := forwards.Load(); n == 0 || snap.Counters[obs.CtrClusterFallbacks] != n {
-		t.Errorf("%d forwards, %d fallbacks; want one fallback per forward",
-			n, snap.Counters[obs.CtrClusterFallbacks])
+	n, fallbacks, shards := forwards.Load(), snap.Counters[obs.CtrClusterFallbacks], int64(req.Options.Shards)
+	if refuses && (n < 1 || n > shards || fallbacks != int64(solves)*shards) {
+		t.Errorf("%d forwards, %d fallbacks; want 1 to %d forwards and one fallback per part (%d)",
+			n, fallbacks, shards, int64(solves)*shards)
+	}
+	if !refuses && (n == 0 || fallbacks != n) {
+		t.Errorf("%d forwards, %d fallbacks; want one fallback per forward", n, fallbacks)
 	}
 	if got := snap.Counters[obs.CtrClusterForwards]; got != 0 {
 		t.Errorf("%d bad answers accepted", got)
 	}
+	return cl
 }
 
 // TestClusterRejectsBadAnswers: a peer that gossips healthy but answers
@@ -226,7 +237,7 @@ func TestClusterRejectsBadAnswers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertFallsBack(t, req, want, func(w http.ResponseWriter, r *http.Request) {
+			assertFallsBack(t, req, want, 1, false, func(w http.ResponseWriter, r *http.Request) {
 				rec := httptest.NewRecorder()
 				honest.ServeHTTP(rec, r)
 				var ans map[string]any
@@ -244,8 +255,11 @@ func TestClusterRejectsBadAnswers(t *testing.T) {
 
 // TestClusterTransportFaults is the transport half of the cluster fault
 // matrix: a peer that gossips healthy, then refuses or garbles every
-// forward, costs one fallback per forward and never changes the answer.
-// Draining is the peer that began to drain between gossip and forward.
+// forward, never changes the answer. Draining is the peer that began to
+// drain between gossip and forward. A refusing peer (429 queue_full, 503
+// draining) takes at most the first solve's concurrent forwards of three
+// back-to-back solves, and a gossip sweep brings it back; any other fault
+// costs one fallback per forward.
 func TestClusterTransportFaults(t *testing.T) {
 	set := testInstance(t, 2000)
 	req := solveReq(set, 4)
@@ -265,12 +279,13 @@ func TestClusterTransportFaults(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
+		refuses bool
 		forward http.HandlerFunc
 	}{
-		{"429 queue_full", refuse(http.StatusTooManyRequests, v1.CodeQueueFull)},
-		{"500 solve_failed", refuse(http.StatusInternalServerError, v1.CodeSolveFailed)},
-		{"503 draining", refuse(http.StatusServiceUnavailable, v1.CodeDraining)},
-		{"200 cut off mid-JSON", func(w http.ResponseWriter, r *http.Request) {
+		{"429 queue_full", true, refuse(http.StatusTooManyRequests, v1.CodeQueueFull)},
+		{"500 solve_failed", false, refuse(http.StatusInternalServerError, v1.CodeSolveFailed)},
+		{"503 draining", true, refuse(http.StatusServiceUnavailable, v1.CodeDraining)},
+		{"200 cut off mid-JSON", false, func(w http.ResponseWriter, r *http.Request) {
 			// The true answer's length is declared, half of it is sent,
 			// and the connection closes: a peer that died mid-body.
 			rec := httptest.NewRecorder()
@@ -280,14 +295,25 @@ func TestClusterTransportFaults(t *testing.T) {
 			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			w.Write(body[:len(body)/2])
 		}},
-		{"200 not JSON", func(w http.ResponseWriter, r *http.Request) {
+		{"200 not JSON", false, func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write([]byte("<html>502 Bad Gateway</html>"))
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertFallsBack(t, req, want, tc.forward)
+			if !tc.refuses {
+				assertFallsBack(t, req, want, 1, false, tc.forward)
+				return
+			}
+			cl := assertFallsBack(t, req, want, 3, true, tc.forward)
+			if cl.Snapshot()[0].Live {
+				t.Error("the refusing peer is still live")
+			}
+			cl.GossipOnce(context.Background())
+			if !cl.Snapshot()[0].Live {
+				t.Error("a gossip sweep did not bring the peer back")
+			}
 		})
 	}
 }

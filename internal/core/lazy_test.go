@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/norm"
 	"repro/internal/obs"
-	"repro/internal/reward"
 	"repro/internal/spatial"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -86,9 +85,8 @@ func TestLazyValidation(t *testing.T) {
 
 // With a spatial finder installed, every algorithm must produce bit-identical
 // results: the accelerated evaluator only skips exactly-zero terms. The
-// finders are the grid and the k-d tree; the four-worker scans fill the
-// grid's window cache concurrently, and the last trial's n = 2000 instance
-// reuses each cached window many times.
+// four-worker scans fill the grid's window cache concurrently, and the last
+// trial's n = 2000 instance reuses each cached window many times.
 func TestFinderPreservesAllAlgorithms(t *testing.T) {
 	rng := xrand.New(43)
 	small := []Algorithm{LocalGreedy{Workers: 1}, LocalGreedy{Workers: 4}, LazyGreedy{},
@@ -117,30 +115,23 @@ func TestFinderPreservesAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := spatial.NewKDTree(in.Set.Points(), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, finder := range []reward.NeighborFinder{grid, tree} {
-				in.SetFinder(finder)
-				for ai, a := range algs {
-					res, err := a.Run(context.Background(), in, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Total != plain[ai].Total {
-						t.Fatalf("trial %d %s %s (%T): finder changed total %v -> %v",
-							trial, nm.Name(), a.Name(), finder, plain[ai].Total, res.Total)
-					}
-					for j := range res.Centers {
-						if !res.Centers[j].Equal(plain[ai].Centers[j]) {
-							t.Fatalf("trial %d %s %s (%T) round %d: finder changed center",
-								trial, nm.Name(), a.Name(), finder, j)
-						}
+			in.SetFinder(grid)
+			for ai, a := range algs {
+				res, err := a.Run(context.Background(), in, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Total != plain[ai].Total {
+					t.Fatalf("trial %d %s %s: grid changed total %v -> %v",
+						trial, nm.Name(), a.Name(), plain[ai].Total, res.Total)
+				}
+				for j := range res.Centers {
+					if !res.Centers[j].Equal(plain[ai].Centers[j]) {
+						t.Fatalf("trial %d %s %s round %d: grid changed center",
+							trial, nm.Name(), a.Name(), j)
 					}
 				}
 			}
-			in.SetFinder(nil)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/pointset"
 	"repro/internal/reward"
+	"repro/internal/solver"
 	"repro/internal/vec"
 )
 
@@ -20,7 +21,7 @@ func ExampleSolve() {
 		vec.Of(3, 3), vec.Of(3.2, 3),
 	})
 	in, _ := reward.NewInstance(users, norm.L2{}, 1)
-	res, _ := exhaustive.Solve(context.Background(), in, 2, exhaustive.Options{})
+	res, _ := exhaustive.Solve(context.Background(), in, 2, solver.Options{})
 	fmt.Printf("optimum %.1f of %.1f achievable\n", res.Total, users.TotalWeight())
 	fmt.Println("subsets enumerated:", exhaustive.Combinations(4, 2))
 	// Output:

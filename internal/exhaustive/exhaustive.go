@@ -23,19 +23,6 @@ import (
 	"repro/internal/vec"
 )
 
-// Options configures the baseline search: GridPer enriches the candidate
-// set with a uniform lattice, Box bounds it (zero = data bounds), Polish
-// refines the winning subset by block coordinate ascent, DisablePrune turns
-// off branch-and-bound pruning, and Workers bounds the enumeration
-// parallelism.
-//
-// Deprecated: Options is an alias for solver.Options — the one options
-// surface every solver entry point (registry constructors, this baseline,
-// the serving layer's wire schema) shares. New code should use
-// solver.Options directly; the alias keeps the historical spelling
-// compiling.
-type Options = solver.Options
-
 // Name is the baseline's identifier in the solver registry: Solve is also
 // reachable as solver.New("exhaustive", opts), with the exhaustive-specific
 // knobs (GridPer, Box, Polish, DisablePrune) read from the same unified
@@ -58,7 +45,7 @@ func init() {
 // a first-class catalog entry. The options are captured at construction;
 // solver.New applies the WarmStart wrapping like for any other entry, and a
 // cut-short search reports its cancellation to the instance's collector.
-type algorithm struct{ opt Options }
+type algorithm struct{ opt solver.Options }
 
 // Name implements core.Algorithm.
 func (algorithm) Name() string { return Name }
@@ -68,9 +55,12 @@ func (a algorithm) Run(ctx context.Context, in *reward.Instance, k int) (*core.R
 	return Solve(ctx, in, k, a.opt)
 }
 
-// Solve returns the best center set found. The returned Result's Gains are
-// the per-round gains obtained by committing the centers in order, so
-// Total equals the objective value f(C*).
+// Solve returns the best center set found. Of opt it reads GridPer (a
+// uniform lattice added to the candidate set), Box (the lattice's bounds;
+// zero is the data bounds), Polish (block coordinate ascent on the winner),
+// DisablePrune and Workers. The returned Result's Gains are the per-round
+// gains obtained by committing the centers in order, so Total equals the
+// objective value f(C*).
 //
 // Solve is anytime under cancellation: the enumeration checks ctx at
 // combination-prefix granularity (every extension of a partial subset), so
@@ -79,7 +69,7 @@ func (a algorithm) Run(ctx context.Context, in *reward.Instance, k int) (*core.R
 // (possibly empty when cancellation precedes the first complete subset) —
 // together with ctx.Err(). Polishing is skipped on cancellation. A nil ctx
 // behaves like context.Background().
-func Solve(ctx context.Context, in *reward.Instance, k int, opt Options) (*core.Result, error) {
+func Solve(ctx context.Context, in *reward.Instance, k int, opt solver.Options) (*core.Result, error) {
 	if in == nil {
 		return nil, errors.New("exhaustive: nil instance")
 	}
@@ -286,7 +276,7 @@ func polish(in *reward.Instance, centers []vec.V) []vec.V {
 
 // candidates assembles the candidate centers: every data point plus the
 // optional enrichment lattice.
-func candidates(in *reward.Instance, opt Options) ([]vec.V, error) {
+func candidates(in *reward.Instance, opt solver.Options) ([]vec.V, error) {
 	cands := append([]vec.V{}, in.Set.Points()...)
 	if opt.GridPer > 0 {
 		box := opt.Box

@@ -10,6 +10,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/pointset"
 	"repro/internal/reward"
+	"repro/internal/solver"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -40,16 +41,16 @@ func randomInstance(t *testing.T, rng *xrand.Rand, n int, nm norm.Norm, r float6
 
 func TestValidation(t *testing.T) {
 	in := mustInstance(t, []vec.V{vec.Of(0, 0)}, []float64{1}, norm.L2{}, 1)
-	if _, err := Solve(context.Background(), nil, 1, Options{}); err == nil {
+	if _, err := Solve(context.Background(), nil, 1, solver.Options{}); err == nil {
 		t.Error("nil instance accepted")
 	}
-	if _, err := Solve(context.Background(), in, 0, Options{}); err == nil {
+	if _, err := Solve(context.Background(), in, 0, solver.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Solve(context.Background(), in, 5, Options{}); err == nil {
+	if _, err := Solve(context.Background(), in, 5, solver.Options{}); err == nil {
 		t.Error("k > candidates accepted")
 	}
-	if _, err := Solve(context.Background(), in, 1, Options{GridPer: 3, Box: pointset.PaperBox3D()}); err == nil {
+	if _, err := Solve(context.Background(), in, 1, solver.Options{GridPer: 3, Box: pointset.PaperBox3D()}); err == nil {
 		t.Error("mismatched box accepted")
 	}
 }
@@ -65,7 +66,7 @@ func TestMatchesBruteForce(t *testing.T) {
 		if k > n {
 			k = n
 		}
-		res, err := Solve(context.Background(), in, k, Options{})
+		res, err := Solve(context.Background(), in, k, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestDominatesPointRestrictedGreedy(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randomInstance(t, rng, rng.IntRange(5, 14), norm.L2{}, rng.Uniform(0.7, 2))
 		k := rng.IntRange(1, 3)
-		ex, err := Solve(context.Background(), in, k, Options{})
+		ex, err := Solve(context.Background(), in, k, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +135,11 @@ func TestGridEnrichmentNeverHurts(t *testing.T) {
 	rng := xrand.New(11)
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(t, rng, 8, norm.L2{}, 1.2)
-		plain, err := Solve(context.Background(), in, 2, Options{})
+		plain, err := Solve(context.Background(), in, 2, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		enriched, err := Solve(context.Background(), in, 2, Options{GridPer: 5})
+		enriched, err := Solve(context.Background(), in, 2, solver.Options{GridPer: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +153,11 @@ func TestPolishNeverHurts(t *testing.T) {
 	rng := xrand.New(13)
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(t, rng, 8, norm.L2{}, 1.2)
-		plain, err := Solve(context.Background(), in, 2, Options{})
+		plain, err := Solve(context.Background(), in, 2, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		polished, err := Solve(context.Background(), in, 2, Options{Polish: true})
+		polished, err := Solve(context.Background(), in, 2, solver.Options{Polish: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +170,11 @@ func TestPolishNeverHurts(t *testing.T) {
 func TestPolishBeatsPointsOnSquare(t *testing.T) {
 	pts := []vec.V{vec.Of(0, 0), vec.Of(0.8, 0), vec.Of(0, 0.8), vec.Of(0.8, 0.8)}
 	in := mustInstance(t, pts, []float64{1, 1, 1, 1}, norm.L2{}, 1)
-	plain, err := Solve(context.Background(), in, 1, Options{})
+	plain, err := Solve(context.Background(), in, 1, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	polished, err := Solve(context.Background(), in, 1, Options{Polish: true})
+	polished, err := Solve(context.Background(), in, 1, solver.Options{Polish: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +189,11 @@ func TestPolishBeatsPointsOnSquare(t *testing.T) {
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	rng := xrand.New(17)
 	in := randomInstance(t, rng, 12, norm.L1{}, 1.5)
-	a, err := Solve(context.Background(), in, 3, Options{Workers: 1})
+	a, err := Solve(context.Background(), in, 3, solver.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), in, 3, Options{Workers: 8})
+	b, err := Solve(context.Background(), in, 3, solver.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +208,11 @@ func TestPruneEquivalence(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		in := randomInstance(t, rng, rng.IntRange(4, 14), norm.L2{}, rng.Uniform(0.6, 2))
 		k := rng.IntRange(1, 3)
-		pruned, err := Solve(context.Background(), in, k, Options{})
+		pruned, err := Solve(context.Background(), in, k, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Solve(context.Background(), in, k, Options{DisablePrune: true})
+		plain, err := Solve(context.Background(), in, k, solver.Options{DisablePrune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func BenchmarkSolvePruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), in, 4, Options{Workers: 1}); err != nil {
+		if _, err := Solve(context.Background(), in, 4, solver.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +238,7 @@ func BenchmarkSolveUnpruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), in, 4, Options{Workers: 1, DisablePrune: true}); err != nil {
+		if _, err := Solve(context.Background(), in, 4, solver.Options{Workers: 1, DisablePrune: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +280,7 @@ func TestCombinations(t *testing.T) {
 
 func TestKEqualsCandidateCount(t *testing.T) {
 	in := mustInstance(t, []vec.V{vec.Of(0, 0), vec.Of(2, 2)}, []float64{1, 2}, norm.L2{}, 1)
-	res, err := Solve(context.Background(), in, 2, Options{})
+	res, err := Solve(context.Background(), in, 2, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestCancellationAnytime(t *testing.T) {
 	t.Run("pre-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := Solve(ctx, in, 2, Options{Workers: 2})
+		res, err := Solve(ctx, in, 2, solver.Options{Workers: 2})
 		if err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -312,7 +313,7 @@ func TestCancellationAnytime(t *testing.T) {
 	})
 
 	t.Run("mid-enumeration", func(t *testing.T) {
-		full, err := Solve(context.Background(), in, 3, Options{Workers: 2})
+		full, err := Solve(context.Background(), in, 3, solver.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestCancellationAnytime(t *testing.T) {
 		big := randomInstance(t, rng, 90, norm.L2{}, 1.5)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 		defer cancel()
-		res, err := Solve(ctx, big, 3, Options{Workers: 2, DisablePrune: true})
+		res, err := Solve(ctx, big, 3, solver.Options{Workers: 2, DisablePrune: true})
 		if err == nil {
 			t.Skip("enumeration finished before the deadline on this machine")
 		}
@@ -351,7 +352,7 @@ func TestCancellationAnytime(t *testing.T) {
 		// validates. Triggered via an instant deadline.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 		defer cancel()
-		res, err := Solve(ctx, in, 2, Options{Workers: 1, Polish: true})
+		res, err := Solve(ctx, in, 2, solver.Options{Workers: 1, Polish: true})
 		if err == nil {
 			t.Skip("solve finished before a 1ns deadline")
 		}

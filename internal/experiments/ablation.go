@@ -11,6 +11,7 @@ import (
 	"repro/internal/pointset"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/xrand"
 )
 
@@ -21,12 +22,12 @@ import (
 func RunAblationExhaustive(ctx context.Context, cfg RunConfig) (*Output, error) {
 	variants := []struct {
 		name string
-		opt  exhaustive.Options
+		opt  solver.Options
 	}{
-		{"points-only", exhaustive.Options{Workers: 1}},
-		{"points+grid5", exhaustive.Options{GridPer: 5, Box: pointset.PaperBox2D(), Workers: 1}},
-		{"points+grid5+polish", exhaustive.Options{GridPer: 5, Box: pointset.PaperBox2D(), Polish: true, Workers: 1}},
-		{"points+grid9+polish", exhaustive.Options{GridPer: 9, Box: pointset.PaperBox2D(), Polish: true, Workers: 1}},
+		{"points-only", solver.Options{Workers: 1}},
+		{"points+grid5", solver.Options{GridPer: 5, Box: pointset.PaperBox2D(), Workers: 1}},
+		{"points+grid5+polish", solver.Options{GridPer: 5, Box: pointset.PaperBox2D(), Polish: true, Workers: 1}},
+		{"points+grid9+polish", solver.Options{GridPer: 9, Box: pointset.PaperBox2D(), Polish: true, Workers: 1}},
 	}
 	if cfg.Quick {
 		variants = variants[:2]

@@ -225,7 +225,7 @@ func TestAblationsQuick(t *testing.T) {
 }
 
 func TestExtensionExperimentsQuick(t *testing.T) {
-	for _, id := range []string{"multistation", "kcurve", "complexity", "baselines", "radiuscurve", "weightskew"} {
+	for _, id := range []string{"multistation", "kcurve", "complexity", "baselines", "radiuscurve", "weightskew", "churn"} {
 		e, err := ByID(id)
 		if err != nil {
 			t.Fatal(err)

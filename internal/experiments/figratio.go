@@ -9,6 +9,7 @@ import (
 	"repro/internal/pointset"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/solver"
 	"repro/internal/theory"
 	"repro/internal/xrand"
 )
@@ -94,7 +95,7 @@ func ratioCell(ctx context.Context, cfg RunConfig, n int, c kr, nm norm.Norm, sc
 			if err != nil {
 				return nil, err
 			}
-			ex, err := exhaustive.Solve(ctx, in, c.K, exhaustive.Options{
+			ex, err := exhaustive.Solve(ctx, in, c.K, solver.Options{
 				GridPer: cfg.exhaustiveGridPer(2),
 				Box:     pointset.PaperBox2D(),
 				Polish:  cfg.polish(),

@@ -34,42 +34,32 @@ func RunAblationScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		makeInstance := func(finder string) (*reward.Instance, error) {
+		makeInstance := func(grid bool) (*reward.Instance, error) {
 			in, err := cfg.newInstance(set, norm.L2{}, r)
+			if err != nil || !grid {
+				return in, err
+			}
+			g, err := spatial.NewGrid(set.Points(), r)
 			if err != nil {
 				return nil, err
 			}
-			switch finder {
-			case "grid":
-				g, err := spatial.NewGrid(set.Points(), r)
-				if err != nil {
-					return nil, err
-				}
-				in.SetFinder(g)
-			case "kdtree":
-				kt, err := spatial.NewKDTree(set.Points(), r)
-				if err != nil {
-					return nil, err
-				}
-				in.SetFinder(kt)
-			}
+			in.SetFinder(g)
 			return in, nil
 		}
 		variants := []struct {
-			name   string
-			alg    core.Algorithm
-			finder string
+			name string
+			alg  core.Algorithm
+			grid bool
 		}{
-			{"greedy2 plain", core.LocalGreedy{Workers: 1}, ""},
-			{"greedy2 lazy", core.LazyGreedy{}, ""},
-			{"greedy2 +grid", core.LocalGreedy{Workers: 1}, "grid"},
-			{"greedy2 +kdtree", core.LocalGreedy{Workers: 1}, "kdtree"},
-			{"greedy2 lazy+grid", core.LazyGreedy{}, "grid"},
+			{"greedy2 plain", core.LocalGreedy{Workers: 1}, false},
+			{"greedy2 lazy", core.LazyGreedy{}, false},
+			{"greedy2 +grid", core.LocalGreedy{Workers: 1}, true},
+			{"greedy2 lazy+grid", core.LazyGreedy{}, true},
 		}
 		var plainTime time.Duration
 		var wantTotal float64
 		for vi, v := range variants {
-			in, err := makeInstance(v.finder)
+			in, err := makeInstance(v.grid)
 			if err != nil {
 				return nil, err
 			}

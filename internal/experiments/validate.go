@@ -11,6 +11,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/pointset"
 	"repro/internal/report"
+	"repro/internal/solver"
 	"repro/internal/theory"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -70,7 +71,7 @@ func RunValidate(ctx context.Context, cfg RunConfig) (*Output, error) {
 		// bound check conservative in the right direction for Theorem 2's
 		// guarantee only if f_opt is not underestimated — so use the
 		// largest value any method can find).
-		ex, err := exhaustive.Solve(ctx, in, k, exhaustive.Options{
+		ex, err := exhaustive.Solve(ctx, in, k, solver.Options{
 			GridPer: 7, Box: pointset.PaperBox2D(), Polish: true, Workers: cfg.Workers,
 		})
 		if err != nil {

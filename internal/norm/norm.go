@@ -140,21 +140,6 @@ func (n LP) P() float64 { return n.Exp }
 // Name implements Norm.
 func (n LP) Name() string { return fmt.Sprintf("%g-norm", n.Exp) }
 
-// ForP returns the most efficient Norm implementation for the exponent:
-// the specialized L1/L2/LInf types when they apply, LP otherwise.
-func ForP(p float64) (Norm, error) {
-	switch {
-	case p == 1:
-		return L1{}, nil
-	case p == 2:
-		return L2{}, nil
-	case math.IsInf(p, 1):
-		return LInf{}, nil
-	default:
-		return NewLP(p)
-	}
-}
-
 // ByName resolves "1-norm", "2-norm", "inf-norm", "l1", "l2", "linf" (case
 // as written) to a Norm. It is used by the CLI flag parsers.
 func ByName(name string) (Norm, error) {

@@ -59,40 +59,6 @@ func TestNewLPRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestForP(t *testing.T) {
-	n, err := ForP(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.(L1); !ok {
-		t.Errorf("ForP(1) = %T, want L1", n)
-	}
-	n, err = ForP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.(L2); !ok {
-		t.Errorf("ForP(2) = %T, want L2", n)
-	}
-	n, err = ForP(math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.(LInf); !ok {
-		t.Errorf("ForP(inf) = %T, want LInf", n)
-	}
-	n, err = ForP(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp, ok := n.(LP); !ok || lp.Exp != 3 {
-		t.Errorf("ForP(3) = %#v, want LP{3}", n)
-	}
-	if _, err := ForP(0.5); err == nil {
-		t.Error("ForP(0.5) accepted invalid exponent")
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, name := range []string{"1-norm", "l1", "1"} {
 		n, err := ByName(name)
@@ -169,11 +135,7 @@ func TestPNormMonotoneInP(t *testing.T) {
 	f := func(a [3]float64) bool {
 		v := sane(a)
 		prev := math.Inf(1)
-		for _, p := range []float64{1, 1.5, 2, 3, 8} {
-			n, err := ForP(p)
-			if err != nil {
-				return false
-			}
+		for _, n := range []Norm{L1{}, LP{Exp: 1.5}, L2{}, LP{Exp: 3}, LP{Exp: 8}} {
 			l := n.Len(v)
 			if l > prev+1e-6*(1+prev) {
 				return false

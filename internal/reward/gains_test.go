@@ -71,30 +71,23 @@ func gainsPoints(rng *xrand.Rand, n, dim int, r float64) ([]vec.V, []float64) {
 
 // TestRoundGainsMatchesRoundGain: the symmetric first-round sweep gives
 // every point the bits of its own RoundGain, across the kernel norms, dims
-// 1–5, every finder, fresh and partly spent
-// residuals, duplicates and zero weights; and so does the scalar path.
+// 1–5, with and without the grid, fresh and partly spent residuals,
+// duplicates and zero weights; and so does the scalar path.
 func TestRoundGainsMatchesRoundGain(t *testing.T) {
 	rng := xrand.New(211)
 	for _, dim := range []int{1, 2, 3, 5} {
 		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}} {
-			for _, finder := range []string{"none", "grid", "kdtree"} {
+			for _, finder := range []string{"none", "grid"} {
 				for trial := 0; trial < 3; trial++ {
 					r := []float64{0.5, 1, 1.75}[trial]
 					pts, ws := gainsPoints(rng, rng.IntRange(2, 150), dim, r)
 					in := mustInstance(t, pts, ws, nm, r)
-					switch finder {
-					case "grid":
+					if finder == "grid" {
 						g, err := spatial.NewGrid(pts, r)
 						if err != nil {
 							t.Fatal(err)
 						}
 						in.SetFinder(g)
-					case "kdtree":
-						kd, err := spatial.NewKDTree(pts, r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						in.SetFinder(kd)
 					}
 					label := nm.Name() + " " + finder
 					y := in.NewResiduals()
@@ -112,11 +105,11 @@ func TestRoundGainsMatchesRoundGain(t *testing.T) {
 }
 
 // FuzzRoundGains decodes small instances (n ≤ 64) and holds RoundGains to
-// RoundGain's bits under every finder. Byte 0 picks the dim (1–5) and the
-// norm, byte 1 the radius, byte 2 how many rounds to spend; then each
-// point is dim coordinate bytes and a weight byte. An even coordinate byte
-// is a lattice point k·r/4, so axis-aligned pairs at exactly r are common,
-// and the byte 0x02 is −0; an odd one is an off-lattice value.
+// RoundGain's bits with and without the grid. Byte 0 picks the dim (1–5)
+// and the norm, byte 1 the radius, byte 2 how many rounds to spend; then
+// each point is dim coordinate bytes and a weight byte. An even coordinate
+// byte is a lattice point k·r/4, so axis-aligned pairs at exactly r are
+// common, and the byte 0x02 is −0; an odd one is an off-lattice value.
 func FuzzRoundGains(f *testing.F) {
 	f.Add([]byte{5, 7, 1, 0, 4, 1, 8, 2, 2, 1, 16, 1, 0, 0})
 	f.Add([]byte{1, 3, 0, 0, 0, 1, 2, 0, 1, 0, 2, 3, 8, 8, 2, 9, 11, 4})
@@ -165,11 +158,7 @@ func FuzzRoundGains(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kd, err := spatial.NewKDTree(pts, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, finder := range []NeighborFinder{nil, g, kd} {
+		for _, finder := range []NeighborFinder{nil, g} {
 			in.SetFinder(finder)
 			checkRoundGains(t, in, y, nm.Name())
 		}

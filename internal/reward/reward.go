@@ -23,8 +23,9 @@ import (
 // the extended slice. It must be conservative: every point within radius r
 // of c (under the instance norm) must be appended; extras are harmless
 // because their coverage is zero. A wrong-dimension or non-finite query
-// appends nothing. Package spatial's Grid and KDTree implement it for
-// every p ≥ 1.
+// appends nothing. Package spatial's Grid, the one index the server and
+// the command-line tools install, implements it for every p ≥ 1; tests
+// install stub finders through the same interface.
 type NeighborFinder interface {
 	AppendNear(dst []int, c vec.V) []int
 }

@@ -154,6 +154,9 @@ func TestChurnErrorPaths(t *testing.T) {
 		{"bad index",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"index":"quadtree"}`, good),
 			http.StatusBadRequest, v1.CodeBadRequest},
+		{"kdtree index",
+			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"index":"kdtree"}`, good),
+			http.StatusBadRequest, v1.CodeBadRequest},
 		{"negative arrival rate",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":-1,"depart_rate":1}`, good),
 			http.StatusBadRequest, v1.CodeBadRequest},

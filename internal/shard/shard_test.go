@@ -352,30 +352,24 @@ func partsWith(t *testing.T, in *reward.Instance, f reward.NeighborFinder, s int
 }
 
 // TestPartitionSameWithAnyFinder: Partition reads the instance's grid when
-// its finder is one and builds the same grid otherwise, so a grid finder, a
-// KDTree finder and no finder give the same parts: the same IDs, the same
-// owned counts and bit-identical sub-instance points and weights.
+// its finder is one and builds the same grid otherwise, so a grid finder
+// and no finder give the same parts: the same IDs, the same owned counts
+// and bit-identical sub-instance points and weights.
 func TestPartitionSameWithAnyFinder(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		in := genInstance(t, 1500, dim, norm.L2{}, 0.4, 23)
-		tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		finders := []reward.NeighborFinder{in.Finder(), tree, nil}
+		grid := in.Finder()
 		for _, s := range []int{3, 8} {
-			want := partsWith(t, in, finders[0], s)
-			for _, f := range finders[1:] {
-				got := partsWith(t, in, f, s)
-				if len(got) != len(want) {
-					t.Fatalf("dim %d s=%d %T: %d parts, want %d", dim, s, f, len(got), len(want))
-				}
-				for i := range want {
-					g, w := got[i], want[i]
-					if g.ID != w.ID || g.Own != w.Own || !reflect.DeepEqual(g.In.Set.Coords(), w.In.Set.Coords()) ||
-						!reflect.DeepEqual(g.In.Set.Weights(), w.In.Set.Weights()) {
-						t.Fatalf("dim %d s=%d %T part %d differs from the grid finder's", dim, s, f, i)
-					}
+			want := partsWith(t, in, grid, s)
+			got := partsWith(t, in, nil, s)
+			if len(got) != len(want) {
+				t.Fatalf("dim %d s=%d: %d parts, want %d", dim, s, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.ID != w.ID || g.Own != w.Own || !reflect.DeepEqual(g.In.Set.Coords(), w.In.Set.Coords()) ||
+					!reflect.DeepEqual(g.In.Set.Weights(), w.In.Set.Weights()) {
+					t.Fatalf("dim %d s=%d part %d differs from the grid finder's", dim, s, i)
 				}
 			}
 		}
@@ -431,14 +425,9 @@ func TestPartitionReusesInstanceGrid(t *testing.T) {
 // TestFinderKeepsCounts: with the instance's grid shared by the partition
 // and its windows filled in bulk by the first-round sweep, greedy2-lazy and
 // sharded(greedy2-lazy) count the same gain evaluations, lazy re-pops and
-// merge re-pops, and select the same centers, as with a KDTree finder or
-// none.
+// merge re-pops, and select the same centers, as with no finder.
 func TestFinderKeepsCounts(t *testing.T) {
 	in := genInstance(t, 1200, 2, norm.L2{}, 0.3, 31)
-	tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
-	if err != nil {
-		t.Fatal(err)
-	}
 	finders := []func() reward.NeighborFinder{
 		func() reward.NeighborFinder { // a fresh grid per run: cold windows
 			g, err := spatial.NewGrid(in.Set.Points(), in.Radius)
@@ -447,7 +436,6 @@ func TestFinderKeepsCounts(t *testing.T) {
 			}
 			return g
 		},
-		func() reward.NeighborFinder { return tree },
 		func() reward.NeighborFinder { return nil },
 	}
 	counters := []string{obs.CtrGainEvals, obs.CtrLazyRepops, obs.CtrShardMergeRepops}

@@ -253,16 +253,12 @@ func mustAlgOpts(t *testing.T, opts solver.Options) core.Algorithm {
 
 // TestNearLinearSameWithAnyFinder: nearlinear snaps to the instance's own
 // grid when its finder is one and builds the same grid otherwise, so a grid
-// finder, a KDTree finder and no finder give bit-identical results.
+// finder and no finder give bit-identical results.
 func TestNearLinearSameWithAnyFinder(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		in := genNLInstance(t, 900, dim, norm.L2{}, 0.5, 37)
-		tree, err := spatial.NewKDTree(in.Set.Points(), in.Radius)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want *core.Result
-		for fi, f := range []reward.NeighborFinder{in.Finder(), tree, nil} {
+		for fi, f := range []reward.NeighborFinder{in.Finder(), nil} {
 			in.SetFinder(f)
 			got, err := mustAlg(t, "nearlinear").Run(context.Background(), in, 8)
 			if err != nil {

@@ -22,10 +22,9 @@ import (
 )
 
 // Options is the single options surface every solver entry point shares —
-// the registry constructors here, the exhaustive baseline (whose old
-// exhaustive.Options is now an alias of this type), and the serving layer's
-// wire schema all marshal exactly these knobs. The zero value is always
-// usable: all CPUs, seed 0, no enrichment.
+// the registry constructors here, the exhaustive baseline's Solve, and the
+// serving layer's wire schema all marshal exactly these knobs. The zero
+// value is always usable: all CPUs, seed 0, no enrichment.
 type Options struct {
 	// Workers bounds a parallel algorithm's worker count; <= 0 uses all
 	// CPUs (parallel.DefaultWorkers).

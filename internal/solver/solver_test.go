@@ -14,6 +14,7 @@ import (
 	"repro/internal/pointset"
 	"repro/internal/reward"
 	"repro/internal/solver"
+	"repro/internal/spatial"
 	"repro/internal/xrand"
 
 	// The registry-wide tests cover the exhaustive baseline too.
@@ -484,5 +485,54 @@ func TestShardedWarmStart(t *testing.T) {
 	}
 	if res.Total < coldRes.Total {
 		t.Fatalf("warm-started sharded total %v < cold %v", res.Total, coldRes.Total)
+	}
+}
+
+// TestFinderPreservesRegistry: every registry entry, the exhaustive
+// baseline included, returns bit-identical centers, gains and totals with
+// the instance's grid and without a finder, under the 1-, 2- and ∞-norms.
+// cdgreedy and cdstation solve on grid-indexed instances, so no entry may
+// depend on the index. n stays small for the exhaustive search.
+func TestFinderPreservesRegistry(t *testing.T) {
+	rng := xrand.New(53)
+	for trial := 0; trial < 3; trial++ {
+		n, r, k := rng.IntRange(8, 14), rng.Uniform(0.5, 1.5), rng.IntRange(1, 3)
+		set, err := pointset.GenUniform(n, pointset.PaperBox2D(), pointset.RandomIntWeight, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := spatial.NewGrid(set.Points(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}} {
+			in, err := reward.NewInstance(set, nm, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range solver.Names() {
+				var res [2]*core.Result
+				for i, f := range []reward.NeighborFinder{nil, grid} {
+					in.SetFinder(f)
+					alg, err := solver.New(name, solver.Options{Workers: 2, Seed: 5})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res[i], err = alg.Run(context.Background(), in, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plain, got := res[0], res[1]
+				if got.Total != plain.Total || len(got.Centers) != len(plain.Centers) {
+					t.Fatalf("trial %d %s %s: grid changed total %v (%d centers) -> %v (%d)", trial, nm.Name(), name,
+						plain.Total, len(plain.Centers), got.Total, len(got.Centers))
+				}
+				for j := range got.Centers {
+					if !got.Centers[j].Equal(plain.Centers[j]) || got.Gains[j] != plain.Gains[j] {
+						t.Fatalf("trial %d %s %s round %d: grid changed the result", trial, nm.Name(), name, j)
+					}
+				}
+			}
+		}
 	}
 }

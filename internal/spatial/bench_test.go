@@ -64,9 +64,14 @@ func benchColdWindows(b *testing.B, bulk bool) {
 func BenchmarkColdWindows_N15000_Bulk(b *testing.B) { benchColdWindows(b, true) }
 func BenchmarkColdWindows_N15000_Lazy(b *testing.B) { benchColdWindows(b, false) }
 
-// benchAppendNear times warm queries that reuse one dst, as the reward
+// benchGridAppendNear times warm queries that reuse one dst, as the reward
 // evaluator's pooled scratch does.
-func benchAppendNear(b *testing.B, idx Index, rng *xrand.Rand) {
+func benchGridAppendNear(b *testing.B, n int, radius float64) {
+	rng := xrand.New(2)
+	g, err := NewGrid(randPoints(rng, n, 2, 0, 100), radius)
+	if err != nil {
+		b.Fatal(err)
+	}
 	queries := make([]vec.V, 256)
 	for i := range queries {
 		queries[i] = vec.Of(rng.Uniform(0, 100), rng.Uniform(0, 100))
@@ -75,30 +80,12 @@ func benchAppendNear(b *testing.B, idx Index, rng *xrand.Rand) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = idx.AppendNear(dst[:0], queries[i%len(queries)])
+		dst = g.AppendNear(dst[:0], queries[i%len(queries)])
 	}
-}
-
-func benchGridAppendNear(b *testing.B, n int, radius float64) {
-	rng := xrand.New(2)
-	g, err := NewGrid(randPoints(rng, n, 2, 0, 100), radius)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchAppendNear(b, g, rng)
 }
 
 func BenchmarkAppendNear_N10000_R1(b *testing.B)  { benchGridAppendNear(b, 10000, 1) }
 func BenchmarkAppendNear_N10000_R10(b *testing.B) { benchGridAppendNear(b, 10000, 10) }
-
-func BenchmarkKDTreeAppendNear_N10000_R1(b *testing.B) {
-	rng := xrand.New(4)
-	tree, err := NewKDTree(randPoints(rng, 10000, 2, 0, 100), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchAppendNear(b, tree, rng)
-}
 
 // Baseline for comparison: the full linear scan the index replaces.
 func BenchmarkLinearScan_N10000(b *testing.B) {

@@ -17,14 +17,3 @@ func ExampleGrid_AppendNear() {
 	// Output:
 	// [0 1]
 }
-
-// The k-d tree answers the same conservative queries; it appends exactly
-// the Chebyshev-ball membership, also ascending.
-func ExampleKDTree_AppendNear() {
-	pts := []vec.V{vec.Of(0, 0), vec.Of(0.5, 0.5), vec.Of(9, 9)}
-	t, _ := spatial.NewKDTree(pts, 1)
-	near := t.AppendNear(nil, vec.Of(0.2, 0.2))
-	fmt.Println(near)
-	// Output:
-	// [0 1]
-}

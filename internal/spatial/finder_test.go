@@ -53,22 +53,6 @@ func contractCases() []contractCase {
 	return cases
 }
 
-// Index is the query surface Grid and KDTree share: a conservative
-// radius-r candidate lookup over a fixed point set, appended in ascending
-// index order.
-type Index interface {
-	AppendNear(dst []int, c vec.V) []int
-}
-
-// finderBuilders enumerates every AppendNear implementation.
-var finderBuilders = []struct {
-	name  string
-	build func(pts []vec.V, r float64) (Index, error)
-}{
-	{"grid", func(pts []vec.V, r float64) (Index, error) { return NewGrid(pts, r) }},
-	{"kdtree", func(pts []vec.V, r float64) (Index, error) { return NewKDTree(pts, r) }},
-}
-
 // chebWithin returns the indices of pts within Chebyshev distance r of c, in
 // ascending order — the set every conservative AppendNear must contain.
 func chebWithin(pts []vec.V, c vec.V, r float64) []int {
@@ -88,68 +72,64 @@ func chebWithin(pts []vec.V, c vec.V, r float64) []int {
 	return out
 }
 
-// TestAppendNearContract checks the one neighbor-query contract on every
-// index: the appended run is strictly ascending, contains every point
+// TestAppendNearContract checks the one neighbor-query contract on the
+// grid: the appended run is strictly ascending, contains every point
 // within Chebyshev distance r (extras allowed), leaves dst's prefix alone,
 // and bad queries append nothing.
 func TestAppendNearContract(t *testing.T) {
 	for _, tc := range contractCases() {
-		for _, fb := range finderBuilders {
-			t.Run(tc.name+"/"+fb.name, func(t *testing.T) {
-				idx, err := fb.build(tc.pts, tc.r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dim := tc.pts[0].Dim()
-				prefix := []int{-7, 42, -7}
-				for qi, c := range tc.queries {
-					// Query twice: a Grid answers the second from its
-					// window cache.
-					for pass := 0; pass < 2; pass++ {
-						dst := append(make([]int, 0, len(prefix)+1), prefix...)
-						got := idx.AppendNear(dst, c)
-						if !reflect.DeepEqual(got[:len(prefix)], prefix) {
-							t.Fatalf("query %d: dst prefix changed to %v", qi, got[:len(prefix)])
+		t.Run(tc.name+"/grid", func(t *testing.T) {
+			g, err := NewGrid(tc.pts, tc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dim := tc.pts[0].Dim()
+			prefix := []int{-7, 42, -7}
+			for qi, c := range tc.queries {
+				// Query twice: the grid answers the second from its
+				// window cache.
+				for pass := 0; pass < 2; pass++ {
+					dst := append(make([]int, 0, len(prefix)+1), prefix...)
+					got := g.AppendNear(dst, c)
+					if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+						t.Fatalf("query %d: dst prefix changed to %v", qi, got[:len(prefix)])
+					}
+					run := got[len(prefix):]
+					for i := range run {
+						if run[i] < 0 || run[i] >= len(tc.pts) {
+							t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(tc.pts))
 						}
-						run := got[len(prefix):]
-						for i := range run {
-							if run[i] < 0 || run[i] >= len(tc.pts) {
-								t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(tc.pts))
-							}
-							if i > 0 && run[i] <= run[i-1] {
-								t.Fatalf("query %d: not strictly ascending: %v", qi, run)
-							}
+						if i > 0 && run[i] <= run[i-1] {
+							t.Fatalf("query %d: not strictly ascending: %v", qi, run)
 						}
-						in := map[int]bool{}
-						for _, i := range run {
-							in[i] = true
-						}
-						for _, i := range chebWithin(tc.pts, c, tc.r) {
-							if !in[i] {
-								t.Fatalf("query %d (%v): point %d within r missing", qi, c, i)
-							}
+					}
+					in := map[int]bool{}
+					for _, i := range run {
+						in[i] = true
+					}
+					for _, i := range chebWithin(tc.pts, c, tc.r) {
+						if !in[i] {
+							t.Fatalf("query %d (%v): point %d within r missing", qi, c, i)
 						}
 					}
 				}
-				bad := []vec.V{vec.New(dim + 1)}
-				for d := 0; d < dim; d++ {
-					for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-						c := tc.pts[0].Clone()
-						c[d] = x
-						bad = append(bad, c)
-					}
+			}
+			bad := []vec.V{vec.New(dim + 1)}
+			for d := 0; d < dim; d++ {
+				for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					c := tc.pts[0].Clone()
+					c[d] = x
+					bad = append(bad, c)
 				}
-				for _, c := range bad {
-					dst := []int{3, 1}
-					if got := idx.AppendNear(dst, c); len(got) != 2 || got[0] != 3 || got[1] != 1 {
-						t.Errorf("bad query %v appended: %v", c, got)
-					}
+			}
+			for _, c := range bad {
+				dst := []int{3, 1}
+				if got := g.AppendNear(dst, c); len(got) != 2 || got[0] != 3 || got[1] != 1 {
+					t.Errorf("bad query %v appended: %v", c, got)
 				}
-				if g, ok := idx.(*Grid); ok {
-					checkWindowCache(t, g, tc)
-				}
-			})
-		}
+			}
+			checkWindowCache(t, g, tc)
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package spatial provides neighbor indexes over a point set. Coverage
+// Package spatial provides the neighbor index over a point set. Coverage
 // queries in the reward model only involve points within distance r of a
 // center; bucketing points into cells of side r lets the evaluator visit the
 // O(3^m) neighboring cells instead of all n points, which is the difference
 // between O(n) and O(points-in-range) per gain evaluation at large n.
 //
-// Every index answers the one query contract reward.NeighborFinder names:
+// Grid answers the one query contract reward.NeighborFinder names:
 // AppendNear(dst, c) appends the indices of all points within Chebyshev
 // (∞-norm) distance r of c to dst, strictly ascending and without
 // duplicates, possibly with extras. The query is conservative for every
@@ -14,13 +14,20 @@
 // accelerated sum add the same nonzero terms in the same order as a full
 // scan, so it is bit-identical to it.
 //
-// Grid and KDTree index a fixed point set and are safe for concurrent
-// queries. A Grid caches each query cell's ascending window (bounded at
-// 9·n cached indices), so repeated queries from one cell copy a slice: a
-// caller about to query every point's window fills them all in one pass
-// (FillWindows), and otherwise each is built on its cell's first query. An
-// index never changes after construction: a population that changes (the
-// churn loop's, once per period) gets a new index over its new point set.
+// Grid is the only index. No second index is kept for non-uniform
+// densities: the grid was measured faster than a k-d tree on every shape
+// tried, tightly clustered data included (DESIGN.md §7). The server's solve
+// handler installs one on every instance it builds, the churn loop when its
+// index is "grid", and the station simulator and cdgreedy wherever Prunes
+// says it pays for itself.
+//
+// A Grid indexes a fixed point set and is safe for concurrent queries. It
+// caches each query cell's ascending window (bounded at 9·n cached
+// indices), so repeated queries from one cell copy a slice: a caller about
+// to query every point's window fills them all in one pass (FillWindows),
+// and otherwise each is built on its cell's first query. A grid never
+// changes after construction: a population that changes (the churn loop's,
+// once per period) gets a new grid over its new point set.
 package spatial
 
 import (
@@ -290,6 +297,34 @@ func GridFor(finder any, points []vec.V, radius float64) (*Grid, error) {
 		return g, nil
 	}
 	return NewGrid(points, radius)
+}
+
+// minPruned is how many points a query window must leave out, on average,
+// for a grid to pay for its build and its per-query window lookups against a
+// scan of every point. Measured with greedy2 and greedy2-lazy on uniform
+// 2-D instances, the two break even where windows leave out about 80 points
+// (n = 200 at r = 1.5 in the 4×4 box), and at n ≤ 80 the scan is as fast or
+// faster at every radius tried (DESIGN.md §7).
+const minPruned = 100
+
+// Prunes reports whether a radius-r grid over points is worth installing as
+// an instance's neighbour finder: whether a query window, 3 cells wide in
+// every dimension, is expected to leave out at least minPruned points. The
+// expectation takes the points as spread evenly over their bounding box,
+// where a window covers (3c−2)/c² of a dimension of c cells. So a dimension
+// of at most 2 cells is covered whole, and a radius over half the spread
+// along every dimension prunes nothing.
+func Prunes(points []vec.V, radius float64) bool {
+	lo, hi, err := vec.Bounds(points)
+	if err != nil {
+		return false
+	}
+	share := 1.0
+	for d := range lo {
+		c := math.Floor((hi[d]-lo[d])/radius) + 1
+		share *= (3*c - 2) / (c * c)
+	}
+	return float64(len(points))*(1-share) >= minPruned
 }
 
 // cellID flattens cell coordinates to a single bucket key (int-keyed grids

@@ -428,3 +428,50 @@ func TestGroupByKey(t *testing.T) {
 		}
 	}
 }
+
+// lattice returns the side^dim points of a regular lattice spanning [0, 4]
+// in every dimension, so Prunes sees exact bounds.
+func lattice(dim, side int) []vec.V {
+	pts := []vec.V{vec.New(dim)}
+	for d := 0; d < dim; d++ {
+		var next []vec.V
+		for _, p := range pts {
+			for i := 0; i < side; i++ {
+				q := append(vec.V(nil), p...)
+				q[d] = 4 * float64(i) / float64(side-1)
+				next = append(next, q)
+			}
+		}
+		pts = next
+	}
+	return pts
+}
+
+func TestPrunes(t *testing.T) {
+	same := make([]vec.V, 500)
+	for i := range same {
+		same[i] = vec.Of(1, 2)
+	}
+	for _, c := range []struct {
+		name   string
+		pts    []vec.V
+		radius float64
+		want   bool
+	}{
+		{"400 points, 2 cells a side", lattice(2, 20), 2.5, false},
+		{"400 points, 3 cells a side", lattice(2, 20), 1.5, true},
+		{"196 points, 3 cells a side", lattice(2, 14), 1.5, false},
+		{"225 points, 4 cells a side", lattice(2, 15), 1.2, true},
+		{"100 points at a tiny radius", lattice(2, 10), 0.001, false},
+		{"512 points in 3-D", lattice(3, 8), 1, true},
+		{"1-D, 500 points", lattice(1, 500), 0.1, true},
+		{"500 copies of one point", same, 0.1, false},
+		{"no points", nil, 1, false},
+		{"zero radius", lattice(2, 20), 0, false},
+		{"NaN radius", lattice(2, 20), math.NaN(), false},
+	} {
+		if got := Prunes(c.pts, c.radius); got != c.want {
+			t.Errorf("%s, r = %v: Prunes = %v, want %v", c.name, c.radius, got, c.want)
+		}
+	}
+}

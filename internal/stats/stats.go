@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -69,37 +68,6 @@ func (s Summary) CI95() float64 { return 1.96 * s.StdErr() }
 // String renders "mean ± ci95 (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4f ± %.4f (n=%d)", s.Mean, s.CI95(), s.N)
-}
-
-// Mean returns the arithmetic mean. Like Summarize, it returns an explicit
-// error for an empty sample or non-finite observations instead of silently
-// propagating 0 or NaN into downstream tables.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: empty sample")
-	}
-	var sum float64
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, fmt.Errorf("stats: non-finite observation %v", x)
-		}
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Median returns the sample median, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
 }
 
 // LinearFit returns the least-squares slope and intercept of y against x.

@@ -51,46 +51,6 @@ func TestSummarizeRejects(t *testing.T) {
 	}
 }
 
-func TestMeanMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("empty median not 0")
-	}
-	if m, err := Mean([]float64{1, 3}); err != nil || m != 2 {
-		t.Errorf("mean = %v, %v", m, err)
-	}
-	if Median([]float64{5, 1, 3}) != 3 {
-		t.Error("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median wrong")
-	}
-	// Median must not reorder the caller's slice.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 {
-		t.Error("Median mutated input")
-	}
-}
-
-// Mean must reject the inputs Summarize rejects — empty samples and
-// non-finite observations — instead of silently returning 0 or NaN that
-// poisons downstream experiment tables.
-func TestMeanRejects(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		xs   []float64
-	}{
-		{"empty", nil},
-		{"nan", []float64{1, math.NaN(), 2}},
-		{"+inf", []float64{math.Inf(1)}},
-		{"-inf", []float64{0, math.Inf(-1)}},
-	} {
-		if m, err := Mean(tc.xs); err == nil {
-			t.Errorf("%s: accepted, mean = %v", tc.name, m)
-		}
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	// Exact line y = 3x + 1.
 	slope, icept, err := LinearFit([]float64{0, 1, 2, 3}, []float64{1, 4, 7, 10})
