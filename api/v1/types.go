@@ -225,9 +225,9 @@ type ChurnRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// WarmStart carries each period's centers into the next re-solve.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// Index selects the neighbour index built with each period's
-	// instance: none (the default when empty) or grid. It never changes
-	// a result.
+	// Index selects the neighbour index of each period's instance: none
+	// (the default when empty) or grid, built where it is expected to pay
+	// for itself. It never changes a result.
 	Index string `json:"index,omitempty"`
 	// Workers bounds the per-period solver parallelism; 0 uses all CPUs.
 	Workers int `json:"workers,omitempty"`

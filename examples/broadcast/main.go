@@ -1,6 +1,6 @@
 // Broadcast example: the motivating system of the paper end to end. A base
 // station serves a Zipf-topic user population across many periods while
-// interests drift and users churn; we compare an adaptive greedy scheduler
+// interests drift and users churn; we compare adaptive greedy schedules
 // against a static one and sweep k to expose the satisfaction-versus-
 // service-frequency tradeoff (paper §III.A).
 package main
@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pointset"
 	"repro/internal/report"
+	"repro/internal/reward"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -47,29 +48,29 @@ func main() {
 
 	// Adaptive scheduling with the paper's local greedy vs a static
 	// station that always replays the same three contents.
-	schedulers := []broadcast.Scheduler{
-		broadcast.AlgorithmScheduler{Algo: core.LocalGreedy{}},
-		broadcast.AlgorithmScheduler{Algo: core.ComplexGreedy{}},
-		broadcast.StaticScheduler{
-			Label:    "static-corners",
-			Contents: []vec.V{vec.Of(1, 1), vec.Of(3, 3), vec.Of(1, 3)},
-		},
+	corners := []vec.V{vec.Of(1, 1), vec.Of(3, 3), vec.Of(1, 3)}
+	algs := []core.Algorithm{
+		core.LocalGreedy{},
+		core.ComplexGreedy{},
+		core.Placement{Label: "static-corners", Place: func(*reward.Instance, int) ([]vec.V, error) {
+			return corners, nil
+		}},
 	}
 	tb := report.NewTable("12 periods, 80 Zipf users, k=3, r=1.2, drift+churn",
 		"scheduler", "mean satisfaction", "fairness", "satisfaction/slot")
-	for _, s := range schedulers {
-		m, err := broadcast.Run(ctx, tr, s, cfg)
+	for _, alg := range algs {
+		m, err := broadcast.Run(ctx, tr, alg, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb.AddRow(m.Scheduler, m.MeanSatisfaction, m.Fairness, m.SatisfactionPerSlot)
+		tb.AddRow(m.Algorithm, m.MeanSatisfaction, m.Fairness, m.SatisfactionPerSlot)
 	}
 	fmt.Print(tb.Render())
 
 	// The k tradeoff: more broadcasts per period satisfy more interests
 	// but each user is served less often under a fixed slot budget.
 	cfg.SlotsPerPeriod = 12
-	sweep, err := broadcast.KSweep(ctx, tr, broadcast.AlgorithmScheduler{Algo: core.LocalGreedy{}}, cfg, 6)
+	sweep, err := broadcast.KSweep(ctx, tr, core.LocalGreedy{}, cfg, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := broadcast.Config{K: 3, Radius: 1.2, Periods: 8, DriftSigma: 0.1, Seed: 5}
-	inner := broadcast.AlgorithmScheduler{Algo: core.ComplexGreedy{}}
+	inner := core.ComplexGreedy{}
 
 	// Catalog sweep: corners only → coarse lattice → dense lattice → free.
 	corners := []vec.V{vec.Of(0.5, 0.5), vec.Of(3.5, 0.5), vec.Of(0.5, 3.5), vec.Of(3.5, 3.5)}
@@ -55,7 +55,7 @@ func main() {
 		{"4x4 lattice", coarse},
 		{"12x12 lattice", dense},
 	} {
-		m, err := broadcast.Run(ctx, tr, broadcast.CatalogScheduler{Inner: inner, Catalog: c.items}, cfg)
+		m, err := broadcast.Run(ctx, tr, broadcast.Catalog{Inner: inner, Items: c.items}, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 // Package broadcast realizes the system the paper motivates (§I, Fig. 1): a
 // base station that can broadcast only k contents per period to n users,
 // choosing contents so that users whose interests are close to a broadcast
-// are satisfied. It wraps the core selection algorithms in a time-slotted
-// simulator with interest drift and user churn, and reports satisfaction,
-// fairness, and the k-versus-service-frequency tradeoff the paper notes in
-// §III.A ("a larger value of k tends to have a higher average of
-// satisfiability, but it will also have less frequent service").
+// are satisfied. It runs any core.Algorithm once per period in a
+// time-slotted simulator with interest drift and user churn, and reports
+// satisfaction, fairness, and the k-versus-service-frequency tradeoff the
+// paper notes in §III.A ("a larger value of k tends to have a higher
+// average of satisfiability, but it will also have less frequent
+// service").
 package broadcast
 
 import (
@@ -18,68 +19,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/norm"
 	"repro/internal/obs"
-	"repro/internal/pointset"
 	"repro/internal/reward"
-	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
-
-// Scheduler picks the k broadcast contents for one period.
-type Scheduler interface {
-	// Name is a short identifier for reporting.
-	Name() string
-	// Schedule returns the k content vectors for the period. On
-	// cancellation it may return fewer than k contents together with
-	// ctx.Err() (the anytime contract of core.Algorithm.Run); the
-	// simulator does not commit such partial periods.
-	Schedule(ctx context.Context, in *reward.Instance, k int) ([]vec.V, error)
-}
-
-// AlgorithmScheduler adapts any core.Algorithm into a Scheduler.
-type AlgorithmScheduler struct {
-	Algo core.Algorithm
-}
-
-// Name implements Scheduler.
-func (s AlgorithmScheduler) Name() string { return s.Algo.Name() }
-
-// Schedule implements Scheduler.
-func (s AlgorithmScheduler) Schedule(ctx context.Context, in *reward.Instance, k int) ([]vec.V, error) {
-	res, err := s.Algo.Run(ctx, in, k)
-	if err != nil {
-		if res != nil {
-			return res.Centers, err
-		}
-		return nil, err
-	}
-	return res.Centers, nil
-}
-
-// StaticScheduler always broadcasts the same contents — a naive baseline
-// (e.g. the region's center) against which adaptive scheduling is compared.
-type StaticScheduler struct {
-	Label    string
-	Contents []vec.V
-}
-
-// Name implements Scheduler.
-func (s StaticScheduler) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "static"
-}
-
-// Schedule implements Scheduler.
-func (s StaticScheduler) Schedule(_ context.Context, _ *reward.Instance, k int) ([]vec.V, error) {
-	if len(s.Contents) < k {
-		return nil, fmt.Errorf("broadcast: static scheduler has %d contents, need %d", len(s.Contents), k)
-	}
-	return s.Contents[:k], nil
-}
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -115,7 +60,7 @@ type Config struct {
 	Seed uint64
 	// Obs, when set, is attached to every period's instance, so it
 	// receives the reward-oracle counts (gain/apply/objective evaluations)
-	// and the telemetry of every algorithm the scheduler runs on it.
+	// and the telemetry of the algorithm run on it.
 	Obs obs.Collector
 }
 
@@ -151,7 +96,7 @@ type PeriodStat struct {
 
 // Metrics summarizes a simulation.
 type Metrics struct {
-	Scheduler string
+	Algorithm string
 	Periods   []PeriodStat
 	// MeanSatisfaction is the mean over periods of f(C)/Σw — the fraction
 	// of achievable happiness delivered.
@@ -174,16 +119,16 @@ type Metrics struct {
 // as given in period 0 and evolved once before each later period: drift,
 // replacement, departures, then arrivals.
 //
-// Run is anytime under cancellation: ctx is checked between scheduling
-// rounds (periods), a period whose schedule was cut short is discarded, and
-// the metrics aggregated over the completed periods are returned together
-// with ctx.Err(). A nil ctx behaves like context.Background().
-func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Metrics, error) {
+// Run is anytime under cancellation: ctx is checked between periods, a
+// period whose solve was cut short is discarded, and the metrics aggregated
+// over the completed periods are returned together with ctx.Err(). A nil
+// ctx behaves like context.Background().
+func Run(ctx context.Context, tr *trace.Trace, alg core.Algorithm, cfg Config) (*Metrics, error) {
 	if tr == nil {
 		return nil, errors.New("broadcast: nil trace")
 	}
-	if sched == nil {
-		return nil, errors.New("broadcast: nil scheduler")
+	if alg == nil {
+		return nil, errors.New("broadcast: nil algorithm")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -206,7 +151,7 @@ func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Me
 			nextID = u.ID + 1
 		}
 	}
-	return runPeriods(ctx, sched, cfg, func(p int) (*trace.Trace, error) {
+	return runPeriods(ctx, alg, cfg, func(p int) (*trace.Trace, error) {
 		if p == 0 {
 			return cur, nil
 		}
@@ -257,10 +202,10 @@ func Run(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config) (*Me
 
 // runPeriods is the station's period loop, shared by Run and RunTimeline.
 // For each period p below cfg.Periods it builds the instance of
-// population(p), with a grid where spatial.Prunes says it pays for itself,
-// schedules, scores, and credits each user's satisfaction. A nil ctx
-// behaves like context.Background().
-func runPeriods(ctx context.Context, sched Scheduler, cfg Config, population func(p int) (*trace.Trace, error)) (*Metrics, error) {
+// population(p) (reward.NewIndexed), runs alg on it, scores the centers,
+// and credits each user's satisfaction. A nil ctx behaves like
+// context.Background().
+func runPeriods(ctx context.Context, alg core.Algorithm, cfg Config, population func(p int) (*trace.Trace, error)) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -268,7 +213,7 @@ func runPeriods(ctx context.Context, sched Scheduler, cfg Config, population fun
 	if slots <= 0 {
 		slots = cfg.K
 	}
-	m := &Metrics{Scheduler: sched.Name()}
+	m := &Metrics{Algorithm: alg.Name()}
 	perUser := map[int]*userAccount{}
 	var cancelErr error
 	for p := 0; p < cfg.Periods; p++ {
@@ -284,20 +229,21 @@ func runPeriods(ctx context.Context, sched Scheduler, cfg Config, population fun
 		if err != nil {
 			return nil, err
 		}
-		in, err := newInstance(set, cfg.Norm, cfg.Radius, cfg.Obs, spatial.Prunes(set.Points(), cfg.Radius))
+		in, err := reward.NewIndexed(set, orL2(cfg.Norm), cfg.Radius, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
-		centers, err := sched.Schedule(ctx, in, cfg.K)
+		res, err := alg.Run(ctx, in, cfg.K)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				// The period's schedule was cut short; discard it and keep
-				// the completed periods as the anytime answer.
+				// The period's solve was cut short; discard it and keep the
+				// completed periods as the anytime answer.
 				cancelErr = cerr
 				break
 			}
 			return nil, fmt.Errorf("broadcast: period %d: %w", p, err)
 		}
+		centers := res.Centers
 		f := in.Objective(centers)
 		m.Periods = append(m.Periods, PeriodStat{
 			Period: p, Reward: f, MaxRwd: set.TotalWeight(), Centers: centers,
@@ -343,24 +289,13 @@ func runPeriods(ctx context.Context, sched Scheduler, cfg Config, population fun
 	return m, cancelErr
 }
 
-// newInstance builds one period's instance over set with the run's
-// collector (a nil norm is the 2-norm) and, when grid is set, a radius-r
-// grid. The grid never changes a result bit.
-func newInstance(set *pointset.Set, nm norm.Norm, radius float64, col obs.Collector, grid bool) (*reward.Instance, error) {
+// orL2 is nm, or the 2-norm when nm is nil: the default of every norm the
+// package takes.
+func orL2(nm norm.Norm) norm.Norm {
 	if nm == nil {
-		nm = norm.L2{}
+		return norm.L2{}
 	}
-	in, err := reward.NewInstance(set, nm, radius)
-	if err != nil {
-		return nil, err
-	}
-	in.SetCollector(col)
-	if grid {
-		if g, err := spatial.NewGrid(set.Points(), radius); err == nil {
-			in.SetFinder(g)
-		}
-	}
-	return in, nil
+	return nm
 }
 
 type userAccount struct {
@@ -369,17 +304,17 @@ type userAccount struct {
 }
 
 // RunTimeline replays a recorded population timeline through Run's period
-// loop: period p's schedule is computed against snapshot p exactly, so two
-// replays of the same timeline with the same scheduler are bit-identical —
+// loop: period p's centers are computed against snapshot p exactly, so two
+// replays of the same timeline with the same algorithm are bit-identical —
 // the trace-driven analogue of Run, with the population evolution fixed up
 // front instead of simulated. Cancellation follows Run's anytime contract:
 // completed periods are aggregated and returned with ctx.Err().
-func RunTimeline(ctx context.Context, tl *trace.Timeline, sched Scheduler, cfg Config) (*Metrics, error) {
+func RunTimeline(ctx context.Context, tl *trace.Timeline, alg core.Algorithm, cfg Config) (*Metrics, error) {
 	if tl == nil {
 		return nil, errors.New("broadcast: nil timeline")
 	}
-	if sched == nil {
-		return nil, errors.New("broadcast: nil scheduler")
+	if alg == nil {
+		return nil, errors.New("broadcast: nil algorithm")
 	}
 	if err := tl.Validate(); err != nil {
 		return nil, err
@@ -390,14 +325,14 @@ func RunTimeline(ctx context.Context, tl *trace.Timeline, sched Scheduler, cfg C
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return runPeriods(ctx, sched, cfg, func(p int) (*trace.Trace, error) { return tl.Snapshots[p], nil })
+	return runPeriods(ctx, alg, cfg, func(p int) (*trace.Trace, error) { return tl.Snapshots[p], nil })
 }
 
 // KSweep runs the same population under k = 1..kMax and reports the
 // satisfaction/frequency tradeoff curve, regenerating the §III.A observation
 // quantitatively. A cancelled sweep returns the k values completed so far
 // together with ctx.Err().
-func KSweep(ctx context.Context, tr *trace.Trace, sched Scheduler, base Config, kMax int) ([]Metrics, error) {
+func KSweep(ctx context.Context, tr *trace.Trace, alg core.Algorithm, base Config, kMax int) ([]Metrics, error) {
 	if kMax <= 0 {
 		return nil, fmt.Errorf("broadcast: kMax = %d", kMax)
 	}
@@ -408,7 +343,7 @@ func KSweep(ctx context.Context, tr *trace.Trace, sched Scheduler, base Config, 
 	for k := 1; k <= kMax; k++ {
 		cfg := base
 		cfg.K = k
-		m, err := Run(ctx, tr, sched, cfg)
+		m, err := Run(ctx, tr, alg, cfg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return out, cerr // keep the fully-swept k values

@@ -32,18 +32,16 @@ func baseCfg() Config {
 	return Config{K: 2, Radius: 1.5, Periods: 5, Seed: 7}
 }
 
-func greedySched() Scheduler {
-	return AlgorithmScheduler{Algo: core.LocalGreedy{}}
-}
+func greedyAlg() core.Algorithm { return core.LocalGreedy{} }
 
 func TestRunBasic(t *testing.T) {
 	tr := genTrace(t, 30, trace.Uniform)
-	m, err := Run(context.Background(), tr, greedySched(), baseCfg())
+	m, err := Run(context.Background(), tr, greedyAlg(), baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Scheduler != "greedy2" {
-		t.Errorf("scheduler name = %q", m.Scheduler)
+	if m.Algorithm != "greedy2" {
+		t.Errorf("algorithm name = %q", m.Algorithm)
 	}
 	if len(m.Periods) != 5 {
 		t.Fatalf("periods = %d", len(m.Periods))
@@ -66,35 +64,35 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	tr := genTrace(t, 10, trace.Uniform)
-	if _, err := Run(context.Background(), nil, greedySched(), baseCfg()); err == nil {
+	if _, err := Run(context.Background(), nil, greedyAlg(), baseCfg()); err == nil {
 		t.Error("nil trace accepted")
 	}
 	if _, err := Run(context.Background(), tr, nil, baseCfg()); err == nil {
-		t.Error("nil scheduler accepted")
+		t.Error("nil algorithm accepted")
 	}
 	bad := baseCfg()
 	bad.K = 0
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("K=0 accepted")
 	}
 	bad = baseCfg()
 	bad.Radius = -1
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("negative radius accepted")
 	}
 	bad = baseCfg()
 	bad.Periods = 0
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("0 periods accepted")
 	}
 	bad = baseCfg()
 	bad.ChurnRate = 1.5
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("churn > 1 accepted")
 	}
 	bad = baseCfg()
 	bad.DriftSigma = -0.1
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("negative drift accepted")
 	}
 }
@@ -105,7 +103,7 @@ func TestRunDoesNotMutateInput(t *testing.T) {
 	cfg := baseCfg()
 	cfg.DriftSigma = 0.3
 	cfg.ChurnRate = 0.2
-	if _, err := Run(context.Background(), tr, greedySched(), cfg); err != nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Users[0].Interest[0] != snap[0] || tr.Users[0].Interest[1] != snap[1] {
@@ -118,13 +116,12 @@ func TestStaticVsAdaptive(t *testing.T) {
 	// static schedule stuck at arbitrary corners.
 	tr := genTrace(t, 60, trace.Clustered)
 	cfg := baseCfg()
-	adaptive, err := Run(context.Background(), tr, greedySched(), cfg)
+	adaptive, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := Run(context.Background(), tr, StaticScheduler{
-		Contents: []vec.V{vec.Of(0, 0), vec.Of(4, 4)},
-	}, cfg)
+	static, err := Run(context.Background(), tr, core.Placement{Label: "static",
+		Place: func(*reward.Instance, int) ([]vec.V, error) { return []vec.V{vec.Of(0, 0), vec.Of(4, 4)}, nil }}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +129,8 @@ func TestStaticVsAdaptive(t *testing.T) {
 		t.Errorf("adaptive %v not above static %v",
 			adaptive.MeanSatisfaction, static.MeanSatisfaction)
 	}
-	if static.Scheduler != "static" {
-		t.Errorf("static name = %q", static.Scheduler)
-	}
-}
-
-func TestStaticSchedulerShortContents(t *testing.T) {
-	tr := genTrace(t, 10, trace.Uniform)
-	cfg := baseCfg()
-	cfg.K = 3
-	if _, err := Run(context.Background(), tr, StaticScheduler{Contents: []vec.V{vec.Of(1, 1)}}, cfg); err == nil {
-		t.Error("static scheduler with too few contents accepted")
+	if static.Algorithm != "static" {
+		t.Errorf("static name = %q", static.Algorithm)
 	}
 }
 
@@ -151,11 +139,11 @@ func TestDeterminism(t *testing.T) {
 	cfg := baseCfg()
 	cfg.DriftSigma = 0.2
 	cfg.ChurnRate = 0.1
-	a, err := Run(context.Background(), tr, greedySched(), cfg)
+	a, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), tr, greedySched(), cfg)
+	b, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +159,7 @@ func TestChurnReplacesUsers(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Periods = 10
 	cfg.ChurnRate = 0.5
-	m, err := Run(context.Background(), tr, greedySched(), cfg)
+	m, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +175,7 @@ func TestArrivalsGrowPopulation(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Periods = 10
 	cfg.ArrivalRate = 5
-	m, err := Run(context.Background(), tr, greedySched(), cfg)
+	m, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +190,7 @@ func TestDeparturesShrinkPopulation(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Periods = 10
 	cfg.DepartRate = 0.3
-	m, err := Run(context.Background(), tr, greedySched(), cfg)
+	m, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +200,7 @@ func TestDeparturesShrinkPopulation(t *testing.T) {
 	}
 	// Population never empties even at extreme departure rates.
 	cfg.DepartRate = 1
-	if _, err := Run(context.Background(), tr, greedySched(), cfg); err != nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), cfg); err != nil {
 		t.Fatalf("full departure rate errored: %v", err)
 	}
 }
@@ -221,12 +209,12 @@ func TestArrivalDepartValidation(t *testing.T) {
 	tr := genTrace(t, 10, trace.Uniform)
 	bad := baseCfg()
 	bad.ArrivalRate = -1
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("negative arrival rate accepted")
 	}
 	bad = baseCfg()
 	bad.DepartRate = 1.5
-	if _, err := Run(context.Background(), tr, greedySched(), bad); err == nil {
+	if _, err := Run(context.Background(), tr, greedyAlg(), bad); err == nil {
 		t.Error("depart rate > 1 accepted")
 	}
 }
@@ -235,7 +223,7 @@ func TestKSweepTradeoff(t *testing.T) {
 	tr := genTrace(t, 40, trace.Uniform)
 	cfg := baseCfg()
 	cfg.Periods = 3
-	ms, err := KSweep(context.Background(), tr, greedySched(), cfg, 5)
+	ms, err := KSweep(context.Background(), tr, greedyAlg(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +240,7 @@ func TestKSweepTradeoff(t *testing.T) {
 	// Service frequency falls as k grows (paper's §III.A tradeoff) with a
 	// fixed slot budget.
 	cfg.SlotsPerPeriod = 6
-	ms, err = KSweep(context.Background(), tr, greedySched(), cfg, 5)
+	ms, err = KSweep(context.Background(), tr, greedyAlg(), cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +250,7 @@ func TestKSweepTradeoff(t *testing.T) {
 				i, ms[i-1].ServiceFrequency, i+1, ms[i].ServiceFrequency)
 		}
 	}
-	if _, err := KSweep(context.Background(), tr, greedySched(), cfg, 0); err == nil {
+	if _, err := KSweep(context.Background(), tr, greedyAlg(), cfg, 0); err == nil {
 		t.Error("kMax=0 accepted")
 	}
 }
@@ -274,7 +262,7 @@ func TestRunTimelineReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := baseCfg()
-	a, err := RunTimeline(context.Background(), tl, greedySched(), cfg)
+	a, err := RunTimeline(context.Background(), tl, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +270,7 @@ func TestRunTimelineReplay(t *testing.T) {
 		t.Fatalf("periods = %d", len(a.Periods))
 	}
 	// Replays are bit-identical.
-	b, err := RunTimeline(context.Background(), tl, greedySched(), cfg)
+	b, err := RunTimeline(context.Background(), tl, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +287,11 @@ func TestRunTimelineReplay(t *testing.T) {
 	cfg.Periods = 3
 	cfg.DriftSigma = 0
 	cfg.ChurnRate = 0
-	live, err := Run(context.Background(), tr, greedySched(), cfg)
+	live, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := RunTimeline(context.Background(), still, greedySched(), cfg)
+	replay, err := RunTimeline(context.Background(), still, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,15 +308,15 @@ func TestRunTimelineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := baseCfg()
-	if _, err := RunTimeline(context.Background(), nil, greedySched(), cfg); err == nil {
+	if _, err := RunTimeline(context.Background(), nil, greedyAlg(), cfg); err == nil {
 		t.Error("nil timeline accepted")
 	}
 	if _, err := RunTimeline(context.Background(), tl, nil, cfg); err == nil {
-		t.Error("nil scheduler accepted")
+		t.Error("nil algorithm accepted")
 	}
 	bad := cfg
 	bad.K = 0
-	if _, err := RunTimeline(context.Background(), tl, greedySched(), bad); err == nil {
+	if _, err := RunTimeline(context.Background(), tl, greedyAlg(), bad); err == nil {
 		t.Error("K=0 accepted")
 	}
 }
@@ -337,18 +325,18 @@ func TestOneNormBroadcast(t *testing.T) {
 	tr := genTrace(t, 20, trace.Uniform)
 	cfg := baseCfg()
 	cfg.Norm = norm.L1{}
-	m, err := Run(context.Background(), tr, AlgorithmScheduler{Algo: core.SimpleGreedy{}}, cfg)
+	m, err := Run(context.Background(), tr, core.SimpleGreedy{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Scheduler != "greedy3" || m.MeanSatisfaction <= 0 {
+	if m.Algorithm != "greedy3" || m.MeanSatisfaction <= 0 {
 		t.Errorf("L1 run wrong: %+v", m)
 	}
 }
 
 // assertGrid fails unless in's finder is a grid over in's points at in's
-// radius: GridFor hands the same grid back, and every point's query
-// appends what a fresh grid's does.
+// radius: Grid hands it back, and every point's query appends what a fresh
+// grid's does.
 func assertGrid(t *testing.T, in *reward.Instance) {
 	t.Helper()
 	g, ok := in.Finder().(*spatial.Grid)
@@ -356,8 +344,8 @@ func assertGrid(t *testing.T, in *reward.Instance) {
 		t.Fatalf("finder %T, want *spatial.Grid", in.Finder())
 	}
 	pts := in.Set.Points()
-	if same, err := spatial.GridFor(g, pts, in.Radius); err != nil || same != g {
-		t.Fatalf("grid does not index %d points at radius %v", len(pts), in.Radius)
+	if same, err := in.Grid(); err != nil || same != g {
+		t.Fatalf("Grid() = %p, %v, want the installed grid %p", same, err, g)
 	}
 	fresh, err := spatial.NewGrid(pts, in.Radius)
 	if err != nil {
@@ -370,10 +358,9 @@ func assertGrid(t *testing.T, in *reward.Instance) {
 	}
 }
 
-// indexSpy schedules with greedy2 after checking the instance's finder:
-// a grid over its points at its radius where spatial.Prunes says so, and no
-// finder elsewhere. It counts the periods it checked and those it found
-// indexed.
+// indexSpy is greedy2 after checking the instance's finder: a grid over
+// its points at its radius where spatial.Prunes says so, and no finder
+// elsewhere. It counts the periods it checked and those it found indexed.
 type indexSpy struct {
 	t                *testing.T
 	periods, indexed *int
@@ -381,7 +368,7 @@ type indexSpy struct {
 
 func (s indexSpy) Name() string { return "index-spy" }
 
-func (s indexSpy) Schedule(ctx context.Context, in *reward.Instance, k int) ([]vec.V, error) {
+func (s indexSpy) Run(ctx context.Context, in *reward.Instance, k int) (*core.Result, error) {
 	*s.periods++
 	if spatial.Prunes(in.Set.Points(), in.Radius) {
 		assertGrid(s.t, in)
@@ -389,11 +376,11 @@ func (s indexSpy) Schedule(ctx context.Context, in *reward.Instance, k int) ([]v
 	} else if f := in.Finder(); f != nil {
 		s.t.Fatalf("%d users at r = %v: finder %T, want none", in.N(), in.Radius, f)
 	}
-	return greedySched().Schedule(ctx, in, k)
+	return greedyAlg().Run(ctx, in, k)
 }
 
 // TestPeriodsIndexedWherePrunes: every period Run, RunTimeline, RunMulti
-// and KSweep schedule carries a radius-r grid where spatial.Prunes says it
+// and KSweep solve carries a radius-r grid where spatial.Prunes says it
 // pays for itself, and no finder elsewhere: 400 users at r = 0.5 are
 // indexed in every period, 400 users at r = 2.5 (two cells a side) and 60
 // users at r = 0.5 in none.
@@ -411,17 +398,17 @@ func TestPeriodsIndexedWherePrunes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, run := range map[string]func(Scheduler) error{
-			"Run": func(s Scheduler) error { _, err := Run(context.Background(), tr, s, cfg); return err },
-			"RunTimeline": func(s Scheduler) error {
-				_, err := RunTimeline(context.Background(), tl, s, cfg)
+		for name, run := range map[string]func(core.Algorithm) error{
+			"Run": func(a core.Algorithm) error { _, err := Run(context.Background(), tr, a, cfg); return err },
+			"RunTimeline": func(a core.Algorithm) error {
+				_, err := RunTimeline(context.Background(), tl, a, cfg)
 				return err
 			},
-			"RunMulti": func(s Scheduler) error {
-				_, err := RunMulti(context.Background(), tr, s, cfg, 2, RandomAssign)
+			"RunMulti": func(a core.Algorithm) error {
+				_, err := RunMulti(context.Background(), tr, a, cfg, 2, RandomAssign)
 				return err
 			},
-			"KSweep": func(s Scheduler) error { _, err := KSweep(context.Background(), tr, s, cfg, 2); return err },
+			"KSweep": func(a core.Algorithm) error { _, err := KSweep(context.Background(), tr, a, cfg, 2); return err },
 		} {
 			periods, indexed := 0, 0
 			if err := run(indexSpy{t, &periods, &indexed}); err != nil {

@@ -21,15 +21,12 @@ func TestCatalogSchedulerSnaps(t *testing.T) {
 	tr := genTrace(t, 30, trace.Uniform)
 	cfg := baseCfg()
 	cat := denseCatalog()
-	m, err := Run(context.Background(), tr, CatalogScheduler{
-		Inner:   AlgorithmScheduler{Algo: core.ComplexGreedy{}},
-		Catalog: cat,
-	}, cfg)
+	m, err := Run(context.Background(), tr, Catalog{Inner: core.ComplexGreedy{}, Items: cat}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Scheduler != "greedy4+catalog" {
-		t.Errorf("name = %q", m.Scheduler)
+	if m.Algorithm != "greedy4+catalog" {
+		t.Errorf("name = %q", m.Algorithm)
 	}
 	// Every broadcast must be a catalog item.
 	for _, p := range m.Periods {
@@ -49,7 +46,7 @@ func TestCatalogSchedulerSnaps(t *testing.T) {
 }
 
 func TestCatalogNoDuplicatesWithinPeriod(t *testing.T) {
-	// A tight population makes the inner scheduler propose nearby ideal
+	// A tight population makes the inner algorithm propose nearby ideal
 	// centers; the catalog must still hand out distinct items.
 	tr, err := trace.Generate(trace.Config{
 		N: 20, Box: pointset.PaperBox2D(), Kind: trace.Clustered,
@@ -60,10 +57,7 @@ func TestCatalogNoDuplicatesWithinPeriod(t *testing.T) {
 	}
 	cfg := baseCfg()
 	cfg.K = 3
-	m, err := Run(context.Background(), tr, CatalogScheduler{
-		Inner:   AlgorithmScheduler{Algo: core.SimpleGreedy{}},
-		Catalog: denseCatalog(),
-	}, cfg)
+	m, err := Run(context.Background(), tr, Catalog{Inner: core.SimpleGreedy{}, Items: denseCatalog()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +77,15 @@ func TestCatalogDegradesGracefully(t *testing.T) {
 	// 2-item corner catalog should cost a lot.
 	tr := genTrace(t, 40, trace.Clustered)
 	cfg := baseCfg()
-	free, err := Run(context.Background(), tr, greedySched(), cfg)
+	free, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := Run(context.Background(), tr, CatalogScheduler{Inner: greedySched(), Catalog: denseCatalog()}, cfg)
+	dense, err := Run(context.Background(), tr, Catalog{Inner: greedyAlg(), Items: denseCatalog()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poor, err := Run(context.Background(), tr, CatalogScheduler{
-		Inner:   greedySched(),
-		Catalog: []vec.V{vec.Of(0, 0), vec.Of(4, 4)},
-	}, cfg)
+	poor, err := Run(context.Background(), tr, Catalog{Inner: greedyAlg(), Items: []vec.V{vec.Of(0, 0), vec.Of(4, 4)}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +101,14 @@ func TestCatalogValidation(t *testing.T) {
 	tr := genTrace(t, 10, trace.Uniform)
 	cfg := baseCfg()
 	cfg.K = 3
-	if _, err := Run(context.Background(), tr, CatalogScheduler{Inner: greedySched(), Catalog: denseCatalog()[:2]}, cfg); err == nil {
+	if _, err := Run(context.Background(), tr, Catalog{Inner: greedyAlg(), Items: denseCatalog()[:2]}, cfg); err == nil {
 		t.Error("undersized catalog accepted")
 	}
-	if _, err := Run(context.Background(), tr, CatalogScheduler{Catalog: denseCatalog()}, cfg); err == nil {
-		t.Error("nil inner scheduler accepted")
+	if _, err := Run(context.Background(), tr, Catalog{Items: denseCatalog()}, cfg); err == nil {
+		t.Error("nil inner algorithm accepted")
 	}
 	// Dimension-incompatible catalog.
-	bad := CatalogScheduler{Inner: greedySched(), Catalog: []vec.V{vec.Of(1, 2, 3), vec.Of(1, 1, 1), vec.Of(0, 0, 0)}}
+	bad := Catalog{Inner: greedyAlg(), Items: []vec.V{vec.Of(1, 2, 3), vec.Of(1, 1, 1), vec.Of(0, 0, 0)}}
 	if _, err := Run(context.Background(), tr, bad, cfg); err == nil {
 		t.Error("dimension-incompatible catalog accepted")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/obs"
 	"repro/internal/pointset"
+	"repro/internal/reward"
 	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -45,9 +46,10 @@ type ChurnConfig struct {
 	// solver.Options.WarmStart: the re-solve keeps whichever of the cold
 	// solution and the carried-over centers scores higher.
 	WarmStart bool
-	// Index selects the neighbour index built with each period's
-	// instance: "none" (the default, also spelled "") or "grid". It never
-	// changes a result bit.
+	// Index selects the neighbour index of each period's instance: "none"
+	// (the default, also spelled "") builds none, and "grid" builds the
+	// radius-r grid where spatial.Prunes says it pays for itself
+	// (reward.NewIndexed). It never changes a result bit.
 	Index string
 	// Obs, when set, receives the churn counters and, through the
 	// instance it is attached to, the reward-oracle counts and every
@@ -136,9 +138,9 @@ type ChurnMetrics struct {
 // RunChurn simulates the base station over a churning population. The
 // population is kept as plain slices: arrivals are appended and a departure
 // swaps the last user into its slot. Each period solves an instance built
-// from the population as it stands, grid-indexed when cfg.Index is "grid",
-// and with cfg.WarmStart each period's centers seed the next
-// re-solve. The input trace is never mutated.
+// from the population as it stands, indexed as reward.NewIndexed decides
+// when cfg.Index is "grid", and with cfg.WarmStart each period's centers
+// seed the next re-solve. The input trace is never mutated.
 //
 // RunChurn is anytime under cancellation: ctx is checked each period, a
 // period whose solve was cut short is discarded, and metrics over the
@@ -187,7 +189,12 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		}
 		psp := parentSpan.Child("period")
 		psp.SetAttr("period", float64(p))
-		in, err := newInstance(set, cfg.Norm, cfg.Radius, cfg.Obs, cfg.Index == "grid")
+		var in *reward.Instance
+		if cfg.Index == "grid" {
+			in, err = reward.NewIndexed(set, orL2(cfg.Norm), cfg.Radius, cfg.Obs)
+		} else if in, err = reward.NewInstance(set, orL2(cfg.Norm), cfg.Radius); err == nil {
+			in.SetCollector(cfg.Obs)
+		}
 		if err != nil {
 			psp.End()
 			return nil, err

@@ -258,28 +258,34 @@ func init() {
 }
 
 // TestRunChurnIndexesEveryPeriod: with Index "grid", every period's
-// instance carries a radius-r grid over its population, whatever its size;
-// unset or "none", it carries no finder.
+// instance is indexed as reward.NewIndexed decides: a radius-r grid over
+// its population at 400 users and r = 0.5, where spatial.Prunes holds, and
+// no finder at 30 users, where it does not. Unset or "none", no period
+// carries a finder.
 func TestRunChurnIndexesEveryPeriod(t *testing.T) {
-	tr := genTrace(t, 30, trace.Uniform)
-	for _, index := range []string{"", "grid", "none"} {
-		spied = nil
-		cfg := churnCfg()
-		cfg.Solver, cfg.Index = "test-finder-spy", index
-		if _, err := RunChurn(context.Background(), tr, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if len(spied) != cfg.Periods {
-			t.Fatalf("index %q: solved %d instances over %d periods", index, len(spied), cfg.Periods)
-		}
-		for p, in := range spied {
-			if index != "grid" {
-				if f := in.Finder(); f != nil {
-					t.Errorf("index %q, period %d: finder %T, want none", index, p, f)
-				}
-				continue
+	for _, c := range []struct {
+		n       int
+		r       float64
+		indexed bool
+	}{{400, 0.5, true}, {30, 1.5, false}} {
+		tr := genTrace(t, c.n, trace.Uniform)
+		for _, index := range []string{"", "grid", "none"} {
+			spied = nil
+			cfg := churnCfg()
+			cfg.Radius, cfg.Solver, cfg.Index = c.r, "test-finder-spy", index
+			if _, err := RunChurn(context.Background(), tr, cfg); err != nil {
+				t.Fatal(err)
 			}
-			assertGrid(t, in)
+			if len(spied) != cfg.Periods {
+				t.Fatalf("%d users, index %q: solved %d instances over %d periods", c.n, index, len(spied), cfg.Periods)
+			}
+			for p, in := range spied {
+				if index == "grid" && c.indexed {
+					assertGrid(t, in)
+				} else if f := in.Finder(); f != nil {
+					t.Errorf("%d users, index %q, period %d: finder %T, want none", c.n, index, p, f)
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/norm"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -65,7 +65,7 @@ type MultiMetrics struct {
 // Cancellation is anytime at station granularity: stations simulated before
 // ctx was done are aggregated and returned with ctx.Err(); the station whose
 // own run was cut short is dropped.
-func RunMulti(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config, stations int, mode AssignMode) (*MultiMetrics, error) {
+func RunMulti(ctx context.Context, tr *trace.Trace, alg core.Algorithm, cfg Config, stations int, mode AssignMode) (*MultiMetrics, error) {
 	if tr == nil {
 		return nil, errors.New("broadcast: nil trace")
 	}
@@ -91,10 +91,7 @@ func RunMulti(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config,
 		for s := range anchors {
 			anchors[s] = box.Sample(rng)
 		}
-		nm := cfg.Norm
-		if nm == nil {
-			nm = norm.L2{}
-		}
+		nm := orL2(cfg.Norm)
 		for i, u := range tr.Users {
 			p := vec.Of(u.Interest...)
 			best, bestD := 0, nm.Dist(p, anchors[0])
@@ -133,7 +130,7 @@ func RunMulti(ctx context.Context, tr *trace.Trace, sched Scheduler, cfg Config,
 		}
 		scfg := cfg
 		scfg.Seed = cfg.Seed ^ (uint64(s)+1)*0x9e3779b97f4a7c15
-		m, err := Run(ctx, sub, sched, scfg)
+		m, err := Run(ctx, sub, alg, scfg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				cancelErr = cerr

@@ -12,7 +12,7 @@ func TestRunMultiBasic(t *testing.T) {
 	tr := genTrace(t, 60, trace.Clustered)
 	cfg := baseCfg()
 	for _, mode := range []AssignMode{RandomAssign, NearestAnchor} {
-		m, err := RunMulti(context.Background(), tr, greedySched(), cfg, 3, mode)
+		m, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 3, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -38,13 +38,13 @@ func TestRunMultiBasic(t *testing.T) {
 func TestRunMultiValidation(t *testing.T) {
 	tr := genTrace(t, 10, trace.Uniform)
 	cfg := baseCfg()
-	if _, err := RunMulti(context.Background(), nil, greedySched(), cfg, 2, RandomAssign); err == nil {
+	if _, err := RunMulti(context.Background(), nil, greedyAlg(), cfg, 2, RandomAssign); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, err := RunMulti(context.Background(), tr, greedySched(), cfg, 0, RandomAssign); err == nil {
+	if _, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 0, RandomAssign); err == nil {
 		t.Error("0 stations accepted")
 	}
-	if _, err := RunMulti(context.Background(), tr, greedySched(), cfg, 2, AssignMode(9)); err == nil {
+	if _, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 2, AssignMode(9)); err == nil {
 		t.Error("bad assign mode accepted")
 	}
 }
@@ -57,11 +57,11 @@ func TestRunMultiSingleStationMatchesRun(t *testing.T) {
 	cfg := baseCfg()
 	cfg.DriftSigma = 0
 	cfg.ChurnRate = 0
-	single, err := Run(context.Background(), tr, greedySched(), cfg)
+	single, err := Run(context.Background(), tr, greedyAlg(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti(context.Background(), tr, greedySched(), cfg, 1, RandomAssign)
+	multi, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 1, RandomAssign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestRunMultiSingleStationMatchesRun(t *testing.T) {
 func TestRunMultiDeterministic(t *testing.T) {
 	tr := genTrace(t, 40, trace.Uniform)
 	cfg := baseCfg()
-	a, err := RunMulti(context.Background(), tr, greedySched(), cfg, 3, NearestAnchor)
+	a, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 3, NearestAnchor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMulti(context.Background(), tr, greedySched(), cfg, 3, NearestAnchor)
+	b, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 3, NearestAnchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunMultiEmptyStationHandled(t *testing.T) {
 	// not error out or skew the aggregate.
 	tr := genTrace(t, 3, trace.Uniform)
 	cfg := baseCfg()
-	m, err := RunMulti(context.Background(), tr, greedySched(), cfg, 5, RandomAssign)
+	m, err := RunMulti(context.Background(), tr, greedyAlg(), cfg, 5, RandomAssign)
 	if err != nil {
 		t.Fatal(err)
 	}

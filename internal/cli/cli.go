@@ -12,8 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/solver"
 	"repro/internal/trace"
 )
 
@@ -35,14 +33,6 @@ func withTimeout(ctx context.Context, d time.Duration) (context.Context, context
 // explains why they are partial, and the process exits zero.
 func cancelNote(stdout io.Writer, err error) {
 	fmt.Fprintf(stdout, "note: run stopped early (%v); output reflects only the work completed before cancellation\n", err)
-}
-
-// AlgorithmByName resolves an algorithm name through the solver registry —
-// the CLI holds no name→constructor table of its own, so its vocabulary is
-// exactly the registry's (greedy1..greedy4 plus the accelerated and baseline
-// variants), and unknown names report the full sorted catalog.
-func AlgorithmByName(name string) (core.Algorithm, error) {
-	return solver.New(name, solver.Options{})
 }
 
 // describeCenter renders a broadcast content vector, labelling each

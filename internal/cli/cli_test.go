@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -19,33 +21,6 @@ import (
 	"repro/internal/solver"
 	"repro/internal/spatial"
 )
-
-func TestAlgorithmByName(t *testing.T) {
-	cases := map[string]string{
-		"greedy1":      "greedy1",
-		"greedy2":      "greedy2",
-		"greedy2-lazy": "greedy2-lazy",
-		"greedy3":      "greedy3",
-		"greedy4":      "greedy4",
-	}
-	for name, want := range cases {
-		a, err := AlgorithmByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if a.Name() != want {
-			t.Errorf("%s resolved to %s", name, a.Name())
-		}
-	}
-	if _, err := AlgorithmByName("bogus"); err == nil {
-		t.Error("bogus algorithm accepted")
-	}
-	// greedy1 must come wired with a solver.
-	a, _ := AlgorithmByName("greedy1")
-	if rb, ok := a.(core.RoundBased); !ok || rb.Solver == nil {
-		t.Error("greedy1 not wired with an inner solver")
-	}
-}
 
 func TestWeightSchemeByName(t *testing.T) {
 	if s, err := WeightSchemeByName("same"); err != nil || s != pointset.UnitWeight {
@@ -242,8 +217,8 @@ func TestGreedyIndexesInstance(t *testing.T) {
 			if !ok {
 				t.Fatalf("%d users, %v: finder %T, want *spatial.Grid", c.n, args, in.Finder())
 			}
-			if same, err := spatial.GridFor(g, in.Set.Points(), in.Radius); err != nil || same != g {
-				t.Errorf("%d users, %v: the grid does not index the instance's points at its radius", c.n, args)
+			if same, err := in.Grid(); err != nil || same != g || g.N() != c.n {
+				t.Errorf("%d users, %v: the grid does not index the instance's points", c.n, args)
 			}
 		}
 	}
@@ -441,6 +416,94 @@ func TestStationRejects(t *testing.T) {
 		err := Station(context.Background(), []string{"-churn", "-index", index}, strings.NewReader(js), &out)
 		if err == nil || !strings.Contains(err.Error(), "unknown index") {
 			t.Errorf("churn index %s: err = %v, want unknown index", index, err)
+		}
+	}
+}
+
+// TestStationRejectsStrayFlags: a flag set on the command line that the
+// selected mode does not read is an error naming the flag, and each such
+// flag still works in a mode that reads it.
+func TestStationRejectsStrayFlags(t *testing.T) {
+	js := genJSON(t)
+	var tl bytes.Buffer
+	if err := TraceGen(context.Background(), []string{"-n", "15", "-seed", "4", "-timeline", "2"}, &tl); err != nil {
+		t.Fatal(err)
+	}
+	modes := map[string]struct {
+		args  []string
+		input string
+	}{"station": {nil, js}, "churn": {[]string{"-churn"}, js}, "timeline": {[]string{"-timeline"}, tl.String()}}
+	run := func(mode string, flags []string) error {
+		m := modes[mode]
+		var out bytes.Buffer
+		return Station(context.Background(), append(append([]string{}, m.args...), flags...), strings.NewReader(m.input), &out)
+	}
+	const station, stationOrChurn = "needs the default station mode", "needs the default station mode or -churn"
+	for _, c := range []struct {
+		mode  string
+		flags []string
+		want  string
+	}{
+		{"station", []string{"-index", "grid"}, "-index needs -churn"},
+		{"station", []string{"-index", "kdtree"}, "-index needs -churn"},
+		{"station", []string{"-warm"}, "-warm needs -churn"},
+		{"churn", []string{"-drift", "0.2"}, "-drift " + station},
+		{"churn", []string{"-replace", "0.1"}, "-replace " + station},
+		{"churn", []string{"-stations", "2"}, "-stations " + station},
+		{"churn", []string{"-assign", "random"}, "-assign " + station},
+		{"churn", []string{"-slots", "3"}, "-slots needs the default station mode or -timeline"},
+		{"churn", []string{"-timeline"}, "-churn and -timeline select different modes"},
+		{"timeline", []string{"-periods", "2"}, "-periods " + stationOrChurn},
+		{"timeline", []string{"-arrivals", "1"}, "-arrivals " + stationOrChurn},
+		{"timeline", []string{"-departs", "0.1"}, "-departs " + stationOrChurn},
+		{"timeline", []string{"-seed", "3"}, "-seed " + stationOrChurn},
+		{"timeline", []string{"-drift", "0.1"}, "-drift " + station},
+		{"timeline", []string{"-warm"}, "-warm needs -churn"},
+		{"timeline", []string{"-index", "none"}, "-index needs -churn"},
+	} {
+		if err := run(c.mode, c.flags); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s mode with %v: err = %v, want %q", c.mode, c.flags, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		mode  string
+		flags []string
+	}{
+		{"station", []string{"-drift", "0.2", "-replace", "0.1", "-arrivals", "1", "-departs", "0.05", "-seed", "3", "-slots", "3", "-periods", "2"}},
+		{"station", []string{"-stations", "2", "-assign", "random", "-periods", "2"}},
+		{"churn", []string{"-warm", "-index", "grid", "-periods", "2", "-arrivals", "1", "-departs", "1", "-seed", "3"}},
+		{"timeline", []string{"-slots", "3", "-churn=false"}},
+	} {
+		if err := run(c.mode, c.flags); err != nil {
+			t.Errorf("%s mode with %v: %v", c.mode, c.flags, err)
+		}
+	}
+}
+
+// TestHelpListsEveryAlgorithm: the -alg help of cdgreedy and cdstation
+// names every registry entry.
+func TestHelpListsEveryAlgorithm(t *testing.T) {
+	for name, tool := range map[string]func(context.Context, []string, io.Reader, io.Writer) error{
+		"cdgreedy": Greedy, "cdstation": Station,
+	} {
+		var out bytes.Buffer
+		if err := tool(context.Background(), []string{"-h"}, strings.NewReader(""), &out); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h: err = %v, want flag.ErrHelp", name, err)
+		}
+		help := out.String()
+		i := strings.Index(help, "algorithm: ")
+		if i < 0 {
+			t.Fatalf("%s -h has no algorithm list:\n%s", name, help)
+		}
+		line, _, _ := strings.Cut(help[i:], "\n")
+		listed := map[string]bool{}
+		for _, f := range strings.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '|' || r == ',' }) {
+			listed[f] = true
+		}
+		for _, alg := range solver.Names() {
+			if !listed[alg] {
+				t.Errorf("%s -h does not list %q: %s", name, alg, line)
+			}
 		}
 	}
 }

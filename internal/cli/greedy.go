@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	v1 "repro/api/v1"
 	"repro/internal/core"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/reward"
 	"repro/internal/solver"
-	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -35,7 +35,7 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	fs.SetOutput(stdout)
 	var (
 		tracePath = fs.String("trace", "-", "trace file (JSON or CSV by extension; '-' reads JSON from stdin)")
-		algName   = fs.String("alg", "greedy2", "algorithm: greedy1 | greedy2 | greedy2-lazy | greedy3 | greedy4 | nearlinear, or sharded(<name>)")
+		algName   = fs.String("alg", "greedy2", "algorithm: "+strings.Join(solver.Names(), " | ")+", or sharded(<name>)")
 		all       = fs.Bool("all", false, "run all four paper algorithms and compare")
 		shards    = fs.Int("shards", 0, "split the solve into this many spatial shards solved in parallel and merged (0 = single-shot)")
 		halo      = fs.Int("halo", 0, "sharded boundary-halo width in grid-cell rings (0 = default of 1, -1 = none)")
@@ -74,22 +74,14 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	if err != nil {
 		return err
 	}
-	in, err := reward.NewInstance(set, nm, *r)
-	if err != nil {
-		return err
-	}
-	// A grid finder accelerates coverage evaluation without changing any
-	// result bit, where it prunes enough to pay for itself.
-	if spatial.Prunes(set.Points(), *r) {
-		if g, err := spatial.NewGrid(set.Points(), *r); err == nil {
-			in.SetFinder(g)
-		}
-	}
 	tel, err := newTelemetry(*metrics, *events)
 	if err != nil {
 		return err
 	}
-	in.SetCollector(tel.Collector())
+	in, err := reward.NewIndexed(set, nm, *r, tel.Collector())
+	if err != nil {
+		return err
+	}
 	cancelled := false
 	if *asJSON {
 		alg, err := solver.New(*algName, wireOpts.SolverOptions())
@@ -136,8 +128,8 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	if *all {
 		tb := report.NewTable(fmt.Sprintf("all algorithms on %d users (%s, k=%d, r=%g)", set.Len(), nm.Name(), *k, *r),
 			"algorithm", "total", "% of Σw")
-		for _, name := range []string{"greedy1", "greedy2", "greedy3", "greedy4"} {
-			a, err := AlgorithmByName(name)
+		for _, name := range solver.PaperNames() {
+			a, err := solver.New(name, solver.Options{})
 			if err != nil {
 				return err
 			}

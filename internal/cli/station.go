@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -9,10 +10,12 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
+	"strings"
 
 	"repro/internal/broadcast"
 	"repro/internal/norm"
 	"repro/internal/report"
+	"repro/internal/solver"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -31,15 +34,26 @@ func servePprof(addr string, stdout io.Writer) (func(), error) {
 	return func() { srv.Close() }, nil
 }
 
+// modeFlags maps each flag that only some of cdstation's modes read to
+// those modes, named as on the command line; every mode reads the rest.
+var modeFlags = map[string]string{
+	"periods": stationOrChurn, "arrivals": stationOrChurn, "departs": stationOrChurn, "seed": stationOrChurn,
+	"drift": stationMode, "replace": stationMode, "stations": stationMode, "assign": stationMode,
+	"slots": stationMode + " or -timeline", "warm": "-churn", "index": "-churn",
+}
+
+const stationMode, stationOrChurn = "the default station mode", stationMode + " or -churn"
+
 // Station implements cdstation: the time-slotted base-station simulation.
-// Cancellation (ctx or -timeout) is a clean exit: metrics over the periods
-// completed so far are printed with a note.
+// A flag the selected mode does not read is an error. Cancellation (ctx or
+// -timeout) is a clean exit: metrics over the periods completed so far are
+// printed with a note.
 func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cdstation", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
 		tracePath = fs.String("trace", "-", "trace file (JSON or CSV by extension; '-' reads JSON from stdin)")
-		algName   = fs.String("alg", "greedy2", "scheduler: greedy1 | greedy2 | greedy2-lazy | greedy3 | greedy4")
+		algName   = fs.String("alg", "greedy2", "algorithm: "+strings.Join(solver.Names(), " | "))
 		k         = fs.Int("k", 2, "broadcasts per period")
 		r         = fs.Float64("r", 1.5, "content scope radius")
 		normName  = fs.String("norm", "l2", "interest-distance norm: l1 | l2 | linf")
@@ -63,6 +77,24 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	mode := stationMode
+	switch {
+	case *timeline && *churnMode:
+		return errors.New("cdstation: -churn and -timeline select different modes")
+	case *timeline:
+		mode = "-timeline"
+	case *churnMode:
+		mode = "-churn"
+	}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if need, ok := modeFlags[f.Name]; ok && !strings.Contains(need, mode) && stray == nil {
+			stray = fmt.Errorf("cdstation: -%s needs %s", f.Name, need)
+		}
+	})
+	if stray != nil {
+		return stray
 	}
 	ctx, cancel := withTimeout(ctx, *timeout)
 	defer cancel()
@@ -102,7 +134,7 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		}
 		return tel.Close(stdout)
 	}
-	alg, err := AlgorithmByName(*algName)
+	alg, err := solver.New(*algName, solver.Options{})
 	if err != nil {
 		return err
 	}
@@ -112,23 +144,22 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		ArrivalRate: *arrivals, DepartRate: *departs,
 		SlotsPerPeriod: *slots, Seed: *seed, Obs: tel.Collector(),
 	}
-	sched := broadcast.AlgorithmScheduler{Algo: alg}
 	if *stations > 1 {
-		var mode broadcast.AssignMode
+		var assignMode broadcast.AssignMode
 		switch *assign {
 		case "random":
-			mode = broadcast.RandomAssign
+			assignMode = broadcast.RandomAssign
 		case "nearest-anchor":
-			mode = broadcast.NearestAnchor
+			assignMode = broadcast.NearestAnchor
 		default:
 			return fmt.Errorf("cdstation: unknown assignment %q (random | nearest-anchor)", *assign)
 		}
-		mm, cerr := broadcast.RunMulti(ctx, tr, sched, cfg, *stations, mode)
+		mm, cerr := broadcast.RunMulti(ctx, tr, alg, cfg, *stations, assignMode)
 		if cerr != nil && (mm == nil || ctx.Err() == nil) {
 			return cerr
 		}
 		tb := report.NewTable(fmt.Sprintf("%d stations (%s assignment), %s, k=%d each, r=%g",
-			*stations, *assign, sched.Name(), *k, *r),
+			*stations, *assign, alg.Name(), *k, *r),
 			"station", "users", "mean satisfaction", "fairness")
 		for _, s := range mm.Stations {
 			if s.Users == 0 {
@@ -145,11 +176,11 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		}
 		return tel.Close(stdout)
 	}
-	m, cerr := broadcast.Run(ctx, tr, sched, cfg)
+	m, cerr := broadcast.Run(ctx, tr, alg, cfg)
 	if cerr != nil && (m == nil || ctx.Err() == nil) {
 		return cerr
 	}
-	tb := report.NewTable(fmt.Sprintf("base station: %s, k=%d, r=%g, %s", m.Scheduler, *k, *r, nm.Name()),
+	tb := report.NewTable(fmt.Sprintf("base station: %s, k=%d, r=%g, %s", m.Algorithm, *k, *r, nm.Name()),
 		"period", "reward", "max (Σw)", "satisfaction")
 	for _, p := range m.Periods {
 		tb.AddRow(p.Period, p.Reward, p.MaxRwd, p.Reward/p.MaxRwd)
@@ -204,7 +235,7 @@ func stationChurn(ctx context.Context, tr *trace.Trace, stdout io.Writer, cfg br
 	return nil
 }
 
-// stationTimeline replays a recorded timeline through the scheduler. The
+// stationTimeline replays a recorded timeline through the algorithm. The
 // caller owns the telemetry's lifecycle; only the collector is used here.
 func stationTimeline(ctx context.Context, path string, stdin io.Reader, stdout io.Writer, algName string, k int, r float64, normName string, slots int, tel *telemetry) error {
 	var rdr io.Reader = stdin
@@ -224,18 +255,18 @@ func stationTimeline(ctx context.Context, path string, stdin io.Reader, stdout i
 	if err != nil {
 		return err
 	}
-	alg, err := AlgorithmByName(algName)
+	alg, err := solver.New(algName, solver.Options{})
 	if err != nil {
 		return err
 	}
-	m, cerr := broadcast.RunTimeline(ctx, tl, broadcast.AlgorithmScheduler{Algo: alg}, broadcast.Config{
+	m, cerr := broadcast.RunTimeline(ctx, tl, alg, broadcast.Config{
 		K: k, Radius: r, Norm: nm, SlotsPerPeriod: slots, Obs: tel.Collector(),
 	})
 	if cerr != nil && (m == nil || ctx.Err() == nil) {
 		return cerr
 	}
 	tb := report.NewTable(fmt.Sprintf("timeline replay: %s, %d periods, k=%d, r=%g, %s",
-		m.Scheduler, len(m.Periods), k, r, nm.Name()),
+		m.Algorithm, len(m.Periods), k, r, nm.Name()),
 		"period", "reward", "max (Σw)", "satisfaction")
 	for _, p := range m.Periods {
 		tb.AddRow(p.Period, p.Reward, p.MaxRwd, p.Reward/p.MaxRwd)

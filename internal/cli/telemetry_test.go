@@ -246,7 +246,7 @@ func TestGreedyExhaustiveCancelledMetrics(t *testing.T) {
 	}
 }
 
-// TestStationShardedMetrics: cdstation's sharded scheduler reports its
+// TestStationShardedMetrics: cdstation's sharded algorithm reports its
 // pipeline telemetry through each period's instance.
 func TestStationShardedMetrics(t *testing.T) {
 	js := genJSON(t, "-n", "300")

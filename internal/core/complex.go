@@ -97,7 +97,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(col, res, err)
+			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
 		if rs.active() {
@@ -116,7 +116,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 			// Cancelled mid-scan: only some seed walks ran, so the best
 			// candidate may differ from the uncancelled round's. Discard
 			// the round and return the committed prefix.
-			return cancelRun(col, res, cerr)
+			return CancelRun(col, res, cerr)
 		}
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))

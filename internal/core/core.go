@@ -110,11 +110,12 @@ func orBG(ctx context.Context) context.Context {
 	return ctx
 }
 
-// cancelRun finalizes an anytime early return: it records the cancelled
+// CancelRun finalizes an anytime early return: it records the cancelled
 // lifecycle event (obs.EvCancelled with the completed-round count) and hands
 // back the partial result with the context's error. res always holds a
-// valid prefix of completed rounds when this is called.
-func cancelRun(c obs.Collector, res *Result, err error) (*Result, error) {
+// valid prefix of completed rounds when this is called. Every algorithm,
+// the exhaustive baseline included, ends a cancelled run here.
+func CancelRun(c obs.Collector, res *Result, err error) (*Result, error) {
 	if obs.Active(c) {
 		c.Count(obs.CtrCancelled, 1)
 		c.Emit(obs.Event{Type: obs.EvCancelled, Alg: res.Algorithm, Round: len(res.Gains),

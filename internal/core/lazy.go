@@ -71,7 +71,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	var h candHeap
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(col, res, err)
+			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
 		if j == 0 {
@@ -79,7 +79,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			// time includes them.
 			gains := make([]float64, n)
 			if err := in.RoundGains(ctx, y, gains); err != nil {
-				return cancelRun(col, res, err)
+				return CancelRun(col, res, err)
 			}
 			h = make(candHeap, n)
 			for i, g := range gains {
@@ -95,7 +95,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		repops := 0
 		for h[0].round != j {
 			if err := ctx.Err(); err != nil {
-				return cancelRun(col, res, err)
+				return CancelRun(col, res, err)
 			}
 			h[0].bound = in.RoundGain(in.Set.Point(h[0].idx), y)
 			h[0].round = j

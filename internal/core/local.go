@@ -35,7 +35,7 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(col, res, err)
+			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
 		if rs.active() {
@@ -48,7 +48,7 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 			// Cancelled mid-scan: the argmax saw only part of the
 			// candidates, so committing it could diverge from the
 			// uncancelled run. Discard the round and return the prefix.
-			return cancelRun(col, res, cerr)
+			return CancelRun(col, res, cerr)
 		}
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))

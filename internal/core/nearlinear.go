@@ -102,7 +102,7 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	res := &Result{Algorithm: a.Name()}
 	col := in.Collector()
 	if ctx.Err() != nil {
-		return cancelRun(col, res, ctx.Err())
+		return CancelRun(col, res, ctx.Err())
 	}
 	parent := obs.SpanFromContext(ctx)
 
@@ -112,16 +112,11 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	// ex is a shadow evaluator over the same point set with the snap grid
-	// installed as its neighbor finder: exact RoundGain/ApplyRound touch
-	// only the O(3^m) neighboring cells. The caller's instance is never
-	// mutated.
-	ex, err := reward.NewInstance(in.Set, in.Norm, in.Radius)
-	if err != nil {
-		return nil, err
-	}
+	// ex is a copy of the instance with the snap grid installed as its
+	// neighbor finder: exact RoundGain/ApplyRound touch only the O(3^m)
+	// neighboring cells. The caller's instance is never mutated.
+	ex := in.WithCollector(col)
 	ex.SetFinder(st.grid)
-	ex.SetCollector(col)
 	if col != nil {
 		col.Count(obs.CtrNLCells, int64(len(st.cells)))
 	}
@@ -148,7 +143,7 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		if ctx.Err() != nil {
 			refineT.Stop()
 			refineSp.End()
-			return cancelRun(col, res, ctx.Err())
+			return CancelRun(col, res, ctx.Err())
 		}
 		rs := startRound(ctx, col, a.Name(), j)
 		var seed = -1
@@ -183,10 +178,10 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	return res, nil
 }
 
-// snap takes the instance's grid, building one only when its finder is not
-// a grid, and computes the per-cell aggregates (stage 1).
+// snap takes the instance's grid (reward.Instance.Grid) and computes the
+// per-cell aggregates (stage 1).
 func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
-	grid, err := spatial.GridFor(in.Finder(), in.Set.Points(), in.Radius)
+	grid, err := in.Grid()
 	if err != nil {
 		return nil, fmt.Errorf("core: nearlinear: %w", err)
 	}

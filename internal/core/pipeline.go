@@ -117,7 +117,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	res := &Result{Algorithm: p.Name()}
 	col := in.Collector()
 	if err := ctx.Err(); err != nil {
-		return cancelRun(col, res, err)
+		return CancelRun(col, res, err)
 	}
 	parent := obs.SpanFromContext(ctx)
 
@@ -214,7 +214,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	if err := ctx.Err(); err != nil {
 		// Cancelled before the merge committed anything: the empty result
 		// is the (trivial) valid prefix of the uncancelled run.
-		return cancelRun(col, res, err)
+		return CancelRun(col, res, err)
 	}
 	for i, e := range errs {
 		if e != nil {
@@ -243,7 +243,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	mspan.End()
 	if err != nil {
 		// merge only errors on cancellation; res holds the committed prefix.
-		return cancelRun(col, res, err)
+		return CancelRun(col, res, err)
 	}
 	return res, nil
 }

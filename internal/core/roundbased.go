@@ -54,7 +54,7 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(col, res, err)
+			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
 		st := obs.StartTimer(col, obs.TimInnerSolve)
@@ -65,7 +65,7 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			// round so the committed prefix stays bit-identical to an
 			// uncancelled run's.
 			st.Stop()
-			return cancelRun(col, res, cerr)
+			return CancelRun(col, res, cerr)
 		}
 		if err != nil {
 			return nil, err

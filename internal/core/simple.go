@@ -28,7 +28,7 @@ func (a SimpleGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Res
 	col := in.Collector()
 	for j := 0; j < k; j++ {
 		if err := ctx.Err(); err != nil {
-			return cancelRun(col, res, err)
+			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
 		// argmax_i w_i·y_i^j with index tie-break (line 3 of Algorithm 3).

@@ -55,7 +55,7 @@ func (s SwapLocalSearch) Run(ctx context.Context, in *reward.Instance, k int) (*
 		if cerr := ctx.Err(); cerr != nil && init != nil {
 			// Seed cancelled mid-run: its partial prefix is the best-so-far
 			// solution. Re-commit it under this algorithm's name.
-			return cancelRun(col, s.commit(ctx, in, init.Centers), cerr)
+			return CancelRun(col, s.commit(ctx, in, init.Centers), cerr)
 		}
 		return nil, err
 	}
@@ -131,7 +131,7 @@ sweep:
 	}
 	res := s.commit(ctx, in, eval.Centers())
 	if cancelled {
-		return cancelRun(col, res, ctx.Err())
+		return CancelRun(col, res, ctx.Err())
 	}
 	if res.Total < init.Total-1e-9 {
 		return nil, errors.New("core: swap search regressed below its seed (internal error)")

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/optimize"
 	"repro/internal/parallel"
 	"repro/internal/pointset"
@@ -99,7 +98,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt solver.Options) 
 	}); cerr != nil {
 		// Cancelled during the precompute: no subset was evaluated yet, so
 		// the best-so-far solution is the empty one.
-		return cancelled(in.Collector(), &core.Result{Algorithm: Name}, cerr)
+		return core.CancelRun(in.Collector(), &core.Result{Algorithm: Name}, cerr)
 	}
 	weights := in.Set.Weights()
 
@@ -157,7 +156,7 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt solver.Options) 
 	}
 	if best < 0 {
 		// Cancelled before any complete k-subset was scored.
-		return cancelled(in.Collector(), &core.Result{Algorithm: Name}, cancelErr)
+		return core.CancelRun(in.Collector(), &core.Result{Algorithm: Name}, cancelErr)
 	}
 	centers := make([]vec.V, k)
 	for j, c := range bests[best].combo {
@@ -178,21 +177,9 @@ func Solve(ctx context.Context, in *reward.Instance, k int, opt solver.Options) 
 		res.Total += g
 	}
 	if cancelErr != nil {
-		return cancelled(in.Collector(), res, cancelErr)
+		return core.CancelRun(in.Collector(), res, cancelErr)
 	}
 	return res, nil
-}
-
-// cancelled finalizes an anytime early return, mirroring the greedy
-// algorithms' lifecycle telemetry: the cancellation is counted and recorded
-// as an obs.EvCancelled event carrying the committed-round count.
-func cancelled(c obs.Collector, res *core.Result, err error) (*core.Result, error) {
-	if obs.Active(c) {
-		c.Count(obs.CtrCancelled, 1)
-		c.Emit(obs.Event{Type: obs.EvCancelled, Alg: res.Algorithm, Round: len(res.Gains),
-			Fields: map[string]float64{"rounds": float64(len(res.Gains))}})
-	}
-	return res, err
 }
 
 // enumerate recursively extends combo[:depth] with candidates having larger

@@ -39,7 +39,7 @@ func RunMultistation(ctx context.Context, cfg RunConfig) (*Output, error) {
 		Periods: periods,
 		Seed:    cfg.Seed ^ 0x3157,
 	}
-	sched := broadcast.AlgorithmScheduler{Algo: core.LocalGreedy{Workers: 1}}
+	alg := core.LocalGreedy{Workers: 1}
 	const budget = 4 // total broadcasts per period across all stations
 
 	tb := report.NewTable("multi-station deployments under a fixed total budget of 4 broadcasts/period",
@@ -58,7 +58,7 @@ func RunMultistation(ctx context.Context, cfg RunConfig) (*Output, error) {
 	for _, r := range rows {
 		c := base
 		c.K = budget / r.stations
-		m, err := broadcast.RunMulti(ctx, tr, sched, c, r.stations, r.mode)
+		m, err := broadcast.RunMulti(ctx, tr, alg, c, r.stations, r.mode)
 		if err != nil {
 			return nil, err
 		}

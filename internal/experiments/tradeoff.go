@@ -34,7 +34,7 @@ func RunTradeoff(ctx context.Context, cfg RunConfig) (*Output, error) {
 	if cfg.Quick {
 		periods, kMax = 2, 3
 	}
-	ms, err := broadcast.KSweep(ctx, tr, broadcast.AlgorithmScheduler{Algo: core.LocalGreedy{Workers: 1}},
+	ms, err := broadcast.KSweep(ctx, tr, core.LocalGreedy{Workers: 1},
 		broadcast.Config{
 			Radius:         1.2,
 			Periods:        periods,

@@ -2,9 +2,13 @@ package reward
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/norm"
+	"repro/internal/obs"
+	"repro/internal/pointset"
+	"repro/internal/spatial"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -69,5 +73,68 @@ func TestFinderSubsetIsExactWhenConservative(t *testing.T) {
 	in.SetFinder(stubFinder{idx: []int{0, 1}}) // covered points only
 	if got := in.RoundGain(c, y); math.Abs(got-want) > 0 {
 		t.Fatalf("subset finder gain %v != %v", got, want)
+	}
+}
+
+// TestNewIndexed: NewIndexed attaches the collector and installs a grid
+// over the instance's points at its radius exactly where spatial.Prunes
+// holds. Grid hands back the installed grid itself; without one it builds
+// a new grid each call and installs none.
+func TestNewIndexed(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		r       float64
+		indexed bool
+	}{{400, 0.5, true}, {60, 2, false}, {200, 1.5, false}} {
+		set, err := pointset.GenUniform(c.n, pointset.PaperBox2D(), pointset.UnitWeight, xrand.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spatial.Prunes(set.Points(), c.r); got != c.indexed {
+			t.Fatalf("n = %d, r = %v: Prunes = %v, want %v", c.n, c.r, got, c.indexed)
+		}
+		col := obs.NewMetrics()
+		in, err := NewIndexed(set, norm.L2{}, c.r, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Collector() != obs.Collector(col) {
+			t.Errorf("n = %d, r = %v: collector not attached", c.n, c.r)
+		}
+		g, err := in.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := spatial.NewGrid(set.Points(), c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range set.Points() {
+			if got, want := g.AppendNear(nil, p), fresh.AppendNear(nil, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n = %d, r = %v, point %d: Grid appends %v, a fresh grid %v", c.n, c.r, i, got, want)
+			}
+		}
+		if !c.indexed {
+			if f := in.Finder(); f != nil {
+				t.Errorf("n = %d, r = %v: finder %T, want none", c.n, c.r, f)
+			}
+			if again, _ := in.Grid(); again == g || in.Finder() != nil {
+				t.Errorf("n = %d, r = %v: Grid installed or kept the grid it built", c.n, c.r)
+			}
+			continue
+		}
+		if f, ok := in.Finder().(*spatial.Grid); !ok || f != g {
+			t.Errorf("n = %d, r = %v: Grid() = %p, installed finder %v", c.n, c.r, g, in.Finder())
+		}
+	}
+	if _, err := NewIndexed(nil, norm.L2{}, 1, nil); err == nil {
+		t.Error("nil set accepted")
+	}
+	set, err := pointset.New([]vec.V{vec.Of(0, 0)}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewIndexed(set, norm.L2{}, 0, nil); err == nil {
+		t.Error("zero radius accepted")
 	}
 }

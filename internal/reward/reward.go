@@ -14,6 +14,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/obs"
 	"repro/internal/pointset"
+	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -23,9 +24,9 @@ import (
 // the extended slice. It must be conservative: every point within radius r
 // of c (under the instance norm) must be appended; extras are harmless
 // because their coverage is zero. A wrong-dimension or non-finite query
-// appends nothing. Package spatial's Grid, the one index the server and
-// the command-line tools install, implements it for every p ≥ 1; tests
-// install stub finders through the same interface.
+// appends nothing. Package spatial's Grid, the one index NewIndexed
+// installs, implements it for every p ≥ 1; tests install stub finders
+// through the same interface.
 type NeighborFinder interface {
 	AppendNear(dst []int, c vec.V) []int
 }
@@ -57,15 +58,19 @@ type Instance struct {
 // index exactly this instance's points at exactly this instance's radius.
 func (in *Instance) SetFinder(f NeighborFinder) { in.finder = f }
 
-// Finder returns the installed neighbor accelerator, or nil, so code that
-// needs the same index (the shard partition, nearlinear's snap) can share
-// it instead of building its own.
+// Finder returns the installed neighbor accelerator, or nil.
 func (in *Instance) Finder() NeighborFinder { return in.finder }
 
-// windowFiller is a NeighborFinder that can build every point's query
-// window in one pass (spatial.Grid.FillWindows), cheaper than one by one.
-type windowFiller interface {
-	FillWindows()
+// Grid returns the instance's radius-r grid: the installed finder when it
+// is a *spatial.Grid, which by SetFinder's contract indexes exactly these
+// points at this radius, and otherwise a new grid, which it does not
+// install. The shard partition and nearlinear's snap read it, so a solve
+// on an indexed instance builds its grid once.
+func (in *Instance) Grid() (*spatial.Grid, error) {
+	if g, ok := in.finder.(*spatial.Grid); ok {
+		return g, nil
+	}
+	return spatial.NewGrid(in.Set.Points(), in.Radius)
 }
 
 // SetCollector installs (or clears, with nil) the solve's telemetry
@@ -112,6 +117,26 @@ func NewInstance(set *pointset.Set, n norm.Norm, radius float64) (*Instance, err
 	}
 	in := &Instance{Set: set, Norm: n, Radius: radius}
 	in.SetBatch(true)
+	return in, nil
+}
+
+// NewIndexed builds the instance a solve runs on: NewInstance's, with col
+// as its collector and, exactly where spatial.Prunes says the grid pays for
+// itself, a radius-r spatial.Grid as its finder. The grid never changes a
+// result bit. The server, the shard partition, cdgreedy and the station and
+// churn loops build their instances here; NewInstance alone stays
+// unindexed.
+func NewIndexed(set *pointset.Set, n norm.Norm, radius float64, col obs.Collector) (*Instance, error) {
+	in, err := NewInstance(set, n, radius)
+	if err != nil {
+		return nil, err
+	}
+	in.SetCollector(col)
+	if spatial.Prunes(set.Points(), radius) {
+		if g, err := spatial.NewGrid(set.Points(), radius); err == nil {
+			in.finder = g
+		}
+	}
 	return in, nil
 }
 
@@ -221,8 +246,8 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 // and returns ctx.Err() with out partly filled.
 func (in *Instance) RoundGains(ctx context.Context, y, out []float64) error {
 	// Every point's window is queried below.
-	if f, ok := in.finder.(windowFiller); ok {
-		f.FillWindows()
+	if g, ok := in.finder.(*spatial.Grid); ok {
+		g.FillWindows()
 	}
 	if in.batchOn() {
 		return in.roundGainsSweep(ctx, y, out[:in.N()])

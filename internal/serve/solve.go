@@ -14,7 +14,6 @@ import (
 	"repro/internal/pointset"
 	"repro/internal/reward"
 	"repro/internal/solver"
-	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -170,18 +169,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	queueSpan.End()
 	defer s.adm.release()
 
-	in, err := reward.NewInstance(req.Instance, nm, req.Radius)
+	// Indexed as the coordinator's shard parts are, so a forwarded part
+	// solves on par with a local one; the partition and nearlinear's snap
+	// reuse the grid.
+	in, err := reward.NewIndexed(req.Instance, nm, req.Radius, s.col)
 	if err != nil {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
-	}
-	in.SetCollector(s.col)
-	// A grid finder accelerates coverage evaluation without changing any
-	// result bit — and keeps a forwarded shard solve on par with the
-	// coordinator's local path, which indexes its sub-instances the same way.
-	// The shard partition and nearlinear's snap reuse this grid.
-	if g, gerr := spatial.NewGrid(req.Instance.Points(), req.Radius); gerr == nil {
-		in.SetFinder(g)
 	}
 	solverOpts := req.Options.SolverOptions()
 	solverOpts.WarmStart = warm

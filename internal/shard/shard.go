@@ -139,7 +139,7 @@ func (p Partitioner) Partition(ctx context.Context, in *reward.Instance, k int) 
 	if s == 1 || n <= s {
 		return []core.Part{{ID: 0, In: in, Own: n}}, nil
 	}
-	grid, err := spatial.GridFor(in.Finder(), in.Set.Points(), in.Radius)
+	grid, err := in.Grid()
 	if err != nil {
 		return nil, fmt.Errorf("shard: partition grid: %w", err)
 	}
@@ -187,9 +187,9 @@ func splitRuns(cells []spatial.Cell, n, s int) [][]spatial.Cell {
 }
 
 // buildPart assembles one shard: its own point indices, the halo indices
-// from neighboring cells, a sub-instance with its own grid finder, and the
-// content-derived ID (a hash of the anchor — lexicographically smallest —
-// cell's coordinates).
+// from neighboring cells, a collector-less sub-instance indexed as
+// reward.NewIndexed decides, and the content-derived ID (a hash of the
+// anchor — lexicographically smallest — cell's coordinates).
 func buildPart(in *reward.Instance, grid *spatial.Grid, run []spatial.Cell, rings int) (core.Part, error) {
 	own := 0
 	var idx []int
@@ -221,12 +221,9 @@ func buildPart(in *reward.Instance, grid *spatial.Grid, run []spatial.Cell, ring
 	if err != nil {
 		return core.Part{}, fmt.Errorf("shard: subset: %w", err)
 	}
-	subIn, err := reward.NewInstance(sub, in.Norm, in.Radius)
+	subIn, err := reward.NewIndexed(sub, in.Norm, in.Radius, nil)
 	if err != nil {
 		return core.Part{}, fmt.Errorf("shard: sub-instance: %w", err)
-	}
-	if g, err := spatial.NewGrid(sub.Points(), in.Radius); err == nil {
-		subIn.SetFinder(g)
 	}
 	return core.Part{ID: cellHash(run[0].Coord), In: subIn, Own: own}, nil
 }

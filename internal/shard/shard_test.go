@@ -354,25 +354,46 @@ func partsWith(t *testing.T, in *reward.Instance, f reward.NeighborFinder, s int
 // TestPartitionSameWithAnyFinder: Partition reads the instance's grid when
 // its finder is one and builds the same grid otherwise, so a grid finder
 // and no finder give the same parts: the same IDs, the same owned counts
-// and bit-identical sub-instance points and weights.
+// and bit-identical sub-instance points and weights. Either way each part
+// is indexed as reward.NewIndexed decides: a grid over its points where
+// spatial.Prunes holds, as on the 1,500-user instances' parts, and no
+// finder where it does not, as on the smaller parts of 300 users.
 func TestPartitionSameWithAnyFinder(t *testing.T) {
-	for _, dim := range []int{2, 3} {
-		in := genInstance(t, 1500, dim, norm.L2{}, 0.4, 23)
+	indexed, unindexed := 0, 0
+	for _, c := range []struct{ n, dim int }{{1500, 2}, {1500, 3}, {300, 2}} {
+		in := genInstance(t, c.n, c.dim, norm.L2{}, 0.4, 23)
 		grid := in.Finder()
 		for _, s := range []int{3, 8} {
 			want := partsWith(t, in, grid, s)
 			got := partsWith(t, in, nil, s)
 			if len(got) != len(want) {
-				t.Fatalf("dim %d s=%d: %d parts, want %d", dim, s, len(got), len(want))
+				t.Fatalf("n %d dim %d s=%d: %d parts, want %d", c.n, c.dim, s, len(got), len(want))
 			}
 			for i := range want {
 				g, w := got[i], want[i]
 				if g.ID != w.ID || g.Own != w.Own || !reflect.DeepEqual(g.In.Set.Coords(), w.In.Set.Coords()) ||
 					!reflect.DeepEqual(g.In.Set.Weights(), w.In.Set.Weights()) {
-					t.Fatalf("dim %d s=%d part %d differs from the grid finder's", dim, s, i)
+					t.Fatalf("n %d dim %d s=%d part %d differs from the grid finder's", c.n, c.dim, s, i)
+				}
+				for _, p := range []*reward.Instance{g.In, w.In} {
+					f := p.Finder()
+					if !spatial.Prunes(p.Set.Points(), p.Radius) {
+						unindexed++
+						if f != nil {
+							t.Errorf("n %d dim %d s=%d part %d (%d users): finder %T, want none", c.n, c.dim, s, i, p.N(), f)
+						}
+						continue
+					}
+					indexed++
+					if pg, ok := f.(*spatial.Grid); !ok || pg.N() != p.N() {
+						t.Errorf("n %d dim %d s=%d part %d (%d users): finder %T, want a grid over its points", c.n, c.dim, s, i, p.N(), f)
+					}
 				}
 			}
 		}
+	}
+	if indexed == 0 || unindexed == 0 {
+		t.Fatalf("%d indexed and %d unindexed parts: the cases must give both", indexed, unindexed)
 	}
 }
 

@@ -79,8 +79,10 @@ func TestEntriesMatchRegistry(t *testing.T) {
 		if e.Summary == "" {
 			t.Errorf("entry %q has no summary", e.Name)
 		}
-		if _, err := solver.New(e.Name, solver.Options{}); err != nil {
+		if a, err := solver.New(e.Name, solver.Options{}); err != nil {
 			t.Errorf("New(%q) = %v", e.Name, err)
+		} else if a.Name() != e.Name {
+			t.Errorf("New(%q) builds %q", e.Name, a.Name())
 		}
 	}
 }
@@ -130,6 +132,11 @@ func TestPaperNamesResolve(t *testing.T) {
 		if a.Name() == "" {
 			t.Errorf("%s constructs an unnamed algorithm", n)
 		}
+	}
+	// greedy1 must come wired with a continuous inner solver.
+	a, _ := solver.New("greedy1", solver.Options{})
+	if rb, ok := a.(core.RoundBased); !ok || rb.Solver == nil {
+		t.Error("greedy1 not wired with an inner solver")
 	}
 }
 

@@ -16,10 +16,11 @@
 //
 // Grid is the only index. No second index is kept for non-uniform
 // densities: the grid was measured faster than a k-d tree on every shape
-// tried, tightly clustered data included (DESIGN.md §7). The server's solve
-// handler installs one on every instance it builds, the churn loop when its
-// index is "grid", and the station simulator and cdgreedy wherever Prunes
-// says it pays for itself.
+// tried, tightly clustered data included (DESIGN.md §7). Every instance a
+// solve runs on gets one exactly where Prunes says it pays for itself
+// (reward.NewIndexed), except the churn loop's with its default index
+// "none"; the shard partition and nearlinear read the instance's grid
+// (reward.Instance.Grid).
 //
 // A Grid indexes a fixed point set and is safe for concurrent queries. It
 // caches each query cell's ascending window (bounded at 9·n cached
@@ -287,17 +288,6 @@ func groupByKey(key []int, space int) []int {
 
 // N reports the number of indexed points.
 func (g *Grid) N() int { return g.n }
-
-// GridFor returns finder itself when it is a Grid over len(points) points at
-// radius, and otherwise a new Grid over points. An instance's finder indexes
-// exactly its points at its radius (reward.Instance.SetFinder), so passing
-// the instance's finder shares its grid instead of building a second one.
-func GridFor(finder any, points []vec.V, radius float64) (*Grid, error) {
-	if g, ok := finder.(*Grid); ok && g.n == len(points) && g.cell == radius {
-		return g, nil
-	}
-	return NewGrid(points, radius)
-}
 
 // minPruned is how many points a query window must leave out, on average,
 // for a grid to pay for its build and its per-query window lookups against a

@@ -3,6 +3,8 @@
 # build each tool, run it with a -timeout short enough to trip mid-work, and
 # assert a clean exit (status 0) whose output carries either a finished run
 # or the early-stop note with whatever partial results were committed.
+# It also checks a few flag and output contracts of the tools, and runs
+# every program under examples/, each of which must exit 0 with output.
 # Run from the repository root: ./scripts/smoke.sh
 set -eu
 
@@ -114,12 +116,28 @@ status=0
 [ "$status" -ne 0 ] && grep -q "unknown index" "$BIN/churn-kdtree.out" ||
 	fail "cdstation -churn -index kdtree exited $status without an unknown-index error"
 
+echo "==> cdstation -index grid without -churn must fail naming the flag"
+status=0
+"$BIN/cdstation" -trace "$BIN/trace.json" -index grid -periods 2 >"$BIN/station-index.out" 2>&1 || status=$?
+[ "$status" -ne 0 ] && grep -q -- "-index needs -churn" "$BIN/station-index.out" ||
+	fail "cdstation -index grid without -churn exited $status without naming -index"
+
 echo "==> cdbench: 50ms deadline must yield a clean partial run"
 status=0
 "$BIN/cdbench" -run summary -timeout 50ms >"$BIN/bench.out" 2>&1 || status=$?
 expect_clean cdbench "$BIN/bench.out" "$status"
 grep -q "note: run stopped early" "$BIN/bench.out" ||
 	fail "cdbench output lacks the early-stop note"
+
+echo "==> examples: each must exit 0 with output on stdout"
+mkdir "$BIN/examples"
+go build -o "$BIN/examples" ./examples/...
+for ex in "$BIN"/examples/*; do
+	status=0
+	"$ex" >"$BIN/example.out" 2>"$BIN/example.err" || status=$?
+	[ "$status" -eq 0 ] || fail "example $(basename "$ex") exited $status: $(cat "$BIN/example.err")"
+	[ -s "$BIN/example.out" ] || fail "example $(basename "$ex") printed nothing on stdout"
+done
 
 echo "==> cdserved: start, serve one solve over HTTP, drain clean on SIGTERM"
 # Create the log first: the backgrounded server opens it only once it runs,
