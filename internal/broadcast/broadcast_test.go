@@ -370,7 +370,7 @@ func (s indexSpy) Name() string { return "index-spy" }
 
 func (s indexSpy) Run(ctx context.Context, in *reward.Instance, k int) (*core.Result, error) {
 	*s.periods++
-	if spatial.Prunes(in.Set.Points(), in.Radius) {
+	if spatial.Prunes(in.Set.Coords(), in.Set.Dim(), in.Radius) {
 		assertGrid(s.t, in)
 		*s.indexed++
 	} else if f := in.Finder(); f != nil {

@@ -164,9 +164,9 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 	if err != nil {
 		return nil, err
 	}
-	// The population the churn evolves. A Set is immutable, so sharing its
-	// point views is safe.
-	pts := append([]vec.V(nil), set.Points()...)
+	// The population the churn evolves. Points() is a fresh slice, and a
+	// Set is immutable, so sharing its point views is safe.
+	pts := set.Points()
 	ws := append([]float64(nil), set.Weights()...)
 
 	rng := xrand.New(cfg.Seed)

@@ -447,6 +447,7 @@ func TestStationRejectsStrayFlags(t *testing.T) {
 		{"station", []string{"-index", "grid"}, "-index needs -churn"},
 		{"station", []string{"-index", "kdtree"}, "-index needs -churn"},
 		{"station", []string{"-warm"}, "-warm needs -churn"},
+		{"station", []string{"-assign", "bogus"}, `unknown assignment "bogus"`},
 		{"churn", []string{"-drift", "0.2"}, "-drift " + station},
 		{"churn", []string{"-replace", "0.1"}, "-replace " + station},
 		{"churn", []string{"-stations", "2"}, "-stations " + station},

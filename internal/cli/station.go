@@ -96,6 +96,12 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 	if stray != nil {
 		return stray
 	}
+	// Checked in every mode, though only a run with -stations above 1 reads it.
+	assignMode, ok := map[string]broadcast.AssignMode{
+		"random": broadcast.RandomAssign, "nearest-anchor": broadcast.NearestAnchor}[*assign]
+	if !ok {
+		return fmt.Errorf("cdstation: unknown assignment %q (random | nearest-anchor)", *assign)
+	}
 	ctx, cancel := withTimeout(ctx, *timeout)
 	defer cancel()
 	if *pprofAddr != "" {
@@ -145,15 +151,6 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		SlotsPerPeriod: *slots, Seed: *seed, Obs: tel.Collector(),
 	}
 	if *stations > 1 {
-		var assignMode broadcast.AssignMode
-		switch *assign {
-		case "random":
-			assignMode = broadcast.RandomAssign
-		case "nearest-anchor":
-			assignMode = broadcast.NearestAnchor
-		default:
-			return fmt.Errorf("cdstation: unknown assignment %q (random | nearest-anchor)", *assign)
-		}
 		mm, cerr := broadcast.RunMulti(ctx, tr, alg, cfg, *stations, assignMode)
 		if cerr != nil && (mm == nil || ctx.Err() == nil) {
 			return cerr

@@ -3,6 +3,8 @@ package core
 import (
 	"container/heap"
 	"context"
+	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/reward"
@@ -27,11 +29,12 @@ type LazyGreedy struct{}
 func (LazyGreedy) Name() string { return "greedy2-lazy" }
 
 // candEntry is a heap entry: a candidate index with the round gain bound
-// computed at some past round.
+// computed at some past round. Its int32 fields keep it at 16 bytes, the
+// heap's whole cost per candidate.
 type candEntry struct {
-	idx   int
 	bound float64
-	round int // round the bound was computed in; fresh when == current
+	idx   int32
+	round int32 // round the bound was computed in; fresh when == current
 }
 
 // candHeap orders by bound descending, then index ascending, matching the
@@ -64,6 +67,9 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	}
 	ctx = orBG(ctx)
 	n := in.N()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: greedy2-lazy: %d points exceed its int32 heap indices", n)
+	}
 	y := in.NewResiduals()
 	res := &Result{Algorithm: a.Name()}
 	col := in.Collector()
@@ -83,7 +89,7 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			}
 			h = make(candHeap, n)
 			for i, g := range gains {
-				h[i] = candEntry{idx: i, bound: g}
+				h[i] = candEntry{bound: g, idx: int32(i)}
 			}
 			heap.Init(&h)
 		}
@@ -93,17 +99,17 @@ func (a LazyGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		// reads of the residuals, so a mid-round cancellation can simply
 		// abandon the half-refreshed heap and return the committed prefix.
 		repops := 0
-		for h[0].round != j {
+		for h[0].round != int32(j) {
 			if err := ctx.Err(); err != nil {
 				return CancelRun(col, res, err)
 			}
-			h[0].bound = in.RoundGain(in.Set.Point(h[0].idx), y)
-			h[0].round = j
+			h[0].bound = in.RoundGain(in.Set.Point(int(h[0].idx)), y)
+			h[0].round = int32(j)
 			heap.Fix(&h, 0)
 			repops++
 		}
 		best := h[0]
-		c := in.Set.Point(best.idx).Clone()
+		c := in.Set.Point(int(best.idx)).Clone()
 		gain := in.ApplyRound(c, y)
 		// The chosen entry's bound is now stale for the next round; it is
 		// refreshed like any other candidate when it resurfaces. Round 0

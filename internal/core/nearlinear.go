@@ -81,14 +81,14 @@ func (NearLinear) Name() string { return "nearlinear" }
 
 // nlState is the per-run working state shared by the stages.
 type nlState struct {
-	grid  *spatial.Grid
-	cells []spatial.Cell
-	rep   []vec.V   // weighted centroid representative per occupied cell
-	cellW []float64 // total weight per cell (static)
-	resW  []float64 // residual mass Σ w_i·y_i per cell (updated per commit)
-	ptCl  []int     // point index -> occupied-cell index
-	nbIdx [][]int32 // occupied neighbor cells per cell
-	nbCov [][]float64
+	grid   *spatial.Grid
+	cells  []spatial.Cell
+	rep    []vec.V   // weighted centroid representative per occupied cell
+	cellW  []float64 // total weight per cell (static)
+	resW   []float64 // residual mass Σ w_i·y_i per cell (updated per commit)
+	cellOf []int32   // point index -> occupied-cell index (grid.CellOf)
+	nbIdx  [][]int32 // occupied neighbor cells per cell
+	nbCov  [][]float64
 }
 
 // Run implements Algorithm. The anytime contract matches the other greedies:
@@ -108,7 +108,12 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 
 	snapSp := parent.Child("grid_snap")
 	snapT := obs.StartTimer(col, obs.TimNLSnap)
-	st, err := a.snap(in)
+	st, err := a.snap(ctx, in)
+	if ctx.Err() != nil {
+		snapT.Stop()
+		snapSp.End()
+		return CancelRun(col, res, ctx.Err())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +132,7 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	seedSp := parent.Child("seed")
 	seedT := obs.StartTimer(col, obs.TimNLSeed)
 	rng := xrand.New(a.Seed ^ 0x9e3779b97f4a7c15)
-	seeds := a.seedCells(in, st, k, rng)
+	seeds := a.seedCells(ctx, in, st, k, rng)
 	if col != nil {
 		col.Count(obs.CtrNLSeeds, int64(len(seeds)))
 	}
@@ -162,7 +167,7 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 				zi = yi
 			}
 			if zi != 0 {
-				ci := st.ptCl[i]
+				ci := st.cellOf[i]
 				st.resW[ci] -= in.Set.Weight(i) * zi
 				if st.resW[ci] < 0 {
 					st.resW[ci] = 0
@@ -179,24 +184,28 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 }
 
 // snap takes the instance's grid (reward.Instance.Grid) and computes the
-// per-cell aggregates (stage 1).
-func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
+// per-cell aggregates (stage 1). It returns a nil state once ctx is done.
+func (a NearLinear) snap(ctx context.Context, in *reward.Instance) (*nlState, error) {
 	grid, err := in.Grid()
 	if err != nil {
 		return nil, fmt.Errorf("core: nearlinear: %w", err)
 	}
-	st := &nlState{grid: grid, cells: grid.Cells()}
+	st := &nlState{grid: grid, cells: grid.Cells(), cellOf: grid.CellOf()}
 	m := len(st.cells)
 	st.rep = make([]vec.V, m)
 	st.cellW = make([]float64, m)
 	st.resW = make([]float64, m)
-	st.ptCl = make([]int, in.N())
 	dim := in.Set.Dim()
+	work := 0 // points and neighbour cells since ctx was last read
 	for ci, cell := range st.cells {
+		if work += len(cell.Points); work >= nlCheckPoints {
+			if work = 0; ctx.Err() != nil {
+				return nil, nil
+			}
+		}
 		rep := vec.New(dim)
 		var w float64
 		for _, i := range cell.Points {
-			st.ptCl[i] = ci
 			wi := in.Set.Weight(i)
 			w += wi
 			p := in.Set.Point(i)
@@ -226,8 +235,14 @@ func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
 	st.nbIdx = make([][]int32, m)
 	st.nbCov = make([][]float64, m)
 	for ci, cell := range st.cells {
+		if work >= nlCheckPoints {
+			if work = 0; ctx.Err() != nil {
+				return nil, nil
+			}
+		}
 		grid.EachCellNear(cell.Coord, 1, func(nc spatial.Cell) {
-			cj := st.ptCl[nc.Points[0]]
+			work++
+			cj := int(st.cellOf[nc.Points[0]])
 			if cj == ci {
 				return
 			}
@@ -246,8 +261,9 @@ func (a NearLinear) snap(in *reward.Instance) (*nlState, error) {
 // proportionally to cell weight, each next proportionally to
 // weight × (distance to nearest chosen representative)². Chosen cells get
 // zero mass, so the draw never repeats; it stops early when no mass remains
-// (fewer occupied cells than k, or all representatives coincide).
-func (a NearLinear) seedCells(in *reward.Instance, st *nlState, k int, rng *xrand.Rand) []int {
+// (fewer occupied cells than k, or all representatives coincide), or once
+// ctx is done, which the first refine round then reports.
+func (a NearLinear) seedCells(ctx context.Context, in *reward.Instance, st *nlState, k int, rng *xrand.Rand) []int {
 	m := len(st.cells)
 	first := sampleWeighted(rng, st.cellW)
 	if first < 0 {
@@ -260,7 +276,13 @@ func (a NearLinear) seedCells(in *reward.Instance, st *nlState, k int, rng *xran
 		minD[i] = math.Inf(1)
 	}
 	mass := make([]float64, m)
+	work := 0 // cell distances since ctx was last read
 	for len(seeds) < k && len(seeds) < m {
+		if work += m; work >= nlCheckPoints {
+			if work = 0; ctx.Err() != nil {
+				break
+			}
+		}
 		last := st.rep[seeds[len(seeds)-1]]
 		for c := 0; c < m; c++ {
 			if d := in.Norm.Dist(st.rep[c], last); d < minD[c] {
@@ -276,6 +298,11 @@ func (a NearLinear) seedCells(in *reward.Instance, st *nlState, k int, rng *xran
 	}
 	return seeds
 }
+
+// nlCheckPoints is how many points, neighbour cells or cell distances snap
+// and seedCells process between two reads of their context, as the
+// first-round gain sweep reads its own (reward.Instance.RoundGains).
+const nlCheckPoints = 1 << 16
 
 // nlCenter is a scored candidate center.
 type nlCenter struct {
@@ -389,7 +416,7 @@ func (a NearLinear) refineCenter(in *reward.Instance, ex *reward.Instance, st *n
 		// order (by occupied cell, then index). The order fixes the
 		// rounding of the sums and the enclosing ball's start point.
 		cov := ex.CoveredIndices(cur.c)
-		sort.SliceStable(cov, func(a, b int) bool { return st.ptCl[cov[a]] < st.ptCl[cov[b]] })
+		sort.SliceStable(cov, func(a, b int) bool { return st.cellOf[cov[a]] < st.cellOf[cov[b]] })
 		var pts []vec.V
 		shift := vec.New(dim)
 		var mass float64

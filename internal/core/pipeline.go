@@ -326,17 +326,17 @@ func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V,
 			// Initial bounds, inside round 1 so its wall time includes
 			// them.
 			for i, c := range cands {
-				h = append(h, candEntry{idx: i, bound: in.RoundGain(c, y), round: 0})
+				h = append(h, candEntry{bound: in.RoundGain(c, y), idx: int32(i)})
 			}
 			heap.Init(&h)
 		}
 		repops := 0
-		for h[0].round != j {
+		for h[0].round != int32(j) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
 			h[0].bound = in.RoundGain(cands[h[0].idx], y)
-			h[0].round = j
+			h[0].round = int32(j)
 			heap.Fix(&h, 0)
 			repops++
 		}

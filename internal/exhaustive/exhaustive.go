@@ -264,7 +264,7 @@ func polish(in *reward.Instance, centers []vec.V) []vec.V {
 // candidates assembles the candidate centers: every data point plus the
 // optional enrichment lattice.
 func candidates(in *reward.Instance, opt solver.Options) ([]vec.V, error) {
-	cands := append([]vec.V{}, in.Set.Points()...)
+	cands := in.Set.Points()
 	if opt.GridPer > 0 {
 		box := opt.Box
 		if !box.Valid() {

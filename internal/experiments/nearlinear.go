@@ -40,7 +40,7 @@ func RunNearLinearScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			g, err := spatial.NewGrid(set.Points(), r)
+			g, err := spatial.NewGridCoords(set.Coords(), set.Dim(), r)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -39,7 +39,7 @@ func RunAblationScale(ctx context.Context, cfg RunConfig) (*Output, error) {
 			if err != nil || !grid {
 				return in, err
 			}
-			g, err := spatial.NewGrid(set.Points(), r)
+			g, err := spatial.NewGridCoords(set.Coords(), set.Dim(), r)
 			if err != nil {
 				return nil, err
 			}

@@ -5,10 +5,10 @@
 // goroutine scheduling.
 //
 // Both primitives take an optional context and an optional collector (either
-// may be nil). Cancellation is cooperative at chunk granularity: once the
-// context is done no new chunk is dispatched, in-flight chunks run to
-// completion, and the primitive returns ctx.Err(). Indices that were never
-// dispatched are simply not visited — callers that aggregate results must
+// may be nil). Cancellation is cooperative at index granularity: workers
+// poll the context before every index, so once it is done only the indices
+// already running finish, and the primitive returns ctx.Err(). Indices never
+// started are simply not visited — callers that aggregate results must
 // treat their slots as absent (Argmax does so by pre-filling scores with
 // NaN).
 package parallel
@@ -67,11 +67,12 @@ func ctxErr(ctx context.Context) error {
 // balances. fn must be safe to call concurrently; it must only write to
 // state owned by index i.
 //
-// Once ctx is done no new chunk is dispatched and For returns ctx.Err();
-// indices never dispatched are not visited. A live collector c records the
-// tasks dispatched (obs.CtrParTasks), the number of dynamically scheduled
-// chunks (obs.CtrParChunks), the worker count (obs.GaugeParWorkers), and
-// each worker's busy time (obs.TimWorkerBusy).
+// Once ctx is done no new index starts and For returns ctx.Err(); indices
+// never started are not visited. The poll, a non-blocking receive, costs
+// tens of nanoseconds against an index's microseconds. A live collector c
+// records the tasks dispatched (obs.CtrParTasks), the number of dynamically
+// scheduled chunks (obs.CtrParChunks), the worker count
+// (obs.GaugeParWorkers), and each worker's busy time (obs.TimWorkerBusy).
 func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) error {
 	if n <= 0 {
 		return ctxErr(ctx)
@@ -111,13 +112,11 @@ func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) e
 		go func() {
 			defer wg.Done()
 			t := obs.StartTimer(c, obs.TimWorkerBusy)
+			defer t.Stop()
 			for {
-				if cancelled(done) {
-					break
-				}
 				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
 				if start >= n {
-					break
+					return
 				}
 				if active {
 					atomic.AddInt64(&chunks, 1)
@@ -127,10 +126,12 @@ func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) e
 					end = n
 				}
 				for i := start; i < end; i++ {
+					if cancelled(done) {
+						return
+					}
 					fn(i)
 				}
 			}
-			t.Stop()
 		}()
 	}
 	wg.Wait()

@@ -48,11 +48,11 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 	b = append(b, `{"dim":`...)
 	b = strconv.AppendInt(b, int64(s.dim), 10)
 	b = append(b, `,"points":[`...)
-	for i, p := range s.pts {
+	for i := 0; i < s.Len(); i++ {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloats(b, p)
+		b = appendFloats(b, s.Point(i))
 	}
 	b = append(b, ']')
 	if len(s.weights) > 0 {

@@ -20,12 +20,12 @@ import (
 // across goroutines. A population that changes is rebuilt as a new Set.
 //
 // A Set holds its coordinates once, in one contiguous row-major array
-// (point i occupies coords[i*dim : (i+1)*dim]); Point(i) is a view of that
-// row. The flat layout is what the batched distance kernels in
-// internal/norm scan: one candidate center against n points touches n·dim
-// adjacent float64s instead of n scattered slices.
+// (point i occupies coords[i*dim : (i+1)*dim]), and nothing per point
+// besides: Point(i) slices its row on demand. The flat layout is what the
+// batched distance kernels in internal/norm scan: one candidate center
+// against n points touches n·dim adjacent float64s instead of n scattered
+// slices.
 type Set struct {
-	pts     []vec.V // pts[i] is row i of coords, capped at dim
 	weights []float64
 	coords  []float64 // row-major coordinates
 	dim     int
@@ -63,15 +63,9 @@ func New(pts []vec.V, weights []float64) (*Set, error) {
 }
 
 // build is the one constructor every Set goes through. It returns a Set
-// that owns flat (len(weights) points, row-major) and weights. Each
-// per-point view is a row of flat, capped at dim so an append to a view
-// cannot reach its neighbour.
+// that owns flat (len(weights) points, row-major) and weights.
 func build(flat []float64, dim int, weights []float64) *Set {
-	pts := make([]vec.V, len(weights))
-	for i := range pts {
-		pts[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return &Set{pts: pts, weights: weights, coords: flat, dim: dim}
+	return &Set{weights: weights, coords: flat, dim: dim}
 }
 
 // UnitWeights builds a Set where every point has weight 1 (the paper's
@@ -85,20 +79,29 @@ func UnitWeights(pts []vec.V) (*Set, error) {
 }
 
 // Len reports the number of points n.
-func (s *Set) Len() int { return len(s.pts) }
+func (s *Set) Len() int { return len(s.weights) }
 
 // Dim reports the dimensionality m.
 func (s *Set) Dim() int { return s.dim }
 
-// Point returns the i-th point, a view of row i of Coords(). The returned
-// slice must not be modified.
-func (s *Set) Point(i int) vec.V { return s.pts[i] }
+// Point returns the i-th point, a view of row i of Coords() capped at Dim(),
+// so an append to it cannot reach its neighbour. The returned slice must
+// not be modified.
+func (s *Set) Point(i int) vec.V { return s.coords[i*s.dim : (i+1)*s.dim : (i+1)*s.dim] }
 
 // Weight returns w_i.
 func (s *Set) Weight(i int) float64 { return s.weights[i] }
 
-// Points returns the backing point slice. It must be treated as read-only.
-func (s *Set) Points() []vec.V { return s.pts }
+// Points returns a fresh slice of the row views Point(i). It allocates
+// O(n) on every call, so it is for cold callers such as the exhaustive
+// baseline and the optimizers; hot paths read Coords or Point.
+func (s *Set) Points() []vec.V {
+	pts := make([]vec.V, s.Len())
+	for i := range pts {
+		pts[i] = s.Point(i)
+	}
+	return pts
+}
 
 // Weights returns the backing weight slice. It must be treated as read-only.
 func (s *Set) Weights() []float64 { return s.weights }
@@ -119,7 +122,7 @@ func (s *Set) TotalWeight() float64 {
 
 // Bounds returns the component-wise bounding box of the points.
 func (s *Set) Bounds() (lo, hi vec.V) {
-	lo, hi, _ = vec.Bounds(s.pts) // cannot fail: Set is non-empty, consistent
+	lo, hi, _ = vec.FlatBounds(s.coords, s.dim) // cannot fail: Set is non-empty, consistent
 	return lo, hi
 }
 
@@ -131,8 +134,8 @@ func (s *Set) Subset(idx []int) (*Set, error) {
 	flat := make([]float64, 0, len(idx)*s.dim)
 	ws := make([]float64, len(idx))
 	for j, i := range idx {
-		if i < 0 || i >= len(s.pts) {
-			return nil, fmt.Errorf("pointset: index %d out of range [0,%d)", i, len(s.pts))
+		if i < 0 || i >= s.Len() {
+			return nil, fmt.Errorf("pointset: index %d out of range [0,%d)", i, s.Len())
 		}
 		flat = append(flat, s.coords[i*s.dim:(i+1)*s.dim]...)
 		ws[j] = s.weights[i]
@@ -142,7 +145,7 @@ func (s *Set) Subset(idx []int) (*Set, error) {
 
 // WithWeights returns a copy of s carrying the given weights instead.
 func (s *Set) WithWeights(weights []float64) (*Set, error) {
-	return New(s.pts, weights)
+	return New(s.Points(), weights)
 }
 
 // Box describes an axis-aligned region [Lo_d, Hi_d] per dimension.

@@ -10,21 +10,31 @@ import (
 
 // checkViews asserts that s holds its coordinates once: Point(i) is row i
 // of Coords(), capped at the dimension so an append to one view cannot
-// write into the next row.
+// write into the next row, and Points() is a fresh slice of those rows,
+// so rebinding one of its elements leaves the set unchanged.
 func checkViews(t *testing.T, s *Set) {
 	t.Helper()
 	flat := s.Coords()
 	if len(flat) != s.Len()*s.Dim() {
 		t.Fatalf("Coords length %d, want %d", len(flat), s.Len()*s.Dim())
 	}
+	pts := s.Points()
+	if len(pts) != s.Len() {
+		t.Fatalf("Points holds %d rows, want %d", len(pts), s.Len())
+	}
 	for i := 0; i < s.Len(); i++ {
-		p := s.Point(i)
-		if len(p) != s.Dim() || cap(p) != s.Dim() {
-			t.Fatalf("point %d has len %d cap %d, want %d", i, len(p), cap(p), s.Dim())
+		for _, p := range []vec.V{s.Point(i), pts[i]} {
+			if len(p) != s.Dim() || cap(p) != s.Dim() {
+				t.Fatalf("point %d has len %d cap %d, want %d", i, len(p), cap(p), s.Dim())
+			}
+			if &p[0] != &flat[i*s.Dim()] {
+				t.Fatalf("point %d is not a view of its Coords row", i)
+			}
 		}
-		if &p[0] != &flat[i*s.Dim()] {
-			t.Fatalf("point %d is not a view of its Coords row", i)
-		}
+	}
+	pts[0] = vec.New(s.Dim() + 1)
+	if again := s.Points(); &again[0][0] != &flat[0] || s.Point(0).Dim() != s.Dim() {
+		t.Fatal("rebinding an element of Points() changed the set")
 	}
 }
 
@@ -133,6 +143,29 @@ func TestBounds(t *testing.T) {
 	lo, hi := s.Bounds()
 	if !lo.Equal(vec.Of(1, 2)) || !hi.Equal(vec.Of(3, 5)) {
 		t.Errorf("Bounds = %v %v", lo, hi)
+	}
+	// Bounds reads the flat rows; it must agree with vec.Bounds over the
+	// row views.
+	rng := xrand.New(13)
+	for dim := 1; dim <= 3; dim++ {
+		for trial := 0; trial < 20; trial++ {
+			pts := make([]vec.V, rng.IntRange(1, 40))
+			for i := range pts {
+				pts[i] = vec.New(dim)
+				for d := range pts[i] {
+					pts[i][d] = rng.Uniform(-10, 10)
+				}
+			}
+			s, err := UnitWeights(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := s.Bounds()
+			wlo, whi, err := vec.Bounds(s.Points())
+			if err != nil || !lo.Equal(wlo) || !hi.Equal(whi) {
+				t.Fatalf("dim %d, %d points: Bounds = %v %v, vec.Bounds = %v %v (%v)", dim, len(pts), lo, hi, wlo, whi, err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package reward
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -24,7 +24,7 @@ import (
 // pooled rather than hung off the Instance.
 type scratch struct {
 	a, b []float64
-	idx  []int
+	idx  []int32
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -94,19 +94,19 @@ func (in *Instance) roundGainGather(sc *scratch, c vec.V, y []float64) float64 {
 		if yi := y[i]; z > yi {
 			z = yi
 		}
-		g += in.Set.Weight(i) * z
+		g += in.Set.Weight(int(i)) * z
 	}
 	return g
 }
 
 // gatherRows copies the rows of the points in idx, in order, into sc.b
 // and returns them, so the kernel streams one contiguous block.
-func (in *Instance) gatherRows(sc *scratch, idx []int) []float64 {
+func (in *Instance) gatherRows(sc *scratch, idx []int32) []float64 {
 	dim, coords := in.Set.Dim(), in.Set.Coords()
 	sc.b = take(sc.b, len(idx)*dim)
 	flat := sc.b
 	for j, i := range idx {
-		row, out := coords[i*dim:(i+1)*dim], flat[j*dim:(j+1)*dim]
+		row, out := coords[int(i)*dim:(int(i)+1)*dim], flat[j*dim:(j+1)*dim]
 		for d, x := range row {
 			out[d] = x
 		}
@@ -151,10 +151,11 @@ func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error
 		c := in.Set.Point(a)
 		// a's partners b > a: without a finder the contiguous tail of the
 		// rows, with one the upper part of a's window, gathered.
-		flat, idx := coords[(a+1)*dim:], []int(nil)
+		flat, idx := coords[(a+1)*dim:], []int32(nil)
 		if in.finder != nil {
 			sc.idx = in.finder.AppendNear(sc.idx[:0], c)
-			idx = sc.idx[sort.SearchInts(sc.idx, a+1):]
+			upper, _ := slices.BinarySearch(sc.idx, int32(a+1))
+			idx = sc.idx[upper:]
 			flat = in.gatherRows(sc, idx)
 		}
 		sc.a = take(sc.a, len(flat)/dim)
@@ -172,7 +173,7 @@ func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error
 			}
 			b := a + 1 + j
 			if in.finder != nil {
-				b = idx[j]
+				b = int(idx[j])
 			}
 			z := 1 - d/r
 			zb := z

@@ -15,9 +15,9 @@ import (
 
 // stubFinder appends a fixed conservative candidate list, which must be
 // ascending like every NeighborFinder's.
-type stubFinder struct{ idx []int }
+type stubFinder struct{ idx []int32 }
 
-func (s stubFinder) AppendNear(dst []int, _ vec.V) []int { return append(dst, s.idx...) }
+func (s stubFinder) AppendNear(dst []int32, _ vec.V) []int32 { return append(dst, s.idx...) }
 
 func TestFinderPathsMatchFullScan(t *testing.T) {
 	rng := xrand.New(167)
@@ -25,9 +25,9 @@ func TestFinderPathsMatchFullScan(t *testing.T) {
 		in, centers := randomSetup(t, rng, norm.L2{})
 		c := centers[0]
 		// Conservative finder: all indices, ascending and each once.
-		all := make([]int, in.N())
+		all := make([]int32, in.N())
 		for i := range all {
-			all[i] = i
+			all[i] = int32(i)
 		}
 		y1 := in.NewResiduals()
 		gainPlain := in.RoundGain(c, y1)
@@ -70,7 +70,7 @@ func TestFinderSubsetIsExactWhenConservative(t *testing.T) {
 	c := vec.Of(0, 0)
 	y := in.NewResiduals()
 	want := in.RoundGain(c, y)
-	in.SetFinder(stubFinder{idx: []int{0, 1}}) // covered points only
+	in.SetFinder(stubFinder{idx: []int32{0, 1}}) // covered points only
 	if got := in.RoundGain(c, y); math.Abs(got-want) > 0 {
 		t.Fatalf("subset finder gain %v != %v", got, want)
 	}
@@ -90,7 +90,7 @@ func TestNewIndexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := spatial.Prunes(set.Points(), c.r); got != c.indexed {
+		if got := spatial.Prunes(set.Coords(), set.Dim(), c.r); got != c.indexed {
 			t.Fatalf("n = %d, r = %v: Prunes = %v, want %v", c.n, c.r, got, c.indexed)
 		}
 		col := obs.NewMetrics()

@@ -21,14 +21,15 @@ import (
 // NeighborFinder narrows coverage evaluation to the points that could lie
 // within the coverage radius of a query center. AppendNear appends those
 // indices to dst, strictly ascending and without duplicates, and returns
-// the extended slice. It must be conservative: every point within radius r
-// of c (under the instance norm) must be appended; extras are harmless
-// because their coverage is zero. A wrong-dimension or non-finite query
-// appends nothing. Package spatial's Grid, the one index NewIndexed
-// installs, implements it for every p ≥ 1; tests install stub finders
-// through the same interface.
+// the extended slice, as int32s to halve the bytes of windows and scratch
+// (a spatial.Grid refuses more than MaxInt32 points). It must be
+// conservative: every point within radius r of c (under the instance norm)
+// must be appended; extras are harmless because their coverage is zero. A
+// wrong-dimension or non-finite query appends nothing. Package spatial's
+// Grid, the one index NewIndexed installs, implements it for every p ≥ 1;
+// tests install stub finders through the same interface.
 type NeighborFinder interface {
-	AppendNear(dst []int, c vec.V) []int
+	AppendNear(dst []int32, c vec.V) []int32
 }
 
 // Instance binds a weighted point set to an interest-distance norm and a
@@ -70,7 +71,7 @@ func (in *Instance) Grid() (*spatial.Grid, error) {
 	if g, ok := in.finder.(*spatial.Grid); ok {
 		return g, nil
 	}
-	return spatial.NewGrid(in.Set.Points(), in.Radius)
+	return spatial.NewGridCoords(in.Set.Coords(), in.Set.Dim(), in.Radius)
 }
 
 // SetCollector installs (or clears, with nil) the solve's telemetry
@@ -132,8 +133,8 @@ func NewIndexed(set *pointset.Set, n norm.Norm, radius float64, col obs.Collecto
 		return nil, err
 	}
 	in.SetCollector(col)
-	if spatial.Prunes(set.Points(), radius) {
-		if g, err := spatial.NewGrid(set.Points(), radius); err == nil {
+	if spatial.Prunes(set.Coords(), set.Dim(), radius) {
+		if g, err := spatial.NewGridCoords(set.Coords(), set.Dim(), radius); err == nil {
 			in.finder = g
 		}
 	}
@@ -212,11 +213,11 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 			g = in.roundGainGather(sc, c, y)
 		} else {
 			for _, i := range sc.idx {
-				z := in.Coverage(c, i)
+				z := in.Coverage(c, int(i))
 				if yi := y[i]; z > yi {
 					z = yi
 				}
-				g += in.Set.Weight(i) * z
+				g += in.Set.Weight(int(i)) * z
 			}
 		}
 		scratchPool.Put(sc)
@@ -284,7 +285,7 @@ func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64) {
 		sc := scratchPool.Get().(*scratch)
 		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
 		for _, i := range sc.idx {
-			apply(i)
+			apply(int(i))
 		}
 		scratchPool.Put(sc)
 		return gain
@@ -305,11 +306,17 @@ func (in *Instance) CoveredIndices(c vec.V) []int {
 		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
 		covered := sc.idx[:0]
 		for _, i := range sc.idx {
-			if in.Coverage(c, i) > 0 {
+			if in.Coverage(c, int(i)) > 0 {
 				covered = append(covered, i)
 			}
 		}
-		idx := append([]int(nil), covered...)
+		var idx []int
+		if len(covered) > 0 {
+			idx = make([]int, len(covered))
+			for j, i := range covered {
+				idx[j] = int(i)
+			}
+		}
 		scratchPool.Put(sc)
 		return idx
 	}

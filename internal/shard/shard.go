@@ -30,7 +30,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/reward"
@@ -121,9 +120,9 @@ type Partitioner struct {
 // of side r, sweep the occupied cells in lexicographic (row-major) order,
 // cut the sweep into Shards contiguous runs of roughly n/Shards points, and
 // build one sub-instance per run (own points plus the halo ring absorbed
-// from neighboring cells). Deterministic by construction: cell order, cut
-// points, per-shard index order, and IDs depend only on the instance and
-// the configuration.
+// from neighboring cells, ascending). Deterministic by construction: cell
+// order, cut points, per-shard index order, and IDs depend only on the
+// instance and the configuration.
 func (p Partitioner) Partition(ctx context.Context, in *reward.Instance, k int) ([]core.Part, error) {
 	if in == nil {
 		return nil, core.ErrNilInstance
@@ -152,80 +151,83 @@ func (p Partitioner) Partition(ctx context.Context, in *reward.Instance, k int) 
 	}
 
 	runs := splitRuns(cells, n, s)
-	rings := HaloRings(p.Halo)
-	parts := make([]core.Part, 0, len(runs))
-	for _, run := range runs {
-		part, err := buildPart(in, grid, run, rings)
+	idx, own := partIndices(grid, runs, HaloRings(p.Halo))
+	parts := make([]core.Part, len(runs))
+	for r, run := range runs {
+		// A collector-less sub-instance, indexed as NewIndexed decides, with
+		// its anchor (lexicographically smallest) cell's hash as its ID.
+		sub, err := in.Set.Subset(idx[r])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: subset: %w", err)
 		}
-		parts = append(parts, part)
+		subIn, err := reward.NewIndexed(sub, in.Norm, in.Radius, nil)
+		if err != nil {
+			return nil, fmt.Errorf("shard: sub-instance: %w", err)
+		}
+		parts[r] = core.Part{ID: cellHash(run[0].Coord), In: subIn, Own: own[r]}
 	}
 	return parts, nil
 }
 
 // splitRuns linearly partitions the row-major cell sweep into s contiguous
-// runs of about n/s points each. The sweep order keeps shards spatially
-// coherent; the forced cut (leave one cell per remaining shard) guarantees
-// exactly s non-empty runs. Deterministic: depends only on the cell order
-// and point counts.
+// runs of about n/s points each, as subslices of cells. The sweep order
+// keeps shards spatially coherent; the forced cut (leave one cell per
+// remaining shard) guarantees exactly s non-empty runs. Deterministic:
+// depends only on the cell order and point counts.
 func splitRuns(cells []spatial.Cell, n, s int) [][]spatial.Cell {
 	runs := make([][]spatial.Cell, 0, s)
-	var cur []spatial.Cell
-	cum := 0
+	start, cum := 0, 0
 	for i, c := range cells {
-		cur = append(cur, c)
 		cum += len(c.Points)
 		remaining := len(cells) - i - 1
 		if len(runs) < s-1 &&
 			(cum*s >= (len(runs)+1)*n || remaining == s-len(runs)-1) {
-			runs = append(runs, cur)
-			cur = nil
+			runs = append(runs, cells[start:i+1:i+1])
+			start = i + 1
 		}
 	}
-	return append(runs, cur)
+	return append(runs, cells[start:])
 }
 
-// buildPart assembles one shard: its own point indices, the halo indices
-// from neighboring cells, a collector-less sub-instance indexed as
-// reward.NewIndexed decides, and the content-derived ID (a hash of the
-// anchor — lexicographically smallest — cell's coordinates).
-func buildPart(in *reward.Instance, grid *spatial.Grid, run []spatial.Cell, rings int) (core.Part, error) {
-	own := 0
-	var idx []int
-	// Buckets are disjoint, so a cell's first point index names the cell.
-	member := make(map[int]struct{}, len(run))
-	for _, c := range run {
-		idx = append(idx, c.Points...)
-		own += len(c.Points)
-		member[c.Points[0]] = struct{}{}
-	}
-	if rings > 0 {
-		// Halo: every occupied cell within Chebyshev ring distance <= rings
-		// of a run cell, excluding the run itself. Marking each absorbed
-		// cell keeps overlapping windows of adjacent run cells from
-		// double-inserting a point.
+// partIndices returns every run's part: the ascending indices of the points
+// in its own cells and in every occupied cell within rings of one of them,
+// each list at exact size (cap == len), and the count of its own points.
+// It records which parts hold each occupied cell, sizes every part from its
+// cells' counts, and then fills all lists in one ascending pass over the
+// grid's cell positions, so they come out sorted without a sort in
+// O(n + Σ part sizes), however many parts there are.
+func partIndices(grid *spatial.Grid, runs [][]spatial.Cell, rings int) (idx [][]int, own []int) {
+	cells, cellOf := grid.Cells(), grid.CellOf()
+	holders := make([][]int32, len(cells)) // the parts holding each cell, ascending
+	size := make([]int, len(runs))
+	own = make([]int, len(runs))
+	for r, run := range runs {
+		hold := func(c spatial.Cell) {
+			// Buckets are disjoint, so a cell's first point names it.
+			j := cellOf[c.Points[0]]
+			if h := holders[j]; len(h) == 0 || h[len(h)-1] != int32(r) {
+				holders[j] = append(h, int32(r))
+				size[r] += len(c.Points)
+			}
+		}
 		for _, c := range run {
-			grid.EachCellNear(c.Coord, rings, func(nc spatial.Cell) {
-				if _, seen := member[nc.Points[0]]; seen {
-					return
-				}
-				member[nc.Points[0]] = struct{}{}
-				idx = append(idx, nc.Points...)
-			})
+			hold(c)
+		}
+		own[r] = size[r]
+		for _, c := range run {
+			grid.EachCellNear(c.Coord, rings, hold)
 		}
 	}
-	sort.Ints(idx)
-
-	sub, err := in.Set.Subset(idx)
-	if err != nil {
-		return core.Part{}, fmt.Errorf("shard: subset: %w", err)
+	idx = make([][]int, len(runs))
+	for r := range idx {
+		idx[r] = make([]int, 0, size[r])
 	}
-	subIn, err := reward.NewIndexed(sub, in.Norm, in.Radius, nil)
-	if err != nil {
-		return core.Part{}, fmt.Errorf("shard: sub-instance: %w", err)
+	for i, j := range cellOf {
+		for _, r := range holders[j] {
+			idx[r] = append(idx[r], i)
+		}
 	}
-	return core.Part{ID: cellHash(run[0].Coord), In: subIn, Own: own}, nil
+	return idx, own
 }
 
 // cellHash is an FNV-1a hash over a cell's integer coordinates — the stable

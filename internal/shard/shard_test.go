@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -377,7 +378,7 @@ func TestPartitionSameWithAnyFinder(t *testing.T) {
 				}
 				for _, p := range []*reward.Instance{g.In, w.In} {
 					f := p.Finder()
-					if !spatial.Prunes(p.Set.Points(), p.Radius) {
+					if !spatial.Prunes(p.Set.Coords(), p.Set.Dim(), p.Radius) {
 						unindexed++
 						if f != nil {
 							t.Errorf("n %d dim %d s=%d part %d (%d users): finder %T, want none", c.n, c.dim, s, i, p.N(), f)
@@ -496,4 +497,83 @@ func TestFinderKeepsCounts(t *testing.T) {
 		}
 	}
 	in.SetCollector(nil)
+}
+
+// refPartIndices is a part's index list built the way the partition once
+// built it, kept as the reference: the run's buckets, then every bucket
+// within rings of a run cell not taken yet, then one sort.
+func refPartIndices(grid *spatial.Grid, run []spatial.Cell, rings int) []int {
+	var idx []int
+	member := map[int]bool{}
+	for _, c := range run {
+		idx = append(idx, c.Points...)
+		member[c.Points[0]] = true
+	}
+	if rings > 0 {
+		for _, c := range run {
+			grid.EachCellNear(c.Coord, rings, func(nc spatial.Cell) {
+				if !member[nc.Points[0]] {
+					member[nc.Points[0]] = true
+					idx = append(idx, nc.Points...)
+				}
+			})
+		}
+	}
+	slices.Sort(idx)
+	return idx
+}
+
+// TestPartIndicesMatchSortedBuckets: every part's index list is ascending,
+// exactly sized (cap == len), and equals the sorted concatenation of its
+// own and halo buckets, at every halo width and shard count, in 2-D and
+// 3-D. With more shards than occupied cells, Partition makes one part per
+// cell, each holding those points.
+func TestPartIndicesMatchSortedBuckets(t *testing.T) {
+	for _, c := range []struct {
+		n, dim int
+		r      float64
+	}{{900, 2, 0.5}, {600, 3, 0.9}, {40, 2, 2.5}} {
+		in := genInstance(t, c.n, c.dim, norm.L2{}, c.r, 17)
+		grid, err := in.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := grid.Cells()
+		for _, s := range []int{2, 3, 8, len(cells)} {
+			s = min(s, len(cells))
+			runs := splitRuns(cells, c.n, s)
+			for _, rings := range []int{0, 1, 2} {
+				idx, own := partIndices(grid, runs, rings)
+				for r, run := range runs {
+					want, wantOwn := refPartIndices(grid, run, rings), 0
+					for _, cell := range run {
+						wantOwn += len(cell.Points)
+					}
+					if !slices.Equal(idx[r], want) || cap(idx[r]) != len(idx[r]) || own[r] != wantOwn {
+						t.Fatalf("n %d dim %d s=%d rings %d part %d: %d indices (cap %d, own %d), want %d sorted (own %d)",
+							c.n, c.dim, s, rings, r, len(idx[r]), cap(idx[r]), own[r], len(want), wantOwn)
+					}
+					if !slices.IsSorted(idx[r]) {
+						t.Fatalf("n %d dim %d s=%d rings %d part %d: not ascending", c.n, c.dim, s, rings, r)
+					}
+				}
+			}
+		}
+		parts, err := Partitioner{Shards: len(cells) + 5}.Partition(context.Background(), in, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != len(cells) {
+			t.Fatalf("n %d: %d shards over %d cells gave %d parts", c.n, len(cells)+5, len(cells), len(parts))
+		}
+		for r, p := range parts {
+			sub, err := in.Set.Subset(refPartIndices(grid, cells[r:r+1], 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Own != len(cells[r].Points) || !slices.Equal(p.In.Set.Coords(), sub.Coords()) {
+				t.Fatalf("n %d: part %d of %d single-cell parts holds other points", c.n, r, len(parts))
+			}
+		}
+	}
 }

@@ -42,7 +42,7 @@ func benchColdWindows(b *testing.B, bulk bool) {
 	for _, p := range pts {
 		p[1] *= 0.15
 	}
-	var dst []int
+	var dst []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +76,7 @@ func benchGridAppendNear(b *testing.B, n int, radius float64) {
 	for i := range queries {
 		queries[i] = vec.Of(rng.Uniform(0, 100), rng.Uniform(0, 100))
 	}
-	var dst []int
+	var dst []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -55,8 +55,8 @@ func contractCases() []contractCase {
 
 // chebWithin returns the indices of pts within Chebyshev distance r of c, in
 // ascending order — the set every conservative AppendNear must contain.
-func chebWithin(pts []vec.V, c vec.V, r float64) []int {
-	var out []int
+func chebWithin(pts []vec.V, c vec.V, r float64) []int32 {
+	var out []int32
 	for i, p := range pts {
 		within := true
 		for d := range p {
@@ -66,7 +66,7 @@ func chebWithin(pts []vec.V, c vec.V, r float64) []int {
 			}
 		}
 		if within {
-			out = append(out, i)
+			out = append(out, int32(i))
 		}
 	}
 	return out
@@ -84,26 +84,26 @@ func TestAppendNearContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			dim := tc.pts[0].Dim()
-			prefix := []int{-7, 42, -7}
+			prefix := []int32{-7, 42, -7}
 			for qi, c := range tc.queries {
 				// Query twice: the grid answers the second from its
 				// window cache.
 				for pass := 0; pass < 2; pass++ {
-					dst := append(make([]int, 0, len(prefix)+1), prefix...)
+					dst := append(make([]int32, 0, len(prefix)+1), prefix...)
 					got := g.AppendNear(dst, c)
 					if !reflect.DeepEqual(got[:len(prefix)], prefix) {
 						t.Fatalf("query %d: dst prefix changed to %v", qi, got[:len(prefix)])
 					}
 					run := got[len(prefix):]
 					for i := range run {
-						if run[i] < 0 || run[i] >= len(tc.pts) {
+						if run[i] < 0 || int(run[i]) >= len(tc.pts) {
 							t.Fatalf("query %d: index %d out of range [0,%d)", qi, run[i], len(tc.pts))
 						}
 						if i > 0 && run[i] <= run[i-1] {
 							t.Fatalf("query %d: not strictly ascending: %v", qi, run)
 						}
 					}
-					in := map[int]bool{}
+					in := map[int32]bool{}
 					for _, i := range run {
 						in[i] = true
 					}
@@ -123,7 +123,7 @@ func TestAppendNearContract(t *testing.T) {
 				}
 			}
 			for _, c := range bad {
-				dst := []int{3, 1}
+				dst := []int32{3, 1}
 				if got := g.AppendNear(dst, c); len(got) != 2 || got[0] != 3 || got[1] != 1 {
 					t.Errorf("bad query %v appended: %v", c, got)
 				}
@@ -173,7 +173,7 @@ func TestAppendNearConcurrentColdGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]int, len(queries))
+	want := make([][]int32, len(queries))
 	for i, c := range queries {
 		want[i] = ref.AppendNear(nil, c)
 	}
@@ -188,11 +188,11 @@ func TestAppendNearConcurrentColdGrid(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var dst []int
+			var dst []int32
 			for k := range queries {
 				i := (k + w*len(queries)/workers) % len(queries)
 				dst = g.AppendNear(dst[:0], queries[i])
-				if !reflect.DeepEqual(append([]int{}, dst...), append([]int{}, want[i]...)) {
+				if !reflect.DeepEqual(append([]int32{}, dst...), append([]int32{}, want[i]...)) {
 					errs <- "concurrent answer differs from the serial reference"
 					return
 				}
@@ -332,7 +332,7 @@ func TestFillWindowsOverCap(t *testing.T) {
 	}
 	for qi, c := range pts {
 		got := g.AppendNear(nil, c)
-		in := map[int]bool{}
+		in := map[int32]bool{}
 		for i, x := range got {
 			if i > 0 && x <= got[i-1] {
 				t.Fatalf("query %d: not strictly ascending: %v", qi, got)
@@ -359,7 +359,7 @@ func TestFillWindowsConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]int, len(queries))
+	want := make([][]int32, len(queries))
 	for i, c := range queries {
 		want[i] = ref.AppendNear(nil, c)
 	}
@@ -379,11 +379,11 @@ func TestFillWindowsConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var dst []int
+			var dst []int32
 			for k := range queries {
 				i := (k + w*len(queries)/workers) % len(queries)
 				dst = g.AppendNear(dst[:0], queries[i])
-				if !reflect.DeepEqual(append([]int{}, dst...), append([]int{}, want[i]...)) {
+				if !reflect.DeepEqual(append([]int32{}, dst...), append([]int32{}, want[i]...)) {
 					errs <- "concurrent answer differs from the serial reference"
 					return
 				}

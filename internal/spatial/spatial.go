@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,10 +60,10 @@ const maxExtent = 1 << 62
 // query instead of stored.
 const windowCapPerPoint = 9
 
-// Grid is a uniform-cell index over a fixed point set. NewGrid counting-sorts
-// the point indices by cell into one flat array, so every bucket is a run of
-// it; the buckets never change afterwards. The lazily built cell list and
-// window cache are guarded, so a Grid is safe for concurrent queries.
+// Grid is a uniform-cell index over a fixed point set. Its constructor
+// counting-sorts the point indices by cell into one flat array, so every
+// bucket is a run of it; the buckets never change afterwards. The lazily
+// built cell list and window cache are guarded, so it is concurrency-safe.
 type Grid struct {
 	cell    float64
 	dim     int
@@ -79,39 +80,59 @@ type Grid struct {
 	hbuckets map[string][]int // appendCellKey of the cell coords -> point indices
 
 	// Int-keyed grids only: the occupied cell ids in ascending order, which
-	// is lexicographic coordinate order (cellID puts dimension 0 first),
-	// and each point's position in that list.
-	ids    []int
+	// is lexicographic coordinate order (cellID puts dimension 0 first).
+	ids []int
+	// Each point's position in Cells(), filled by NewGridCoords, or on
+	// hashed grids by buildCells once it sorts the keys.
 	cellOf []int32
 
 	cellsOnce sync.Once
 	cells     []Cell // occupied cells in lexicographic order, built on first use
 
 	winMu   sync.Mutex
-	windows map[int][]int // in-grid cell id -> its ascending 3^dim window
-	winLen  int           // indices held in windows, at most windowCapPerPoint·n
-	filled  bool          // FillWindows has run (or is running)
+	windows map[int][]int32 // in-grid cell id -> its ascending 3^dim window
+	winLen  int             // indices held in windows, at most windowCapPerPoint·n
+	filled  bool            // FillWindows has run (or is running)
 }
 
-// NewGrid indexes the points with cells of side equal to radius. It returns
-// an error for an empty set, inconsistent dimensions, a non-positive radius,
-// or more than MaxInt32 points.
+// NewGrid is NewGridCoords over points given one vector each, copied into
+// a row-major array. Points of unequal dimensions are reported as a bad
+// dim, after the other faults.
 func NewGrid(points []vec.V, radius float64) (*Grid, error) {
-	if len(points) == 0 {
+	dim := 0
+	if len(points) > 0 {
+		dim = points[0].Dim()
+	}
+	flat := make([]float64, 0, len(points)*dim)
+	for _, p := range points {
+		if p.Dim() != dim {
+			dim = 0
+			break
+		}
+		flat = append(flat, p...)
+	}
+	return NewGridCoords(flat, dim, radius)
+}
+
+// NewGridCoords indexes the rows of coords, a row-major array of dim-wide
+// points (pointset.Set.Coords), with cells of side equal to radius; point i
+// is row i. It returns an error for no points, more than MaxInt32 points, a
+// non-positive radius, or a dim below 1 or not dividing len(coords), in
+// that order. The grid reads coords only while it is built.
+func NewGridCoords(coords []float64, dim int, radius float64) (*Grid, error) {
+	n := len(coords) / max(dim, 1)
+	switch {
+	case len(coords) == 0:
 		return nil, errors.New("spatial: empty point set")
-	}
-	if len(points) > math.MaxInt32 {
-		return nil, fmt.Errorf("spatial: %d points exceed the grid's int32 cell positions", len(points))
-	}
-	if radius <= 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
+	case n > math.MaxInt32:
+		return nil, fmt.Errorf("spatial: %d points exceed the grid's int32 indices", n)
+	case radius <= 0 || math.IsNaN(radius) || math.IsInf(radius, 0):
 		return nil, fmt.Errorf("spatial: invalid radius %v", radius)
+	case dim < 1 || n*dim != len(coords):
+		return nil, vec.ErrDimMismatch
 	}
-	dim := points[0].Dim()
-	lo, hi, err := vec.Bounds(points)
-	if err != nil {
-		return nil, err
-	}
-	g := &Grid{cell: radius, dim: dim, origin: lo, n: len(points)}
+	lo, hi, _ := vec.FlatBounds(coords, dim) // cannot fail: checked above
+	g := &Grid{cell: radius, dim: dim, origin: lo, n: n}
 	g.extents = make([]int, dim)
 	g.clamped = make([]bool, dim)
 	hashed := false
@@ -142,7 +163,7 @@ func NewGrid(points []vec.V, radius float64) (*Grid, error) {
 
 	// Each point's sort key: its flat cell id, or, hashed, the first-seen
 	// rank of its cell key among the distinct keys.
-	key := make([]int, len(points))
+	key := make([]int, n)
 	c := make([]int, dim)
 	var kb []byte
 	var keys []string
@@ -150,10 +171,8 @@ func NewGrid(points []vec.V, radius float64) (*Grid, error) {
 	if hashed {
 		rank = make(map[string]int)
 	}
-	for i, p := range points {
-		if p.Dim() != dim {
-			return nil, vec.ErrDimMismatch
-		}
+	for i := range key {
+		p := coords[i*dim : (i+1)*dim]
 		for d := range c {
 			// The clamp happens on the float value, before the int
 			// conversion, so even extreme coordinates (possible when a
@@ -203,7 +222,7 @@ func NewGrid(points []vec.V, radius float64) (*Grid, error) {
 	} else {
 		g.buckets = make(map[int][]int, m)
 		g.ids = make([]int, 0, m)
-		g.cellOf = make([]int32, len(points))
+		g.cellOf = make([]int32, n)
 	}
 	for start, p := 0, 1; p <= len(idx); p++ {
 		k := key[idx[start]]
@@ -297,15 +316,16 @@ func (g *Grid) N() int { return g.n }
 // faster at every radius tried (DESIGN.md §7).
 const minPruned = 100
 
-// Prunes reports whether a radius-r grid over points is worth installing as
-// an instance's neighbour finder: whether a query window, 3 cells wide in
-// every dimension, is expected to leave out at least minPruned points. The
+// Prunes reports whether a radius-r grid over the rows of coords (as
+// NewGridCoords takes them) is worth installing as an instance's neighbour
+// finder: whether a query window, 3 cells wide in every dimension, is
+// expected to leave out at least minPruned points. The
 // expectation takes the points as spread evenly over their bounding box,
 // where a window covers (3c−2)/c² of a dimension of c cells. So a dimension
 // of at most 2 cells is covered whole, and a radius over half the spread
 // along every dimension prunes nothing.
-func Prunes(points []vec.V, radius float64) bool {
-	lo, hi, err := vec.Bounds(points)
+func Prunes(coords []float64, dim int, radius float64) bool {
+	lo, hi, err := vec.FlatBounds(coords, dim)
 	if err != nil {
 		return false
 	}
@@ -314,11 +334,11 @@ func Prunes(points []vec.V, radius float64) bool {
 		c := math.Floor((hi[d]-lo[d])/radius) + 1
 		share *= (3*c - 2) / (c * c)
 	}
-	return float64(len(points))*(1-share) >= minPruned
+	return float64(len(coords)/dim)*(1-share) >= minPruned
 }
 
 // cellID flattens cell coordinates to a single bucket key (int-keyed grids
-// only; NewGrid guarantees the product of extents fits).
+// only; NewGridCoords guarantees the product of extents fits).
 func (g *Grid) cellID(c []int) int {
 	id := 0
 	for d := 0; d < g.dim; d++ {
@@ -377,8 +397,16 @@ func (g *Grid) Cells() []Cell {
 	return g.cells
 }
 
+// CellOf returns each point's position in Cells(): point i lies in
+// Cells()[CellOf()[i]]. It is shared and must be treated as read-only.
+func (g *Grid) CellOf() []int32 {
+	g.cellsOnce.Do(g.buildCells)
+	return g.cellOf
+}
+
 // buildCells lists the occupied cells: an int-keyed grid's in its ascending
-// id order, a hashed grid's in key order, both lexicographic.
+// id order, a hashed grid's in key order, both lexicographic. It fills a
+// hashed grid's cellOf, which only this order defines.
 func (g *Grid) buildCells() {
 	var keys []string
 	m := len(g.ids)
@@ -389,6 +417,7 @@ func (g *Grid) buildCells() {
 		}
 		sort.Strings(keys)
 		m = len(keys)
+		g.cellOf = make([]int32, g.n)
 	}
 	coords := make([]int, m*g.dim)
 	g.cells = make([]Cell, m)
@@ -397,6 +426,9 @@ func (g *Grid) buildCells() {
 		if keys != nil {
 			keyCoords(c, keys[j])
 			g.cells[j] = Cell{Coord: c, Points: g.hbuckets[keys[j]]}
+			for _, i := range g.cells[j].Points {
+				g.cellOf[i] = int32(j)
+			}
 		} else {
 			g.putCoords(c, g.ids[j])
 			g.cells[j] = Cell{Coord: c, Points: g.buckets[g.ids[j]]}
@@ -513,7 +545,7 @@ func within(a, b []int, rings int) bool {
 // runs on the raw float cell coordinate, clamped into int range before any
 // float→int conversion (which is implementation-defined for out-of-range
 // values, Go spec §Conversions).
-func (g *Grid) AppendNear(dst []int, c vec.V) []int {
+func (g *Grid) AppendNear(dst []int32, c vec.V) []int32 {
 	if c.Dim() != g.dim {
 		return dst
 	}
@@ -571,17 +603,21 @@ func (g *Grid) queryCoord(x float64, d int) (int, bool) {
 
 // appendWindow appends the ascending indices of every point in the cells
 // within one ring of coord.
-func (g *Grid) appendWindow(dst []int, coord []int) []int {
+func (g *Grid) appendWindow(dst []int32, coord []int) []int32 {
 	start := len(dst)
-	g.EachCellNear(coord, 1, func(c Cell) { dst = append(dst, c.Points...) })
-	sort.Ints(dst[start:])
+	g.EachCellNear(coord, 1, func(c Cell) {
+		for _, i := range c.Points {
+			dst = append(dst, int32(i))
+		}
+	})
+	slices.Sort(dst[start:])
 	return dst
 }
 
 // storeWindow caches a copy of cell id's window unless another query
 // stored it first, it is empty, or it would push the cache past
 // windowCapPerPoint·n indices.
-func (g *Grid) storeWindow(id int, w []int) {
+func (g *Grid) storeWindow(id int, w []int32) {
 	if len(w) == 0 {
 		return
 	}
@@ -591,9 +627,9 @@ func (g *Grid) storeWindow(id int, w []int) {
 		return
 	}
 	if g.windows == nil {
-		g.windows = make(map[int][]int)
+		g.windows = make(map[int][]int32)
 	}
-	g.windows[id] = append([]int(nil), w...)
+	g.windows[id] = append([]int32(nil), w...)
 	g.winLen += len(w)
 }
 
@@ -607,7 +643,7 @@ func (g *Grid) storeWindow(id int, w []int) {
 // windowCapPerPoint·n indices; windows then stay lazy. Its temporaries are
 // O(occupied cells), in a constant number of slices. Callers that query
 // only a few cells should not call it: the windows of every cell cost about
-// 3^dim·8 bytes per point. It is safe to call concurrently with queries.
+// 3^dim·4 bytes per point. It is safe to call concurrently with queries.
 func (g *Grid) FillWindows() {
 	if g.buckets == nil {
 		return
@@ -645,11 +681,11 @@ func (g *Grid) FillWindows() {
 	}
 	// A point lies in the windows of exactly the cells around its own, as
 	// Chebyshev adjacency is symmetric; ascending i keeps each ascending.
-	win := make([]int, off[m])
+	win := make([]int32, off[m])
 	fill := append([]int(nil), off[:m]...) // each window's next free slot
 	for i, j := range g.cellOf {
 		for _, c := range adj[adjOff[j]:adjOff[j+1]] {
-			win[fill[c]] = i
+			win[fill[c]] = int32(i)
 			fill[c]++
 		}
 	}
@@ -664,7 +700,7 @@ func (g *Grid) FillWindows() {
 		return
 	}
 	if g.windows == nil {
-		g.windows = make(map[int][]int, m)
+		g.windows = make(map[int][]int32, m)
 	}
 	for j, id := range g.ids {
 		g.windows[id] = win[off[j]:off[j+1]:off[j+1]]

@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -62,13 +63,13 @@ func TestNearIsConservative(t *testing.T) {
 				c[d] = rng.Uniform(-2, 6) // include exterior queries
 			}
 			got := g.AppendNear(nil, c)
-			in := map[int]bool{}
+			in := map[int32]bool{}
 			for _, i := range got {
 				in[i] = true
 			}
 			for _, nm := range norms {
 				for i, p := range pts {
-					if nm.Dist(c, p) <= r && !in[i] {
+					if nm.Dist(c, p) <= r && !in[int32(i)] {
 						t.Fatalf("trial %d: %s: point %d at dist %v <= r=%v missing from AppendNear",
 							trial, nm.Name(), i, nm.Dist(c, p), r)
 					}
@@ -88,7 +89,7 @@ func TestNearNoDuplicates(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		c := vec.Of(rng.Uniform(0, 4), rng.Uniform(0, 4))
 		got := g.AppendNear(nil, c)
-		sort.Ints(got)
+		slices.Sort(got)
 		for i := 1; i < len(got); i++ {
 			if got[i] == got[i-1] {
 				t.Fatalf("duplicate index %d in AppendNear result", got[i])
@@ -175,7 +176,7 @@ func TestNewGridExtremeExtents(t *testing.T) {
 	for i, p := range pts {
 		found := false
 		for _, j := range g.AppendNear(nil, p) {
-			if j == i {
+			if int(j) == i {
 				found = true
 			}
 		}
@@ -202,7 +203,7 @@ func TestNewGridExtremeExtents(t *testing.T) {
 	for i, p := range pts {
 		found := false
 		for _, j := range g.AppendNear(nil, p) {
-			if j == i {
+			if int(j) == i {
 				found = true
 			}
 		}
@@ -240,8 +241,8 @@ func TestHashedBucketsMatchIntBuckets(t *testing.T) {
 			c[d] = rng.Uniform(-2, 12)
 		}
 		a, b := g.AppendNear(nil, c), h.AppendNear(nil, c)
-		sort.Ints(a)
-		sort.Ints(b)
+		slices.Sort(a)
+		slices.Sort(b)
 		if len(a) != len(b) {
 			t.Fatalf("query %v: int-keyed %d results, hashed %d", c, len(a), len(b))
 		}
@@ -470,8 +471,99 @@ func TestPrunes(t *testing.T) {
 		{"zero radius", lattice(2, 20), 0, false},
 		{"NaN radius", lattice(2, 20), math.NaN(), false},
 	} {
-		if got := Prunes(c.pts, c.radius); got != c.want {
+		if got := Prunes(flatten(c.pts), dimOf(c.pts), c.radius); got != c.want {
 			t.Errorf("%s, r = %v: Prunes = %v, want %v", c.name, c.radius, got, c.want)
 		}
+	}
+}
+
+// flatten copies pts into one row-major array, the layout NewGridCoords
+// and Prunes read.
+func flatten(pts []vec.V) []float64 {
+	var flat []float64
+	for _, p := range pts {
+		flat = append(flat, p...)
+	}
+	return flat
+}
+
+// dimOf is the dimension of pts, 0 for none.
+func dimOf(pts []vec.V) int {
+	if len(pts) == 0 {
+		return 0
+	}
+	return pts[0].Dim()
+}
+
+// forceHashed returns a copy of the int-keyed grid g keyed by strings, as
+// a grid whose cell ids overflow an int is.
+func forceHashed(g *Grid) *Grid {
+	h := &Grid{cell: g.cell, dim: g.dim, origin: g.origin, extents: g.extents,
+		clamped: g.clamped, n: g.n, hbuckets: map[string][]int{}}
+	for id, idxs := range g.buckets {
+		h.hbuckets[string(appendCellKey(nil, g.cellCoords(id)))] = idxs
+	}
+	return h
+}
+
+// TestNewGridCoordsMatchesNewGrid: the row-major constructor and the
+// per-point NewGrid index every contract case identically: the same
+// Cells(), CellOf() and windows. Rows that do not fit the dimension are
+// rejected.
+func TestNewGridCoordsMatchesNewGrid(t *testing.T) {
+	for _, tc := range contractCases() {
+		a, err := NewGrid(tc.pts, tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewGridCoords(flatten(tc.pts), dimOf(tc.pts), tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Cells(), b.Cells()) || !reflect.DeepEqual(a.CellOf(), b.CellOf()) {
+			t.Fatalf("%s: cells or cell positions differ", tc.name)
+		}
+		a.FillWindows()
+		for _, c := range tc.queries {
+			if wa, wb := a.AppendNear(nil, c), b.AppendNear(nil, c); !reflect.DeepEqual(wa, wb) {
+				t.Fatalf("%s: query %v: window %v from NewGrid, %v from NewGridCoords", tc.name, c, wa, wb)
+			}
+		}
+	}
+	for _, c := range []struct {
+		coords []float64
+		dim    int
+	}{{nil, 2}, {[]float64{1, 2, 3}, 2}, {[]float64{1, 2}, 0}} {
+		if _, err := NewGridCoords(c.coords, c.dim, 1); err == nil {
+			t.Errorf("NewGridCoords(%v, dim %d) accepted", c.coords, c.dim)
+		}
+	}
+}
+
+// TestCellOfBothKeyModes: on an int-keyed grid and on the same grid forced
+// onto hashed keys, CellOf maps every point to the Cells() entry holding
+// it, and the two modes agree. A hashed grid's first CellOf call builds
+// its cells.
+func TestCellOfBothKeyModes(t *testing.T) {
+	pts := randPoints(xrand.New(53), 300, 3, 0, 10)
+	g, err := NewGrid(pts, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := forceHashed(g)
+	for _, grid := range []*Grid{g, h} {
+		cellOf := grid.CellOf()
+		cells := grid.Cells()
+		if len(cellOf) != len(pts) {
+			t.Fatalf("hashed %v: %d cell positions for %d points", grid.hbuckets != nil, len(cellOf), len(pts))
+		}
+		for i, j := range cellOf {
+			if !slices.Contains(cells[j].Points, i) {
+				t.Fatalf("hashed %v: point %d mapped to cell %v, which does not hold it", grid.hbuckets != nil, i, cells[j].Coord)
+			}
+		}
+	}
+	if !reflect.DeepEqual(g.Cells(), h.Cells()) || !reflect.DeepEqual(g.CellOf(), h.CellOf()) {
+		t.Fatal("hashed keys list other cells or positions than int keys")
 	}
 }

@@ -230,22 +230,40 @@ func Bounds(vs []V) (lo, hi V, err error) {
 	if len(vs) == 0 {
 		return nil, nil, errors.New("vec: bounds of empty set")
 	}
-	m := len(vs[0])
 	lo, hi = vs[0].Clone(), vs[0].Clone()
 	for _, v := range vs[1:] {
-		if len(v) != m {
+		if len(v) != len(lo) {
 			return nil, nil, ErrDimMismatch
 		}
-		for i, x := range v {
-			if x < lo[i] {
-				lo[i] = x
-			}
-			if x > hi[i] {
-				hi[i] = x
-			}
-		}
+		widen(lo, hi, v)
 	}
 	return lo, hi, nil
+}
+
+// FlatBounds is Bounds over the dim-wide rows of flat, the row-major layout
+// of pointset.Set.Coords. No rows, or a length dim does not divide, is an
+// error.
+func FlatBounds(flat []float64, dim int) (lo, hi V, err error) {
+	if dim < 1 || len(flat) == 0 || len(flat)%dim != 0 {
+		return nil, nil, fmt.Errorf("vec: %d values hold no rows of dimension %d", len(flat), dim)
+	}
+	lo, hi = Of(flat[:dim]...), Of(flat[:dim]...)
+	for i := dim; i < len(flat); i += dim {
+		widen(lo, hi, flat[i:i+dim])
+	}
+	return lo, hi, nil
+}
+
+// widen grows the box [lo, hi] to hold v.
+func widen(lo, hi, v V) {
+	for i, x := range v {
+		if x < lo[i] {
+			lo[i] = x
+		}
+		if x > hi[i] {
+			hi[i] = x
+		}
+	}
 }
 
 func mustMatch(v, w V) {

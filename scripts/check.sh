@@ -73,6 +73,11 @@ go test -run '^$' -fuzz '^FuzzRoundGains$' -fuzztime 20s ./internal/reward
 echo "==> apicheck (v1 wire schema)"
 ./scripts/apicheck.sh
 
+# scripts/pairs.sh runs interleaved benchmark pairs, about a minute each
+# on the large workloads, so it is only parsed here.
+echo "==> pairs.sh syntax"
+sh -n scripts/pairs.sh
+
 if [ "${RACE:-1}" != "0" ]; then
 	echo "==> go test -race ./..."
 	go test -race ./...

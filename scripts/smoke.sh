@@ -122,6 +122,12 @@ status=0
 [ "$status" -ne 0 ] && grep -q -- "-index needs -churn" "$BIN/station-index.out" ||
 	fail "cdstation -index grid without -churn exited $status without naming -index"
 
+echo "==> cdstation -assign bogus with one station must fail with unknown assignment"
+status=0
+"$BIN/cdstation" -trace "$BIN/trace.json" -assign bogus -periods 2 >"$BIN/station-assign.out" 2>&1 || status=$?
+[ "$status" -ne 0 ] && grep -q "unknown assignment" "$BIN/station-assign.out" ||
+	fail "cdstation -assign bogus exited $status without an unknown-assignment error"
+
 echo "==> cdbench: 50ms deadline must yield a clean partial run"
 status=0
 "$BIN/cdbench" -run summary -timeout 50ms >"$BIN/bench.out" 2>&1 || status=$?
