@@ -78,18 +78,6 @@ func New(budget int64, col obs.Collector) *Cache {
 	}
 }
 
-// Get returns the cached value for key and marks it most recently used.
-func (c *Cache) Get(key Key) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
 // Lookup is the atomic entry point for the serving layer: it resolves key to
 // exactly one of three outcomes under one lock acquisition.
 //
@@ -118,42 +106,18 @@ func (c *Cache) Lookup(key Key) (val any, f *Flight, leader bool) {
 	return nil, f, true
 }
 
-// Put stores val under key, charging size (plus fixed overhead) against the
-// budget and evicting least-recently-used entries until it fits. A value
-// larger than the whole budget is not stored at all. Re-putting an existing
-// key replaces its value and size.
-func (c *Cache) Put(key Key, val any, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, val, size)
-}
-
-// putLocked is Put's body; callers hold c.mu.
+// putLocked stores val under key, charging size (plus fixed overhead)
+// against the budget and evicting least-recently-used entries until it fits.
+// A value larger than the whole budget is not stored at all. key holds no
+// entry: only its flight's Deliver stores it, and Lookup hands out no flight
+// for a cached key. Callers hold c.mu.
 func (c *Cache) putLocked(key Key, val any, size int64) {
 	size += entryOverhead
 	if size > c.max {
-		// The value is too large to store — but refusing the Put must not
-		// leave a previous value resident under the same key: the caller
-		// has a newer answer, so serving the stale one would be wrong.
-		if el, ok := c.items[key]; ok {
-			e := el.Value.(*entry)
-			c.ll.Remove(el)
-			delete(c.items, key)
-			c.bytes -= e.size
-			c.gaugeLocked()
-		}
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += size - e.size
-		e.val, e.size = val, size
-		c.ll.MoveToFront(el)
-	} else {
-		e := &entry{key: key, val: val, size: size}
-		c.items[key] = c.ll.PushFront(e)
-		c.bytes += size
-	}
+	c.items[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
+	c.bytes += size
 	for c.bytes > c.max {
 		c.evictOldestLocked()
 	}
@@ -176,20 +140,6 @@ func (c *Cache) evictOldestLocked() {
 func (c *Cache) gaugeLocked() {
 	c.col.Gauge(obs.GaugeCacheBytes, float64(c.bytes))
 	c.col.Gauge(obs.GaugeCacheEntries, float64(c.ll.Len()))
-}
-
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the budget-charged size of all cached entries.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Flight is one in-progress computation of a key's value. The leader (the

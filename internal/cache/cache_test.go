@@ -151,9 +151,30 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionBudget pins the byte-budget policy: inserts past the
-// budget evict in LRU order, Get refreshes recency, and the accounting
-// (Bytes, Len, eviction counter) balances.
+// fill stores val under key the way the serving path does: a Lookup that
+// leads, then the flight's Deliver.
+func fill(t *testing.T, c *Cache, key Key, val any, size int64) {
+	t.Helper()
+	_, f, leader := c.Lookup(key)
+	if !leader {
+		t.Fatalf("Lookup of key %v did not lead", key)
+	}
+	f.Deliver(val, size)
+}
+
+// hit reports whether key is cached, refreshing its recency as a served hit
+// does; a miss delivers nothing, so it leaves no entry and no flight.
+func hit(c *Cache, key Key) bool {
+	val, f, leader := c.Lookup(key)
+	if leader {
+		f.Deliver(nil, 0)
+	}
+	return val != nil
+}
+
+// TestLRUEvictionBudget pins the byte-budget policy: deliveries past the
+// budget evict in LRU order, a hit refreshes recency, and the accounting
+// (bytes, entries, eviction counter) balances.
 func TestLRUEvictionBudget(t *testing.T) {
 	m := obs.NewMetrics()
 	const payload = 1000
@@ -162,22 +183,22 @@ func TestLRUEvictionBudget(t *testing.T) {
 
 	key := func(i int) Key { return Fingerprint(mustSet(t, [][]float64{{float64(i)}}, nil), baseParams()) }
 	for i := 0; i < 3; i++ {
-		c.Put(key(i), i, payload)
+		fill(t, c, key(i), i, payload)
 	}
-	if c.Len() != 3 || c.Bytes() != budget {
-		t.Fatalf("after 3 inserts: len=%d bytes=%d, want 3/%d", c.Len(), c.Bytes(), budget)
+	if c.ll.Len() != 3 || c.bytes != budget {
+		t.Fatalf("after 3 inserts: len=%d bytes=%d, want 3/%d", c.ll.Len(), c.bytes, budget)
 	}
 
 	// Touch key(0) so key(1) is now the LRU; the 4th insert must evict it.
-	if _, ok := c.Get(key(0)); !ok {
+	if !hit(c, key(0)) {
 		t.Fatal("key(0) missing before eviction")
 	}
-	c.Put(key(3), 3, payload)
-	if _, ok := c.Get(key(1)); ok {
+	fill(t, c, key(3), 3, payload)
+	if hit(c, key(1)) {
 		t.Error("LRU entry survived past the budget")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if _, ok := c.Get(key(i)); !ok {
+		if !hit(c, key(i)) {
 			t.Errorf("key(%d) evicted out of LRU order", i)
 		}
 	}
@@ -192,34 +213,13 @@ func TestLRUEvictionBudget(t *testing.T) {
 		t.Errorf("bytes gauge = %v, want %d", got, budget)
 	}
 
-	// An entry above the whole budget is refused outright.
-	c.Put(key(9), 9, budget+1)
-	if _, ok := c.Get(key(9)); ok {
+	// An entry above the whole budget is refused outright and evicts nothing.
+	fill(t, c, key(9), 9, budget+1)
+	if hit(c, key(9)) {
 		t.Error("oversize entry was stored")
 	}
-	// Regression: a refused oversize *replacement* must also delete the
-	// previous entry under the key — the caller has a newer answer, so the
-	// stale value must never be served again — and the byte accounting must
-	// release the stale entry's charge.
-	before := c.Bytes()
-	c.Put(key(0), 0, payload)
-	if _, ok := c.Get(key(0)); !ok {
-		t.Fatal("key(0) missing before oversize replacement")
-	}
-	c.Put(key(0), "too big", budget+1)
-	if _, ok := c.Get(key(0)); ok {
-		t.Error("stale entry served after its replacement was refused")
-	}
-	if c.Bytes() != before-(payload+entryOverhead) {
-		t.Errorf("bytes = %d after refused replacement, want %d", c.Bytes(), before-(payload+entryOverhead))
-	}
-	// Replacing a key adjusts accounting instead of double-charging.
-	c.Put(key(3), 33, payload/2)
-	if v, ok := c.Get(key(3)); !ok || v.(int) != 33 {
-		t.Errorf("replaced value = %v, %v", v, ok)
-	}
-	if c.Bytes() >= budget {
-		t.Errorf("bytes %d not reduced by smaller replacement", c.Bytes())
+	if c.ll.Len() != 3 || c.bytes != budget {
+		t.Errorf("after a refused entry: len=%d bytes=%d, want 3/%d", c.ll.Len(), c.bytes, budget)
 	}
 }
 
@@ -272,10 +272,6 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Errorf("racer %d saw %v", i, v)
 		}
 	}
-	if v, ok := c.Get(key); !ok || v != "value" {
-		t.Errorf("delivered value not cached: %v, %v", v, ok)
-	}
-
 	// After delivery the key resolves to the cached value atomically — a
 	// Lookup can never elect a second leader for work already done.
 	if v, f, leader := c.Lookup(key); v != "value" || f != nil || leader {
@@ -302,11 +298,8 @@ func TestDeliverNil(t *testing.T) {
 	if follower.Value() != nil {
 		t.Errorf("follower saw %v, want nil", follower.Value())
 	}
-	if _, ok := c.Get(key); ok {
-		t.Error("nil delivery populated the cache")
-	}
-	if c.Len() != 0 {
-		t.Errorf("cache len %d after nil delivery", c.Len())
+	if c.ll.Len() != 0 {
+		t.Errorf("cache len %d after nil delivery", c.ll.Len())
 	}
 
 	// Nothing was cached, so the next Lookup elects a fresh leader: the

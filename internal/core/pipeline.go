@@ -67,11 +67,12 @@ type PartSolver func(ctx context.Context, part Part, seed uint64, k int) ([]vec.
 // a handful of candidate re-evaluations instead of a rescan — submodularity
 // makes stale bounds valid upper bounds, exactly as in LazyGreedy.
 //
-// Anytime contract: a cancellation during partitioning or the shard solves
-// returns the empty result (the trivial valid prefix — nothing has been
-// committed yet) with ctx.Err(); a cancellation mid-merge returns the merge
-// rounds committed so far, which are bit-for-bit the prefix an uncancelled
-// run would have selected.
+// Anytime contract: a cancellation during partitioning (a partitioner error
+// that arrives with ctx done) or the shard solves returns the empty result
+// (the trivial valid prefix — nothing has been committed yet) with
+// ctx.Err(); a cancellation mid-merge returns the merge rounds committed so
+// far, which are bit-for-bit the prefix an uncancelled run would have
+// selected.
 //
 // Telemetry goes to the instance's collector: the partition/shard_solve/
 // merge timers, the shard.* counters, and the merge's per-round events.
@@ -121,8 +122,9 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	}
 	parent := obs.SpanFromContext(ctx)
 
-	// Stage 1: partition. Fast relative to solving; not cancellable
-	// mid-flight beyond the entry check above.
+	// Stage 1: partition. A partitioner reads ctx between the parts it
+	// builds; an error that arrives with ctx done is that cancellation, and
+	// the empty result is its valid prefix.
 	ptimer := obs.StartTimer(col, obs.TimShardPartition)
 	pspan := parent.Child("partition")
 	parts, err := p.partition(ctx, in, k)
@@ -130,6 +132,9 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	if err != nil {
 		pspan.SetAttr("failed", 1)
 		pspan.End()
+		if cerr := ctx.Err(); cerr != nil {
+			return CancelRun(col, res, cerr)
+		}
 		return nil, err
 	}
 	halo := 0

@@ -201,6 +201,45 @@ func (c cancelBeforeRun) Run(ctx context.Context, in *reward.Instance, k int) (*
 	return c.inner.Run(ctx, in, k)
 }
 
+// cancelPartitioner cancels the shared context part-way through building
+// its parts and reports the cancellation as its error, as a partitioner
+// that reads its context between parts does.
+type cancelPartitioner struct{ cancel context.CancelFunc }
+
+func (c cancelPartitioner) Partition(ctx context.Context, _ *reward.Instance, _ int) ([]Part, error) {
+	c.cancel()
+	return nil, ctx.Err()
+}
+
+// TestPipelineCancelDuringPartition: a partition cut by its deadline is a
+// cancellation, not a failure: the empty valid prefix and the context's
+// error, counted as cancelled.
+func TestPipelineCancelDuringPartition(t *testing.T) {
+	rng := xrand.New(23)
+	in := randomInstance(t, rng, 30, norm.L2{}, 1)
+	m := obs.NewMetrics()
+	in.SetCollector(m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := Pipeline{
+		Partition: cancelPartitioner{cancel: cancel},
+		NewSolver: func(uint64) Algorithm { return LazyGreedy{} },
+	}
+	res, err := p.Run(ctx, in, 3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Centers) != 0 {
+		t.Fatalf("cancel during partition returned %+v, want empty valid prefix", res)
+	}
+	if verr := res.Validate(); verr != nil {
+		t.Fatal(verr)
+	}
+	if m.Snapshot().Counters[obs.CtrCancelled] != 1 {
+		t.Error("cancellation not counted")
+	}
+}
+
 func TestPipelineCancelDuringShardSolve(t *testing.T) {
 	rng := xrand.New(29)
 	in := randomInstance(t, rng, 30, norm.L2{}, 1)

@@ -3,263 +3,271 @@ package norm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
 
-// Batch is an optional interface a Norm may implement to evaluate many
-// distances against contiguous flat coordinate storage in one call. flat is
-// row-major with the given dimension (point i occupies flat[i*dim:(i+1)*dim],
-// as produced by pointset.Set.Coords), and out receives one distance per
-// point. Implementations must be bit-identical to calling Dist per point:
-// out[i] == Dist(c, flat[i*dim:(i+1)*dim]) exactly, so callers may switch
-// between the scalar and batched paths without changing any published number.
+// Batch is an optional interface a Norm may implement to find, in one call,
+// the rows of a flat coordinate array that lie strictly within a radius of a
+// center. coords is row-major with the given dimension (point i occupies
+// coords[i*dim:(i+1)*dim], as pointset.Set.Coords lays it out). Each
+// reported distance is bit-identical to Dist, so callers may switch between
+// the scalar and batched paths without changing any published number.
 //
 // Batch kernels exist to make the gain hot path memory-bandwidth-bound
 // instead of call-overhead-bound: one interface dispatch amortizes over the
-// whole scan, and the flat layout streams through cache lines in order.
+// whole scan, and rows are read in place, in order.
 type Batch interface {
-	// Dists writes ‖c − x_i‖ for every row x_i of flat into out.
-	// It panics when c's dimension disagrees with dim, dim is not
-	// positive, flat is not a whole number of rows, or out is shorter
-	// than the number of rows.
-	Dists(c vec.V, flat []float64, dim int, out []float64)
-}
-
-// RadiusBatch extends Batch with a radius-capped kernel for norms that can
-// prove a point is out of range more cheaply than computing its exact
-// distance (the L2 kernel skips the sqrt for such points). The contract is
-// relaxed only where it cannot matter: for points with Dist(c, x_i) < r,
-// out[i] must be bit-identical to Dist; for all other points out[i] may be
-// any value ≥ r. Coverage-style consumers ([1 − d/r]_+) treat every d ≥ r as
-// zero, so results are still bit-identical to the scalar path.
-type RadiusBatch interface {
-	Batch
-	// DistsCapped is Dists with the in-radius-exact / out-of-radius-free
-	// contract above. r must be positive and finite.
-	DistsCapped(c vec.V, flat []float64, dim int, r float64, out []float64)
+	// Within appends to pos and dist, in ascending position order, exactly
+	// the rows x with Dist(c, x) < r, and returns both. With idx nil the
+	// rows are all rows of coords and a row's position is its row number;
+	// otherwise row j is coords[idx[j]*dim:(idx[j]+1)*dim] and its position
+	// is j. dist[k] is Dist(c, row) for the row at pos[k], bit for bit. It
+	// panics when dim is not positive, c's dimension disagrees with dim,
+	// coords is not a whole number of rows, pos and dist differ in length,
+	// or there are more rows than MaxInt32.
+	Within(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64)
 }
 
 // checkBatchArgs validates the shared kernel preconditions and reports the
 // number of rows.
-func checkBatchArgs(c vec.V, flat []float64, dim int, out []float64) int {
+func checkBatchArgs(c vec.V, coords []float64, dim int, idx, pos []int32, dist []float64) int {
 	if dim <= 0 {
 		panic(fmt.Sprintf("norm: batch dim %d must be positive", dim))
 	}
 	if len(c) != dim {
 		panic(fmt.Sprintf("norm: batch center dim %d != %d", len(c), dim))
 	}
-	if len(flat)%dim != 0 {
-		panic(fmt.Sprintf("norm: flat length %d is not a multiple of dim %d", len(flat), dim))
+	if len(coords)%dim != 0 {
+		panic(fmt.Sprintf("norm: coords length %d is not a multiple of dim %d", len(coords), dim))
 	}
-	n := len(flat) / dim
-	if len(out) < n {
-		panic(fmt.Sprintf("norm: out length %d < %d rows", len(out), n))
+	if len(pos) != len(dist) {
+		panic(fmt.Sprintf("norm: pos length %d != dist length %d", len(pos), len(dist)))
+	}
+	n := len(coords) / dim
+	if idx != nil {
+		n = len(idx)
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("norm: %d rows exceed int32 positions", n))
 	}
 	return n
 }
 
-// Dists implements Batch. The loop mirrors L1.Dist term for term, so IEEE
-// summation order (and therefore every bit of the result) is preserved.
-func (L1) Dists(c vec.V, flat []float64, dim int, out []float64) {
-	n := checkBatchArgs(c, flat, dim, out)
+// absBits returns the bits of |x|, or 0 for a NaN: the term the scalar
+// kernels' running max (`if a > m { m = a }` from m = 0) takes. Non-negative
+// floats order as their bits, so the max runs on integers, without a branch.
+func absBits(x float64) uint64 {
+	u := math.Float64bits(x) &^ (1 << 63)
+	if u > 0x7ff0000000000000 { // NaN
+		u = 0
+	}
+	return u
+}
+
+// rowAt returns the row at position p.
+func rowAt(coords []float64, dim int, idx []int32, p int32) []float64 {
+	i := int(p)
+	if idx != nil {
+		i = int(idx[p])
+	}
+	return coords[i*dim : (i+1)*dim : (i+1)*dim]
+}
+
+// chebyshev is pass 1 of every kernel. For each row it stores the position
+// and the Chebyshev distance m = max_d |c_d − x_d| (the running max of
+// LInf.Dist and of vec.V.Dist2's first pass, bit for bit) and advances past
+// the row exactly when m < r: every row is written, and only the count
+// depends on the data, so the loop has no data-dependent branch. L1 and L2
+// distances are never below m (DESIGN §7), so no row within r is dropped.
+func chebyshev(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64) {
+	n := checkBatchArgs(c, coords, dim, idx, pos, dist)
+	k := len(pos)
+	pos, dist = slices.Grow(pos, n)[:k+n], slices.Grow(dist, n)[:k+n]
 	switch dim {
 	case 1:
-		c0 := c[0]
-		for i := 0; i < n; i++ {
-			out[i] = math.Abs(c0 - flat[i])
+		k = cheb1(c[0], coords, idx, r, pos, dist, k)
+	case 2:
+		k = cheb2(c[0], c[1], coords, idx, r, pos, dist, k)
+	case 3:
+		k = cheb3(c[0], c[1], c[2], coords, idx, r, pos, dist, k)
+	default:
+		for j := 0; j < n; j++ {
+			var mb uint64
+			for d, x := range rowAt(coords, dim, idx, int32(j)) {
+				mb = max(mb, absBits(c[d]-x))
+			}
+			k = put(pos, dist, k, j, mb, r)
 		}
+	}
+	return pos[:k], dist[:k]
+}
+
+// put stores position j and the Chebyshev distance with bits mb at k, and
+// returns k advanced by one exactly when that distance is below r.
+func put(pos []int32, dist []float64, k, j int, mb uint64, r float64) int {
+	m := math.Float64frombits(mb)
+	pos[k], dist[k] = int32(j), m
+	if m < r {
+		k++
+	}
+	return k
+}
+
+// cheb1, cheb2 and cheb3 are chebyshev's loops for dims 1, 2 and 3, with
+// the rows read in order or through idx.
+func cheb1(c0 float64, coords []float64, idx []int32, r float64, pos []int32, dist []float64, k int) int {
+	if idx == nil {
+		for j, x := range coords {
+			k = put(pos, dist, k, j, absBits(c0-x), r)
+		}
+		return k
+	}
+	for j, i := range idx {
+		k = put(pos, dist, k, j, absBits(c0-coords[i]), r)
+	}
+	return k
+}
+
+func cheb2(c0, c1 float64, coords []float64, idx []int32, r float64, pos []int32, dist []float64, k int) int {
+	if idx == nil {
+		for j := 0; j < len(coords)/2; j++ {
+			row := coords[2*j : 2*j+2 : 2*j+2]
+			k = put(pos, dist, k, j, max(absBits(c0-row[0]), absBits(c1-row[1])), r)
+		}
+		return k
+	}
+	for j, i := range idx {
+		row := coords[2*i : 2*i+2 : 2*i+2]
+		k = put(pos, dist, k, j, max(absBits(c0-row[0]), absBits(c1-row[1])), r)
+	}
+	return k
+}
+
+func cheb3(c0, c1, c2 float64, coords []float64, idx []int32, r float64, pos []int32, dist []float64, k int) int {
+	if idx == nil {
+		for j := 0; j < len(coords)/3; j++ {
+			row := coords[3*j : 3*j+3 : 3*j+3]
+			k = put(pos, dist, k, j, max(absBits(c0-row[0]), absBits(c1-row[1]), absBits(c2-row[2])), r)
+		}
+		return k
+	}
+	for j, i := range idx {
+		row := coords[3*i : 3*i+3 : 3*i+3]
+		k = put(pos, dist, k, j, max(absBits(c0-row[0]), absBits(c1-row[1]), absBits(c2-row[2])), r)
+	}
+	return k
+}
+
+// Within implements Batch. Pass 2 replaces each kept row's Chebyshev
+// distance by L1.Dist's left-associated sum, term for term, and keeps the
+// rows still below r.
+func (L1) Within(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64) {
+	k := len(pos)
+	pos, dist = chebyshev(c, coords, dim, idx, r, pos, dist)
+	switch dim {
 	case 2:
 		c0, c1 := c[0], c[1]
-		for i := 0; i < n; i++ {
-			row := flat[2*i : 2*i+2 : 2*i+2]
-			out[i] = math.Abs(c0-row[0]) + math.Abs(c1-row[1])
+		for j := k; j < len(pos); j++ {
+			row := rowAt(coords, 2, idx, pos[j])
+			k = keep(pos, dist, k, j, math.Abs(c0-row[0])+math.Abs(c1-row[1]), r)
 		}
 	case 3:
 		c0, c1, c2 := c[0], c[1], c[2]
-		for i := 0; i < n; i++ {
-			row := flat[3*i : 3*i+3 : 3*i+3]
-			out[i] = math.Abs(c0-row[0]) + math.Abs(c1-row[1]) + math.Abs(c2-row[2])
+		for j := k; j < len(pos); j++ {
+			row := rowAt(coords, 3, idx, pos[j])
+			k = keep(pos, dist, k, j, math.Abs(c0-row[0])+math.Abs(c1-row[1])+math.Abs(c2-row[2]), r)
 		}
 	default:
-		for i := 0; i < n; i++ {
-			row := flat[i*dim : (i+1)*dim]
+		for j := k; j < len(pos); j++ {
 			var s float64
-			for d := 0; d < dim; d++ {
-				s += math.Abs(c[d] - row[d])
+			for d, x := range rowAt(coords, dim, idx, pos[j]) {
+				s += math.Abs(c[d] - x)
 			}
-			out[i] = s
+			k = keep(pos, dist, k, j, s, r)
 		}
 	}
+	return pos[:k], dist[:k]
 }
 
-// DistsCapped implements RadiusBatch. L1 has no expensive tail to skip, so
-// the capped kernel is the exact kernel.
-func (n L1) DistsCapped(c vec.V, flat []float64, dim int, _ float64, out []float64) {
-	n.Dists(c, flat, dim, out)
+// keep is pass 2's compaction: it moves the row at j to k with its exact
+// distance d, and returns k advanced by one exactly when d < r. k ≤ j, so
+// the row at j has been read before it is overwritten.
+func keep(pos []int32, dist []float64, k, j int, d, r float64) int {
+	pos[k], dist[k] = pos[j], d
+	if d < r {
+		k++
+	}
+	return k
 }
 
-// Dists implements Batch. Each row replays vec.V.Dist2's two-pass
-// overflow-guarded algorithm (max-abs scaling, then the scaled square sum)
-// with the same operation order, so results are bit-identical to the scalar
-// path component for component.
-func (L2) Dists(c vec.V, flat []float64, dim int, out []float64) {
-	L2{}.distsL2(c, flat, dim, math.Inf(1), out)
-}
-
-// DistsCapped implements RadiusBatch: rows whose Chebyshev distance already
-// reaches r skip the division pass and the sqrt entirely (see distsL2).
-func (L2) DistsCapped(c vec.V, flat []float64, dim int, r float64, out []float64) {
-	L2{}.distsL2(c, flat, dim, r, out)
-}
-
-// distsL2 is the shared L2 kernel. For every row it first computes the
-// Chebyshev distance maxAbs = max_d |c_d − x_d| — the first pass of
-// vec.V.Dist2. Because the scaled square sum s = Σ (diff_d/maxAbs)² contains
-// the term (maxAbs/maxAbs)² = 1 exactly and IEEE addition of non-negative
-// terms is monotonic, Dist2's result maxAbs·sqrt(s) is always ≥ maxAbs.
-// Hence when maxAbs ≥ r the true distance is provably ≥ r and the kernel
-// emits maxAbs without the n-division pass and the sqrt; coverage consumers
-// map both values to zero, keeping results bit-identical. Rows with
-// maxAbs < r run the exact Dist2 tail.
-func (L2) distsL2(c vec.V, flat []float64, dim int, r float64, out []float64) {
-	n := checkBatchArgs(c, flat, dim, out)
+// Within implements Batch. Pass 2 replays vec.V.Dist2's second pass on the
+// kept rows, with pass 1's maximum m as its scale: the same divisions, the
+// same left-to-right square sum and the same sqrt, so every distance has
+// Dist2's bits (0 for coincident rows, where m = 0). In 1-D that distance is
+// m itself, so the kernel is one pass.
+func (L2) Within(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64) {
+	k := len(pos)
+	pos, dist = chebyshev(c, coords, dim, idx, r, pos, dist)
 	switch dim {
 	case 1:
-		c0 := c[0]
-		for i := 0; i < n; i++ {
-			out[i] = math.Abs(c0 - flat[i])
-		}
+		return pos, dist
 	case 2:
 		c0, c1 := c[0], c[1]
-		for i := 0; i < n; i++ {
-			row := flat[2*i : 2*i+2 : 2*i+2]
-			d0, d1 := c0-row[0], c1-row[1]
-			a0, a1 := math.Abs(d0), math.Abs(d1)
-			maxAbs := a0
-			if a1 > maxAbs {
-				maxAbs = a1
+		for j := k; j < len(pos); j++ {
+			d := dist[j]
+			if m := d; m != 0 {
+				row := rowAt(coords, 2, idx, pos[j])
+				r0, r1 := (c0-row[0])/m, (c1-row[1])/m
+				d = m * math.Sqrt(r0*r0+r1*r1)
 			}
-			if maxAbs == 0 || maxAbs >= r {
-				out[i] = maxAbs
-				continue
-			}
-			r0, r1 := d0/maxAbs, d1/maxAbs
-			out[i] = maxAbs * math.Sqrt(r0*r0+r1*r1)
+			k = keep(pos, dist, k, j, d, r)
 		}
 	case 3:
 		c0, c1, c2 := c[0], c[1], c[2]
-		for i := 0; i < n; i++ {
-			row := flat[3*i : 3*i+3 : 3*i+3]
-			d0, d1, d2 := c0-row[0], c1-row[1], c2-row[2]
-			maxAbs := math.Abs(d0)
-			if a := math.Abs(d1); a > maxAbs {
-				maxAbs = a
+		for j := k; j < len(pos); j++ {
+			d := dist[j]
+			if m := d; m != 0 {
+				row := rowAt(coords, 3, idx, pos[j])
+				r0, r1, r2 := (c0-row[0])/m, (c1-row[1])/m, (c2-row[2])/m
+				d = m * math.Sqrt(r0*r0+r1*r1+r2*r2)
 			}
-			if a := math.Abs(d2); a > maxAbs {
-				maxAbs = a
-			}
-			if maxAbs == 0 || maxAbs >= r {
-				out[i] = maxAbs
-				continue
-			}
-			r0, r1, r2 := d0/maxAbs, d1/maxAbs, d2/maxAbs
-			// Match the scalar left-to-right summation: (r0²+r1²)+r2².
-			out[i] = maxAbs * math.Sqrt(r0*r0+r1*r1+r2*r2)
+			k = keep(pos, dist, k, j, d, r)
 		}
 	default:
-		for i := 0; i < n; i++ {
-			row := flat[i*dim : (i+1)*dim]
-			var maxAbs float64
-			for d := 0; d < dim; d++ {
-				if a := math.Abs(c[d] - row[d]); a > maxAbs {
-					maxAbs = a
+		for j := k; j < len(pos); j++ {
+			d := dist[j]
+			if m := d; m != 0 {
+				var s float64
+				for i, x := range rowAt(coords, dim, idx, pos[j]) {
+					q := (c[i] - x) / m
+					s += q * q
 				}
+				d = m * math.Sqrt(s)
 			}
-			if maxAbs == 0 || maxAbs >= r {
-				out[i] = maxAbs
-				continue
-			}
-			var s float64
-			for d := 0; d < dim; d++ {
-				q := (c[d] - row[d]) / maxAbs
-				s += q * q
-			}
-			out[i] = maxAbs * math.Sqrt(s)
+			k = keep(pos, dist, k, j, d, r)
 		}
 	}
+	return pos[:k], dist[:k]
 }
 
-// Dists implements Batch, mirroring LInf.Dist's running-max loop exactly.
-func (LInf) Dists(c vec.V, flat []float64, dim int, out []float64) {
-	n := checkBatchArgs(c, flat, dim, out)
-	switch dim {
-	case 1:
-		c0 := c[0]
-		for i := 0; i < n; i++ {
-			out[i] = math.Abs(c0 - flat[i])
-		}
-	case 2:
-		c0, c1 := c[0], c[1]
-		for i := 0; i < n; i++ {
-			row := flat[2*i : 2*i+2 : 2*i+2]
-			m := math.Abs(c0 - row[0])
-			if a := math.Abs(c1 - row[1]); a > m {
-				m = a
-			}
-			out[i] = m
-		}
-	case 3:
-		c0, c1, c2 := c[0], c[1], c[2]
-		for i := 0; i < n; i++ {
-			row := flat[3*i : 3*i+3 : 3*i+3]
-			m := math.Abs(c0 - row[0])
-			if a := math.Abs(c1 - row[1]); a > m {
-				m = a
-			}
-			if a := math.Abs(c2 - row[2]); a > m {
-				m = a
-			}
-			out[i] = m
-		}
-	default:
-		for i := 0; i < n; i++ {
-			row := flat[i*dim : (i+1)*dim]
-			var m float64
-			for d := 0; d < dim; d++ {
-				if a := math.Abs(c[d] - row[d]); a > m {
-					m = a
-				}
-			}
-			out[i] = m
-		}
-	}
-}
-
-// DistsCapped implements RadiusBatch. The max loop is already minimal, so
-// the capped kernel is the exact kernel.
-func (n LInf) DistsCapped(c vec.V, flat []float64, dim int, _ float64, out []float64) {
-	n.Dists(c, flat, dim, out)
+// Within implements Batch. The Chebyshev distance is LInf.Dist, so the
+// filter is the whole kernel.
+func (LInf) Within(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64) {
+	return chebyshev(c, coords, dim, idx, r, pos, dist)
 }
 
 var (
-	_ RadiusBatch = L1{}
-	_ RadiusBatch = L2{}
-	_ RadiusBatch = LInf{}
+	_ Batch = L1{}
+	_ Batch = L2{}
+	_ Batch = LInf{}
 )
 
 // AsBatch reports the Batch view of n, or nil when n has no batched kernel
 // (general LP and Scaled norms fall back to the scalar path).
 func AsBatch(n Norm) Batch {
 	if b, ok := n.(Batch); ok {
-		return b
-	}
-	return nil
-}
-
-// AsRadiusBatch reports the RadiusBatch view of n, or nil.
-func AsRadiusBatch(n Norm) RadiusBatch {
-	if b, ok := n.(RadiusBatch); ok {
 		return b
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/spatial"
 	"repro/internal/vec"
 )
 
@@ -19,11 +20,13 @@ import (
 // (TestBatchedScalarEquivalence enforces this).
 
 // scratch holds the reusable per-call buffers of the evaluation kernels: a
-// and b for batched distances and gathered rows, idx for finder queries.
-// RoundGain is called concurrently from candidate scans, so buffers are
-// pooled rather than hung off the Instance.
+// for per-point values, pos and dist for the kernel's in-radius rows, idx
+// for finder queries. RoundGain is called concurrently from candidate scans,
+// so buffers are pooled rather than hung off the Instance.
 type scratch struct {
-	a, b []float64
+	a    []float64
+	pos  []int32
+	dist []float64
 	idx  []int32
 }
 
@@ -40,78 +43,31 @@ func take(buf []float64, n int) []float64 {
 // batchOn reports whether the batched path is active for this instance.
 func (in *Instance) batchOn() bool { return in.batch != nil }
 
-// distsInto runs the instance's batch kernel: out[i] receives the distance
-// from c to row i of flat (exact for rows within the radius; free to be any
-// value ≥ r beyond it when the norm supports capped evaluation).
-func (in *Instance) distsInto(c vec.V, flat []float64, dim int, out []float64) {
-	if in.rbatch != nil {
-		in.rbatch.DistsCapped(c, flat, dim, in.Radius, out)
-	} else {
-		in.batch.Dists(c, flat, dim, out)
-	}
+// within runs the instance's kernel from c over rows (all of them with idx
+// nil, else the rows idx names, read in place), leaving the rows strictly
+// within the radius in sc.pos and their distances in sc.dist.
+func (in *Instance) within(sc *scratch, c vec.V, rows []float64, idx []int32) {
+	sc.pos, sc.dist = in.batch.Within(c, rows, in.Set.Dim(), idx, in.Radius, sc.pos[:0], sc.dist[:0])
 }
 
-// roundGainFlat is RoundGain's batched full-scan path.
-func (in *Instance) roundGainFlat(c vec.V, y []float64) float64 {
-	n := in.N()
-	sc := scratchPool.Get().(*scratch)
-	sc.a = take(sc.a, n)
-	dists := sc.a
-	in.distsInto(c, in.Set.Coords(), in.Set.Dim(), dists)
-	w := in.Set.Weights()
-	r := in.Radius
+// roundGainBatch is RoundGain's batched path: over every point with idx
+// nil, otherwise over the points idx names (ascending).
+func (in *Instance) roundGainBatch(sc *scratch, c vec.V, idx []int32, y []float64) float64 {
+	in.within(sc, c, in.Set.Coords(), idx)
+	w, r := in.Set.Weights(), in.Radius
 	var g float64
-	for i, d := range dists {
-		if d >= r {
-			continue // coverage 0; adding w_i·0 is a bit-exact no-op
+	for j, p := range sc.pos {
+		i := p
+		if idx != nil {
+			i = idx[p]
 		}
-		z := 1 - d/r
+		z := 1 - sc.dist[j]/r
 		if yi := y[i]; z > yi {
 			z = yi
 		}
 		g += w[i] * z
 	}
-	scratchPool.Put(sc)
 	return g
-}
-
-// roundGainGather is RoundGain's batched path over the finder's candidate
-// indices in sc.idx (ascending): candidate rows are gathered into a
-// contiguous block of the same scratch so the kernel still streams linearly.
-func (in *Instance) roundGainGather(sc *scratch, c vec.V, y []float64) float64 {
-	idx := sc.idx
-	sc.a = take(sc.a, len(idx))
-	dists, flat := sc.a, in.gatherRows(sc, idx)
-	in.distsInto(c, flat, in.Set.Dim(), dists)
-	r := in.Radius
-	var g float64
-	for j, d := range dists {
-		if d >= r {
-			continue
-		}
-		z := 1 - d/r
-		i := idx[j]
-		if yi := y[i]; z > yi {
-			z = yi
-		}
-		g += in.Set.Weight(int(i)) * z
-	}
-	return g
-}
-
-// gatherRows copies the rows of the points in idx, in order, into sc.b
-// and returns them, so the kernel streams one contiguous block.
-func (in *Instance) gatherRows(sc *scratch, idx []int32) []float64 {
-	dim, coords := in.Set.Dim(), in.Set.Coords()
-	sc.b = take(sc.b, len(idx)*dim)
-	flat := sc.b
-	for j, i := range idx {
-		row, out := coords[int(i)*dim:(int(i)+1)*dim], flat[j*dim:(j+1)*dim]
-		for d, x := range row {
-			out[d] = x
-		}
-	}
-	return flat
 }
 
 // gainsCheckRows is how many distances the first-round sweep computes
@@ -128,17 +84,22 @@ const gainsCheckRows = 1 << 16
 // order: partners a < x arrive from earlier iterations in ascending a,
 // then iteration x adds its self term and its partners b > x in ascending
 // order, which is the ascending window order of RoundGain's sum. The finder
-// is conservative, so d(a, b) < r puts b in a's window; the d ≥ r terms
-// skipped here are the exact no-ops RoundGain skips. The sweep is
-// sequential on purpose: splitting the a-range would re-associate the sums.
+// is conservative, so d(a, b) < r puts b in a's window, and the kernel
+// returns exactly the d < r terms RoundGain adds. The sweep is sequential
+// on purpose: splitting the a-range would re-associate the sums.
 func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error {
 	n, dim := len(out), in.Set.Dim()
 	coords, w, r := in.Set.Coords(), in.Set.Weights(), in.Radius
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	// A grid's filled windows are read in place; a finder without them is
+	// queried per point.
+	var views spatial.Windows
+	filled := false
+	if g, ok := in.finder.(*spatial.Grid); ok {
+		views, filled = g.Windows()
+	}
 	rows := gainsCheckRows // read ctx before the first point
 	for a := 0; a < n; a++ {
 		if rows >= gainsCheckRows {
@@ -150,32 +111,35 @@ func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error
 		}
 		c := in.Set.Point(a)
 		// a's partners b > a: without a finder the contiguous tail of the
-		// rows, with one the upper part of a's window, gathered.
-		flat, idx := coords[(a+1)*dim:], []int32(nil)
+		// rows, with one the upper part of a's window.
+		tail, idx := coords[(a+1)*dim:], []int32(nil)
+		scanned := n - a - 1
 		if in.finder != nil {
-			sc.idx = in.finder.AppendNear(sc.idx[:0], c)
-			upper, _ := slices.BinarySearch(sc.idx, int32(a+1))
-			idx = sc.idx[upper:]
-			flat = in.gatherRows(sc, idx)
+			if filled {
+				idx = views.Of(a)
+			} else {
+				sc.idx = in.finder.AppendNear(sc.idx[:0], c)
+				idx = sc.idx
+			}
+			upper, _ := slices.BinarySearch(idx, int32(a+1))
+			tail, idx, scanned = coords, idx[upper:], len(idx)-upper
 		}
-		sc.a = take(sc.a, len(flat)/dim)
-		dists := sc.a
-		in.distsInto(c, flat, dim, dists)
+		sc.pos, sc.dist = sc.pos[:0], sc.dist[:0]
+		if scanned > 0 {
+			in.within(sc, c, tail, idx)
+		}
 		wa, ya := w[a], y[a]
 		za := 1.0 // the self term: d(a, a) = 0
 		if za > ya {
 			za = ya
 		}
 		g := out[a] + wa*za
-		for j, d := range dists {
-			if d >= r {
-				continue
+		for j, p := range sc.pos {
+			b := a + 1 + int(p)
+			if idx != nil {
+				b = int(idx[p])
 			}
-			b := a + 1 + j
-			if in.finder != nil {
-				b = int(idx[j])
-			}
-			z := 1 - d/r
+			z := 1 - sc.dist[j]/r
 			zb := z
 			if yb := y[b]; zb > yb {
 				zb = yb
@@ -187,7 +151,7 @@ func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error
 			out[b] += wa * z
 		}
 		out[a] = g
-		rows += len(dists) + 1
+		rows += scanned + 1
 	}
 	in.countGainEvals(n)
 	return nil
@@ -208,20 +172,17 @@ func (in *Instance) objectiveBatch(centers []vec.V) float64 {
 	n := in.N()
 	sc := scratchPool.Get().(*scratch)
 	sc.a = take(sc.a, n)
-	sc.b = take(sc.b, n)
-	dists, frac := sc.a, sc.b
-	for i := range frac {
-		frac[i] = 0
-	}
+	frac := sc.a
+	clear(frac)
 	r := in.Radius
 	unsaturated := n
 	for _, c := range centers {
-		in.distsInto(c, in.Set.Coords(), in.Set.Dim(), dists)
-		for i, d := range dists {
-			if frac[i] >= 1 || d >= r {
+		in.within(sc, c, in.Set.Coords(), nil)
+		for j, i := range sc.pos {
+			if frac[i] >= 1 {
 				continue
 			}
-			if frac[i] += 1 - d/r; frac[i] >= 1 {
+			if frac[i] += 1 - sc.dist[j]/r; frac[i] >= 1 {
 				unsaturated--
 			}
 		}
@@ -244,20 +205,17 @@ func (in *Instance) objectiveBatch(centers []vec.V) float64 {
 }
 
 // batchCoverages fills out[i] = Coverage(c, i) for every point via the batch
-// kernel, reporting false (out untouched) when batching is off. out doubles
-// as the kernel's distance buffer.
+// kernel, reporting false (out untouched) when batching is off.
 func (in *Instance) batchCoverages(c vec.V, out []float64) bool {
 	if !in.batchOn() {
 		return false
 	}
-	in.distsInto(c, in.Set.Coords(), in.Set.Dim(), out)
-	r := in.Radius
-	for i, d := range out {
-		if d >= r {
-			out[i] = 0
-		} else {
-			out[i] = 1 - d/r
-		}
+	clear(out)
+	sc := scratchPool.Get().(*scratch)
+	in.within(sc, c, in.Set.Coords(), nil)
+	for j, i := range sc.pos {
+		out[i] = 1 - sc.dist[j]/in.Radius
 	}
+	scratchPool.Put(sc)
 	return true
 }

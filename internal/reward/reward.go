@@ -51,8 +51,7 @@ type Instance struct {
 	finder NeighborFinder
 	obs    obs.Collector
 
-	batch  norm.Batch       // non-nil: batched kernels active
-	rbatch norm.RadiusBatch // non-nil: radius-capped variant available
+	batch norm.Batch // non-nil: batched kernels active
 }
 
 // SetFinder installs (or clears, with nil) a neighbor accelerator. It must
@@ -145,12 +144,10 @@ func NewIndexed(set *pointset.Set, n norm.Norm, radius float64, col obs.Collecto
 // disables the batched evaluation path. Both settings produce bit-identical
 // results; disabling exists for tests, benchmarks, and A/B diagnosis.
 func (in *Instance) SetBatch(on bool) {
-	if !on {
-		in.batch, in.rbatch = nil, nil
-		return
+	in.batch = nil
+	if on {
+		in.batch = norm.AsBatch(in.Norm)
 	}
-	in.batch = norm.AsBatch(in.Norm)
-	in.rbatch = norm.AsRadiusBatch(in.Norm)
 }
 
 // N reports the number of points.
@@ -210,7 +207,9 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
 		var g float64
 		if in.batchOn() {
-			g = in.roundGainGather(sc, c, y)
+			if len(sc.idx) > 0 { // a nil idx would mean every row
+				g = in.roundGainBatch(sc, c, sc.idx, y)
+			}
 		} else {
 			for _, i := range sc.idx {
 				z := in.Coverage(c, int(i))
@@ -224,7 +223,10 @@ func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 		return g
 	}
 	if in.batchOn() {
-		return in.roundGainFlat(c, y)
+		sc := scratchPool.Get().(*scratch)
+		g := in.roundGainBatch(sc, c, nil, y)
+		scratchPool.Put(sc)
+		return g
 	}
 	var g float64
 	for i := 0; i < in.N(); i++ {

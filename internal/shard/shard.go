@@ -156,9 +156,17 @@ func (p Partitioner) Partition(ctx context.Context, in *reward.Instance, k int) 
 	for r, run := range runs {
 		// A collector-less sub-instance, indexed as NewIndexed decides, with
 		// its anchor (lexicographically smallest) cell's hash as its ID.
+		// Building it copies the part and may build its grid, so the
+		// context is read before each of the two.
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		sub, err := in.Set.Subset(idx[r])
 		if err != nil {
 			return nil, fmt.Errorf("shard: subset: %w", err)
+		}
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
 		}
 		subIn, err := reward.NewIndexed(sub, in.Norm, in.Radius, nil)
 		if err != nil {

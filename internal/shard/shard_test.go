@@ -160,6 +160,42 @@ func TestPartitionInvariants(t *testing.T) {
 	}
 }
 
+// errAfter is a context that turns cancelled on its calls-th read of Err.
+type errAfter struct {
+	context.Context
+	calls int
+}
+
+func (c *errAfter) Err() error {
+	if c.calls--; c.calls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPartitionReadsDeadlinePerPart: the partition reads its context before
+// it copies each part and before it indexes each part, so a deadline that
+// passes mid-partition stops it within one part's build, and a sharded
+// solve returns its empty valid prefix with the context's error.
+func TestPartitionReadsDeadlinePerPart(t *testing.T) {
+	in := genInstance(t, 800, 2, norm.L2{}, 0.5, 11)
+	for reads := 1; reads <= 4; reads++ {
+		ctx := &errAfter{Context: context.Background(), calls: reads}
+		parts, err := Partitioner{Shards: 4}.Partition(ctx, in, 4)
+		if err != context.Canceled || parts != nil {
+			t.Fatalf("cancelled on read %d: %d parts, err %v; want none and context.Canceled", reads+1, len(parts), err)
+		}
+	}
+	alg := NewSolver("greedy2-lazy", func(uint64) core.Algorithm { return core.LazyGreedy{} }, Options{Shards: 4})
+	res, err := alg.Run(&errAfter{Context: context.Background(), calls: 3}, in, 4)
+	if err != context.Canceled || res == nil || len(res.Centers) != 0 {
+		t.Fatalf("sharded solve cut mid-partition: %+v, %v; want the empty prefix and context.Canceled", res, err)
+	}
+	if verr := res.Validate(); verr != nil {
+		t.Fatal(verr)
+	}
+}
+
 // TestPartitionDegenerate: one shard, or fewer points than shards, falls
 // back to a single full-instance part with ID 0.
 func TestPartitionDegenerate(t *testing.T) {

@@ -33,11 +33,17 @@ var deadlineShapes = map[string]struct {
 	"random":       {40000, 500, 1},
 }
 
+// deadlineBound is how soon after its start a solve under a 100 ms deadline
+// must return, with or without the race detector: the partition reads the
+// deadline between parts, so no stage runs uncut.
+const deadlineBound = 300 * time.Millisecond
+
 // TestEverySolveReturnsByDeadline: every registry solver, single-shot and
-// sharded, returns within deadlineBound of the start of a 100 ms deadline
-// that starts after its instance is built, with a valid committed prefix.
-// Without the race detector every case returns within about 35 ms of the
-// deadline, with another test binary busy beside it.
+// sharded, is cut by a 100 ms deadline that starts after its instance is
+// built, returns within deadlineBound of its start, and returns a valid
+// committed prefix with the deadline's error. Without the race detector
+// every case returns within about 35 ms of the deadline, with another test
+// binary busy beside it; under it, within about 120 ms.
 func TestEverySolveReturnsByDeadline(t *testing.T) {
 	for _, name := range solver.Names() {
 		sh, ok := deadlineShapes[name]
@@ -63,8 +69,10 @@ func TestEverySolveReturnsByDeadline(t *testing.T) {
 			took := time.Since(start)
 			cancel()
 			t.Logf("%s: returned after %v", alg, took.Round(time.Millisecond))
-			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("%s: %v", alg, err)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				// A solve that finishes first does not test the deadline.
+				t.Errorf("%s (n = %d, k = %d, r = %v): err = %v, want the deadline's error",
+					alg, sh.n, sh.k, sh.r, err)
 				continue
 			}
 			if took > deadlineBound {

@@ -281,7 +281,22 @@ func TestFillWindowsMatchesLazy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, ok := g.Windows(); ok {
+				t.Fatal("views before FillWindows")
+			}
 			g.FillWindows()
+			views, ok := g.Windows()
+			if ok != tc.bulk {
+				t.Fatalf("views stored: %v, want %v", ok, tc.bulk)
+			}
+			for i, p := range tc.pts {
+				if !ok {
+					break
+				}
+				if got, want := views.Of(i), fresh.AppendNear(nil, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("point %d: view %v, lazy window %v", i, got, want)
+				}
+			}
 			if !tc.bulk {
 				if len(g.windows) != 0 || g.winLen != 0 {
 					t.Fatalf("hashed grid stored %d windows in bulk", len(g.windows))
@@ -327,8 +342,8 @@ func TestFillWindowsOverCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.FillWindows()
-	if len(g.windows) != 0 || g.winLen != 0 {
-		t.Fatalf("over-cap fill stored %d windows (%d indices)", len(g.windows), g.winLen)
+	if _, ok := g.Windows(); len(g.windows) != 0 || g.winLen != 0 || ok {
+		t.Fatalf("over-cap fill stored %d windows (%d indices), views %v", len(g.windows), g.winLen, ok)
 	}
 	for qi, c := range pts {
 		got := g.AppendNear(nil, c)
@@ -369,11 +384,20 @@ func TestFillWindowsConcurrentQueries(t *testing.T) {
 	}
 	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	wg.Add(1)
+	errs := make(chan string, workers+1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		g.FillWindows()
+	}()
+	go func() { // views, once stored, read as the finished fill's windows
+		defer wg.Done()
+		for k := 0; k < 400; k++ {
+			if views, ok := g.Windows(); ok && !reflect.DeepEqual(views.Of(k), want[k]) {
+				errs <- "a view differs from the serial reference"
+				return
+			}
+		}
 	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

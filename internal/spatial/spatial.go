@@ -25,8 +25,9 @@
 // A Grid indexes a fixed point set and is safe for concurrent queries. It
 // caches each query cell's ascending window (bounded at 9·n cached
 // indices), so repeated queries from one cell copy a slice: a caller about
-// to query every point's window fills them all in one pass (FillWindows),
-// and otherwise each is built on its cell's first query. A grid never
+// to query every point's window fills them all in one pass (FillWindows)
+// and reads them in place (Windows), and otherwise each is built on its
+// cell's first query. A grid never
 // changes after construction: a population that changes (the churn loop's,
 // once per period) gets a new grid over its new point set.
 package spatial
@@ -93,6 +94,7 @@ type Grid struct {
 	windows map[int][]int32 // in-grid cell id -> its ascending 3^dim window
 	winLen  int             // indices held in windows, at most windowCapPerPoint·n
 	filled  bool            // FillWindows has run (or is running)
+	views   Windows         // FillWindows' stored windows by cell position
 }
 
 // NewGrid is NewGridCoords over points given one vector each, copied into
@@ -706,4 +708,29 @@ func (g *Grid) FillWindows() {
 		g.windows[id] = win[off[j]:off[j+1]:off[j+1]]
 	}
 	g.winLen = held
+	g.views = Windows{win: win, off: off, cellOf: g.cellOf}
+}
+
+// Windows is a read-only view of the windows FillWindows stored: Of(i) is
+// the ascending window of point i's cell, the indices AppendNear appends
+// for a query from that cell, read in place. The zero value holds none.
+type Windows struct {
+	win    []int32
+	off    []int
+	cellOf []int32
+}
+
+// Of returns point i's window. It must be treated as read-only.
+func (w Windows) Of(i int) []int32 {
+	j := w.cellOf[i]
+	return w.win[w.off[j]:w.off[j+1]:w.off[j+1]]
+}
+
+// Windows returns the view of the windows FillWindows stored, and false
+// when it stored none: on hashed-key grids, past the cache cap, and before
+// a fill that is still running has finished.
+func (g *Grid) Windows() (Windows, bool) {
+	g.winMu.Lock()
+	defer g.winMu.Unlock()
+	return g.views, g.views.win != nil
 }

@@ -62,10 +62,13 @@ go test -run '^$' -fuzz '^FuzzSetCodec$' -fuzztime 20s ./internal/pointset
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 20s ./internal/serve
 
 # The gain-sweep fuzz gate: greedy2-lazy's first round is one symmetric
-# sweep that must give every point the bits of its own RoundGain. Its seed
-# corpus already runs in every go test above; this adds mutation.
+# sweep that must give every point the bits of its own RoundGain, and the
+# distance kernel under it must return exactly the rows Dist puts within r,
+# with Dist's bits, on any input. Their seed corpora already run in every
+# go test above; this adds mutation.
 echo "==> gain-sweep fuzz gate"
 go test -run '^$' -fuzz '^FuzzRoundGains$' -fuzztime 20s ./internal/reward
+go test -run '^$' -fuzz '^FuzzWithin$' -fuzztime 20s ./internal/norm
 
 # The wire-schema gate: the exported v1 serving API (api/v1) must
 # match the committed golden dump; breaking a field name, type, tag, or
