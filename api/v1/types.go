@@ -424,7 +424,7 @@ const (
 	CodeDraining = "draining"
 	// CodeMethodNotAllowed: wrong HTTP method for the endpoint.
 	CodeMethodNotAllowed = "method_not_allowed"
-	// CodeSolveFailed: the solver reported an error that was not a
-	// cancellation; answered 500.
+	// CodeSolveFailed: the solver failed other than by cancellation, or its
+	// result is not finite (JSON has no NaN or ±Inf); answered 500.
 	CodeSolveFailed = "solve_failed"
 )

@@ -25,7 +25,10 @@ const fpVersion = "cdfp/3"
 //
 //   - Workers: the parallel scans reduce with NaN-guarded argmax over fixed
 //     chunk boundaries; results are bit-identical across worker counts
-//     (pinned by TestBatchedScalarEquivalence and the parallel guard tests).
+//     (pinned by core's TestDeterminismAcrossWorkers, the per-solver
+//     TestDeterministicAcrossWorkers (exhaustive),
+//     TestNearLinearDeterminismAcrossWorkers and
+//     TestShardedDeterminismAcrossWorkers, and the parallel guard tests).
 //   - The request deadline: a deadline changes whether a result is partial,
 //     and partial results are never cached.
 //   - Request identity (X-Request-ID) and telemetry sinks: presentation,

@@ -327,40 +327,6 @@ func TestComplexGreedyOneNorm(t *testing.T) {
 	}
 }
 
-func TestAlgorithmsWithScaledNorm(t *testing.T) {
-	// Per-attribute importance scaling (DESIGN: extensions) must flow
-	// through every algorithm unchanged.
-	sn, err := norm.NewScaled(norm.L2{}, vec.Of(2, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(163)
-	in := randomInstance(t, rng, 15, sn, 1.5)
-	for _, a := range []Algorithm{LocalGreedy{}, LazyGreedy{}, SimpleGreedy{}, ComplexGreedy{}} {
-		res, err := a.Run(context.Background(), in, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if err := res.Validate(); err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-	}
-	// Anisotropy is observable: stretching dimension 0 changes the result
-	// relative to the unscaled instance on the same points.
-	plain := mustInstance(t, in.Set.Points(), in.Set.Weights(), norm.L2{}, 1.5)
-	rs, err := LocalGreedy{}.Run(context.Background(), in, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := LocalGreedy{}.Run(context.Background(), plain, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Total == rp.Total {
-		t.Log("scaled and plain totals coincide on this seed (allowed, but unusual)")
-	}
-}
-
 func TestComplexGreedy3D(t *testing.T) {
 	rng := xrand.New(19)
 	pts := make([]vec.V, 20)

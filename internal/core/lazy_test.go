@@ -223,42 +223,49 @@ func TestRoundOneCoversInitialEvaluation(t *testing.T) {
 	}
 }
 
-// The sweep leaves LazyGreedy's counts as they were: on every instance the
-// batched run (initial bounds from the symmetric sweep) and the scalar run
-// (one RoundGain per candidate) count the same gain evaluations, re-pops
-// and candidates, n + re-pops in all, and select the same centers.
+// The sweep leaves LazyGreedy's answer and counts as they were: on every
+// instance greedy2-lazy (its initial bounds from the symmetric first-round
+// sweep) selects LocalGreedy's centers with LocalGreedy's gains, bit for
+// bit, where LocalGreedy evaluates one RoundGain per candidate; and it
+// counts n + re-pops gain evaluations and candidates, as n RoundGain calls
+// and its re-pops would.
 func TestLazySweepKeepsCounts(t *testing.T) {
 	rng := xrand.New(71)
+	norms := []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}, norm.LP{Exp: 3}}
 	for trial := 0; trial < 8; trial++ {
 		n, r := rng.IntRange(50, 400), rng.Uniform(0.3, 1.5)
-		in := randomInstance(t, rng, n, []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}}[trial%3], r)
+		in := randomInstance(t, rng, n, norms[trial%len(norms)], r)
 		grid, err := spatial.NewGrid(in.Set.Points(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		in.SetFinder(grid)
-		var snaps [2]obs.Snapshot
-		var results [2]*Result
-		for i, batch := range []bool{true, false} {
-			in.SetBatch(batch)
-			m := obs.NewMetrics()
-			in.SetCollector(m)
-			res, err := (LazyGreedy{}).Run(context.Background(), in, 6)
-			if err != nil {
-				t.Fatal(err)
+		m := obs.NewMetrics()
+		in.SetCollector(m)
+		lazy, err := (LazyGreedy{}).Run(context.Background(), in, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetCollector(nil)
+		local, err := (LocalGreedy{}).Run(context.Background(), in, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range local.Centers {
+			if !lazy.Centers[j].Equal(local.Centers[j]) || lazy.Gains[j] != local.Gains[j] {
+				t.Fatalf("trial %d round %d: greedy2-lazy chose %v (gain %v), greedy2 %v (gain %v)",
+					trial, j+1, lazy.Centers[j], lazy.Gains[j], local.Centers[j], local.Gains[j])
 			}
-			snaps[i], results[i] = m.Snapshot(), res
 		}
-		for _, name := range []string{obs.CtrGainEvals, obs.CtrLazyRepops, obs.CtrCandidates} {
-			if a, b := snaps[0].Counters[name], snaps[1].Counters[name]; a != b {
-				t.Errorf("trial %d: %s = %d batched, %d scalar", trial, name, a, b)
+		if lazy.Total != local.Total {
+			t.Errorf("trial %d: totals %v greedy2-lazy, %v greedy2", trial, lazy.Total, local.Total)
+		}
+		snap := m.Snapshot()
+		repops := snap.Counters[obs.CtrLazyRepops]
+		for _, name := range []string{obs.CtrGainEvals, obs.CtrCandidates} {
+			if c := snap.Counters[name]; c != int64(n)+repops {
+				t.Errorf("trial %d: %s = %d, want n + re-pops = %d", trial, name, c, int64(n)+repops)
 			}
-		}
-		if evals, repops := snaps[0].Counters[obs.CtrGainEvals], snaps[0].Counters[obs.CtrLazyRepops]; evals != int64(n)+repops {
-			t.Errorf("trial %d: %d gain evaluations, want n + re-pops = %d", trial, evals, int64(n)+repops)
-		}
-		if results[0].Total != results[1].Total {
-			t.Errorf("trial %d: totals %v batched, %v scalar", trial, results[0].Total, results[1].Total)
 		}
 	}
 }

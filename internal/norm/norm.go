@@ -14,12 +14,27 @@ import (
 
 // Norm measures lengths and distances in interest space. Implementations
 // must satisfy the norm axioms: non-negativity, definiteness, absolute
-// homogeneity, and the triangle inequality.
+// homogeneity, and the triangle inequality. Dist(a, b) and Dist(b, a) must
+// have the same bits or both be NaN: reward.Instance.RoundGains computes
+// each pair's distance once and uses it from both ends.
 type Norm interface {
 	// Len returns ‖v‖.
 	Len(v vec.V) float64
 	// Dist returns ‖a − b‖ without allocating an intermediate vector.
 	Dist(a, b vec.V) float64
+	// Within finds, in one call, the rows of a flat coordinate array that
+	// lie strictly within r of c. coords is row-major with the given
+	// dimension (point i occupies coords[i*dim:(i+1)*dim], as
+	// pointset.Set.Coords lays it out). It appends to pos and dist, in
+	// ascending position order, exactly the rows x with Dist(c, x) < r,
+	// and returns both. With idx nil the rows are all rows of coords and a
+	// row's position is its row number; otherwise row j is
+	// coords[idx[j]*dim:(idx[j]+1)*dim] and its position is j. dist[k] is
+	// Dist(c, row) for the row at pos[k], bit for bit. It panics when dim
+	// is not positive, c's dimension disagrees with dim, coords is not a
+	// whole number of rows, pos and dist differ in length, or there are
+	// more rows than MaxInt32.
+	Within(c vec.V, coords []float64, dim int, idx []int32, r float64, pos []int32, dist []float64) ([]int32, []float64)
 	// P reports the norm's exponent; math.Inf(1) for the ∞-norm.
 	P() float64
 	// Name is a short human-readable identifier such as "1-norm".

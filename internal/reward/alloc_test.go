@@ -19,8 +19,7 @@ import (
 // TestRoundKernelsAllocFree guards the round kernel: with a warm grid
 // finder (its window cache filled, the scratch pool primed), RoundGain,
 // ApplyRound and the first-round sweep RoundGains allocate nothing per
-// call, on the batched and the scalar path. So does the finder-free full
-// scan.
+// call. So does the finder-free full scan.
 func TestRoundKernelsAllocFree(t *testing.T) {
 	rng := xrand.New(59)
 	pts := make([]vec.V, 600)
@@ -42,21 +41,18 @@ func TestRoundKernelsAllocFree(t *testing.T) {
 		} else {
 			in.SetFinder(nil)
 		}
-		for _, batch := range []bool{true, false} {
-			in.SetBatch(batch)
-			y := in.NewResiduals()
-			in.RoundGain(c, y)
-			in.ApplyRound(c, in.NewResiduals())
-			if a := testing.AllocsPerRun(100, func() { in.RoundGain(c, y) }); a != 0 {
-				t.Errorf("finder=%v batch=%v: RoundGain allocates %v per call", finder, batch, a)
-			}
-			if a := testing.AllocsPerRun(100, func() { in.ApplyRound(c, y) }); a != 0 {
-				t.Errorf("finder=%v batch=%v: ApplyRound allocates %v per call", finder, batch, a)
-			}
-			gains := make([]float64, in.N())
-			if a := testing.AllocsPerRun(10, func() { _ = in.RoundGains(ctx, y, gains) }); a != 0 {
-				t.Errorf("finder=%v batch=%v: RoundGains allocates %v per call", finder, batch, a)
-			}
+		y := in.NewResiduals()
+		in.RoundGain(c, y)
+		in.ApplyRound(c, in.NewResiduals())
+		if a := testing.AllocsPerRun(100, func() { in.RoundGain(c, y) }); a != 0 {
+			t.Errorf("finder=%v: RoundGain allocates %v per call", finder, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { in.ApplyRound(c, y) }); a != 0 {
+			t.Errorf("finder=%v: ApplyRound allocates %v per call", finder, a)
+		}
+		gains := make([]float64, in.N())
+		if a := testing.AllocsPerRun(10, func() { _ = in.RoundGains(ctx, y, gains) }); a != 0 {
+			t.Errorf("finder=%v: RoundGains allocates %v per call", finder, a)
 		}
 	}
 }

@@ -10,14 +10,13 @@ import (
 	"repro/internal/vec"
 )
 
-// The batched evaluation path: when the instance norm implements norm.Batch,
-// the per-point interface dispatch of the scalar path collapses into one
-// kernel call over the point set's contiguous row-major coordinates
-// (pointset.Set.Coords). Every batched routine reproduces the scalar
-// routine's arithmetic exactly — same coverage values, same summation order,
-// with skipped terms only where IEEE addition of the skipped +0 term is a
-// bit-exact no-op — so the two paths are interchangeable on any instance
-// (TestBatchedScalarEquivalence enforces this).
+// The evaluation kernels: every routine makes one Norm.Within call per
+// center over the point set's contiguous row-major coordinates
+// (pointset.Set.Coords) and adds terms only for the rows it returns. Each
+// routine's arithmetic is the per-point definition's exactly — same
+// coverage values, same summation order, with skipped terms only where
+// IEEE addition of the skipped +0 term is a bit-exact no-op
+// (TestBatchedScalarEquivalence holds them to plain loops over Norm.Dist).
 
 // scratch holds the reusable per-call buffers of the evaluation kernels: a
 // for per-point values, pos and dist for the kernel's in-radius rows, idx
@@ -40,34 +39,28 @@ func take(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// batchOn reports whether the batched path is active for this instance.
-func (in *Instance) batchOn() bool { return in.batch != nil }
-
-// within runs the instance's kernel from c over rows (all of them with idx
+// within runs the norm's kernel from c over rows (all of them with idx
 // nil, else the rows idx names, read in place), leaving the rows strictly
 // within the radius in sc.pos and their distances in sc.dist.
 func (in *Instance) within(sc *scratch, c vec.V, rows []float64, idx []int32) {
-	sc.pos, sc.dist = in.batch.Within(c, rows, in.Set.Dim(), idx, in.Radius, sc.pos[:0], sc.dist[:0])
+	sc.pos, sc.dist = in.Norm.Within(c, rows, in.Set.Dim(), idx, in.Radius, sc.pos[:0], sc.dist[:0])
 }
 
-// roundGainBatch is RoundGain's batched path: over every point with idx
-// nil, otherwise over the points idx names (ascending).
-func (in *Instance) roundGainBatch(sc *scratch, c vec.V, idx []int32, y []float64) float64 {
-	in.within(sc, c, in.Set.Coords(), idx)
-	w, r := in.Set.Weights(), in.Radius
-	var g float64
-	for j, p := range sc.pos {
-		i := p
-		if idx != nil {
-			i = idx[p]
-		}
-		z := 1 - sc.dist[j]/r
-		if yi := y[i]; z > yi {
-			z = yi
-		}
-		g += w[i] * z
+// near leaves c's in-radius points in sc.pos and sc.dist, in ascending
+// index order. Without a finder it reads every row and returns nil: a
+// position is the point's index. With one it reads the finder's window
+// into sc.idx and returns it: position p is point idx[p].
+func (in *Instance) near(sc *scratch, c vec.V) []int32 {
+	if in.finder == nil {
+		in.within(sc, c, in.Set.Coords(), nil)
+		return nil
 	}
-	return g
+	sc.idx = in.finder.AppendNear(sc.idx[:0], c)
+	sc.pos, sc.dist = sc.pos[:0], sc.dist[:0]
+	if len(sc.idx) > 0 { // a nil idx would mean every row
+		in.within(sc, c, in.Set.Coords(), sc.idx)
+	}
+	return sc.idx
 }
 
 // gainsCheckRows is how many distances the first-round sweep computes
@@ -75,18 +68,17 @@ func (in *Instance) roundGainBatch(sc *scratch, c vec.V, idx []int32, y []float6
 // time, against a read of tens of nanoseconds.
 const gainsCheckRows = 1 << 16
 
-// roundGainsSweep is RoundGains' batched path. The distance kernels are
-// symmetric to the bit (x − c and c − x differ only in sign under
-// round-to-nearest, and the kernels take abs, max and squares of the
-// differences), so d(a, b) feeds both out[a]'s term for b and out[b]'s
-// term for a, and each pair {a, b} goes through the kernel once, from its
-// lower end. Sweeping a in ascending order keeps every out[x]'s addition
-// order: partners a < x arrive from earlier iterations in ascending a,
-// then iteration x adds its self term and its partners b > x in ascending
-// order, which is the ascending window order of RoundGain's sum. The finder
-// is conservative, so d(a, b) < r puts b in a's window, and the kernel
-// returns exactly the d < r terms RoundGain adds. The sweep is sequential
-// on purpose: splitting the a-range would re-associate the sums.
+// roundGainsSweep is RoundGains' loop. Every norm's Dist is symmetric to
+// the bit (norm.Norm's contract; a NaN distance never enters a sum), so
+// d(a, b) feeds both out[a]'s term for b and out[b]'s term for a, and each
+// pair {a, b} goes through the kernel once, from its lower end. Sweeping a
+// in ascending order keeps every out[x]'s addition order: partners a < x
+// arrive from earlier iterations in ascending a, then iteration x adds its
+// self term and its partners b > x in ascending order, which is the
+// ascending window order of RoundGain's sum. The finder is conservative,
+// so d(a, b) < r puts b in a's window, and the kernel returns exactly the
+// d < r terms RoundGain adds. The sweep is sequential on purpose: splitting
+// the a-range would re-associate the sums.
 func (in *Instance) roundGainsSweep(ctx context.Context, y, out []float64) error {
 	n, dim := len(out), in.Set.Dim()
 	coords, w, r := in.Set.Coords(), in.Set.Weights(), in.Radius
@@ -164,10 +156,10 @@ func (in *Instance) countGainEvals(evals int) {
 	}
 }
 
-// objectiveBatch is Objective's batched path. The scalar loop is point-major
-// with an early break once a point's fraction saturates; this center-major
-// version skips saturated points before adding, which commits exactly the
-// same additions in exactly the same per-point order.
+// objectiveBatch is Objective's loop. Eq. 7's per-point definition is
+// point-major with an early break once a point's fraction saturates; this
+// center-major version skips saturated points before adding, which commits
+// exactly the same additions in exactly the same per-point order.
 func (in *Instance) objectiveBatch(centers []vec.V) float64 {
 	n := in.N()
 	sc := scratchPool.Get().(*scratch)
@@ -187,7 +179,7 @@ func (in *Instance) objectiveBatch(centers []vec.V) float64 {
 			}
 		}
 		if unsaturated == 0 {
-			// Every point has broken out of the scalar loop; later
+			// Every point has broken out of the per-point loop; later
 			// centers cannot change anything.
 			break
 		}
@@ -204,12 +196,9 @@ func (in *Instance) objectiveBatch(centers []vec.V) float64 {
 	return total
 }
 
-// batchCoverages fills out[i] = Coverage(c, i) for every point via the batch
-// kernel, reporting false (out untouched) when batching is off.
-func (in *Instance) batchCoverages(c vec.V, out []float64) bool {
-	if !in.batchOn() {
-		return false
-	}
+// batchCoverages fills out[i] = Coverage(c, i) for every point through the
+// kernel.
+func (in *Instance) batchCoverages(c vec.V, out []float64) {
 	clear(out)
 	sc := scratchPool.Get().(*scratch)
 	in.within(sc, c, in.Set.Coords(), nil)
@@ -217,5 +206,4 @@ func (in *Instance) batchCoverages(c vec.V, out []float64) bool {
 		out[i] = 1 - sc.dist[j]/in.Radius
 	}
 	scratchPool.Put(sc)
-	return true
 }

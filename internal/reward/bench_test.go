@@ -13,9 +13,7 @@ import (
 )
 
 // Candidate-scan benchmarks at large n: the gain hot path every greedy
-// spends its time in. Scalar/Batch pairs measure the same work through the
-// per-point interface-dispatch path and the flat batched kernels; the
-// ratio of a pair's ns/op is the kernel speedup.
+// spends its time in, through the norm's Within kernel.
 
 func benchInstance(b *testing.B, n, dim int, nm norm.Norm, r, spread float64, grid bool) (*Instance, []float64) {
 	b.Helper()
@@ -52,7 +50,7 @@ func benchInstance(b *testing.B, n, dim int, nm norm.Norm, r, spread float64, gr
 	return in, y
 }
 
-func benchRoundGain(b *testing.B, n, dim int, nm norm.Norm, r float64, grid, batch bool) {
+func benchRoundGain(b *testing.B, n, dim int, nm norm.Norm, r float64, grid bool) {
 	// The paper's density (4-unit box) for full scans; a 12-unit box for the
 	// grid variants so the index actually prunes and the gather path is
 	// exercised at a realistic candidate fraction.
@@ -61,7 +59,6 @@ func benchRoundGain(b *testing.B, n, dim int, nm norm.Norm, r float64, grid, bat
 		spread = 12.0
 	}
 	in, y := benchInstance(b, n, dim, nm, r, spread, grid)
-	in.SetBatch(batch)
 	c := in.Set.Point(n / 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,35 +69,20 @@ func benchRoundGain(b *testing.B, n, dim int, nm norm.Norm, r float64, grid, bat
 	_ = g
 }
 
-func BenchmarkRoundGainScalar_N1000(b *testing.B) {
-	benchRoundGain(b, 1000, 2, norm.L2{}, 1, false, false)
+func BenchmarkRoundGain_N1000(b *testing.B) {
+	benchRoundGain(b, 1000, 2, norm.L2{}, 1, false)
 }
-func BenchmarkRoundGainBatch_N1000(b *testing.B) {
-	benchRoundGain(b, 1000, 2, norm.L2{}, 1, false, true)
+func BenchmarkRoundGain_N10000(b *testing.B) {
+	benchRoundGain(b, 10000, 2, norm.L2{}, 1, false)
 }
-func BenchmarkRoundGainScalar_N10000(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L2{}, 1, false, false)
+func BenchmarkRoundGain_N10000_L1(b *testing.B) {
+	benchRoundGain(b, 10000, 2, norm.L1{}, 1, false)
 }
-func BenchmarkRoundGainBatch_N10000(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L2{}, 1, false, true)
+func BenchmarkRoundGain_N10000_3D(b *testing.B) {
+	benchRoundGain(b, 10000, 3, norm.L2{}, 1.5, false)
 }
-func BenchmarkRoundGainScalar_N10000_L1(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L1{}, 1, false, false)
-}
-func BenchmarkRoundGainBatch_N10000_L1(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L1{}, 1, false, true)
-}
-func BenchmarkRoundGainScalar_N10000_3D(b *testing.B) {
-	benchRoundGain(b, 10000, 3, norm.L2{}, 1.5, false, false)
-}
-func BenchmarkRoundGainBatch_N10000_3D(b *testing.B) {
-	benchRoundGain(b, 10000, 3, norm.L2{}, 1.5, false, true)
-}
-func BenchmarkRoundGainScalar_Grid_N10000(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L2{}, 1, true, false)
-}
-func BenchmarkRoundGainBatch_Grid_N10000(b *testing.B) {
-	benchRoundGain(b, 10000, 2, norm.L2{}, 1, true, true)
+func BenchmarkRoundGain_Grid_N10000(b *testing.B) {
+	benchRoundGain(b, 10000, 2, norm.L2{}, 1, true)
 }
 
 // First-round benchmarks at the shape of one part of an n = 100,000,
@@ -134,9 +116,8 @@ func benchFirstRound(b *testing.B, sweep bool) {
 func BenchmarkRoundGains(b *testing.B)        { benchFirstRound(b, true) }
 func BenchmarkRoundGainPerPoint(b *testing.B) { benchFirstRound(b, false) }
 
-func benchObjective(b *testing.B, n, k int, batch bool) {
+func benchObjective(b *testing.B, n, k int) {
 	in, _ := benchInstance(b, n, 2, norm.L2{}, 1, 4, false)
-	in.SetBatch(batch)
 	rng := xrand.New(7)
 	centers := make([]vec.V, k)
 	for j := range centers {
@@ -151,12 +132,10 @@ func benchObjective(b *testing.B, n, k int, batch bool) {
 	_ = f
 }
 
-func BenchmarkObjectiveScalar_N10000_K8(b *testing.B) { benchObjective(b, 10000, 8, false) }
-func BenchmarkObjectiveBatch_N10000_K8(b *testing.B)  { benchObjective(b, 10000, 8, true) }
+func BenchmarkObjective_N10000_K8(b *testing.B) { benchObjective(b, 10000, 8) }
 
-func benchEvaluatorReplace(b *testing.B, n int, batch bool) {
+func benchEvaluatorReplace(b *testing.B, n int) {
 	in, _ := benchInstance(b, n, 2, norm.L2{}, 1, 4, false)
-	in.SetBatch(batch)
 	rng := xrand.New(9)
 	centers := make([]vec.V, 6)
 	for j := range centers {
@@ -179,5 +158,4 @@ func benchEvaluatorReplace(b *testing.B, n int, batch bool) {
 	}
 }
 
-func BenchmarkEvaluatorReplaceScalar_N10000(b *testing.B) { benchEvaluatorReplace(b, 10000, false) }
-func BenchmarkEvaluatorReplaceBatch_N10000(b *testing.B)  { benchEvaluatorReplace(b, 10000, true) }
+func BenchmarkEvaluatorReplace_N10000(b *testing.B) { benchEvaluatorReplace(b, 10000) }

@@ -70,13 +70,13 @@ func gainsPoints(rng *xrand.Rand, n, dim int, r float64) ([]vec.V, []float64) {
 }
 
 // TestRoundGainsMatchesRoundGain: the symmetric first-round sweep gives
-// every point the bits of its own RoundGain, across the kernel norms, dims
-// 1–5, with and without the grid, fresh and partly spent residuals,
-// duplicates and zero weights; and so does the scalar path.
+// every point the bits of its own RoundGain, across L1, L2, L∞ and LP at
+// p = 1.5 and 3, dims 1–5, with and without the grid, fresh and partly
+// spent residuals, duplicates and zero weights.
 func TestRoundGainsMatchesRoundGain(t *testing.T) {
 	rng := xrand.New(211)
 	for _, dim := range []int{1, 2, 3, 5} {
-		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}} {
+		for _, nm := range []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}, norm.LP{Exp: 1.5}, norm.LP{Exp: 3}} {
 			for _, finder := range []string{"none", "grid"} {
 				for trial := 0; trial < 3; trial++ {
 					r := []float64{0.5, 1, 1.75}[trial]
@@ -96,8 +96,6 @@ func TestRoundGainsMatchesRoundGain(t *testing.T) {
 						in.ApplyRound(in.Set.Point(rng.Intn(in.N())), y)
 					}
 					checkRoundGains(t, in, y, label+" spent")
-					in.SetBatch(false)
-					checkRoundGains(t, in, y, label+" scalar")
 				}
 			}
 		}
@@ -106,21 +104,23 @@ func TestRoundGainsMatchesRoundGain(t *testing.T) {
 
 // FuzzRoundGains decodes small instances (n ≤ 64) and holds RoundGains to
 // RoundGain's bits with and without the grid. Byte 0 picks the dim (1–5)
-// and the norm, byte 1 the radius, byte 2 how many rounds to spend; then
-// each point is dim coordinate bytes and a weight byte. An even coordinate
-// byte is a lattice point k·r/4, so axis-aligned pairs at exactly r are
-// common, and the byte 0x02 is −0; an odd one is an off-lattice value.
+// and the norm (L1, L2, L∞ or LP at p = 3), byte 1 the radius, byte 2 how
+// many rounds to spend; then each point is dim coordinate bytes and a
+// weight byte. An even coordinate byte is a lattice point k·r/4, so
+// axis-aligned pairs at exactly r are common, and the byte 0x02 is −0; an
+// odd one is an off-lattice value.
 func FuzzRoundGains(f *testing.F) {
 	f.Add([]byte{5, 7, 1, 0, 4, 1, 8, 2, 2, 1, 16, 1, 0, 0})
 	f.Add([]byte{1, 3, 0, 0, 0, 1, 2, 0, 1, 0, 2, 3, 8, 8, 2, 9, 11, 4})
 	f.Add([]byte{2, 15, 2, 4, 4, 3, 8, 4, 2, 4, 8, 1, 4, 0, 0, 5, 7, 0})
 	f.Add([]byte{14, 0, 3, 1, 3, 5, 7, 9, 1, 0, 2, 0, 2, 0, 3, 1, 3, 5, 7, 9, 2})
+	f.Add([]byte{16, 2, 1, 0, 6, 1, 4, 2, 3, 5, 0, 2, 8, 6, 9, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		dim := 1 + int(data[0])%5
-		nm := []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}}[int(data[0])/5%3]
+		nm := []norm.Norm{norm.L1{}, norm.L2{}, norm.LInf{}, norm.LP{Exp: 3}}[int(data[0])/5%4]
 		r := float64(1+data[1]%16) / 8
 		spend := int(data[2] % 4)
 		data = data[3:]
@@ -165,26 +165,21 @@ func FuzzRoundGains(f *testing.F) {
 	})
 }
 
-// A done context stops RoundGains before any evaluation, on the sweep and
-// on the scalar path.
+// A done context stops RoundGains before any evaluation.
 func TestRoundGainsCancelled(t *testing.T) {
 	rng := xrand.New(223)
 	pts, ws := gainsPoints(rng, 50, 2, 1)
 	in := mustInstance(t, pts, ws, norm.L2{}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, batch := range []bool{true, false} {
-		in.SetBatch(batch)
-		m := obs.NewMetrics()
-		in.SetCollector(m)
-		err := in.RoundGains(ctx, in.NewResiduals(), make([]float64, in.N()))
-		in.SetCollector(nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("batch=%v: err = %v, want context.Canceled", batch, err)
-		}
-		if c := m.Snapshot().Counters[obs.CtrGainEvals]; c != 0 {
-			t.Fatalf("batch=%v: a cancelled sweep counted %d gain evaluations", batch, c)
-		}
+	m := obs.NewMetrics()
+	in.SetCollector(m)
+	err := in.RoundGains(ctx, in.NewResiduals(), make([]float64, in.N()))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if c := m.Snapshot().Counters[obs.CtrGainEvals]; c != 0 {
+		t.Fatalf("a cancelled sweep counted %d gain evaluations", c)
 	}
 }
 

@@ -56,11 +56,7 @@ func (e *Evaluator) Add(c vec.V) error {
 		return fmt.Errorf("reward: center dim %d != instance dim %d", c.Dim(), e.in.Set.Dim())
 	}
 	row := make([]float64, e.in.N())
-	if !e.in.batchCoverages(c, row) {
-		for i := range row {
-			row[i] = e.in.Coverage(c, i)
-		}
-	}
+	e.in.batchCoverages(c, row)
 	for i := range row {
 		e.frac[i] += row[i]
 	}
@@ -81,17 +77,10 @@ func (e *Evaluator) Replace(j int, c vec.V) error {
 	old := e.cov[j]
 	sc := scratchPool.Get().(*scratch)
 	sc.a = take(sc.a, len(old))
-	if e.in.batchCoverages(c, sc.a) {
-		for i, nc := range sc.a {
-			e.frac[i] += nc - old[i]
-			old[i] = nc
-		}
-	} else {
-		for i := range old {
-			nc := e.in.Coverage(c, i)
-			e.frac[i] += nc - old[i]
-			old[i] = nc
-		}
+	e.in.batchCoverages(c, sc.a)
+	for i, nc := range sc.a {
+		e.frac[i] += nc - old[i]
+		old[i] = nc
 	}
 	scratchPool.Put(sc)
 	e.centers[j] = c.Clone()
@@ -143,22 +132,13 @@ func (e *Evaluator) ObjectiveIfReplaced(j int, c vec.V) (float64, error) {
 	var total float64
 	sc := scratchPool.Get().(*scratch)
 	sc.a = take(sc.a, len(old))
-	if e.in.batchCoverages(c, sc.a) {
-		for i, nc := range sc.a {
-			f := e.frac[i] - old[i] + nc
-			if f > 1 {
-				f = 1
-			}
-			total += w[i] * f
+	e.in.batchCoverages(c, sc.a)
+	for i, nc := range sc.a {
+		f := e.frac[i] - old[i] + nc
+		if f > 1 {
+			f = 1
 		}
-	} else {
-		for i := range old {
-			f := e.frac[i] - old[i] + e.in.Coverage(c, i)
-			if f > 1 {
-				f = 1
-			}
-			total += w[i] * f
-		}
+		total += w[i] * f
 	}
 	scratchPool.Put(sc)
 	return total, nil

@@ -34,15 +34,14 @@ type NeighborFinder interface {
 
 // Instance binds a weighted point set to an interest-distance norm and a
 // coverage radius r. It is the immutable problem description every algorithm
-// consumes. An optional NeighborFinder accelerates gain evaluation at large
-// n without changing any result bit: the finder's indices are ascending, so
-// an accelerated sum adds the same nonzero terms in the same order as a full
-// scan, and IEEE addition of the skipped zero terms is exact.
-//
-// When the norm implements norm.Batch (the built-in L1/L2/L∞ do), gain and
-// objective evaluation automatically route through batched distance kernels
-// over the set's flat coordinate array — same results bit for bit, far fewer
-// interface calls. SetBatch(false) forces the scalar reference path.
+// consumes. Every gain, objective, commit, covered set and coverage row is
+// evaluated through the norm's Within kernel over the set's flat coordinate
+// array, which returns only the points strictly within r: a point beyond r
+// contributes a zero term, and IEEE addition of a skipped +0 term is exact.
+// An optional NeighborFinder accelerates evaluation at large n without
+// changing any result bit: the finder's indices are ascending, so an
+// accelerated sum adds the same nonzero terms in the same order as a full
+// scan.
 type Instance struct {
 	Set    *pointset.Set
 	Norm   norm.Norm
@@ -50,8 +49,6 @@ type Instance struct {
 
 	finder NeighborFinder
 	obs    obs.Collector
-
-	batch norm.Batch // non-nil: batched kernels active
 }
 
 // SetFinder installs (or clears, with nil) a neighbor accelerator. It must
@@ -103,8 +100,7 @@ func (in *Instance) WithCollector(c obs.Collector) *Instance {
 }
 
 // NewInstance validates and builds an Instance. The radius must be positive
-// and finite. Batched evaluation is enabled automatically when the norm
-// supports it.
+// and finite.
 func NewInstance(set *pointset.Set, n norm.Norm, radius float64) (*Instance, error) {
 	if set == nil {
 		return nil, errors.New("reward: nil point set")
@@ -115,9 +111,7 @@ func NewInstance(set *pointset.Set, n norm.Norm, radius float64) (*Instance, err
 	if radius <= 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return nil, fmt.Errorf("reward: invalid radius %v", radius)
 	}
-	in := &Instance{Set: set, Norm: n, Radius: radius}
-	in.SetBatch(true)
-	return in, nil
+	return &Instance{Set: set, Norm: n, Radius: radius}, nil
 }
 
 // NewIndexed builds the instance a solve runs on: NewInstance's, with col
@@ -140,24 +134,15 @@ func NewIndexed(set *pointset.Set, n norm.Norm, radius float64, col obs.Collecto
 	return in, nil
 }
 
-// SetBatch enables (the default, when the norm implements norm.Batch) or
-// disables the batched evaluation path. Both settings produce bit-identical
-// results; disabling exists for tests, benchmarks, and A/B diagnosis.
-func (in *Instance) SetBatch(on bool) {
-	in.batch = nil
-	if on {
-		in.batch = norm.AsBatch(in.Norm)
-	}
-}
-
 // N reports the number of points.
 func (in *Instance) N() int { return in.Set.Len() }
 
 // Coverage returns [1 − d(c, x_i)/r]_+, the unweighted reward fraction point
-// i receives from a center at c (paper Eq. 1 divided by w_i).
+// i receives from a center at c (paper Eq. 1 divided by w_i). It is 0 unless
+// d < r, so a NaN distance covers nothing, as in Norm.Within.
 func (in *Instance) Coverage(c vec.V, i int) float64 {
 	d := in.Norm.Dist(c, in.Set.Point(i))
-	if d >= in.Radius {
+	if !(d < in.Radius) {
 		return 0
 	}
 	return 1 - d/in.Radius
@@ -169,22 +154,7 @@ func (in *Instance) Objective(centers []vec.V) float64 {
 	if in.obs != nil {
 		in.obs.Count(obs.CtrObjectiveEvals, 1)
 	}
-	if in.batchOn() {
-		return in.objectiveBatch(centers)
-	}
-	var total float64
-	for i := 0; i < in.N(); i++ {
-		var frac float64
-		for _, c := range centers {
-			frac += in.Coverage(c, i)
-			if frac >= 1 {
-				frac = 1
-				break
-			}
-		}
-		total += in.Set.Weight(i) * frac
-	}
-	return total
+	return in.objectiveBatch(centers)
 }
 
 // NewResiduals returns the initial residual vector y with y_i = 1 for all i
@@ -202,78 +172,56 @@ func (in *Instance) NewResiduals() []float64 {
 // Eqs. 10/13/14/15). y is not modified.
 func (in *Instance) RoundGain(c vec.V, y []float64) float64 {
 	in.countGainEvals(1)
-	if in.finder != nil {
-		sc := scratchPool.Get().(*scratch)
-		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
-		var g float64
-		if in.batchOn() {
-			if len(sc.idx) > 0 { // a nil idx would mean every row
-				g = in.roundGainBatch(sc, c, sc.idx, y)
-			}
-		} else {
-			for _, i := range sc.idx {
-				z := in.Coverage(c, int(i))
-				if yi := y[i]; z > yi {
-					z = yi
-				}
-				g += in.Set.Weight(int(i)) * z
-			}
-		}
-		scratchPool.Put(sc)
-		return g
-	}
-	if in.batchOn() {
-		sc := scratchPool.Get().(*scratch)
-		g := in.roundGainBatch(sc, c, nil, y)
-		scratchPool.Put(sc)
-		return g
-	}
+	sc := scratchPool.Get().(*scratch)
+	idx := in.near(sc, c)
+	w, r := in.Set.Weights(), in.Radius
 	var g float64
-	for i := 0; i < in.N(); i++ {
-		z := in.Coverage(c, i)
+	for j, p := range sc.pos {
+		i := p
+		if idx != nil {
+			i = idx[p]
+		}
+		z := 1 - sc.dist[j]/r
 		if yi := y[i]; z > yi {
 			z = yi
 		}
-		g += in.Set.Weight(i) * z
+		g += w[i] * z
 	}
+	scratchPool.Put(sc)
 	return g
 }
 
 // RoundGains fills out[a] = RoundGain(Set.Point(a), y) for every point a,
 // bit for bit: the all-points candidate scan of Algorithm 2's first round.
-// out must hold N() values. On the batched path it is one symmetric sweep
-// that computes each in-radius pair's distance once (see
-// roundGainsSweep); otherwise it calls RoundGain per point. Either way it
-// counts one obs.CtrGainEvals per point evaluated. It reads ctx about every
-// gainsCheckRows distances on the sweep and before every point otherwise,
-// and returns ctx.Err() with out partly filled.
+// out must hold N() values. It is one symmetric sweep that computes each
+// in-radius pair's distance once (see roundGainsSweep), and counts one
+// obs.CtrGainEvals per point evaluated. It reads ctx about every
+// gainsCheckRows distances and returns ctx.Err() with out partly filled.
 func (in *Instance) RoundGains(ctx context.Context, y, out []float64) error {
 	// Every point's window is queried below.
 	if g, ok := in.finder.(*spatial.Grid); ok {
 		g.FillWindows()
 	}
-	if in.batchOn() {
-		return in.roundGainsSweep(ctx, y, out[:in.N()])
-	}
-	for a := 0; a < in.N(); a++ {
-		// A RoundGain call costs far more than the read.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		out[a] = in.RoundGain(in.Set.Point(a), y)
-	}
-	return nil
+	return in.roundGainsSweep(ctx, y, out[:in.N()])
 }
 
 // ApplyRound commits center c: it computes z_i = min([1 − d/r]_+, y_i),
 // subtracts it from y in place (line "update y_i^{j+1} = y_i^j − z_i^j"),
-// and returns the round gain Σ_i w_i·z_i.
+// and returns the round gain Σ_i w_i·z_i. Only the points within r are
+// visited: elsewhere z_i = 0, and y_i − 0 and gain + w_i·0 change no bit.
 func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64) {
 	if in.obs != nil {
 		in.obs.Count(obs.CtrApplyRounds, 1)
 	}
-	apply := func(i int) {
-		zi := in.Coverage(c, i)
+	sc := scratchPool.Get().(*scratch)
+	idx := in.near(sc, c)
+	w, r := in.Set.Weights(), in.Radius
+	for j, p := range sc.pos {
+		i := p
+		if idx != nil {
+			i = idx[p]
+		}
+		zi := 1 - sc.dist[j]/r
 		if yi := y[i]; zi > yi {
 			zi = yi
 		}
@@ -281,54 +229,39 @@ func (in *Instance) ApplyRound(c vec.V, y []float64) (gain float64) {
 		if y[i] < 0 { // guard against float drift; y_i is ≥ 0 by construction
 			y[i] = 0
 		}
-		gain += in.Set.Weight(i) * zi
+		gain += w[i] * zi
 	}
-	if in.finder != nil {
-		sc := scratchPool.Get().(*scratch)
-		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
-		for _, i := range sc.idx {
-			apply(int(i))
-		}
-		scratchPool.Put(sc)
-		return gain
-	}
-	for i := 0; i < in.N(); i++ {
-		apply(i)
-	}
+	scratchPool.Put(sc)
 	return gain
 }
 
 // CoveredIndices returns the indices of points strictly inside the radius-r
 // ball at c (coverage fraction > 0), in ascending order, or nil when none
 // is. Algorithm 4 grows its disk from these. The result is the only
-// allocation: a finder query runs in pooled scratch.
+// allocation: the kernel runs in pooled scratch.
 func (in *Instance) CoveredIndices(c vec.V) []int {
-	if in.finder != nil {
-		sc := scratchPool.Get().(*scratch)
-		sc.idx = in.finder.AppendNear(sc.idx[:0], c)
-		covered := sc.idx[:0]
-		for _, i := range sc.idx {
-			if in.Coverage(c, int(i)) > 0 {
-				covered = append(covered, i)
-			}
-		}
-		var idx []int
-		if len(covered) > 0 {
-			idx = make([]int, len(covered))
-			for j, i := range covered {
-				idx[j] = int(i)
-			}
-		}
-		scratchPool.Put(sc)
-		return idx
-	}
-	var idx []int
-	for i := 0; i < in.N(); i++ {
-		if in.Coverage(c, i) > 0 {
-			idx = append(idx, i)
+	sc := scratchPool.Get().(*scratch)
+	idx := in.near(sc, c)
+	r := in.Radius
+	covered := sc.pos[:0]
+	for j, p := range sc.pos {
+		if 1-sc.dist[j]/r > 0 { // d < r can still round to coverage 0
+			covered = append(covered, p)
 		}
 	}
-	return idx
+	var out []int
+	if len(covered) > 0 {
+		out = make([]int, len(covered))
+		for j, p := range covered {
+			i := p
+			if idx != nil {
+				i = idx[p]
+			}
+			out[j] = int(i)
+		}
+	}
+	scratchPool.Put(sc)
+	return out
 }
 
 // ValidResiduals reports whether every y_i lies in [0, 1] (an invariant the

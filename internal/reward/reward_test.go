@@ -1,11 +1,13 @@
 package reward
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/norm"
 	"repro/internal/pointset"
+	"repro/internal/spatial"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -252,5 +254,70 @@ func TestDifferentNormsChangeCoverage(t *testing.T) {
 	}
 	if g1 != 0 {
 		t.Errorf("L1 coverage = %v, want 0 (on boundary)", g1)
+	}
+}
+
+// Users at x = ±1e308 are finite, so a point set accepts them, but their
+// coordinate difference overflows: the L2 distance between them is NaN
+// (Inf/Inf in Dist2's scaling). A NaN distance covers nothing. So from
+// every user, with and without the grid, every evaluation is finite and
+// they agree: each user covers only itself, for a reward of 1, and
+// ApplyRound spends only its own residual.
+func TestNaNDistanceCoversNothing(t *testing.T) {
+	pts := []vec.V{vec.Of(1e308, 0), vec.Of(-1e308, 0), vec.Of(0, 0)}
+	for _, nm := range []norm.Norm{norm.L2{}, norm.L1{}, norm.LInf{}, norm.LP{Exp: 3}} {
+		in := mustInstance(t, pts, []float64{1, 1, 1}, nm, 1)
+		grid, err := spatial.NewGrid(pts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, finder := range []NeighborFinder{nil, grid} {
+			in.SetFinder(finder)
+			gains := make([]float64, in.N())
+			if err := in.RoundGains(context.Background(), in.NewResiduals(), gains); err != nil {
+				t.Fatal(err)
+			}
+			for a := range pts {
+				c := in.Set.Point(a)
+				var coverage, covered float64
+				for i := range pts {
+					coverage += in.Set.Weight(i) * in.Coverage(c, i)
+				}
+				for _, i := range in.CoveredIndices(c) {
+					covered += in.Set.Weight(i) * in.Coverage(c, i)
+				}
+				e, err := NewEvaluator(in, []vec.V{c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				y := in.NewResiduals()
+				got := []struct {
+					name string
+					v    float64
+				}{
+					{"sum of Coverage", coverage},
+					{"RoundGain", in.RoundGain(c, in.NewResiduals())},
+					{"RoundGains", gains[a]},
+					{"ApplyRound", in.ApplyRound(c, y)},
+					{"Objective", in.Objective([]vec.V{c})},
+					{"CoveredIndices' coverage", covered},
+					{"Evaluator", e.Objective()},
+				}
+				for _, g := range got {
+					if g.v != 1 {
+						t.Errorf("%s finder=%v from user %d: %s = %v, want 1", nm.Name(), finder != nil, a, g.name, g.v)
+					}
+				}
+				for i, yi := range y {
+					want := 1.0
+					if i == a {
+						want = 0
+					}
+					if yi != want {
+						t.Errorf("%s finder=%v from user %d: ApplyRound left y[%d] = %v, want %v", nm.Name(), finder != nil, a, i, yi, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -3,13 +3,19 @@ package serve_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
 	v1 "repro/api/v1"
+	"repro/internal/core"
+	"repro/internal/norm"
+	"repro/internal/reward"
 	"repro/internal/serve"
 	"repro/internal/solver"
+	"repro/internal/vec"
 )
 
 // decodeError parses the machine-readable error envelope every non-2xx v1
@@ -140,6 +146,67 @@ func TestSolveUnknownSolverListsCatalog(t *testing.T) {
 	}
 	if !strings.Contains(e.Message, "greedy2 | ") {
 		t.Errorf("catalog not sorted/pipe-joined: %q", e.Message)
+	}
+}
+
+// TestSolveNonFiniteResult: users at x = ±1e308 are finite, but their L2
+// distance is NaN, and a solver's centers or sums can leave the finite
+// range. JSON has no NaN or ±Inf, so every registry solver and a sharded
+// one, with the cache on and off, must answer either a 200 whose total is
+// finite and equals the objective of its centers, or a typed 500
+// solve_failed; never a dropped connection or an empty body.
+func TestSolveNonFiniteResult(t *testing.T) {
+	const inst = `{"dim":2,"points":[[1e308,0],[-1e308,0],[0,0]]}`
+	set, err := decodeSet(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := reward.NewInstance(set, norm.L2{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, name := range solver.Names() {
+		if !strings.HasPrefix(name, "test-") { // this package's stub solvers
+			names = append(names, name)
+		}
+	}
+	names = append(names, "sharded(greedy2-lazy)")
+	for _, cacheBytes := range []int64{0, -1} {
+		_, ts := newTestServer(t, serve.Config{CacheBytes: cacheBytes})
+		for _, name := range names {
+			label := fmt.Sprintf("%s cache=%v", name, cacheBytes == 0)
+			body := fmt.Sprintf(`{"instance":%s,"radius":1,"k":2,"solver":%q}`, inst, name)
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+				continue
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("%s: reading the body: %v", label, err)
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				if e := decodeError(t, data); resp.StatusCode != http.StatusInternalServerError || e.Code != v1.CodeSolveFailed {
+					t.Errorf("%s: status %d code %q, want 200 or 500 %q", label, resp.StatusCode, e.Code, v1.CodeSolveFailed)
+				}
+				continue
+			}
+			var out v1.SolveResponse
+			if err := json.Unmarshal(data, &out); err != nil {
+				t.Errorf("%s: 200 body %q does not decode: %v", label, data, err)
+				continue
+			}
+			centers := make([]vec.V, len(out.Centers))
+			for i, c := range out.Centers {
+				centers[i] = c
+			}
+			if got := in.Objective(centers); math.IsNaN(out.Total) || math.IsInf(out.Total, 0) || math.Abs(got-out.Total) > core.SumTolerance {
+				t.Errorf("%s: total %v, objective of its centers %v", label, out.Total, got)
+			}
+		}
 	}
 }
 

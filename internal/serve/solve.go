@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"time"
@@ -197,6 +198,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, runErr := alg.Run(obs.ContextWithSpan(ctx, solveSpan), in, req.K)
 	wall := time.Since(start).Nanoseconds()
+	if res != nil && !finite(res) {
+		// JSON has no NaN or ±Inf: fail the request, and cache nothing.
+		res, runErr = nil, errors.New("the solve's total, gains or centers are not finite")
+	}
 	partial := false
 	if runErr != nil {
 		if res == nil || ctx.Err() == nil {
@@ -254,6 +259,19 @@ func (s *Server) answerCached(w http.ResponseWriter, sc *reqScope, stored *v1.So
 	resp.Cached = true
 	writeJSON(w, sc.id, http.StatusOK, resp)
 	sc.end(http.StatusOK)
+}
+
+// finite reports whether a solve's total, gains and centers are finite.
+func finite(res *core.Result) bool {
+	if math.IsNaN(res.Total) || math.IsInf(res.Total, 0) || !vec.V(res.Gains).IsFinite() {
+		return false
+	}
+	for _, c := range res.Centers {
+		if !c.IsFinite() {
+			return false
+		}
+	}
+	return true
 }
 
 // mustMarshal sizes a response for the cache's byte budget. v1.SolveResponse
