@@ -59,11 +59,29 @@ func (e *APIError) Error() string {
 // non-empty, is sent as X-Request-ID so the call is traceable end to end in
 // the server's /metrics event stream. Non-2xx responses return an *APIError.
 func (c *Client) Solve(ctx context.Context, req *SolveRequest, requestID string) (*SolveResponse, error) {
+	body, err := solveBody(req)
+	if err != nil {
+		return nil, fmt.Errorf("api: marshal /v1/solve request: %w", err)
+	}
 	var resp SolveResponse
-	if err := c.post(ctx, "/v1/solve", requestID, req, &resp); err != nil {
+	if err := c.post(ctx, "/v1/solve", requestID, body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// solveBody returns json.Marshal(req)'s bytes, with the instance appended
+// in place by its own encoder: json.Marshal would scan and compact the
+// set's MarshalJSON output once more, and copy it.
+func solveBody(req *SolveRequest) ([]byte, error) {
+	env := *req
+	env.Instance = nil
+	b, err := json.Marshal(&env)
+	if err != nil || req.Instance == nil {
+		return b, err
+	}
+	const head = `{"instance":` // Instance is the first field
+	return append(req.Instance.AppendJSON([]byte(head)), b[len(head+"null"):]...), nil
 }
 
 // Solvers fetches the registry catalog from GET /v1/solvers.
@@ -94,12 +112,8 @@ func (c *Client) ClusterHealth(ctx context.Context) (*ClusterHealth, error) {
 	return &resp, nil
 }
 
-func (c *Client) post(ctx context.Context, path, requestID string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("api: marshal %s request: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(buf))
+func (c *Client) post(ctx context.Context, path, requestID string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
 	}

@@ -147,12 +147,16 @@ func sameBits(t *testing.T, got, want *pointset.Set) {
 }
 
 // codecSeeds are FuzzSetCodec's seed corpus: the schema's corners, each
-// error class, the key-matching rules and the null tightening.
+// error class, the key-matching rules, the null tightening, and numbers at
+// the float64 conversion's edges.
 var codecSeeds = []string{
 	`{"dim":2,"points":[[0,1],[2.5,3.5],[4,0]],"weights":[1,5,2]}`,
 	`{"points":[[0,0],[1,1]]}`,
 	` { "points" : [ [ -0 , 1e-7 ] , [ 1E+21 , -1.5e300 ] ] , "weights" : [ 0 , 0.1 ] } `,
 	`{"points":[[123456789012345678901234567890,4.9e-324,2.2250738585072014e-308]]}`,
+	`{"points":[[-0,1e-400,4.9e-324],[2.2250738585072011e-308,1.7976931348623158e308,9007199254740993],[1e23,-1.23456789012345678901234567890e-300,0.000000000000000000000000000001]]}`,
+	`{"points":[[1.7976931348623159e308,0]]}`,
+	`{"points":[[0],[1]],"weights":[1.7976931348623157e308,1.7976931348623157e308]}`,
 	`{"POINTS":[[1,2]],"Weights":[3],"DIM":2}`,
 	`{"pointſ":[[1,2]]}`,
 	`{"\u0070oints":[[1,2]],"w\u0065ights":[7]}`,
@@ -262,6 +266,9 @@ func TestSetJSONEncodesLikeEncodingJSON(t *testing.T) {
 	ws := make([]float64, len(pts))
 	for i := range ws {
 		ws[i] = math.Abs(pts[i][0])
+		if pts[i][0] == -math.MaxFloat64 {
+			ws[i] = 0 // a second weight of MaxFloat64 would sum past float64, which New rejects
+		}
 	}
 	set, err := pointset.New(pts, ws)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -43,8 +44,12 @@ var ErrDim = fmt.Errorf("%w: inconsistent dimensions", ErrDecode)
 // MarshalJSON implements json.Marshaler: the set serializes as its points
 // and weights with an explicit dim, byte-identical to encoding/json's output
 // for the same values.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 64+20*(len(s.coords)+len(s.weights)))
+func (s *Set) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
+
+// AppendJSON appends MarshalJSON's bytes to b, so a caller can write a set
+// into a larger document without encoding/json scanning it again.
+func (s *Set) AppendJSON(b []byte) []byte {
+	b = slices.Grow(b, 64+20*(len(s.coords)+len(s.weights)))
 	b = append(b, `{"dim":`...)
 	b = strconv.AppendInt(b, int64(s.dim), 10)
 	b = append(b, `,"points":[`...)
@@ -59,7 +64,7 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 		b = append(b, `,"weights":`...)
 		b = appendFloats(b, s.weights)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // appendFloats appends xs as a JSON array.
@@ -95,13 +100,13 @@ func appendFloat(b []byte, x float64) []byte {
 // errors, plus the wire-only holes New cannot see. A non-empty point list,
 // a positive dimension (an empty row like [[]] must not produce a dim-0
 // set), consistent dimensions (ErrDim otherwise), a weight per point, and
-// non-negative weights. A number that overflows float64 (1e999), a null
-// coordinate or weight, and a value of the wrong JSON type are reported
-// after the whole value has been scanned, ahead of those checks, as
-// encoding/json reports type errors. Keys match as encoding/json matches
-// field names (exactly, or equal under Unicode case folding); a repeated
-// key keeps its last value; unknown keys are validated and skipped. Every
-// error wraps ErrDecode.
+// non-negative weights with a finite sum. A number that overflows float64
+// (1e999), a null coordinate or weight, and a value of the wrong JSON type
+// are reported after the whole value has been scanned, ahead of those
+// checks, as encoding/json reports type errors. Keys match as encoding/json
+// matches field names (exactly, or equal under Unicode case folding); a
+// repeated key keeps its last value; unknown keys are validated and
+// skipped. Every error wraps ErrDecode.
 func (s *Set) UnmarshalJSON(data []byte) error {
 	sc := scanner{data: data}
 	set, err := sc.set()
@@ -343,56 +348,63 @@ func matchKey(quoted []byte, escaped bool, want string) bool {
 	return bytes.EqualFold(name, []byte(want))
 }
 
-// number consumes the JSON number at off and returns its text.
-func (s *scanner) number() ([]byte, error) {
+// number consumes the JSON number at off, checking its grammar and
+// accumulating its digits in the same pass, and returns its text and value:
+// strconv.ParseFloat's bits, and ±Inf where ParseFloat reports overflow.
+func (s *scanner) number() (lit []byte, x float64, err error) {
 	d, i := s.data, s.off
+	var a decimal
 	if i < len(d) && d[i] == '-' {
+		a.neg = true
 		i++
 	}
 	switch {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i+1)
+		i = a.digits(d, i)
 	default:
 		s.off = i
-		return nil, s.fail("in numeric literal")
+		return nil, 0, s.fail("in numeric literal")
 	}
+	a.dp = a.nd
 	if i < len(d) && d[i] == '.' {
 		if i+1 >= len(d) || !isDigit(d[i+1]) {
 			s.off = i + 1
-			return nil, s.fail("after decimal point in numeric literal")
+			return nil, 0, s.fail("after decimal point in numeric literal")
 		}
-		i = digits(d, i+1)
+		i = a.digits(d, i+1)
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
+		sign := 1
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			if d[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
 		if i >= len(d) || !isDigit(d[i]) {
 			s.off = i
-			return nil, s.fail("in exponent of numeric literal")
+			return nil, 0, s.fail("in exponent of numeric literal")
 		}
-		i = digits(d, i)
+		e := 0
+		for ; i < len(d) && isDigit(d[i]); i++ {
+			if e < 10000 { // readFloat's cap, so the fast paths see its exponent
+				e = e*10 + int(d[i]-'0')
+			}
+		}
+		a.dp += sign * e
 	}
-	lit := d[s.off:i]
+	lit = d[s.off:i]
 	s.off = i
-	return lit, nil
+	return lit, a.float(lit), nil
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // startsNumber reports whether c, as peek returns it, can start a number.
 func startsNumber(c int) bool { return c == '-' || ('0' <= c && c <= '9') }
-
-// digits returns the index of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && isDigit(d[i]) {
-		i++
-	}
-	return i
-}
 
 // literal consumes true, false or null at off.
 func (s *scanner) literal(word string) error {
@@ -431,7 +443,7 @@ func (s *scanner) skip() error {
 		_, _, err := s.str()
 		return err
 	case startsNumber(c):
-		_, err := s.number()
+		_, _, err := s.number()
 		return err
 	case c == 't':
 		return s.literal("true")
@@ -551,7 +563,7 @@ func (s *scanner) dimValue(d *setDecoder) error {
 	case c == 'n': // null leaves dim as it was
 		return s.literal("null")
 	case startsNumber(c):
-		lit, err := s.number()
+		lit, _, err := s.number()
 		if err != nil {
 			return err
 		}
@@ -630,15 +642,15 @@ func (s *scanner) numbers(d *setDecoder, dst *floats, what string) error {
 		x := 0.0
 		switch c := s.peek(); {
 		case startsNumber(c):
-			lit, err := s.number()
-			if err != nil {
+			var lit []byte
+			var err error
+			if lit, x, err = s.number(); err != nil {
 				return err
 			}
-			// The grammar is checked above, so the only error left is
-			// overflow: ±Inf with ErrRange, which encoding/json reports
-			// as a type error. A parsed value is therefore finite.
-			var perr error
-			if x, perr = strconv.ParseFloat(string(lit), 64); perr != nil {
+			// A number in the grammar is finite unless it overflows,
+			// which encoding/json reports as a type error. A kept value
+			// is therefore finite.
+			if math.IsInf(x, 0) {
 				d.typeError("%s %s at offset %d overflows float64", what, lit, s.off-len(lit))
 			}
 		case c == 'n':
@@ -697,6 +709,9 @@ func (d *setDecoder) finish() (*Set, error) {
 		if w < 0 {
 			return nil, fmt.Errorf("%w: weight %d = %v, want finite and >= 0", ErrDecode, i, w)
 		}
+	}
+	if t := total(ws); math.IsInf(t, 0) {
+		return nil, fmt.Errorf("%w: weights sum to %v, want a finite total", ErrDecode, t)
 	}
 	return build(d.coords.flat(), dim, ws), nil
 }

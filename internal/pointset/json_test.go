@@ -71,6 +71,8 @@ func TestSetJSONRejectsBadInput(t *testing.T) {
 		{"overflowing coordinate", `{"points":[[1e999,0]]}`, false},
 		{"overflowing negative coordinate", `{"points":[[-1e999,0]]}`, false},
 		{"overflowing weight", `{"points":[[0,0]],"weights":[1e999]}`, false},
+		// Each weight is finite, but max_reward, their sum, is +Inf.
+		{"weights summing past float64", `{"points":[[0,0],[1,1]],"weights":[1e308,1e308]}`, false},
 		{"empty point row", `{"points":[[]]}`, false},
 		{"all empty rows with dim", `{"dim":0,"points":[[],[]]}`, false},
 		{"negative dim", `{"dim":-2,"points":[[0,0]]}`, false},

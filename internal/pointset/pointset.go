@@ -33,7 +33,8 @@ type Set struct {
 
 // New builds a Set from parallel slices of points and weights. It returns an
 // error when the slices disagree in length, the set is empty, dimensions are
-// inconsistent, or any weight is negative or non-finite.
+// inconsistent, any weight is negative or non-finite, or the weights' sum is
+// not finite.
 func New(pts []vec.V, weights []float64) (*Set, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("pointset: empty set")
@@ -54,6 +55,9 @@ func New(pts []vec.V, weights []float64) (*Set, error) {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("pointset: weight %d = %v is invalid", i, w)
 		}
+	}
+	if t := total(weights); math.IsInf(t, 0) {
+		return nil, fmt.Errorf("pointset: weights sum to %v, want a finite total", t)
 	}
 	flat := make([]float64, 0, len(pts)*dim)
 	for _, p := range pts {
@@ -112,9 +116,13 @@ func (s *Set) Weights() []float64 { return s.weights }
 func (s *Set) Coords() []float64 { return s.coords }
 
 // TotalWeight returns Σ w_i, the upper bound on any reward (f_opt ≤ Σ w_i).
-func (s *Set) TotalWeight() float64 {
+// It is finite: New and the JSON codec reject weights whose sum is not.
+func (s *Set) TotalWeight() float64 { return total(s.weights) }
+
+// total adds ws in index order.
+func total(ws []float64) float64 {
 	var t float64
-	for _, w := range s.weights {
+	for _, w := range ws {
 		t += w
 	}
 	return t

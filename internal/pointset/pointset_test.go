@@ -97,6 +97,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]vec.V{vec.Of(math.Inf(1), 2)}, []float64{1}); err == nil {
 		t.Error("non-finite point accepted")
 	}
+	// Finite weights whose sum overflows would make TotalWeight +Inf,
+	// which no JSON answer can carry as max_reward.
+	if _, err := New([]vec.V{vec.Of(0, 0), vec.Of(1, 1)}, []float64{1e308, 1e308}); err == nil {
+		t.Error("weights summing past float64 accepted")
+	}
+	if _, err := New([]vec.V{vec.Of(0, 0), vec.Of(1, 1)}, []float64{math.MaxFloat64, 0}); err != nil {
+		t.Errorf("weights summing to MaxFloat64 rejected: %v", err)
+	}
 	s, err := New([]vec.V{vec.Of(1, 2), vec.Of(3, 4)}, []float64{2, 5})
 	if err != nil {
 		t.Fatal(err)

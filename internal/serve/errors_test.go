@@ -71,6 +71,10 @@ func solveErrorCases() []errorCase {
 			http.StatusBadRequest, v1.CodeBadInstance},
 		{"negative weight", `{"instance":{"points":[[0,0]],"weights":[-1]},"radius":1,"k":1}`,
 			http.StatusBadRequest, v1.CodeBadInstance},
+		// Finite weights whose sum, max_reward, is +Inf, which JSON
+		// cannot carry.
+		{"weights summing past float64", `{"instance":{"points":[[0,0],[1,1]],"weights":[1e308,1e308]},"radius":1,"k":1}`,
+			http.StatusBadRequest, v1.CodeBadInstance},
 		{"weight count mismatch", `{"instance":{"points":[[0,0]],"weights":[1,2]},"radius":1,"k":1}`,
 			http.StatusBadRequest, v1.CodeBadInstance},
 		{"empty point row", `{"instance":{"points":[[]]},"radius":1,"k":1}`,
@@ -117,19 +121,26 @@ func solveErrorCases() []errorCase {
 }
 
 // TestSolveErrorPaths pins the wire-schema error contract: every malformed
-// request answers with the right status and a machine-readable code.
+// request answers with the right status and a machine-readable code, with
+// the result cache on and off.
 func TestSolveErrorPaths(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{MaxBody: 2048})
-	for _, tc := range solveErrorCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, data := postJSON(t, ts.URL+"/v1/solve", tc.body, nil)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, data)
+	for _, cacheBytes := range []int64{0, -1} {
+		_, ts := newTestServer(t, serve.Config{MaxBody: 2048, CacheBytes: cacheBytes})
+		for _, tc := range solveErrorCases() {
+			name := tc.name
+			if cacheBytes < 0 {
+				name += " cache off"
 			}
-			if e := decodeError(t, data); e.Code != tc.code {
-				t.Errorf("code %q, want %q (message %q)", e.Code, tc.code, e.Message)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				resp, data := postJSON(t, ts.URL+"/v1/solve", tc.body, nil)
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, data)
+				}
+				if e := decodeError(t, data); e.Code != tc.code {
+					t.Errorf("code %q, want %q (message %q)", e.Code, tc.code, e.Message)
+				}
+			})
+		}
 	}
 }
 
@@ -236,6 +247,9 @@ func TestChurnErrorPaths(t *testing.T) {
 		{"k above user count",
 			fmt.Sprintf(`{"instance":%s,"radius":1,"k":6,"periods":2,"arrival_rate":1,"depart_rate":1}`, good),
 			http.StatusBadRequest, v1.CodeBadK},
+		{"weights summing past float64",
+			`{"instance":{"points":[[0,0],[1,1]],"weights":[1e308,1e308]},"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1}`,
+			http.StatusBadRequest, v1.CodeBadInstance},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

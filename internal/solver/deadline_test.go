@@ -17,7 +17,10 @@ import (
 // 4×4 box on which it runs for over 300 ms uncut. greedy2's and greedy4's
 // are the shapes on which a candidate scan once ran 1.2 s and 0.4 s past a
 // 100 ms deadline, and nearlinear's spends 0.35 s seeding; the others are
-// the smallest probed shapes past 300 ms.
+// the smallest probed shapes past 300 ms. random's and greedy3's grew from
+// k = 500 once the distance kernel sped their rounds up: uncut, they took
+// 80–130 ms there, 310–370 ms at k = 2,000 (too close to 300 ms) and
+// 480–710 ms at k = 3,000.
 var deadlineShapes = map[string]struct {
 	n, k int
 	r    float64
@@ -27,10 +30,10 @@ var deadlineShapes = map[string]struct {
 	"greedy2":      {40000, 16, 1},
 	"greedy2+swap": {1000, 8, 1},
 	"greedy2-lazy": {40000, 16, 1},
-	"greedy3":      {40000, 500, 1},
+	"greedy3":      {40000, 3000, 1},
 	"greedy4":      {6000, 8, 0.3},
 	"nearlinear":   {50000, 500, 0.02},
-	"random":       {40000, 500, 1},
+	"random":       {40000, 3000, 1},
 }
 
 // deadlineBound is how soon after its start a solve under a 100 ms deadline

@@ -18,7 +18,7 @@ echo "==> go build ./..."
 go build ./...
 
 # Advisory: the size ROADMAP.md tracks, which should only go down.
-echo "==> non-test Go lines outside perfbench/ (advisory): $(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l)"
+echo "==> non-test Go lines outside perfbench/ (advisory): $(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 
 echo "==> go vet ./..."
 go vet ./...
@@ -55,10 +55,13 @@ go test -run 'TestRunChurn' -count=1 ./internal/broadcast
 go test -run 'TestBatchedScalarEquivalence' -count=1 ./internal/reward
 
 # The wire-codec fuzz gate: the hand-written pointset codec and the /v1
-# body path, each against the encoding/json decode it replaced. Their seed
-# corpora already run in every go test above; this adds mutation.
+# body path, each against the encoding/json decode it replaced, and the
+# codec's number scan (FuzzNumber) against encoding/json's grammar and
+# strconv.ParseFloat's bits. Their seed corpora already run in every go
+# test above; this adds mutation.
 echo "==> wire-codec fuzz gate"
 go test -run '^$' -fuzz '^FuzzSetCodec$' -fuzztime 20s ./internal/pointset
+go test -run '^$' -fuzz '^FuzzNumber$' -fuzztime 20s ./internal/pointset
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 20s ./internal/serve
 
 # The gain-sweep fuzz gate: greedy2-lazy's first round is one symmetric
