@@ -66,7 +66,7 @@ func main() {
 		snap.Counters[obs.CtrGainEvals], users.Len()*k)
 	fmt.Printf("  lazy heap re-pops:  %d\n", snap.Counters[obs.CtrLazyRepops])
 	fmt.Printf("  rounds:             %d\n", snap.Counters[obs.CtrRounds])
-	if h, ok := snap.TimersNS[obs.TimRound]; ok {
+	if h, ok := snap.TimersNS[obs.StageRound+"_ns"]; ok {
 		fmt.Printf("  round wall time:    mean %.0f ns, p99 %.0f ns\n", h.Mean, h.P99)
 	}
 
@@ -78,15 +78,16 @@ func main() {
 		fmt.Printf("    round %d: gain %.2f, %.2f ms\n", j+1, g, float64(res.RoundNS[j])/1e6)
 	}
 
-	// 6. The sink streamed every event (round_start/round_end with the
-	//    re-pop counts, ...) as JSONL for offline tools.
+	// 6. The sink streamed every event as JSONL for offline tools: each
+	//    round is a core.round stage, whose span_end carries its gain,
+	//    wall time and re-pop counts.
 	st, _ := f.Stat()
 	fmt.Printf("  event stream:       %s (%d bytes of JSONL)\n", f.Name(), st.Size())
 
 	// 7. Anytime results under a deadline: a context that cancels after the
-	//    first round_end makes the solver stop at the next round boundary
-	//    and return its committed prefix together with ctx.Err(). Telemetry
-	//    counts the early stop in core.cancelled.
+	//    first core.round span_end makes the solver stop at the next round
+	//    boundary and return its committed prefix together with ctx.Err().
+	//    Telemetry counts the early stop in core.cancelled.
 	dm := obs.NewMetrics()
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -101,7 +102,8 @@ func main() {
 }
 
 // cancelAfterRound is an obs.Collector that fires a context cancel once the
-// given round finishes — a deterministic stand-in for a wall-clock deadline.
+// given round's stage ends — a deterministic stand-in for a wall-clock
+// deadline.
 type cancelAfterRound struct {
 	round  int
 	cancel context.CancelFunc
@@ -112,7 +114,7 @@ func (cancelAfterRound) TimeNS(string, int64)    {}
 func (cancelAfterRound) Gauge(string, float64)   {}
 func (cancelAfterRound) Observe(string, float64) {}
 func (c cancelAfterRound) Emit(e obs.Event) {
-	if e.Type == obs.EvRoundEnd && e.Round >= c.round {
+	if e.Type == obs.EvSpanEnd && e.Name == obs.StageRound && e.Fields["round"] >= float64(c.round) {
 		c.cancel()
 	}
 }

@@ -51,9 +51,10 @@ type ChurnConfig struct {
 	// radius-r grid where spatial.Prunes says it pays for itself
 	// (reward.NewIndexed). It never changes a result bit.
 	Index string
-	// Obs, when set, receives the churn counters and, through the
-	// instance it is attached to, the reward-oracle counts and every
-	// period solve's telemetry, warm starts included.
+	// Obs, when set, receives the churn counters, one churn.period stage
+	// per period and, through the instance it is attached to, the
+	// reward-oracle counts and every period solve's telemetry, warm starts
+	// included.
 	Obs obs.Collector
 	// OnPeriod, when non-nil, is invoked synchronously after each period's
 	// stats are committed — the streaming hook the serving layer uses to
@@ -172,12 +173,6 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 	rng := xrand.New(cfg.Seed)
 	box := tr.Box()
 	c := obs.OrNop(cfg.Obs)
-	// When the caller installed an ambient span (the serving layer wraps
-	// each /v1/churn request in one), every period gets a child span and the
-	// per-period events carry the request's trace ID; outside a span tree
-	// both are free no-ops.
-	parentSpan := obs.SpanFromContext(ctx)
-	reqID := parentSpan.TraceID()
 	var prev []vec.V
 	var popSum float64
 	var cancelErr error
@@ -187,7 +182,10 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 			cancelErr = err
 			break
 		}
-		psp := parentSpan.Child("period")
+		// Each period is a stage, a child of the caller's span when there is
+		// one (the serving layer wraps each /v1/churn request in one).
+		psp := obs.StartStage(ctx, cfg.Obs, obs.StageChurnPeriod)
+		psp.SetAlg(solverName)
 		psp.SetAttr("period", float64(p))
 		var in *reward.Instance
 		if cfg.Index == "grid" {
@@ -271,13 +269,6 @@ func RunChurn(ctx context.Context, tr *trace.Trace, cfg ChurnConfig) (*ChurnMetr
 		psp.SetAttr("departures", float64(ps.Departures))
 		psp.End()
 		c.Count(obs.CtrChurnPeriods, 1)
-		if obs.Active(cfg.Obs) {
-			c.Emit(obs.Event{Type: obs.EvChurnPeriod, Alg: solverName, Round: p, Trace: reqID,
-				Fields: map[string]float64{
-					"arrivals": float64(ps.Arrivals), "departures": float64(ps.Departures),
-					"n": float64(ps.N), "objective": ps.Objective,
-				}})
-		}
 	}
 
 	if len(m.Periods) > 0 {

@@ -47,7 +47,7 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		gridPer   = fs.Int("grid", 5, "exhaustive candidate-lattice resolution per dimension (0 = points only)")
 		asJSON    = fs.Bool("json", false, "emit the result as JSON instead of a table")
 		metrics   = fs.String("metrics", "", "write a telemetry snapshot (counters, timers) as JSON to this file ('-' = stdout)")
-		events    = fs.String("events", "", "stream telemetry events (round/scan spans, SEB calls) as JSONL to this file")
+		events    = fs.String("events", "", "stream telemetry events as JSONL to this file: one span per stage (each round a core.round span) and SEB calls")
 		timeout   = fs.Duration("timeout", 0, "overall deadline; on expiry the partial result is printed and the tool exits cleanly (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {

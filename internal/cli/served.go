@@ -35,7 +35,7 @@ func Served(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		drainGrace  = fs.Duration("drain-grace", 10*time.Second, "time in-flight solves get to finish on SIGTERM before cancellation")
 		cacheBytes  = fs.Int64("cache-bytes", serve.DefaultCacheBytes, "solve-result cache budget in bytes (0 disables caching and request collapsing)")
 		metrics     = fs.String("metrics", "", "write the final telemetry snapshot as JSON to this file at drain ('-' = stdout)")
-		events      = fs.String("events", "", "stream telemetry events (request lifecycle + solver rounds) as JSONL to this file")
+		events      = fs.String("events", "", "stream telemetry events as JSONL to this file: each request's span tree, one span per stage down to its solver rounds")
 		peers       = fs.String("peers", "", "comma-separated peer base URLs (e.g. http://10.0.0.2:8080,...); non-empty enables cluster mode")
 		advertise   = fs.String("advertise", "", "this node's own base URL as peers reach it (default http://<resolved listen address>)")
 		gossipEvery = fs.Duration("gossip-every", clusterd.DefaultGossipEvery, "period between peer health probes in cluster mode")

@@ -71,7 +71,7 @@ func Station(ctx context.Context, args []string, stdin io.Reader, stdout io.Writ
 		timeline  = fs.Bool("timeline", false, "treat the input as a recorded timeline (cdtrace -timeline) and replay it")
 		seed      = fs.Uint64("seed", 1, "simulation seed")
 		metrics   = fs.String("metrics", "", "write a telemetry snapshot (counters, timers) as JSON to this file ('-' = stdout)")
-		events    = fs.String("events", "", "stream telemetry events as JSONL to this file")
+		events    = fs.String("events", "", "stream telemetry events as JSONL to this file: one span per stage (each churn period a churn.period span, each round a core.round span)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 		timeout   = fs.Duration("timeout", 0, "overall deadline; on expiry metrics over the completed periods are printed and the tool exits cleanly (0 = none)")
 	)

@@ -29,7 +29,8 @@ func readSnapshot(t *testing.T, path string) obs.Snapshot {
 
 // TestGreedyMetricsAllAlgorithms is the acceptance path: -all with -metrics
 // and -events must record reward-evaluation counts in one snapshot and
-// per-round gains and wall times for every algorithm in the event stream.
+// per-round gains and wall times for every algorithm in the event stream,
+// as the span_end of each core.round stage, one per core.round_ns sample.
 func TestGreedyMetricsAllAlgorithms(t *testing.T) {
 	js := genJSON(t, "-n", "40")
 	dir := t.TempDir()
@@ -68,7 +69,7 @@ func TestGreedyMetricsAllAlgorithms(t *testing.T) {
 			t.Fatalf("events line %d: t_ns went backwards", lines)
 		}
 		last = e.TNS
-		if e.Type == obs.EvRoundEnd {
+		if e.Type == obs.EvSpanEnd && e.Name == obs.StageRound {
 			rounds[e.Alg]++
 			if _, ok := e.Fields["gain"]; !ok {
 				t.Errorf("%s round event missing gain", e.Alg)
@@ -80,8 +81,11 @@ func TestGreedyMetricsAllAlgorithms(t *testing.T) {
 	}
 	for _, alg := range []string{"greedy1", "greedy2", "greedy3", "greedy4"} {
 		if rounds[alg] != 2 {
-			t.Errorf("%s: %d round_end events, want 2", alg, rounds[alg])
+			t.Errorf("%s: %d round stages, want 2", alg, rounds[alg])
 		}
+	}
+	if n := s.TimersNS[obs.StageRound+"_ns"].Count; n != 4*2 {
+		t.Errorf("%d core.round_ns samples, want 8", n)
 	}
 }
 

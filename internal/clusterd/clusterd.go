@@ -262,19 +262,19 @@ func (c *Cluster) Snapshot() []v1.ClusterPeer {
 	return out
 }
 
-// pick returns the least-loaded live peer with one forward slot reserved on
-// it (the caller must release with p.pending.Add(-1)), or nil when none is
-// live. Load is (peer-reported in-flight + queued + this node's own pending
-// forwards) per worker slot; ties break by URL order, which is identical on
-// every node. Select-and-reserve is one critical section so a burst of
+// pick returns the least-loaded live peer and its position in the peer
+// table, with one forward slot reserved on it (the caller must release with
+// p.pending.Add(-1)), or nil when none is live. Load is (peer-reported
+// in-flight + queued + this node's own pending forwards) per worker slot;
+// ties break by URL order, which is identical on every node. Select-and-reserve is one critical section so a burst of
 // concurrent shard forwards alternates across peers instead of all reading
 // the same stale scores and piling onto one.
-func (c *Cluster) pick() *peer {
+func (c *Cluster) pick() (int, *peer) {
 	c.pickMu.Lock()
 	defer c.pickMu.Unlock()
 	var best *peer
-	bestScore := 0.0
-	for _, p := range c.peers {
+	bestAt, bestScore := -1, 0.0
+	for i, p := range c.peers {
 		p.mu.Lock()
 		live, workers, load := p.live, p.workers, p.inFlight+p.queued
 		p.mu.Unlock()
@@ -286,13 +286,13 @@ func (c *Cluster) pick() *peer {
 		}
 		score := float64(load+int(p.pending.Load())) / float64(workers)
 		if best == nil || score < bestScore {
-			best, bestScore = p, score
+			best, bestAt, bestScore = p, i, score
 		}
 	}
 	if best != nil {
 		best.pending.Add(1)
 	}
-	return best
+	return bestAt, best
 }
 
 // ErrNoLivePeer is returned by the forwarding PartSolver when no configured
@@ -327,7 +327,7 @@ type ForwardSpec struct {
 // later parts are not sent to it before the next gossip sweep.
 func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 	return func(ctx context.Context, part core.Part, seed uint64, k int) ([]vec.V, error) {
-		p := c.pick()
+		pi, p := c.pick()
 		if p == nil {
 			c.col.Count(obs.CtrClusterFallbacks, 1)
 			return nil, ErrNoLivePeer
@@ -351,13 +351,12 @@ func (c *Cluster) PartSolver(spec ForwardSpec) core.PartSolver {
 			id = spec.RequestID + "/" + id
 		}
 
-		span := obs.SpanFromContext(ctx).Child("forward " + p.url)
+		span := obs.StartStage(ctx, c.col, obs.StageClusterForward)
+		span.SetAttr("peer", float64(pi))
 		span.SetAttr("n", float64(part.In.N()))
 		fctx, cancel := context.WithTimeout(ctx, forwardLimit)
 		defer cancel()
-		timer := obs.StartTimer(c.col, obs.TimClusterForward)
 		resp, err := p.client.Solve(fctx, req, id)
-		timer.Stop()
 		p.pending.Add(-1) // release the slot pick reserved
 		var refused *v1.APIError
 		if errors.As(err, &refused) && (refused.Code == v1.CodeQueueFull || refused.Code == v1.CodeDraining) {

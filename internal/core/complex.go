@@ -100,9 +100,6 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
-		if rs.active() {
-			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
-		}
 		var steps int64
 		cerr := parallel.For(ctx, n, a.Workers, col, func(i int) {
 			rng := xrand.New(a.Seed ^ (uint64(j)<<32 + uint64(i) + 0x9e37))
@@ -121,8 +118,6 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
 			rs.c.Count(obs.CtrWalkSteps, steps)
-			rs.c.Emit(obs.Event{Type: obs.EvScanEnd, Alg: a.Name(), Round: j + 1,
-				Fields: map[string]float64{"candidates": float64(n), "walk_steps": float64(steps)}})
 		}
 		best := 0
 		for i := 1; i < n; i++ {
@@ -132,7 +127,7 @@ func (a ComplexGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Re
 		}
 		c := cands[best].center
 		gain := in.ApplyRound(c, y)
-		rs.commit(res, c, gain, map[string]float64{"walk_steps": float64(steps)})
+		rs.commit(res, c, gain, map[string]float64{"candidates": float64(n), "walk_steps": float64(steps)})
 	}
 	return res, nil
 }

@@ -124,69 +124,56 @@ func CancelRun(c obs.Collector, res *Result, err error) (*Result, error) {
 	return res, err
 }
 
-// roundScope times one round and carries the shared per-round
-// instrumentation. Every round reads the clock on entry and on commit, so
-// Result.RoundNS is filled with or without a collector. With a live
-// collector the scope also emits a round_start event on entry and, on
-// commit, a round_end event carrying the gain, wall time, and any extra
-// fields, plus the core.round_ns sample. When the context carries an ambient
-// tracing span (the serving layer installs one around each solve), the scope
-// also opens a "round" child span, so a served request yields a
-// reconstructable request → solve → round tree.
+// roundScope times one round. Every round reads the clock on entry and on
+// commit, so Result.RoundNS is filled with or without a collector. With a
+// live collector the round is an obs.StageRound stage, a child of the
+// context's span when it carries one (the serving layer installs one around
+// each solve, so a served request yields a request → serve.solve →
+// core.round tree): its span_end carries the algorithm, the round, its gain
+// and any extra fields, and its End records core.round_ns. Committed rounds
+// also count core.rounds.
 type roundScope struct {
 	c     obs.Collector
-	alg   string
-	trace string
-	round int
 	start time.Time
 	span  *obs.Span
 }
 
 // startRound opens a round scope. With an inactive collector it only reads
-// the clock. Round events carry the ambient span's trace (request) ID, so a
-// server-wide event stream can be partitioned by request.
+// the clock.
 func startRound(ctx context.Context, c obs.Collector, alg string, round int) roundScope {
-	if !obs.Active(c) {
+	sp := obs.StartStage(ctx, c, obs.StageRound)
+	if sp == nil {
 		return roundScope{start: time.Now()}
 	}
-	parent := obs.SpanFromContext(ctx)
-	trace := parent.TraceID()
-	c.Emit(obs.Event{Type: obs.EvRoundStart, Alg: alg, Round: round, Trace: trace})
-	sp := parent.Child("round")
+	sp.SetAlg(alg)
 	sp.SetAttr("round", float64(round))
-	return roundScope{c: c, alg: alg, trace: trace, round: round, start: time.Now(), span: sp}
+	return roundScope{c: c, span: sp}
 }
 
 // active reports whether the scope carries a live collector.
 func (rs roundScope) active() bool { return rs.c != nil }
 
 // commit closes the scope: it appends the round's center, gain, and wall
-// time to res and, with a live collector, records the round telemetry with
-// any extra fields merged in (extra may be nil; it is not retained). A round
-// cancelled mid-scan never reaches commit; its span is left open, which the
-// trace shows as a span_start without a span_end.
+// time to res and, with a live collector, ends the round's stage with the
+// gain and any extra fields as attributes (extra may be nil; it is not
+// retained). A round cancelled mid-scan never reaches commit; its span is
+// left open, which the trace shows as a span_start without a span_end.
 func (rs roundScope) commit(res *Result, c vec.V, gain float64, extra map[string]float64) {
-	ns := time.Since(rs.start).Nanoseconds()
+	var ns int64
+	if rs.span == nil {
+		ns = time.Since(rs.start).Nanoseconds()
+	} else {
+		rs.span.SetAttr("gain", gain)
+		for k, v := range extra {
+			rs.span.SetAttr(k, v)
+		}
+		ns = rs.span.End()
+		rs.c.Count(obs.CtrRounds, 1)
+	}
 	res.Centers = append(res.Centers, c)
 	res.Gains = append(res.Gains, gain)
 	res.RoundNS = append(res.RoundNS, ns)
 	res.Total += gain
-	if rs.c == nil {
-		return
-	}
-	rs.c.TimeNS(obs.TimRound, ns)
-	fields := map[string]float64{"gain": gain, "wall_ns": float64(ns)}
-	for k, v := range extra {
-		fields[k] = v
-	}
-	rs.c.Count(obs.CtrRounds, 1)
-	rs.c.Emit(obs.Event{Type: obs.EvRoundEnd, Alg: rs.alg, Round: rs.round,
-		Trace: rs.trace, Fields: fields})
-	rs.span.SetAttr("gain", gain)
-	for k, v := range extra {
-		rs.span.SetAttr(k, v)
-	}
-	rs.span.End()
 }
 
 // checkArgs validates the shared Run preconditions.

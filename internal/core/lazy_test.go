@@ -159,7 +159,8 @@ func TestLazyFirstRoundHonoursDeadline(t *testing.T) {
 	}
 }
 
-// orderLog records round events and gain-evaluation counts in call order.
+// orderLog records round stages' starts and ends and gain-evaluation counts
+// in call order.
 type orderLog struct {
 	mu    sync.Mutex
 	lines []string
@@ -179,8 +180,12 @@ func (*orderLog) Gauge(string, float64)   {}
 func (*orderLog) Observe(string, float64) {}
 func (*orderLog) TimeNS(string, int64)    {}
 func (l *orderLog) Emit(e obs.Event) {
-	if e.Type == obs.EvRoundStart || e.Type == obs.EvRoundEnd {
-		l.add(fmt.Sprintf("%s %s %d", e.Type, e.Alg, e.Round))
+	switch {
+	case e.Name != obs.StageRound:
+	case e.Type == obs.EvSpanStart:
+		l.add("round start")
+	case e.Type == obs.EvSpanEnd:
+		l.add(fmt.Sprintf("round end %s %v", e.Alg, e.Fields["round"]))
 	}
 }
 
@@ -195,7 +200,7 @@ func TestRoundOneCoversInitialEvaluation(t *testing.T) {
 	if _, err := (LazyGreedy{}).Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"round_start greedy2-lazy 1", fmt.Sprintf("evals %d", n)}
+	want := []string{"round start", fmt.Sprintf("evals %d", n)}
 	if len(log.lines) < 2 || log.lines[0] != want[0] || log.lines[1] != want[1] {
 		t.Fatalf("LazyGreedy logged %q first, want %q", log.lines[:min(2, len(log.lines))], want)
 	}
@@ -205,12 +210,13 @@ func TestRoundOneCoversInitialEvaluation(t *testing.T) {
 	if _, err := p.Run(context.Background(), in, k); err != nil {
 		t.Fatal(err)
 	}
-	inRound, evals := false, 0
+	inRound, starts, evals := false, 0, 0
 	for _, line := range log.lines {
 		switch line {
-		case "round_start merge 1":
-			inRound = true
-		case "round_end merge 1":
+		case "round start":
+			starts++
+			inRound = starts == 1
+		case "round end merge 1":
 			inRound = false
 		case "evals 1":
 			if inRound {

@@ -38,9 +38,6 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
-		if rs.active() {
-			rs.c.Emit(obs.Event{Type: obs.EvScanStart, Alg: a.Name(), Round: j + 1})
-		}
 		idx, _, cerr := parallel.Argmax(ctx, n, a.Workers, col, func(i int) float64 {
 			return in.RoundGain(in.Set.Point(i), y)
 		})
@@ -52,8 +49,6 @@ func (a LocalGreedy) Run(ctx context.Context, in *reward.Instance, k int) (*Resu
 		}
 		if rs.active() {
 			rs.c.Count(obs.CtrCandidates, int64(n))
-			rs.c.Emit(obs.Event{Type: obs.EvScanEnd, Alg: a.Name(), Round: j + 1,
-				Fields: map[string]float64{"candidates": float64(n)}})
 		}
 		c := in.Set.Point(idx).Clone()
 		gain := in.ApplyRound(c, y)

@@ -5,18 +5,19 @@
 // cells of a radius-r grid and pays O(occupied cells · 3^m) per round, which
 // is near-linear in n overall because the grid is built once in O(n).
 //
-// Three stages, each instrumented with its own span and timer:
+// Three stages, each one obs stage (a span and its timer, under one name):
 //
-//  1. grid_snap — take the instance's radius-r internal/spatial grid (built
-//     here only when the instance's finder is not one), aggregate each
-//     occupied cell into a weighted-centroid representative, its total
-//     weight, and its residual mass, and precompute the cell-adjacency
-//     coverage factors used by the per-round scan.
-//  2. seed — a k-means++-style D²-weighted draw over cell representatives
-//     (probability ∝ residual mass × squared distance to the nearest chosen
-//     seed) injects one diversity candidate per round, deterministically from
-//     Seed via xrand.
-//  3. refine — k greedy rounds. Each round ranks every occupied cell by an
+//  1. nearlinear.grid_snap — take the instance's radius-r internal/spatial
+//     grid (built here only when the instance's finder is not one),
+//     aggregate each occupied cell into a weighted-centroid representative,
+//     its total weight, and its residual mass, and precompute the
+//     cell-adjacency coverage factors used by the per-round scan.
+//  2. nearlinear.seed — a k-means++-style D²-weighted draw over cell
+//     representatives (probability ∝ residual mass × squared distance to
+//     the nearest chosen seed) injects one diversity candidate per round,
+//     deterministically from Seed via xrand.
+//  3. nearlinear.refine — k greedy rounds, each a core.round stage inside
+//     it. Each round ranks every occupied cell by an
 //     approximate gain ĝ (cell residual masses attenuated by the
 //     precomputed representative-distance coverage factors), exactly scores
 //     a bounded candidate pool (top cells by ĝ + the round's seed; per cell
@@ -64,9 +65,9 @@ const nlWelzlCutoff = 64
 // is usable: seed 0, default refinement budget. It runs serially —
 // per-round work is O(occupied cells), so there is nothing worth
 // parallelizing — which makes its output trivially independent of any
-// Workers setting. With a collector on the instance it reports stage
-// timers, counters, spans, and per-round events; its exact evaluations run
-// on a shadow instance that shares that collector.
+// Workers setting. With a collector on the instance it reports its stages,
+// counters and rounds; its exact evaluations run on a shadow instance that
+// shares that collector.
 type NearLinear struct {
 	// Seed drives the k-means++ seeding draw and any enclosing-ball
 	// shuffles. Deterministic per seed.
@@ -104,13 +105,10 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	if ctx.Err() != nil {
 		return CancelRun(col, res, ctx.Err())
 	}
-	parent := obs.SpanFromContext(ctx)
 
-	snapSp := parent.Child("grid_snap")
-	snapT := obs.StartTimer(col, obs.TimNLSnap)
+	snapSp := obs.StartStage(ctx, col, obs.StageNLSnap)
 	st, err := a.snap(ctx, in)
 	if ctx.Err() != nil {
-		snapT.Stop()
 		snapSp.End()
 		return CancelRun(col, res, ctx.Err())
 	}
@@ -125,28 +123,23 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 	if col != nil {
 		col.Count(obs.CtrNLCells, int64(len(st.cells)))
 	}
-	snapT.Stop()
 	snapSp.SetAttr("cells", float64(len(st.cells)))
 	snapSp.End()
 
-	seedSp := parent.Child("seed")
-	seedT := obs.StartTimer(col, obs.TimNLSeed)
+	seedSp := obs.StartStage(ctx, col, obs.StageNLSeed)
 	rng := xrand.New(a.Seed ^ 0x9e3779b97f4a7c15)
 	seeds := a.seedCells(ctx, in, st, k, rng)
 	if col != nil {
 		col.Count(obs.CtrNLSeeds, int64(len(seeds)))
 	}
-	seedT.Stop()
 	seedSp.SetAttr("seeds", float64(len(seeds)))
 	seedSp.End()
 
-	refineSp := parent.Child("refine")
+	refineSp := obs.StartStage(ctx, col, obs.StageNLRefine)
 	ctx = obs.ContextWithSpan(ctx, refineSp)
-	refineT := obs.StartTimer(col, obs.TimNLRefine)
 	y := ex.NewResiduals()
 	for j := 1; j <= k; j++ {
 		if ctx.Err() != nil {
-			refineT.Stop()
 			refineSp.End()
 			return CancelRun(col, res, ctx.Err())
 		}
@@ -178,7 +171,6 @@ func (a NearLinear) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 		rs.commit(res, ctr.c.Clone(), gain, map[string]float64{
 			"pool": float64(pool), "refine_steps": float64(steps)})
 	}
-	refineT.Stop()
 	refineSp.End()
 	return res, nil
 }

@@ -55,11 +55,11 @@ func capture(t *testing.T) (*obs.Sink, func() []obs.Event) {
 	}
 }
 
-// roundEvents extracts the round_end events for alg in order.
+// roundEvents extracts the span_end events of alg's round stages in order.
 func roundEvents(events []obs.Event, alg string) []obs.Event {
 	var out []obs.Event
 	for _, e := range events {
-		if e.Type == obs.EvRoundEnd && e.Alg == alg {
+		if e.Type == obs.EvSpanEnd && e.Name == obs.StageRound && e.Alg == alg {
 			out = append(out, e)
 		}
 	}
@@ -68,10 +68,11 @@ func roundEvents(events []obs.Event, alg string) []obs.Event {
 
 // TestInstrumentedAlgorithmsEmitRounds runs every algorithm that commits
 // rounds on an instance with a live collector and checks the shared
-// contract: k round_end events whose gains match Result.Gains, the rounds
-// counter, and unchanged results relative to the run without a collector.
-// The swap's seed reports its own k rounds too; the two-part pipeline's
-// part solves report none.
+// contract: k round stages whose span_end gains match Result.Gains, the
+// rounds counter and as many core.round_ns samples, and unchanged results
+// relative to the run without a collector. The swap's seed reports its own
+// k rounds too; the two-part pipeline's part solves report none. greedy1's
+// inner solves are stages inside their rounds.
 func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 	in := obsInstance(t, 30)
 	const k = 3
@@ -107,13 +108,16 @@ func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 				t.Errorf("instrumentation changed the result: %v != %v", res.Total, plain.Total)
 			}
 			s := m.Snapshot()
-			rounds := roundEvents(events(), bare.Name())
+			evs := events()
+			rounds := roundEvents(evs, bare.Name())
 			if len(rounds) != k {
-				t.Fatalf("%d round_end events, want %d", len(rounds), k)
+				t.Fatalf("%d round stages, want %d", len(rounds), k)
 			}
+			roundIDs := map[string]bool{}
 			for j, e := range rounds {
-				if e.Round != j+1 {
-					t.Errorf("round %d event numbered %d", j+1, e.Round)
+				roundIDs[e.Span] = true
+				if e.Fields["round"] != float64(j+1) {
+					t.Errorf("round %d stage numbered %v", j+1, e.Fields["round"])
 				}
 				if e.Fields["gain"] != res.Gains[j] {
 					t.Errorf("round %d event gain %v != result gain %v", j+1, e.Fields["gain"], res.Gains[j])
@@ -124,6 +128,24 @@ func TestInstrumentedAlgorithmsEmitRounds(t *testing.T) {
 			}
 			if s.Counters[obs.CtrRounds] != tc.rounds {
 				t.Errorf("rounds counter = %d, want %d", s.Counters[obs.CtrRounds], tc.rounds)
+			}
+			if n := s.TimersNS[obs.StageRound+"_ns"].Count; int64(n) != tc.rounds {
+				t.Errorf("%d core.round_ns samples, want %d", n, tc.rounds)
+			}
+			if _, ok := bare.(core.RoundBased); ok {
+				inner := 0
+				for _, e := range evs {
+					if e.Type == obs.EvSpanEnd && e.Name == obs.StageInnerSolve {
+						inner++
+						if !roundIDs[e.Parent] {
+							t.Errorf("inner solve %s parented by %q, not a round", e.Span, e.Parent)
+						}
+					}
+				}
+				if inner != k || s.TimersNS[obs.StageInnerSolve+"_ns"].Count != k {
+					t.Errorf("%d inner-solve stages, %d core.inner_solve_ns samples, want %d",
+						inner, s.TimersNS[obs.StageInnerSolve+"_ns"].Count, k)
+				}
 			}
 			if _, ok := bare.(core.Pipeline); ok && s.Counters[obs.CtrShardParts] != 2 {
 				t.Errorf("shard.parts = %d, want 2", s.Counters[obs.CtrShardParts])
@@ -220,10 +242,10 @@ func TestSwapSeedReportsRounds(t *testing.T) {
 	}
 	evs := events()
 	if got := len(roundEvents(evs, "greedy2-lazy")); got != 2 {
-		t.Errorf("%d seed round_end events, want 2", got)
+		t.Errorf("%d seed round stages, want 2", got)
 	}
 	if got := len(roundEvents(evs, res.Algorithm)); got != 2 {
-		t.Errorf("%d swap round_end events, want 2", got)
+		t.Errorf("%d swap round stages, want 2", got)
 	}
 	if err := res.Validate(); err != nil {
 		t.Error(err)

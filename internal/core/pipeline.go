@@ -74,8 +74,9 @@ type PartSolver func(ctx context.Context, part Part, seed uint64, k int) ([]vec.
 // far, which are bit-for-bit the prefix an uncancelled run would have
 // selected.
 //
-// Telemetry goes to the instance's collector: the partition/shard_solve/
-// merge timers, the shard.* counters, and the merge's per-round events.
+// Telemetry goes to the instance's collector: the shard.partition,
+// shard.solve (one per part) and shard.merge stages, the shard.* counters,
+// and the merge's rounds.
 // Each part is solved on a collector-less copy of its instance, so the
 // merge's rounds are the solve's only rounds.
 type Pipeline struct {
@@ -120,15 +121,12 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	if err := ctx.Err(); err != nil {
 		return CancelRun(col, res, err)
 	}
-	parent := obs.SpanFromContext(ctx)
 
 	// Stage 1: partition. A partitioner reads ctx between the parts it
 	// builds; an error that arrives with ctx done is that cancellation, and
 	// the empty result is its valid prefix.
-	ptimer := obs.StartTimer(col, obs.TimShardPartition)
-	pspan := parent.Child("partition")
+	pspan := obs.StartStage(ctx, col, obs.StageShardPartition)
 	parts, err := p.partition(ctx, in, k)
-	ptimer.Stop()
 	if err != nil {
 		pspan.SetAttr("failed", 1)
 		pspan.End()
@@ -169,10 +167,10 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 		part := parts[i]
 		// A partitioner may hand back the parent instance itself.
 		part.In = part.In.WithCollector(nil)
-		sspan := parent.Child("shard_solve")
+		sspan := obs.StartStage(ctx, col, obs.StageShardSolve)
 		sspan.SetAttr("shard", float64(i))
 		sspan.SetAttr("n", float64(part.In.N()))
-		stimer := obs.StartTimer(col, obs.TimShardSolve)
+		sctx := obs.ContextWithSpan(ctx, sspan)
 		seed := part.ID
 		if p.SeedFor != nil {
 			seed = p.SeedFor(part.ID)
@@ -182,9 +180,8 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 			kk = n
 		}
 		if p.SolvePart != nil {
-			cs, rerr := p.SolvePart(ctx, part, seed, kk)
+			cs, rerr := p.SolvePart(sctx, part, seed, kk)
 			if rerr == nil {
-				stimer.Stop()
 				cands[i] = cs
 				sspan.SetAttr("remote", 1)
 				sspan.SetAttr("rounds", float64(len(cs)))
@@ -192,7 +189,6 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 				return
 			}
 			if ctx.Err() != nil {
-				stimer.Stop()
 				sspan.End()
 				return
 			}
@@ -201,8 +197,7 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 			sspan.SetAttr("remote_failed", 1)
 		}
 		alg := p.NewSolver(seed)
-		r, err := alg.Run(ctx, part.In, kk)
-		stimer.Stop()
+		r, err := alg.Run(sctx, part.In, kk)
 		if err != nil && ctx.Err() == nil {
 			errs[i] = err
 			sspan.SetAttr("failed", 1)
@@ -238,11 +233,9 @@ func (p Pipeline) Run(ctx context.Context, in *reward.Instance, k int) (*Result,
 	}
 
 	// Stage 3: lazy-greedy merge against the full instance.
-	mtimer := obs.StartTimer(col, obs.TimShardMerge)
-	mspan := parent.Child("merge")
+	mspan := obs.StartStage(ctx, col, obs.StageShardMerge)
 	mspan.SetAttr("candidates", float64(len(flat)))
 	res, err = p.merge(obs.ContextWithSpan(ctx, mspan), in, flat, k, res)
-	mtimer.Stop()
 	mspan.SetAttr("rounds", float64(len(res.Gains)))
 	mspan.SetAttr("total", res.Total)
 	mspan.End()
@@ -310,9 +303,9 @@ func (p Pipeline) partition(ctx context.Context, in *reward.Instance, k int) ([]
 // (RoundGain/ApplyRound) with lazy CELF re-evaluation: a candidate's gain
 // from an earlier round is a valid upper bound (gains only shrink as
 // residuals decrease), so most rounds re-evaluate a handful of heap tops
-// instead of every candidate. Each committed round emits the standard
-// round_start/round_end events, so a served sharded solve reports its merge
-// rounds exactly like a single-shot solve reports its rounds.
+// instead of every candidate. Each committed round is the standard round
+// stage, so a served sharded solve reports its merge rounds exactly like a
+// single-shot solve reports its rounds.
 func (p Pipeline) merge(ctx context.Context, in *reward.Instance, cands []vec.V, k int, res *Result) (*Result, error) {
 	y := in.NewResiduals()
 	h := make(candHeap, 0, len(cands))

@@ -273,7 +273,7 @@ func (mergeCanceller) TimeNS(string, int64)    {}
 func (mergeCanceller) Gauge(string, float64)   {}
 func (mergeCanceller) Observe(string, float64) {}
 func (m mergeCanceller) Emit(e obs.Event) {
-	if e.Type == obs.EvRoundEnd && e.Round >= m.round {
+	if e.Type == obs.EvSpanEnd && e.Name == obs.StageRound && e.Fields["round"] >= float64(m.round) {
 		m.cancel()
 	}
 }
@@ -319,9 +319,9 @@ func TestPipelineCancelMidMerge(t *testing.T) {
 	}
 }
 
-// TestPipelineMergeRoundsReported: the merge emits the standard round
-// events under the pipeline's name, so serving-layer round accounting works
-// unchanged for sharded solves.
+// TestPipelineMergeRoundsReported: the merge's rounds are the standard round
+// stages under the pipeline's name, children of the merge stage, so
+// serving-layer round accounting works unchanged for sharded solves.
 func TestPipelineMergeRoundsReported(t *testing.T) {
 	rng := xrand.New(37)
 	in := randomInstance(t, rng, 40, norm.L2{}, 1)
@@ -345,20 +345,26 @@ func TestPipelineMergeRoundsReported(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	ends := 0
+	ends, merge := 0, ""
 	for dec := json.NewDecoder(&buf); dec.More(); {
 		var e obs.Event
 		if err := dec.Decode(&e); err != nil {
 			t.Fatal(err)
 		}
-		if e.Type == obs.EvRoundEnd {
+		switch {
+		case e.Type == obs.EvSpanStart && e.Name == obs.StageShardMerge:
+			merge = e.Span
+		case e.Type == obs.EvSpanEnd && e.Name == obs.StageRound:
 			ends++
 			if e.Alg != "dup" {
-				t.Errorf("round event attributed to %q, want the pipeline name", e.Alg)
+				t.Errorf("round stage attributed to %q, want the pipeline name", e.Alg)
+			}
+			if merge == "" || e.Parent != merge {
+				t.Errorf("round stage parented by %q, want the merge stage %q", e.Parent, merge)
 			}
 		}
 	}
 	if ends != k {
-		t.Errorf("%d round_end events, want %d", ends, k)
+		t.Errorf("%d round stages, want %d", ends, k)
 	}
 }

@@ -31,8 +31,8 @@ type InnerSolver interface {
 // problem, then discounting residuals. With an exact inner solver it attains
 // the Theorem-1 ratio 1 − (1 − 1/k)^k ≥ 1 − 1/e.
 //
-// With a collector on the instance it also emits one obs.EvInnerSolve event
-// per continuous-solver invocation with its wall time.
+// With a collector on the instance each continuous-solver invocation is an
+// obs.StageInnerSolve stage inside its round.
 type RoundBased struct {
 	Solver InnerSolver
 }
@@ -57,23 +57,18 @@ func (a RoundBased) Run(ctx context.Context, in *reward.Instance, k int) (*Resul
 			return CancelRun(col, res, err)
 		}
 		rs := startRound(ctx, col, a.Name(), j+1)
-		st := obs.StartTimer(col, obs.TimInnerSolve)
+		st := obs.StartStage(obs.ContextWithSpan(ctx, rs.span), col, obs.StageInnerSolve)
 		c, err := a.Solver.Solve(ctx, in, y)
+		solveNS := st.End()
 		if cerr := ctx.Err(); cerr != nil {
 			// Cancelled mid-solve: the round's center is (at best) a
 			// lower-fidelity answer from a truncated search. Discard the
 			// round so the committed prefix stays bit-identical to an
 			// uncancelled run's.
-			st.Stop()
 			return CancelRun(col, res, cerr)
 		}
 		if err != nil {
 			return nil, err
-		}
-		solveNS := st.Stop()
-		if rs.active() {
-			rs.c.Emit(obs.Event{Type: obs.EvInnerSolve, Alg: a.Name(), Round: j + 1,
-				Fields: map[string]float64{"wall_ns": float64(solveNS)}})
 		}
 		gain := in.ApplyRound(c, y)
 		rs.commit(res, c.Clone(), gain, map[string]float64{"solve_ns": float64(solveNS)})

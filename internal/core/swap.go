@@ -29,7 +29,7 @@ func (s SwapLocalSearch) Name() string { return "greedy2+swap" }
 
 // Run implements Algorithm. With a collector on the instance, the seed
 // reports its own rounds, and the search adds one obs.EvSwapPass event per
-// sweep, the swap evaluations (obs.CtrSwapEvals), and the round events of
+// sweep, the swap evaluations (obs.CtrSwapEvals), and the round stages of
 // the final gain re-derivation: 2k rounds in all.
 //
 // Cancellation is anytime at two granularities:

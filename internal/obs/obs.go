@@ -12,11 +12,9 @@
 //
 // Metric names are dotted strings namespaced by the package that emits them
 // ("core.", "reward.", "parallel.", "geom.", "bench."); the canonical names
-// are the Ctr*/Tim*/Obs* constants below so that producers and dashboards
-// cannot drift apart.
+// are the Stage*/Ctr*/Tim*/Obs* constants below so that producers and
+// dashboards cannot drift apart.
 package obs
-
-import "time"
 
 // Collector receives telemetry from instrumented code. Implementations must
 // be safe for concurrent use: the candidate scans and per-seed walks emit
@@ -45,37 +43,26 @@ type Event struct {
 	Round  int                `json:"round,omitempty"`
 	Fields map[string]float64 `json:"fields,omitempty"`
 
-	// Trace is the request/trace ID the event belongs to; span events,
-	// round events, and (when serving) per-period churn events carry it so a
-	// server-wide JSONL stream can be partitioned by request. On round
-	// events it is taken from the ambient span, so it is empty outside the
-	// serving layer.
+	// Trace is the request/trace ID a span event belongs to, so a
+	// server-wide JSONL stream can be partitioned by request. A stage takes
+	// it from the ambient span, so it is empty outside the serving layer.
 	Trace string `json:"trace,omitempty"`
 	// Span and Parent are span IDs linking span_start/span_end events into a
 	// tree (Parent is empty on a root span); Name is the span's operation
-	// name ("request.solve", "solve", "round", "period", ...). All three are
-	// empty on non-span events.
+	// name ("request.solve", "serve.solve", "core.round", "churn.period",
+	// ...). All three are empty on non-span events.
 	Span   string `json:"span,omitempty"`
 	Parent string `json:"parent,omitempty"`
 	Name   string `json:"name,omitempty"`
 }
 
-// Event types emitted by the instrumented solver packages.
+// Event types emitted by the instrumented solver packages. A timed stage
+// (a round, a churn period, a pipeline or request stage) is a span, so its
+// record is its span_end; the types below carry what no stage does.
 const (
-	// EvRoundStart / EvRoundEnd bracket one greedy round. EvRoundEnd
-	// carries at least "gain" and "wall_ns".
-	EvRoundStart = "round_start"
-	EvRoundEnd   = "round_end"
-	// EvScanStart / EvScanEnd bracket one candidate scan (the argmax over
-	// data points inside a round). EvScanEnd carries "candidates".
-	EvScanStart = "scan_start"
-	EvScanEnd   = "scan_end"
 	// EvSEB records one smallest-enclosing-ball construction with
 	// "points" and, for the Welzl recursion, "depth".
 	EvSEB = "seb"
-	// EvInnerSolve records one continuous inner-solver invocation of
-	// Algorithm 1 with "wall_ns".
-	EvInnerSolve = "inner_solve"
 	// EvSwapPass records one full sweep of the swap local search with
 	// "pass", "improved" (0/1), and "objective".
 	EvSwapPass = "swap_pass"
@@ -87,16 +74,51 @@ const (
 	// center set against the cold solve, with "cold", "warm", and
 	// "improvement" (warm − cold, clamped at 0).
 	EvWarmStart = "warm_start"
-	// EvChurnPeriod records one period of the churn loop with "arrivals",
-	// "departures", "n" (population after churn), and "objective".
-	EvChurnPeriod = "churn_period"
 	// EvSpanStart / EvSpanEnd bracket one tracing span (see Span). Both
 	// carry Trace, Span, Parent, and Name; EvSpanEnd additionally carries
-	// "wall_ns" plus any attributes set on the span. A span_start without a
-	// matching span_end marks work that was still in flight (or cut off by
-	// cancellation) when the trace was read.
+	// "wall_ns", any attributes set on the span, and its Alg when set. A
+	// span_start without a matching span_end marks work that was still in
+	// flight (or cut off by cancellation) when the trace was read.
 	EvSpanStart = "span_start"
 	EvSpanEnd   = "span_end"
+)
+
+// Stage names (StartStage). Each stage's timer is its name plus "_ns"
+// (core.round_ns, shard.partition_ns, ...), so a span and its /metrics
+// histogram share one name.
+const (
+	// StageRound is one greedy round; its span_end carries the round's
+	// Alg and "round", "gain" and the algorithm's per-round fields.
+	StageRound = "core.round"
+	// StageInnerSolve is one continuous inner solve of Algorithm 1.
+	StageInnerSolve = "core.inner_solve"
+
+	// The sharded pipeline's three stages (core.Pipeline), one
+	// shard.solve per part.
+	StageShardPartition = "shard.partition"
+	StageShardSolve     = "shard.solve"
+	StageShardMerge     = "shard.merge"
+
+	// The near-linear solver's stages: snap to the grid, seed, then the
+	// refine stage that holds its rounds.
+	StageNLSnap   = "nearlinear.grid_snap"
+	StageNLSeed   = "nearlinear.seed"
+	StageNLRefine = "nearlinear.refine"
+
+	// StageClusterForward is one shard shipped to a peer, answer check
+	// included.
+	StageClusterForward = "cluster.forward"
+
+	// StageChurnPeriod is one period of the churn loop; its span_end
+	// carries the loop's solver as Alg.
+	StageChurnPeriod = "churn.period"
+
+	// The serving layer's stages under a request span: the cache lookup,
+	// the wait for a worker slot, and the solve or churn run.
+	StageSrvCache = "serve.cache"
+	StageSrvQueue = "serve.queue"
+	StageSrvSolve = "serve.solve"
+	StageSrvChurn = "serve.churn"
 )
 
 // Canonical metric names.
@@ -108,8 +130,6 @@ const (
 	CtrWalkSteps  = "core.walk_steps"
 	CtrSwapEvals  = "core.swap_evals"
 	CtrSwapPasses = "core.swap_passes"
-	TimRound      = "core.round_ns"
-	TimInnerSolve = "core.inner_solve_ns"
 
 	CtrGainEvals      = "reward.gain_evals"
 	CtrApplyRounds    = "reward.apply_rounds"
@@ -142,18 +162,12 @@ const (
 	CtrShardHaloPoints  = "shard.halo_points"
 	CtrShardCandidates  = "shard.candidates"
 	CtrShardMergeRepops = "shard.merge_repops"
-	TimShardSolve       = "shard.solve_ns"
-	TimShardPartition   = "shard.partition_ns"
-	TimShardMerge       = "shard.merge_ns"
 
 	CtrNLCells         = "nearlinear.cells"
 	CtrNLSeeds         = "nearlinear.seeds"
 	CtrNLCandidates    = "nearlinear.exact_scored"
 	CtrNLRefineSteps   = "nearlinear.refine_steps"
 	CtrNLRefineAccepts = "nearlinear.refine_accepts"
-	TimNLSnap          = "nearlinear.grid_snap_ns"
-	TimNLSeed          = "nearlinear.seed_ns"
-	TimNLRefine        = "nearlinear.refine_ns"
 
 	CtrChurnPeriods = "churn.periods"
 	CtrChurnAdded   = "churn.users_added"
@@ -185,7 +199,6 @@ const (
 	CtrClusterFallbacks    = "cluster.fallbacks"
 	CtrClusterGossipRounds = "cluster.gossip_rounds"
 	GaugeClusterPeersLive  = "cluster.peers_live"
-	TimClusterForward      = "cluster.forward_ns"
 
 	CtrSrvRequests   = "serve.requests"
 	CtrSrvAccepted   = "serve.accepted"
@@ -252,34 +265,6 @@ func Active(c Collector) bool {
 	}
 	_, nop := c.(Nop)
 	return !nop
-}
-
-// Timer measures one span on the monotonic clock and reports it to a
-// collector as a TimeNS sample. The zero Timer (from StartTimer with an
-// inactive collector) costs nothing and Stops to zero.
-type Timer struct {
-	c     Collector
-	name  string
-	start time.Time
-}
-
-// StartTimer begins a span. With an inactive collector it returns the zero
-// Timer without reading the clock.
-func StartTimer(c Collector, name string) Timer {
-	if !Active(c) {
-		return Timer{}
-	}
-	return Timer{c: c, name: name, start: time.Now()}
-}
-
-// Stop ends the span, records it, and returns the elapsed nanoseconds.
-func (t Timer) Stop() int64 {
-	if t.c == nil {
-		return 0
-	}
-	ns := time.Since(t.start).Nanoseconds()
-	t.c.TimeNS(t.name, ns)
-	return ns
 }
 
 // multi fans every call out to each member.

@@ -3,11 +3,15 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// timRound is the round stage's timer.
+const timRound = StageRound + "_ns"
 
 func TestNopAndActive(t *testing.T) {
 	if Active(nil) {
@@ -26,10 +30,15 @@ func TestNopAndActive(t *testing.T) {
 	if OrNop(m) != Collector(m) {
 		t.Error("OrNop(live) did not pass through")
 	}
-	// The zero Timer from an inactive collector must be a no-op.
-	tm := StartTimer(nil, TimRound)
-	if ns := tm.Stop(); ns != 0 {
-		t.Errorf("inactive timer measured %d ns", ns)
+	// A stage on an inactive collector is nil, and ending it is a no-op.
+	for _, c := range []Collector{nil, Nop{}} {
+		st := StartStage(context.Background(), c, StageRound)
+		if st != nil {
+			t.Errorf("StartStage(%T) = %v, want nil", c, st)
+		}
+		if ns := st.End(); ns != 0 {
+			t.Errorf("inactive stage measured %d ns", ns)
+		}
 	}
 }
 
@@ -41,7 +50,7 @@ func TestMetricsCountersGaugesTimers(t *testing.T) {
 	m.Gauge(GaugeParWorkers, 8)
 	m.Observe(ObsSEBDepth, 3)
 	m.Observe(ObsSEBDepth, 5)
-	m.TimeNS(TimRound, 1500)
+	m.TimeNS(timRound, 1500)
 
 	s := m.Snapshot()
 	if s.Counters[CtrRounds] != 5 || s.Counters[CtrGainEvals] != 7 {
@@ -54,7 +63,7 @@ func TestMetricsCountersGaugesTimers(t *testing.T) {
 	if h.Count != 2 || h.Min != 3 || h.Max != 5 || h.Mean != 4 {
 		t.Errorf("histogram wrong: %+v", h)
 	}
-	tm := s.TimersNS[TimRound]
+	tm := s.TimersNS[timRound]
 	if tm.Count != 1 || tm.Sum != 1500 {
 		t.Errorf("timer wrong: %+v", tm)
 	}
@@ -143,15 +152,17 @@ func TestMultiFansOutAndCollapses(t *testing.T) {
 	sb, eventsB := capture(t)
 	c := Multi(nil, Nop{}, a, b, sa, sb)
 	c.Count(CtrRounds, 1)
-	c.Emit(Event{Type: EvRoundStart, Alg: "greedy2", Round: 1})
+	c.Emit(Event{Type: EvSEB, Fields: map[string]float64{"points": 3}})
+	StartStage(context.Background(), c, StageRound).End()
 	for _, m := range []*Metrics{a, b} {
-		if s := m.Snapshot(); s.Counters[CtrRounds] != 1 {
-			t.Errorf("member missed the count: %+v", s)
+		if s := m.Snapshot(); s.Counters[CtrRounds] != 1 || s.TimersNS[timRound].Count != 1 {
+			t.Errorf("member missed the count or the stage's timer: %+v", s)
 		}
 	}
 	for _, events := range []func() []Event{eventsA, eventsB} {
-		if got := events(); len(got) != 1 || got[0].Type != EvRoundStart {
-			t.Errorf("member missed the event: %+v", got)
+		got := events()
+		if len(got) != 3 || got[0].Type != EvSEB || got[1].Type != EvSpanStart || got[2].Type != EvSpanEnd {
+			t.Errorf("member missed an event: %+v", got)
 		}
 	}
 	if _, ok := Multi(nil, Nop{}).(Nop); !ok {
@@ -164,27 +175,31 @@ func TestMultiFansOutAndCollapses(t *testing.T) {
 
 // knownEventTypes is the schema's closed set of event types.
 var knownEventTypes = map[string]bool{
-	EvRoundStart: true, EvRoundEnd: true,
-	EvScanStart: true, EvScanEnd: true,
-	EvSEB: true, EvInnerSolve: true, EvSwapPass: true,
+	EvSpanStart: true, EvSpanEnd: true,
+	EvSEB: true, EvSwapPass: true, EvCancelled: true, EvWarmStart: true,
 }
 
 // TestSinkJSONLSchema validates the JSONL event schema: one JSON object per
 // line, required t_ns (monotonically non-decreasing) and type (from the
-// known set), round ≥ 1 when present, and no unknown keys.
+// known set), round ≥ 1 when present, and no unknown keys. A round is a
+// stage: a span_start and a span_end carrying its Alg and fields.
 func TestSinkJSONLSchema(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf)
-	s.Emit(Event{Type: EvRoundStart, Alg: "greedy2", Round: 1})
-	s.Emit(Event{Type: EvScanStart, Alg: "greedy2", Round: 1})
-	s.Emit(Event{Type: EvScanEnd, Alg: "greedy2", Round: 1, Fields: map[string]float64{"candidates": 40}})
+	round := StartStage(context.Background(), s, StageRound)
+	round.SetAlg("greedy2")
+	round.SetAttr("round", 1)
+	round.SetAttr("candidates", 40)
 	s.Emit(Event{Type: EvSEB, Fields: map[string]float64{"points": 7, "depth": 3}})
-	s.Emit(Event{Type: EvRoundEnd, Alg: "greedy2", Round: 1, Fields: map[string]float64{"gain": 12.5, "wall_ns": 1e6}})
+	round.SetAttr("gain", 12.5)
+	round.End()
+	s.Emit(Event{Type: EvCancelled, Alg: "greedy2", Round: 1, Fields: map[string]float64{"rounds": 1}})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	allowedKeys := map[string]bool{"t_ns": true, "type": true, "alg": true, "round": true, "fields": true}
+	allowedKeys := map[string]bool{"t_ns": true, "type": true, "alg": true, "round": true, "fields": true,
+		"trace": true, "span": true, "parent": true, "name": true}
 	var lastTNS int64 = -1
 	lines := 0
 	sc := bufio.NewScanner(&buf)
@@ -216,10 +231,14 @@ func TestSinkJSONLSchema(t *testing.T) {
 		if raw["round"] != nil && e.Round < 1 {
 			t.Errorf("line %d: round %d < 1", lines, e.Round)
 		}
+		if e.Type == EvSpanEnd && (e.Name != StageRound || e.Alg != "greedy2" || e.Fields["round"] != 1 ||
+			e.Fields["gain"] != 12.5 || e.Fields["candidates"] != 40 || e.Fields["wall_ns"] < 0) {
+			t.Errorf("line %d: round stage's span_end = %+v", lines, e)
+		}
 		lastTNS = e.TNS
 	}
-	if lines != 5 {
-		t.Fatalf("wrote %d lines, want 5", lines)
+	if lines != 4 {
+		t.Fatalf("wrote %d lines, want 4", lines)
 	}
 }
 
@@ -235,7 +254,7 @@ func TestConcurrentEmitMonotonic(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					c.Emit(Event{Type: EvRoundEnd, Round: i + 1})
+					c.Emit(Event{Type: EvSwapPass, Fields: map[string]float64{"pass": float64(i + 1)}})
 				}
 			}()
 		}
@@ -260,7 +279,7 @@ func TestSinkIgnoresAggregates(t *testing.T) {
 	s.Count(CtrRounds, 1)
 	s.Gauge(GaugeParWorkers, 4)
 	s.Observe(ObsSEBDepth, 1)
-	s.TimeNS(TimRound, 10)
+	s.TimeNS(timRound, 10)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +293,7 @@ func TestSinkIgnoresAggregates(t *testing.T) {
 func TestMetricsIgnoresEvents(t *testing.T) {
 	m := NewMetrics()
 	m.Count(CtrRounds, 1)
-	m.TimeNS(TimRound, 10)
+	m.TimeNS(timRound, 10)
 	render := func() (string, string) {
 		var js, prom bytes.Buffer
 		if err := m.WriteJSON(&js); err != nil {
@@ -286,7 +305,7 @@ func TestMetricsIgnoresEvents(t *testing.T) {
 		return stripVolatile(js.String()), stripVolatile(prom.String())
 	}
 	js, prom := render()
-	m.Emit(Event{Type: EvRoundEnd, Alg: "greedy2", Round: 1, Fields: map[string]float64{"gain": 3}})
+	m.Emit(Event{Type: EvSpanEnd, Alg: "greedy2", Name: StageRound, Fields: map[string]float64{"gain": 3}})
 	m.Emit(Event{Type: EvSEB, Fields: map[string]float64{"points": 7}})
 	js2, prom2 := render()
 	if js2 != js {
@@ -312,7 +331,7 @@ func stripVolatile(text string) string {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	m := NewMetrics()
 	m.Count(CtrRounds, 4)
-	m.TimeNS(TimRound, 2500)
+	m.TimeNS(timRound, 2500)
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -321,7 +340,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
 		t.Fatalf("snapshot JSON invalid: %v\n%s", err, buf.String())
 	}
-	if s.Counters[CtrRounds] != 4 || s.TimersNS[TimRound].Sum != 2500 {
+	if s.Counters[CtrRounds] != 4 || s.TimersNS[timRound].Sum != 2500 {
 		t.Errorf("round-trip lost data: %+v", s)
 	}
 	if !strings.Contains(buf.String(), `"timers_ns"`) {

@@ -199,7 +199,7 @@ func TestWritePromDeterministic(t *testing.T) {
 	m := NewMetrics()
 	m.Count(CtrRounds, 1)
 	m.Gauge(GaugeParWorkers, 2)
-	m.TimeNS(TimRound, 500)
+	m.TimeNS(timRound, 500)
 	var a, b bytes.Buffer
 	if err := m.WriteProm(&a); err != nil {
 		t.Fatal(err)

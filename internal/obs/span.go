@@ -12,19 +12,21 @@ import (
 // and an end on the monotonic clock, an optional parent, and float64
 // attributes. Spans are recorded through the ordinary event machinery — a
 // span_start event when the span opens and a span_end event (carrying
-// "wall_ns" plus the attributes) when it closes — so any Sink or Metrics
-// collector that already captures events captures span trees too, and a
-// JSONL stream can be reassembled into per-request trees offline by linking
-// Span/Parent IDs under a shared Trace ID.
+// "wall_ns" plus the attributes) when it closes — so any Sink that captures
+// events captures span trees too, and a JSONL stream can be reassembled
+// into per-request trees offline by linking Span/Parent IDs under a shared
+// Trace ID.
 //
-// The zero-cost rule extends to spans: StartSpan with an inactive collector
-// returns nil, every method is nil-safe, and ContextWithSpan(ctx, nil)
-// returns ctx unchanged — instrumented code never branches on span
-// presence. Child spans are only materialized under a live ancestor, so
-// solver runs outside the serving layer (no root span installed) emit no
-// span events at all.
+// A timed stage is a span opened by StartStage: its End also records the
+// span's wall time under the stage's timer (its name plus "_ns"), so one
+// name serves the event stream and /metrics alike.
 //
-// A Span's SetAttr and End are safe for concurrent use, matching the
+// The zero-cost rule extends to spans: StartSpan and StartStage with an
+// inactive collector return nil, every method is nil-safe, and
+// ContextWithSpan(ctx, nil) returns ctx unchanged — instrumented code never
+// branches on span presence.
+//
+// A Span's SetAttr, SetAlg and End are safe for concurrent use, matching the
 // Collector contract. End is idempotent; attributes set after End are
 // dropped.
 type Span struct {
@@ -33,9 +35,11 @@ type Span struct {
 	name   string
 	id     string
 	parent string
+	stage  bool // End records name+"_ns" on c
 	start  time.Time
 
 	mu    sync.Mutex
+	alg   string
 	attrs map[string]float64
 	ended bool
 }
@@ -60,16 +64,20 @@ func StartSpan(c Collector, trace, name string) *Span {
 	return s
 }
 
-// Child opens a sub-span of s. On a nil receiver it returns nil, so call
-// sites chain without nil checks.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
+// StartStage opens one timed stage: name as a child of ctx's span, or as a
+// root span on c when ctx carries none. The stage's span events go to c, and
+// its End also records the wall time on c under name+"_ns". With an
+// inactive c it returns nil, whatever ctx carries.
+func StartStage(ctx context.Context, c Collector, name string) *Span {
+	if !Active(c) {
 		return nil
 	}
-	c := &Span{c: s.c, trace: s.trace, name: name, id: nextSpanID(),
-		parent: s.id, start: time.Now()}
-	c.emitStart()
-	return c
+	p := SpanFromContext(ctx)
+	s := &Span{c: c, trace: p.TraceID(), name: name, id: nextSpanID(),
+		parent: p.ID(), stage: true}
+	s.emitStart()
+	s.start = time.Now() // a round's wall time leaves out its span_start
+	return s
 }
 
 func (s *Span) emitStart() {
@@ -93,9 +101,22 @@ func (s *Span) SetAttr(key string, v float64) {
 	s.mu.Unlock()
 }
 
+// SetAlg names the algorithm the span ran, carried as the span_end's Alg.
+// Nil-safe; dropped after End.
+func (s *Span) SetAlg(alg string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if !s.ended {
+		s.alg = alg
+	}
+	s.mu.Unlock()
+}
+
 // End closes the span, emitting the span_end event with "wall_ns" and the
-// accumulated attributes, and returns the elapsed nanoseconds. Only the
-// first End emits; later calls return 0. Nil-safe.
+// accumulated attributes, records a stage's timer, and returns the elapsed
+// nanoseconds. Only the first End emits; later calls return 0. Nil-safe.
 func (s *Span) End() int64 {
 	if s == nil {
 		return 0
@@ -107,13 +128,17 @@ func (s *Span) End() int64 {
 		return 0
 	}
 	s.ended = true
-	fields := make(map[string]float64, len(s.attrs)+1)
-	for k, v := range s.attrs {
-		fields[k] = v
-	}
+	// No SetAttr writes after ended, so the event takes the map itself.
+	fields, alg := s.attrs, s.alg
 	s.mu.Unlock()
+	if fields == nil {
+		fields = make(map[string]float64, 1)
+	}
 	fields["wall_ns"] = float64(ns)
-	s.c.Emit(Event{Type: EvSpanEnd, Trace: s.trace, Span: s.id,
+	if s.stage {
+		s.c.TimeNS(s.name+"_ns", ns)
+	}
+	s.c.Emit(Event{Type: EvSpanEnd, Alg: alg, Trace: s.trace, Span: s.id,
 		Parent: s.parent, Name: s.name, Fields: fields})
 	return ns
 }
@@ -150,8 +175,7 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 }
 
 // SpanFromContext returns the ambient span, or nil when none (or ctx is
-// nil). Combined with the nil-safety of Child/SetAttr/End, lower layers
-// write `sp := obs.SpanFromContext(ctx).Child("round")` unconditionally.
+// nil). StartStage reads it to parent a stage.
 func SpanFromContext(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil

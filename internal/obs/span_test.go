@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestSpanTreeReconstruction builds a three-level tree and checks the
-// emitted events reassemble into it: every span_end links to its parent,
-// all under one trace ID.
+// TestSpanTreeReconstruction builds a three-level tree of stages under a
+// root span and checks the emitted events reassemble into it: every
+// span_end links to its parent, all under one trace ID.
 func TestSpanTreeReconstruction(t *testing.T) {
 	m, read := capture(t)
 	root := StartSpan(m, "req-1", "request")
@@ -17,10 +17,10 @@ func TestSpanTreeReconstruction(t *testing.T) {
 	if root.TraceID() != "req-1" {
 		t.Errorf("TraceID = %q, want req-1", root.TraceID())
 	}
-	solve := root.Child("solve")
+	solve := StartStage(ContextWithSpan(context.Background(), root), m, "solve")
 	solve.SetAttr("k", 3)
 	for i := 0; i < 3; i++ {
-		r := solve.Child("round")
+		r := StartStage(ContextWithSpan(context.Background(), solve), m, "round")
 		r.SetAttr("round", float64(i+1))
 		r.End()
 	}
@@ -93,12 +93,17 @@ func TestSpanNilSafety(t *testing.T) {
 			t.Fatalf("StartSpan(%T) = %v, want nil", c, s)
 		}
 	}
-	var s *Span
-	child := s.Child("x")
-	if child != nil {
-		t.Fatal("nil.Child materialized a span")
+	// A stage needs a live collector of its own: a live parent is not
+	// enough.
+	live := ContextWithSpan(context.Background(), StartSpan(NewMetrics(), "t", "op"))
+	for _, c := range []Collector{nil, Nop{}} {
+		if st := StartStage(live, c, "x"); st != nil {
+			t.Fatalf("StartStage(%T) under a live parent = %v, want nil", c, st)
+		}
 	}
+	var s *Span
 	s.SetAttr("k", 1)
+	s.SetAlg("greedy2")
 	if ns := s.End(); ns != 0 {
 		t.Errorf("nil.End = %d", ns)
 	}
@@ -127,9 +132,56 @@ func TestSpanContextRoundTrip(t *testing.T) {
 	if got != s {
 		t.Fatalf("SpanFromContext = %v, want %v", got, s)
 	}
-	child := got.Child("inner")
+	child := StartStage(ctx, m, "inner")
 	if child.TraceID() != "req-2" {
 		t.Errorf("child trace = %q", child.TraceID())
+	}
+}
+
+// TestStartStage checks what a stage adds to a span: a root stage when the
+// context carries no span, a child of the context's span otherwise, and an
+// End that records name+"_ns" on the stage's own collector next to the
+// span_end, which carries the Alg set on it.
+func TestStartStage(t *testing.T) {
+	sink, read := capture(t)
+	m := NewMetrics()
+	c := Multi(m, sink)
+	root := StartStage(context.Background(), c, StageShardMerge)
+	if root.ID() == "" || root.TraceID() != "" {
+		t.Fatalf("root stage id %q trace %q, want an id and no trace", root.ID(), root.TraceID())
+	}
+	// The parent sits on another collector: the child stage's events and
+	// timer still go to c.
+	req := StartSpan(NewMetrics(), "req-3", "request")
+	round := StartStage(ContextWithSpan(context.Background(), req), c, StageRound)
+	round.SetAlg("greedy2")
+	round.SetAttr("round", 1)
+	if ns := round.End(); ns < 0 {
+		t.Errorf("End = %d", ns)
+	}
+	root.End()
+
+	s := m.Snapshot()
+	for _, name := range []string{StageShardMerge, StageRound} {
+		if n := s.TimersNS[name+"_ns"].Count; n != 1 {
+			t.Errorf("%s_ns has %d samples, want 1", name, n)
+		}
+	}
+	var ends []Event
+	for _, e := range read() {
+		if e.Type == EvSpanEnd {
+			ends = append(ends, e)
+		}
+	}
+	if len(ends) != 2 {
+		t.Fatalf("%d span_end events, want 2", len(ends))
+	}
+	if e := ends[0]; e.Name != StageRound || e.Alg != "greedy2" || e.Trace != "req-3" ||
+		e.Parent != req.ID() || e.Fields["round"] != 1 {
+		t.Errorf("round stage's span_end = %+v", e)
+	}
+	if e := ends[1]; e.Name != StageShardMerge || e.Alg != "" || e.Parent != "" || e.Trace != "" {
+		t.Errorf("root stage's span_end = %+v", e)
 	}
 }
 

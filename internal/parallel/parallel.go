@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -85,7 +86,10 @@ func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) e
 		c.Gauge(obs.GaugeParWorkers, float64(workers))
 	}
 	if workers == 1 {
-		t := obs.StartTimer(c, obs.TimWorkerBusy)
+		var t0 time.Time
+		if active {
+			t0 = time.Now()
+		}
 		var chunks int64
 		for i := 0; i < n; i++ {
 			if cancelled(done) {
@@ -94,8 +98,8 @@ func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) e
 			fn(i)
 			chunks = 1
 		}
-		t.Stop()
 		if active {
+			c.TimeNS(obs.TimWorkerBusy, time.Since(t0).Nanoseconds())
 			c.Count(obs.CtrParChunks, chunks)
 		}
 		return ctxErr(ctx)
@@ -111,8 +115,10 @@ func For(ctx context.Context, n, workers int, c obs.Collector, fn func(i int)) e
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			t := obs.StartTimer(c, obs.TimWorkerBusy)
-			defer t.Stop()
+			if active {
+				t0 := time.Now()
+				defer func() { c.TimeNS(obs.TimWorkerBusy, time.Since(t0).Nanoseconds()) }()
+			}
 			for {
 				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
 				if start >= n {

@@ -294,7 +294,8 @@ func GenClustered(n, c int, sigma float64, box Box, scheme WeightScheme, rng *xr
 // GridPoints returns the vertices of a uniform lattice with `per` points per
 // dimension spanning the box (per ≥ 2 includes both faces; per == 1 yields
 // the box center per dimension). These enrich the exhaustive baseline's
-// candidate set.
+// candidate set. A box with finite faces gets finite points, even where its
+// width or its faces' sum overflows float64.
 func GridPoints(box Box, per int) ([]vec.V, error) {
 	if per <= 0 {
 		return nil, fmt.Errorf("pointset: grid resolution %d must be positive", per)
@@ -312,10 +313,19 @@ func GridPoints(box Box, per int) ([]vec.V, error) {
 	for {
 		p := vec.New(dim)
 		for d := 0; d < dim; d++ {
+			lo, hi := box.Lo[d], box.Hi[d]
+			t := 0.5
 			if per == 1 {
-				p[d] = (box.Lo[d] + box.Hi[d]) / 2
+				p[d] = (lo + hi) / 2
 			} else {
-				p[d] = box.Lo[d] + (box.Hi[d]-box.Lo[d])*float64(idx[d])/float64(per-1)
+				t = float64(idx[d]) / float64(per-1)
+				p[d] = lo + (hi-lo)*float64(idx[d])/float64(per-1)
+			}
+			if !(math.Abs(p[d]) <= math.MaxFloat64) {
+				// The box is wider than float64, or its faces sum past it:
+				// a convex combination of the faces, kept inside them,
+				// stays finite.
+				p[d] = math.Min(math.Max(lo*(1-t)+hi*t, lo), hi)
 			}
 		}
 		out = append(out, p)

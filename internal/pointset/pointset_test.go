@@ -344,6 +344,51 @@ func TestGridPoints(t *testing.T) {
 	}
 }
 
+// TestGridPointsOverflowingBox: on ordinary boxes every lattice point keeps
+// the bits of lo + (hi−lo)·i/(per−1) and the centre (lo+hi)/2; on a box
+// whose width or faces' sum overflows float64, every point is finite, the
+// faces are exact and the points ascend.
+func TestGridPointsOverflowingBox(t *testing.T) {
+	rng := xrand.New(13)
+	for trial := 0; trial < 500; trial++ {
+		lo := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntRange(-300, 300)))
+		hi := lo + rng.Float64()*math.Pow(10, float64(rng.IntRange(-300, 300)))
+		if !(hi > lo) {
+			continue
+		}
+		per := rng.IntRange(1, 9)
+		pts, err := GridPoints(Box{Lo: vec.Of(lo), Hi: vec.Of(hi)}, per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pts {
+			want := (lo + hi) / 2
+			if per > 1 {
+				want = lo + (hi-lo)*float64(i)/float64(per-1)
+			}
+			if math.Float64bits(p[0]) != math.Float64bits(want) {
+				t.Fatalf("box [%v, %v] per %d: point %d = %v, the plain formula gives %v", lo, hi, per, i, p[0], want)
+			}
+		}
+	}
+	for _, b := range [][2]float64{{-1e308, 1e308}, {-math.MaxFloat64, math.MaxFloat64}, {1e308, math.MaxFloat64}} {
+		for _, per := range []int{1, 2, 5, 17} {
+			pts, err := GridPoints(Box{Lo: vec.Of(b[0]), Hi: vec.Of(b[1])}, per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pts {
+				if x := p[0]; math.IsNaN(x) || math.IsInf(x, 0) || x < b[0] || x > b[1] || (i > 0 && x < pts[i-1][0]) {
+					t.Fatalf("box [%v, %v] per %d: point %d = %v", b[0], b[1], per, i, x)
+				}
+			}
+			if per > 1 && (pts[0][0] != b[0] || pts[per-1][0] != b[1]) {
+				t.Errorf("box [%v, %v] per %d: faces %v, %v", b[0], b[1], per, pts[0][0], pts[per-1][0])
+			}
+		}
+	}
+}
+
 func TestWeightSchemeString(t *testing.T) {
 	if UnitWeight.String() != "same-weight" || RandomIntWeight.String() != "random-weight" {
 		t.Error("scheme strings wrong")

@@ -89,7 +89,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.solveContext(r, req.DeadlineMS)
 	defer cancel()
-	queueSpan := sc.span.Child("queue")
+	ctx = obs.ContextWithSpan(ctx, sc.span) // parents the request's stages
+	queueSpan := obs.StartStage(ctx, s.col, obs.StageSrvQueue)
 	if err := s.adm.acquire(ctx); err != nil {
 		queueSpan.SetAttr("expired", 1)
 		queueSpan.End()
@@ -128,9 +129,9 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		}})
 	}
 
-	// The churn span parents the loop's per-period spans (RunChurn picks it
-	// up from the context) and stamps its events with the request ID.
-	churnSpan := sc.span.Child("churn")
+	// The churn stage parents the loop's period stages (RunChurn picks it
+	// up from the context), all under the request's trace ID.
+	churnSpan := obs.StartStage(ctx, s.col, obs.StageSrvChurn)
 	churnSpan.SetAttr("periods", float64(req.Periods))
 	m, runErr := broadcast.RunChurn(obs.ContextWithSpan(ctx, churnSpan), tr, cfg)
 	if m != nil {

@@ -165,6 +165,7 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status %d: %s", resp.StatusCode, data)
 	}
+	ts.Close() // the request span ends after the response is written
 
 	spans := map[string]*testSpan{}
 	for _, e := range events() {
@@ -188,7 +189,7 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	for _, sp := range spans {
 		byName[sp.name] = append(byName[sp.name], sp)
 	}
-	for _, name := range []string{"request.solve", "queue", "solve"} {
+	for _, name := range []string{"request.solve", obs.StageSrvQueue, obs.StageSrvSolve} {
 		if len(byName[name]) != 1 {
 			t.Fatalf("%d %q spans, want 1", len(byName[name]), name)
 		}
@@ -197,22 +198,22 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	if root.parent != "" {
 		t.Errorf("request span has parent %q", root.parent)
 	}
-	if byName["queue"][0].parent != root.id || byName["solve"][0].parent != root.id {
-		t.Error("queue/solve spans not parented by the request span")
+	if byName[obs.StageSrvQueue][0].parent != root.id || byName[obs.StageSrvSolve][0].parent != root.id {
+		t.Error("queue/solve stages not parented by the request span")
 	}
-	solve := byName["solve"][0]
-	rounds := byName["round"]
+	solve := byName[obs.StageSrvSolve][0]
+	rounds := byName[obs.StageRound]
 	if len(rounds) != 3 {
-		t.Fatalf("%d round spans, want 3", len(rounds))
+		t.Fatalf("%d round stages, want 3", len(rounds))
 	}
 	for _, r := range rounds {
 		if r.parent != solve.id {
-			t.Errorf("round span parented by %q, want the solve span", r.parent)
+			t.Errorf("round stage parented by %q, want the solve stage", r.parent)
 		}
 		if r.end == nil {
-			t.Error("round span never ended")
-		} else if r.end.Fields["gain"] < 0 {
-			t.Errorf("round span gain = %v", r.end.Fields["gain"])
+			t.Error("round stage never ended")
+		} else if r.end.Fields["gain"] < 0 || r.end.Alg != "greedy2" {
+			t.Errorf("round stage gain = %v alg = %q", r.end.Fields["gain"], r.end.Alg)
 		}
 	}
 	if root.end == nil || root.end.Fields["status"] != 200 {
@@ -230,7 +231,7 @@ type testSpan struct {
 }
 
 // TestChurnRequestIDPropagates: the request ID reaches the churn loop's
-// per-period events and is echoed in the ndjson summary.
+// period stages and is echoed in the ndjson summary.
 func TestChurnRequestIDPropagates(t *testing.T) {
 	sink, read := capture(t)
 	_, ts := newTestServer(t, serve.Config{Obs: sink})
@@ -241,6 +242,7 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("churn status %d: %s", resp.StatusCode, data)
 	}
+	ts.Close() // the request span ends after the summary line is written
 	var sawSummary bool
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var l v1.ChurnLine
@@ -257,28 +259,35 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	if !sawSummary {
 		t.Fatal("no summary line")
 	}
+	// Period stages hang off the churn stage under the same trace, each
+	// with the loop's solver and its period's figures.
 	events := read()
+	churn := ""
+	for _, e := range events {
+		if e.Type == obs.EvSpanStart && e.Name == obs.StageSrvChurn {
+			churn = e.Span
+		}
+	}
 	periods, stamped := 0, 0
 	for _, e := range events {
-		if e.Type == obs.EvChurnPeriod {
-			periods++
-			if e.Trace == "churn-trace" {
-				stamped++
+		if e.Type != obs.EvSpanEnd || e.Name != obs.StageChurnPeriod {
+			continue
+		}
+		periods++
+		if e.Trace == "churn-trace" && churn != "" && e.Parent == churn {
+			stamped++
+		}
+		if e.Alg != "greedy2" || e.Fields["n"] < 1 || e.Fields["objective"] <= 0 {
+			t.Errorf("period %v stage: alg %q fields %v", e.Fields["period"], e.Alg, e.Fields)
+		}
+		for _, f := range []string{"arrivals", "departures"} {
+			if _, ok := e.Fields[f]; !ok {
+				t.Errorf("period %v stage has no %s", e.Fields["period"], f)
 			}
 		}
 	}
 	if periods != 3 || stamped != periods {
-		t.Errorf("%d/%d churn_period events carry the request ID, want 3/3", stamped, periods)
-	}
-	// Period spans hang off the churn span under the same trace.
-	periodSpans := 0
-	for _, e := range events {
-		if e.Type == obs.EvSpanEnd && e.Name == "period" && e.Trace == "churn-trace" {
-			periodSpans++
-		}
-	}
-	if periodSpans != 3 {
-		t.Errorf("%d period spans, want 3", periodSpans)
+		t.Errorf("%d/%d period stages under the churn stage and the request ID, want 3/3", stamped, periods)
 	}
 }
 

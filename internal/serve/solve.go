@@ -87,6 +87,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.solveContext(r, req.DeadlineMS)
 	defer cancel()
+	ctx = obs.ContextWithSpan(ctx, sc.span) // parents the request's stages
 
 	// The cache path: a hit (or a collapsed duplicate of an in-flight
 	// solve) is answered here, before admission — cached requests never
@@ -110,7 +111,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Halo:         req.Options.Halo,
 			Refine:       req.Options.Refine,
 		})
-		cacheSpan := sc.span.Child("cache")
+		cacheSpan := obs.StartStage(ctx, s.col, obs.StageSrvCache)
 		val, flight, leader := s.cache.Lookup(key)
 		if val != nil {
 			s.col.Count(obs.CtrCacheHits, 1)
@@ -158,7 +159,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	queueSpan := sc.span.Child("queue")
+	queueSpan := obs.StartStage(ctx, s.col, obs.StageSrvQueue)
 	if err := s.adm.acquire(ctx); err != nil {
 		queueSpan.SetAttr("expired", 1)
 		queueSpan.End()
@@ -189,10 +190,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The solve span is the parent every per-round span hangs off: the
-	// solver's roundScope picks it up from the context, so one request
-	// yields a request.solve → solve → round tree keyed by the request ID.
-	solveSpan := sc.span.Child("solve")
+	// The solve stage is the parent every solver stage hangs off: the
+	// solver picks it up from the context, so one request yields a
+	// request.solve → serve.solve → core.round tree keyed by the request ID.
+	solveSpan := obs.StartStage(ctx, s.col, obs.StageSrvSolve)
 	solveSpan.SetAttr("k", float64(req.K))
 	solveSpan.SetAttr("n", float64(in.N()))
 	start := time.Now()

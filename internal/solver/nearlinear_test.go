@@ -164,8 +164,9 @@ func TestNearLinearAnytimePrefix(t *testing.T) {
 }
 
 // TestNearLinearStageTelemetry: an instrumented run records the grid-snap /
-// seed / refine stage counters and spans plus one round per center, so
-// dashboards can attribute time to stages.
+// seed / refine stage counters, and each stage once, with one round per
+// center inside the refine stage, so dashboards can attribute time to
+// stages: every stage's span_end count equals its timer's sample count.
 func TestNearLinearStageTelemetry(t *testing.T) {
 	in := genNLInstance(t, 300, 2, norm.L2{}, 0.5, 3)
 	m := obs.NewMetrics()
@@ -195,20 +196,32 @@ func TestNearLinearStageTelemetry(t *testing.T) {
 	if got := snap.Counters[obs.CtrRounds]; got != k {
 		t.Errorf("rounds = %d, want %d", got, k)
 	}
-	for _, tm := range []string{obs.TimNLSnap, obs.TimNLSeed, obs.TimNLRefine} {
-		if snap.TimersNS[tm].Count == 0 {
-			t.Errorf("timer %s never recorded", tm)
-		}
-	}
-	stages := map[string]bool{}
+	ends := map[string][]obs.Event{}
 	for _, e := range events() {
-		if e.Type == obs.EvSpanStart {
-			stages[e.Name] = true
+		if e.Type == obs.EvSpanEnd {
+			ends[e.Name] = append(ends[e.Name], e)
 		}
 	}
-	for _, name := range []string{"grid_snap", "seed", "refine", "round"} {
-		if !stages[name] {
-			t.Errorf("no %q span recorded", name)
+	for _, stage := range []string{obs.StageNLSnap, obs.StageNLSeed, obs.StageNLRefine, obs.StageRound} {
+		want := 1
+		if stage == obs.StageRound {
+			want = k
+		}
+		if got, n := len(ends[stage]), snap.TimersNS[stage+"_ns"].Count; got != want || int(n) != want {
+			t.Fatalf("stage %s: %d span_end events, %d timer samples, want %d", stage, got, n, want)
+		}
+	}
+	// The grid_snap → seed → refine → round chain: the three stages under
+	// the caller's span, every round inside refine.
+	for _, stage := range []string{obs.StageNLSnap, obs.StageNLSeed, obs.StageNLRefine} {
+		if e := ends[stage][0]; e.Parent != root.ID() || e.Trace != "t1" {
+			t.Errorf("stage %s parented by %q in trace %q, want the caller's span", stage, e.Parent, e.Trace)
+		}
+	}
+	refine := ends[obs.StageNLRefine][0].Span
+	for _, e := range ends[obs.StageRound] {
+		if e.Parent != refine || e.Alg != "nearlinear" {
+			t.Errorf("round %v: parent %q alg %q, want the refine stage and nearlinear", e.Fields["round"], e.Parent, e.Alg)
 		}
 	}
 }

@@ -157,8 +157,8 @@ func TestNewAttachesCollector(t *testing.T) {
 }
 
 // cancelAfterRound is an obs.Collector that cancels a context once the given
-// round's round_end event fires — the deterministic deadline used by the
-// anytime-prefix tests below.
+// round's stage ends — the deterministic deadline used by the anytime-prefix
+// tests below.
 type cancelAfterRound struct {
 	round  int
 	cancel context.CancelFunc
@@ -169,7 +169,7 @@ func (cancelAfterRound) TimeNS(string, int64)    {}
 func (cancelAfterRound) Gauge(string, float64)   {}
 func (cancelAfterRound) Observe(string, float64) {}
 func (c cancelAfterRound) Emit(e obs.Event) {
-	if e.Type == obs.EvRoundEnd && e.Round >= c.round {
+	if e.Type == obs.EvSpanEnd && e.Name == obs.StageRound && e.Fields["round"] >= float64(c.round) {
 		c.cancel()
 	}
 }

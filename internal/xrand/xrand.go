@@ -38,9 +38,15 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a uniform value in [lo, hi).
+// Uniform returns a uniform value in [lo, hi). Finite ends give a finite
+// value even where hi − lo overflows float64: there the draw is the convex
+// combination lo·(1−t) + hi·t, kept inside [lo, hi].
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	t := r.Float64()
+	if x := lo + (hi-lo)*t; math.Abs(x) <= math.MaxFloat64 {
+		return x
+	}
+	return math.Min(math.Max(lo*(1-t)+hi*t, lo), hi)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -68,6 +68,29 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
+// TestUniformOverflowingSpan: on ordinary ends Uniform keeps the bits of
+// lo + (hi−lo)·t; where hi − lo overflows it stays finite and in [lo, hi].
+func TestUniformOverflowingSpan(t *testing.T) {
+	rng := New(11)
+	for i := 0; i < 10000; i++ {
+		lo := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntRange(-300, 300)))
+		hi := lo + rng.Float64()*math.Pow(10, float64(rng.IntRange(-300, 300)))
+		seed := rng.Uint64()
+		got, ref := New(seed).Uniform(lo, hi), New(seed)
+		if want := lo + (hi-lo)*ref.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Uniform(%v, %v) = %v, the plain formula gives %v", lo, hi, got, want)
+		}
+	}
+	for _, b := range [][2]float64{{-1e308, 1e308}, {-math.MaxFloat64, math.MaxFloat64}, {1e308, math.MaxFloat64}} {
+		r := New(3)
+		for i := 0; i < 1000; i++ {
+			if x := r.Uniform(b[0], b[1]); math.IsNaN(x) || x < b[0] || x > b[1] {
+				t.Fatalf("Uniform(%v, %v) = %v", b[0], b[1], x)
+			}
+		}
+	}
+}
+
 func TestIntnRangeAndCoverage(t *testing.T) {
 	r := New(9)
 	seen := make(map[int]bool)
