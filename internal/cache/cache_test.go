@@ -33,6 +33,38 @@ func baseParams() SolveParams {
 	return SolveParams{Norm: "l2", Radius: 1.5, K: 3, Solver: "greedy2", Seed: 7}
 }
 
+// TestFingerprintPinned pins two keys' bytes, so that any change to the
+// hashed byte stream (the fields, their order or their encoding) fails
+// here until fpVersion is bumped and the keys are updated with it: a small
+// instance with every parameter set, and a 1,000-user one whose sections
+// span several of the hasher's blocks.
+func TestFingerprintPinned(t *testing.T) {
+	p := SolveParams{Norm: "linf", Radius: 0.75, K: 2, Solver: "sharded(greedy2-lazy)", Seed: 42,
+		GridPer: 5, BoxLo: []float64{-1, -1}, BoxHi: []float64{3, 4}, Polish: true, DisablePrune: true,
+		WarmStart: [][]float64{{0.5, 0.5}, {2, 2}}, Shards: 4, Halo: 2, Refine: 3}
+	small := mustSet(t, [][]float64{{0, -0.5}, {1.25, 3}, {2, 1e-300}}, []float64{1, 2.5, 0})
+	rows := make([][]float64, 1000)
+	ws := make([]float64, len(rows))
+	for i := range rows {
+		rows[i] = []float64{float64(i%40) / 3, float64(i/40) * 1.5}
+		ws[i] = float64(i%5 + 1)
+	}
+	large := mustSet(t, rows, ws)
+	for _, c := range []struct {
+		name string
+		key  Key
+		want string
+	}{
+		{"small", Fingerprint(small, p), "caab1791a33c4da0cddff93e3b0fd29cfa958196fc63c08b6ec9d189245e5d88"},
+		{"zero params", Fingerprint(small, SolveParams{}), "c0cf6232244afbe41ba5dc41a71ca689143b0958b8480cfa5252d4f9ef0dfac4"},
+		{"1,000 users", Fingerprint(large, p), "2dfc664b006e0a9ec22dac294211d9c97c95a7b1003065a3f533eee62edcc6fe"},
+	} {
+		if got := fmt.Sprintf("%x", c.key); got != c.want {
+			t.Errorf("%s: key %s, want %s (%s)", c.name, got, c.want, fpVersion)
+		}
+	}
+}
+
 // TestFingerprintSensitivity: every result-affecting input changes the key,
 // and the excluded inputs (none are fields of SolveParams, so the test
 // mutates the instance and each field in turn) do so independently.
@@ -311,17 +343,24 @@ func TestDeliverNil(t *testing.T) {
 	}
 }
 
+// BenchmarkFingerprint keys a 1,000-user instance (serve-mix's size) and a
+// 100,000-user one (solve-large's and nearlinear-large's).
+//
+//	go test -run '^$' -bench Fingerprint -benchmem ./internal/cache
 func BenchmarkFingerprint(b *testing.B) {
-	rows := make([][]float64, 1000)
-	for i := range rows {
-		rows[i] = []float64{float64(i % 40), float64(i / 40)}
-	}
-	set := mustSet(b, rows, nil)
-	p := baseParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Fingerprint(set, p)
+	for _, n := range []int{1_000, 100_000} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{float64(i % 40), float64(i / 40)}
+		}
+		set := mustSet(b, rows, nil)
+		p := baseParams()
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Fingerprint(set, p)
+			}
+		})
 	}
 }
 

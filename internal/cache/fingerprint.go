@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"io"
 	"math"
 
 	"repro/internal/pointset"
@@ -60,28 +61,52 @@ type SolveParams struct {
 
 // hasher streams length-delimited sections into a sha256 so that adjacent
 // variable-length fields can never alias (e.g. coords [1,2],[3] vs [1],[2,3]).
+// It hands them to the sha256 in blocks of buf's size, because each Write
+// has a fixed cost: written one number at a time, a 100,000-user instance
+// took 5.5 ms, in 1 KiB blocks 2.6 ms (4 KiB blocks saved 0.2 ms more, for
+// 3 KiB more per key). The hashed byte stream is the same either way.
 type hasher struct {
 	st  hash.Hash
-	buf [8]byte
+	buf [1024]byte
+	n   int // bytes of buf not yet written to st
 }
 
 func (h *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.buf[:], v)
-	h.st.Write(h.buf[:])
+	if h.n+8 > len(h.buf) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], v)
+	h.n += 8
+}
+
+func (h *hasher) flush() {
+	h.st.Write(h.buf[:h.n])
+	h.n = 0
 }
 
 func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
 
 func (h *hasher) f64s(vs []float64) {
 	h.u64(uint64(len(vs)))
-	for _, v := range vs {
-		h.f64(v)
+	for len(vs) > 0 {
+		m := min(len(vs), (len(h.buf)-h.n)/8)
+		if m == 0 {
+			h.flush()
+			continue
+		}
+		b := h.buf[h.n : h.n+8*m]
+		for i, v := range vs[:m] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		h.n += 8 * m
+		vs = vs[m:]
 	}
 }
 
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
-	h.st.Write([]byte(s))
+	h.flush()
+	io.WriteString(h.st, s)
 }
 
 func (h *hasher) bool(b bool) {
@@ -125,6 +150,7 @@ func Fingerprint(set *pointset.Set, p SolveParams) Key {
 	h.u64(uint64(int64(p.Shards)))
 	h.u64(uint64(int64(p.Halo)))
 	h.u64(uint64(int64(p.Refine)))
+	h.flush()
 	var key Key
 	st.Sum(key[:0])
 	return key

@@ -113,12 +113,18 @@ const (
 	// carries the loop's solver as Alg.
 	StageChurnPeriod = "churn.period"
 
-	// The serving layer's stages under a request span: the cache lookup,
-	// the wait for a worker slot, and the solve or churn run.
-	StageSrvCache = "serve.cache"
-	StageSrvQueue = "serve.queue"
-	StageSrvSolve = "serve.solve"
-	StageSrvChurn = "serve.churn"
+	// The serving layer's stages under a request span: reading and
+	// decoding the body, the cache key (when the cache is on) and lookup,
+	// the wait for a worker slot, building the solved instance (its grid
+	// included), the solve or churn run, and encoding a 200 answer.
+	StageSrvDecode      = "serve.decode"
+	StageSrvFingerprint = "serve.fingerprint"
+	StageSrvCache       = "serve.cache"
+	StageSrvQueue       = "serve.queue"
+	StageSrvInstance    = "serve.instance"
+	StageSrvSolve       = "serve.solve"
+	StageSrvChurn       = "serve.churn"
+	StageSrvEncode      = "serve.encode"
 )
 
 // Canonical metric names.

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ErrDecode marks every error UnmarshalJSON returns: the value was valid
@@ -35,11 +37,12 @@ var ErrDim = fmt.Errorf("%w: inconsistent dimensions", ErrDecode)
 //
 // The codec below is hand-written: one left-to-right scan parses every
 // number into chunks that are copied once into one flat coordinate array,
-// and the encoder appends the bytes directly. It accepts, rejects and
-// produces what encoding/json does for this schema, bit for bit
-// (FuzzSetCodec holds it to that), with one exception: a null where a
-// coordinate or weight belongs is an error here, where encoding/json reads
-// it as 0.
+// and the encoder appends the bytes directly. A large "points" array is
+// scanned in pieces on several goroutines that join into what that one scan
+// gives (splitRows). It accepts, rejects and produces what encoding/json
+// does for this schema, bit for bit (FuzzSetCodec holds it to that), with
+// one exception: a null where a coordinate or weight belongs is an error
+// here, where encoding/json reads it as 0.
 
 // MarshalJSON implements json.Marshaler: the set serializes as its points
 // and weights with an explicit dim, byte-identical to encoding/json's output
@@ -487,6 +490,17 @@ func (f *floats) grow() {
 
 func (f *floats) len() int { return f.n + len(f.cur) }
 
+// join appends g's values to f's, taking over g's chunks.
+func (f *floats) join(g *floats) {
+	if len(f.cur) > 0 {
+		f.full = append(f.full, f.cur)
+		f.n += len(f.cur)
+	}
+	f.full = append(f.full, g.full...)
+	f.n += g.n
+	f.cur = g.cur
+}
+
 // flat returns the values in one exact-size slice.
 func (f *floats) flat() []float64 {
 	out := make([]float64, 0, f.len())
@@ -513,6 +527,39 @@ func (d *setDecoder) typeError(format string, args ...any) {
 	if d.typeErr == nil {
 		d.typeErr = fmt.Errorf("%w: "+format, append([]any{ErrDecode}, args...)...)
 	}
+}
+
+// rowError is the type error of a "points" element that is neither an
+// array nor null. A piece of a split scan numbers its rows from 0; join
+// renumbers them.
+type rowError struct{ row int }
+
+func (e *rowError) Error() string {
+	return fmt.Sprintf("%v: point %d is not an array", ErrDecode, e.row)
+}
+
+func (e *rowError) Unwrap() error { return ErrDecode }
+
+// join appends the rows a piece of a split scan decoded into p to the rows
+// in d, as if one scan had read both: the first type error and the first
+// row whose length differs from row 0's are d's when it has one, else p's,
+// renumbered after d's rows.
+func (d *setDecoder) join(p *setDecoder) {
+	if e, ok := p.typeErr.(*rowError); ok {
+		e.row += d.rows
+	}
+	if d.typeErr == nil {
+		d.typeErr = p.typeErr
+	}
+	if d.bad < 0 {
+		if p.rowLen != d.rowLen {
+			d.bad, d.badLen = d.rows, p.rowLen
+		} else if p.bad >= 0 {
+			d.bad, d.badLen = d.rows+p.bad, p.badLen
+		}
+	}
+	d.rows += p.rows
+	d.coords.join(&p.coords)
 }
 
 // set decodes the value at off as a Set. A malformed value is a syntax
@@ -592,20 +639,32 @@ func (s *scanner) pointsValue(d *setDecoder) error {
 	if empty, err := s.open(']'); err != nil || empty {
 		return err
 	}
+	if done, err := s.splitRows(d); err != nil || done {
+		return err
+	}
+	_, err := s.rows(d, math.MaxInt)
+	return err
+}
+
+// rows scans the elements of a "points" array from off, the start of one,
+// into d until the array closes (done) or, between two elements, off
+// reaches stop.
+func (s *scanner) rows(d *setDecoder, stop int) (done bool, err error) {
 	for {
 		n := d.coords.len()
-		var err error
 		switch s.peek() {
 		case '[':
 			err = s.numbers(d, &d.coords, "coordinate")
 		case 'n': // a null row is an empty one
 			err = s.literal("null")
 		default:
-			d.typeError("point %d is not an array", d.rows)
+			if d.typeErr == nil {
+				d.typeErr = &rowError{d.rows}
+			}
 			err = s.skip()
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		if l := d.coords.len() - n; d.rows == 0 {
 			d.rowLen = l
@@ -613,10 +672,88 @@ func (s *scanner) pointsValue(d *setDecoder) error {
 			d.bad, d.badLen = d.rows, l
 		}
 		d.rows++
-		if done, err := s.next(']'); err != nil || done {
-			return err
+		if done, err = s.next(']'); err != nil || done || s.off >= stop {
+			return done, err
 		}
 	}
+}
+
+// minPiece is the fewest bytes a piece of a split "points" scan is cut
+// from. A piece of 256 KiB takes about a millisecond to scan, so starting
+// its goroutine and joining it cost well under 1%; a serve-mix body (about
+// 45 KB) stays one piece (DESIGN §10). A variable only so that tests can
+// force splits on small inputs.
+var minPiece = 256 << 10
+
+// rowSep is the text between two rows of a compact "points" array; a piece
+// starts at its '['.
+var rowSep = []byte("],[")
+
+// splitRows scans the rows from off in pieces, one goroutine each, when at
+// least two pieces of minPiece bytes remain in the input, and joins the
+// pieces into d in order. It cuts what remains into min(GOMAXPROCS,
+// remaining/minPiece) equal byte ranges and moves each cut forward to the
+// '[' of the next rowSep. Each piece runs rows on its own decoder up to the
+// next piece's first byte. A piece counts only when the piece before it
+// stopped exactly at that byte: the cut then lies between two rows of this
+// array, and the piece scanned what one scan would have scanned from there.
+// From the first piece that does not count, the caller continues one scan
+// from off, so a cut inside a string or a nested row, rows with white space
+// between them, or an array that ends before the cut leave the result as
+// one scan gives it. Every piece's goroutine has returned when splitRows
+// does.
+func (s *scanner) splitRows(d *setDecoder) (done bool, err error) {
+	rest := len(s.data) - s.off
+	n := min(runtime.GOMAXPROCS(0), rest/minPiece)
+	if n < 2 {
+		return false, nil
+	}
+	var starts []int
+	for k, at := 1, s.off; k < n; k++ {
+		at = max(at, s.off+k*rest/n)
+		i := bytes.Index(s.data[at:], rowSep)
+		if i < 0 {
+			break
+		}
+		at += i + len(rowSep) - 1
+		starts = append(starts, at)
+	}
+	if len(starts) == 0 {
+		return false, nil
+	}
+	type piece struct {
+		sc   scanner
+		d    setDecoder
+		done bool
+		err  error
+	}
+	pieces := make([]piece, len(starts))
+	var wg sync.WaitGroup
+	for i, at := range starts {
+		stop := math.MaxInt
+		if i+1 < len(starts) {
+			stop = starts[i+1]
+		}
+		p := &pieces[i]
+		p.sc, p.d = scanner{data: s.data, off: at, depth: s.depth}, setDecoder{bad: -1}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.done, p.err = p.sc.rows(&p.d, stop)
+		}()
+	}
+	done, err = s.rows(d, starts[0])
+	wg.Wait()
+	for i := range pieces {
+		if err != nil || done || s.off != starts[i] {
+			break
+		}
+		p := &pieces[i]
+		d.join(&p.d)
+		s.off, s.depth = p.sc.off, p.sc.depth
+		done, err = p.done, p.err
+	}
+	return done, err
 }
 
 func (s *scanner) weightsValue(d *setDecoder) error {

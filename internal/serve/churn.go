@@ -26,7 +26,10 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req v1.ChurnRequest
-	if e := s.decodeBody(w, r, &req, &req.Instance); e != nil {
+	decode := obs.StartStage(obs.ContextWithSpan(r.Context(), sc.span), s.col, obs.StageSrvDecode)
+	e := s.decodeBody(w, r, &req, &req.Instance)
+	decode.End()
+	if e != nil {
 		sc.fail(w, e)
 		return
 	}

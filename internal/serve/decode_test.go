@@ -290,11 +290,16 @@ func TestDecodeBodyTooLarge(t *testing.T) {
 
 // BenchmarkDecodeBody_N100000 sends a perfbench-shaped /v1/solve body
 // (n = 100,000 2-D users, integer weights 1..5, about 4.15 MB) through the
-// server's body path.
+// server's body path. The 1,000-user body is serve-mix's size (one piece),
+// and 15,000 users are about a forwarded part of solve-large (two pieces).
 //
-//	go test -run '^$' -bench DecodeBody_N100000 -benchmem ./internal/serve
-func BenchmarkDecodeBody_N100000(b *testing.B) {
-	set, err := pointset.GenUniform(100_000, pointset.PaperBox2D(), pointset.RandomIntWeight, xrand.New(1))
+//	go test -run '^$' -bench DecodeBody -benchmem -cpu 1,2 ./internal/serve
+func BenchmarkDecodeBody_N100000(b *testing.B) { benchmarkDecodeBody(b, 100_000) }
+func BenchmarkDecodeBody_N15000(b *testing.B)  { benchmarkDecodeBody(b, 15_000) }
+func BenchmarkDecodeBody_N1000(b *testing.B)   { benchmarkDecodeBody(b, 1_000) }
+
+func benchmarkDecodeBody(b *testing.B, n int) {
+	set, err := pointset.GenUniform(n, pointset.PaperBox2D(), pointset.RandomIntWeight, xrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -189,7 +189,9 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	for _, sp := range spans {
 		byName[sp.name] = append(byName[sp.name], sp)
 	}
-	for _, name := range []string{"request.solve", obs.StageSrvQueue, obs.StageSrvSolve} {
+	handler := []string{obs.StageSrvDecode, obs.StageSrvFingerprint, obs.StageSrvCache, obs.StageSrvQueue,
+		obs.StageSrvInstance, obs.StageSrvSolve, obs.StageSrvEncode}
+	for _, name := range append([]string{"request.solve"}, handler...) {
 		if len(byName[name]) != 1 {
 			t.Fatalf("%d %q spans, want 1", len(byName[name]), name)
 		}
@@ -198,8 +200,10 @@ func TestSpanTreeAcceptance(t *testing.T) {
 	if root.parent != "" {
 		t.Errorf("request span has parent %q", root.parent)
 	}
-	if byName[obs.StageSrvQueue][0].parent != root.id || byName[obs.StageSrvSolve][0].parent != root.id {
-		t.Error("queue/solve stages not parented by the request span")
+	for _, name := range handler {
+		if byName[name][0].parent != root.id {
+			t.Errorf("%s stage not parented by the request span", name)
+		}
 	}
 	solve := byName[obs.StageSrvSolve][0]
 	rounds := byName[obs.StageRound]
@@ -262,11 +266,17 @@ func TestChurnRequestIDPropagates(t *testing.T) {
 	// Period stages hang off the churn stage under the same trace, each
 	// with the loop's solver and its period's figures.
 	events := read()
-	churn := ""
+	churn, decoded := "", 0
 	for _, e := range events {
 		if e.Type == obs.EvSpanStart && e.Name == obs.StageSrvChurn {
 			churn = e.Span
 		}
+		if e.Type == obs.EvSpanEnd && e.Name == obs.StageSrvDecode && e.Trace == "churn-trace" {
+			decoded++
+		}
+	}
+	if decoded != 1 {
+		t.Errorf("%d %s stages under the request ID, want 1", decoded, obs.StageSrvDecode)
 	}
 	periods, stamped := 0, 0
 	for _, e := range events {

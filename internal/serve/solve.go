@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -31,7 +32,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req v1.SolveRequest
-	if e := s.decodeBody(w, r, &req, &req.Instance); e != nil {
+	decode := obs.StartStage(obs.ContextWithSpan(r.Context(), sc.span), s.col, obs.StageSrvDecode)
+	e := s.decodeBody(w, r, &req, &req.Instance)
+	decode.End()
+	if e != nil {
 		sc.fail(w, e)
 		return
 	}
@@ -95,6 +99,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// through to the real solve.
 	var fill *cache.Flight
 	if useCache {
+		fp := obs.StartStage(ctx, s.col, obs.StageSrvFingerprint)
 		key := cache.Fingerprint(req.Instance, cache.SolveParams{
 			Norm:         normName,
 			Radius:       req.Radius,
@@ -111,13 +116,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Halo:         req.Options.Halo,
 			Refine:       req.Options.Refine,
 		})
+		fp.End()
 		cacheSpan := obs.StartStage(ctx, s.col, obs.StageSrvCache)
 		val, flight, leader := s.cache.Lookup(key)
 		if val != nil {
 			s.col.Count(obs.CtrCacheHits, 1)
 			cacheSpan.SetAttr("hit", 1)
 			cacheSpan.End()
-			s.answerCached(w, sc, val.(*v1.SolveResponse))
+			s.answerCached(ctx, w, sc, val.(*v1.SolveResponse))
 			return
 		}
 		if leader {
@@ -140,7 +146,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					cacheSpan.SetAttr("hit", 1)
 					cacheSpan.SetAttr("collapsed", 1)
 					cacheSpan.End()
-					s.answerCached(w, sc, v.(*v1.SolveResponse))
+					s.answerCached(ctx, w, sc, v.(*v1.SolveResponse))
 					return
 				}
 				// The leader finished without a cacheable result (partial
@@ -174,7 +180,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Indexed as the coordinator's shard parts are, so a forwarded part
 	// solves on par with a local one; the partition and nearlinear's snap
 	// reuse the grid.
+	instance := obs.StartStage(ctx, s.col, obs.StageSrvInstance)
 	in, err := reward.NewIndexed(req.Instance, nm, req.Radius, s.col)
+	instance.End()
 	if err != nil {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
@@ -221,6 +229,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	solveSpan.SetAttr("total", res.Total)
 	solveSpan.End()
 
+	encode := obs.StartStage(ctx, s.col, obs.StageSrvEncode)
 	resp := v1.SolveResponse{
 		RequestID: sc.id,
 		Solver:    solverName,
@@ -247,6 +256,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fill.Deliver(&stored, size)
 	}
 	writeJSON(w, sc.id, http.StatusOK, resp)
+	encode.End()
 	sc.end(http.StatusOK)
 }
 
@@ -254,11 +264,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // field of the original (complete) solve bit-identical, with this request's
 // ID and the cached flag stamped on. The shallow copy shares the cached
 // slices, which are never mutated after Deliver.
-func (s *Server) answerCached(w http.ResponseWriter, sc *reqScope, stored *v1.SolveResponse) {
+func (s *Server) answerCached(ctx context.Context, w http.ResponseWriter, sc *reqScope, stored *v1.SolveResponse) {
+	encode := obs.StartStage(ctx, s.col, obs.StageSrvEncode)
 	resp := *stored
 	resp.RequestID = sc.id
 	resp.Cached = true
 	writeJSON(w, sc.id, http.StatusOK, resp)
+	encode.End()
 	sc.end(http.StatusOK)
 }
 

@@ -28,9 +28,13 @@ var notStages = map[string]bool{
 // X_ns gained exactly as many samples. It runs a sharded solve, a
 // nearlinear solve, and a sharded solve forwarded to one in-process peer,
 // each with an event sink on the server (and, as cdserved wires it, on the
-// cluster).
+// cluster), and each must run the handler's decode, fingerprint, instance
+// and encode stages besides its own.
 func TestStageNamesMatchTimers(t *testing.T) {
 	inst := instanceJSON(200)
+	// Every answered solve reads its body, keys it (the cache is on), builds
+	// its instance and encodes its answer.
+	handler := []string{obs.StageSrvDecode, obs.StageSrvFingerprint, obs.StageSrvInstance, obs.StageSrvEncode}
 	cases := []struct {
 		name, body string
 		peer       bool
@@ -48,6 +52,7 @@ func TestStageNamesMatchTimers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sink, read := capture(t)
 			cfg := serve.Config{Obs: sink}
+			tc.want = append(tc.want, handler...)
 			if tc.peer {
 				_, peer := newTestServer(t, serve.Config{})
 				cl := clusterd.New(clusterd.Config{Advertise: "http://coordinator.test",

@@ -58,13 +58,15 @@ go test -run 'TestBatchedScalarEquivalence' -count=1 ./internal/reward
 # The wire-codec fuzz gate: the hand-written pointset codec and the /v1
 # body path, each against the encoding/json decode it replaced, the
 # codec's number scan (FuzzNumber) against encoding/json's grammar and
-# strconv.ParseFloat's bits, and the whole /v1/solve handler
+# strconv.ParseFloat's bits, a "points" array scanned in pieces of a few
+# bytes against one scan (FuzzSplitScan), and the whole /v1/solve handler
 # (FuzzSolveHandler: every non-200 answer carries a v1 error code, every
 # 200's total matches the objective of its centers). Their seed corpora
 # already run in every go test above; this adds mutation.
 echo "==> wire-codec fuzz gate"
 go test -run '^$' -fuzz '^FuzzSetCodec$' -fuzztime 20s ./internal/pointset
 go test -run '^$' -fuzz '^FuzzNumber$' -fuzztime 20s ./internal/pointset
+go test -run '^$' -fuzz '^FuzzSplitScan$' -fuzztime 20s ./internal/pointset
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 20s ./internal/serve
 go test -run '^$' -fuzz '^FuzzSolveHandler$' -fuzztime 20s ./internal/serve
 
@@ -99,6 +101,11 @@ if [ "${RACE:-1}" != "0" ]; then
 	echo "==> window-cache race gate"
 	go test -race -count=10 -run 'TestAppendNear|TestEachCellNear|TestFillWindows|TestFinderPreservesAllAlgorithms|TestPartitionSameWithAnyFinder|TestPartitionReusesInstanceGrid|TestNearLinearSameWithAnyFinder' \
 		./internal/spatial ./internal/core ./internal/shard ./internal/solver
+	# A large "points" array is scanned in pieces on several goroutines
+	# that share the input and join in order; repeat the split tests so
+	# more interleavings run under the detector.
+	echo "==> split-scan race gate"
+	go test -race -count=10 -run 'Split' ./internal/pointset
 fi
 
 # Binary-level cancellation smoke: each cmd tool under a short -timeout must

@@ -4,10 +4,13 @@
 #
 #   scripts/pairs.sh PARENT_REV WORKLOAD PAIRS [FIRST_SEED]
 #
-# PARENT_REV is checked out in a git worktree at .bench_build/parent; the
-# change is the current checkout, uncommitted edits included. Pair i runs
+# Both sides run from copies in sibling directories of equal path length:
+# PARENT_REV's tree (git archive) in .bench_build/parent, and the working
+# tree's tracked and untracked, not ignored files, uncommitted edits
+# included, in .bench_build/change. Each call refreshes both copies and
+# keeps each side's build cache. Pair i runs
 # `bash perfbench/run.sh --workload WORKLOAD --seed FIRST_SEED+i --seconds 20`
-# on both sides with the same seed, the parent first in even pairs and the
+# in each copy with the same seed, the parent first in even pairs and the
 # change first in odd ones. Each run's last line (the JSON result) is kept
 # in .bench_build/pairs/WORKLOAD-seedS-SIDE.json. Per metric the table
 # shows each side's median and quartiles, the pairs the change wins by the
@@ -27,14 +30,21 @@ fi
 workload=$2 pairs=$3 first=${4:-1}
 root=$PWD
 parent=$root/.bench_build/parent
+change=$root/.bench_build/change
 out=$root/.bench_build/pairs
 rev=$(git rev-parse --verify "$1^{commit}")
-if [ -e "$parent/.git" ]; then
-	git -C "$parent" checkout -q --detach "$rev"
-else
-	git worktree prune
-	git worktree add -q --detach "$parent" "$rev"
+if [ -e "$parent/.git" ]; then # a git worktree left by an older pairs.sh
+	git worktree remove --force "$parent"
 fi
+# Empty both copies but for their .bench_build (the side's build cache),
+# then fill them.
+for dir in "$parent" "$change"; do
+	mkdir -p "$dir"
+	find "$dir" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+done
+git archive "$rev" | tar -x -C "$parent"
+git ls-files -z --cached --others --exclude-standard |
+	tar -c --null -T - --ignore-failed-read -f - 2>/dev/null | tar -x -C "$change"
 mkdir -p "$out"
 
 # run SIDE DIR SEED runs one side of a pair and keeps its last line.
@@ -57,9 +67,9 @@ while [ "$i" -lt "$pairs" ]; do
 	s=$((first + i))
 	if [ $((i % 2)) -eq 0 ]; then
 		run parent "$parent" "$s"
-		run change "$root" "$s"
+		run change "$change" "$s"
 	else
-		run change "$root" "$s"
+		run change "$change" "$s"
 		run parent "$parent" "$s"
 	fi
 	i=$((i + 1))
