@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check smoke smoke-cluster apicheck apicheck-update clean
+.PHONY: build test vet race check smoke smoke-cluster apicheck apicheck-update golden-update clean
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,11 @@ apicheck:
 
 apicheck-update:
 	./scripts/apicheck.sh -update
+
+# Answers golden: rewrite internal/serve/testdata/answers.golden, every
+# served answer's bits, from the current handler after an intended change.
+golden-update:
+	$(GO) test ./internal/serve -run '^TestServedAnswersGolden$$' -count=1 -update
 
 clean:
 	$(GO) clean ./...

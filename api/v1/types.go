@@ -1,8 +1,6 @@
 package v1
 
 import (
-	"fmt"
-
 	"repro/internal/pointset"
 	"repro/internal/solver"
 )
@@ -56,42 +54,8 @@ type SolveOptions struct {
 // MaxCells bounds the work the two lattice-shaped options can buy before
 // any cancellable loop starts: a sharded solve walks (2·Halo+1)^dim
 // neighbour cells around every occupied cell, and GridPer builds
-// GridPer^dim lattice points. Validate rejects either above this.
+// GridPer^dim lattice points. Resolve rejects either above this.
 const MaxCells = 1 << 16
-
-// Validate checks the options' range invariants for an instance of the
-// given dimension — the single validation every surface that accepts
-// SolveOptions runs (the serving layer answers a violation with a
-// bad_request error, cdgreedy with the identical text), so CLI and server
-// cannot drift. warm_start and box_lo/box_hi are checked against the
-// instance where they are decoded.
-func (o SolveOptions) Validate(dim int) error {
-	if err := solver.ValidateSharding(o.Shards, o.Halo); err != nil {
-		return err
-	}
-	// min keeps 2·Halo+1 from overflowing; any Halo past MaxCells is
-	// rejected for every dim >= 1 anyway.
-	if o.Halo > 0 && powAbove(2*min(o.Halo, MaxCells)+1, dim, MaxCells) {
-		return fmt.Errorf("halo = %d, want (2·halo+1)^%d <= %d", o.Halo, dim, MaxCells)
-	}
-	if o.GridPer > 0 && powAbove(o.GridPer, dim, MaxCells) {
-		return fmt.Errorf("grid_per = %d, want grid_per^%d <= %d", o.GridPer, dim, MaxCells)
-	}
-	return nil
-}
-
-// powAbove reports whether base^exp > limit, for base >= 1, without
-// overflowing.
-func powAbove(base, exp, limit int) bool {
-	p := 1
-	for i := 0; i < exp; i++ {
-		if p > limit/base {
-			return true
-		}
-		p *= base
-	}
-	return false
-}
 
 // SolverOptions maps the wire options onto the internal solver.Options. The
 // dimension-checked fields (WarmStart, BoxLo/BoxHi) are left zero — callers
@@ -134,6 +98,8 @@ type SolveRequest struct {
 	// DeadlineMS bounds the solve in milliseconds; on expiry the
 	// best-so-far prefix is returned with "partial": true. 0 means no
 	// deadline (the server may still cap it; see cdserved -max-deadline).
+	// A value outside 0 to 9,223,372,036,854, the longest deadline a
+	// time.Duration holds, is a bad_request error.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// CacheControl steers the solve-result cache: "" (default) serves an
 	// identical earlier solve from memory and collapses concurrent
@@ -231,8 +197,10 @@ type ChurnRequest struct {
 	Index string `json:"index,omitempty"`
 	// Workers bounds the per-period solver parallelism; 0 uses all CPUs.
 	Workers int `json:"workers,omitempty"`
-	// DeadlineMS bounds the whole loop; periods completed before expiry
-	// stream normally and the summary line carries "partial": true.
+	// DeadlineMS bounds the whole loop in milliseconds; periods completed
+	// before expiry stream normally and the summary line carries
+	// "partial": true. 0 means no deadline (the server may still cap it),
+	// and a value outside 0 to 9,223,372,036,854 is a bad_request error.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 

@@ -3,10 +3,14 @@ package v1
 import (
 	"math"
 	"testing"
+
+	"repro/internal/pointset"
+	"repro/internal/vec"
 )
 
 // TestValidateCellBound pins the MaxCells edge for both lattice-shaped
-// options, including values whose power overflows int.
+// options, including values whose power overflows int, as Resolve checks
+// them.
 func TestValidateCellBound(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,9 +32,17 @@ func TestValidateCellBound(t *testing.T) {
 		{"grid_per MaxInt", SolveOptions{GridPer: math.MaxInt}, 2, false},
 	}
 	for _, tc := range cases {
-		err := tc.opts.Validate(tc.dim)
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: Validate(%d) = %v, want ok = %v", tc.name, tc.dim, err, tc.ok)
+		set, err := pointset.New([]vec.V{vec.New(tc.dim)}, []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := SolveRequest{Instance: set, Radius: 1, K: 1, Options: tc.opts}
+		_, _, e := req.Resolve()
+		if (e == nil) != tc.ok {
+			t.Errorf("%s: Resolve in %d-D = %v, want ok = %v", tc.name, tc.dim, e, tc.ok)
+		}
+		if e != nil && e.Code != CodeBadRequest {
+			t.Errorf("%s: code %q, want %q", tc.name, e.Code, CodeBadRequest)
 		}
 	}
 }

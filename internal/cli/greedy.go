@@ -11,7 +11,6 @@ import (
 	v1 "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/exhaustive"
-	"repro/internal/norm"
 	"repro/internal/report"
 	"repro/internal/reward"
 	"repro/internal/solver"
@@ -63,16 +62,13 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	if err != nil {
 		return err
 	}
-	// The CLI funnels its solver knobs through the same versioned wire
-	// options POST /v1/solve decodes, validated by the same Validate — one
-	// options surface, so the two entry points cannot drift.
-	wireOpts := v1.SolveOptions{Shards: *shards, Halo: *halo, Refine: *refine}
-	if err := wireOpts.Validate(set.Dim()); err != nil {
-		return fmt.Errorf("cdgreedy: %w", err)
-	}
-	nm, err := norm.ByName(*normName)
-	if err != nil {
-		return err
+	// The flags form the request POST /v1/solve decodes, resolved by the
+	// same Resolve, so the tool accepts exactly what the server accepts.
+	req := v1.SolveRequest{Instance: set, Radius: *r, Norm: *normName, Solver: *algName, K: *k,
+		Options: v1.SolveOptions{Shards: *shards, Halo: *halo, Refine: *refine}}
+	nm, opts, e := req.Resolve()
+	if e != nil {
+		return fmt.Errorf("cdgreedy: %s", e.Message)
 	}
 	tel, err := newTelemetry(*metrics, *events)
 	if err != nil {
@@ -82,19 +78,44 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	if err != nil {
 		return err
 	}
+	alg, err := solver.New(req.Solver, opts)
+	if err != nil {
+		return err
+	}
+	var res *core.Result
 	cancelled := false
-	if *asJSON {
-		alg, err := solver.New(*algName, wireOpts.SolverOptions())
-		if err != nil {
-			return err
-		}
-		res, err := alg.Run(ctx, in, *k)
-		if err != nil {
-			if res == nil || ctx.Err() == nil {
+	if *all && !*asJSON {
+		tb := report.NewTable(fmt.Sprintf("all algorithms on %d users (%s, k=%d, r=%g)", set.Len(), nm.Name(), *k, *r),
+			"algorithm", "total", "% of Σw")
+		for _, name := range solver.PaperNames() {
+			a, err := solver.New(name, solver.Options{})
+			if err != nil {
 				return err
 			}
-			cancelled = true
+			rr, err := a.Run(ctx, in, *k)
+			if err != nil {
+				if rr == nil || ctx.Err() == nil {
+					return err
+				}
+				cancelled = true
+			}
+			tb.AddRow(rr.Algorithm, rr.Total, 100*rr.Total/set.TotalWeight())
+			if res == nil || rr.Total > res.Total {
+				res = rr
+			}
+			if cancelled {
+				break
+			}
 		}
+		fmt.Fprint(stdout, tb.Render())
+	} else if res, err = alg.Run(ctx, in, *k); err != nil {
+		if res == nil || ctx.Err() == nil {
+			return err
+		}
+		cancelled = true
+	}
+
+	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		err = enc.Encode(struct {
@@ -123,44 +144,7 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		}
 		return tel.Close(stdout)
 	}
-
-	var res *core.Result
-	if *all {
-		tb := report.NewTable(fmt.Sprintf("all algorithms on %d users (%s, k=%d, r=%g)", set.Len(), nm.Name(), *k, *r),
-			"algorithm", "total", "% of Σw")
-		for _, name := range solver.PaperNames() {
-			a, err := solver.New(name, solver.Options{})
-			if err != nil {
-				return err
-			}
-			rr, err := a.Run(ctx, in, *k)
-			if err != nil {
-				if rr == nil || ctx.Err() == nil {
-					return err
-				}
-				cancelled = true
-			}
-			tb.AddRow(rr.Algorithm, rr.Total, 100*rr.Total/set.TotalWeight())
-			if res == nil || rr.Total > res.Total {
-				res = rr
-			}
-			if cancelled {
-				break
-			}
-		}
-		fmt.Fprint(stdout, tb.Render())
-	} else {
-		alg, err := solver.New(*algName, wireOpts.SolverOptions())
-		if err != nil {
-			return err
-		}
-		res, err = alg.Run(ctx, in, *k)
-		if err != nil {
-			if res == nil || ctx.Err() == nil {
-				return err
-			}
-			cancelled = true
-		}
+	if !*all {
 		tb := report.NewTable(fmt.Sprintf("%s on %d users (%s, k=%d, r=%g)", res.Algorithm, set.Len(), nm.Name(), *k, *r),
 			"round", "center", "gain")
 		for j, c := range res.Centers {
@@ -172,8 +156,12 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 	}
 
 	if *exh && ctx.Err() == nil {
-		if err := (v1.SolveOptions{GridPer: *gridPer}).Validate(set.Dim()); err != nil {
-			return fmt.Errorf("cdgreedy: %w", err)
+		box := tr.Box()
+		exReq := v1.SolveRequest{Instance: set, Radius: *r, Norm: *normName, Solver: "exhaustive", K: *k,
+			Options: v1.SolveOptions{GridPer: *gridPer, BoxLo: box.Lo, BoxHi: box.Hi, Polish: true}}
+		_, exOpts, e := exReq.Resolve()
+		if e != nil {
+			return fmt.Errorf("cdgreedy: %s", e.Message)
 		}
 		gridN := 0
 		if *gridPer > 0 {
@@ -186,9 +174,7 @@ func Greedy(ctx context.Context, args []string, stdin io.Reader, stdout io.Write
 		if combos > 5e8 {
 			return fmt.Errorf("cdgreedy: exhaustive search would enumerate %.3g subsets; reduce -k or -grid", combos)
 		}
-		ex, err := exhaustive.Solve(ctx, in, *k, solver.Options{
-			GridPer: *gridPer, Box: tr.Box(), Polish: true,
-		})
+		ex, err := exhaustive.Solve(ctx, in, *k, exOpts)
 		if err != nil {
 			if ex == nil || ctx.Err() == nil {
 				return err

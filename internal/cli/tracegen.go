@@ -99,9 +99,6 @@ func TraceGen(ctx context.Context, args []string, stdout io.Writer) error {
 			Solver:   *solveAlg,
 			Options:  v1.SolveOptions{Shards: *shards},
 		}
-		if err := req.Options.Validate(set.Dim()); err != nil {
-			return fmt.Errorf("cdtrace: %v", err)
-		}
 		resp, err := v1.NewClient(*solveURL, nil).Solve(ctx, req, "")
 		if err != nil {
 			return fmt.Errorf("cdtrace: solve: %w", err)

@@ -15,9 +15,9 @@ import (
 
 // Golden determinism: the whole pipeline — generator, algorithms, baselines
 // — must produce the exact same numbers for a fixed seed, across machines
-// and refactors that do not intentionally change behavior. These constants
-// were captured from the current implementation; a diff here means either a
-// real behavior change (update deliberately) or lost determinism (a bug).
+// and refactors that do not intentionally change behavior. The pinned
+// totals are float64 bit patterns; a diff here means either a real
+// behavior change (update deliberately) or lost determinism (a bug).
 func TestGoldenDeterminism(t *testing.T) {
 	set, err := pointset.GenUniform(25, pointset.PaperBox2D(), pointset.RandomIntWeight, xrand.New(2011))
 	if err != nil {
@@ -39,6 +39,17 @@ func TestGoldenDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		got[a.Name()] = res.Total
+	}
+	for name, bits := range map[string]uint64{
+		"greedy2":      0x4041bcbb10688010, // 35.474458743119726
+		"greedy2-lazy": 0x4041bcbb10688010,
+		"greedy3":      0x4040a570b8cf5fd3, // 33.29250249982547
+		"greedy4":      0x4041bcbb10688010,
+	} {
+		if math.Float64bits(got[name]) != bits {
+			t.Errorf("%s total %v (bits %016x), golden %v (bits %016x)",
+				name, got[name], math.Float64bits(got[name]), math.Float64frombits(bits), bits)
+		}
 	}
 	// Structural invariants that hold regardless of the exact digits.
 	if got["greedy2"] != got["greedy2-lazy"] {

@@ -231,7 +231,7 @@ func TestSolveCacheKeyCoversEveryField(t *testing.T) {
 		"Options.DisablePrune": func(r *v1.SolveRequest) { r.Options.DisablePrune = true },
 		"Options.Shards":       func(r *v1.SolveRequest) { r.Options.Shards = 2 },
 		"Options.Halo":         func(r *v1.SolveRequest) { r.Options.Halo = -1 },
-		"Options.Refine":       func(r *v1.SolveRequest) { r.Options.Refine = 2 },
+		"Options.Refine":       func(r *v1.SolveRequest) { r.Options.Refine = 3 },
 	}
 	excluded := map[string]string{
 		"DeadlineMS":      "a deadline only decides whether a result is partial, and partial results are never cached",
@@ -296,6 +296,38 @@ func TestSolveCacheKeyCoversEveryField(t *testing.T) {
 		}
 		if _, cached := postSolve(t, ts.URL, string(body)); cached {
 			t.Errorf("%s: a request differing only in this field was served from cache", name)
+		}
+	}
+}
+
+// TestSolveCacheDefaultSpellings: the cache key reads the resolved request,
+// so an option's default and its explicit spelling are answered from one
+// entry, and a value that solves differently still misses.
+func TestSolveCacheDefaultSpellings(t *testing.T) {
+	inst := instanceJSON(20)
+	cases := []struct {
+		name, base, other string
+		shared            bool
+	}{
+		{"refine 0 and 2", `"solver":"nearlinear"`, `"solver":"nearlinear","options":{"refine":2}`, true},
+		{"halo 0 and 1", `"options":{"shards":2}`, `"options":{"shards":2,"halo":1}`, true},
+		{"shards 0 and 1 on a plain name", `"solver":"greedy2-lazy"`, `"solver":"greedy2-lazy","options":{"shards":1}`, true},
+		{"sharded name with shards 0 and 8", `"solver":"sharded(greedy2-lazy)"`, `"solver":"sharded(greedy2-lazy)","options":{"shards":8}`, true},
+		{"refine 3", `"solver":"nearlinear"`, `"solver":"nearlinear","options":{"refine":3}`, false},
+		{"halo -1", `"options":{"shards":2}`, `"options":{"shards":2,"halo":-1}`, false},
+		{"shards 2", `"solver":"greedy2-lazy"`, `"solver":"greedy2-lazy","options":{"shards":2}`, false},
+	}
+	for _, tc := range cases {
+		_, ts := newTestServer(t, serve.Config{})
+		first, _ := postSolve(t, ts.URL, fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":3,%s}`, inst, tc.base))
+		second, cached := postSolve(t, ts.URL, fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":3,%s}`, inst, tc.other))
+		if cached != tc.shared {
+			t.Errorf("%s: second request cached = %v, want %v", tc.name, cached, tc.shared)
+		}
+		if a, _ := stripVarying(t, first); tc.shared {
+			if b, _ := stripVarying(t, second); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: the shared entry's answer differs:\n%s\n%s", tc.name, first, second)
+			}
 		}
 	}
 }

@@ -33,36 +33,10 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, e)
 		return
 	}
-	_, nm, e := resolveNorm(req.Norm)
+	nm, box, e := req.Resolve()
 	if e != nil {
 		sc.fail(w, e)
 		return
-	}
-	solverName, e := resolveSolver(req.Solver)
-	if e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if e := checkRadius(req.Radius); e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if req.Instance == nil || req.Instance.Len() == 0 {
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
-		return
-	}
-	if e := checkK(req.K, req.Instance.Len()); e != nil {
-		sc.fail(w, e)
-		return
-	}
-	box, e := wireBox(req.BoxLo, req.BoxHi, req.Instance.Dim())
-	if e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if len(box.Lo) == 0 {
-		lo, hi := req.Instance.Bounds()
-		box.Lo, box.Hi = lo, hi
 	}
 	tr, err := trace.FromSet(req.Instance, box)
 	if err != nil {
@@ -76,7 +50,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 		Periods:     req.Periods,
 		ArrivalRate: req.ArrivalRate,
 		DepartRate:  req.DepartRate,
-		Solver:      solverName,
+		Solver:      req.Solver,
 		Workers:     req.Workers,
 		Seed:        req.Seed,
 		WarmStart:   req.WarmStart,

@@ -36,16 +36,14 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, "", http.StatusOK, h)
 }
 
-// clusterRemote builds the peer-forwarding PartSolver for one solve request,
-// or nil when the solve stays local: no cluster configured, no peers, or not
-// a sharded solve (shards <= 1 — nothing to fan out). The PartSolver itself
-// clears the coordinator-only options and stamps in the per-shard seed.
+// clusterRemote builds the peer-forwarding PartSolver for one resolved
+// solve request, or nil when the solve stays local: no cluster configured,
+// no peers, or not a sharded solve (shards <= 1 — nothing to fan out). The
+// PartSolver itself clears the coordinator-only options and stamps in the
+// per-shard seed.
 func (s *Server) clusterRemote(requestID, solverName, normName string, opts v1.SolveOptions) core.PartSolver {
 	cl := s.cfg.Cluster
-	if cl == nil || cl.NumPeers() == 0 {
-		return nil
-	}
-	if solver.EffectiveShards(solverName, opts.Shards) <= 1 {
+	if cl == nil || cl.NumPeers() == 0 || opts.Shards <= 1 {
 		return nil
 	}
 	inner, composite := solver.ShardedInner(solverName)

@@ -117,6 +117,11 @@ func solveErrorCases() []errorCase {
 		{"halo walk above MaxCells",
 			`{"instance":{"dim":2,"points":[[0,0],[1,1],[2,2],[3,3]]},"radius":1,"k":1,"deadline_ms":100,"options":{"shards":2,"halo":600}}`,
 			http.StatusBadRequest, v1.CodeBadRequest},
+		// About 585 years: as a time.Duration it wraps to 448 µs.
+		{"deadline past a Duration", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"deadline_ms":18446744073710}`, good),
+			http.StatusBadRequest, v1.CodeBadRequest},
+		{"negative deadline", fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"deadline_ms":-1}`, good),
+			http.StatusBadRequest, v1.CodeBadRequest},
 	}
 }
 
@@ -271,6 +276,12 @@ func TestChurnErrorPaths(t *testing.T) {
 		{"weights summing past float64",
 			`{"instance":{"points":[[0,0],[1,1]],"weights":[1e308,1e308]},"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1}`,
 			http.StatusBadRequest, v1.CodeBadInstance},
+		{"deadline past a Duration",
+			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"deadline_ms":18446744073710}`, good),
+			http.StatusBadRequest, v1.CodeBadRequest},
+		{"negative deadline",
+			fmt.Sprintf(`{"instance":%s,"radius":1,"k":1,"periods":2,"arrival_rate":1,"depart_rate":1,"deadline_ms":-1}`, good),
+			http.StatusBadRequest, v1.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

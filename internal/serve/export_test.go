@@ -14,7 +14,7 @@ import (
 func DecodeBody(body []byte, dst any, inst **pointset.Set) string {
 	r := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
 	if e := (&Server{}).decodeBody(httptest.NewRecorder(), r, dst, inst); e != nil {
-		return e.code
+		return e.Code
 	}
 	return ""
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/norm"
 	"repro/internal/reward"
 	"repro/internal/serve"
+	"repro/internal/theory"
 	"repro/internal/vec"
 )
 
@@ -31,8 +32,10 @@ var wireCodes = map[string]bool{
 // the fuzzing goroutine, so a handler panic fails the target. A non-200
 // answer must carry a v1 error code in its envelope; a 200 answer must hold
 // at most k centers and a total equal to the objective recomputed from
-// those centers. The 200 ms deadline cap keeps every input cheap: a solve
-// cut short answers its valid partial prefix.
+// those centers. A complete, unsharded greedy2 or greedy2-lazy answer on
+// at most 12 users with k <= 4 must keep 1−(1−1/k)^k of the best k users
+// taken as centers, found by brute force. The 200 ms deadline cap keeps
+// every input cheap: a solve cut short answers its valid partial prefix.
 //
 //	go test -run '^$' -fuzz FuzzSolveHandler -fuzztime 5m ./internal/serve
 func FuzzSolveHandler(f *testing.F) {
@@ -41,6 +44,8 @@ func FuzzSolveHandler(f *testing.F) {
 	}
 	f.Add(fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":3,"solver":"greedy2"}`, instanceJSON(25)))
 	f.Add(fmt.Sprintf(`{"instance":%s,"radius":1.2,"k":2,"norm":"l1","options":{"shards":2}}`, instanceJSON(30)))
+	f.Add(`{"instance":{"points":[[0,0],[0.5,0.2],[3,1],[3.4,1.3],[1,3],[2,2],[0.1,2.9]],"weights":[1,4,2,2,5,1,3]},"radius":1,"k":3,"norm":"linf","solver":"greedy2-lazy"}`)
+	f.Add(fmt.Sprintf(`{"instance":%s,"radius":1.5,"k":4,"solver":"greedy2","options":{"shards":1}}`, instanceJSON(12)))
 
 	h := serve.New(serve.Config{MaxBody: 2048, MaxDeadline: 200 * time.Millisecond}).Handler()
 	f.Fuzz(func(t *testing.T, body string) {
@@ -80,5 +85,32 @@ func FuzzSolveHandler(f *testing.F) {
 		if got := in.Objective(centers); math.Abs(got-out.Total) > core.SumTolerance {
 			t.Fatalf("total %v, recomputed objective %v", out.Total, got)
 		}
+		if (out.Solver == "greedy2" || out.Solver == "greedy2-lazy") && !out.Partial &&
+			req.Options.Shards <= 1 && in.N() <= 12 && req.K <= 4 {
+			best := bestUsers(in, req.K)
+			if bound := theory.Approx1(req.K) * best; out.Total < bound-core.SumTolerance {
+				t.Fatalf("%s total %v below (1−(1−1/k)^k) × %v = %v, k = %d", out.Solver, out.Total, best, bound, req.K)
+			}
+		}
 	})
+}
+
+// bestUsers is the largest objective of k of the instance's users taken
+// as centers, over every k-subset.
+func bestUsers(in *reward.Instance, k int) float64 {
+	best := 0.0
+	centers := make([]vec.V, k)
+	var walk func(pos, from int)
+	walk = func(pos, from int) {
+		if pos == k {
+			best = max(best, in.Objective(centers))
+			return
+		}
+		for i := from; i < in.N(); i++ {
+			centers[pos] = in.Set.Point(i)
+			walk(pos+1, i+1)
+		}
+	}
+	walk(0, 0)
+	return best
 }

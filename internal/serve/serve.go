@@ -264,15 +264,9 @@ func (s *Server) Drain(ctx context.Context, grace time.Duration) error {
 	return err
 }
 
-// apiErr is an HTTP status plus the machine-readable v1 error payload.
-type apiErr struct {
-	status int
-	code   string
-	msg    string
-}
-
-func errf(status int, code, format string, args ...any) *apiErr {
-	return &apiErr{status: status, code: code, msg: fmt.Sprintf(format, args...)}
+// errf builds the v1 error a request is answered with.
+func errf(status int, code, format string, args ...any) *v1.APIError {
+	return &v1.APIError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
 }
 
 // v1 route labels for the per-route serving series and span names.
@@ -358,12 +352,12 @@ func (sc *reqScope) end(status int) {
 }
 
 // fail answers the request with a v1 error and closes the scope.
-func (sc *reqScope) fail(w http.ResponseWriter, e *apiErr) {
-	if e.status == http.StatusBadRequest || e.status == http.StatusRequestEntityTooLarge {
+func (sc *reqScope) fail(w http.ResponseWriter, e *v1.APIError) {
+	if e.Status == http.StatusBadRequest || e.Status == http.StatusRequestEntityTooLarge {
 		sc.s.col.Count(obs.CtrSrvBadRequest, 1)
 	}
 	writeError(w, sc.id, e)
-	sc.end(e.status)
+	sc.end(e.Status)
 }
 
 // requestID takes the client's X-Request-ID when it is short and printable,
@@ -389,7 +383,7 @@ func retryAfterValue(d time.Duration) string {
 // decodeBody reads the request body under the body cap and strictly decodes
 // it into dst, whose "instance" field inst points at, mapping failures to
 // wire error codes.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, inst **pointset.Set) *apiErr {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, inst **pointset.Set) *v1.APIError {
 	// Size the buffer from Content-Length, capped so a false one cannot
 	// cost more than the cap; the MinRead spare lets ReadFrom see EOF
 	// without growing it.
@@ -417,7 +411,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, ins
 // holds it to that): malformed JSON anywhere, then the first invalid
 // instance, then the envelope's own error. Bytes after the object are
 // ignored.
-func decodeRequest(body []byte, dst any, inst **pointset.Set) *apiErr {
+func decodeRequest(body []byte, dst any, inst **pointset.Set) *v1.APIError {
 	set, rest, err := pointset.SplitMember(body, "instance")
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(rest))
@@ -449,8 +443,8 @@ func writeJSON(w http.ResponseWriter, id string, status int, body any) {
 	_ = enc.Encode(body)
 }
 
-func writeError(w http.ResponseWriter, id string, e *apiErr) {
-	writeJSON(w, id, e.status, v1.ErrorResponse{Error: v1.Error{Code: e.code, Message: e.msg}})
+func writeError(w http.ResponseWriter, id string, e *v1.APIError) {
+	writeJSON(w, id, e.Status, v1.ErrorResponse{Error: v1.Error{Code: e.Code, Message: e.Message}})
 }
 
 // handleSolvers answers GET /v1/solvers with the sorted registry catalog —

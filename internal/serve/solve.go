@@ -11,9 +11,7 @@ import (
 	v1 "repro/api/v1"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/norm"
 	"repro/internal/obs"
-	"repro/internal/pointset"
 	"repro/internal/reward"
 	"repro/internal/solver"
 	"repro/internal/vec"
@@ -39,54 +37,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, e)
 		return
 	}
-	normName, nm, e := resolveNorm(req.Norm)
+	nm, solverOpts, e := req.Resolve()
 	if e != nil {
 		sc.fail(w, e)
-		return
-	}
-	solverName, e := resolveSolver(req.Solver)
-	if e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if e := checkRadius(req.Radius); e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if req.Instance == nil || req.Instance.Len() == 0 {
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "request has no instance"))
-		return
-	}
-	if e := checkK(req.K, req.Instance.Len()); e != nil {
-		sc.fail(w, e)
-		return
-	}
-	warm, e := warmCenters(req.Options.WarmStart, req.Instance.Dim())
-	if e != nil {
-		sc.fail(w, e)
-		return
-	}
-	box, e := wireBox(req.Options.BoxLo, req.Options.BoxHi, req.Instance.Dim())
-	if e != nil {
-		sc.fail(w, e)
-		return
-	}
-	if err := req.Options.Validate(req.Instance.Dim()); err != nil {
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest, "%v", err))
 		return
 	}
 	useCache := s.cache != nil
-	switch req.CacheControl {
-	case "":
-	case v1.CacheControlBypass:
-		if useCache {
-			s.col.Count(obs.CtrCacheBypass, 1)
-		}
+	if useCache && req.CacheControl == v1.CacheControlBypass {
+		s.col.Count(obs.CtrCacheBypass, 1)
 		useCache = false
-	default:
-		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadRequest,
-			"cache_control = %q, want \"\" or %q", req.CacheControl, v1.CacheControlBypass))
-		return
 	}
 
 	ctx, cancel := s.solveContext(r, req.DeadlineMS)
@@ -101,10 +60,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if useCache {
 		fp := obs.StartStage(ctx, s.col, obs.StageSrvFingerprint)
 		key := cache.Fingerprint(req.Instance, cache.SolveParams{
-			Norm:         normName,
+			Norm:         req.Norm,
 			Radius:       req.Radius,
 			K:            req.K,
-			Solver:       solverName,
+			Solver:       req.Solver,
 			Seed:         req.Options.Seed,
 			GridPer:      req.Options.GridPer,
 			BoxLo:        req.Options.BoxLo,
@@ -187,13 +146,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeBadInstance, "%v", err))
 		return
 	}
-	solverOpts := req.Options.SolverOptions()
-	solverOpts.WarmStart = warm
-	solverOpts.Box = box
-	solverOpts.Remote = s.clusterRemote(sc.id, solverName, normName, req.Options)
-	alg, err := solver.New(solverName, solverOpts)
+	solverOpts.Remote = s.clusterRemote(sc.id, req.Solver, req.Norm, req.Options)
+	alg, err := solver.New(req.Solver, solverOpts)
 	if err != nil {
-		// Unreachable: resolveSolver already checked the catalog.
+		// Unreachable: Resolve already checked the catalog.
 		sc.fail(w, errf(http.StatusBadRequest, v1.CodeUnknownSolver, "%v", err))
 		return
 	}
@@ -232,8 +188,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	encode := obs.StartStage(ctx, s.col, obs.StageSrvEncode)
 	resp := v1.SolveResponse{
 		RequestID: sc.id,
-		Solver:    solverName,
-		Norm:      normName,
+		Solver:    req.Solver,
+		Norm:      req.Norm,
 		K:         req.K,
 		Radius:    req.Radius,
 		N:         in.N(),
@@ -295,86 +251,6 @@ func mustMarshal(v any) []byte {
 		panic(err)
 	}
 	return b
-}
-
-// resolveNorm maps the wire norm name (default l2) to a norm.Norm.
-func resolveNorm(name string) (string, norm.Norm, *apiErr) {
-	if name == "" {
-		name = "l2"
-	}
-	nm, err := norm.ByName(name)
-	if err != nil {
-		return "", nil, errf(http.StatusBadRequest, v1.CodeBadNorm,
-			"unknown norm %q (have: l1 | l2 | linf)", name)
-	}
-	return name, nm, nil
-}
-
-// resolveSolver maps the wire solver name (default greedy2) to a catalog
-// name, answering unknown names with the same sorted-catalog text as
-// cdgreedy -alg. The composite form "sharded(<inner>)" is accepted whenever
-// the inner name is in the catalog.
-func resolveSolver(name string) (string, *apiErr) {
-	if name == "" {
-		name = "greedy2"
-	}
-	if err := solver.Check(name); err != nil {
-		return "", errf(http.StatusBadRequest, v1.CodeUnknownSolver, "%v", err)
-	}
-	return name, nil
-}
-
-// checkK bounds k by the instance's user count n. With k = n, one center
-// per user already covers every user fully, so a larger k cannot raise the
-// optimum; it would only hold a worker for rounds that gain nothing.
-func checkK(k, n int) *apiErr {
-	if k < 1 || k > n {
-		return errf(http.StatusBadRequest, v1.CodeBadK,
-			"k = %d, want 1 <= k <= %d (the instance's user count)", k, n)
-	}
-	return nil
-}
-
-func checkRadius(r float64) *apiErr {
-	if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-		return errf(http.StatusBadRequest, v1.CodeBadRadius,
-			"radius = %v, want positive and finite", r)
-	}
-	return nil
-}
-
-// warmCenters converts wire warm-start rows, enforcing the instance dim.
-func warmCenters(rows [][]float64, dim int) ([]vec.V, *apiErr) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	out := make([]vec.V, len(rows))
-	for i, row := range rows {
-		if len(row) != dim {
-			return nil, errf(http.StatusBadRequest, v1.CodeDimMismatch,
-				"warm_start[%d] has dim %d, want %d", i, len(row), dim)
-		}
-		out[i] = vec.V(append([]float64{}, row...))
-	}
-	return out, nil
-}
-
-// wireBox converts optional box_lo/box_hi to a pointset.Box (zero Box when
-// absent, meaning data bounds).
-func wireBox(lo, hi []float64, dim int) (pointset.Box, *apiErr) {
-	if len(lo) == 0 && len(hi) == 0 {
-		return pointset.Box{}, nil
-	}
-	if len(lo) != dim || len(hi) != dim {
-		return pointset.Box{}, errf(http.StatusBadRequest, v1.CodeDimMismatch,
-			"box_lo/box_hi have dims %d/%d, want %d", len(lo), len(hi), dim)
-	}
-	b := pointset.Box{Lo: vec.V(append([]float64{}, lo...)), Hi: vec.V(append([]float64{}, hi...))}
-	if !b.Valid() {
-		return pointset.Box{}, errf(http.StatusBadRequest, v1.CodeBadRequest,
-			"box_lo must be <= box_hi component-wise")
-	}
-	return b, nil
 }
 
 func centersWire(centers []vec.V) [][]float64 {

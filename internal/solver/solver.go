@@ -220,27 +220,27 @@ func ValidateSharding(shards, halo int) error {
 	return nil
 }
 
-// ShardedInner parses the composable registry form "sharded(<inner>)",
-// returning the inner name and true on match. The serving layer's cluster
-// coordinator uses it to learn which algorithm a forwarded shard should run.
-func ShardedInner(name string) (string, bool) { return shardedInner(name) }
-
 // EffectiveShards resolves the shard count a solve of the given name and
 // Options.Shards value actually runs with: the composite "sharded(<inner>)"
 // form defaults to DefaultShards when Shards is unset, a plain name shards
-// only when Shards > 1. Exactly New's dispatch logic, exposed so the serving
-// layer can decide whether a request is a sharded (cluster-forwardable)
-// solve without re-encoding the rules.
+// only when Shards > 1, so its 1 is the 0 of a single-shot solve. Exactly
+// New's dispatch logic, exposed so a request can be resolved to the solve
+// it runs without re-encoding the rules.
 func EffectiveShards(name string, shards int) int {
-	if _, ok := shardedInner(name); ok && shards == 0 {
+	_, composite := ShardedInner(name)
+	switch {
+	case composite && shards == 0:
 		return DefaultShards
+	case !composite && shards == 1:
+		return 0
 	}
 	return shards
 }
 
-// shardedInner parses the composable registry form "sharded(<inner>)",
-// returning the inner name and true on match.
-func shardedInner(name string) (string, bool) {
+// ShardedInner parses the composable registry form "sharded(<inner>)",
+// returning the inner name and true on match. The serving layer's cluster
+// coordinator uses it to learn which algorithm a forwarded shard should run.
+func ShardedInner(name string) (string, bool) {
 	const prefix, suffix = "sharded(", ")"
 	if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && len(name) > len(prefix)+len(suffix) {
 		return name[len(prefix) : len(name)-len(suffix)], true
@@ -249,17 +249,25 @@ func shardedInner(name string) (string, bool) {
 }
 
 // Check reports whether name resolves to a constructible algorithm: a
-// registry entry, or the composite "sharded(<inner>)" around one. The
-// serving layer validates wire names through this so its catalog errors
+// registry entry, or the composite "sharded(<inner>)" around one. Request
+// resolution validates wire names through this so its catalog errors
 // cannot drift from New's.
 func Check(name string) error {
-	if inner, ok := shardedInner(name); ok {
+	_, err := entry(name)
+	return err
+}
+
+// entry looks up the registry entry a name runs: the name itself, or the
+// inner name of a composite "sharded(<inner>)".
+func entry(name string) (Entry, error) {
+	if inner, ok := ShardedInner(name); ok {
 		name = inner
 	}
-	if _, ok := registry[name]; !ok {
-		return CatalogError("solver", "algorithm", name, Names())
+	e, ok := registry[name]
+	if !ok {
+		return Entry{}, CatalogError("solver", "algorithm", name, Names())
 	}
-	return nil
+	return e, nil
 }
 
 // New resolves a registered name and constructs the algorithm. Unknown
@@ -275,23 +283,12 @@ func New(name string, opts Options) (core.Algorithm, error) {
 	if err := ValidateSharding(opts.Shards, opts.Halo); err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
-	if inner, ok := shardedInner(name); ok {
-		e, okInner := registry[inner]
-		if !okInner {
-			return nil, CatalogError("solver", "algorithm", inner, Names())
-		}
-		shards := opts.Shards
-		if shards == 0 {
-			shards = DefaultShards
-		}
-		return newSharded(e, inner, shards, opts), nil
+	e, err := entry(name)
+	if err != nil {
+		return nil, err
 	}
-	e, ok := registry[name]
-	if !ok {
-		return nil, CatalogError("solver", "algorithm", name, Names())
-	}
-	if opts.Shards > 1 {
-		return newSharded(e, name, opts.Shards, opts), nil
+	if _, composite := ShardedInner(name); composite || opts.Shards > 1 {
+		return newSharded(e, e.Name, EffectiveShards(name, opts.Shards), opts), nil
 	}
 	alg := e.New(opts)
 	if len(opts.WarmStart) > 0 {

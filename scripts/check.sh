@@ -55,6 +55,13 @@ echo "==> churn-loop gate"
 go test -run 'TestRunChurn' -count=1 ./internal/broadcast
 go test -run 'TestBatchedScalarEquivalence' -count=1 ./internal/reward
 
+# The answers gate: every solver's served answer under every norm, bit for
+# bit, against internal/serve/testdata/answers.golden. Already part of the
+# full suite above; rerun by name so a moved answer is unmistakably
+# attributed. Rewrite the golden on purpose with make golden-update.
+echo "==> answers gate"
+go test -run '^TestServedAnswersGolden$' -count=1 ./internal/serve
+
 # The wire-codec fuzz gate: the hand-written pointset codec and the /v1
 # body path, each against the encoding/json decode it replaced, the
 # codec's number scan (FuzzNumber) against encoding/json's grammar and
